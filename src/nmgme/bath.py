@@ -76,9 +76,9 @@ def make_exponential(gamma: float, tau_c: float) -> CorrelationKernel:
     ``D(t, s) = gamma / (2 tau_c) * exp(-|t - s| / tau_c)``, purely real,
     with line integral ``gamma`` over the full real axis.
     """
-    if tau_c <= 0:
+    if not tau_c > 0:
         raise ValueError(f"correlation time must be positive, got {tau_c}")
-    if gamma < 0:
+    if not gamma >= 0:
         raise ValueError(f"coupling strength must be non-negative, got {gamma}")
     amp = gamma / (2.0 * tau_c)
 
@@ -95,9 +95,9 @@ def make_white_noise_approximant(strength: float, eps: float) -> CorrelationKern
     ``strength`` for every width ``eps``, while the peak grows as
     ``strength / (2 eps)``.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError(f"width must be positive, got {eps}")
-    if strength <= 0:
+    if not strength > 0:
         raise ValueError(f"strength must be positive, got {strength}")
     kernel = make_exponential(strength, eps)
     return replace(kernel, label="white_noise")

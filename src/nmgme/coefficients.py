@@ -1,19 +1,33 @@
 """Time-local master-equation coefficients for linear systems.
 
-The nonlocal kernels are reduced to time-local coefficient tables by
-integrating them against the Heisenberg propagator kernels.  For a
-single position-coupled channel
+Every model goes through one reduction: the memory kernels ``X`` in
+``{A, B}`` are integrated against the 2x2 Heisenberg flow ``Phi`` of
+``(q, p)``,
+
+``I^X[K, j, k, l, m] = int_0^{t_K} X_jk(t_K, s) Phi_lm(t_K - s) ds``,
+
+in one contraction over the prefix-weight matrix of the grid, and each
+model is a fixed linear map from ``I`` to its named coefficients (the
+data table ``_ROWS``).  For a single position-coupled channel, with
+``C = Phi_11`` and ``Ct = Phi_12`` the kernel multiplying the momentum
+operator, the map reads
 
 ``Gamma(t) = -int_0^t A(t,s) C(t-s) ds``        (double commutator, q q)
 ``Theta(t) = -int_0^t A(t,s) Ct(t-s) ds``       (double commutator, q p)
 ``Xi(t)    = -2i int_0^t B(t,s) C(t-s) ds``     (commutator-anticommutator)
 ``Upsilon(t) = -2i int_0^t B(t,s) Ct(t-s) ds``
 
-where ``Ct`` multiplies the momentum operator.  The generator convention
-is fixed in :mod:`nmgme.propagate`: the anticommutator channels enter
-with weight 1/2 (half-anticommutator superoperators), which makes the
-stored ``Xi``/``Upsilon`` purely imaginary and the assembled map trace
-preserving and Hermiticity preserving.
+Models differ only in the samples they feed in: series-assembled
+``A``/``B`` for the generic channel and the collapse model, the
+zeroth-order closure ``A = D^Re``, ``B = D^Im`` for the non-dissipative
+and pure-dephasing models (the latter with the identity flow, as a
+constant coupling operator does not evolve).
+
+The generator convention is fixed in :mod:`nmgme.propagate`: the
+anticommutator channels enter with weight 1/2 (half-anticommutator
+superoperators), which makes the stored ``Xi``/``Upsilon`` purely
+imaginary and the assembled map trace preserving and Hermiticity
+preserving.
 
 For the dissipative position-momentum collapse model the two coupled
 channels are eliminated through the 2x2 flow directly, giving the seven
@@ -29,7 +43,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bath import CorrelationKernel, make_qmupl_matrix
-from .grids import TimeGrid, quad_weights
+
+# quad_weights is not called here; perfbench/tracing.py counts quadrature
+# builds through this module's name as well.
+from .grids import TimeGrid, prefix_weights, quad_weights  # noqa: F401
 from .series import ABKernels, SeriesConfig, assemble_AB
 from .system import (
     CommutatorKernel,
@@ -51,6 +68,32 @@ __all__ = [
 ]
 
 _REALITY_TOL = 1e-9
+
+#: Rows ``(name, X, j, k, l, m, factor)``: ``name += factor * (-mu)^(j + k)
+#: * I^X[j, k, l, m]``, collected in the operator basis ``{[q,[q,.]],
+#: [q,[p,.]], [p,[p,.]], [q,{q,.}], [q,{p,.}], [{q,p},.], [p^2,.]}``.
+#: Channel 0 is ``q``; channel 1 is ``-mu p`` (collapse model only), hence
+#: the powers of ``-mu``.  Single-channel models use the ``j = k = 0`` rows.
+_ROWS = (
+    ("Gamma", "A", 0, 0, 0, 0, -1.0),
+    ("Gamma", "A", 0, 1, 1, 0, -1.0),
+    ("Theta", "A", 0, 0, 0, 1, -1.0),
+    ("Theta", "A", 0, 1, 1, 1, -1.0),
+    ("Theta", "A", 1, 0, 0, 0, -1.0),
+    ("Theta", "A", 1, 1, 1, 0, -1.0),
+    ("gamma_pp", "A", 1, 0, 0, 1, -1.0),
+    ("gamma_pp", "A", 1, 1, 1, 1, -1.0),
+    ("Xi", "B", 0, 0, 0, 0, -2.0j),
+    ("Xi", "B", 0, 1, 1, 0, -2.0j),
+    ("Upsilon", "B", 0, 0, 0, 1, -2.0j),
+    ("Upsilon", "B", 0, 1, 1, 1, -2.0j),
+    ("Upsilon", "B", 1, 0, 0, 0, 2.0j),
+    ("Upsilon", "B", 1, 1, 1, 0, 2.0j),
+    ("alpha", "B", 1, 0, 0, 1, 1.0),
+    ("alpha", "B", 1, 1, 1, 1, 1.0),
+    ("beta", "B", 1, 0, 0, 0, 1.0),
+    ("beta", "B", 1, 1, 1, 0, 1.0),
+)
 
 
 @dataclass(frozen=True)
@@ -131,29 +174,66 @@ def build_ab_tables(
     ]
 
 
-def _channel_quadrature(ab_tables, grid, method, weight_fns):
-    """Integrate ``A``/``B`` samples against flow entries at each time.
-
-    ``weight_fns`` maps output names to ``(kernel, j, k, flow_fn, factor)``
-    tuples; returns arrays of shape (G,) per name.
-    """
+def _stack_ab(ab_tables: list[ABKernels], grid: TimeGrid) -> dict:
+    """Per-time ``A``/``B`` samples as zero-padded ``(d, d, G, G)`` arrays."""
     G = grid.n_points
-    out = {name: np.zeros(G, dtype=complex) for name in weight_fns}
+    if len(ab_tables) != G:
+        raise ValueError(
+            f"need one AB table per grid point ({G}), got {len(ab_tables)}"
+        )
+    d = ab_tables[0].A.shape[0]
+    dtype = np.result_type(*{x.dtype for ab in ab_tables for x in (ab.A, ab.B)})
+    X = {"A": np.zeros((d, d, G, G), dtype), "B": np.zeros((d, d, G, G), dtype)}
     for K, ab in enumerate(ab_tables):
         if ab.outer_index != K:
             raise ValueError("AB tables do not match the coefficient grid")
-        n = K + 1
-        if n == 1:
-            continue
-        w = quad_weights(n, grid.h, method)
-        u = ab.outer_time - grid.points[:n]
-        for name, terms in weight_fns.items():
-            total = 0.0
-            for which, j, k, flow_fn, factor in terms:
-                kern = ab.A if which == "A" else ab.B
-                total = total + factor * np.dot(w, kern[j, k] * flow_fn(u))
-            out[name][K] = total
+        X["A"][:, :, K, : K + 1] = ab.A
+        X["B"][:, :, K, : K + 1] = ab.B
+    return X
+
+
+def _closure(D: CorrelationKernel, grid: TimeGrid, scale: float = 1.0) -> dict:
+    """Zeroth-order closure ``A = scale D^Re``, ``B = scale D^Im`` on the
+    grid square, as ``(1, 1, G, G)`` arrays."""
+    t = grid.points
+    val = D(0, 0, t[:, None], t[None, :])[None, None]
+    return {"A": scale * val.real, "B": scale * val.imag}
+
+
+def _flow(kernels: PropagatorKernels, grid: TimeGrid) -> np.ndarray:
+    """Heisenberg flow ``Phi(t_K - s)`` sampled on the grid square."""
+    t = grid.points
+    return kernels.flow(t[:, None] - t[None, :])
+
+
+def _reduce(X: dict, phi: np.ndarray, grid: TimeGrid, method: str, mu: float = 0.0):
+    """Contract ``X`` against ``phi`` into ``I`` and apply ``_ROWS``.
+
+    Returns the named coefficients as arrays of shape ``(G,)``; names with
+    no row for the channel count of ``X`` are absent.
+    """
+    W = prefix_weights(grid.n_points, grid.h, method)
+    I = {x: np.einsum("Ks,jkKs,lmKs->Kjklm", W, arr, phi) for x, arr in X.items()}
+    d = X["A"].shape[0]
+    out = {}
+    for name, x, j, k, l, m, factor in _ROWS:
+        if j < d and k < d:
+            out[name] = out.get(name, 0) + factor * (-mu) ** (j + k) * I[x][:, j, k, l, m]
     return out
+
+
+def _tables(grid: TimeGrid, scenario: str, vals: dict, params, **extras) -> MECoefficients:
+    shape = (grid.n_points, 1, 1)
+    return MECoefficients(
+        grid=grid,
+        scenario=scenario,
+        params=params or {},
+        **{
+            name: np.asarray(vals[name], dtype=complex).reshape(shape)
+            for name in ("Gamma", "Theta", "Xi", "Upsilon")
+        },
+        **extras,
+    )
 
 
 def coefficients_linear(
@@ -176,33 +256,8 @@ def coefficients_linear(
             "coefficients_linear handles single-channel systems; "
             "use coefficients_qmupl for the coupled-channel model"
         )
-    if len(ab_tables) != grid.n_points:
-        raise ValueError(
-            f"need one AB table per grid point ({grid.n_points}), got {len(ab_tables)}"
-        )
-    C = lambda u: kernels.C(u)[0, 0]
-    Ct = lambda u: kernels.C_tilde(u)[0, 0]
-    vals = _channel_quadrature(
-        ab_tables,
-        grid,
-        method,
-        {
-            "Gamma": [("A", 0, 0, C, -1.0)],
-            "Theta": [("A", 0, 0, Ct, -1.0)],
-            "Xi": [("B", 0, 0, C, -2.0j)],
-            "Upsilon": [("B", 0, 0, Ct, -2.0j)],
-        },
-    )
-    shape = (grid.n_points, 1, 1)
-    return MECoefficients(
-        grid=grid,
-        scenario=scenario,
-        Gamma=vals["Gamma"].reshape(shape),
-        Theta=vals["Theta"].reshape(shape),
-        Xi=vals["Xi"].reshape(shape),
-        Upsilon=vals["Upsilon"].reshape(shape),
-        params=params or {},
-    )
+    vals = _reduce(_stack_ab(ab_tables, grid), _flow(kernels, grid), grid, method)
+    return _tables(grid, scenario, vals, params)
 
 
 def coefficients_nondissipative(
@@ -224,29 +279,8 @@ def coefficients_nondissipative(
         raise ValueError("non-dissipative reduction needs a purely real kernel")
     if kernels.dim != 1:
         raise ValueError("non-dissipative reduction is single-channel")
-    G = grid.n_points
-    Gamma = np.zeros(G, dtype=complex)
-    Theta = np.zeros(G, dtype=complex)
-    for K in range(1, G):
-        n = K + 1
-        w = quad_weights(n, grid.h, method)
-        t = grid.points[K]
-        s = grid.points[:n]
-        dre = D.re_part(0, 0, t, s)
-        u = t - s
-        Gamma[K] = -lam_scale * np.dot(w, dre * kernels.C(u)[0, 0])
-        Theta[K] = -lam_scale * np.dot(w, dre * kernels.C_tilde(u)[0, 0])
-    shape = (G, 1, 1)
-    zeros = np.zeros(shape, dtype=complex)
-    return MECoefficients(
-        grid=grid,
-        scenario="nondissipative",
-        Gamma=Gamma.reshape(shape),
-        Theta=Theta.reshape(shape),
-        Xi=zeros,
-        Upsilon=zeros.copy(),
-        params=params or {},
-    )
+    vals = _reduce(_closure(D, grid, lam_scale), _flow(kernels, grid), grid, method)
+    return _tables(grid, "nondissipative", vals, params)
 
 
 def coefficients_dephasing(
@@ -265,27 +299,9 @@ def coefficients_dephasing(
     if D.n_channels != 1:
         raise ValueError("dephasing reduction is single-channel")
     G = grid.n_points
-    Gamma = np.zeros(G, dtype=complex)
-    Xi = np.zeros(G, dtype=complex)
-    for K in range(1, G):
-        n = K + 1
-        w = quad_weights(n, grid.h, method)
-        t = grid.points[K]
-        s = grid.points[:n]
-        val = D(0, 0, t, s)
-        Gamma[K] = -np.dot(w, np.real(val))
-        Xi[K] = -2j * np.dot(w, np.imag(val))
-    shape = (G, 1, 1)
-    zeros = np.zeros(shape, dtype=complex)
-    return MECoefficients(
-        grid=grid,
-        scenario="dephasing",
-        Gamma=Gamma.reshape(shape),
-        Theta=zeros,
-        Xi=Xi.reshape(shape),
-        Upsilon=zeros.copy(),
-        params=params or {},
-    )
+    identity = np.broadcast_to(np.eye(2)[:, :, None, None], (2, 2, G, G))
+    vals = _reduce(_closure(D, grid), identity, grid, method)
+    return _tables(grid, "dephasing", vals, params)
 
 
 def coefficients_qmupl(
@@ -302,22 +318,11 @@ def coefficients_qmupl(
     """Seven-coefficient set of the dissipative collapse master equation.
 
     The two channels ``(q, -mu p)`` are eliminated by expanding
-    ``A_j(s)`` over ``(q_t, p_t)`` with the 2x2 flow ``Cf``; collecting
-    the generator in the operator basis
-    ``{[q,[q,.]], [q,[p,.]], [p,[p,.]], [q,{q,.}], [q,{p,.}],
-    [{q,p},.], [p^2,.]}`` yields
-
-    ``Gamma = -int (A11 Cf11 - mu A12 Cf21)``
-    ``Theta = -int (A11 Cf12 - mu A12 Cf22 - mu A21 Cf11 + mu^2 A22 Cf21)``
-    ``gamma = +int (mu A21 Cf12 - mu^2 A22 Cf22)``
-    ``Xi = -2i int (B11 Cf11 - mu B12 Cf21)``
-    ``Upsilon = -2i int (B11 Cf12 - mu B12 Cf22 + mu B21 Cf11 - mu^2 B22 Cf21)``
-    ``alpha = -mu int (B21 Cf12 - mu B22 Cf22)``
-    ``beta = -mu int (B21 Cf11 - mu B22 Cf21)``
-
-    ``alpha`` and ``beta`` are real Hamiltonian renormalizations (of
-    ``p^2`` and ``{q,p}``), reported separately from the free Hamiltonian
-    and from the static ``lam mu / 2`` anticommutator term.
+    ``A_j(s)`` over ``(q_t, p_t)`` with the 2x2 flow; the resulting map
+    onto the operator basis is the ``_ROWS`` table.  ``alpha`` and
+    ``beta`` are real Hamiltonian renormalizations (of ``p^2`` and
+    ``{q,p}``), reported separately from the free Hamiltonian and from the
+    static ``lam mu / 2`` anticommutator term.
     """
     if lam < 0:
         raise ValueError(f"collapse strength must be non-negative, got {lam}")
@@ -325,54 +330,19 @@ def coefficients_qmupl(
     D = make_qmupl_matrix(lam, base)
     f = commutator_kernel(kernels, [(1.0, 0.0), (0.0, -mu)])
     ab_tables = build_ab_tables(D, f, config, grid)
-
-    C11 = lambda u: kernels.flow(u)[0, 0]
-    C12 = lambda u: kernels.flow(u)[0, 1]
-    C21 = lambda u: kernels.flow(u)[1, 0]
-    C22 = lambda u: kernels.flow(u)[1, 1]
-
-    vals = _channel_quadrature(
-        ab_tables,
+    vals = _reduce(_stack_ab(ab_tables, grid), _flow(kernels, grid), grid, method, mu)
+    coeffs = _tables(
         grid,
-        method,
-        {
-            "Gamma": [("A", 0, 0, C11, -1.0), ("A", 0, 1, C21, mu)],
-            "Theta": [
-                ("A", 0, 0, C12, -1.0),
-                ("A", 0, 1, C22, mu),
-                ("A", 1, 0, C11, mu),
-                ("A", 1, 1, C21, -(mu**2)),
-            ],
-            "gamma_pp": [("A", 1, 0, C12, mu), ("A", 1, 1, C22, -(mu**2))],
-            "Xi": [("B", 0, 0, C11, -2.0j), ("B", 0, 1, C21, 2.0j * mu)],
-            "Upsilon": [
-                ("B", 0, 0, C12, -2.0j),
-                ("B", 0, 1, C22, 2.0j * mu),
-                ("B", 1, 0, C11, -2.0j * mu),
-                ("B", 1, 1, C21, 2.0j * mu**2),
-            ],
-            "alpha": [("B", 1, 0, C12, -mu), ("B", 1, 1, C22, mu**2)],
-            "beta": [("B", 1, 0, C11, -mu), ("B", 1, 1, C21, mu**2)],
-        },
-    )
-    G = grid.n_points
-    shape = (G, 1, 1)
-    coeffs = MECoefficients(
-        grid=grid,
-        scenario="qmupl",
-        Gamma=vals["Gamma"].reshape(shape),
-        Theta=vals["Theta"].reshape(shape),
-        Xi=vals["Xi"].reshape(shape),
-        Upsilon=vals["Upsilon"].reshape(shape),
+        "qmupl",
+        vals,
+        {"lam": lam, "mu": mu, "m": m, "omega": omega},
         alpha=np.real(vals["alpha"]),
         beta=np.real(vals["beta"]),
         gamma_pp=np.real(vals["gamma_pp"]),
         lam_mu=lam * mu,
-        params={"lam": lam, "mu": mu, "m": m, "omega": omega},
     )
-    _check_real(vals["alpha"], "alpha")
-    _check_real(vals["beta"], "beta")
-    _check_real(vals["gamma_pp"], "gamma_pp")
+    for name in ("alpha", "beta", "gamma_pp"):
+        _check_real(vals[name], name)
     if return_ab:
         return coeffs, ab_tables
     return coeffs

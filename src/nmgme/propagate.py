@@ -22,6 +22,7 @@ knob.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,35 +145,46 @@ def _acomm(x, y):
 
 
 class CoefficientInterpolator:
-    """Linear interpolation of coefficient tables between grid nodes."""
+    """Linear interpolation of coefficient tables between grid nodes.
+
+    All tables are stacked once into one real ``(G, n)`` array (complex
+    entries as real/imaginary column pairs); a call is one interval lookup
+    and one row blend, with the same arithmetic as ``np.interp``.  Times
+    outside the grid are clipped to its ends.
+    """
 
     def __init__(self, coeffs: MECoefficients):
         self.coeffs = coeffs
-        self.t = coeffs.grid.points
+        t = coeffs.grid.points
+        self._nodes = t.tolist()
+        G, d = coeffs.grid.n_points, coeffs.n_channels
         self.names = ["Gamma", "Theta", "Xi", "Upsilon"]
         self.extras = ["alpha", "beta", "gamma_pp"] if coeffs.has_extras() else []
+        cols = [
+            np.asarray(getattr(coeffs, name), dtype=complex).reshape(G, d * d).view(float)
+            for name in self.names
+        ]
+        cols += [np.asarray(getattr(coeffs, name), dtype=float).reshape(G, 1) for name in self.extras]
+        self.table = np.hstack(cols)
+        self.slopes = np.diff(self.table, axis=0) / np.diff(t)[:, None]
+        self._d = d
 
     def __call__(self, t: float) -> dict:
-        pts = self.t
-        t = float(np.clip(t, pts[0], pts[-1]))
-        out = {}
-        for name in self.names:
-            arr = getattr(self.coeffs, name)
-            re = np.array(
-                [
-                    [np.interp(t, pts, arr[:, j, k].real) for k in range(arr.shape[2])]
-                    for j in range(arr.shape[1])
-                ]
-            )
-            im = np.array(
-                [
-                    [np.interp(t, pts, arr[:, j, k].imag) for k in range(arr.shape[2])]
-                    for j in range(arr.shape[1])
-                ]
-            )
-            out[name] = re + 1j * im
-        for name in self.extras:
-            out[name] = float(np.interp(t, pts, getattr(self.coeffs, name)))
+        nodes = self._nodes
+        t = min(max(float(t), nodes[0]), nodes[-1])
+        j = bisect.bisect_right(nodes, t) - 1
+        if nodes[j] == t:
+            row = self.table[j].copy()
+        else:
+            row = self.slopes[j] * (t - nodes[j]) + self.table[j]
+        d = self._d
+        n = 2 * d * d
+        out = {
+            name: row[i * n : (i + 1) * n].view(complex).reshape(d, d)
+            for i, name in enumerate(self.names)
+        }
+        for i, name in enumerate(self.extras):
+            out[name] = float(row[len(self.names) * n + i])
         out["lam_mu"] = self.coeffs.lam_mu
         return out
 

@@ -100,8 +100,9 @@ class RunConfig:
         if not g.get("t_max", 0) > 0:
             raise ConfigError("grid.t_max", "must be positive")
         s = self.series
-        if s.get("max_order", 0) < 0:
-            raise ConfigError("series.max_order", "must be >= 0")
+        order = s.get("max_order", 0)
+        if not isinstance(order, int) or isinstance(order, bool) or order < 0:
+            raise ConfigError("series.max_order", "need an integer >= 0")
         if not s.get("eps_series", 0) > 0:
             raise ConfigError("series.eps_series", "must be positive")
         if s.get("quadrature") not in ("trapezoid", "simpson"):
@@ -118,6 +119,9 @@ class RunConfig:
         for name in ("lam", "mu"):
             if sysd.get(name, 0) < 0:
                 raise ConfigError(f"system.{name}", "must be non-negative")
+        model = self.model if self.scenario == "coeffs" else self.scenario
+        if model == "joos-zeh" and not sysd.get("lam", 0) > 0:
+            raise ConfigError("system.lam", "joos-zeh needs a positive coupling")
         try:
             build_kernel(self.kernel)
         except ConfigError:
@@ -140,11 +144,15 @@ def build_kernel(spec: dict) -> CorrelationKernel:
             raise ConfigError(
                 "kernel.mode_freqs", "discrete_modes needs mode_freqs and couplings"
             )
-        coup = np.asarray(
-            [[complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c) for c in row] for row in coup]
-        )
-        return make_discrete_modes(freqs, coup)
+        return make_discrete_modes(freqs, _couplings(coup))
     raise ConfigError("kernel.family", f"unknown kernel family {family!r}")
+
+
+def _couplings(rows) -> np.ndarray:
+    """Coupling matrix from config rows; ``[re, im]`` pairs are complex."""
+    return np.asarray(
+        [[complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c) for c in row] for row in rows]
+    )
 
 
 def coherent_state(dim: int, alpha: complex) -> np.ndarray:
@@ -213,7 +221,7 @@ def _coefficients_for(cfg: RunConfig, model: str):
     m, omega = cfg.system["m"], cfg.system["omega"]
     ab_tables = None
     if model == "dephasing":
-        coeffs = coefficients_dephasing(kernel, grid, method="simpson")
+        coeffs = coefficients_dephasing(kernel, grid, method)
     elif model == "hpz":
         kern = harmonic_kernels(m, omega)
         f = commutator_kernel(kern, ["q"])
@@ -224,7 +232,7 @@ def _coefficients_for(cfg: RunConfig, model: str):
         if not kernel.is_real:
             raise ConfigError("kernel", "non-dissipative model needs a real kernel")
         coeffs = coefficients_nondissipative(
-            kernel, kern, grid, method, lam_scale=cfg.system.get("lam", 1.0) or 1.0
+            kernel, kern, grid, method, lam_scale=cfg.system["lam"]
         )
     elif model == "qmupl":
         if not kernel.is_real:
@@ -374,13 +382,11 @@ def run_oracle_check(cfg: RunConfig, outdir: Path) -> dict:
     kernel = build_kernel(cfg.kernel)
     p = cfg.propagation
     freqs = list(cfg.kernel["mode_freqs"])
-    g = np.asarray(
-        [[complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c) for c in row] for row in cfg.kernel["couplings"]]
-    )
+    g = _couplings(cfg.kernel["couplings"])
     mode_dims = cfg.oracle.get("mode_dims") or [6] * len(freqs)
 
     if cfg.model == "dephasing":
-        coeffs = coefficients_dephasing(kernel, grid, method="simpson")
+        coeffs = coefficients_dephasing(kernel, grid, cfg.series["quadrature"])
         sz = np.diag([1.0, -1.0]).astype(complex)
         h0 = np.zeros((2, 2), dtype=complex)
         ops = {"A": [sz], "H0": h0}

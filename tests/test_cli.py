@@ -85,14 +85,23 @@ def test_dump_rho_flag(tmp_path):
 
 
 def test_invalid_config_exit_2(tmp_path, capsys):
-    cfg = base_dephasing(tmp_path)
-    cfg["grid"]["n_points"] = 1
-    rc = main(["dephasing", "--config", write_config(tmp_path, cfg)])
-    captured = capsys.readouterr()
-    assert rc == 2
-    err = json.loads(captured.err)
-    assert err["error"] == "invalid_config"
-    assert err["field"] == "grid.n_points"
+    cases = [
+        ("dephasing", "grid", "n_points", 1, "grid.n_points"),
+        ("dephasing", "series", "max_order", "2", "series.max_order"),
+        ("dephasing", "kernel", "gamma", float("nan"), "kernel"),
+        ("joos-zeh", "system", "lam", 0.0, "system.lam"),
+    ]
+    for scenario, block, key, value, field_path in cases:
+        cfg = base_dephasing(tmp_path)
+        cfg.setdefault(block, {})[key] = value
+        rc = main([scenario, "--config", write_config(tmp_path, cfg)])
+        captured = capsys.readouterr()
+        assert rc == 2, field_path
+        err = json.loads(captured.err)
+        assert err["error"] == "invalid_config"
+        assert err["field"] == field_path
+        # rejected before any computation: no output directory yet
+        assert not (tmp_path / "out").exists()
 
 
 def test_unknown_key_exit_2(tmp_path, capsys):

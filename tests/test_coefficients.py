@@ -13,9 +13,9 @@ from nmgme.coefficients import (
     kossakowski_form,
     write_coefficients_csv,
 )
-from nmgme.grids import make_grid
+from nmgme.grids import make_grid, quad_weights
 from nmgme.series import ABKernels, SeriesConfig
-from nmgme.system import commutator_kernel, harmonic_kernels
+from nmgme.system import commutator_kernel, harmonic_kernels, qmupl_kernels
 
 
 def constant_ab_tables(grid, d0, d=1):
@@ -301,6 +301,118 @@ def test_csv_qmupl_extras(tmp_path):
     header = path.read_text().splitlines()[0]
     for name in ("alpha", "beta", "gamma_pp"):
         assert name in header
+
+
+def _per_time_quadrature(ab_tables, grid, method, weight_fns):
+    """Reference: the former per-outer-time reduction of ``A``/``B``.
+
+    ``weight_fns`` maps names to ``(kernel, j, k, flow_fn, factor)`` terms.
+    """
+    out = {name: np.zeros(grid.n_points, dtype=complex) for name in weight_fns}
+    for K, ab in enumerate(ab_tables):
+        n = K + 1
+        if n == 1:
+            continue
+        w = quad_weights(n, grid.h, method)
+        u = ab.outer_time - grid.points[:n]
+        for name, terms in weight_fns.items():
+            total = 0.0
+            for which, j, k, flow_fn, factor in terms:
+                kern = ab.A if which == "A" else ab.B
+                total = total + factor * np.dot(w, kern[j, k] * flow_fn(u))
+            out[name][K] = total
+    return out
+
+
+def _per_time_closure(D, grid, method, flow_fns, lam_scale=1.0):
+    """Reference: the former per-outer-time loops of the zeroth-order
+    closures, ``-int D^Re phi_re`` and ``-2i int D^Im phi_im``."""
+    phi_re, phi_im = flow_fns
+    Gamma = np.zeros(grid.n_points, dtype=complex)
+    Xi = np.zeros(grid.n_points, dtype=complex)
+    for K in range(1, grid.n_points):
+        n = K + 1
+        w = quad_weights(n, grid.h, method)
+        t = grid.points[K]
+        s = grid.points[:n]
+        val = D(0, 0, t, s)
+        Gamma[K] = -lam_scale * np.dot(w, np.real(val) * phi_re(t - s))
+        Xi[K] = -2j * lam_scale * np.dot(w, np.imag(val) * phi_im(t - s))
+    return Gamma, Xi
+
+
+@pytest.mark.parametrize("method", ["trapezoid", "simpson"])
+def test_one_reduction_matches_per_time_reference(method):
+    tol = 1e-13
+    grid = make_grid(2.0, 33)
+    kern = harmonic_kernels(1.0, 1.0)
+    C = lambda u: kern.flow(u)[0, 0]
+    Ct = lambda u: kern.flow(u)[0, 1]
+    one = lambda u: np.ones_like(u)
+
+    # generic single channel: complex kernel, series to order 3
+    D = make_discrete_modes([1.3, 1.7, 2.1], [[0.15, 0.1, 0.1]])
+    cfg = SeriesConfig(max_order=3, eps_series=1e-30, method=method)
+    tabs = build_ab_tables(D, commutator_kernel(kern, ["q"]), cfg, grid)
+    lin = coefficients_linear(tabs, kern, grid, method)
+    ref = _per_time_quadrature(tabs, grid, method, {
+        "Gamma": [("A", 0, 0, C, -1.0)],
+        "Theta": [("A", 0, 0, Ct, -1.0)],
+        "Xi": [("B", 0, 0, C, -2.0j)],
+        "Upsilon": [("B", 0, 0, Ct, -2.0j)],
+    })
+    for name, vals in ref.items():
+        assert np.max(np.abs(getattr(lin, name)[:, 0, 0] - vals)) <= tol, name
+    assert np.max(np.abs(lin.Xi)) > 0.01
+
+    # collapse model: all seven coefficients
+    lam, mu = 0.5, 0.3
+    qm, tabs = coefficients_qmupl(
+        lam, mu, 1.0, 1.0, make_exponential(1.0, 0.5), cfg, grid, method, return_ab=True
+    )
+    flow = qmupl_kernels(1.0, 1.0, lam, mu).flow
+    C11, C12, C21, C22 = (
+        (lambda u, l=l, m=m: flow(u)[l, m]) for l, m in ((0, 0), (0, 1), (1, 0), (1, 1))
+    )
+    ref = _per_time_quadrature(tabs, grid, method, {
+        "Gamma": [("A", 0, 0, C11, -1.0), ("A", 0, 1, C21, mu)],
+        "Theta": [
+            ("A", 0, 0, C12, -1.0),
+            ("A", 0, 1, C22, mu),
+            ("A", 1, 0, C11, mu),
+            ("A", 1, 1, C21, -(mu**2)),
+        ],
+        "gamma_pp": [("A", 1, 0, C12, mu), ("A", 1, 1, C22, -(mu**2))],
+        "Xi": [("B", 0, 0, C11, -2.0j), ("B", 0, 1, C21, 2.0j * mu)],
+        "Upsilon": [
+            ("B", 0, 0, C12, -2.0j),
+            ("B", 0, 1, C22, 2.0j * mu),
+            ("B", 1, 0, C11, -2.0j * mu),
+            ("B", 1, 1, C21, 2.0j * mu**2),
+        ],
+        "alpha": [("B", 1, 0, C12, -mu), ("B", 1, 1, C22, mu**2)],
+        "beta": [("B", 1, 0, C11, -mu), ("B", 1, 1, C21, mu**2)],
+    })
+    for name, vals in ref.items():
+        got = getattr(qm, name)
+        got = got[:, 0, 0] if got.ndim == 3 else got
+        assert np.max(np.abs(got - vals)) <= tol, name
+        assert np.max(np.abs(vals)) > 1e-3, name
+
+    # zeroth-order closures
+    Dr = make_exponential(1.3, 0.4)
+    nd = coefficients_nondissipative(Dr, kern, grid, method, lam_scale=0.7)
+    gam, _ = _per_time_closure(Dr, grid, method, (C, C), lam_scale=0.7)
+    the, _ = _per_time_closure(Dr, grid, method, (Ct, Ct), lam_scale=0.7)
+    assert np.max(np.abs(nd.Gamma[:, 0, 0] - gam)) <= tol
+    assert np.max(np.abs(nd.Theta[:, 0, 0] - the)) <= tol
+    assert np.max(np.abs(nd.Xi)) == np.max(np.abs(nd.Upsilon)) == 0.0
+
+    de = coefficients_dephasing(D, grid, method)
+    gam, xi = _per_time_closure(D, grid, method, (one, one))
+    assert np.max(np.abs(de.Gamma[:, 0, 0] - gam)) <= tol
+    assert np.max(np.abs(de.Xi[:, 0, 0] - xi)) <= tol
+    assert np.max(np.abs(de.Theta)) == np.max(np.abs(de.Upsilon)) == 0.0
 
 
 # Frozen from the oracle-validated pipeline: rows are
