@@ -47,7 +47,7 @@ from .bath import CorrelationKernel, make_qmupl_matrix
 # quad_weights is not called here; perfbench/tracing.py counts quadrature
 # builds through this module's name as well.
 from .grids import TimeGrid, prefix_weights, quad_weights  # noqa: F401
-from .series import ABKernels, SeriesConfig, assemble_AB
+from .series import ABKernels, SampledKernels, SeriesConfig, assemble_AB
 from .system import (
     CommutatorKernel,
     PropagatorKernels,
@@ -165,11 +165,13 @@ def build_ab_tables(
 ) -> list[ABKernels]:
     """Assemble the kernel series at every grid time.
 
-    Builds are independent of each other (pure function of the inputs),
-    so the list order is the only coupling between outer times.
+    ``D`` and ``f`` are sampled once on the grid square and shared by
+    every outer time; the builds are otherwise independent, so the list
+    order is the only coupling between outer times.
     """
+    samples = SampledKernels(D, f, grid, config.method)
     return [
-        assemble_AB(D, f, config, t, grid, force_series=force_series)
+        assemble_AB(D, f, config, t, grid, force_series=force_series, samples=samples)
         for t in grid.points
     ]
 

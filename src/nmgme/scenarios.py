@@ -13,6 +13,7 @@ keys), making identical configs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -94,33 +95,13 @@ class RunConfig:
         return cfg
 
     def validate(self) -> None:
-        g = self.grid
-        if not (isinstance(g.get("n_points"), int) and g["n_points"] >= 2):
-            raise ConfigError("grid.n_points", "need an integer >= 2")
-        if not g.get("t_max", 0) > 0:
-            raise ConfigError("grid.t_max", "must be positive")
-        s = self.series
-        order = s.get("max_order", 0)
-        if not isinstance(order, int) or isinstance(order, bool) or order < 0:
-            raise ConfigError("series.max_order", "need an integer >= 0")
-        if not s.get("eps_series", 0) > 0:
-            raise ConfigError("series.eps_series", "must be positive")
-        if s.get("quadrature") not in ("trapezoid", "simpson"):
+        for path, integer, low, strict in _NUMBERS:
+            block, key = path.split(".")
+            _check_number(getattr(self, block).get(key), path, integer, low, strict)
+        if self.series.get("quadrature") not in ("trapezoid", "simpson"):
             raise ConfigError("series.quadrature", "must be trapezoid or simpson")
-        p = self.propagation
-        if not p.get("h", 0) > 0:
-            raise ConfigError("propagation.h", "must be positive")
-        if p.get("fock_dim", 2) < 2:
-            raise ConfigError("propagation.fock_dim", "must be >= 2")
-        sysd = self.system
-        for name in ("m", "omega"):
-            if not sysd.get(name, 0) > 0:
-                raise ConfigError(f"system.{name}", "must be positive")
-        for name in ("lam", "mu"):
-            if sysd.get(name, 0) < 0:
-                raise ConfigError(f"system.{name}", "must be non-negative")
         model = self.model if self.scenario == "coeffs" else self.scenario
-        if model == "joos-zeh" and not sysd.get("lam", 0) > 0:
+        if model == "joos-zeh" and not self.system["lam"] > 0:
             raise ConfigError("system.lam", "joos-zeh needs a positive coupling")
         try:
             build_kernel(self.kernel)
@@ -128,6 +109,36 @@ class RunConfig:
             raise
         except (ValueError, TypeError) as exc:
             raise ConfigError("kernel", str(exc)) from exc
+
+
+#: Numeric fields ``(path, integer, lower bound, bound excluded)``, checked
+#: in this order.  Every value must be a finite int or float (ints only for
+#: ``integer``; never a bool).  ``propagation.n_samples >= 2`` because the
+#: trace drift is measured between the first and the last sample.
+_NUMBERS = (
+    ("grid.n_points", True, 2, False),
+    ("grid.t_max", False, 0, True),
+    ("series.max_order", True, 0, False),
+    ("series.eps_series", False, 0, True),
+    ("propagation.h", False, 0, True),
+    ("propagation.fock_dim", True, 2, False),
+    ("propagation.n_samples", True, 2, False),
+    ("system.m", False, 0, True),
+    ("system.omega", False, 0, True),
+    ("system.lam", False, 0, False),
+    ("system.mu", False, 0, False),
+    ("oracle.h", False, 0, True),
+)
+
+
+def _check_number(value, path: str, integer: bool, low: float, strict: bool) -> None:
+    kinds = int if integer else (int, float)
+    finite = not isinstance(value, float) or math.isfinite(value)
+    if isinstance(value, bool) or not isinstance(value, kinds) or not finite:
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigError(path, f"need {kind}, got {value!r}")
+    if value < low or (strict and value == low):
+        raise ConfigError(path, f"must be {'>' if strict else '>='} {low}, got {value!r}")
 
 
 def build_kernel(spec: dict) -> CorrelationKernel:

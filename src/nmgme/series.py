@@ -18,24 +18,36 @@ chain at its last link yields closed two-table recursions:
 
 All integrals are iterated rules on the triangle ``0 <= s <= tau <= t``
 with the half-weight diagonal convention of :func:`nmgme.grids.theta_mask`.
-Builds at distinct outer times are independent pure computations and can
-run concurrently; within one build the reduction order is fixed, so
-results are reproducible bit for bit.
+
+``D`` and ``f`` are sampled once on the whole grid square
+(:class:`SampledKernels`); the inputs at one outer time ``t_K`` are the
+leading ``[0, t_K]`` squares of those samples, since the prefix-weight
+matrix and the step mask of a prefix grid are the leading blocks of the
+full ones.  Channel and time indices are flattened time-major, so a
+table ``X[j, k, a, b]`` is the matrix ``X[(a, j), (b, k)]``, a prefix is
+a leading square, and every contraction is one matrix product after the
+quadrature weights are applied elementwise.  Builds at distinct outer
+times are independent; results are deterministic at a fixed BLAS thread
+count.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .bath import CorrelationKernel
-from .grids import TimeGrid, prefix_weights, quad_weights, suffix_weights, theta_mask
+# quad_weights is not called here; perfbench/tracing.py counts quadrature
+# builds through this module's name as well.
+from .grids import TimeGrid, prefix_weights, quad_weights, suffix_weights, theta_mask  # noqa: F401
 from .system import CommutatorKernel
 
 __all__ = [
     "SeriesConfig",
+    "SampledKernels",
     "KernelTable",
     "ABKernels",
     "SeriesContext",
@@ -69,13 +81,42 @@ class SeriesConfig:
             raise ValueError(f"eps_series must be positive, got {self.eps_series}")
 
 
-class SeriesContext:
-    """Sampled inputs shared by every table at one outer time.
+def _blk(X: np.ndarray) -> np.ndarray:
+    """``X[j, k, a, b]`` as the matrix ``M[(a, j), (b, k)]``; a view when
+    ``X`` is an :func:`_unblk` view."""
+    d1, d2, n1, n2 = X.shape
+    return X.transpose(2, 0, 3, 1).reshape(n1 * d1, n2 * d2)
 
-    Holds the correlation and commutator samples on the prefix grid
-    ``[0, t]``, the quadrature weight matrices, and preallocated scratch
-    buffers so the order-``n`` recursion does not allocate in its inner
-    contractions.
+
+def _unblk(M: np.ndarray, d: int) -> np.ndarray:
+    """View of the matrix ``M[(a, j), (b, k)]`` as ``X[j, k, a, b]``."""
+    return M.reshape(M.shape[0] // d, d, M.shape[1] // d, d).transpose(1, 3, 0, 2)
+
+
+def _on_pairs(W: np.ndarray, d: int) -> np.ndarray:
+    """Time weights ``W[a, b]`` spread over the channel pairs of each block."""
+    return np.repeat(np.repeat(W, d, axis=0), d, axis=1)
+
+
+def _pin(T: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``out[(a, j), c] = sum_l T[a, j, l] X[(a, l), c]``: a channel matrix
+    per time ``a`` applied to the rows of ``X``."""
+    n, d, _ = T.shape
+    return np.matmul(T, X.reshape(n, d, -1)).reshape(n * d, -1)
+
+
+class SampledKernels:
+    """``D`` and ``f`` sampled once on the square of the first
+    ``n_points`` grid points (all of them by default).
+
+    Every array is a ``(n_points d, n_points d)`` matrix in the
+    time-major layout of the module docstring; the inputs at outer index
+    ``K`` are their leading ``(K + 1) d`` squares.  ``WDRe``/``WDIm`` are
+    ``D^Re``/``D^Im`` times the prefix-weight matrix, ``G1`` is the
+    order-1 source-independent chain factor
+    ``g^1[l, j2](s1, t2) = f^{j2 l}(t2, s1) theta(t2 - s1)`` and
+    ``F_below`` is ``f^{jk}(a, b) theta(b - a)``.  The arrays are
+    read-only: tables share them as views.
     """
 
     def __init__(
@@ -83,57 +124,92 @@ class SeriesContext:
         D: CorrelationKernel,
         f: CommutatorKernel,
         grid: TimeGrid,
-        outer_index: int,
         method: str = "trapezoid",
+        n_points: int | None = None,
     ):
         if D.n_channels != f.n_channels:
             raise ValueError(
                 f"correlation kernel has {D.n_channels} channels, "
                 f"commutator kernel has {f.n_channels}"
             )
-        self.D = D
-        self.f = f
-        self.grid = grid
-        self.outer_index = int(outer_index)
-        self.method = method
-        self.d = D.n_channels
-        pts = grid.prefix(self.outer_index)
-        self.n = pts.size
-        self.outer_time = float(pts[-1])
-
+        self.D, self.f, self.grid, self.method = D, f, grid, method
+        self.d = d = D.n_channels
+        self.n = n = grid.n_points if n_points is None else int(n_points)
+        pts = grid.points[:n]
         T1, T2 = np.meshgrid(pts, pts, indexing="ij")
-        d, n = self.d, self.n
-        self.DRe = np.empty((d, d, n, n))
-        self.DIm = np.empty((d, d, n, n))
-        self.F = np.empty((d, d, n, n), dtype=complex)
+        DRe = np.empty((d, d, n, n))
+        DIm = np.empty((d, d, n, n))
+        F = np.empty((d, d, n, n), dtype=complex)
         for j in range(d):
             for k in range(d):
                 val = D(j, k, T1, T2)
-                self.DRe[j, k] = np.real(val)
-                self.DIm[j, k] = np.imag(val)
-                self.F[j, k] = f(j, k, T1, T2)
-
+                DRe[j, k] = np.real(val)
+                DIm[j, k] = np.imag(val)
+                F[j, k] = f(j, k, T1, T2)
         theta = theta_mask(n)
-        # F with step mask theta(first - second) resp. theta(second - first)
-        self.F_above = self.F * theta
-        self.F_below = self.F * theta.T
-
-        self.w = quad_weights(n, grid.h, method) if n > 1 else np.zeros(1)
         self.Wpre = prefix_weights(n, grid.h, method)
-        self.Wsuf = suffix_weights(n, grid.h, method)
+        wpre = _on_pairs(self.Wpre, d)
+        self.DRe = _blk(DRe)
+        self.DIm = _blk(DIm)
+        self.WDRe = wpre * self.DRe
+        self.WDIm = wpre * self.DIm
+        self.G1 = np.ascontiguousarray(_blk(F * theta).T)
+        self.F_below = _blk(F * theta.T)
+        for arr in (self.Wpre, self.DRe, self.DIm, self.WDRe, self.WDIm, self.G1, self.F_below):
+            arr.flags.writeable = False
 
-        # D evaluated with the first slot pinned at the outer time
-        self.DRe_t = self.DRe[:, :, -1, :]
-        self.DIm_t = self.DIm[:, :, -1, :]
+    @cached_property
+    def V(self) -> tuple:
+        """``(V_im, V_re)``, ``V_X[k, m](tau', s2) = int_0^{tau'} dsig'
+        D^X[k, l](tau', sig') f^{m l}(s2, sig') theta(s2 - sig')``.
 
-        # preallocated intermediates reused by every recursion order
-        shape = (d, d, n, n)
-        self._scratch = {
-            "H": np.empty(shape, dtype=complex),
-            "V1": np.empty(shape, dtype=complex),
-            "V2": np.empty(shape, dtype=complex),
-            "wa": np.empty(shape, dtype=complex),
-        }
+        The integral stops at ``tau'``, so it does not depend on the
+        outer time and is built once for the whole grid.
+        """
+        V = (self.WDIm @ self.G1, self.WDRe @ self.G1)
+        for arr in V:
+            arr.flags.writeable = False
+        return V
+
+
+class SeriesContext:
+    """Inputs shared by every table at outer index ``outer_index``.
+
+    Prefix views of the :class:`SampledKernels` matrices, the outer rule
+    ``w`` (the last row of the prefix-weight matrix) and the suffix-weight
+    matrix, the one weight table that is rebuilt per outer time.
+    """
+
+    def __init__(self, samples: SampledKernels, outer_index: int):
+        K = int(outer_index)
+        if not 0 <= K < samples.n:
+            raise ValueError(f"outer index {K} outside the {samples.n} sampled points")
+        self.samples = samples
+        self.grid = samples.grid
+        self.method = samples.method
+        self.d = d = samples.d
+        self.outer_index = K
+        self.n = n = K + 1
+        self.outer_time = float(self.grid.points[K])
+        N = n * d
+        self.DRe = samples.DRe[:N, :N]
+        self.DIm = samples.DIm[:N, :N]
+        self.WDRe = samples.WDRe[:N, :N]
+        self.WDIm = samples.WDIm[:N, :N]
+        self.G1 = samples.G1[:N, :N]
+        self.F_below = samples.F_below[:N, :N]
+        self.w = samples.Wpre[K, :n]
+        # the same rule on the flattened (time, channel) axis
+        self.w_blk = np.repeat(self.w, d)
+        self.Wsuf = suffix_weights(n, self.grid.h, self.method)
+        # D with its first slot pinned at the outer time: [a, j, k] = D_jk(t, s_a)
+        self.DRe_t = self.DRe[N - d :].reshape(d, n, d).transpose(1, 0, 2)
+        self.DIm_t = self.DIm[N - d :].reshape(d, n, d).transpose(1, 0, 2)
+
+    @property
+    def V(self) -> tuple:
+        N = self.n * self.d
+        return tuple(V[:N, :N] for V in self.samples.V)
 
 
 @dataclass(frozen=True)
@@ -145,7 +221,8 @@ class KernelTable:
     source pinned at the outer time; ``values_aux`` holds the
     source-independent chain factor consumed by the next recursion step.
     For ``kind == "a"`` the payload is the pair ``(P, Q)`` described in
-    the module docstring.
+    the module docstring.  Both are ``(d, d, n, n)`` views of
+    time-major matrices (see :func:`_blk`).
     """
 
     kind: str
@@ -166,18 +243,10 @@ class KernelTable:
     def n_channels(self) -> int:
         return self.ctx.d
 
-    def a_values(self, t2_index: int) -> np.ndarray:
-        """Materialize ``a^n[j, j2](s1, s2)`` at final pair time ``t_2``.
 
-        Only meaningful for ``kind == "a"``; contracts the stored pair
-        against the bath correlation evaluated at ``t2``.
-        """
-        if self.kind != "a":
-            raise ValueError("a_values is defined for 'a' tables only")
-        DRe, DIm = self.ctx.DRe, self.ctx.DIm
-        return np.einsum(
-            "jlab,mlb->jmab", self.values, DRe[:, :, t2_index, :]
-        ) + np.einsum("jlab,mlb->jmab", self.values_aux, DIm[:, :, t2_index, :])
+def _table(kind: str, order: int, ctx: SeriesContext, values, values_aux) -> KernelTable:
+    d = ctx.d
+    return KernelTable(kind, order, ctx, _unblk(values, d), _unblk(values_aux, d))
 
 
 def _check_same_build(*tables: KernelTable) -> SeriesContext:
@@ -192,13 +261,24 @@ def _check_same_build(*tables: KernelTable) -> SeriesContext:
     return ctx
 
 
-def _make_context(D, f, t, grid, method) -> SeriesContext:
+def _outer_index(t: float, grid: TimeGrid) -> int:
     idx = int(round(t / grid.h))
-    if idx >= grid.n_points or abs(grid.points[min(idx, grid.n_points - 1)] - t) > 1e-9 * max(
-        1.0, grid.t_max
-    ):
+    if not 0 <= idx < grid.n_points or abs(grid.points[idx] - t) > 1e-9 * max(1.0, grid.t_max):
         raise ValueError(f"outer time {t} is not a grid point of the given grid")
-    return SeriesContext(D, f, grid, idx, method)
+    return idx
+
+
+def _context(D, f, t, grid, method, samples=None) -> SeriesContext:
+    """Context at outer time ``t``; samples only ``[0, t]`` when no shared
+    samples are given."""
+    K = _outer_index(t, grid)
+    if samples is None:
+        samples = SampledKernels(D, f, grid, method, n_points=K + 1)
+    elif not (
+        samples.D is D and samples.f is f and samples.grid is grid and samples.method == method
+    ):
+        raise ValueError("samples were taken for other kernels, grid or quadrature rule")
+    return SeriesContext(samples, K)
 
 
 def contraction_BA(
@@ -216,11 +296,11 @@ def contraction_BA(
     diagonal convention.
     """
     if ctx is None:
-        ctx = _make_context(D, f, t, grid, method)
-    # source-independent factor g^1[l, j2](s1, t2) = f^{j2 l}(t2, s1) theta(t2 - s1)
-    g1 = np.ascontiguousarray(np.einsum("mlba->lmab", ctx.F_above))
-    b1 = 2j * np.einsum("jla,lmab->jmab", ctx.DIm_t, g1)
-    return KernelTable(kind="b", order=1, ctx=ctx, values=b1, values_aux=g1)
+        ctx = _context(D, f, t, grid, method)
+    # the source-independent factor g^1 is the sampled G1
+    b1 = _pin(ctx.DIm_t, ctx.G1)
+    b1 *= 2j
+    return _table("b", 1, ctx, b1, ctx.G1)
 
 
 def contraction_BB(
@@ -244,12 +324,13 @@ def contraction_BB(
     time-ordered contraction of the two bath vertices.
     """
     if ctx is None:
-        ctx = _make_context(D, f, t, grid, method)
-    # f^{l m}(s2, s1) theta(s2 - s1) reindexed to [l, m, s1, s2]
-    fnode = np.einsum("lmba->lmab", ctx.F_above)
-    P1 = 2j * np.einsum("jma,lmab->jlab", ctx.DIm_t, fnode)
-    Q1 = 2j * np.einsum("jma,lmab->jlab", ctx.DRe_t, fnode)
-    return KernelTable(kind="a", order=1, ctx=ctx, values=P1, values_aux=Q1)
+        ctx = _context(D, f, t, grid, method)
+    # f^{l m}(s2, s1) theta(s2 - s1) at [(s1, m), (s2, l)] is G1
+    P1 = _pin(ctx.DIm_t, ctx.G1)
+    P1 *= 2j
+    Q1 = _pin(ctx.DRe_t, ctx.G1)
+    Q1 *= 2j
+    return _table("a", 1, ctx, P1, Q1)
 
 
 def recurse_b(n: int, b1: KernelTable, b_prev: KernelTable) -> KernelTable:
@@ -265,15 +346,16 @@ def recurse_b(n: int, b1: KernelTable, b_prev: KernelTable) -> KernelTable:
     if b_prev.order != n - 1:
         raise ValueError(f"need order {n - 1} table, got order {b_prev.order}")
     ctx = _check_same_build(b1, b_prev)
-    g_prev = b_prev.values_aux
     # H[k, j2](tau', t2) = int_0^{tau'} dsig' D^Im[k, m](tau', sig') g^{n-1}[m, j2](sig', t2)
-    H = ctx._scratch["H"]
-    np.einsum("ts,kmts,mjsu->kjtu", ctx.Wpre, ctx.DIm, g_prev, out=H, optimize=False)
+    H = ctx.WDIm @ _blk(b_prev.values_aux)
     # g^n[l, j2](s1, t2) = 2i int dtau' f^{k l}(tau', s1) theta(tau' - s1) H[k, j2](tau', t2)
-    g_n = np.einsum("t,klts,kjtu->ljsu", ctx.w, ctx.F_above, H, optimize=False)
+    H *= ctx.w_blk[:, None]
+    g_n = ctx.G1 @ H
+    del H
     g_n *= 2j
-    b_n = 2j * np.einsum("jla,lmab->jmab", ctx.DIm_t, g_n)
-    return KernelTable(kind="b", order=n, ctx=ctx, values=b_n, values_aux=g_n)
+    b_n = _pin(ctx.DIm_t, g_n)
+    b_n *= 2j
+    return _table("b", n, ctx, b_n, g_n)
 
 
 def recurse_a(n: int, a_prev: KernelTable, b_prev: KernelTable) -> KernelTable:
@@ -293,26 +375,25 @@ def recurse_a(n: int, a_prev: KernelTable, b_prev: KernelTable) -> KernelTable:
     if a_prev.order != n - 1 or b_prev.order != n - 1:
         raise ValueError(f"need order {n - 1} tables, got {a_prev.order}, {b_prev.order}")
     ctx = _check_same_build(a_prev, b_prev)
-    w, Wpre = ctx.w, ctx.Wpre
-    DRe, DIm = ctx.DRe, ctx.DIm
-
-    # last link of bath-terminated type: V_X[k, m](tau', s2)
-    #   = int_0^{tau'} dsig' D^X[k, l](tau', sig') f^{m l}(s2, sig') theta(s2 - sig')
-    V_im = ctx._scratch["V1"]
-    V_re = ctx._scratch["V2"]
-    np.einsum("ts,klts,mlus->kmtu", Wpre, DIm, ctx.F_above, out=V_im, optimize=False)
-    np.einsum("ts,klts,mlus->kmtu", Wpre, DRe, ctx.F_above, out=V_re, optimize=False)
-    P_n = 2j * np.einsum("t,jkat,kmtu->jmau", w, b_prev.values, V_im, optimize=False)
-    Q_n = 2j * np.einsum("t,jkat,kmtu->jmau", w, b_prev.values, V_re, optimize=False)
+    w = ctx.w_blk
 
     # last link of channel type extends a^{n-1}: needs its inner s'-integral
-    # wa[j, k](s1, tau') = int_0^{tau'} dsig' a^{n-1}[j, k](s1; tau', sig')
-    wa = ctx._scratch["wa"]
-    np.einsum("ts,jlas,klts->jkat", Wpre, a_prev.values, DRe, out=wa, optimize=False)
-    wa += np.einsum("ts,jlas,klts->jkat", Wpre, a_prev.values_aux, DIm, optimize=False)
-    Q_n -= 2j * np.einsum("t,jkat,kmtu->jmau", w, wa, ctx.F_below, optimize=False)
+    # wa[j, k](s1, tau') = int_0^{tau'} dsig' a^{n-1}[j, k](s1; tau', sig');
+    # computed before the bath-terminated link to keep fewer arrays alive
+    wa = _blk(a_prev.values) @ ctx.WDRe.T
+    wa += _blk(a_prev.values_aux) @ ctx.WDIm.T
+    wa *= w
+    Q_n = wa @ ctx.F_below
+    del wa
 
-    return KernelTable(kind="a", order=n, ctx=ctx, values=P_n, values_aux=Q_n)
+    # last link of bath-terminated type, against V_X (see SampledKernels.V)
+    V_im, V_re = ctx.V
+    bw = _blk(b_prev.values) * w
+    Q_n -= bw @ V_re
+    Q_n *= -2j
+    P_n = bw @ V_im
+    P_n *= 2j
+    return _table("a", n, ctx, P_n, Q_n)
 
 
 def alpha_beta(n: int, b_table: KernelTable, a_table: KernelTable) -> dict:
@@ -332,20 +413,22 @@ def alpha_beta(n: int, b_table: KernelTable, a_table: KernelTable) -> dict:
         )
     ctx = _check_same_build(b_table, a_table)
     sign = (-1.0) ** n
-    w, Wpre, Wsuf = ctx.w, ctx.Wpre, ctx.Wsuf
-    DRe, DIm = ctx.DRe, ctx.DIm
+    d, N = ctx.d, ctx.n * ctx.d
 
-    M = np.einsum("s,jlst->jlt", w, b_table.values)
-    alpha = np.einsum("at,jlt,lkta->jka", Wsuf, M, DRe, optimize=False)
-    beta = np.einsum("at,jlt,lkta->jka", Wsuf, M, DIm, optimize=False)
+    def outer(X):  # int_0^t dsig X[(sig, j), c] -> [j, c]
+        return (ctx.w @ _blk(X).reshape(ctx.n, d * N)).reshape(d, N)
 
-    Pbar = np.einsum("s,jlsb->jlb", w, a_table.values)
-    Qbar = np.einsum("s,jlsb->jlb", w, a_table.values_aux)
-    alpha += np.einsum("ab,jlb,klab->jka", Wpre, Pbar, DRe, optimize=False)
-    alpha += np.einsum("ab,jlb,klab->jka", Wpre, Qbar, DIm, optimize=False)
+    # [(tau, l), (s1, k)] weights of int_{s1}^t dtau
+    wsuf = _on_pairs(ctx.Wsuf.T, d)
+    M = outer(b_table.values)
+    alpha = M @ (wsuf * ctx.DRe)
+    beta = M @ (wsuf * ctx.DIm)
+    alpha += outer(a_table.values) @ ctx.WDRe.T
+    alpha += outer(a_table.values_aux) @ ctx.WDIm.T
 
-    alpha *= sign
-    beta *= sign
+    # [j, (s1, k)] -> [j, k, s1]
+    alpha = sign * alpha.reshape(d, ctx.n, d).transpose(0, 2, 1)
+    beta = sign * beta.reshape(d, ctx.n, d).transpose(0, 2, 1)
     return {"alpha": alpha, "beta": beta}
 
 
@@ -377,6 +460,7 @@ def assemble_AB(
     t: float,
     grid: TimeGrid,
     force_series: bool = False,
+    samples: SampledKernels | None = None,
 ) -> ABKernels:
     """Truncated kernel series ``A = D^Re + sum alpha^n``,
     ``B = D^Im + sum beta^n`` at outer time ``t``.
@@ -386,10 +470,14 @@ def assemble_AB(
     kernels, for which every correction vanishes identically and the
     zeroth order is returned bit for bit.  ``force_series`` disables the
     shortcut (the recursions then produce exact zeros anyway).
+    ``samples`` shares one :class:`SampledKernels` of ``(D, f, grid,
+    config.method)`` between outer times; without it ``[0, t]`` is
+    sampled for this call alone.
     """
-    ctx = _make_context(D, f, t, grid, config.method)
-    A0 = ctx.DRe_t.copy()
-    B0 = ctx.DIm_t.copy()
+    ctx = _context(D, f, t, grid, config.method, samples)
+    # [a, j, k] -> [j, k, a]
+    A0 = ctx.DRe_t.transpose(1, 2, 0).copy()
+    B0 = ctx.DIm_t.transpose(1, 2, 0).copy()
 
     closure = (f.is_zero or D.is_real) and not force_series
     if closure or config.max_order == 0 or ctx.n == 1:

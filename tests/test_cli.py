@@ -90,6 +90,21 @@ def test_invalid_config_exit_2(tmp_path, capsys):
         ("dephasing", "series", "max_order", "2", "series.max_order"),
         ("dephasing", "kernel", "gamma", float("nan"), "kernel"),
         ("joos-zeh", "system", "lam", 0.0, "system.lam"),
+        ("hpz", "propagation", "fock_dim", "30", "propagation.fock_dim"),
+        ("hpz", "system", "lam", "0.1", "system.lam"),
+        ("hpz", "system", "mu", "0.1", "system.mu"),
+        ("hpz", "system", "m", "1", "system.m"),
+        ("hpz", "system", "omega", "1", "system.omega"),
+        ("hpz", "propagation", "h", "0.002", "propagation.h"),
+        ("hpz", "grid", "t_max", "1.0", "grid.t_max"),
+        ("hpz", "propagation", "fock_dim", True, "propagation.fock_dim"),
+        ("hpz", "series", "eps_series", "1e-6", "series.eps_series"),
+        ("hpz", "grid", "t_max", float("inf"), "grid.t_max"),
+        ("hpz", "propagation", "h", float("nan"), "propagation.h"),
+        ("hpz", "oracle", "h", float("inf"), "oracle.h"),
+        ("hpz", "propagation", "n_samples", 0, "propagation.n_samples"),
+        ("hpz", "propagation", "n_samples", 1, "propagation.n_samples"),
+        ("hpz", "propagation", "n_samples", 11.0, "propagation.n_samples"),
     ]
     for scenario, block, key, value, field_path in cases:
         cfg = base_dephasing(tmp_path)

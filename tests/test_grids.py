@@ -131,3 +131,15 @@ def test_theta_mask_half_diagonal():
     assert M[2, 1] == 1.0
     assert M[1, 2] == 0.0
     assert M[2, 2] == 0.5
+
+
+@pytest.mark.parametrize("method", ["trapezoid", "simpson"])
+def test_prefix_rules_are_leading_blocks_of_the_full_grid(method):
+    # the series engine takes every outer time's rules as prefix views of
+    # the full-grid arrays; only the suffix rule depends on the endpoint
+    G, h = 65, 0.03
+    W, M = prefix_weights(G, h, method), theta_mask(G)
+    for n in range(1, G + 1):
+        assert np.array_equal(prefix_weights(n, h, method), W[:n, :n])
+        assert np.array_equal(theta_mask(n), M[:n, :n])
+        assert np.array_equal(quad_weights(n, h, method), prefix_weights(n, h, method)[-1])

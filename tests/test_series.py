@@ -7,7 +7,8 @@ from nmgme.bath import (
     make_exponential,
     make_qmupl_matrix,
 )
-from nmgme.grids import make_grid
+from nmgme.coefficients import build_ab_tables
+from nmgme.grids import make_grid, prefix_weights, quad_weights, suffix_weights, theta_mask
 from nmgme.series import (
     SeriesConfig,
     alpha_beta,
@@ -38,6 +39,25 @@ def one_mode_setup(w_mode=1.3, g=0.2, m=1.0, omega=1.0):
     D = make_discrete_modes([w_mode], [[g]])
     f = commutator_kernel(harmonic_kernels(m, omega), ["q"])
     return D, f
+
+
+def hpz_setup():
+    D = make_discrete_modes([1.3, 1.7, 2.1], [[0.15, 0.1, 0.1]])
+    f = commutator_kernel(harmonic_kernels(1.0, 1.0), ["q"])
+    return D, f
+
+
+def a_values(table, t2_index):
+    """``a^n[j, j2](s1, s2)`` of an 'a' table at final pair time ``t_2``:
+    the stored pair ``(P, Q)`` contracted against ``D`` at ``t_2``."""
+    ctx = table.ctx
+    D = ctx.samples.D
+    pts = ctx.grid.points[: ctx.n]
+    d = ctx.d
+    Dt2 = np.array([[D(m, l, pts[t2_index], pts) for l in range(d)] for m in range(d)])
+    return np.einsum("jlab,mlb->jmab", table.values, Dt2.real) + np.einsum(
+        "jlab,mlb->jmab", table.values_aux, Dt2.imag
+    )
 
 
 def test_contraction_BA_vanishes_for_real_kernel():
@@ -88,7 +108,7 @@ def test_contraction_BB_zero_cases():
     f = commutator_kernel(harmonic_kernels(1.0, 1.0), ["q"])
     a1 = contraction_BB(D, f, 1.0, grid)
     for t2 in (4, 16):
-        assert np.max(np.abs(a1.a_values(t2))) == 0.0
+        assert np.max(np.abs(a_values(a1, t2))) == 0.0
     # zero commutator
     Dm = make_discrete_modes([1.0], [[0.5]])
     a1z = contraction_BB(Dm, zero_commutator(1), 1.0, grid)
@@ -100,7 +120,7 @@ def test_contraction_BB_below_diagonal_zero():
     D, f = one_mode_setup()
     grid = make_grid(1.0, 17)
     a1 = contraction_BB(D, f, 1.0, grid)
-    vals = a1.a_values(16)
+    vals = a_values(a1, 16)
     below = np.tril_indices(17, k=-1)
     assert np.max(np.abs(vals[0, 0][below])) == 0.0
 
@@ -172,7 +192,7 @@ def test_recurse_a_zero_when_all_contractions_vanish():
     b1 = contraction_BA(D, f, 1.0, grid)
     a1 = contraction_BB(D, f, 1.0, grid)
     a2 = recurse_a(2, a1, b1)
-    assert np.max(np.abs(a2.a_values(16))) == 0.0
+    assert np.max(np.abs(a_values(a2, 16))) == 0.0
 
 
 def test_recurse_a_scaling():
@@ -186,8 +206,8 @@ def test_recurse_a_scaling():
     a1s = contraction_BB(Ds, f, 1.0, grid)
     a2s = recurse_a(2, a1s, b1s)
     # a^n carries n+1 powers of the correlation kernel
-    v = a2.a_values(32)
-    vs = a2s.a_values(32)
+    v = a_values(a2, 32)
+    vs = a_values(a2s, 32)
     ratio = np.max(np.abs(vs)) / np.max(np.abs(v))
     assert abs(ratio - 0.125) < 1e-10
 
@@ -451,3 +471,168 @@ GOLDEN_QMUPL_AB = {
     (1, 1, 32): (0.11157360155142952, 0.0, 0.003558031578862039, 0.0),
     (1, 1, 64): (0.30014269222002826, 0.0, 0.0, 0.0),
 }
+
+
+# --- Test-only reference: the former per-time engine -----------------------
+# Each outer time samples D and f on its own prefix square and contracts
+# with einsum(optimize=False) in the original (channel, channel, time, time)
+# layout.  The shared-sample BLAS engine must reproduce it to rounding.
+
+
+class _RefContext:
+    def __init__(self, D, f, grid, outer_index, method):
+        self.d = d = D.n_channels
+        pts = grid.prefix(outer_index)
+        self.n = n = pts.size
+        T1, T2 = np.meshgrid(pts, pts, indexing="ij")
+        self.DRe = np.empty((d, d, n, n))
+        self.DIm = np.empty((d, d, n, n))
+        self.F = np.empty((d, d, n, n), dtype=complex)
+        for j in range(d):
+            for k in range(d):
+                val = D(j, k, T1, T2)
+                self.DRe[j, k] = np.real(val)
+                self.DIm[j, k] = np.imag(val)
+                self.F[j, k] = f(j, k, T1, T2)
+        theta = theta_mask(n)
+        self.F_above = self.F * theta
+        self.F_below = self.F * theta.T
+        self.w = quad_weights(n, grid.h, method) if n > 1 else np.zeros(1)
+        self.Wpre = prefix_weights(n, grid.h, method)
+        self.Wsuf = suffix_weights(n, grid.h, method)
+        self.DRe_t = self.DRe[:, :, -1, :]
+        self.DIm_t = self.DIm[:, :, -1, :]
+
+
+def _ref_BA(c):
+    g1 = np.ascontiguousarray(np.einsum("mlba->lmab", c.F_above))
+    return 2j * np.einsum("jla,lmab->jmab", c.DIm_t, g1), g1
+
+
+def _ref_BB(c):
+    fnode = np.einsum("lmba->lmab", c.F_above)
+    P1 = 2j * np.einsum("jma,lmab->jlab", c.DIm_t, fnode)
+    Q1 = 2j * np.einsum("jma,lmab->jlab", c.DRe_t, fnode)
+    return P1, Q1
+
+
+def _ref_recurse_b(c, b_prev):
+    H = np.einsum("ts,kmts,mjsu->kjtu", c.Wpre, c.DIm, b_prev[1], optimize=False)
+    g_n = 2j * np.einsum("t,klts,kjtu->ljsu", c.w, c.F_above, H, optimize=False)
+    return 2j * np.einsum("jla,lmab->jmab", c.DIm_t, g_n), g_n
+
+
+def _ref_recurse_a(c, a_prev, b_prev):
+    V_im = np.einsum("ts,klts,mlus->kmtu", c.Wpre, c.DIm, c.F_above, optimize=False)
+    V_re = np.einsum("ts,klts,mlus->kmtu", c.Wpre, c.DRe, c.F_above, optimize=False)
+    P_n = 2j * np.einsum("t,jkat,kmtu->jmau", c.w, b_prev[0], V_im, optimize=False)
+    Q_n = 2j * np.einsum("t,jkat,kmtu->jmau", c.w, b_prev[0], V_re, optimize=False)
+    wa = np.einsum("ts,jlas,klts->jkat", c.Wpre, a_prev[0], c.DRe, optimize=False)
+    wa += np.einsum("ts,jlas,klts->jkat", c.Wpre, a_prev[1], c.DIm, optimize=False)
+    Q_n -= 2j * np.einsum("t,jkat,kmtu->jmau", c.w, wa, c.F_below, optimize=False)
+    return P_n, Q_n
+
+
+def _ref_alpha_beta(c, n, b, a):
+    M = np.einsum("s,jlst->jlt", c.w, b[0])
+    alpha = np.einsum("at,jlt,lkta->jka", c.Wsuf, M, c.DRe, optimize=False)
+    beta = np.einsum("at,jlt,lkta->jka", c.Wsuf, M, c.DIm, optimize=False)
+    Pbar = np.einsum("s,jlsb->jlb", c.w, a[0])
+    Qbar = np.einsum("s,jlsb->jlb", c.w, a[1])
+    alpha += np.einsum("ab,jlb,klab->jka", c.Wpre, Pbar, c.DRe, optimize=False)
+    alpha += np.einsum("ab,jlb,klab->jka", c.Wpre, Qbar, c.DIm, optimize=False)
+    return (-1.0) ** n * alpha, (-1.0) ** n * beta
+
+
+def _ref_assemble(D, f, config, K, grid, force_series=False):
+    """``(A, B, per_order, achieved_order, converged)`` at outer index ``K``."""
+    c = _RefContext(D, f, grid, K, config.method)
+    A, B = c.DRe_t.copy(), c.DIm_t.copy()
+    if ((f.is_zero or D.is_real) and not force_series) or config.max_order == 0 or c.n == 1:
+        return A, B, (), 0, True
+    ref = max(np.max(np.abs(A)), np.max(np.abs(B)), 1e-300)
+    b, a = _ref_BA(c), _ref_BB(c)
+    per_order, last_rel, converged = [], 0.0, True
+    for n in range(1, config.max_order + 1):
+        if n >= 2:
+            a = _ref_recurse_a(c, a, b)
+            b = _ref_recurse_b(c, b)
+        alpha, beta = _ref_alpha_beta(c, n, b, a)
+        na, nb = float(np.max(np.abs(alpha))), float(np.max(np.abs(beta)))
+        per_order.append((n, na, nb))
+        A, B = A + alpha, B + beta
+        last_rel = (na + nb) / ref
+        if last_rel < config.eps_series:
+            break
+    else:
+        converged = last_rel < config.eps_series
+    return A, B, tuple(per_order), len(per_order), converged
+
+
+def _assert_matches_reference(D, f, config, grid, indices, force_series=False):
+    tabs = build_ab_tables(D, f, config, grid, force_series=force_series)
+    for K in indices:
+        A, B, per_order, achieved, converged = _ref_assemble(D, f, config, K, grid, force_series)
+        res = tabs[K]
+        assert res.outer_index == K
+        assert (res.achieved_order, res.converged) == (achieved, converged), K
+        assert np.max(np.abs(res.A - A)) <= 1e-13, K
+        assert np.max(np.abs(res.B - B)) <= 1e-13, K
+        assert len(res.per_order) == len(per_order), K
+        for (n, na, nb), (n_ref, na_ref, nb_ref) in zip(res.per_order, per_order):
+            assert n == n_ref
+            assert abs(na - na_ref) <= 1e-13 and abs(nb - nb_ref) <= 1e-13, (K, n)
+
+
+@pytest.mark.parametrize("method", ["trapezoid", "simpson"])
+@pytest.mark.parametrize("G", [17, 65])
+@pytest.mark.parametrize("model", ["hpz", "qmupl"])
+def test_shared_sample_engine_matches_per_time_reference(model, G, method):
+    # d = 1 (discrete modes) and d = 2 (collapse model), all three orders
+    D, f = hpz_setup() if model == "hpz" else qmupl_setup(lam=0.5, mu=0.3)
+    grid = make_grid(2.0, G)
+    # every outer time on the small grid; first, middle and last ones on the
+    # large grid, where the per-time reference is slow
+    indices = range(G) if G == 17 else (0, 1, 2, 3, G // 2, G - 2, G - 1)
+    _assert_matches_reference(D, f, SeriesConfig(max_order=3, eps_series=1e-30, method=method), grid, indices)
+
+
+def test_shared_sample_engine_matches_reference_when_truncating_or_forced():
+    grid = make_grid(2.0, 17)
+    # default threshold: the order reached varies with the outer time
+    D, f = qmupl_setup(lam=0.5, mu=0.3)
+    _assert_matches_reference(D, f, SeriesConfig(max_order=3, method="simpson"), grid, range(17))
+    _assert_matches_reference(D, f, SeriesConfig(max_order=1, eps_series=1e-30), grid, range(17))
+    # a closure case with the shortcut disabled runs the recursions to zeros
+    D = make_exponential(1.0, 0.5)
+    f = commutator_kernel(harmonic_kernels(1.0, 1.0), ["q"])
+    _assert_matches_reference(D, f, SeriesConfig(max_order=3, eps_series=1e-30), grid, range(17), force_series=True)
+    # and a complex single-channel kernel with the shortcut disabled, too
+    D, f = hpz_setup()
+    _assert_matches_reference(D, f, SeriesConfig(max_order=2, eps_series=1e-30), grid, range(17), force_series=True)
+
+
+def test_build_samples_each_kernel_once_per_grid_point(monkeypatch):
+    # D and f are sampled once on the G x G square (d^2 G^2 points each);
+    # sampling every outer time's prefix square again would take
+    # d^2 sum_n n^2 ~ d^2 G^3 / 3 points, about 22x more at G = 65
+    points = {"D": 0, "f": 0}
+
+    def counted(cls, key):
+        call = cls.__call__
+
+        def wrapper(self, j, k, t, s):
+            points[key] += np.broadcast(np.asarray(t), np.asarray(s)).size
+            return call(self, j, k, t, s)
+
+        monkeypatch.setattr(cls, "__call__", wrapper)
+
+    counted(CorrelationKernel, "D")
+    counted(CommutatorKernel, "f")
+    G = 65
+    for D, f in (hpz_setup(), qmupl_setup()):
+        points.update(D=0, f=0)
+        d = D.n_channels
+        build_ab_tables(D, f, SeriesConfig(max_order=3, eps_series=1e-30), make_grid(2.0, G))
+        assert 0 < points["D"] <= d * d * G * G
+        assert 0 < points["f"] <= d * d * G * G
