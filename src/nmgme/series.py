@@ -106,12 +106,11 @@ def _pin(T: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 class SampledKernels:
-    """``D`` and ``f`` sampled once on the square of the first
-    ``n_points`` grid points (all of them by default).
+    """``D`` and ``f`` sampled once on the whole grid square.
 
-    Every array is a ``(n_points d, n_points d)`` matrix in the
-    time-major layout of the module docstring; the inputs at outer index
-    ``K`` are their leading ``(K + 1) d`` squares.  ``WDRe``/``WDIm`` are
+    Every array is a ``(G d, G d)`` matrix in the time-major layout of
+    the module docstring; the inputs at outer index ``K`` are their
+    leading ``(K + 1) d`` squares.  ``WDRe``/``WDIm`` are
     ``D^Re``/``D^Im`` times the prefix-weight matrix, ``G1`` is the
     order-1 source-independent chain factor
     ``g^1[l, j2](s1, t2) = f^{j2 l}(t2, s1) theta(t2 - s1)`` and
@@ -125,7 +124,6 @@ class SampledKernels:
         f: CommutatorKernel,
         grid: TimeGrid,
         method: str = "trapezoid",
-        n_points: int | None = None,
     ):
         if D.n_channels != f.n_channels:
             raise ValueError(
@@ -134,9 +132,8 @@ class SampledKernels:
             )
         self.D, self.f, self.grid, self.method = D, f, grid, method
         self.d = d = D.n_channels
-        self.n = n = grid.n_points if n_points is None else int(n_points)
-        pts = grid.points[:n]
-        T1, T2 = np.meshgrid(pts, pts, indexing="ij")
+        n = grid.n_points
+        T1, T2 = np.meshgrid(grid.points, grid.points, indexing="ij")
         DRe = np.empty((d, d, n, n))
         DIm = np.empty((d, d, n, n))
         F = np.empty((d, d, n, n), dtype=complex)
@@ -182,8 +179,6 @@ class SeriesContext:
 
     def __init__(self, samples: SampledKernels, outer_index: int):
         K = int(outer_index)
-        if not 0 <= K < samples.n:
-            raise ValueError(f"outer index {K} outside the {samples.n} sampled points")
         self.samples = samples
         self.grid = samples.grid
         self.method = samples.method
@@ -269,11 +264,11 @@ def _outer_index(t: float, grid: TimeGrid) -> int:
 
 
 def _context(D, f, t, grid, method, samples=None) -> SeriesContext:
-    """Context at outer time ``t``; samples only ``[0, t]`` when no shared
+    """Context at outer time ``t``; samples the whole grid when no shared
     samples are given."""
     K = _outer_index(t, grid)
     if samples is None:
-        samples = SampledKernels(D, f, grid, method, n_points=K + 1)
+        samples = SampledKernels(D, f, grid, method)
     elif not (
         samples.D is D and samples.f is f and samples.grid is grid and samples.method == method
     ):
@@ -471,7 +466,7 @@ def assemble_AB(
     zeroth order is returned bit for bit.  ``force_series`` disables the
     shortcut (the recursions then produce exact zeros anyway).
     ``samples`` shares one :class:`SampledKernels` of ``(D, f, grid,
-    config.method)`` between outer times; without it ``[0, t]`` is
+    config.method)`` between outer times; without it the whole grid is
     sampled for this call alone.
     """
     ctx = _context(D, f, t, grid, config.method, samples)

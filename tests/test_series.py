@@ -612,6 +612,20 @@ def test_shared_sample_engine_matches_reference_when_truncating_or_forced():
     _assert_matches_reference(D, f, SeriesConfig(max_order=2, eps_series=1e-30), grid, range(17), force_series=True)
 
 
+def test_standalone_assembly_equals_shared_build_bit_for_bit():
+    # without shared samples a call samples the same full grid square, so
+    # it runs the same products on the same inputs as build_ab_tables (a
+    # prefix-square sample differs in the last bits at some K for d = 2)
+    grid = make_grid(2.0, 65)
+    for D, f in (hpz_setup(), qmupl_setup(lam=0.5, mu=0.3)):
+        config = SeriesConfig(max_order=3, eps_series=1e-30)
+        tabs = build_ab_tables(D, f, config, grid)
+        for K in (1, 32, 44, 50, 64):
+            res = assemble_AB(D, f, config, grid.points[K], grid)
+            assert np.array_equal(res.A, tabs[K].A) and np.array_equal(res.B, tabs[K].B), K
+            assert res.per_order == tabs[K].per_order, K
+
+
 def test_build_samples_each_kernel_once_per_grid_point(monkeypatch):
     # D and f are sampled once on the G x G square (d^2 G^2 points each);
     # sampling every outer time's prefix square again would take
