@@ -8,6 +8,8 @@ coupling), and shows how the four master-equation coefficients move away
 from their zeroth-order values.
 """
 
+from pathlib import Path
+
 from nmgme import (
     SeriesConfig,
     assemble_AB,
@@ -50,5 +52,7 @@ for i in range(0, grid.n_points, 16):
     )
 
 tabs = build_ab_tables(D, f, SeriesConfig(max_order=3, eps_series=1e-10), grid)
-dump_convergence_csv(tabs, "series_convergence.csv")
-print("\nper-order norms at every grid time written to series_convergence.csv")
+out = Path("out")
+out.mkdir(exist_ok=True)
+dump_convergence_csv(tabs, out / "series_convergence.csv")
+print(f"\nper-order norms at every grid time written to {out / 'series_convergence.csv'}")

@@ -18,7 +18,6 @@ __all__ = [
     "make_grid",
     "quad_weights",
     "prefix_weights",
-    "suffix_weights",
     "theta_mask",
     "integrate_1d",
     "integrate_triangular",
@@ -138,14 +137,6 @@ def prefix_weights(n: int, h: float, method: str = "trapezoid") -> np.ndarray:
     W = np.zeros((n, n))
     for i in range(1, n):
         W[i, : i + 1] = quad_weights(i + 1, h, method)
-    return W
-
-
-def suffix_weights(n: int, h: float, method: str = "trapezoid") -> np.ndarray:
-    """Matrix ``W`` with ``W[i, i:]`` the rule for ``integral_{t_i}^{t_max}``."""
-    W = np.zeros((n, n))
-    for i in range(n - 1):
-        W[i, i:] = quad_weights(n - i, h, method)
     return W
 
 

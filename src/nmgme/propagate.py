@@ -1,17 +1,31 @@
 """Density-matrix and Gaussian-moment propagation under the time-local
 master equation.
 
-Generator convention (single position-coupled channel, ``V`` the
-momentum-type operator conjugate to the velocity kernel):
+Generator convention (channels ``A_j``, ``V_j`` the momentum-type
+operators conjugate to the velocity kernel):
 
-``drho/dt = -i[H_eff, rho] + Gamma [A,[A,rho]] + Theta [A,[V,rho]]
-+ (Xi/2) [A,{A,rho}] + (Upsilon/2) [A,{V,rho}] + gamma_pp [p,[p,rho]]``
+``drho/dt = -i[H_eff, rho] + sum_jk Gamma_jk [A_j,[A_k,rho]]
++ Theta_jk [A_j,[V_k,rho]] + (Xi_jk/2) [A_j,{A_k,rho}]
++ (Upsilon_jk/2) [A_j,{V_k,rho}] + gamma_pp [p,[p,rho]]``
 
 with ``H_eff = H0 + alpha(t) p^2 + (beta(t) + lam_mu/2) {q,p}``.  The
 half weights on the anticommutator channels realize the
-half-anticommutator superoperator of the left-right formalism; every
-term is an outer commutator, so the right-hand side is traceless and
-Hermiticity preserving by construction (verified in the test suite, not
+half-anticommutator superoperator of the left-right formalism.
+
+Every dissipative term is an outer commutator with a channel operator,
+so the generator is evaluated in one form for every model:
+
+``drho/dt = -i[H_eff, rho] + sum_j [A_j, L_j rho + rho R_j]
++ gamma_pp [p,[p,rho]]``
+
+``L_j = sum_k (Gamma_jk + Xi_jk/2) A_k + (Theta_jk + Upsilon_jk/2) V_k``
+``R_j = sum_k (Xi_jk/2 - Gamma_jk) A_k + (Upsilon_jk/2 - Theta_jk) V_k``
+
+(the ``V`` terms are dropped when there is no ``V``).  ``L_j`` and
+``R_j`` are scalar-times-matrix sums, so a channel costs four matrix
+products.  The right-hand side is traceless and Hermiticity preserving
+by construction; ``rho`` is not assumed Hermitian, so the Hermiticity
+defect of a run stays a measurement (verified in the test suite, not
 assumed).
 
 Integration is classical fixed-step fourth-order Runge-Kutta with
@@ -197,7 +211,8 @@ def me_rhs(rho: np.ndarray, coeff: dict, ops: dict) -> np.ndarray:
     ``beta``, ``gamma_pp``, ``lam_mu``).  ``ops`` holds the channel
     matrices ``A`` (list), their velocity conjugates ``V`` (list), the
     free Hamiltonian ``H0`` and, when Hamiltonian shifts are present,
-    ``q`` and ``p``.
+    ``q`` and ``p``.  Evaluated in the single form of the module
+    docstring.
     """
     A = ops["A"]
     V = ops.get("V")
@@ -221,18 +236,17 @@ def me_rhs(rho: np.ndarray, coeff: dict, ops: dict) -> np.ndarray:
         H = H + alpha * (p @ p) + (beta + 0.5 * lam_mu) * _acomm(q, p)
 
     rhs = -1j * _comm(H, rho)
+    # (operators, commutator weight, anticommutator weight) of each family
+    families = [(A, Gam, Xi)] if V is None else [(A, Gam, Xi), (V, The, Ups)]
     d = len(A)
+
+    def mix(j, sign):  # L_j for sign 1, R_j for sign -1
+        return sum((sign * c[j, k] + 0.5 * x[j, k]) * X[k] for X, c, x in families for k in range(d))
+
     for j in range(d):
-        for k in range(d):
-            if Gam[j, k] != 0:
-                rhs = rhs + Gam[j, k] * _comm(A[j], _comm(A[k], rho))
-            if Xi[j, k] != 0:
-                rhs = rhs + 0.5 * Xi[j, k] * _comm(A[j], _acomm(A[k], rho))
-            if V is not None:
-                if The[j, k] != 0:
-                    rhs = rhs + The[j, k] * _comm(A[j], _comm(V[k], rho))
-                if Ups[j, k] != 0:
-                    rhs = rhs + 0.5 * Ups[j, k] * _comm(A[j], _acomm(V[k], rho))
+        Z = mix(j, 1.0) @ rho
+        Z += rho @ mix(j, -1.0)
+        rhs += _comm(A[j], Z)
     if gamma_pp:
         p = ops["p"]
         rhs = rhs + gamma_pp * _comm(p, _comm(p, rho))

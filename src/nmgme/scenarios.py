@@ -80,7 +80,12 @@ class RunConfig:
             if key in raw:
                 if not isinstance(raw[key], dict):
                     raise ConfigError(key, "must be a mapping")
-                getattr(cfg, key).update(raw[key])
+                block = getattr(cfg, key)
+                unknown = sorted(set(raw[key]) - set(block))
+                # kernel keys depend on the kernel family
+                if unknown and key != "kernel":
+                    raise ConfigError(f"{key}.{unknown[0]}", "unknown configuration key")
+                block.update(raw[key])
         for key in ("model", "output_dir", "dump_rho", "white_noise_sweep"):
             if key in raw:
                 setattr(cfg, key, raw[key])

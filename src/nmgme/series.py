@@ -42,7 +42,7 @@ import numpy as np
 from .bath import CorrelationKernel
 # quad_weights is not called here; perfbench/tracing.py counts quadrature
 # builds through this module's name as well.
-from .grids import TimeGrid, prefix_weights, quad_weights, suffix_weights, theta_mask  # noqa: F401
+from .grids import TimeGrid, prefix_weights, quad_weights, theta_mask  # noqa: F401
 from .system import CommutatorKernel
 
 __all__ = [
@@ -114,8 +114,11 @@ class SampledKernels:
     ``D^Re``/``D^Im`` times the prefix-weight matrix, ``G1`` is the
     order-1 source-independent chain factor
     ``g^1[l, j2](s1, t2) = f^{j2 l}(t2, s1) theta(t2 - s1)`` and
-    ``F_below`` is ``f^{jk}(a, b) theta(b - a)``.  The arrays are
-    read-only: tables share them as views.
+    ``F_below`` is ``f^{jk}(a, b) theta(b - a)``.  ``Wpre`` (the
+    prefix-weight matrix) is a view of ``Wpad``, which adds one zero row
+    on top so that suffix rules are views too.  The arrays are
+    read-only: tables share them as views.  The samples are checked for
+    finiteness here, once; tables check only what the recursions compute.
     """
 
     def __init__(
@@ -144,7 +147,9 @@ class SampledKernels:
                 DIm[j, k] = np.imag(val)
                 F[j, k] = f(j, k, T1, T2)
         theta = theta_mask(n)
-        self.Wpre = prefix_weights(n, grid.h, method)
+        self.Wpad = np.zeros((n + 1, n))
+        self.Wpad[1:] = prefix_weights(n, grid.h, method)
+        self.Wpre = self.Wpad[1:]
         wpre = _on_pairs(self.Wpre, d)
         self.DRe = _blk(DRe)
         self.DIm = _blk(DIm)
@@ -152,7 +157,10 @@ class SampledKernels:
         self.WDIm = wpre * self.DIm
         self.G1 = np.ascontiguousarray(_blk(F * theta).T)
         self.F_below = _blk(F * theta.T)
-        for arr in (self.Wpre, self.DRe, self.DIm, self.WDRe, self.WDIm, self.G1, self.F_below):
+        for name, arr in (("D", self.DRe), ("D", self.DIm), ("f", F)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"non-finite entries in sampled {name}")
+        for arr in (self.Wpre, self.Wpad, self.DRe, self.DIm, self.WDRe, self.WDIm, self.G1, self.F_below):
             arr.flags.writeable = False
 
     @cached_property
@@ -174,14 +182,15 @@ class SeriesContext:
 
     Prefix views of the :class:`SampledKernels` matrices, the outer rule
     ``w`` (the last row of the prefix-weight matrix) and the suffix-weight
-    matrix, the one weight table that is rebuilt per outer time.
+    matrix ``Wsuf[i, i + c] = Wpre[n - 1 - i, c]``, whose row ``i`` is the
+    rule for ``int_{t_i}^{t}``: a read-only view of the full prefix-weight
+    matrix, so no weight table is built per outer time.
     """
 
     def __init__(self, samples: SampledKernels, outer_index: int):
         K = int(outer_index)
         self.samples = samples
         self.grid = samples.grid
-        self.method = samples.method
         self.d = d = samples.d
         self.outer_index = K
         self.n = n = K + 1
@@ -196,7 +205,15 @@ class SeriesContext:
         self.w = samples.Wpre[K, :n]
         # the same rule on the flattened (time, channel) axis
         self.w_blk = np.repeat(self.w, d)
-        self.Wsuf = suffix_weights(n, self.grid.h, self.method)
+        # Wsuf[i, j] = Wpre[n - 1 - i, j - i] = Wpad[n - i, j - i]: one row
+        # down is one row up and one column left in Wpad.  Left of the
+        # diagonal the flat offset wraps into the tail of the row above,
+        # which is zero (Wpre vanishes right of its diagonal, and the top
+        # row is the pad); every index stays inside Wpad since n <= G
+        s0, s1 = samples.Wpad.strides
+        self.Wsuf = np.lib.stride_tricks.as_strided(
+            samples.Wpad[n], shape=(n, n), strides=(-s0 - s1, s1), writeable=False
+        )
         # D with its first slot pinned at the outer time: [a, j, k] = D_jk(t, s_a)
         self.DRe_t = self.DRe[N - d :].reshape(d, n, d).transpose(1, 0, 2)
         self.DIm_t = self.DIm[N - d :].reshape(d, n, d).transpose(1, 0, 2)
@@ -226,10 +243,6 @@ class KernelTable:
     values: np.ndarray = field(repr=False)
     values_aux: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        if not np.isfinite(self.values).all() or not np.isfinite(self.values_aux).all():
-            raise ValueError(f"non-finite entries in order-{self.order} {self.kind} table")
-
     @property
     def outer_time(self) -> float:
         return self.ctx.outer_time
@@ -240,6 +253,11 @@ class KernelTable:
 
 
 def _table(kind: str, order: int, ctx: SeriesContext, values, values_aux) -> KernelTable:
+    """Table from computed payloads; the sampled ``G1`` that order-1 ``b``
+    tables carry was checked by :class:`SampledKernels`."""
+    for X in (values, values_aux):
+        if X is not ctx.G1 and not np.isfinite(X).all():
+            raise ValueError(f"non-finite entries in order-{order} {kind} table")
     d = ctx.d
     return KernelTable(kind, order, ctx, _unblk(values, d), _unblk(values_aux, d))
 

@@ -105,6 +105,11 @@ def test_invalid_config_exit_2(tmp_path, capsys):
         ("hpz", "propagation", "n_samples", 0, "propagation.n_samples"),
         ("hpz", "propagation", "n_samples", 1, "propagation.n_samples"),
         ("hpz", "propagation", "n_samples", 11.0, "propagation.n_samples"),
+        ("dephasing", "grid", "n_pionts", 65, "grid.n_pionts"),
+        ("hpz", "propagation", "fock_dimm", 30, "propagation.fock_dimm"),
+        ("hpz", "series", "max_ordr", 2, "series.max_ordr"),
+        ("hpz", "system", "omgea", 1.0, "system.omgea"),
+        ("oracle-check", "oracle", "mode_dim", [3], "oracle.mode_dim"),
     ]
     for scenario, block, key, value, field_path in cases:
         cfg = base_dephasing(tmp_path)

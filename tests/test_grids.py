@@ -8,9 +8,10 @@ from nmgme.grids import (
     make_grid,
     prefix_weights,
     quad_weights,
-    suffix_weights,
     theta_mask,
 )
+
+from helpers import suffix_weights
 
 
 def test_make_grid_default_resolution():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nmgme.bath import make_discrete_modes, make_exponential
 from nmgme.coefficients import (
@@ -99,6 +101,132 @@ def test_rhs_dimension_mismatch():
     ops = {"A": [SZ], "H0": np.zeros((2, 2), dtype=complex)}
     with pytest.raises(ValueError, match="dimension"):
         me_rhs(rho, zero_coeff_slice(), ops)
+
+
+def _comm(x, y):
+    return x @ y - y @ x
+
+
+def _acomm(x, y):
+    return x @ y + y @ x
+
+
+def reference_me_rhs(rho, coeff, ops):
+    """The former ``me_rhs``: one nested double commutator per channel
+    pair and coefficient, test-only reference for the single form."""
+    A = ops["A"]
+    V = ops.get("V")
+    H = ops["H0"]
+    Gam, The = coeff["Gamma"], coeff["Theta"]
+    Xi, Ups = coeff["Xi"], coeff["Upsilon"]
+    alpha = coeff.get("alpha", 0.0)
+    beta = coeff.get("beta", 0.0)
+    gamma_pp = coeff.get("gamma_pp", 0.0)
+    lam_mu = coeff.get("lam_mu", 0.0)
+    if alpha or beta or lam_mu:
+        q, p = ops["q"], ops["p"]
+        H = H + alpha * (p @ p) + (beta + 0.5 * lam_mu) * _acomm(q, p)
+
+    rhs = -1j * _comm(H, rho)
+    d = len(A)
+    for j in range(d):
+        for k in range(d):
+            if Gam[j, k] != 0:
+                rhs = rhs + Gam[j, k] * _comm(A[j], _comm(A[k], rho))
+            if Xi[j, k] != 0:
+                rhs = rhs + 0.5 * Xi[j, k] * _comm(A[j], _acomm(A[k], rho))
+            if V is not None:
+                if The[j, k] != 0:
+                    rhs = rhs + The[j, k] * _comm(A[j], _comm(V[k], rho))
+                if Ups[j, k] != 0:
+                    rhs = rhs + 0.5 * Ups[j, k] * _comm(A[j], _acomm(V[k], rho))
+    if gamma_pp:
+        p = ops["p"]
+        rhs = rhs + gamma_pp * _comm(p, _comm(p, rho))
+    return rhs
+
+
+def fock_channel_operators(dim, d, with_v, with_extras):
+    """``d`` channels on a Fock basis: position-type ``A`` (plus ``V``),
+    and ``q``/``p`` when the slice carries Hamiltonian shifts."""
+    f = fock_operators(dim)
+    A = [f["q"], f["q"] @ f["q"] / dim][:d]
+    ops = {"A": A, "H0": quadratic_hamiltonian(dim)}
+    if with_v:
+        ops["V"] = [f["p"], f["number"] / dim][:d]
+    if with_extras:
+        ops["q"], ops["p"] = f["q"], f["p"]
+    return ops
+
+
+@pytest.mark.parametrize("hermitian", [True, False], ids=["herm", "nonherm"])
+@pytest.mark.parametrize("with_extras", [True, False], ids=["extras", "plain"])
+@pytest.mark.parametrize("with_v", [True, False], ids=["V", "noV"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_single_form_matches_double_commutator_reference(d, with_v, with_extras, hermitian):
+    rng = np.random.default_rng([d, with_v, with_extras, hermitian])
+    dim = 8
+    ops = fock_channel_operators(dim, d, with_v, with_extras)
+
+    def cplx(shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    coeff = {name: cplx((d, d)) for name in ("Gamma", "Theta", "Xi", "Upsilon")}
+    # one zero entry: the reference skips it, the single form multiplies by it
+    coeff["Xi"][0, 0] = 0.0
+    if with_extras:
+        coeff.update(alpha=0.07, beta=-0.03, gamma_pp=-0.05, lam_mu=0.11)
+    for _ in range(5):
+        x = cplx((dim, dim))
+        rho = x @ x.conj().T
+        rho /= np.trace(rho).real
+        if not hermitian:
+            rho = rho + 0.1 * cplx((dim, dim)) / dim
+        got = me_rhs(rho, coeff, ops)
+        assert np.max(np.abs(got - reference_me_rhs(rho, coeff, ops))) <= 1e-13
+
+
+@st.composite
+def hermitian_cases(draw):
+    """Random Hermitian state and operators with a coefficient slice of
+    the physical reality structure (``Gamma``, ``Theta`` and the shifts
+    real, ``Xi``, ``Upsilon`` imaginary)."""
+    dim = draw(st.integers(2, 7))
+    d = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    real = st.floats(-2.0, 2.0)
+
+    def matrix(kind):
+        vals = np.array(draw(st.lists(real, min_size=d * d, max_size=d * d))).reshape(d, d)
+        return vals.astype(complex) if kind == "re" else 1j * vals
+
+    def hermitian():
+        x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        return x + x.conj().T
+
+    coeff = {"Gamma": matrix("re"), "Theta": matrix("re"), "Xi": matrix("im"), "Upsilon": matrix("im")}
+    for name in ("alpha", "beta", "gamma_pp", "lam_mu"):
+        coeff[name] = draw(real)
+    ops = {
+        "A": [hermitian() for _ in range(d)],
+        "V": [hermitian() for _ in range(d)],
+        "H0": hermitian(),
+        "q": hermitian(),
+        "p": hermitian(),
+    }
+    if draw(st.booleans()):
+        del ops["V"]
+    return hermitian(), coeff, ops
+
+
+@settings(max_examples=60, deadline=None)
+@given(hermitian_cases())
+def test_rhs_traceless_and_hermiticity_preserving_property(case):
+    rho, coeff, ops = case
+    rhs = me_rhs(rho, coeff, ops)
+    scale = max(1.0, np.max(np.abs(rhs)))
+    assert abs(np.trace(rhs)) <= 1e-12 * scale
+    assert np.max(np.abs(rhs - rhs.conj().T)) <= 1e-12 * scale
 
 
 def analytic_dephasing_coeffs(t_max=2.0, n=2001):

@@ -8,9 +8,11 @@ from nmgme.bath import (
     make_qmupl_matrix,
 )
 from nmgme.coefficients import build_ab_tables
-from nmgme.grids import make_grid, prefix_weights, quad_weights, suffix_weights, theta_mask
+from nmgme.grids import make_grid, prefix_weights, quad_weights, theta_mask
 from nmgme.series import (
+    SampledKernels,
     SeriesConfig,
+    SeriesContext,
     alpha_beta,
     assemble_AB,
     contraction_BA,
@@ -26,6 +28,8 @@ from nmgme.system import (
     qmupl_kernels,
     zero_commutator,
 )
+
+from helpers import suffix_weights
 
 
 def qmupl_setup(lam=0.3, mu=0.1, gamma=1.0, tau_c=0.5, m=1.0, omega=1.0):
@@ -650,3 +654,42 @@ def test_build_samples_each_kernel_once_per_grid_point(monkeypatch):
         build_ab_tables(D, f, SeriesConfig(max_order=3, eps_series=1e-30), make_grid(2.0, G))
         assert 0 < points["D"] <= d * d * G * G
         assert 0 < points["f"] <= d * d * G * G
+
+
+@pytest.mark.parametrize("method", ["trapezoid", "simpson"])
+def test_gathered_suffix_rule_equals_per_row_rule_bit_for_bit(method):
+    # Wsuf(n)[i, i + c] = Wpre[n - 1 - i, c]: every outer time's suffix
+    # rule is gathered from the full prefix-weight matrix
+    G = 65
+    grid = make_grid(2.0, G)
+    D, f = hpz_setup()
+    samples = SampledKernels(D, f, grid, method)
+    for n in range(1, G + 1):
+        assert np.array_equal(SeriesContext(samples, n - 1).Wsuf, suffix_weights(n, grid.h, method)), n
+
+
+@pytest.mark.parametrize("bad", ["D", "f"])
+def test_non_finite_samples_rejected_once_at_sampling(bad):
+    grid = make_grid(1.0, 9)
+    D, f = hpz_setup()
+
+    def poisoned(kernel):
+        def evaluator(j, k, t, s):
+            return np.where(np.asarray(t) == grid.points[3], np.nan, kernel(j, k, t, s))
+
+        return evaluator
+
+    if bad == "D":
+        D = CorrelationKernel(1, poisoned(D))
+    else:
+        f = CommutatorKernel(1, poisoned(f))
+    with pytest.raises(ValueError, match=f"non-finite entries in sampled {bad}"):
+        SampledKernels(D, f, grid)
+
+
+def test_non_finite_recursion_payload_rejected():
+    # finite samples whose order-2 chains overflow
+    D, f = one_mode_setup(g=1e80)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="non-finite entries in order-2"):
+            assemble_AB(D, f, SeriesConfig(max_order=2, eps_series=1e-30), 1.0, make_grid(1.0, 9))
