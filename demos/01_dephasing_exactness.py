@@ -43,7 +43,7 @@ model = JointModel(
     couplings=G,
     mode_dims=(6, 6),
 )
-traj_or = evolve_joint(model, plus, T_FINAL, 2e-3, n_samples=25)
+traj_or = evolve_joint(model, plus, T_FINAL, n_samples=25)
 report = compare_with_me(traj_or, traj_me, mode_freqs=FREQS)
 
 print(f"\n{'t':>6} {'|rho01| ME':>12} {'|rho01| oracle':>15} {'trace dist':>12}")

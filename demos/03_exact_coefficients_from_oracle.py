@@ -59,7 +59,7 @@ n_samp = int(round(t_samples[-1] / h_s)) + 1
 
 mus, covs = [], []
 for alpha in (1.2, 1.2j):
-    traj = evolve_joint(model, coherent(alpha), t_samples[-1], 1e-3, n_samp)
+    traj = evolve_joint(model, coherent(alpha), t_samples[-1], n_samp)
     idx = [int(np.argmin(np.abs(traj.times - t))) for t in t_samples]
     states = [traj.states[i] for i in idx]
     mq = np.array([np.real(np.trace(q @ r)) for r in states])

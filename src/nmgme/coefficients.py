@@ -120,9 +120,9 @@ class MECoefficients:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("Gamma", "Theta", "Xi", "Upsilon"):
+        for name in ("Gamma", "Theta", "Xi", "Upsilon", "alpha", "beta", "gamma_pp"):
             arr = getattr(self, name)
-            if not np.isfinite(arr).all():
+            if arr is not None and not np.isfinite(arr).all():
                 raise ValueError(f"non-finite entries in {name}")
         scale = max(
             np.max(np.abs(self.Gamma)),

@@ -223,9 +223,6 @@ def me_rhs(rho: np.ndarray, coeff: dict, ops: dict) -> np.ndarray:
             raise ValueError("channel operator dimension mismatch")
     Gam, The = coeff["Gamma"], coeff["Theta"]
     Xi, Ups = coeff["Xi"], coeff["Upsilon"]
-    for name in ("Gamma", "Theta", "Xi", "Upsilon"):
-        if not np.isfinite(coeff[name]).all():
-            raise ValueError(f"non-finite coefficient {name}")
 
     alpha = coeff.get("alpha", 0.0)
     beta = coeff.get("beta", 0.0)

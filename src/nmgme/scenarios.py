@@ -120,6 +120,8 @@ class RunConfig:
 #: in this order.  Every value must be a finite int or float (ints only for
 #: ``integer``; never a bool).  ``propagation.n_samples >= 2`` because the
 #: trace drift is measured between the first and the last sample.
+#: ``oracle.h`` is checked but has no effect: the oracle is exact at every
+#: sample time and takes no step; configs that set it still run.
 _NUMBERS = (
     ("grid.n_points", True, 2, False),
     ("grid.t_max", False, 0, True),
@@ -436,10 +438,7 @@ def run_oracle_check(cfg: RunConfig, outdir: Path) -> dict:
         couplings=g,
         mode_dims=tuple(mode_dims),
     )
-    traj_or = evolve_joint(
-        model, psi0, grid.t_max, cfg.oracle.get("h", 2e-3), p["n_samples"],
-        scenario=cfg.model,
-    )
+    traj_or = evolve_joint(model, psi0, grid.t_max, p["n_samples"], scenario=cfg.model)
     comparison = compare_with_me(traj_or, traj_me, mode_freqs=freqs)
     report = {
         "scenario": "oracle-check",

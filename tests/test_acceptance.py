@@ -74,7 +74,7 @@ def dephasing_golden():
         couplings=g,
         mode_dims=(6, 6),
     )
-    traj_or = evolve_joint(model, PLUS, t_final, 2e-3, n_samples)
+    traj_or = evolve_joint(model, PLUS, t_final, n_samples)
     report = compare_with_me(traj_or, traj_me, mode_freqs=freqs)
     return {"me": traj_me, "oracle": traj_or, "report": report, "coeffs": coeffs}
 
@@ -244,7 +244,7 @@ def oracle_convergence():
         mode_dims=(6,),
     )
     n_samples = 41
-    traj_or = evolve_joint(model, psi0, OC_T, 2e-3, n_samples)
+    traj_or = evolve_joint(model, psi0, OC_T, n_samples)
 
     D = make_discrete_modes([W_MODE], [[G_COUP]])
     kern = harmonic_kernels(1.0, 1.0)

@@ -181,6 +181,23 @@ def test_oracle_check_report(tmp_path):
     assert (tmp_path / "out" / "oracle_trajectory.json").exists()
 
 
+def test_oracle_h_has_no_effect(tmp_path):
+    # oracle.h is accepted for old configs; the oracle takes no steps
+    cfg = {
+        "model": "dephasing",
+        "kernel": {"family": "discrete_modes", "mode_freqs": [1.0, 1.6], "couplings": [[0.2, 0.2]]},
+        "grid": {"t_max": 1.0, "n_points": 33},
+        "propagation": {"h": 0.002, "n_samples": 11, "initial_state": {"type": "plus"}},
+    }
+    outputs = []
+    for h in (2e-3, 1e-2):
+        out = tmp_path / f"h{h}"
+        run = dict(cfg, oracle={"mode_dims": [4, 4], "h": h}, output_dir=str(out))
+        assert main(["oracle-check", "--config", write_config(tmp_path, run)]) == 0
+        outputs.append([(out / name).read_bytes() for name in ("oracle_trajectory.json", "trajectory.json")])
+    assert outputs[0] == outputs[1]
+
+
 def test_joos_zeh_with_sweep(tmp_path):
     cfg = {
         "kernel": {"family": "white_noise", "strength": 1.0, "eps": 0.05},

@@ -233,6 +233,19 @@ def test_reality_invariants_enforced():
         )
 
 
+@pytest.mark.parametrize(
+    "name", ["Gamma", "Theta", "Xi", "Upsilon", "alpha", "beta", "gamma_pp"]
+)
+def test_non_finite_coefficient_tables_rejected_at_construction(name):
+    # me_rhs trusts the tables, so every one is checked once, here
+    grid = make_grid(1.0, 5)
+    tables = {key: np.zeros((5, 1, 1), dtype=complex) for key in ("Gamma", "Theta", "Xi", "Upsilon")}
+    tables.update({key: np.zeros(5) for key in ("alpha", "beta", "gamma_pp")})
+    tables[name][2] = np.nan
+    with pytest.raises(ValueError, match=f"non-finite entries in {name}"):
+        MECoefficients(grid=grid, scenario="x", **tables)
+
+
 def test_kossakowski_structure():
     D = make_exponential(2.0, 1.0)
     grid = make_grid(1.0, 17)

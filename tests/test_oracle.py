@@ -1,17 +1,24 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from nmgme import oracle
 from nmgme.oracle import (
     JointModel,
     build_joint,
     compare_with_me,
     evolve_joint,
-    mode_convergence_check,
     recurrence_estimate,
 )
 from nmgme.propagate import trace_distance
 from nmgme.system import fock_operators, quadratic_hamiltonian
+
+from helpers import stepped_evolve_joint
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
@@ -104,7 +111,7 @@ def test_evolve_decoupled_matches_free_evolution():
     )
     psi0 = np.zeros(dim, dtype=complex)
     psi0[0], psi0[1] = 1 / np.sqrt(2), 1 / np.sqrt(2)
-    traj = evolve_joint(model, psi0, 1.0, 1e-2, n_samples=5)
+    traj = evolve_joint(model, psi0, 1.0, n_samples=5)
     t = traj.times[-1]
     U = expm(-1j * h_sys * t)
     expected = U @ np.outer(psi0, psi0.conj()) @ U.conj().T
@@ -113,7 +120,7 @@ def test_evolve_decoupled_matches_free_evolution():
 
 def test_evolve_t0_returns_initial_state():
     model = dephasing_model()
-    traj = evolve_joint(model, PLUS, 1.0, 1e-2, n_samples=5)
+    traj = evolve_joint(model, PLUS, 1.0, n_samples=5)
     assert trace_distance(traj.states[0], np.outer(PLUS, PLUS.conj())) < 1e-14
 
 
@@ -123,7 +130,7 @@ def test_single_mode_dephasing_decay_and_revival():
     g, omega = 0.2, 1.0
     model = dephasing_model(g=g, omega=omega, dim=8)
     t_rev = 2.0 * np.pi / omega
-    traj = evolve_joint(model, PLUS, t_rev, 1e-3, n_samples=9)
+    traj = evolve_joint(model, PLUS, t_rev, n_samples=9)
     coh = np.abs(traj.states[:, 0, 1])
     expected = 0.5 * np.exp(-4.0 * g**2 / omega**2 * (1.0 - np.cos(omega * traj.times)))
     assert np.max(np.abs(coh - expected)) < 1e-6
@@ -133,7 +140,7 @@ def test_single_mode_dephasing_decay_and_revival():
 
 def test_norm_conservation_and_state_validity():
     model = dephasing_model(g=0.3)
-    traj = evolve_joint(model, PLUS, 3.0, 1e-2, n_samples=11)
+    traj = evolve_joint(model, PLUS, 3.0, n_samples=11)
     norms = np.array(traj.diagnostics["norm"])
     assert np.max(np.abs(norms - 1.0)) < 1e-9
     assert np.min(traj.diagnostics["min_eigenvalue"]) >= -1e-10
@@ -143,12 +150,12 @@ def test_norm_conservation_and_state_validity():
 def test_requires_normalized_state():
     model = dephasing_model()
     with pytest.raises(ValueError, match="normalized"):
-        evolve_joint(model, np.array([1.0, 1.0]), 1.0, 1e-2)
+        evolve_joint(model, np.array([1.0, 1.0]), 1.0)
 
 
 def test_compare_identical_trajectories():
     model = dephasing_model()
-    traj = evolve_joint(model, PLUS, 1.0, 1e-2, n_samples=5)
+    traj = evolve_joint(model, PLUS, 1.0, n_samples=5)
     report = compare_with_me(traj, traj, mode_freqs=model.mode_freqs)
     assert report["max_trace_distance"] == 0.0
     assert report["recurrence_time_estimate"] == pytest.approx(2 * np.pi)
@@ -156,8 +163,8 @@ def test_compare_identical_trajectories():
 
 def test_compare_rejects_mismatched_sampling():
     model = dephasing_model()
-    t1 = evolve_joint(model, PLUS, 1.0, 1e-2, n_samples=5)
-    t2 = evolve_joint(model, PLUS, 1.0, 1e-2, n_samples=7)
+    t1 = evolve_joint(model, PLUS, 1.0, n_samples=5)
+    t2 = evolve_joint(model, PLUS, 1.0, n_samples=7)
     with pytest.raises(ValueError, match="times"):
         compare_with_me(t1, t2)
 
@@ -185,7 +192,7 @@ def test_decoupled_oracle_matches_zero_coefficient_me():
         mode_dims=(3,),
     )
     psi0 = coherent_state(dim, 0.8)
-    traj_or = evolve_joint(model, psi0, 2.0, 2e-3, n_samples=9)
+    traj_or = evolve_joint(model, psi0, 2.0, n_samples=9)
 
     grid = make_grid(2.0, 9)
     shape = (9, 1, 1)
@@ -203,10 +210,123 @@ def test_decoupled_oracle_matches_zero_coefficient_me():
     assert report["max_trace_distance"] < 1e-9
 
 
+def mode_convergence_check(
+    model: JointModel,
+    psi0_system: np.ndarray,
+    t_final: float,
+    observable: np.ndarray,
+    mode_index: int = 0,
+    n_samples: int = 21,
+) -> float:
+    """Doubling one mode's Fock dimension: max shift of an observable.
+
+    Returns the largest absolute change over the sample times; weak
+    coupling runs should stay below 1e-7.
+    """
+    traj = evolve_joint(model, psi0_system, t_final, n_samples)
+    dims = list(model.mode_dims)
+    dims[mode_index] *= 2
+    bigger = JointModel(
+        h_system=model.h_system,
+        channel_ops=model.channel_ops,
+        mode_freqs=model.mode_freqs,
+        couplings=model.couplings,
+        mode_dims=tuple(dims),
+        dimension_cap=max(model.dimension_cap, model.joint_dim * 2),
+    )
+    traj2 = evolve_joint(bigger, psi0_system, t_final, n_samples)
+    vals1 = [np.real(np.trace(observable @ r)) for r in traj.states]
+    vals2 = [np.real(np.trace(observable @ r)) for r in traj2.states]
+    return float(np.max(np.abs(np.array(vals1) - np.array(vals2))))
+
+
 def test_mode_convergence_check_weak_coupling():
     model = dephasing_model(g=0.2, dim=6)
     obs = np.kron(SZ, np.eye(1))  # system observable
     shift = mode_convergence_check(
-        model, PLUS, 2.0, 1e-2, np.diag([1.0, -1.0]).astype(complex)
+        model, PLUS, 2.0, np.diag([1.0, -1.0]).astype(complex)
     )
     assert shift < 1e-7
+
+
+SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+EIGEN_CASES = {
+    # name: (model, whether H is real, so the real solver runs)
+    "real": (
+        JointModel(
+            h_system=0.5 * SX + 0.3 * SZ,
+            channel_ops=(SX,),
+            mode_freqs=(1.1,),
+            couplings=np.array([[0.25]]),
+            mode_dims=(6,),
+        ),
+        True,
+    ),
+    "complex": (
+        JointModel(
+            h_system=0.5 * SX + 0.3 * SZ,
+            channel_ops=(SX,),
+            mode_freqs=(1.1,),
+            couplings=np.array([[0.2 + 0.15j]]),
+            mode_dims=(6,),
+        ),
+        False,
+    ),
+    # levels +-1 + 2n: (up, n) and (down, n + 1) share an energy
+    "degenerate": (dephasing_model(g=0.0, omega=2.0, dim=5, h_sys=SZ), True),
+    "two-mode": (
+        JointModel(
+            h_system=np.zeros((2, 2), dtype=complex),
+            channel_ops=(SZ,),
+            mode_freqs=(1.0, 1.6),
+            couplings=np.array([[0.2, 0.2]]),
+            mode_dims=(5, 5),
+        ),
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(EIGEN_CASES))
+def test_eigen_oracle_matches_stepped_reference(case, monkeypatch):
+    model, real = EIGEN_CASES[case]
+    solved, exact = [], oracle.eigh
+
+    def spy(H):
+        solved.append(H.dtype)
+        return exact(H)
+
+    monkeypatch.setattr(oracle, "eigh", spy)
+    traj = evolve_joint(model, PLUS, 3.0, n_samples=13)
+    ref = stepped_evolve_joint(model, PLUS, 3.0, 1e-2, n_samples=13)
+    assert solved == [np.float64 if real else np.complex128]
+    assert np.array_equal(traj.times, ref.times)
+    assert np.max(np.abs(traj.states - ref.states)) <= 1e-12
+    assert np.max(np.abs(np.subtract(traj.diagnostics["norm"], ref.diagnostics["norm"]))) <= 1e-12
+
+
+def test_norm_guard_raises_at_a_sample(monkeypatch):
+    # eigenvectors off unitarity by 1e-7 push every sampled norm past 1e-8
+    exact = oracle.eigh
+
+    def skewed(H):
+        E, V = exact(H)
+        return E, V * (1.0 + 1e-7)
+
+    monkeypatch.setattr(oracle, "eigh", skewed)
+    with pytest.raises(RuntimeError, match="norm drifted"):
+        evolve_joint(dephasing_model(), PLUS, 1.0, n_samples=5)
+
+
+@pytest.mark.parametrize(
+    "demo", ["01_dephasing_exactness.py", "03_exact_coefficients_from_oracle.py"], ids=["01", "03"]
+)
+def test_oracle_demos_run(demo, tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(root / "demos" / demo)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
