@@ -24,7 +24,7 @@ from .coefficients import (
     kossakowski_form,
     write_coefficients_csv,
 )
-from .grids import TimeGrid, integrate_1d, integrate_triangular, make_grid
+from .grids import TimeGrid, make_grid
 from .oracle import JointModel, build_joint, compare_with_me, evolve_joint
 from .propagate import (
     DensityMatrix,
@@ -59,8 +59,6 @@ __all__ = [
     "make_white_noise_approximant",
     "TimeGrid",
     "make_grid",
-    "integrate_1d",
-    "integrate_triangular",
     "LinearSystem",
     "PropagatorKernels",
     "CommutatorKernel",

@@ -19,8 +19,6 @@ __all__ = [
     "quad_weights",
     "prefix_weights",
     "theta_mask",
-    "integrate_1d",
-    "integrate_triangular",
 ]
 
 #: Grid points per unit of dimensionless time used when no resolution is given.
@@ -88,14 +86,6 @@ def make_grid(t_max: float, n_points: int | None = None) -> TimeGrid:
     return TimeGrid(t_max=float(t_max), n_points=int(n_points), points=pts)
 
 
-def _check_finite(samples: np.ndarray) -> None:
-    flat = np.asarray(samples)
-    bad = ~np.isfinite(flat)
-    if bad.any():
-        idx = tuple(np.argwhere(bad)[0])
-        raise ValueError(f"non-finite sample at index {idx}")
-
-
 def quad_weights(n: int, h: float, method: str = "trapezoid") -> np.ndarray:
     """Weights of the 1D rule on ``n`` uniformly spaced points.
 
@@ -151,53 +141,3 @@ def theta_mask(n: int) -> np.ndarray:
     M = np.tril(np.ones((n, n)), k=-1)
     np.fill_diagonal(M, 0.5)
     return M
-
-
-def integrate_1d(
-    samples: np.ndarray,
-    grid: TimeGrid,
-    k: int | None = None,
-    method: str = "trapezoid",
-) -> complex:
-    """Integrate sampled values over the grid prefix ``[0, t_k]``.
-
-    ``samples`` must hold the integrand on ``grid.points[: k + 1]``; when
-    ``k`` is omitted it is inferred from the sample count.  Exact for
-    affine integrands under the trapezoid rule.
-    """
-    samples = np.asarray(samples)
-    if k is None:
-        k = samples.shape[-1] - 1
-    if samples.shape[-1] != k + 1:
-        raise ValueError(f"expected {k + 1} samples, got {samples.shape[-1]}")
-    _check_finite(samples)
-    if k == 0:
-        return 0.0 * samples[..., 0]
-    w = quad_weights(k + 1, grid.h, method)
-    return samples @ w
-
-
-def integrate_triangular(
-    samples: np.ndarray,
-    grid: TimeGrid,
-    k: int | None = None,
-    method: str = "trapezoid",
-) -> complex:
-    """Integrate ``f(tau, s)`` over the triangle ``0 <= s <= tau <= t_k``.
-
-    ``samples[a, b]`` holds ``f(t_a, t_b)`` for ``b <= a`` (entries above
-    the diagonal are ignored).  The rule is the iterated 1D rule; the
-    diagonal automatically receives the boundary weight of the inner rule.
-    """
-    samples = np.asarray(samples)
-    if k is None:
-        k = samples.shape[0] - 1
-    if samples.shape[0] != k + 1 or samples.shape[1] != k + 1:
-        raise ValueError(f"expected ({k + 1}, {k + 1}) samples, got {samples.shape}")
-    _check_finite(np.tril(samples))
-    if k == 0:
-        return 0.0 * samples[0, 0]
-    w_out = quad_weights(k + 1, grid.h, method)
-    W_in = prefix_weights(k + 1, grid.h, method)
-    inner = np.einsum("ab,ab->a", W_in, np.tril(samples))
-    return inner @ w_out

@@ -21,22 +21,50 @@ so the generator is evaluated in one form for every model:
 ``L_j = sum_k (Gamma_jk + Xi_jk/2) A_k + (Theta_jk + Upsilon_jk/2) V_k``
 ``R_j = sum_k (Xi_jk/2 - Gamma_jk) A_k + (Upsilon_jk/2 - Theta_jk) V_k``
 
-(the ``V`` terms are dropped when there is no ``V``).  ``L_j`` and
-``R_j`` are scalar-times-matrix sums, so a channel costs four matrix
-products.  The right-hand side is traceless and Hermiticity preserving
-by construction; ``rho`` is not assumed Hermitian, so the Hermiticity
-defect of a run stays a measurement (verified in the test suite, not
-assumed).
+(the ``V`` terms are dropped when there is no ``V``).  Expanding the
+commutators gives the sandwich form that is actually evaluated:
+
+``drho/dt = X rho + rho Y + sum_ab W_ab F_a rho F_b``
+
+``X = -i H_eff + sum_j A_j L_j + gamma_pp p^2``
+``Y = i H_eff - sum_j R_j A_j + gamma_pp p^2``
+
+where ``F`` lists the distinct operators among ``A_j``, ``V_j`` and (with
+``gamma_pp``) ``p``, and ``W`` holds the ``L``/``R`` weights plus
+``-2 gamma_pp`` on the ``(p, p)`` entry.  Everything that does not
+depend on time -- ``p^2``, ``{q,p}``, the products ``A_j F_a`` and
+``F_a A_j`` -- is built once per run (:class:`_SandwichForm`).  Per
+evaluation, two small products turn the time-dependent weights into
+``X`` and ``Fhat_b = sum_a W_ab F_a``; ``T = [X; Fhat] @ rho`` and
+``S = [Fhat_1 rho | ... | Fhat_n rho] @ [F_1; ...; F_n]`` give
+``X rho`` and the sandwich sum ``S``.
+
+* In general the result is ``X rho + S + rho Y``, with ``rho Y`` folded
+  into the second wide product: ``2 (n_F + 1)`` matrix products.
+* When a stage is exactly Hermiticity preserving (``Y = X^dag``,
+  ``W = W^dag`` entry by entry, Hermitian ``F``) and ``rho`` is
+  Hermitian, it is ``K + K^dag`` with ``K = X rho + S/2``: ``2 n_F + 1``
+  products, five for the collapse model at any Fock dimension.  The
+  result is then exactly Hermitian in floating point, so a run from a
+  Hermitian state keeps a zero Hermiticity defect whenever its
+  coefficients are exactly physical.
+
+``rho`` is not assumed Hermitian: it is checked, and any other state
+takes the general branch, so the Hermiticity defect of a run stays a
+measurement (verified in the test suite, not assumed).
 
 Integration is classical fixed-step fourth-order Runge-Kutta with
-coefficients linearly interpolated between grid nodes.  Per-step
-renormalization is off by default: trace drift is a diagnostic, not a
-knob.
+coefficients linearly interpolated between grid nodes.  The coefficient
+rows of the stage times ``t, t + h/2, t + h`` are interpolated in one
+vectorised blend per block of steps and turned into sandwich weights
+there, so the step loop only multiplies matrices.  The Gaussian moments
+obey a linear ODE in ``(mean, cov, 1)`` whose 7x7 matrices are built
+the same way.  Per-step renormalization is off by default: trace drift
+is a diagnostic, not a knob.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +91,8 @@ __all__ = [
 
 _HERM_TOL = 1e-12
 _TRACE_TOL = 1e-12
+# RK4 steps whose stage coefficients are built together
+_BLOCK_STEPS = 32
 
 
 class EvolutionError(RuntimeError):
@@ -162,15 +192,16 @@ class CoefficientInterpolator:
     """Linear interpolation of coefficient tables between grid nodes.
 
     All tables are stacked once into one real ``(G, n)`` array (complex
-    entries as real/imaginary column pairs); a call is one interval lookup
-    and one row blend, with the same arithmetic as ``np.interp``.  Times
-    outside the grid are clipped to its ends.
+    entries as real/imaginary column pairs).  :meth:`rows` blends the
+    rows of many times at once with the same arithmetic as ``np.interp``;
+    times outside the grid are clipped to its ends.  :meth:`split` views
+    a block of rows as the named coefficient arrays and a call returns
+    the slice of one time as a dict.
     """
 
     def __init__(self, coeffs: MECoefficients):
         self.coeffs = coeffs
-        t = coeffs.grid.points
-        self._nodes = t.tolist()
+        self.nodes = coeffs.grid.points
         G, d = coeffs.grid.n_points, coeffs.n_channels
         self.names = ["Gamma", "Theta", "Xi", "Upsilon"]
         self.extras = ["alpha", "beta", "gamma_pp"] if coeffs.has_extras() else []
@@ -180,26 +211,162 @@ class CoefficientInterpolator:
         ]
         cols += [np.asarray(getattr(coeffs, name), dtype=float).reshape(G, 1) for name in self.extras]
         self.table = np.hstack(cols)
-        self.slopes = np.diff(self.table, axis=0) / np.diff(t)[:, None]
+        self.slopes = np.diff(self.table, axis=0) / np.diff(self.nodes)[:, None]
         self._d = d
 
-    def __call__(self, t: float) -> dict:
-        nodes = self._nodes
-        t = min(max(float(t), nodes[0]), nodes[-1])
-        j = bisect.bisect_right(nodes, t) - 1
-        if nodes[j] == t:
-            row = self.table[j].copy()
-        else:
-            row = self.slopes[j] * (t - nodes[j]) + self.table[j]
+    def rows(self, times) -> np.ndarray:
+        """Interpolated table rows ``(len(times), n)``; a node time gets
+        its table row exactly."""
+        nodes = self.nodes
+        t = np.clip(np.asarray(times, dtype=float), nodes[0], nodes[-1])
+        j = np.searchsorted(nodes, t, side="right") - 1
+        k = np.minimum(j, len(nodes) - 2)
+        out = self.slopes[k] * (t - nodes[k])[:, None] + self.table[k]
+        exact = nodes[j] == t
+        out[exact] = self.table[j[exact]]
+        return out
+
+    def split(self, rows: np.ndarray) -> dict:
+        """Views of a row block: ``(s, d, d)`` complex matrices, ``(s,)``
+        real extras, and the scalar ``lam_mu``."""
         d = self._d
         n = 2 * d * d
         out = {
-            name: row[i * n : (i + 1) * n].view(complex).reshape(d, d)
+            name: rows[:, i * n : (i + 1) * n].view(complex).reshape(-1, d, d)
             for i, name in enumerate(self.names)
         }
         for i, name in enumerate(self.extras):
-            out[name] = float(row[len(self.names) * n + i])
+            out[name] = rows[:, len(self.names) * n + i]
         out["lam_mu"] = self.coeffs.lam_mu
+        return out
+
+    def __call__(self, t: float) -> dict:
+        c = self.split(self.rows([t]))
+        return {name: v if name == "lam_mu" else v[0] for name, v in c.items()}
+
+
+class _SandwichForm:
+    """The generator of the module docstring over one set of operators.
+
+    Built once per run: the distinct operators ``F``, the constant
+    products and the buffers of the two wide products.  :meth:`weights`
+    maps coefficient arrays with a leading stage axis to the weights of
+    each stage; calling the form with a state and one stage
+    ``(XY, Wt, mirror)`` evaluates the right-hand side.  ``shifts`` says
+    whether ``H_eff`` carries ``p^2`` and ``{q,p}`` (``ops`` then holds
+    ``q`` and ``p``), ``pp`` whether ``gamma_pp`` is present.
+    """
+
+    def __init__(self, ops: dict, dim: int, shifts: bool, pp: bool):
+        A = list(ops["A"])
+        V = ops.get("V")
+        for mat in A + list(V or ()) + [ops["H0"]]:
+            if np.shape(mat) != (dim, dim):
+                raise ValueError("channel operator dimension mismatch")
+        d = len(A)
+        F, where = [], []  # distinct operators, compared by value
+        for op in A + list(V or ()) + ([ops["p"]] if pp else []):
+            hit = next((i for i, f in enumerate(F) if np.array_equal(f, op)), len(F))
+            if hit == len(F):
+                F.append(op)
+            where.append(hit)
+        n = len(F)
+        # channel k of each family -> its slot in F
+        self.PA = np.eye(n)[where[:d]]
+        self.PV = np.eye(n)[where[d : 2 * d]] if V is not None else None
+        self.ip = where[-1] if pp else None
+        self.shifts, self.pp = shifts, pp
+
+        # constant products [A_j F_a, H0, (p^2), ({q,p}), F_a A_j]: X is a
+        # combination of the first d n + n_ham, Y of the last
+        ham = [ops["H0"]]
+        if shifts or pp:
+            ham.append(ops["p"] @ ops["p"])
+        if shifts:
+            ham.append(ops["q"] @ ops["p"] + ops["p"] @ ops["q"])
+        self.n_ham, self.n_af = len(ham), d * n
+        products = [A[j] @ F[a] for j in range(d) for a in range(n)] + ham
+        products += [F[a] @ A[j] for j in range(d) for a in range(n)]
+        self.products = np.array(products, dtype=complex).reshape(len(products), dim * dim)
+        self.dim, self.n, self.d = dim, n, d
+        # with Hermitian operators, (A_j F_a)^dag = F_a A_j: a stage is
+        # mirrored when its weights are
+        shift_ops = [ops["q"], ops["p"]] if shifts else []
+        self.hermitian = all(np.array_equal(x, x.conj().T) for x in F + [ops["H0"]] + shift_ops)
+
+        # [X; Fhat], and [Fhat rho | rho] @ [F; Y]
+        self._Z = np.empty((n + 1, dim * dim), dtype=complex)
+        self._left = np.empty((dim, (n + 1) * dim), dtype=complex)
+        self._right = np.empty(((n + 1) * dim, dim), dtype=complex)
+        self._right[: n * dim] = np.vstack(F)
+        self.F = self._right[: n * dim].reshape(n, dim * dim)
+        self._hat = self._left[:, : n * dim].reshape(dim, n, dim)
+        self._Y = self._right[n * dim :].reshape(1, dim * dim)
+
+    def weights(self, c: dict) -> tuple:
+        """Stage weights ``(XY, Wt, mirror)`` for ``s`` stages: the
+        weights of ``X`` and of ``Y`` over their constant products
+        ``(s, 2, d n_F + n_ham)``, ``W^T`` ``(s, n_F, n_F)`` (so that
+        ``Fhat = W^T F``), and whether the stage is exactly Hermiticity
+        preserving: Hermitian operators and ``Y = X^dag``, ``W = W^dag``
+        entry by entry.
+
+        ``c`` holds ``Gamma``, ``Theta``, ``Xi``, ``Upsilon`` as
+        ``(s, d, d)`` arrays, optional ``alpha``, ``beta``, ``gamma_pp``
+        broadcastable to ``(s,)`` and the scalar ``lam_mu``."""
+        Gam, Xi = c["Gamma"], c["Xi"]
+        s = Gam.shape[0]
+        # weights of F_a in L_j and R_j
+        lF = (Gam + 0.5 * Xi) @ self.PA
+        rF = (0.5 * Xi - Gam) @ self.PA
+        if self.PV is not None:
+            The, Ups = c["Theta"], c["Upsilon"]
+            lF = lF + (The + 0.5 * Ups) @ self.PV
+            rF = rF + (0.5 * Ups - The) @ self.PV
+        # A_j rho R_j - L_j rho A_j (- 2 gamma_pp p rho p)
+        W = self.PA.T @ rF - lF.transpose(0, 2, 1) @ self.PA
+        # weights of H0, p^2, {q,p} in H_eff, and gamma_pp on p^2
+        ham = np.zeros((s, self.n_ham))
+        ham[:, 0] = 1.0
+        pp2 = np.zeros((s, self.n_ham))
+        if self.shifts:
+            ham[:, 1] = c.get("alpha", 0.0)
+            ham[:, 2] = c.get("beta", 0.0) + 0.5 * c.get("lam_mu", 0.0)
+        if self.pp:
+            pp2[:, 1] = c.get("gamma_pp", 0.0)
+            W[:, self.ip, self.ip] -= 2.0 * pp2[:, 1]
+        XY = np.stack(
+            [
+                np.hstack([lF.reshape(s, -1), -1j * ham + pp2]),
+                np.hstack([1j * ham + pp2, -rF.reshape(s, -1)]),
+            ],
+            axis=1,
+        )
+        # R_j = -L_j^dag entry by entry gives Y = X^dag and W = W^dag
+        mirror = self.hermitian & (-rF == lF.conj()).all(axis=(1, 2))
+        return XY, W.transpose(0, 2, 1), mirror
+
+    def __call__(self, rho: np.ndarray, stage: tuple) -> np.ndarray:
+        """Right-hand side at ``rho``.  With ``mirror`` set, the caller
+        vouches that ``rho`` is Hermitian and the stage is mirrored: the
+        result is then ``K + K^dag`` with ``K = X rho + S/2``, exactly
+        Hermitian, and ``rho Y`` is not needed."""
+        XY, Wt, mirror = stage
+        dim, n = self.dim, self.n
+        Z = self._Z
+        np.matmul(XY[:1], self.products[: self.n_af + self.n_ham], out=Z[:1])
+        np.matmul(Wt, self.F, out=Z[1:])
+        T = Z.reshape((n + 1) * dim, dim) @ rho  # [X rho; Fhat_b rho]
+        self._hat[...] = T[dim:].reshape(n, dim, dim).transpose(1, 0, 2)
+        if mirror:
+            K = self._left[:, : n * dim] @ self._right[: n * dim]  # S
+            K *= 0.5
+            K += T[:dim]
+            return K + K.conj().T
+        np.matmul(XY[1:], self.products[self.n_af :], out=self._Y)
+        self._left[:, n * dim :] = rho
+        out = self._left @ self._right  # S + rho Y
+        out += T[:dim]
         return out
 
 
@@ -211,43 +378,14 @@ def me_rhs(rho: np.ndarray, coeff: dict, ops: dict) -> np.ndarray:
     ``beta``, ``gamma_pp``, ``lam_mu``).  ``ops`` holds the channel
     matrices ``A`` (list), their velocity conjugates ``V`` (list), the
     free Hamiltonian ``H0`` and, when Hamiltonian shifts are present,
-    ``q`` and ``p``.  Evaluated in the single form of the module
-    docstring.
+    ``q`` and ``p``.  Evaluated in the sandwich form of the module
+    docstring, with the operators of this one call.
     """
-    A = ops["A"]
-    V = ops.get("V")
-    H = ops["H0"]
-    dim = rho.shape[0]
-    for mat in A:
-        if mat.shape != (dim, dim):
-            raise ValueError("channel operator dimension mismatch")
-    Gam, The = coeff["Gamma"], coeff["Theta"]
-    Xi, Ups = coeff["Xi"], coeff["Upsilon"]
-
-    alpha = coeff.get("alpha", 0.0)
-    beta = coeff.get("beta", 0.0)
-    gamma_pp = coeff.get("gamma_pp", 0.0)
-    lam_mu = coeff.get("lam_mu", 0.0)
-    if alpha or beta or lam_mu:
-        q, p = ops["q"], ops["p"]
-        H = H + alpha * (p @ p) + (beta + 0.5 * lam_mu) * _acomm(q, p)
-
-    rhs = -1j * _comm(H, rho)
-    # (operators, commutator weight, anticommutator weight) of each family
-    families = [(A, Gam, Xi)] if V is None else [(A, Gam, Xi), (V, The, Ups)]
-    d = len(A)
-
-    def mix(j, sign):  # L_j for sign 1, R_j for sign -1
-        return sum((sign * c[j, k] + 0.5 * x[j, k]) * X[k] for X, c, x in families for k in range(d))
-
-    for j in range(d):
-        Z = mix(j, 1.0) @ rho
-        Z += rho @ mix(j, -1.0)
-        rhs += _comm(A[j], Z)
-    if gamma_pp:
-        p = ops["p"]
-        rhs = rhs + gamma_pp * _comm(p, _comm(p, rho))
-    return rhs
+    shifts = bool(coeff.get("alpha", 0.0) or coeff.get("beta", 0.0) or coeff.get("lam_mu", 0.0))
+    form = _SandwichForm(ops, rho.shape[0], shifts, bool(coeff.get("gamma_pp", 0.0)))
+    c = {k: np.asarray(v)[None] if np.ndim(v) == 2 else v for k, v in coeff.items()}
+    XY, Wt, mirror = form.weights(c)
+    return form(rho, (XY[0], Wt[0], mirror[0] and np.array_equal(rho, rho.conj().T)))
 
 
 def kossakowski_rhs(
@@ -343,12 +481,26 @@ class MomentTrajectory:
     uncertainty_ok: bool = True
 
 
-def _rk4_step(rhs, y, t, h):
-    k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = rhs(t + h, y + h * k3)
+def _rk4_step(rhs, y, h, c0, c_mid, c1):
+    """One classical RK4 step of ``dy/dt = rhs(y, c)``; ``c0``, ``c_mid``
+    and ``c1`` are the coefficients at ``t``, ``t + h/2`` and ``t + h``."""
+    k1 = rhs(y, c0)
+    k2 = rhs(y + 0.5 * h * k1, c_mid)
+    k3 = rhs(y + 0.5 * h * k2, c_mid)
+    k4 = rhs(y + h * k3, c1)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _stage_blocks(interp: CoefficientInterpolator, n_steps: int, h: float):
+    """Coefficients of the RK4 stage times ``t, t + h/2, t + h`` of every
+    step (``t = step * h``), interpolated ``_BLOCK_STEPS`` steps at a
+    time: yields the first step, the step count and the block of
+    :meth:`CoefficientInterpolator.split` arrays, stage rows step-major."""
+    for first in range(0, n_steps, _BLOCK_STEPS):
+        count = min(_BLOCK_STEPS, n_steps - first)
+        t = np.arange(first, first + count) * h
+        rows = interp.rows(np.stack([t, t + 0.5 * h, t + h], axis=1).ravel())
+        yield first, count, interp.split(rows)
 
 
 def aligned_steps(t_final: float, h: float, n_samples: int) -> tuple[int, float]:
@@ -389,19 +541,22 @@ def evolve(
         rho0.matrix if isinstance(rho0, DensityMatrix) else rho0, dtype=complex
     ).copy()
     dim = rho.shape[0]
-    interp = CoefficientInterpolator(coeffs)
     if t_final > coeffs.grid.t_max + 1e-12:
         raise ValueError(
             f"t_final {t_final} exceeds coefficient grid t_max {coeffs.grid.t_max}"
         )
-
-    def rhs(t, y):
-        return me_rhs(y, interp(t), ops)
+    interp = CoefficientInterpolator(coeffs)
+    shifts = bool(coeffs.lam_mu) or (
+        coeffs.has_extras() and bool(np.any(coeffs.alpha) or np.any(coeffs.beta))
+    )
+    pp = coeffs.has_extras() and bool(np.any(coeffs.gamma_pp))
+    form = _SandwichForm(ops, dim, shifts, pp)
 
     sample_times = np.linspace(0.0, t_final, n_samples)
     n_steps, h_eff = aligned_steps(t_final, h, n_samples)
 
-    states = [rho.copy()]
+    states = np.empty((n_samples, dim, dim), dtype=complex)
+    states[0] = rho
     logs = {"trace": [], "hermiticity_defect": [], "min_eigenvalue": [], "purity": []}
     obs_logs = {name: [] for name in (observables or {})}
     warnings = []
@@ -415,35 +570,45 @@ def evolve(
 
     record(rho)
     guard_on = truncation_guard and dim > 3
+    # a step is mirrored when the state is Hermitian and all three stages
+    # are; its result is then Hermitian again (RK4 combines with real
+    # weights), so the state is checked only after an unmirrored step
+    hermitian = np.array_equal(rho, rho.conj().T)
     next_sample = 1
-    t = 0.0
-    for step in range(n_steps):
-        rho = _rk4_step(rhs, rho, t, h_eff)
-        t = (step + 1) * h_eff
-        if not np.isfinite(rho).all():
-            raise EvolutionError(f"state became non-finite at t={t:.6g}", time=t - h_eff)
-        if renormalize:
-            rho = rho / np.real(np.trace(rho))
-        if guard_on:
-            pops = np.real(np.diag(rho))
-            if pops[-1] + pops[-2] > 1e-6:
-                raise TruncationError(
-                    f"top two Fock levels hold {pops[-1] + pops[-2]:.3e} population "
-                    f"at t={t:.6g}; increase the truncation dimension",
-                    time=t,
-                )
-        while next_sample < n_samples and sample_times[next_sample] <= t + 1e-12:
-            states.append(rho.copy())
-            record(rho)
-            next_sample += 1
+    for first, count, c in _stage_blocks(interp, n_steps, h_eff):
+        XY, Wt, mirror = form.weights(c)
+        mirrored = mirror.reshape(count, 3).all(axis=1)
+        for i in range(count):
+            m = hermitian and mirrored[i]
+            stages = [(XY[k], Wt[k], m) for k in range(3 * i, 3 * i + 3)]
+            rho = _rk4_step(form, rho, h_eff, *stages)
+            if not m:
+                hermitian = np.array_equal(rho, rho.conj().T)
+            t = (first + i + 1) * h_eff
+            if not np.isfinite(rho).all():
+                raise EvolutionError(f"state became non-finite at t={t:.6g}", time=t - h_eff)
+            if renormalize:
+                rho = rho / np.real(np.trace(rho))
+            if guard_on:
+                pops = np.real(np.diag(rho))
+                if pops[-1] + pops[-2] > 1e-6:
+                    raise TruncationError(
+                        f"top two Fock levels hold {pops[-1] + pops[-2]:.3e} population "
+                        f"at t={t:.6g}; increase the truncation dimension",
+                        time=t,
+                    )
+            while next_sample < n_samples and sample_times[next_sample] <= t + 1e-12:
+                states[next_sample] = rho
+                record(rho)
+                next_sample += 1
 
     drift = abs(logs["trace"][-1] - logs["trace"][0])
     if drift > 1e-6:
         warnings.append(f"trace drift {drift:.3e} exceeds 1e-6 over the run")
 
     return Trajectory(
-        times=sample_times[: len(states)],
-        states=np.array(states),
+        times=sample_times[:next_sample],
+        states=states[:next_sample],
         diagnostics=logs,
         observables=obs_logs,
         scenario=scenario,
@@ -495,56 +660,33 @@ def evolve_moments(
     ``Ddiff = [[-2 gamma_pp, Theta], [Theta, -2 Gamma]]``
 
     where ``a_p = 1/2m + alpha``, ``a_q = m omega^2 / 2``,
-    ``a_x = lam_mu/2 + beta``.
+    ``a_x = lam_mu/2 + beta``.  Both are one linear ODE
+    ``dy/dt = K y`` in ``y = (mean, vec cov, 1)``; the 7x7 ``K`` of the
+    RK4 stage times are built a block of steps at a time
+    (:func:`_moment_matrices`).
     """
     if coeffs.scenario == "dephasing" or coeffs.n_channels != 1:
         raise ValueError("moment propagation needs a linear single-channel scenario")
     interp = CoefficientInterpolator(coeffs)
-    a_q = 0.5 * m * omega**2
 
-    def drift_diffusion(t):
-        c = interp(t)
-        a_p = 0.5 / m + c.get("alpha", 0.0)
-        a_x = 0.5 * c.get("lam_mu", 0.0) + c.get("beta", 0.0)
-        M = np.array(
-            [
-                [2.0 * a_x, 2.0 * a_p],
-                [
-                    -2.0 * a_q + np.imag(c["Xi"][0, 0]),
-                    -2.0 * a_x + np.imag(c["Upsilon"][0, 0]),
-                ],
-            ]
-        )
-        gpp = c.get("gamma_pp", 0.0)
-        Dd = np.array(
-            [
-                [-2.0 * gpp, np.real(c["Theta"][0, 0])],
-                [np.real(c["Theta"][0, 0]), -2.0 * np.real(c["Gamma"][0, 0])],
-            ]
-        )
-        return M, Dd
+    def rhs(y, K):
+        return K @ y
 
-    def rhs(t, y):
-        M, Dd = drift_diffusion(t)
-        mean, cov = y[:2], y[2:].reshape(2, 2)
-        dmean = M @ mean
-        dcov = M @ cov + cov @ M.T + Dd
-        return np.concatenate([dmean, dcov.ravel()])
-
-    y = np.concatenate([m0.mean, m0.cov.ravel()])
+    y = np.concatenate([m0.mean, m0.cov.ravel(), [1.0]])
     sample_times = np.linspace(0.0, t_final, n_samples)
     n_steps, h_eff = aligned_steps(t_final, h, n_samples)
 
-    means, covs = [y[:2].copy()], [y[2:].reshape(2, 2).copy()]
+    means, covs = [y[:2].copy()], [y[2:6].reshape(2, 2).copy()]
     next_sample = 1
-    t = 0.0
-    for step in range(n_steps):
-        y = _rk4_step(rhs, y, t, h_eff)
-        t = (step + 1) * h_eff
-        while next_sample < len(sample_times) and sample_times[next_sample] <= t + 1e-12:
-            means.append(y[:2].copy())
-            covs.append(y[2:].reshape(2, 2).copy())
-            next_sample += 1
+    for first, count, c in _stage_blocks(interp, n_steps, h_eff):
+        K = _moment_matrices(c, m, omega)
+        for i in range(count):
+            y = _rk4_step(rhs, y, h_eff, *K[3 * i : 3 * i + 3])
+            t = (first + i + 1) * h_eff
+            while next_sample < len(sample_times) and sample_times[next_sample] <= t + 1e-12:
+                means.append(y[:2].copy())
+                covs.append(y[2:6].reshape(2, 2).copy())
+                next_sample += 1
 
     covs = np.array(covs)
     dets = covs[:, 0, 0] * covs[:, 1, 1] - covs[:, 0, 1] ** 2
@@ -554,3 +696,26 @@ def evolve_moments(
         covs=covs,
         uncertainty_ok=bool(np.all(dets >= 0.25 - m0.tol_pos)),
     )
+
+
+def _moment_matrices(c: dict, m: float, omega: float) -> np.ndarray:
+    """``K`` of :func:`evolve_moments` for each row of a coefficient block
+    (:meth:`CoefficientInterpolator.split`), shape ``(s, 7, 7)``."""
+    s = c["Gamma"].shape[0]
+    a_p = 0.5 / m + c.get("alpha", 0.0)
+    a_x = 0.5 * c["lam_mu"] + c.get("beta", 0.0)
+    M = np.empty((s, 2, 2))
+    M[:, 0, 0] = 2.0 * a_x
+    M[:, 0, 1] = 2.0 * a_p
+    M[:, 1, 0] = -2.0 * (0.5 * m * omega**2) + c["Xi"][:, 0, 0].imag
+    M[:, 1, 1] = -2.0 * a_x + c["Upsilon"][:, 0, 0].imag
+    theta = c["Theta"][:, 0, 0].real
+    eye = np.eye(2)
+    K = np.zeros((s, 7, 7))
+    K[:, :2, :2] = M
+    # vec(M cov + cov M^T) = (M x 1 + 1 x M) vec(cov), row-major vec
+    K[:, 2:6, 2:6] = (np.einsum("sij,kl->sikjl", M, eye) + np.einsum("ij,skl->sikjl", eye, M)).reshape(s, 4, 4)
+    K[:, 2:6, 6] = np.stack(
+        [-2.0 * c.get("gamma_pp", np.zeros(s)), theta, theta, -2.0 * c["Gamma"][:, 0, 0].real], axis=1
+    )
+    return K

@@ -114,6 +114,11 @@ class RunConfig:
             raise
         except (ValueError, TypeError) as exc:
             raise ConfigError("kernel", str(exc)) from exc
+        two_level = self.scenario == "dephasing" or (
+            self.scenario == "oracle-check" and self.model == "dephasing"
+        )
+        dim = 2 if two_level else self.propagation["fock_dim"]
+        _check_initial_state(self.propagation.get("initial_state"), dim)
 
 
 #: Numeric fields ``(path, integer, lower bound, bound excluded)``, checked
@@ -146,6 +151,37 @@ def _check_number(value, path: str, integer: bool, low: float, strict: bool) -> 
         raise ConfigError(path, f"need {kind}, got {value!r}")
     if value < low or (strict and value == low):
         raise ConfigError(path, f"must be {'>' if strict else '>='} {low}, got {value!r}")
+
+
+#: Keys of each ``propagation.initial_state`` type: ``(integer, lower
+#: bound)`` of each numeric field, checked like ``_NUMBERS``.
+_INITIAL_STATES = {
+    "coherent": {"alpha_re": (False, -math.inf), "alpha_im": (False, -math.inf)},
+    "basis": {"index": (True, 0)},
+    "plus": {},
+}
+
+
+def _check_initial_state(spec, dim: int) -> None:
+    """Reject an initial-state block with a bad type, an unknown key, a
+    bad number or a state outside the ``dim``-level basis."""
+    path = "propagation.initial_state"
+    if not isinstance(spec, dict):
+        raise ConfigError(path, "must be a mapping")
+    kind = spec.get("type", "coherent")
+    if not isinstance(kind, str) or kind not in _INITIAL_STATES:
+        raise ConfigError(f"{path}.type", f"unknown type {kind!r}")
+    fields = _INITIAL_STATES[kind]
+    unknown = sorted(set(spec) - set(fields) - {"type"})
+    if unknown:
+        raise ConfigError(f"{path}.{unknown[0]}", "unknown configuration key")
+    for key, (integer, low) in fields.items():
+        if key in spec:
+            _check_number(spec[key], f"{path}.{key}", integer, low, False)
+    if kind == "plus" and dim != 2:
+        raise ConfigError(path, "plus state needs dim 2")
+    if spec.get("index", 0) >= dim:
+        raise ConfigError(f"{path}.index", "outside basis")
 
 
 def build_kernel(spec: dict) -> CorrelationKernel:
@@ -183,22 +219,16 @@ def coherent_state(dim: int, alpha: complex) -> np.ndarray:
 
 
 def _initial_state(spec: dict, dim: int) -> np.ndarray:
+    """State vector of a block that passed :func:`_check_initial_state`."""
     kind = spec.get("type", "coherent")
     if kind == "plus":
-        if dim != 2:
-            raise ConfigError("propagation.initial_state", "plus state needs dim 2")
         return np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
     if kind == "basis":
-        idx = int(spec.get("index", 0))
-        if not 0 <= idx < dim:
-            raise ConfigError("propagation.initial_state.index", "outside basis")
         vec = np.zeros(dim, dtype=complex)
-        vec[idx] = 1.0
+        vec[spec.get("index", 0)] = 1.0
         return vec
-    if kind == "coherent":
-        alpha = complex(spec.get("alpha_re", 1.0), spec.get("alpha_im", 0.0))
-        return coherent_state(dim, alpha)
-    raise ConfigError("propagation.initial_state.type", f"unknown type {kind!r}")
+    alpha = complex(spec.get("alpha_re", 1.0), spec.get("alpha_im", 0.0))
+    return coherent_state(dim, alpha)
 
 
 def _series_config(cfg: RunConfig) -> SeriesConfig:

@@ -110,6 +110,17 @@ def test_invalid_config_exit_2(tmp_path, capsys):
         ("hpz", "series", "max_ordr", 2, "series.max_ordr"),
         ("hpz", "system", "omgea", 1.0, "system.omgea"),
         ("oracle-check", "oracle", "mode_dim", [3], "oracle.mode_dim"),
+        ("hpz", "propagation", "initial_state", {"alpha_re": "1"}, "propagation.initial_state.alpha_re"),
+        ("hpz", "propagation", "initial_state", {"alpah_re": 1.0}, "propagation.initial_state.alpah_re"),
+        ("hpz", "propagation", "initial_state", {"alpha_im": True}, "propagation.initial_state.alpha_im"),
+        ("hpz", "propagation", "initial_state", {"type": "basis", "index": "3"}, "propagation.initial_state.index"),
+        ("hpz", "propagation", "initial_state", {"type": "basis", "index": 2.7}, "propagation.initial_state.index"),
+        ("hpz", "propagation", "initial_state", {"type": "basis", "index": True}, "propagation.initial_state.index"),
+        ("hpz", "propagation", "initial_state", {"type": "basis", "index": 30}, "propagation.initial_state.index"),
+        ("hpz", "propagation", "initial_state", {"type": "squeezed"}, "propagation.initial_state.type"),
+        ("hpz", "propagation", "initial_state", {"type": ["basis"]}, "propagation.initial_state.type"),
+        ("hpz", "propagation", "initial_state", {"type": "plus"}, "propagation.initial_state"),
+        ("hpz", "propagation", "initial_state", "plus", "propagation.initial_state"),
     ]
     for scenario, block, key, value, field_path in cases:
         cfg = base_dephasing(tmp_path)

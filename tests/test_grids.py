@@ -3,15 +3,13 @@ import pytest
 
 from nmgme.grids import (
     TimeGrid,
-    integrate_1d,
-    integrate_triangular,
     make_grid,
     prefix_weights,
     quad_weights,
     theta_mask,
 )
 
-from helpers import suffix_weights
+from helpers import integrate_1d, integrate_triangular, suffix_weights
 
 
 def test_make_grid_default_resolution():

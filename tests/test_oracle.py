@@ -18,7 +18,7 @@ from nmgme.oracle import (
 from nmgme.propagate import trace_distance
 from nmgme.system import fock_operators, quadratic_hamiltonian
 
-from helpers import stepped_evolve_joint
+from helpers import kron_build_joint, stepped_evolve_joint
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
@@ -330,3 +330,32 @@ def test_oracle_demos_run(demo, tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
+
+
+def _two_channel_model(g):
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    return JointModel(
+        h_system=np.diag([0.5, -0.5]).astype(complex),
+        channel_ops=(SZ, sx),
+        mode_freqs=(1.1, 1.7),
+        couplings=g,
+        mode_dims=(3, 4),
+    )
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        dephasing_model(g=0.3, dim=6),
+        dephasing_model(g=0.3 + 0.2j, dim=6),
+        _two_channel_model(np.array([[0.2, 0.0], [0.1, 0.15]])),
+        _two_channel_model(np.array([[0.2, 0.1j], [0.1 - 0.05j, 0.15]])),
+    ],
+    ids=["real", "complex", "two-channel-real", "two-channel-complex"],
+)
+def test_sparse_assembly_matches_dense_reference(model):
+    H = build_joint(model)
+    ref = kron_build_joint(model)
+    assert np.max(np.abs(H - ref)) <= 1e-15
+    # real couplings of real operators give a real array
+    assert np.isrealobj(H) == (not ref.imag.any())

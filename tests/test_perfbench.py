@@ -1,0 +1,43 @@
+"""The benchmark harness still finds the package names it traces.
+
+``perfbench/tracing.py`` wraps public names of the package with timing
+spans; a rename there crashes traced benchmark runs.  This runs one
+traced sample of the smallest propagation workload end to end.
+"""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import yaml
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_fock_sample_records_propagation_spans(tmp_path):
+    cfg = _workloads().make_config("fock-qmupl", 0, smoke=True)
+    (tmp_path / "config.yaml").write_text(yaml.safe_dump(cfg, sort_keys=False))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    done = subprocess.run(
+        [sys.executable, str(PERFBENCH / "sample.py"), "trace", "result.json"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    spans = json.loads((tmp_path / "result.json").read_text())["trace"]["spans"]
+    names = {span[1] for span in spans}
+    for name in ("propagate.evolve", "propagate.evolve_moments", "propagate.diagnostics"):
+        assert name in names, name

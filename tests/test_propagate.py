@@ -14,6 +14,7 @@ from nmgme.coefficients import (
 )
 from nmgme.grids import make_grid, quad_weights
 from nmgme.propagate import (
+    _BLOCK_STEPS,
     CoefficientInterpolator,
     DensityMatrix,
     EvolutionError,
@@ -26,6 +27,8 @@ from nmgme.propagate import (
     me_rhs,
     richardson_check,
     trace_distance,
+    _SandwichForm,
+    _stage_blocks,
 )
 from nmgme.scenarios import coherent_state
 from nmgme.series import SeriesConfig
@@ -36,6 +39,8 @@ from nmgme.system import (
     qmupl_kernels,
     quadratic_hamiltonian,
 )
+
+from helpers import outer_commutator_rhs, reference_evolve, reference_evolve_moments, scalar_interp
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -477,3 +482,171 @@ def test_trajectory_json_dict():
     assert len(payload["observables"]["pop0"]) == 6
     assert len(payload["rho"]) == 6
     assert len(payload["rho"][0]) == 8  # 2x2 complex, re/im interleaved
+
+
+def _qmupl_case():
+    grid = make_grid(0.25, 9)
+    cfg = SeriesConfig(max_order=2, eps_series=1e-30)
+    coeffs = coefficients_qmupl(0.1, 0.3, 1.0, 1.0, make_exponential(1.0, 0.5), cfg, grid)
+    dim = 40
+    f = fock_operators(dim)
+    ops = {"A": [f["q"]], "V": [f["p"]], "H0": quadratic_hamiltonian(dim), "q": f["q"], "p": f["p"]}
+    psi = coherent_state(dim, 1.0)
+    return coeffs, ops, np.outer(psi, psi.conj()), 0.25
+
+
+def _hpz_case():
+    grid = make_grid(0.5, 17)
+    D = make_discrete_modes([1.3, 1.7], [[0.15, 0.1]])
+    kern = harmonic_kernels(1.0, 1.0)
+    tabs = build_ab_tables(D, commutator_kernel(kern, ["q"]), SeriesConfig(max_order=3, eps_series=1e-30), grid)
+    coeffs = coefficients_linear(tabs, kern, grid, scenario="hpz")
+    f = fock_operators(10)
+    ops = {"A": [f["q"]], "V": [f["p"]], "H0": quadratic_hamiltonian(10), "q": f["q"], "p": f["p"]}
+    rho0 = np.zeros((10, 10), dtype=complex)
+    rho0[0, 0] = 1.0
+    return coeffs, ops, rho0, 0.5
+
+
+def _dephasing_case():
+    coeffs = analytic_dephasing_coeffs(t_max=0.5, n=11)
+    ops = {"A": [SZ], "H0": np.zeros((2, 2), dtype=complex)}
+    return coeffs, ops, np.full((2, 2), 0.5, dtype=complex), 0.5
+
+
+def _synthetic_d2_coeffs(n=9, t_max=0.4, physical=True):
+    """Two channels with ``V`` and every extra, smooth in time; with
+    ``physical=False`` ``Xi`` carries a real part far below the reality
+    tolerance, so no stage is exactly Hermiticity preserving (``W`` stays
+    Hermitian: only ``Y = X^dag`` fails)."""
+    grid = make_grid(t_max, n)
+    t = grid.points[:, None, None]
+    rng = np.random.default_rng(3)
+
+    def table(kind):
+        base = rng.normal(size=(2, 2)) * 0.2
+        vals = base * (1.0 + t) + 0.05 * np.sin(3.0 * t)
+        return vals.astype(complex) if kind == "re" else 1j * vals
+
+    tables = {"Gamma": table("re"), "Theta": table("re"), "Xi": table("im"), "Upsilon": table("im")}
+    if not physical:
+        tables["Xi"] = tables["Xi"] + 1e-14
+    extras = {
+        "alpha": 0.03 * np.cos(grid.points),
+        "beta": -0.02 * grid.points,
+        "gamma_pp": -0.01 * (1.0 + grid.points),
+    }
+    return MECoefficients(grid=grid, scenario="synthetic", lam_mu=0.04, **tables, **extras)
+
+
+def _synthetic_case(physical=True, hermitian=True):
+    dim = 8
+    ops = fock_channel_operators(dim, 2, with_v=True, with_extras=True)
+    psi = coherent_state(dim, 0.6)
+    rho0 = np.outer(psi, psi.conj())
+    if not hermitian:
+        rho0 = rho0 + 1e-3j * np.triu(np.ones((dim, dim)), 1)
+    return _synthetic_d2_coeffs(physical=physical), ops, rho0, 0.4
+
+
+EVOLVE_CASES = {
+    "qmupl-dim40": _qmupl_case,
+    "hpz": _hpz_case,
+    "dephasing": _dephasing_case,
+    "synthetic-d2": _synthetic_case,
+    "synthetic-d2-unphysical": lambda: _synthetic_case(physical=False),
+    "synthetic-d2-nonhermitian": lambda: _synthetic_case(hermitian=False),
+}
+
+
+@pytest.mark.parametrize("case", EVOLVE_CASES)
+def test_evolve_matches_outer_commutator_reference(case):
+    coeffs, ops, rho0, t_final = EVOLVE_CASES[case]()
+    # over 100 steps: several blocks of stage coefficients, the last partial
+    n_samples, h = 6, 2e-3
+    traj = evolve(rho0, coeffs, ops, t_final, h, n_samples=n_samples, truncation_guard=False)
+    states, diags = reference_evolve(rho0, coeffs, ops, t_final, h, n_samples)
+    assert np.max(np.abs(traj.states - states)) <= 1e-13
+    for key, values in diags.items():
+        assert np.max(np.abs(np.array(traj.diagnostics[key]) - values)) <= 1e-13, key
+
+
+@pytest.mark.parametrize("case", ["qmupl-dim40", "hpz"])
+def test_evolve_moments_matches_reference(case):
+    coeffs, _, _, t_final = EVOLVE_CASES[case]()
+    m0 = GaussianMoments.coherent(0.9, -0.3, 1.0, 1.0)
+    traj = evolve_moments(m0, coeffs, 1.0, 1.0, t_final, 1e-3, n_samples=11)
+    ref = reference_evolve_moments(m0, coeffs, 1.0, 1.0, t_final, 1e-3, 11)
+    assert np.max(np.abs(traj.means - ref[:, :2])) <= 1e-13
+    assert np.max(np.abs(traj.covs.reshape(-1, 4) - ref[:, 2:])) <= 1e-13
+
+
+@pytest.mark.parametrize("case", ["qmupl-dim40", "dephasing", "synthetic-d2"])
+def test_stage_rows_equal_scalar_interpolation(case):
+    coeffs = EVOLVE_CASES[case]()[0]
+    interp = CoefficientInterpolator(coeffs)
+    # an odd step count ends in a partial block; the stage times cross
+    # grid nodes and the end of the grid
+    t_max = coeffs.grid.t_max
+    n_steps, h = 2 * _BLOCK_STEPS + 5, t_max / (2 * _BLOCK_STEPS + 5)
+    seen = 0
+    for first, count, c in _stage_blocks(interp, n_steps, h):
+        for i in range(count):
+            t = (first + i) * h
+            for k, ts in enumerate((t, t + 0.5 * h, t + h)):
+                ref = scalar_interp(interp, ts)
+                for name, value in ref.items():
+                    got = c[name] if name == "lam_mu" else c[name][3 * i + k]
+                    assert np.array_equal(got, value), (name, ts)
+                assert all(np.array_equal(interp(ts)[name], value) for name, value in ref.items())
+        seen += count
+    assert seen == n_steps
+
+
+def interp_at(coeffs, t):
+    return scalar_interp(CoefficientInterpolator(coeffs), t)
+
+
+def _form_and_stage(coeffs, ops, t):
+    interp = CoefficientInterpolator(coeffs)
+    c = interp.split(interp.rows([t]))
+    form = _SandwichForm(ops, ops["H0"].shape[0], True, True)
+    XY, Wt, mirror = form.weights(c)
+    return form, XY[0], Wt[0], bool(mirror[0])
+
+
+def test_mirrored_branch_is_hermitian_and_equals_general_branch():
+    coeffs = _synthetic_d2_coeffs()
+    ops = fock_channel_operators(8, 2, with_v=True, with_extras=True)
+    form, XY, Wt, mirror = _form_and_stage(coeffs, ops, 0.13)
+    assert mirror
+    rng = np.random.default_rng(17)
+    for _ in range(5):
+        rho = random_hermitian_unit_trace(rng, 8)
+        mirrored = form(rho, (XY, Wt, True))
+        general = form(rho, (XY, Wt, False))
+        assert np.array_equal(mirrored, mirrored.conj().T)
+        scale = max(1.0, np.max(np.abs(general)))
+        assert np.max(np.abs(mirrored - general)) <= 1e-13 * scale
+        assert np.max(np.abs(mirrored - outer_commutator_rhs(rho, interp_at(coeffs, 0.13), ops))) <= 1e-13 * scale
+
+
+def test_unphysical_stage_is_not_mirrored():
+    ops = fock_channel_operators(8, 2, with_v=True, with_extras=True)
+    assert not _form_and_stage(_synthetic_d2_coeffs(physical=False), ops, 0.13)[3]
+    # a non-Hermitian channel operator rules the mirror out as well
+    ops["A"] = [ops["A"][0] + 0.1j * np.triu(np.ones((8, 8)), 1), ops["A"][1]]
+    assert not _form_and_stage(_synthetic_d2_coeffs(), ops, 0.13)[3]
+
+
+def test_operators_deduplicated_by_value():
+    # V_1 equals A_1 by value but is another object; p doubles as V_0
+    f = fock_operators(6)
+    ops = {"A": [f["q"], f["number"]], "V": [f["p"], f["number"].copy()], "H0": quadratic_hamiltonian(6),
+           "q": f["q"], "p": f["p"].copy()}
+    form = _SandwichForm(ops, 6, True, True)
+    assert form.n == 3
+    coeff = {name: np.full((2, 2), 0.1 + 0.2j) for name in ("Gamma", "Theta", "Xi", "Upsilon")}
+    coeff.update(alpha=0.05, beta=-0.02, gamma_pp=-0.03, lam_mu=0.06)
+    rho = random_hermitian_unit_trace(np.random.default_rng(2), 6)
+    assert np.max(np.abs(me_rhs(rho, coeff, ops) - outer_commutator_rhs(rho, coeff, ops))) <= 1e-12
