@@ -82,7 +82,6 @@ __all__ = [
     "kossakowski_rhs",
     "evolve",
     "evolve_moments",
-    "richardson_check",
     "diagnostics",
     "trace_distance",
     "CoefficientInterpolator",
@@ -616,26 +615,6 @@ def evolve(
         source="me",
         warnings=warnings,
     )
-
-
-def richardson_check(
-    rho0,
-    coeffs: MECoefficients,
-    ops: dict,
-    t_final: float,
-    h: float,
-    **kw,
-) -> float:
-    """Step-halving error estimate for a fixed-step run.
-
-    Propagates with steps ``h`` and ``h/2`` and returns the largest
-    elementwise final-state difference; a cheap consistency diagnostic in
-    place of adaptive control, which would break the determinism of the
-    golden files.
-    """
-    full = evolve(rho0, coeffs, ops, t_final, h, n_samples=2, **kw)
-    half = evolve(rho0, coeffs, ops, t_final, h / 2.0, n_samples=2, **kw)
-    return float(np.max(np.abs(full.states[-1] - half.states[-1])))
 
 
 def evolve_moments(

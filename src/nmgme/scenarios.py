@@ -80,10 +80,13 @@ class RunConfig:
             if key in raw:
                 if not isinstance(raw[key], dict):
                     raise ConfigError(key, "must be a mapping")
+                if key == "kernel":
+                    # keys depend on the family; checked in validate()
+                    cfg.kernel = {"family": "exponential", **raw[key]}
+                    continue
                 block = getattr(cfg, key)
                 unknown = sorted(set(raw[key]) - set(block))
-                # kernel keys depend on the kernel family
-                if unknown and key != "kernel":
+                if unknown:
                     raise ConfigError(f"{key}.{unknown[0]}", "unknown configuration key")
                 block.update(raw[key])
         for key in ("model", "output_dir", "dump_rho", "white_noise_sweep"):
@@ -108,12 +111,9 @@ class RunConfig:
         model = self.model if self.scenario == "coeffs" else self.scenario
         if model == "joos-zeh" and not self.system["lam"] > 0:
             raise ConfigError("system.lam", "joos-zeh needs a positive coupling")
-        try:
-            build_kernel(self.kernel)
-        except ConfigError:
-            raise
-        except (ValueError, TypeError) as exc:
-            raise ConfigError("kernel", str(exc)) from exc
+        _check_kernel(self.kernel)
+        if self.scenario == "oracle-check" and self.kernel["family"] != "discrete_modes":
+            raise ConfigError("kernel.family", "oracle-check needs a discrete_modes kernel")
         two_level = self.scenario == "dephasing" or (
             self.scenario == "oracle-check" and self.model == "dephasing"
         )
@@ -184,22 +184,60 @@ def _check_initial_state(spec, dim: int) -> None:
         raise ConfigError(f"{path}.index", "outside basis")
 
 
-def build_kernel(spec: dict) -> CorrelationKernel:
-    """Construct a correlation kernel from its config block."""
+#: Keys of each ``kernel.family``: ``(kind, lower bound, bound excluded)``
+#: of each field.  A ``number`` is checked like ``_NUMBERS`` and takes the
+#: default of :func:`build_kernel` when absent; ``list`` is a required
+#: non-empty list of such numbers; ``rows`` is a required list of rows
+#: holding one finite number or ``[re, im]`` pair per mode frequency.
+_KERNELS = {
+    "exponential": {"gamma": ("number", 0, False), "tau_c": ("number", 0, True)},
+    "white_noise": {"strength": ("number", 0, True), "eps": ("number", 0, True)},
+    "discrete_modes": {"mode_freqs": ("list", 0, True), "couplings": ("rows", -math.inf, False)},
+}
+
+
+def _check_kernel(spec: dict) -> None:
+    """Reject a kernel block with an unknown family, an unknown or
+    missing key or a bad value."""
     family = spec.get("family")
+    if not isinstance(family, str) or family not in _KERNELS:
+        raise ConfigError("kernel.family", f"unknown kernel family {family!r}")
+    fields = _KERNELS[family]
+    unknown = sorted(set(spec) - set(fields) - {"family"})
+    if unknown:
+        raise ConfigError(f"kernel.{unknown[0]}", "unknown configuration key")
+    for key, (kind, low, strict) in fields.items():
+        path, value = f"kernel.{key}", spec.get(key)
+        if kind == "number":
+            if key in spec:
+                _check_number(value, path, False, low, strict)
+        elif kind == "list":
+            if not isinstance(value, list) or not value:
+                raise ConfigError(path, f"{family} needs a non-empty list")
+            for x in value:
+                _check_number(x, path, False, low, strict)
+        else:
+            n_modes = len(spec["mode_freqs"])
+            if not isinstance(value, list) or not value:
+                raise ConfigError(path, f"{family} needs a non-empty list of rows")
+            for row in value:
+                if not isinstance(row, list) or len(row) != n_modes:
+                    raise ConfigError(path, f"need rows of {n_modes} entries, got {row!r}")
+                for c in row:
+                    pair = isinstance(c, list) and len(c) == 2
+                    for x in c if pair else [c]:
+                        _check_number(x, path, False, low, strict)
+
+
+def build_kernel(spec: dict) -> CorrelationKernel:
+    """Construct a correlation kernel from a block that passed
+    :func:`_check_kernel`."""
+    family = spec["family"]
     if family == "exponential":
         return make_exponential(spec.get("gamma", 1.0), spec.get("tau_c", 0.5))
     if family == "white_noise":
         return make_white_noise_approximant(spec.get("strength", 1.0), spec.get("eps", 0.05))
-    if family == "discrete_modes":
-        freqs = spec.get("mode_freqs")
-        coup = spec.get("couplings")
-        if freqs is None or coup is None:
-            raise ConfigError(
-                "kernel.mode_freqs", "discrete_modes needs mode_freqs and couplings"
-            )
-        return make_discrete_modes(freqs, _couplings(coup))
-    raise ConfigError("kernel.family", f"unknown kernel family {family!r}")
+    return make_discrete_modes(spec["mode_freqs"], _couplings(spec["couplings"]))
 
 
 def _couplings(rows) -> np.ndarray:
@@ -424,8 +462,6 @@ def run(cfg: RunConfig) -> dict:
 
 def run_oracle_check(cfg: RunConfig, outdir: Path) -> dict:
     """Master equation vs brute-force reference on a discrete-mode bath."""
-    if cfg.kernel.get("family") != "discrete_modes":
-        raise ConfigError("kernel.family", "oracle-check needs a discrete_modes kernel")
     grid = make_grid(cfg.grid["t_max"], cfg.grid["n_points"])
     kernel = build_kernel(cfg.kernel)
     p = cfg.propagation

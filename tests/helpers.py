@@ -3,11 +3,11 @@
 import bisect
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import eigh, expm
 
 from nmgme.grids import TimeGrid, prefix_weights, quad_weights
 from nmgme.oracle import JointModel, _reduce, _vacuum, build_joint
-from nmgme.propagate import CoefficientInterpolator, Trajectory, aligned_steps, diagnostics
+from nmgme.propagate import CoefficientInterpolator, Trajectory, aligned_steps, diagnostics, evolve
 
 
 def _check_finite(samples: np.ndarray) -> None:
@@ -68,6 +68,19 @@ def integrate_triangular(
     return inner @ w_out
 
 
+def richardson_check(rho0, coeffs, ops, t_final, h, **kw) -> float:
+    """Step-halving error estimate for a fixed-step run.
+
+    Propagates with steps ``h`` and ``h/2`` and returns the largest
+    elementwise final-state difference; a cheap consistency diagnostic in
+    place of adaptive control, which would break the determinism of the
+    golden files.
+    """
+    full = evolve(rho0, coeffs, ops, t_final, h, n_samples=2, **kw)
+    half = evolve(rho0, coeffs, ops, t_final, h / 2.0, n_samples=2, **kw)
+    return float(np.max(np.abs(full.states[-1] - half.states[-1])))
+
+
 def suffix_weights(n: int, h: float, method: str = "trapezoid") -> np.ndarray:
     """Matrix ``W`` with ``W[i, i:]`` the rule for ``integral_{t_i}^{t_max}``,
     one rule per row; the reference for the gathered suffix rule of
@@ -88,7 +101,7 @@ def stepped_evolve_joint(model, psi0_system, t_final, h, n_samples=101):
         raise ValueError("system state must be normalized")
     psi = np.kron(psi_s, _vacuum(model))
 
-    H = build_joint(model)
+    H = build_joint(model).toarray()
     sample_times = np.linspace(0.0, t_final, n_samples)
     n_steps, h_eff = aligned_steps(t_final, h, n_samples)
     U = expm(-1j * H * h_eff)
@@ -126,6 +139,47 @@ def stepped_evolve_joint(model, psi0_system, t_final, h, n_samples=101):
 
     return Trajectory(
         times=sample_times[: len(states)],
+        states=np.array(states),
+        diagnostics=logs,
+        source="oracle",
+    )
+
+
+def full_eigh_evolve_joint(model, psi0_system, t_final, n_samples=101):
+    """The former eigendecomposition oracle: one ``eigh`` of the whole
+    dense joint Hamiltonian; the reference for the sector ``eigh`` in
+    :func:`nmgme.oracle.evolve_joint`."""
+    psi_s = np.asarray(psi0_system, dtype=complex)
+    if abs(np.linalg.norm(psi_s) - 1.0) > 1e-10:
+        raise ValueError("system state must be normalized")
+    psi0 = np.kron(psi_s, _vacuum(model))
+
+    E, V = eigh(build_joint(model).toarray())
+    times = np.linspace(0.0, t_final, n_samples)
+    psis = (V @ (np.exp(-1j * np.outer(E, times)) * (V.conj().T @ psi0)[:, None])).T
+
+    d_s = model.system_dim
+    states = []
+    logs = {
+        "trace": [],
+        "hermiticity_defect": [],
+        "min_eigenvalue": [],
+        "purity": [],
+        "norm": [],
+    }
+    for t, psi in zip(times, psis):
+        norm = float(np.linalg.norm(psi))
+        if abs(norm - 1.0) > 1e-8:
+            raise RuntimeError(f"joint norm drifted to {norm} at t={t:.6g}")
+        rho = _reduce(psi, d_s)
+        states.append(rho)
+        diag = diagnostics(rho)
+        for key in ("trace", "hermiticity_defect", "min_eigenvalue", "purity"):
+            logs[key].append(diag[key])
+        logs["norm"].append(norm)
+
+    return Trajectory(
+        times=times,
         states=np.array(states),
         diagnostics=logs,
         source="oracle",

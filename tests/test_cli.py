@@ -84,11 +84,21 @@ def test_dump_rho_flag(tmp_path):
     assert len(traj["rho"][0]) == 8
 
 
+MODES = {"family": "discrete_modes", "mode_freqs": [1.0, 1.6], "couplings": [[0.2, [0.1, 0.05]]]}
+
+
 def test_invalid_config_exit_2(tmp_path, capsys):
     cases = [
         ("dephasing", "grid", "n_points", 1, "grid.n_points"),
         ("dephasing", "series", "max_order", "2", "series.max_order"),
-        ("dephasing", "kernel", "gamma", float("nan"), "kernel"),
+        ("dephasing", "kernel", "gamma", float("nan"), "kernel.gamma"),
+        ("hpz", "kernel", "gama", 5.0, "kernel.gama"),
+        ("hpz", "kernel", "gamma", "1", "kernel.gamma"),
+        ("dephasing", "kernel", "gamma", -1.0, "kernel.gamma"),
+        ("dephasing", "kernel", "tau_c", 0.0, "kernel.tau_c"),
+        ("dephasing", "kernel", "strength", 1.0, "kernel.strength"),
+        ("dephasing", "kernel", "family", "pink", "kernel.family"),
+        ("dephasing", "kernel", "family", None, "kernel.family"),
         ("joos-zeh", "system", "lam", 0.0, "system.lam"),
         ("hpz", "propagation", "fock_dim", "30", "propagation.fock_dim"),
         ("hpz", "system", "lam", "0.1", "system.lam"),
@@ -121,10 +131,29 @@ def test_invalid_config_exit_2(tmp_path, capsys):
         ("hpz", "propagation", "initial_state", {"type": ["basis"]}, "propagation.initial_state.type"),
         ("hpz", "propagation", "initial_state", {"type": "plus"}, "propagation.initial_state"),
         ("hpz", "propagation", "initial_state", "plus", "propagation.initial_state"),
+        # key None: the value replaces the whole block
+        ("dephasing", "kernel", None, {"family": "white_noise", "strength": 1.0, "eps": 0.0}, "kernel.eps"),
+        ("dephasing", "kernel", None, {"family": "white_noise", "strength": 0.0}, "kernel.strength"),
+        ("dephasing", "kernel", None, {"family": "white_noise", "gamma": 1.0}, "kernel.gamma"),
+        ("dephasing", "kernel", None, {**MODES, "tau_c": 0.5}, "kernel.tau_c"),
+        ("dephasing", "kernel", None, {"family": "discrete_modes", "couplings": [[0.2]]}, "kernel.mode_freqs"),
+        ("dephasing", "kernel", None, {"family": "discrete_modes", "mode_freqs": [1.0]}, "kernel.couplings"),
+        ("dephasing", "kernel", None, {**MODES, "mode_freqs": []}, "kernel.mode_freqs"),
+        ("dephasing", "kernel", None, {**MODES, "mode_freqs": [1.0, -1.6]}, "kernel.mode_freqs"),
+        ("dephasing", "kernel", None, {**MODES, "mode_freqs": [1.0, "1.6"]}, "kernel.mode_freqs"),
+        ("dephasing", "kernel", None, {**MODES, "couplings": [[0.2]]}, "kernel.couplings"),
+        ("dephasing", "kernel", None, {**MODES, "couplings": [0.2, 0.1]}, "kernel.couplings"),
+        ("dephasing", "kernel", None, {**MODES, "couplings": [[0.2, [0.1, "0"]]]}, "kernel.couplings"),
+        ("dephasing", "kernel", None, {**MODES, "couplings": [[0.2, [0.1, 0.0, 0.0]]]}, "kernel.couplings"),
+        ("dephasing", "kernel", None, {**MODES, "couplings": [[0.2, float("inf")]]}, "kernel.couplings"),
+        ("oracle-check", "kernel", None, {"family": "exponential"}, "kernel.family"),
     ]
     for scenario, block, key, value, field_path in cases:
         cfg = base_dephasing(tmp_path)
-        cfg.setdefault(block, {})[key] = value
+        if key is None:
+            cfg[block] = value
+        else:
+            cfg.setdefault(block, {})[key] = value
         rc = main([scenario, "--config", write_config(tmp_path, cfg)])
         captured = capsys.readouterr()
         assert rc == 2, field_path
@@ -294,3 +323,7 @@ def test_run_config_validation_direct():
         RunConfig.from_dict({"scenario": "nope"})
     cfg = RunConfig.from_dict({"scenario": "dephasing"})
     assert cfg.kernel["family"] == "exponential"
+    # a given kernel block replaces the exponential default, not merges into it
+    assert RunConfig.from_dict({"scenario": "oracle-check", "kernel": MODES}).kernel == MODES
+    cfg = RunConfig.from_dict({"scenario": "dephasing", "kernel": {"gamma": 2.0}})
+    assert cfg.kernel == {"family": "exponential", "gamma": 2.0}

@@ -18,7 +18,7 @@ from nmgme.oracle import (
 from nmgme.propagate import trace_distance
 from nmgme.system import fock_operators, quadratic_hamiltonian
 
-from helpers import kron_build_joint, stepped_evolve_joint
+from helpers import full_eigh_evolve_joint, kron_build_joint, stepped_evolve_joint
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
@@ -36,7 +36,7 @@ def dephasing_model(g=0.2, omega=1.0, dim=8, h_sys=None):
 
 def test_decoupled_hamiltonian_is_direct_sum():
     model = dephasing_model(g=0.0, dim=4)
-    H = build_joint(model)
+    H = build_joint(model).toarray()
     b = np.diag(np.sqrt(np.arange(1, 4, dtype=float)), k=1).astype(complex)
     expected = np.kron(np.zeros((2, 2)), np.eye(4)) + np.kron(
         np.eye(2), 1.0 * b.conj().T @ b
@@ -65,7 +65,7 @@ def test_dephasing_block_structure():
     # sigma_z coupling block-diagonalizes into two shifted oscillators
     g, omega, dim = 0.3, 1.2, 6
     model = dephasing_model(g=g, omega=omega, dim=dim)
-    H = build_joint(model)
+    H = build_joint(model).toarray()
     # qubit-major ordering: blocks are H(+/-) = omega n ± (g b + g* b^dag)
     upper = H[:dim, :dim]
     lower = H[dim:, dim:]
@@ -318,6 +318,47 @@ def test_norm_guard_raises_at_a_sample(monkeypatch):
         evolve_joint(dephasing_model(), PLUS, 1.0, n_samples=5)
 
 
+def _parity_model():
+    # the oracle-hpz model at a smaller size: q and b + b^dag each change
+    # the total excitation number by one and the oscillator H_S keeps its
+    # parity, so H has two components of equal size
+    return JointModel(
+        h_system=quadratic_hamiltonian(6),
+        channel_ops=(fock_operators(6)["q"],),
+        mode_freqs=(1.3, 1.7, 2.1),
+        couplings=np.array([[0.15, 0.1, 0.1]]),
+        mode_dims=(3, 3, 3),
+    )
+
+
+SECTOR_CASES = {
+    # name: (model, system state, size of the block handed to eigh)
+    # n = 1 lies in the odd sector, which does not hold joint index 0
+    "parity-one-of-two": (_parity_model(), np.eye(6, dtype=complex)[1], 81),
+    # sigma_z coupling: one component per qubit state, PLUS reaches both
+    "dephasing-both": (dephasing_model(g=0.3), PLUS, 16),
+    "single-component": (EIGEN_CASES["real"][0], PLUS, 12),
+}
+
+
+@pytest.mark.parametrize("case", list(SECTOR_CASES))
+def test_sector_oracle_matches_full_eigh_reference(case, monkeypatch):
+    model, psi0, block = SECTOR_CASES[case]
+    shapes, exact = [], oracle.eigh
+
+    def spy(H):
+        shapes.append(H.shape)
+        return exact(H)
+
+    monkeypatch.setattr(oracle, "eigh", spy)
+    traj = evolve_joint(model, psi0, 3.0, n_samples=13)
+    ref = full_eigh_evolve_joint(model, psi0, 3.0, n_samples=13)
+    assert shapes == [(block, block)]
+    assert np.array_equal(traj.times, ref.times)
+    assert np.max(np.abs(traj.states - ref.states)) <= 1e-12
+    assert np.max(np.abs(np.subtract(traj.diagnostics["norm"], ref.diagnostics["norm"]))) <= 1e-12
+
+
 @pytest.mark.parametrize(
     "demo", ["01_dephasing_exactness.py", "03_exact_coefficients_from_oracle.py"], ids=["01", "03"]
 )
@@ -354,7 +395,7 @@ def _two_channel_model(g):
     ids=["real", "complex", "two-channel-real", "two-channel-complex"],
 )
 def test_sparse_assembly_matches_dense_reference(model):
-    H = build_joint(model)
+    H = build_joint(model).toarray()
     ref = kron_build_joint(model)
     assert np.max(np.abs(H - ref)) <= 1e-15
     # real couplings of real operators give a real array

@@ -25,7 +25,6 @@ from nmgme.propagate import (
     evolve_moments,
     kossakowski_rhs,
     me_rhs,
-    richardson_check,
     trace_distance,
     _SandwichForm,
     _stage_blocks,
@@ -40,7 +39,13 @@ from nmgme.system import (
     quadratic_hamiltonian,
 )
 
-from helpers import outer_commutator_rhs, reference_evolve, reference_evolve_moments, scalar_interp
+from helpers import (
+    outer_commutator_rhs,
+    reference_evolve,
+    reference_evolve_moments,
+    richardson_check,
+    scalar_interp,
+)
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -55,6 +60,13 @@ def random_hermitian_unit_trace(rng, dim):
     h = 0.5 * (x + x.conj().T)
     h = h / np.trace(h).real
     return h
+
+
+def random_density_matrix(rng, dim):
+    # M M^dag / tr is positive with unit trace, so its entries stay below 1
+    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = x @ x.conj().T
+    return rho / np.trace(rho).real
 
 
 def test_rhs_zero_everything():
@@ -95,7 +107,7 @@ def test_rhs_trace_and_hermiticity_preserving():
         "lam_mu": 0.06,
     }
     for _ in range(25):
-        rho = random_hermitian_unit_trace(rng, dim)
+        rho = random_density_matrix(rng, dim)
         rhs = me_rhs(rho, coeff, ops)
         assert abs(np.trace(rhs)) < 1e-12
         assert np.max(np.abs(rhs - rhs.conj().T)) < 1e-12
