@@ -11,7 +11,6 @@ Runtime: about a minute (brute-force joint evolution dominates).
 """
 
 import numpy as np
-from scipy.special import factorial
 
 from nmgme import (
     JointModel,
@@ -26,6 +25,7 @@ from nmgme import (
     quadratic_hamiltonian,
 )
 from nmgme.grids import quad_weights
+from nmgme.scenarios import coherent_state
 
 M, OMEGA = 1.0, 1.0
 W_MODE, G_COUP = 1.3, 0.3
@@ -35,12 +35,6 @@ DIM_S = 40
 ops_f = fock_operators(DIM_S, M, OMEGA)
 H0 = quadratic_hamiltonian(DIM_S, M, OMEGA)
 q, p = ops_f["q"], ops_f["p"]
-
-
-def coherent(alpha):
-    n = np.arange(DIM_S)
-    psi = np.exp(-0.5 * abs(alpha) ** 2) * alpha**n / np.sqrt(factorial(n))
-    return psi / np.linalg.norm(psi)
 
 
 model = JointModel(
@@ -59,7 +53,7 @@ n_samp = int(round(t_samples[-1] / h_s)) + 1
 
 mus, covs = [], []
 for alpha in (1.2, 1.2j):
-    traj = evolve_joint(model, coherent(alpha), t_samples[-1], n_samp)
+    traj = evolve_joint(model, coherent_state(DIM_S, alpha), t_samples[-1], n_samp)
     idx = [int(np.argmin(np.abs(traj.times - t))) for t in t_samples]
     states = [traj.states[i] for i in idx]
     mq = np.array([np.real(np.trace(q @ r)) for r in states])

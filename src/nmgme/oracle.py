@@ -2,11 +2,12 @@
 a few discrete bath modes, followed by a partial trace.
 
 The joint Hamiltonian ``H`` is time independent, so the evolution is one
-eigendecomposition.  ``H`` is assembled sparse, and ``eigh`` runs only on
-the sectors the initial state reaches: the connected components of the
-nonzero pattern of ``H`` that hold the support of ``psi0``.  ``H`` is
-block diagonal over its components, so no amplitude leaves them and the
-result is exact at every sample time, with no step size and no integrator coupling between oracle
+eigendecomposition.  ``H`` is a dense array built in place, and
+``numpy.linalg.eigh`` runs only on the sectors the initial state
+reaches: the connected components of the nonzero pattern of ``H`` that
+hold the support of ``psi0``.  ``H`` is block diagonal over its
+components, so no amplitude leaves them and the result is exact at every
+sample time, with no step size and no integrator coupling between oracle
 and master-equation errors.  The induced bath correlation kernel of a
 model equals ``make_discrete_modes`` on the same ``(frequencies,
 couplings)`` by construction, so both sides of a comparison share one
@@ -22,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-# expm is not called here; perfbench/tracing.py wraps this name
-from scipy.linalg import eigh, expm  # noqa: F401
+from numpy.linalg import eigh
 
 from .bath import CorrelationKernel, make_discrete_modes
 from .propagate import Trajectory, diagnostics, trace_distance
@@ -37,6 +37,16 @@ __all__ = [
 ]
 
 DEFAULT_DIMENSION_CAP = 4096
+
+
+def __getattr__(name):
+    # expm is not called here, but perfbench/tracing.py wraps this name;
+    # scipy loads only on that access, so a command-line run never does
+    if name == "expm":
+        from scipy.linalg import expm
+
+        return expm
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -93,40 +103,52 @@ class JointModel:
         return make_discrete_modes(self.mode_freqs, self.couplings)
 
 
-def build_joint(model: JointModel):
-    """Assemble the joint Hamiltonian as a sparse CSR matrix.
+def build_joint(model: JointModel) -> np.ndarray:
+    """Assemble the joint Hamiltonian as a dense array.
 
-    ``H = H_S x 1 + 1 x sum_m w_m n_m + sum_jm A_j x (g_jm b_m + h.c.)``;
-    real when every entry is real.  Hermiticity defect of the result is
-    checked below 1e-12.
+    ``H = H_S x 1 + 1 x sum_m w_m n_m + sum_jm A_j x (g_jm b_m + h.c.)``,
+    written in place on the ``(system, bath, system, bath)`` view of
+    ``H``: ``H_S`` on each bath-diagonal block, ``w_m n_m`` on the main
+    diagonal and ``A_j g_jm sqrt(n_m)`` at each pair of bath states
+    ``(n - e_m, n)`` with its conjugate at ``(n, n - e_m)``.  Real when
+    every entry is real.  Hermiticity defect of the result is checked
+    below 1e-12.
     """
-    # imported here: only oracle runs pay for the module (~1.6 MiB)
-    from scipy import sparse
-
-    dims = model.mode_dims
-
-    def embed(op, which):  # single-mode operator on the bath tensor product
-        out = sparse.identity(1, format="csr")
-        for m, dm in enumerate(dims):
-            out = sparse.kron(out, op if m == which else sparse.identity(dm), format="csr")
-        return out
-
-    eye_s = sparse.identity(model.system_dim, format="csr")
-    H = sparse.kron(model.h_system, sparse.identity(int(np.prod(dims))), format="csr")
+    d_s, dims = model.system_dim, model.mode_dims
+    n_b = int(np.prod(dims))
+    N = d_s * n_b
     g = np.atleast_2d(np.asarray(model.couplings, dtype=complex))
-    for m, (freq, dm) in enumerate(zip(model.mode_freqs, dims)):
-        b = sparse.diags(np.sqrt(np.arange(1, dm, dtype=float)), 1, format="csr")
-        H = H + freq * sparse.kron(eye_s, embed(b.T @ b, m), format="csr")
-        for j, A in enumerate(model.channel_ops):
+    h_s, ops = model.h_system, model.channel_ops
+    real = not any(np.iscomplexobj(x) and x.imag.any() for x in (g, h_s, *ops))
+    if real:
+        g, h_s, ops = g.real, h_s.real, [A.real for A in ops]
+    H = np.zeros((N, N), dtype=float if real else complex)
+    H4 = H.reshape(d_s, n_b, d_s, n_b)
+    H4[:, np.arange(n_b), :, np.arange(n_b)] = h_s
+    # occupation of each mode in each bath state (C order, last mode fastest)
+    occ = np.indices(dims).reshape(len(dims), n_b)
+    diag = H.reshape(-1)[:: N + 1]
+    for m, freq in enumerate(model.mode_freqs):
+        root = np.sqrt(occ[m])
+        # sqrt(n) * sqrt(n) rounds like the matrix product b^dag b
+        diag += np.tile(freq * (root * root), d_s)
+        hi = np.flatnonzero(occ[m])  # states n with n_m >= 1
+        lo = hi - int(np.prod(dims[m + 1 :]))  # n - e_m
+        for j, A in enumerate(ops):
             if g[j, m] == 0:
                 continue
-            phi = g[j, m] * b + np.conj(g[j, m]) * b.T
-            H = H + sparse.kron(A, embed(phi, m), format="csr")
+            lower = (g[j, m] * root[hi])[:, None, None]
+            H4[:, lo, :, hi] += A * lower
+            H4[:, hi, :, lo] += A * np.conj(lower)
 
-    defect = abs(H - H.conj().T).max()
+    # row blocks of about 64k entries: no second N x N array
+    step = max(1, (1 << 16) // N)
+    defect = max(
+        np.abs(H[r : r + step] - H[:, r : r + step].conj().T).max() for r in range(0, N, step)
+    )
     if defect > 1e-12:
         raise ValueError(f"joint Hamiltonian not Hermitian: defect {defect:.3e}")
-    if np.iscomplexobj(H.data) and not H.data.imag.any():
+    if not real and not H.imag.any():
         H = H.real
     return H
 
@@ -161,19 +183,22 @@ def evolve_joint(
     elsewhere; samples are reduced by partial trace over the bath.  A
     sampled norm off 1 by more than 1e-8 aborts the run.
     """
-    from scipy.sparse.csgraph import connected_components
-
     psi_s = np.asarray(psi0_system, dtype=complex)
     if abs(np.linalg.norm(psi_s) - 1.0) > 1e-10:
         raise ValueError("system state must be normalized")
     psi0 = np.kron(psi_s, _vacuum(model))
 
     H = build_joint(model)
-    _, labels = connected_components(abs(H), directed=False)
-    idx = np.flatnonzero(np.isin(labels, labels[psi0 != 0]))
+    # H is Hermitian, so its nonzero pattern is symmetric: a frontier
+    # search from the support of psi0 finds exactly its components
+    reached = frontier = psi0 != 0
+    while frontier.any():
+        frontier = (H[frontier] != 0).any(axis=0) & ~reached
+        reached |= frontier
+    idx = np.flatnonzero(reached)
     # one eigh over all reached components; real couplings give a real
     # symmetric block, diagonalized ~4x faster
-    E, V = eigh(H[idx][:, idx].toarray())
+    E, V = eigh(H if idx.size == H.shape[0] else H[np.ix_(idx, idx)])
     times = np.linspace(0.0, t_final, n_samples)
     psis = np.zeros((n_samples, H.shape[0]), dtype=complex)
     psis[:, idx] = (V @ (np.exp(-1j * np.outer(E, times)) * (V.conj().T @ psi0[idx])[:, None])).T

@@ -108,12 +108,21 @@ class RunConfig:
             _check_number(getattr(self, block).get(key), path, integer, low, strict)
         if self.series.get("quadrature") not in ("trapezoid", "simpson"):
             raise ConfigError("series.quadrature", "must be trapezoid or simpson")
-        model = self.model if self.scenario == "coeffs" else self.scenario
+        model = self.model if self.scenario in _MODELS else self.scenario
+        if model not in _MODELS.get(self.scenario, (model,)):
+            raise ConfigError("model", f"{self.scenario} supports {_MODELS[self.scenario]}, got {model!r}")
         if model == "joos-zeh" and not self.system["lam"] > 0:
             raise ConfigError("system.lam", "joos-zeh needs a positive coupling")
         _check_kernel(self.kernel)
         if self.scenario == "oracle-check" and self.kernel["family"] != "discrete_modes":
             raise ConfigError("kernel.family", "oracle-check needs a discrete_modes kernel")
+        # every model couples the system to the bath through one channel
+        if self.kernel["family"] == "discrete_modes" and len(self.kernel["couplings"]) != 1:
+            raise ConfigError("kernel.couplings", "need one row: every model has one system channel")
+        if self.white_noise_sweep is not None:
+            if not isinstance(self.white_noise_sweep, dict):
+                raise ConfigError("white_noise_sweep", "must be a mapping")
+            _check_fields(self.white_noise_sweep, _SWEEP, "white_noise_sweep")
         two_level = self.scenario == "dephasing" or (
             self.scenario == "oracle-check" and self.model == "dephasing"
         )
@@ -184,15 +193,28 @@ def _check_initial_state(spec, dim: int) -> None:
         raise ConfigError(f"{path}.index", "outside basis")
 
 
-#: Keys of each ``kernel.family``: ``(kind, lower bound, bound excluded)``
-#: of each field.  A ``number`` is checked like ``_NUMBERS`` and takes the
-#: default of :func:`build_kernel` when absent; ``list`` is a required
-#: non-empty list of such numbers; ``rows`` is a required list of rows
-#: holding one finite number or ``[re, im]`` pair per mode frequency.
+#: Models each scenario runs through ``model``; the others are their own model.
+_MODELS = {
+    "coeffs": ("dephasing", "hpz", "joos-zeh", "qmupl"),
+    "oracle-check": ("dephasing", "hpz"),
+}
+
+#: Keys of each ``kernel.family`` and of ``white_noise_sweep``: ``(kind,
+#: lower bound, bound excluded)`` of each field.  A ``number`` (or
+#: ``integer``) is checked like ``_NUMBERS`` and takes the default of its
+#: reader when absent; ``list`` is a required non-empty list of such
+#: numbers; ``rows`` is a required list of rows holding one finite number
+#: or ``[re, im]`` pair per mode frequency.
 _KERNELS = {
     "exponential": {"gamma": ("number", 0, False), "tau_c": ("number", 0, True)},
     "white_noise": {"strength": ("number", 0, True), "eps": ("number", 0, True)},
     "discrete_modes": {"mode_freqs": ("list", 0, True), "couplings": ("rows", -math.inf, False)},
+}
+_SWEEP = {
+    "eps_values": ("list", 0, True),
+    "strength": ("number", 0, True),
+    "t_eval": ("number", 0, True),
+    "n_points": ("integer", 2, False),
 }
 
 
@@ -202,24 +224,29 @@ def _check_kernel(spec: dict) -> None:
     family = spec.get("family")
     if not isinstance(family, str) or family not in _KERNELS:
         raise ConfigError("kernel.family", f"unknown kernel family {family!r}")
-    fields = _KERNELS[family]
-    unknown = sorted(set(spec) - set(fields) - {"family"})
+    _check_fields({k: v for k, v in spec.items() if k != "family"}, _KERNELS[family], "kernel")
+
+
+def _check_fields(spec: dict, fields: dict, prefix: str) -> None:
+    """Reject an unknown or missing key or a bad value of a block
+    against its schema in ``_KERNELS`` or ``_SWEEP``."""
+    unknown = sorted(set(spec) - set(fields))
     if unknown:
-        raise ConfigError(f"kernel.{unknown[0]}", "unknown configuration key")
+        raise ConfigError(f"{prefix}.{unknown[0]}", "unknown configuration key")
     for key, (kind, low, strict) in fields.items():
-        path, value = f"kernel.{key}", spec.get(key)
-        if kind == "number":
+        path, value = f"{prefix}.{key}", spec.get(key)
+        if kind in ("number", "integer"):
             if key in spec:
-                _check_number(value, path, False, low, strict)
+                _check_number(value, path, kind == "integer", low, strict)
         elif kind == "list":
             if not isinstance(value, list) or not value:
-                raise ConfigError(path, f"{family} needs a non-empty list")
+                raise ConfigError(path, "need a non-empty list")
             for x in value:
                 _check_number(x, path, False, low, strict)
         else:
             n_modes = len(spec["mode_freqs"])
             if not isinstance(value, list) or not value:
-                raise ConfigError(path, f"{family} needs a non-empty list of rows")
+                raise ConfigError(path, "need a non-empty list of rows")
             for row in value:
                 if not isinstance(row, list) or len(row) != n_modes:
                     raise ConfigError(path, f"need rows of {n_modes} entries, got {row!r}")
@@ -320,7 +347,7 @@ def _coefficients_for(cfg: RunConfig, model: str):
         coeffs = coefficients_nondissipative(
             kernel, kern, grid, method, lam_scale=cfg.system["lam"]
         )
-    elif model == "qmupl":
+    else:  # qmupl; validate() admits no other model
         if not kernel.is_real:
             raise ConfigError("kernel", "collapse-model base kernel must be real")
         coeffs, ab_tables = coefficients_qmupl(
@@ -334,8 +361,6 @@ def _coefficients_for(cfg: RunConfig, model: str):
             method,
             return_ab=True,
         )
-    else:
-        raise ConfigError("model", f"unknown coefficient model {model!r}")
     return grid, kernel, coeffs, ab_tables
 
 
@@ -477,7 +502,7 @@ def run_oracle_check(cfg: RunConfig, outdir: Path) -> dict:
         psi0 = _initial_state(p.get("initial_state", {"type": "plus"}), 2)
         channel_ops = (sz,)
         dim = 2
-    elif cfg.model == "hpz":
+    else:  # hpz; validate() admits no other model
         m, omega = cfg.system["m"], cfg.system["omega"]
         kern = harmonic_kernels(m, omega)
         f = commutator_kernel(kern, ["q"])
@@ -489,8 +514,6 @@ def run_oracle_check(cfg: RunConfig, outdir: Path) -> dict:
         h0 = ops["H0"]
         psi0 = _initial_state(p["initial_state"], dim)
         channel_ops = (ops["A"][0],)
-    else:
-        raise ConfigError("model", "oracle-check supports dephasing and hpz models")
 
     rho0 = np.outer(psi0, psi0.conj())
     traj_me = evolve(
@@ -532,7 +555,7 @@ def white_noise_limit_report(cfg: RunConfig) -> dict:
     eps_values = sweep["eps_values"]
     strength = sweep.get("strength", 1.0)
     t_eval = sweep.get("t_eval", cfg.grid["t_max"])
-    n_points = int(sweep.get("n_points", 641))
+    n_points = sweep.get("n_points", 641)
     m, omega = cfg.system["m"], cfg.system["omega"]
     kern = harmonic_kernels(m, omega)
     grid = make_grid(t_eval, n_points)

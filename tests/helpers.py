@@ -101,7 +101,7 @@ def stepped_evolve_joint(model, psi0_system, t_final, h, n_samples=101):
         raise ValueError("system state must be normalized")
     psi = np.kron(psi_s, _vacuum(model))
 
-    H = build_joint(model).toarray()
+    H = build_joint(model)
     sample_times = np.linspace(0.0, t_final, n_samples)
     n_steps, h_eff = aligned_steps(t_final, h, n_samples)
     U = expm(-1j * H * h_eff)
@@ -154,7 +154,7 @@ def full_eigh_evolve_joint(model, psi0_system, t_final, n_samples=101):
         raise ValueError("system state must be normalized")
     psi0 = np.kron(psi_s, _vacuum(model))
 
-    E, V = eigh(build_joint(model).toarray())
+    E, V = eigh(build_joint(model))
     times = np.linspace(0.0, t_final, n_samples)
     psis = (V @ (np.exp(-1j * np.outer(E, times)) * (V.conj().T @ psi0)[:, None])).T
 
@@ -189,7 +189,7 @@ def full_eigh_evolve_joint(model, psi0_system, t_final, n_samples=101):
 def kron_build_joint(model: JointModel) -> np.ndarray:
     """The former dense assembly of the joint Hamiltonian: one full-size
     complex ``np.kron`` per mode term and per coupling; the reference for
-    the sparse assembly in :func:`nmgme.oracle.build_joint`."""
+    the in-place assembly in :func:`nmgme.oracle.build_joint`."""
     dims = model.mode_dims
     d_bath = int(np.prod(dims))
     eye_s = np.eye(model.system_dim, dtype=complex)

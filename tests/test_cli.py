@@ -85,6 +85,7 @@ def test_dump_rho_flag(tmp_path):
 
 
 MODES = {"family": "discrete_modes", "mode_freqs": [1.0, 1.6], "couplings": [[0.2, [0.1, 0.05]]]}
+SWEEP = {"eps_values": [0.1, 0.05], "strength": 1.0, "t_eval": 1.0, "n_points": 65}
 
 
 def test_invalid_config_exit_2(tmp_path, capsys):
@@ -147,6 +148,20 @@ def test_invalid_config_exit_2(tmp_path, capsys):
         ("dephasing", "kernel", None, {**MODES, "couplings": [[0.2, [0.1, 0.0, 0.0]]]}, "kernel.couplings"),
         ("dephasing", "kernel", None, {**MODES, "couplings": [[0.2, float("inf")]]}, "kernel.couplings"),
         ("oracle-check", "kernel", None, {"family": "exponential"}, "kernel.family"),
+        # one coupling row per system channel; every model has one
+        ("oracle-check", "kernel", None, {**MODES, "couplings": [[0.2, 0.1], [0.1, 0.1]]}, "kernel.couplings"),
+        ("hpz", "kernel", None, {**MODES, "couplings": [[0.2, 0.1], [0.1, 0.1]]}, "kernel.couplings"),
+        ("oracle-check", "model", None, "qmupl", "model"),
+        ("coeffs", "model", None, "pink", "model"),
+        ("dephasing", "white_noise_sweep", None, {**SWEEP, "strenght": 2.0}, "white_noise_sweep.strenght"),
+        ("dephasing", "white_noise_sweep", None, {**SWEEP, "n_points": 64.5}, "white_noise_sweep.n_points"),
+        ("dephasing", "white_noise_sweep", None, {**SWEEP, "n_points": 1}, "white_noise_sweep.n_points"),
+        ("dephasing", "white_noise_sweep", None, {**SWEEP, "strength": float("nan")}, "white_noise_sweep.strength"),
+        ("dephasing", "white_noise_sweep", None, {**SWEEP, "t_eval": 0.0}, "white_noise_sweep.t_eval"),
+        ("dephasing", "white_noise_sweep", None, {**SWEEP, "eps_values": []}, "white_noise_sweep.eps_values"),
+        ("dephasing", "white_noise_sweep", None, {**SWEEP, "eps_values": [0.1, -0.05]}, "white_noise_sweep.eps_values"),
+        ("dephasing", "white_noise_sweep", None, {"strength": 1.0}, "white_noise_sweep.eps_values"),
+        ("dephasing", "white_noise_sweep", None, [0.1, 0.05], "white_noise_sweep"),
     ]
     for scenario, block, key, value, field_path in cases:
         cfg = base_dephasing(tmp_path)

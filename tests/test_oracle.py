@@ -36,7 +36,7 @@ def dephasing_model(g=0.2, omega=1.0, dim=8, h_sys=None):
 
 def test_decoupled_hamiltonian_is_direct_sum():
     model = dephasing_model(g=0.0, dim=4)
-    H = build_joint(model).toarray()
+    H = build_joint(model)
     b = np.diag(np.sqrt(np.arange(1, 4, dtype=float)), k=1).astype(complex)
     expected = np.kron(np.zeros((2, 2)), np.eye(4)) + np.kron(
         np.eye(2), 1.0 * b.conj().T @ b
@@ -65,7 +65,7 @@ def test_dephasing_block_structure():
     # sigma_z coupling block-diagonalizes into two shifted oscillators
     g, omega, dim = 0.3, 1.2, 6
     model = dephasing_model(g=g, omega=omega, dim=dim)
-    H = build_joint(model).toarray()
+    H = build_joint(model)
     # qubit-major ordering: blocks are H(+/-) = omega n ± (g b + g* b^dag)
     upper = H[:dim, :dim]
     lower = H[dim:, dim:]
@@ -391,11 +391,19 @@ def _two_channel_model(g):
         dephasing_model(g=0.3 + 0.2j, dim=6),
         _two_channel_model(np.array([[0.2, 0.0], [0.1, 0.15]])),
         _two_channel_model(np.array([[0.2, 0.1j], [0.1 - 0.05j, 0.15]])),
+        # complex inputs whose products are all real
+        JointModel(
+            h_system=np.diag([0.5, -0.5]).astype(complex),
+            channel_ops=(np.array([[0.0, -1j], [1j, 0.0]]),),
+            mode_freqs=(1.1,),
+            couplings=np.array([[0.2j]]),
+            mode_dims=(4,),
+        ),
     ],
-    ids=["real", "complex", "two-channel-real", "two-channel-complex"],
+    ids=["real", "complex", "two-channel-real", "two-channel-complex", "sigma-y-imaginary"],
 )
-def test_sparse_assembly_matches_dense_reference(model):
-    H = build_joint(model).toarray()
+def test_joint_assembly_matches_kron_reference(model):
+    H = build_joint(model)
     ref = kron_build_joint(model)
     assert np.max(np.abs(H - ref)) <= 1e-15
     # real couplings of real operators give a real array
