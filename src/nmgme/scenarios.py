@@ -2,12 +2,24 @@
 validation reports out.
 
 A run configuration is a plain key-value tree (YAML on disk).  Every
-scenario writes ``coefficients.csv``, ``trajectory.json`` and
-``report.json`` into the output directory; ``report.json`` embeds the
-fully-resolved configuration including defaults, so a run is
-reproducible from its own artifacts.  Output formatting is fixed (17
-significant digits in CSV, shortest-round-trip floats in JSON, sorted
-keys), making identical configs produce byte-identical files.
+scenario writes ``coefficients.csv`` and ``report.json`` into the output
+directory; the others depend on the scenario:
+
+* ``trajectory.json`` -- every scenario but ``coeffs``;
+* ``oracle_trajectory.json`` -- ``oracle-check``;
+* ``series_convergence.csv`` -- ``coeffs``, ``hpz`` and ``qmupl`` when
+  the model is ``hpz`` or ``qmupl`` (the models that run the series).
+
+``report.json`` embeds the fully-resolved configuration including
+defaults, so a run is reproducible from its own artifacts.  Output
+formatting is fixed (17 significant digits in CSV, shortest-round-trip
+floats in JSON, sorted keys), making identical configs produce
+byte-identical files.
+
+The default initial state is the coherent state ``alpha = 1``.  On the
+two levels of the ``dephasing`` model it is renormalised to the equal
+superposition, with amplitudes ``0.7071067811865476``; ``{type: plus}``
+gives ``0.7071067811865475``, one rounding step apart.
 """
 
 from __future__ import annotations
@@ -119,13 +131,16 @@ class RunConfig:
         # every model couples the system to the bath through one channel
         if self.kernel["family"] == "discrete_modes" and len(self.kernel["couplings"]) != 1:
             raise ConfigError("kernel.couplings", "need one row: every model has one system channel")
+        # discrete_modes is the only complex family
+        if model in ("joos-zeh", "qmupl") and self.kernel["family"] == "discrete_modes":
+            raise ConfigError("kernel", f"{model} needs a real kernel, not discrete_modes")
         if self.white_noise_sweep is not None:
             if not isinstance(self.white_noise_sweep, dict):
                 raise ConfigError("white_noise_sweep", "must be a mapping")
             _check_fields(self.white_noise_sweep, _SWEEP, "white_noise_sweep")
-        two_level = self.scenario == "dephasing" or (
-            self.scenario == "oracle-check" and self.model == "dephasing"
-        )
+            if self.scenario != "joos-zeh":
+                raise ConfigError("white_noise_sweep", f"only joos-zeh runs the sweep, not {self.scenario}")
+        two_level = model == "dephasing" and self.scenario != "coeffs"
         dim = 2 if two_level else self.propagation["fock_dim"]
         _check_initial_state(self.propagation.get("initial_state"), dim)
 
@@ -304,64 +319,56 @@ def _series_config(cfg: RunConfig) -> SeriesConfig:
     )
 
 
-def _fock_setup(cfg: RunConfig, lam_mu: float = 0.0):
-    dim = int(cfg.propagation["fock_dim"])
-    m, omega = cfg.system["m"], cfg.system["omega"]
-    ops_f = fock_operators(dim, m, omega)
-    H0 = quadratic_hamiltonian(dim, m, omega)
-    ops = {
-        "A": [ops_f["q"]],
-        "V": [ops_f["p"]],
-        "H0": H0,
-        "q": ops_f["q"],
-        "p": ops_f["p"],
-    }
-    observables = {
-        "mean_q": ops_f["q"],
-        "mean_p": ops_f["p"],
-        "var_q_raw": ops_f["q"] @ ops_f["q"],
-        "var_p_raw": ops_f["p"] @ ops_f["p"],
-        "mean_n": ops_f["number"],
-    }
-    return dim, ops, observables
-
-
 def _coefficients_for(cfg: RunConfig, model: str):
-    """Coefficient tables plus series diagnostics for a named model."""
+    """Grid, coefficient tables and series tables (``None`` for the
+    closed-form models) of a named model."""
     grid = make_grid(cfg.grid["t_max"], cfg.grid["n_points"])
     method = cfg.series["quadrature"]
     kernel = build_kernel(cfg.kernel)
     m, omega = cfg.system["m"], cfg.system["omega"]
-    ab_tables = None
     if model == "dephasing":
-        coeffs = coefficients_dephasing(kernel, grid, method)
-    elif model == "hpz":
+        return grid, coefficients_dephasing(kernel, grid, method), None
+    if model == "hpz":
         kern = harmonic_kernels(m, omega)
-        f = commutator_kernel(kern, ["q"])
-        ab_tables = build_ab_tables(kernel, f, _series_config(cfg), grid)
-        coeffs = coefficients_linear(ab_tables, kern, grid, method, scenario="hpz")
-    elif model == "joos-zeh":
+        ab_tables = build_ab_tables(kernel, commutator_kernel(kern, ["q"]), _series_config(cfg), grid)
+        return grid, coefficients_linear(ab_tables, kern, grid, method, scenario="hpz"), ab_tables
+    if model == "joos-zeh":
         kern = harmonic_kernels(m, omega)
-        if not kernel.is_real:
-            raise ConfigError("kernel", "non-dissipative model needs a real kernel")
-        coeffs = coefficients_nondissipative(
-            kernel, kern, grid, method, lam_scale=cfg.system["lam"]
-        )
-    else:  # qmupl; validate() admits no other model
-        if not kernel.is_real:
-            raise ConfigError("kernel", "collapse-model base kernel must be real")
-        coeffs, ab_tables = coefficients_qmupl(
-            cfg.system["lam"],
-            cfg.system["mu"],
-            m,
-            omega,
-            kernel,
-            _series_config(cfg),
-            grid,
-            method,
-            return_ab=True,
-        )
-    return grid, kernel, coeffs, ab_tables
+        coeffs = coefficients_nondissipative(kernel, kern, grid, method, lam_scale=cfg.system["lam"])
+        return grid, coeffs, None
+    # qmupl; validate() admits no other model
+    coeffs, ab_tables = coefficients_qmupl(
+        cfg.system["lam"], cfg.system["mu"], m, omega, kernel,
+        _series_config(cfg), grid, method, return_ab=True,
+    )
+    return grid, coeffs, ab_tables
+
+
+def _system_for(cfg: RunConfig, model: str):
+    """Dimension, operators, observables and trajectory parameters of the
+    model's system: a qubit coupled through sigma_z for ``dephasing``, a
+    truncated oscillator coupled through q (and p) for the others."""
+    if model == "dephasing":
+        sz = np.diag([1.0, -1.0]).astype(complex)
+        ops = {"A": [sz], "H0": np.zeros((2, 2), dtype=complex)}
+        observables = {
+            "coherence_re": np.array([[0, 1], [1, 0]], dtype=complex),
+            "population_0": np.diag([1.0, 0.0]).astype(complex),
+        }
+        return 2, ops, observables, {"kernel": cfg.kernel}
+    dim = cfg.propagation["fock_dim"]
+    m, omega = cfg.system["m"], cfg.system["omega"]
+    fock = fock_operators(dim, m, omega)
+    q, p = fock["q"], fock["p"]
+    ops = {"A": [q], "V": [p], "H0": quadratic_hamiltonian(dim, m, omega), "q": q, "p": p}
+    observables = {
+        "mean_q": q,
+        "mean_p": p,
+        "var_q_raw": q @ q,
+        "var_p_raw": p @ p,
+        "mean_n": fock["number"],
+    }
+    return dim, ops, observables, {"system": cfg.system, "kernel": cfg.kernel}
 
 
 def _series_report(ab_tables) -> dict:
@@ -379,166 +386,103 @@ def _traj_report(traj: Trajectory) -> dict:
     d = traj.diagnostics
     span = traj.times[-1] - traj.times[0] if len(traj.times) > 1 else 1.0
     return {
-        "trace_drift_per_unit_time": float(
-            abs(d["trace"][-1] - d["trace"][0]) / max(span, 1e-12)
-        ),
+        "trace_drift_per_unit_time": float(abs(d["trace"][-1] - d["trace"][0]) / max(span, 1e-12)),
         "max_hermiticity_defect": float(np.max(d["hermiticity_defect"])),
         "min_eigenvalue": float(np.min(d["min_eigenvalue"])),
         "warnings": traj.warnings,
     }
 
 
+def _moment_check(cfg: RunConfig, coeffs, grid, traj: Trajectory) -> dict:
+    """Largest gap between the Fock-space mean position and the Gaussian
+    moment equations under the same coefficient tables; coherent
+    initial states only."""
+    p = cfg.propagation
+    spec = p["initial_state"]
+    if spec.get("type", "coherent") != "coherent":
+        return {}
+    alpha = complex(spec.get("alpha_re", 1.0), spec.get("alpha_im", 0.0))
+    m, omega = cfg.system["m"], cfg.system["omega"]
+    scale_q = 1.0 / np.sqrt(2.0 * m * omega)
+    mom0 = GaussianMoments.coherent(
+        2.0 * scale_q * alpha.real, np.sqrt(2.0 * m * omega) * alpha.imag, m, omega
+    )
+    mtraj = evolve_moments(mom0, coeffs, m, omega, grid.t_max, p["h"], p["n_samples"])
+    dq = np.abs(np.array(traj.observables["mean_q"]) - mtraj.means[:, 0])
+    return {"moment_fock_max_dq": float(np.max(dq)), "uncertainty_ok": mtraj.uncertainty_ok}
+
+
+def _oracle_comparison(cfg: RunConfig, ops: dict, psi0, grid, traj: Trajectory):
+    """Brute-force system+modes reference on the ``discrete_modes`` bath
+    and its distance from the master-equation trajectory ``traj``;
+    returns the report entries and the reference trajectory."""
+    freqs = list(cfg.kernel["mode_freqs"])
+    joint = JointModel(
+        h_system=ops["H0"],
+        channel_ops=tuple(ops["A"]),
+        mode_freqs=tuple(freqs),
+        couplings=_couplings(cfg.kernel["couplings"]),
+        mode_dims=tuple(cfg.oracle["mode_dims"] or [6] * len(freqs)),
+    )
+    traj_or = evolve_joint(joint, psi0, grid.t_max, cfg.propagation["n_samples"], scenario=cfg.model)
+    comparison = compare_with_me(traj_or, traj, mode_freqs=freqs)
+    entries = {k: comparison[k] for k in ("max_trace_distance", "recurrence_time_estimate")}
+    return entries, traj_or
+
+
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
-def _finish(outdir: Path, cfg: RunConfig, coeffs, traj, report, ab_tables=None):
-    write_coefficients_csv(coeffs, outdir / "coefficients.csv")
-    if traj is not None:
-        _write_json(outdir / "trajectory.json", traj.to_json_dict(cfg.dump_rho))
-    if ab_tables:
-        dump_convergence_csv(ab_tables, outdir / "series_convergence.csv")
-    report["config"] = asdict(cfg)
-    _write_json(outdir / "report.json", report)
-    return report
-
-
 def run(cfg: RunConfig) -> dict:
-    """Execute a scenario; writes artifacts and returns the report."""
+    """Execute a scenario; writes artifacts and returns the report.
+
+    Every scenario runs the same pipeline: the model's coefficients, its
+    system, one propagation (none for ``coeffs``), the scenario's checks
+    and the artifacts listed in the module docstring.
+    """
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     p = cfg.propagation
+    model = cfg.model if cfg.scenario in _MODELS else cfg.scenario
+    oracle_check = cfg.scenario == "oracle-check"
+    # dephasing and oracle-check keep the series out of their artifacts
+    with_series = cfg.scenario not in ("dephasing", "oracle-check")
 
-    if cfg.scenario == "coeffs":
-        grid, kernel, coeffs, ab_tables = _coefficients_for(cfg, cfg.model)
-        report = {"scenario": "coeffs", "model": cfg.model}
+    grid, coeffs, ab_tables = _coefficients_for(cfg, model)
+    report = {"scenario": cfg.scenario}
+    if cfg.scenario in _MODELS:
+        report["model"] = model
+    if with_series:
         report.update(_series_report(ab_tables))
-        return _finish(outdir, cfg, coeffs, None, report, ab_tables)
 
-    if cfg.scenario == "dephasing":
-        grid, kernel, coeffs, _ = _coefficients_for(cfg, "dephasing")
-        sz = np.diag([1.0, -1.0]).astype(complex)
-        ops = {"A": [sz], "H0": np.zeros((2, 2), dtype=complex)}
-        psi0 = _initial_state(p.get("initial_state", {"type": "plus"}), 2)
-        rho0 = np.outer(psi0, psi0.conj())
-        observables = {
-            "coherence_re": np.array([[0, 0.5], [0.5, 0]], dtype=complex) * 2,
-            "population_0": np.diag([1.0, 0.0]).astype(complex),
-        }
-        traj = evolve(
-            rho0, coeffs, ops, grid.t_max, p["h"], p["n_samples"],
-            observables=observables, scenario="dephasing",
-            params={"kernel": cfg.kernel},
-        )
-        report = {"scenario": "dephasing"}
-        report.update(_traj_report(traj))
-        return _finish(outdir, cfg, coeffs, traj, report)
-
-    if cfg.scenario in ("hpz", "joos-zeh"):
-        grid, kernel, coeffs, ab_tables = _coefficients_for(cfg, cfg.scenario)
-        dim, ops, observables = _fock_setup(cfg)
+    traj = traj_or = None
+    if cfg.scenario != "coeffs":
+        dim, ops, observables, params = _system_for(cfg, model)
+        if oracle_check:  # compared with the oracle state by state
+            observables = params = None
         psi0 = _initial_state(p["initial_state"], dim)
         traj = evolve(
-            np.outer(psi0, psi0.conj()), coeffs, ops, grid.t_max, p["h"],
-            p["n_samples"], observables=observables, scenario=cfg.scenario,
-            params={"system": cfg.system, "kernel": cfg.kernel},
+            np.outer(psi0, psi0.conj()), coeffs, ops, grid.t_max, p["h"], p["n_samples"],
+            observables=observables, truncation_guard=not oracle_check,
+            scenario=model, params=params,
         )
-        report = {"scenario": cfg.scenario}
-        report.update(_series_report(ab_tables))
         report.update(_traj_report(traj))
-        if cfg.scenario == "joos-zeh" and cfg.white_noise_sweep:
-            report["white_noise_limit"] = white_noise_limit_report(cfg)
-        return _finish(outdir, cfg, coeffs, traj, report, ab_tables)
 
     if cfg.scenario == "qmupl":
-        grid, kernel, coeffs, ab_tables = _coefficients_for(cfg, "qmupl")
-        dim, ops, observables = _fock_setup(cfg)
-        psi0 = _initial_state(p["initial_state"], dim)
-        traj = evolve(
-            np.outer(psi0, psi0.conj()), coeffs, ops, grid.t_max, p["h"],
-            p["n_samples"], observables=observables, scenario="qmupl",
-            params={"system": cfg.system, "kernel": cfg.kernel},
-        )
-        report = {"scenario": "qmupl"}
-        report.update(_series_report(ab_tables))
-        report.update(_traj_report(traj))
-        # moment cross-check under the same coefficient tables
-        spec0 = p["initial_state"]
-        if spec0.get("type", "coherent") == "coherent":
-            alpha = complex(spec0.get("alpha_re", 1.0), spec0.get("alpha_im", 0.0))
-            m, omega = cfg.system["m"], cfg.system["omega"]
-            scale_q = 1.0 / np.sqrt(2.0 * m * omega)
-            mom0 = GaussianMoments.coherent(
-                2.0 * scale_q * alpha.real, np.sqrt(2.0 * m * omega) * alpha.imag, m, omega
-            )
-            mtraj = evolve_moments(mom0, coeffs, m, omega, grid.t_max, p["h"], p["n_samples"])
-            iq = traj.observables["mean_q"]
-            report["moment_fock_max_dq"] = float(
-                np.max(np.abs(np.array(iq) - mtraj.means[:, 0]))
-            )
-            report["uncertainty_ok"] = mtraj.uncertainty_ok
-        return _finish(outdir, cfg, coeffs, traj, report, ab_tables)
+        report.update(_moment_check(cfg, coeffs, grid, traj))
+    if cfg.scenario == "joos-zeh" and cfg.white_noise_sweep:
+        report["white_noise_limit"] = white_noise_limit_report(cfg)
+    if oracle_check:
+        entries, traj_or = _oracle_comparison(cfg, ops, psi0, grid, traj)
+        report.update(entries)
 
-    if cfg.scenario == "oracle-check":
-        return run_oracle_check(cfg, outdir)
-
-    raise ConfigError("scenario", f"unhandled scenario {cfg.scenario!r}")
-
-
-def run_oracle_check(cfg: RunConfig, outdir: Path) -> dict:
-    """Master equation vs brute-force reference on a discrete-mode bath."""
-    grid = make_grid(cfg.grid["t_max"], cfg.grid["n_points"])
-    kernel = build_kernel(cfg.kernel)
-    p = cfg.propagation
-    freqs = list(cfg.kernel["mode_freqs"])
-    g = _couplings(cfg.kernel["couplings"])
-    mode_dims = cfg.oracle.get("mode_dims") or [6] * len(freqs)
-
-    if cfg.model == "dephasing":
-        coeffs = coefficients_dephasing(kernel, grid, cfg.series["quadrature"])
-        sz = np.diag([1.0, -1.0]).astype(complex)
-        h0 = np.zeros((2, 2), dtype=complex)
-        ops = {"A": [sz], "H0": h0}
-        psi0 = _initial_state(p.get("initial_state", {"type": "plus"}), 2)
-        channel_ops = (sz,)
-        dim = 2
-    else:  # hpz; validate() admits no other model
-        m, omega = cfg.system["m"], cfg.system["omega"]
-        kern = harmonic_kernels(m, omega)
-        f = commutator_kernel(kern, ["q"])
-        ab_tables = build_ab_tables(kernel, f, _series_config(cfg), grid)
-        coeffs = coefficients_linear(
-            ab_tables, kern, grid, cfg.series["quadrature"], scenario="hpz"
-        )
-        dim, ops, _ = _fock_setup(cfg)
-        h0 = ops["H0"]
-        psi0 = _initial_state(p["initial_state"], dim)
-        channel_ops = (ops["A"][0],)
-
-    rho0 = np.outer(psi0, psi0.conj())
-    traj_me = evolve(
-        rho0, coeffs, ops, grid.t_max, p["h"], p["n_samples"],
-        scenario=cfg.model, truncation_guard=False,
-    )
-    model = JointModel(
-        h_system=ops["H0"],
-        channel_ops=channel_ops,
-        mode_freqs=tuple(freqs),
-        couplings=g,
-        mode_dims=tuple(mode_dims),
-    )
-    traj_or = evolve_joint(model, psi0, grid.t_max, p["n_samples"], scenario=cfg.model)
-    comparison = compare_with_me(traj_or, traj_me, mode_freqs=freqs)
-    report = {
-        "scenario": "oracle-check",
-        "model": cfg.model,
-        "max_trace_distance": comparison["max_trace_distance"],
-        "recurrence_time_estimate": comparison["recurrence_time_estimate"],
-    }
-    report.update(_traj_report(traj_me))
     write_coefficients_csv(coeffs, outdir / "coefficients.csv")
-    _write_json(outdir / "trajectory.json", traj_me.to_json_dict(cfg.dump_rho))
-    _write_json(outdir / "oracle_trajectory.json", traj_or.to_json_dict(cfg.dump_rho))
+    for name, trajectory in (("trajectory.json", traj), ("oracle_trajectory.json", traj_or)):
+        if trajectory is not None:
+            _write_json(outdir / name, trajectory.to_json_dict(cfg.dump_rho))
+    if with_series and ab_tables:
+        dump_convergence_csv(ab_tables, outdir / "series_convergence.csv")
     report["config"] = asdict(cfg)
     _write_json(outdir / "report.json", report)
     return report

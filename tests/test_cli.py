@@ -162,6 +162,8 @@ def test_invalid_config_exit_2(tmp_path, capsys):
         ("dephasing", "white_noise_sweep", None, {**SWEEP, "eps_values": [0.1, -0.05]}, "white_noise_sweep.eps_values"),
         ("dephasing", "white_noise_sweep", None, {"strength": 1.0}, "white_noise_sweep.eps_values"),
         ("dephasing", "white_noise_sweep", None, [0.1, 0.05], "white_noise_sweep"),
+        # a valid sweep on a scenario that does not run it
+        ("hpz", "white_noise_sweep", None, SWEEP, "white_noise_sweep"),
     ]
     for scenario, block, key, value, field_path in cases:
         cfg = base_dephasing(tmp_path)
@@ -177,6 +179,22 @@ def test_invalid_config_exit_2(tmp_path, capsys):
         assert err["field"] == field_path
         # rejected before any computation: no output directory yet
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scenario, model", [
+    ("qmupl", None), ("joos-zeh", None), ("coeffs", "qmupl"), ("coeffs", "joos-zeh"),
+])
+def test_complex_kernel_exit_2_without_output(tmp_path, capsys, scenario, model):
+    # the non-dissipative and collapse models need a real kernel
+    cfg = base_dephasing(tmp_path)
+    cfg["kernel"] = {"family": "discrete_modes", "mode_freqs": [1.3], "couplings": [[0.2]]}
+    cfg["system"] = {"lam": 0.1}
+    if model is not None:
+        cfg["model"] = model
+    rc = main([scenario, "--config", write_config(tmp_path, cfg)])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err)["field"] == "kernel"
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_key_exit_2(tmp_path, capsys):

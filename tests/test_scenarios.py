@@ -1,0 +1,88 @@
+"""Artifact contract of every scenario and model.
+
+Each case runs at tiny sizes and pins the files written, the keys of
+``report.json`` and, where a trajectory is written, its ``scenario``,
+the keys of its ``params`` and its observable names.
+"""
+
+import json
+
+import pytest
+
+from nmgme.scenarios import RunConfig, run
+
+EXP = {"family": "exponential", "gamma": 1.0, "tau_c": 0.5}
+MODES = {"family": "discrete_modes", "mode_freqs": [1.0, 1.6], "couplings": [[0.2, [0.1, 0.05]]]}
+SYSTEM = {"m": 1.0, "omega": 1.0, "lam": 0.2, "mu": 0.1}
+SERIES = {"max_order": 1, "eps_series": 1e-6, "quadrature": "trapezoid"}
+FOCK = {"fock_dim": 8, "h": 0.01, "n_samples": 3, "initial_state": {"type": "coherent", "alpha_re": 0.3}}
+QUBIT = {"h": 0.01, "n_samples": 3, "initial_state": {"type": "plus"}}
+SWEEP = {"eps_values": [0.2, 0.1], "strength": 1.0, "t_eval": 0.5, "n_points": 17}
+
+BASE = {"coefficients.csv", "report.json"}
+SERIES_KEYS = {"max_achieved_order", "max_last_order_norm", "all_converged"}
+CLOSED_KEYS = {"series"}
+TRAJ_KEYS = {"trace_drift_per_unit_time", "max_hermiticity_defect", "min_eigenvalue", "warnings"}
+ORACLE_KEYS = {"max_trace_distance", "recurrence_time_estimate"}
+FOCK_OBS = {"mean_q", "mean_p", "var_q_raw", "var_p_raw", "mean_n"}
+QUBIT_OBS = {"coherence_re", "population_0"}
+
+# (id, scenario, extra config, files, report keys besides scenario/config,
+#  trajectory (scenario, params keys, observables) or None)
+CASES = [
+    ("coeffs-dephasing", "coeffs", {"model": "dephasing", "kernel": EXP}, BASE, {"model"} | CLOSED_KEYS, None),
+    ("coeffs-hpz", "coeffs", {"model": "hpz", "kernel": MODES},
+     BASE | {"series_convergence.csv"}, {"model"} | SERIES_KEYS, None),
+    ("coeffs-joos-zeh", "coeffs", {"model": "joos-zeh", "kernel": EXP, "system": SYSTEM},
+     BASE, {"model"} | CLOSED_KEYS, None),
+    ("coeffs-qmupl", "coeffs", {"model": "qmupl", "kernel": EXP, "system": SYSTEM},
+     BASE | {"series_convergence.csv"}, {"model"} | SERIES_KEYS, None),
+    ("dephasing", "dephasing", {"kernel": EXP, "propagation": QUBIT},
+     BASE | {"trajectory.json"}, TRAJ_KEYS, ("dephasing", {"kernel"}, QUBIT_OBS)),
+    ("hpz", "hpz", {"kernel": MODES, "propagation": FOCK},
+     BASE | {"trajectory.json", "series_convergence.csv"}, SERIES_KEYS | TRAJ_KEYS,
+     ("hpz", {"system", "kernel"}, FOCK_OBS)),
+    ("joos-zeh", "joos-zeh", {"kernel": EXP, "system": SYSTEM, "propagation": FOCK},
+     BASE | {"trajectory.json"}, CLOSED_KEYS | TRAJ_KEYS, ("joos-zeh", {"system", "kernel"}, FOCK_OBS)),
+    ("joos-zeh-sweep", "joos-zeh", {"kernel": EXP, "system": SYSTEM, "propagation": FOCK, "white_noise_sweep": SWEEP},
+     BASE | {"trajectory.json"}, CLOSED_KEYS | TRAJ_KEYS | {"white_noise_limit"},
+     ("joos-zeh", {"system", "kernel"}, FOCK_OBS)),
+    ("qmupl-coherent", "qmupl", {"kernel": EXP, "system": SYSTEM, "propagation": FOCK},
+     BASE | {"trajectory.json", "series_convergence.csv"},
+     SERIES_KEYS | TRAJ_KEYS | {"moment_fock_max_dq", "uncertainty_ok"}, ("qmupl", {"system", "kernel"}, FOCK_OBS)),
+    ("qmupl-basis", "qmupl",
+     {"kernel": EXP, "system": SYSTEM, "propagation": {**FOCK, "initial_state": {"type": "basis", "index": 1}}},
+     BASE | {"trajectory.json", "series_convergence.csv"}, SERIES_KEYS | TRAJ_KEYS,
+     ("qmupl", {"system", "kernel"}, FOCK_OBS)),
+    ("oracle-check-dephasing", "oracle-check",
+     {"model": "dephasing", "kernel": MODES, "propagation": QUBIT, "oracle": {"mode_dims": [3, 3]}},
+     BASE | {"trajectory.json", "oracle_trajectory.json"}, {"model"} | ORACLE_KEYS | TRAJ_KEYS,
+     ("dephasing", set(), set())),
+    ("oracle-check-hpz", "oracle-check",
+     {"model": "hpz", "kernel": MODES, "propagation": FOCK, "oracle": {"mode_dims": [3, 3]}},
+     BASE | {"trajectory.json", "oracle_trajectory.json"}, {"model"} | ORACLE_KEYS | TRAJ_KEYS,
+     ("hpz", set(), set())),
+]
+
+
+@pytest.mark.parametrize("scenario, extra, files, report_keys, trajectory", [c[1:] for c in CASES],
+                         ids=[c[0] for c in CASES])
+def test_artifact_contract(tmp_path, scenario, extra, files, report_keys, trajectory):
+    raw = {"scenario": scenario, "grid": {"t_max": 0.5, "n_points": 9}, "series": SERIES,
+           "output_dir": str(tmp_path / "out"), **extra}
+    returned = run(RunConfig.from_dict(raw))
+    out = tmp_path / "out"
+    assert {f.name for f in out.iterdir()} == files
+    report = json.loads((out / "report.json").read_text())
+    assert set(report) == report_keys | {"scenario", "config"}
+    assert report["scenario"] == scenario
+    assert set(returned) == set(report)
+    if trajectory is None:
+        return
+    name, params, observables = trajectory
+    for path in ("trajectory.json", "oracle_trajectory.json"):
+        if path in files:
+            traj = json.loads((out / path).read_text())
+            assert traj["scenario"] == name
+            assert set(traj["params"]) == params
+            assert set(traj["observables"]) == observables
