@@ -47,13 +47,9 @@ from .bath import CorrelationKernel, make_qmupl_matrix
 # quad_weights is not called here; perfbench/tracing.py counts quadrature
 # builds through this module's name as well.
 from .grids import TimeGrid, prefix_weights, quad_weights  # noqa: F401
-from .series import ABKernels, SampledKernels, SeriesConfig, assemble_AB
-from .system import (
-    CommutatorKernel,
-    PropagatorKernels,
-    commutator_kernel,
-    qmupl_kernels,
-)
+# assemble_AB is not called here; perfbench/tracing.py wraps this name.
+from .series import ABKernels, SeriesConfig, assemble_AB, build_ab_tables  # noqa: F401
+from .system import PropagatorKernels, commutator_kernel, qmupl_kernels
 
 __all__ = [
     "MECoefficients",
@@ -154,26 +150,6 @@ class MECoefficients:
 
     def has_extras(self) -> bool:
         return self.alpha is not None
-
-
-def build_ab_tables(
-    D: CorrelationKernel,
-    f: CommutatorKernel,
-    config: SeriesConfig,
-    grid: TimeGrid,
-    force_series: bool = False,
-) -> list[ABKernels]:
-    """Assemble the kernel series at every grid time.
-
-    ``D`` and ``f`` are sampled once on the grid square and shared by
-    every outer time; the builds are otherwise independent, so the list
-    order is the only coupling between outer times.
-    """
-    samples = SampledKernels(D, f, grid, config.method)
-    return [
-        assemble_AB(D, f, config, t, grid, force_series=force_series, samples=samples)
-        for t in grid.points
-    ]
 
 
 def _stack_ab(ab_tables: list[ABKernels], grid: TimeGrid) -> dict:

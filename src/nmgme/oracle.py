@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 DEFAULT_DIMENSION_CAP = 4096
+#: Fock dimension of a bath mode when none is given (plenty at weak coupling)
+DEFAULT_MODE_DIM = 6
 
 
 def __getattr__(name):
@@ -77,7 +79,7 @@ class JointModel:
                 f"{len(self.channel_ops)} channels x {freqs.size} modes"
             )
         if not self.mode_dims:
-            object.__setattr__(self, "mode_dims", tuple(6 for _ in freqs))
+            object.__setattr__(self, "mode_dims", tuple(DEFAULT_MODE_DIM for _ in freqs))
         if len(self.mode_dims) != freqs.size:
             raise ValueError("one Fock dimension per mode required")
         dim = self.joint_dim

@@ -46,7 +46,7 @@ from .coefficients import (
     write_coefficients_csv,
 )
 from .grids import make_grid, quad_weights
-from .oracle import JointModel, compare_with_me, evolve_joint
+from .oracle import DEFAULT_DIMENSION_CAP, DEFAULT_MODE_DIM, JointModel, compare_with_me, evolve_joint
 from .propagate import GaussianMoments, Trajectory, evolve, evolve_moments
 from .series import SeriesConfig, dump_convergence_csv
 from .system import commutator_kernel, fock_operators, harmonic_kernels, quadratic_hamiltonian
@@ -140,9 +140,10 @@ class RunConfig:
             _check_fields(self.white_noise_sweep, _SWEEP, "white_noise_sweep")
             if self.scenario != "joos-zeh":
                 raise ConfigError("white_noise_sweep", f"only joos-zeh runs the sweep, not {self.scenario}")
-        two_level = model == "dephasing" and self.scenario != "coeffs"
-        dim = 2 if two_level else self.propagation["fock_dim"]
+        # the system the model has: a qubit for dephasing, else the Fock space
+        dim = 2 if model == "dephasing" else self.propagation["fock_dim"]
         _check_initial_state(self.propagation.get("initial_state"), dim)
+        _check_mode_dims(self, dim)
 
 
 #: Numeric fields ``(path, integer, lower bound, bound excluded)``, checked
@@ -206,6 +207,28 @@ def _check_initial_state(spec, dim: int) -> None:
         raise ConfigError(path, "plus state needs dim 2")
     if spec.get("index", 0) >= dim:
         raise ConfigError(f"{path}.index", "outside basis")
+
+
+def _check_mode_dims(cfg: RunConfig, system_dim: int) -> None:
+    """Reject ``oracle.mode_dims`` unless it is null or a list of ints
+    >= 1; under ``oracle-check`` also a list without one entry per mode or
+    a joint dimension (the default fills null) above the oracle's cap."""
+    path, dims = "oracle.mode_dims", cfg.oracle["mode_dims"]
+    if dims is not None:
+        if not isinstance(dims, list):
+            raise ConfigError(path, f"need null or a list of integers, got {dims!r}")
+        for x in dims:
+            _check_number(x, path, True, 1, False)
+    if cfg.scenario != "oracle-check":
+        return
+    n_modes = len(cfg.kernel["mode_freqs"])
+    if dims is None:
+        dims = [DEFAULT_MODE_DIM] * n_modes
+    if len(dims) != n_modes:
+        raise ConfigError(path, f"need one entry per kernel.mode_freqs ({n_modes}), got {len(dims)}")
+    joint = system_dim * math.prod(dims)
+    if joint > DEFAULT_DIMENSION_CAP:
+        raise ConfigError(path, f"joint dimension {joint} exceeds cap {DEFAULT_DIMENSION_CAP}")
 
 
 #: Models each scenario runs through ``model``; the others are their own model.
@@ -422,7 +445,7 @@ def _oracle_comparison(cfg: RunConfig, ops: dict, psi0, grid, traj: Trajectory):
         channel_ops=tuple(ops["A"]),
         mode_freqs=tuple(freqs),
         couplings=_couplings(cfg.kernel["couplings"]),
-        mode_dims=tuple(cfg.oracle["mode_dims"] or [6] * len(freqs)),
+        mode_dims=tuple(cfg.oracle["mode_dims"] or ()),
     )
     traj_or = evolve_joint(joint, psi0, grid.t_max, cfg.propagation["n_samples"], scenario=cfg.model)
     comparison = compare_with_me(traj_or, traj, mode_freqs=freqs)

@@ -20,15 +20,43 @@ All integrals are iterated rules on the triangle ``0 <= s <= tau <= t``
 with the half-weight diagonal convention of :func:`nmgme.grids.theta_mask`.
 
 ``D`` and ``f`` are sampled once on the whole grid square
-(:class:`SampledKernels`); the inputs at one outer time ``t_K`` are the
-leading ``[0, t_K]`` squares of those samples, since the prefix-weight
-matrix and the step mask of a prefix grid are the leading blocks of the
-full ones.  Channel and time indices are flattened time-major, so a
-table ``X[j, k, a, b]`` is the matrix ``X[(a, j), (b, k)]``, a prefix is
-a leading square, and every contraction is one matrix product after the
-quadrature weights are applied elementwise.  Builds at distinct outer
-times are independent; results are deterministic at a fixed BLAS thread
-count.
+(:class:`SampledKernels`).  Channel and time indices are flattened
+time-major, so a table ``X[j, k, a, b]`` is the matrix
+``X[(a, j), (b, k)]`` and every contraction is one matrix product after
+the quadrature weights are applied elementwise.
+
+**One build for every outer time** (:func:`build_ab_tables`).  The
+corrections ``alpha^n``/``beta^n`` at ``t_K`` read the order-``n`` tables
+only through their outer-rule sums ``int_0^{t_K} dsig``: ``r_n`` (the sum
+of ``b^n``, which equals that of ``P^n``) and ``q_n`` (the sum of
+``Q^n``), ``d`` rows each.  Every recursion step multiplies these sums
+from the right by matrices that do not depend on the outer time, so they
+are stacked as the row blocks of ``(G d) x (G d)`` matrices, row block
+``K`` holding ``t_K``, and each step is one product for all outer times.
+With ``Pw`` the prefix-weight matrix on channel pairs (it scales row
+block ``K`` by the outer rule of ``t_K`` and zeroes every column past
+``t_K``), ``V_X`` of :attr:`SampledKernels.V` and ``*`` elementwise::
+
+    r_1 = 2i V_im                  q_1 = 2i V_re
+    s_n     = r_n WDRe^T + q_n WDIm^T
+    r_{n+1} = 2i (r_n * Pw) V_im
+    q_{n+1} = -2i [(s_n * Pw) F_below - (r_n * Pw) V_re]
+    alpha_n[K] = (-1)^n (s_n + r_n (Wsuf_K * DRe))[block K, columns <= K]
+    beta_n[K]  = (-1)^n (      r_n (Wsuf_K * DIm))[block K, columns <= K]
+
+(The ``D(t_K, .)`` pin of ``b^1`` is row block ``K`` of ``WDIm``, so
+``r_1 = 2i WDIm G1 = 2i V_im``.)  The suffix rule ``Wsuf_K`` of
+``int_{s1}^{t_K} dtau`` depends on ``t_K`` only at ``tau = t_{K-1}, t_K``;
+elsewhere it is the rule of the longest interval.  So ``D`` is weighted
+by that rule once, and the suffix term of each outer time is one
+``d x N`` by ``N x N`` product on the leading block plus a two-point end
+term.  The cost is ``O(order (G d)^3)``.
+
+The per-time engine (:class:`SeriesContext`, :func:`contraction_BA`,
+:func:`contraction_BB`, :func:`recurse_a`, :func:`recurse_b`,
+:func:`alpha_beta`) builds the full tables at one outer time from the
+leading ``[0, t_K]`` squares of the samples; it is kept as a reference
+for the tests.  Results are deterministic at a fixed BLAS thread count.
 """
 
 from __future__ import annotations
@@ -57,6 +85,7 @@ __all__ = [
     "recurse_a",
     "alpha_beta",
     "assemble_AB",
+    "build_ab_tables",
     "dump_convergence_csv",
 ]
 
@@ -96,6 +125,12 @@ def _unblk(M: np.ndarray, d: int) -> np.ndarray:
 def _on_pairs(W: np.ndarray, d: int) -> np.ndarray:
     """Time weights ``W[a, b]`` spread over the channel pairs of each block."""
     return np.repeat(np.repeat(W, d, axis=0), d, axis=1)
+
+
+def _at_outer(X: np.ndarray, K: int, d: int) -> np.ndarray:
+    """Row block ``K`` of a stacked matrix up to column block ``K``,
+    ``X[(K, j), (a, k)]``, as the view ``[j, k, a]``."""
+    return X[K * d : (K + 1) * d, : (K + 1) * d].reshape(d, K + 1, d).transpose(0, 2, 1)
 
 
 def _pin(T: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -163,6 +198,20 @@ class SampledKernels:
         for arr in (self.Wpre, self.Wpad, self.DRe, self.DIm, self.WDRe, self.WDIm, self.G1, self.F_below):
             arr.flags.writeable = False
 
+    def suffix_rule(self, n: int) -> np.ndarray:
+        """Suffix-weight matrix ``Wsuf[i, i + c] = Wpre[n - 1 - i, c]`` of
+        the ``n``-point prefix grid, whose row ``i`` is the rule for
+        ``int_{t_i}^{t_{n-1}}``: a read-only view of ``Wpad``."""
+        # Wsuf[i, j] = Wpre[n - 1 - i, j - i] = Wpad[n - i, j - i]: one row
+        # down is one row up and one column left in Wpad.  Left of the
+        # diagonal the flat offset wraps into the tail of the row above,
+        # which is zero (Wpre vanishes right of its diagonal, and the top
+        # row is the pad); every index stays inside Wpad since n <= G
+        s0, s1 = self.Wpad.strides
+        return np.lib.stride_tricks.as_strided(
+            self.Wpad[n], shape=(n, n), strides=(-s0 - s1, s1), writeable=False
+        )
+
     @cached_property
     def V(self) -> tuple:
         """``(V_im, V_re)``, ``V_X[k, m](tau', s2) = int_0^{tau'} dsig'
@@ -182,9 +231,8 @@ class SeriesContext:
 
     Prefix views of the :class:`SampledKernels` matrices, the outer rule
     ``w`` (the last row of the prefix-weight matrix) and the suffix-weight
-    matrix ``Wsuf[i, i + c] = Wpre[n - 1 - i, c]``, whose row ``i`` is the
-    rule for ``int_{t_i}^{t}``: a read-only view of the full prefix-weight
-    matrix, so no weight table is built per outer time.
+    matrix ``Wsuf`` (:meth:`SampledKernels.suffix_rule`), so no weight
+    table is built per outer time.
     """
 
     def __init__(self, samples: SampledKernels, outer_index: int):
@@ -205,15 +253,7 @@ class SeriesContext:
         self.w = samples.Wpre[K, :n]
         # the same rule on the flattened (time, channel) axis
         self.w_blk = np.repeat(self.w, d)
-        # Wsuf[i, j] = Wpre[n - 1 - i, j - i] = Wpad[n - i, j - i]: one row
-        # down is one row up and one column left in Wpad.  Left of the
-        # diagonal the flat offset wraps into the tail of the row above,
-        # which is zero (Wpre vanishes right of its diagonal, and the top
-        # row is the pad); every index stays inside Wpad since n <= G
-        s0, s1 = samples.Wpad.strides
-        self.Wsuf = np.lib.stride_tricks.as_strided(
-            samples.Wpad[n], shape=(n, n), strides=(-s0 - s1, s1), writeable=False
-        )
+        self.Wsuf = samples.suffix_rule(n)
         # D with its first slot pinned at the outer time: [a, j, k] = D_jk(t, s_a)
         self.DRe_t = self.DRe[N - d :].reshape(d, n, d).transpose(1, 0, 2)
         self.DIm_t = self.DIm[N - d :].reshape(d, n, d).transpose(1, 0, 2)
@@ -281,17 +321,20 @@ def _outer_index(t: float, grid: TimeGrid) -> int:
     return idx
 
 
-def _context(D, f, t, grid, method, samples=None) -> SeriesContext:
-    """Context at outer time ``t``; samples the whole grid when no shared
-    samples are given."""
-    K = _outer_index(t, grid)
+def _samples_for(D, f, grid, method, samples=None) -> SampledKernels:
+    """The given shared samples, checked against the inputs, or a fresh
+    sample of the whole grid."""
     if samples is None:
-        samples = SampledKernels(D, f, grid, method)
-    elif not (
-        samples.D is D and samples.f is f and samples.grid is grid and samples.method == method
-    ):
+        return SampledKernels(D, f, grid, method)
+    if not (samples.D is D and samples.f is f and samples.grid is grid and samples.method == method):
         raise ValueError("samples were taken for other kernels, grid or quadrature rule")
-    return SeriesContext(samples, K)
+    return samples
+
+
+def _context(D, f, t, grid, method) -> SeriesContext:
+    """Context at outer time ``t`` on a fresh sample of the whole grid."""
+    K = _outer_index(t, grid)
+    return SeriesContext(_samples_for(D, f, grid, method), K)
 
 
 def contraction_BA(
@@ -466,6 +509,120 @@ class ABKernels:
     converged: bool
 
 
+def build_ab_tables(
+    D: CorrelationKernel,
+    f: CommutatorKernel,
+    config: SeriesConfig,
+    grid: TimeGrid,
+    force_series: bool = False,
+    samples: SampledKernels | None = None,
+) -> list[ABKernels]:
+    """Truncated kernel series ``A = D^Re + sum alpha^n``,
+    ``B = D^Im + sum beta^n`` at every grid time, entry ``K`` at ``t_K``.
+
+    The chain sums of every outer time are the row blocks of stacked
+    matrices, so each recursion step is a few products for all outer times
+    at once (see the module docstring).  Each outer time stops at the first
+    order whose relative sup-norm drops below ``config.eps_series``.
+
+    Two exact closures short-circuit the series: constant coupling
+    operators (``f`` identically zero) and purely real correlation
+    kernels, for which every correction vanishes identically and the
+    zeroth order is returned bit for bit.  ``force_series`` disables the
+    shortcut (the recursions then produce exact zeros anyway).
+    ``samples`` is a :class:`SampledKernels` of ``(D, f, grid,
+    config.method)``; without it the grid square is sampled here.
+    """
+    samples = _samples_for(D, f, grid, config.method, samples)
+    d, G = samples.d, grid.n_points
+    closure = (f.is_zero or D.is_real) and not force_series
+    max_order = 0 if closure else config.max_order
+    # t_0 has no correction: every integral of its chains is empty
+    active = list(range(1, G))
+    # zeroth order: D with its first slot at the outer time; the orders
+    # are added in place, so the tables that get them are complex
+    dtypes = [complex if max_order and K else float for K in range(G)]
+    A = [_at_outer(samples.DRe, K, d).astype(dtypes[K], order="C") for K in range(G)]
+    B = [_at_outer(samples.DIm, K, d).astype(dtypes[K], order="C") for K in range(G)]
+    per_order = [[] for _ in range(G)]
+    last_rel = [0.0] * G
+    ref = [max(np.max(np.abs(A[K])), np.max(np.abs(B[K])), 1e-300) for K in range(G)]
+
+    Pw = _on_pairs(samples.Wpre, d)
+    # entries past t_K in row block K of the stacked sums feed no output;
+    # they are kept at zero so that an overflow there cannot reach one
+    past = ~_on_pairs(np.tri(G, dtype=bool), d)
+    # Tsuf[s1, tau] = Wpre[G - 1, tau - s1] (tau >= s1), the rule of the
+    # longest interval, equals the suffix rule of int_{s1}^{t_K} dtau left
+    # of t_{K-1} for both rules; SDX weights D^X with it on channel pairs
+    lag = np.subtract.outer(np.arange(G), np.arange(G))
+    Tsuf = np.where(lag <= 0, samples.Wpre[G - 1][np.abs(lag)], 0.0)
+    SDRe = _on_pairs(Tsuf.T, d) * samples.DRe
+    SDIm = _on_pairs(Tsuf.T, d) * samples.DIm
+    for n in range(1, max_order + 1):
+        if n == 1:
+            V_im, V_re = samples.V
+            r = 2j * V_im
+            q = 2j * V_re
+        else:
+            # the order-(n-1) sums are weighted in place: s * Pw, r * Pw
+            s *= Pw
+            q = s @ samples.F_below
+            del s
+            r *= Pw
+            q -= r @ V_re
+            q *= -2j
+            r = r @ V_im
+            r *= 2j
+        np.copyto(r, 0, where=past)
+        np.copyto(q, 0, where=past)
+        rows = (d * np.array(active)[:, None] + np.arange(d)).ravel()
+        if not (np.isfinite(r[rows]).all() and np.isfinite(q[rows]).all()):
+            raise ValueError(f"non-finite entries in order-{n} chain sums")
+        s = r @ samples.WDRe.T
+        s += q @ samples.WDIm.T
+        np.copyto(s, 0, where=past)
+        sign = (-1.0) ** n
+        for K in active:
+            m, N = K + 1, (K + 1) * d
+            blk, head, last = slice(K * d, N), slice(0, (K - 1) * d), slice((K - 1) * d, N)
+            # [tau, 1, s1, 1] weights of int_{s1}^{t_K} dtau at tau = t_{K-1}, t_K
+            w_last = samples.suffix_rule(m)[:, K - 1 :].T[:, None, :, None]
+            alpha_K, beta_K = (
+                r[blk, head] @ SDX[head, :N]
+                + r[blk, last] @ (DX[last, :N].reshape(2, d, m, d) * w_last).reshape(2 * d, N)
+                for SDX, DX in ((SDRe, samples.DRe), (SDIm, samples.DIm))
+            )
+            alpha_K += s[blk, :N]
+            # [j, (s1, k)] -> [j, k, s1]
+            alpha_K = sign * alpha_K.reshape(d, m, d).transpose(0, 2, 1)
+            beta_K = sign * beta_K.reshape(d, m, d).transpose(0, 2, 1)
+            norm_a = float(np.max(np.abs(alpha_K)))
+            norm_b = float(np.max(np.abs(beta_K)))
+            per_order[K].append((n, norm_a, norm_b))
+            A[K] += alpha_K
+            B[K] += beta_K
+            last_rel[K] = (norm_a + norm_b) / ref[K]
+        active = [K for K in active if not last_rel[K] < config.eps_series]
+        if not active:
+            break
+
+    return [
+        ABKernels(
+            outer_index=K,
+            outer_time=float(grid.points[K]),
+            grid=grid,
+            A=A[K],
+            B=B[K],
+            achieved_order=len(per_order[K]),
+            last_order_norm=last_rel[K],
+            per_order=tuple(per_order[K]),
+            converged=last_rel[K] < config.eps_series,
+        )
+        for K in range(G)
+    ]
+
+
 def assemble_AB(
     D: CorrelationKernel,
     f: CommutatorKernel,
@@ -475,75 +632,11 @@ def assemble_AB(
     force_series: bool = False,
     samples: SampledKernels | None = None,
 ) -> ABKernels:
-    """Truncated kernel series ``A = D^Re + sum alpha^n``,
-    ``B = D^Im + sum beta^n`` at outer time ``t``.
-
-    Two exact closures short-circuit the series: constant coupling
-    operators (``f`` identically zero) and purely real correlation
-    kernels, for which every correction vanishes identically and the
-    zeroth order is returned bit for bit.  ``force_series`` disables the
-    shortcut (the recursions then produce exact zeros anyway).
-    ``samples`` shares one :class:`SampledKernels` of ``(D, f, grid,
-    config.method)`` between outer times; without it the whole grid is
-    sampled for this call alone.
-    """
-    ctx = _context(D, f, t, grid, config.method, samples)
-    # [a, j, k] -> [j, k, a]
-    A0 = ctx.DRe_t.transpose(1, 2, 0).copy()
-    B0 = ctx.DIm_t.transpose(1, 2, 0).copy()
-
-    closure = (f.is_zero or D.is_real) and not force_series
-    if closure or config.max_order == 0 or ctx.n == 1:
-        return ABKernels(
-            outer_index=ctx.outer_index,
-            outer_time=ctx.outer_time,
-            grid=grid,
-            A=A0,
-            B=B0,
-            achieved_order=0,
-            last_order_norm=0.0,
-            per_order=(),
-            converged=True,
-        )
-
-    ref = max(np.max(np.abs(A0)), np.max(np.abs(B0)), 1e-300)
-    A, B = A0, B0
-    per_order = []
-    b_table = contraction_BA(D, f, t, grid, ctx=ctx)
-    a_table = contraction_BB(D, f, t, grid, ctx=ctx)
-    b1 = b_table
-    last_rel = 0.0
-    achieved = 0
-    converged = True
-    for n in range(1, config.max_order + 1):
-        if n >= 2:
-            a_table = recurse_a(n, a_table, b_table)
-            b_table = recurse_b(n, b1, b_table)
-        corr = alpha_beta(n, b_table, a_table)
-        alpha_n, beta_n = corr["alpha"], corr["beta"]
-        norm_a = float(np.max(np.abs(alpha_n)))
-        norm_b = float(np.max(np.abs(beta_n)))
-        per_order.append((n, norm_a, norm_b))
-        A = A + alpha_n
-        B = B + beta_n
-        achieved = n
-        last_rel = (norm_a + norm_b) / ref
-        if last_rel < config.eps_series:
-            break
-    else:
-        converged = last_rel < config.eps_series
-
-    return ABKernels(
-        outer_index=ctx.outer_index,
-        outer_time=ctx.outer_time,
-        grid=grid,
-        A=A,
-        B=B,
-        achieved_order=achieved,
-        last_order_norm=last_rel,
-        per_order=tuple(per_order),
-        converged=converged,
-    )
+    """The kernel series at outer time ``t``: the entry of
+    :func:`build_ab_tables` at ``t``, bit for bit, built with the whole
+    grid."""
+    K = _outer_index(t, grid)
+    return build_ab_tables(D, f, config, grid, force_series, samples)[K]
 
 
 def dump_convergence_csv(results, path) -> None:

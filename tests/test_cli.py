@@ -85,6 +85,7 @@ def test_dump_rho_flag(tmp_path):
 
 
 MODES = {"family": "discrete_modes", "mode_freqs": [1.0, 1.6], "couplings": [[0.2, [0.1, 0.05]]]}
+ORACLE_2 = {"model": "dephasing", "kernel": MODES}
 SWEEP = {"eps_values": [0.1, 0.05], "strength": 1.0, "t_eval": 1.0, "n_points": 65}
 
 
@@ -164,9 +165,22 @@ def test_invalid_config_exit_2(tmp_path, capsys):
         ("dephasing", "white_noise_sweep", None, [0.1, 0.05], "white_noise_sweep"),
         # a valid sweep on a scenario that does not run it
         ("hpz", "white_noise_sweep", None, SWEEP, "white_noise_sweep"),
+        # oracle Fock dimensions, checked before the master-equation run;
+        # the last entry of a case holds further blocks of the config
+        ("oracle-check", "oracle", "mode_dims", [3, 1.5], "oracle.mode_dims", ORACLE_2),
+        ("oracle-check", "oracle", "mode_dims", [80, 80], "oracle.mode_dims", ORACLE_2),
+        ("oracle-check", "oracle", "mode_dims", [3], "oracle.mode_dims", ORACLE_2),
+        ("oracle-check", "oracle", "mode_dims", [3, True], "oracle.mode_dims", ORACLE_2),
+        ("oracle-check", "oracle", "mode_dims", [0, 3], "oracle.mode_dims", ORACLE_2),
+        ("oracle-check", "oracle", "mode_dims", 3, "oracle.mode_dims", ORACLE_2),
+        ("dephasing", "oracle", "mode_dims", [3, "4"], "oracle.mode_dims"),
+        # the default of 6 per mode on five modes: 2 * 6^5 > 4096
+        ("oracle-check", "oracle", "mode_dims", None, "oracle.mode_dims",
+         {**ORACLE_2, "kernel": {**MODES, "mode_freqs": [1.0] * 5, "couplings": [[0.1] * 5]}}),
     ]
-    for scenario, block, key, value, field_path in cases:
+    for scenario, block, key, value, field_path, *extra in cases:
         cfg = base_dephasing(tmp_path)
+        cfg.update(*extra)
         if key is None:
             cfg[block] = value
         else:
@@ -179,6 +193,14 @@ def test_invalid_config_exit_2(tmp_path, capsys):
         assert err["field"] == field_path
         # rejected before any computation: no output directory yet
         assert not (tmp_path / "out").exists()
+
+
+def test_coeffs_checks_initial_state_against_the_model_system(tmp_path):
+    # the dephasing model is a qubit, also under coeffs, which never propagates
+    cfg = base_dephasing(tmp_path)
+    cfg["model"] = "dephasing"
+    assert cfg["propagation"]["initial_state"] == {"type": "plus"}
+    assert main(["coeffs", "--config", write_config(tmp_path, cfg)]) == 0
 
 
 @pytest.mark.parametrize("scenario, model", [

@@ -360,7 +360,15 @@ def test_sector_oracle_matches_full_eigh_reference(case, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "demo", ["01_dephasing_exactness.py", "03_exact_coefficients_from_oracle.py"], ids=["01", "03"]
+    "demo",
+    [
+        "01_dephasing_exactness.py",
+        "02_memory_kernel_series.py",
+        "03_exact_coefficients_from_oracle.py",
+        "04_white_noise_limit.py",
+        "05_collapse_model.py",
+    ],
+    ids=["01", "02", "03", "04", "05"],
 )
 def test_oracle_demos_run(demo, tmp_path):
     root = Path(__file__).resolve().parents[1]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nmgme import coefficients, series
 from nmgme.bath import (
     CorrelationKernel,
     make_discrete_modes,
@@ -549,11 +550,12 @@ def _ref_alpha_beta(c, n, b, a):
 
 
 def _ref_assemble(D, f, config, K, grid, force_series=False):
-    """``(A, B, per_order, achieved_order, converged)`` at outer index ``K``."""
+    """``(A, B, per_order, achieved_order, converged, last_order_norm)`` at
+    outer index ``K``."""
     c = _RefContext(D, f, grid, K, config.method)
     A, B = c.DRe_t.copy(), c.DIm_t.copy()
     if ((f.is_zero or D.is_real) and not force_series) or config.max_order == 0 or c.n == 1:
-        return A, B, (), 0, True
+        return A, B, (), 0, True, 0.0
     ref = max(np.max(np.abs(A)), np.max(np.abs(B)), 1e-300)
     b, a = _ref_BA(c), _ref_BB(c)
     per_order, last_rel, converged = [], 0.0, True
@@ -570,16 +572,17 @@ def _ref_assemble(D, f, config, K, grid, force_series=False):
             break
     else:
         converged = last_rel < config.eps_series
-    return A, B, tuple(per_order), len(per_order), converged
+    return A, B, tuple(per_order), len(per_order), converged, last_rel
 
 
 def _assert_matches_reference(D, f, config, grid, indices, force_series=False):
     tabs = build_ab_tables(D, f, config, grid, force_series=force_series)
     for K in indices:
-        A, B, per_order, achieved, converged = _ref_assemble(D, f, config, K, grid, force_series)
+        A, B, per_order, achieved, converged, last_rel = _ref_assemble(D, f, config, K, grid, force_series)
         res = tabs[K]
         assert res.outer_index == K
         assert (res.achieved_order, res.converged) == (achieved, converged), K
+        assert abs(res.last_order_norm - last_rel) <= 1e-13, K
         assert np.max(np.abs(res.A - A)) <= 1e-13, K
         assert np.max(np.abs(res.B - B)) <= 1e-13, K
         assert len(res.per_order) == len(per_order), K
@@ -588,17 +591,33 @@ def _assert_matches_reference(D, f, config, grid, indices, force_series=False):
             assert abs(na - na_ref) <= 1e-13 and abs(nb - nb_ref) <= 1e-13, (K, n)
 
 
+#: ``(setup, max_order, eps_series)``: d = 1 (discrete modes) and d = 2
+#: (collapse model) through all three orders, and d = 2 at order 4 with a
+#: threshold at which outer times stop at orders 2, 3 and 4, some of them
+#: unconverged
+SERIES_CASES = {
+    "hpz": (hpz_setup, 3, 1e-30),
+    "qmupl": (lambda: qmupl_setup(lam=0.5, mu=0.3), 3, 1e-30),
+    "qmupl_order4_eps": (lambda: qmupl_setup(lam=0.5, mu=0.3), 4, 1e-4),
+}
+
+
 @pytest.mark.parametrize("method", ["trapezoid", "simpson"])
 @pytest.mark.parametrize("G", [17, 65])
-@pytest.mark.parametrize("model", ["hpz", "qmupl"])
+@pytest.mark.parametrize("model", list(SERIES_CASES))
 def test_shared_sample_engine_matches_per_time_reference(model, G, method):
-    # d = 1 (discrete modes) and d = 2 (collapse model), all three orders
-    D, f = hpz_setup() if model == "hpz" else qmupl_setup(lam=0.5, mu=0.3)
+    setup, max_order, eps = SERIES_CASES[model]
+    D, f = setup()
     grid = make_grid(2.0, G)
     # every outer time on the small grid; first, middle and last ones on the
     # large grid, where the per-time reference is slow
-    indices = range(G) if G == 17 else (0, 1, 2, 3, G // 2, G - 2, G - 1)
-    _assert_matches_reference(D, f, SeriesConfig(max_order=3, eps_series=1e-30, method=method), grid, indices)
+    indices = range(G) if G == 17 else (0, 1, 2, 3, 4, G // 2, G - 2, G - 1)
+    config = SeriesConfig(max_order=max_order, eps_series=eps, method=method)
+    _assert_matches_reference(D, f, config, grid, indices)
+    if model == "qmupl_order4_eps" and G == 17:
+        tabs = build_ab_tables(D, f, config, grid)
+        assert {ab.achieved_order for ab in tabs[1:]} == {2, 3, 4}
+        assert {ab.converged for ab in tabs} == {True, False}
 
 
 def test_shared_sample_engine_matches_reference_when_truncating_or_forced():
@@ -628,6 +647,32 @@ def test_standalone_assembly_equals_shared_build_bit_for_bit():
             res = assemble_AB(D, f, config, grid.points[K], grid)
             assert np.array_equal(res.A, tabs[K].A) and np.array_equal(res.B, tabs[K].B), K
             assert res.per_order == tabs[K].per_order, K
+
+
+def test_build_runs_no_per_time_engine(monkeypatch):
+    # the series of every outer time comes from one stacked build
+    def forbidden(*args, **kwargs):
+        raise AssertionError("per-time engine called")
+
+    for name in ("SeriesContext", "contraction_BA", "contraction_BB", "recurse_a", "recurse_b", "alpha_beta"):
+        monkeypatch.setattr(series, name, forbidden)
+    D, f = qmupl_setup(lam=0.5, mu=0.3)
+    tabs = coefficients.build_ab_tables(D, f, SeriesConfig(max_order=3, eps_series=1e-30), make_grid(2.0, 17))
+    assert [ab.achieved_order for ab in tabs] == [0] + [3] * 16
+
+
+@pytest.mark.parametrize("method", ["trapezoid", "simpson"])
+def test_suffix_rule_depends_on_the_outer_time_only_at_its_last_two_points(method):
+    # the stacked build weights int_{s1}^{t_K} dtau with the rule of the
+    # longest interval, Tsuf[s1, tau] = Wpre[G - 1, tau - s1], and uses the
+    # suffix rule of t_K itself only at t_{K-1} and t_K
+    G = 33
+    samples = SampledKernels(*hpz_setup(), make_grid(2.0, G), method)
+    lag = np.arange(G)[None, :] - np.arange(G)[:, None]
+    Tsuf = np.where(lag >= 0, samples.Wpre[G - 1][np.abs(lag)], 0.0)
+    for n in range(1, G + 1):
+        keep = max(n - 2, 0)
+        assert np.array_equal(samples.suffix_rule(n)[:, :keep], Tsuf[:n, :keep]), n
 
 
 def test_build_samples_each_kernel_once_per_grid_point(monkeypatch):
