@@ -52,28 +52,40 @@ def _fail(code: int, kind: str, detail: dict) -> int:
     return code
 
 
+def _with_overrides(raw, args) -> dict:
+    """The config tree with the command-line scenario and overrides; a
+    config ``scenario:`` must name the command-line scenario."""
+    if not isinstance(raw, dict):
+        raise ConfigError("<root>", f"configuration must be a mapping, got {raw!r}")
+    if raw.setdefault("scenario", args.scenario) != args.scenario:
+        raise ConfigError("scenario", f"config names {raw['scenario']!r}, the command line {args.scenario!r}")
+    if args.out is not None:
+        raw["output_dir"] = args.out
+    if args.dump_rho:
+        raw["dump_rho"] = True
+    for value, block, key in (
+        (args.grid, "grid", "n_points"),
+        (args.order, "series", "max_order"),
+        (args.fock_dim, "propagation", "fock_dim"),
+    ):
+        if value is not None:
+            if not isinstance(raw.setdefault(block, {}), dict):
+                raise ConfigError(block, "must be a mapping")
+            raw[block][key] = value
+    return raw
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         with open(args.config) as fh:
-            raw = yaml.safe_load(fh) or {}
+            raw = yaml.safe_load(fh)
     except (OSError, yaml.YAMLError) as exc:
         return _fail(2, "config_unreadable", {"path": args.config, "message": str(exc)})
 
-    raw["scenario"] = args.scenario
-    if args.out:
-        raw["output_dir"] = args.out
-    if args.dump_rho:
-        raw["dump_rho"] = True
-    if args.grid is not None:
-        raw.setdefault("grid", {})["n_points"] = args.grid
-    if args.order is not None:
-        raw.setdefault("series", {})["max_order"] = args.order
-    if args.fock_dim is not None:
-        raw.setdefault("propagation", {})["fock_dim"] = args.fock_dim
-
     try:
-        cfg = RunConfig.from_dict(raw)
+        # an empty file runs every default
+        cfg = RunConfig.from_dict(_with_overrides({} if raw is None else raw, args))
     except ConfigError as exc:
         return _fail(2, "invalid_config", {"field": exc.field_path, "message": str(exc)})
 

@@ -97,20 +97,23 @@ class RunConfig:
                     cfg.kernel = {"family": "exponential", **raw[key]}
                     continue
                 block = getattr(cfg, key)
-                unknown = sorted(set(raw[key]) - set(block))
+                unknown = sorted(set(raw[key]) - set(block), key=str)
                 if unknown:
                     raise ConfigError(f"{key}.{unknown[0]}", "unknown configuration key")
                 block.update(raw[key])
         for key in ("model", "output_dir", "dump_rho", "white_noise_sweep"):
             if key in raw:
                 setattr(cfg, key, raw[key])
+        # only coeffs and oracle-check choose a model; the others are their own
+        if "model" in raw and scenario not in _MODELS and raw["model"] != scenario:
+            raise ConfigError("model", f"{scenario} runs its own model, got {raw['model']!r}")
         unknown = set(raw) - {
             "scenario", "kernel", "system", "grid", "series",
             "propagation", "oracle", "model", "output_dir", "dump_rho",
             "white_noise_sweep",
         }
         if unknown:
-            raise ConfigError(sorted(unknown)[0], "unknown configuration key")
+            raise ConfigError(str(sorted(unknown, key=str)[0]), "unknown configuration key")
         cfg.validate()
         return cfg
 
@@ -125,6 +128,9 @@ class RunConfig:
             raise ConfigError("model", f"{self.scenario} supports {_MODELS[self.scenario]}, got {model!r}")
         if model == "joos-zeh" and not self.system["lam"] > 0:
             raise ConfigError("system.lam", "joos-zeh needs a positive coupling")
+        lam_mu = self.system["lam"] * self.system["mu"]
+        if model == "qmupl" and self.system["omega"] ** 2 <= lam_mu**2:
+            raise ConfigError("system", f"qmupl needs omega > lam * mu (a real shifted frequency), got lam * mu = {lam_mu!r}")
         _check_kernel(self.kernel)
         if self.scenario == "oracle-check" and self.kernel["family"] != "discrete_modes":
             raise ConfigError("kernel.family", "oracle-check needs a discrete_modes kernel")
@@ -144,6 +150,10 @@ class RunConfig:
         dim = 2 if model == "dephasing" else self.propagation["fock_dim"]
         _check_initial_state(self.propagation.get("initial_state"), dim)
         _check_mode_dims(self, dim)
+        if not isinstance(self.output_dir, str) or not self.output_dir:
+            raise ConfigError("output_dir", f"need a directory path, got {self.output_dir!r}")
+        if not isinstance(self.dump_rho, bool):
+            raise ConfigError("dump_rho", f"need true or false, got {self.dump_rho!r}")
 
 
 #: Numeric fields ``(path, integer, lower bound, bound excluded)``, checked
@@ -197,7 +207,7 @@ def _check_initial_state(spec, dim: int) -> None:
     if not isinstance(kind, str) or kind not in _INITIAL_STATES:
         raise ConfigError(f"{path}.type", f"unknown type {kind!r}")
     fields = _INITIAL_STATES[kind]
-    unknown = sorted(set(spec) - set(fields) - {"type"})
+    unknown = sorted(set(spec) - set(fields) - {"type"}, key=str)
     if unknown:
         raise ConfigError(f"{path}.{unknown[0]}", "unknown configuration key")
     for key, (integer, low) in fields.items():
@@ -268,7 +278,7 @@ def _check_kernel(spec: dict) -> None:
 def _check_fields(spec: dict, fields: dict, prefix: str) -> None:
     """Reject an unknown or missing key or a bad value of a block
     against its schema in ``_KERNELS`` or ``_SWEEP``."""
-    unknown = sorted(set(spec) - set(fields))
+    unknown = sorted(set(spec) - set(fields), key=str)
     if unknown:
         raise ConfigError(f"{prefix}.{unknown[0]}", "unknown configuration key")
     for key, (kind, low, strict) in fields.items():

@@ -33,30 +33,50 @@ of ``b^n``, which equals that of ``P^n``) and ``q_n`` (the sum of
 from the right by matrices that do not depend on the outer time, so they
 are stacked as the row blocks of ``(G d) x (G d)`` matrices, row block
 ``K`` holding ``t_K``, and each step is one product for all outer times.
-With ``Pw`` the prefix-weight matrix on channel pairs (it scales row
-block ``K`` by the outer rule of ``t_K`` and zeroes every column past
-``t_K``), ``V_X`` of :attr:`SampledKernels.V` and ``*`` elementwise::
 
-    r_1 = 2i V_im                  q_1 = 2i V_re
+**Real arithmetic.**  The channels of every model are Hermitian
+combinations of ``q`` and ``p``, so ``f = [x_t, x_s]`` is ``i`` times a
+real kernel (``Re f`` is exactly 0; the build raises otherwise).  With
+``Gamma1 = Im G1``, ``Phi = Im F_below`` and ``U_X = WDX Gamma1`` (the
+imaginary part of ``V_X``, :attr:`SampledKernels.U`) every chain sum is
+real.  With ``Pw`` the prefix-weight matrix on channel pairs (it scales
+row block ``K`` by the outer rule of ``t_K`` and zeroes every column past
+``t_K``) and ``*`` elementwise::
+
+    r_1 = -2 U_im                  q_1 = -2 U_re
     s_n     = r_n WDRe^T + q_n WDIm^T
-    r_{n+1} = 2i (r_n * Pw) V_im
-    q_{n+1} = -2i [(s_n * Pw) F_below - (r_n * Pw) V_re]
+    r_{n+1} = -2 (r_n * Pw) U_im
+    q_{n+1} =  2 [(s_n * Pw) Phi - (r_n * Pw) U_re]
     alpha_n[K] = (-1)^n (s_n + r_n (Wsuf_K * DRe))[block K, columns <= K]
     beta_n[K]  = (-1)^n (      r_n (Wsuf_K * DIm))[block K, columns <= K]
 
 (The ``D(t_K, .)`` pin of ``b^1`` is row block ``K`` of ``WDIm``, so
-``r_1 = 2i WDIm G1 = 2i V_im``.)  The suffix rule ``Wsuf_K`` of
+``r_1 = 2i WDIm G1 = -2 U_im``.)
+
+**The suffix term as one product.**  The suffix rule ``Wsuf_K`` of
 ``int_{s1}^{t_K} dtau`` depends on ``t_K`` only at ``tau = t_{K-1}, t_K``;
-elsewhere it is the rule of the longest interval.  So ``D`` is weighted
-by that rule once, and the suffix term of each outer time is one
-``d x N`` by ``N x N`` product on the leading block plus a two-point end
-term.  The cost is ``O(order (G d)^3)``.
+elsewhere it is the rule of the longest interval, ``Tsuf``.  So ``D`` is
+weighted by ``Tsuf`` once (``SDX``), row block ``K`` of ``r_n`` is masked
+to its columns ``tau <= t_{K-2}``, and the masked ``r_n SDX`` is one
+product per order for all outer times.  The two-point end term at
+``t_{K-1}, t_K`` is one batched ``(d, 2d) @ (2d, .)`` product over the
+outer times.  Sup-norms, the ``eps_series`` stop and the sums into ``A``
+and ``B`` are array operations over the outer times.
+
+**Slabs.**  Row block ``K`` of order ``n + 1`` depends only on row block
+``K`` of order ``n``, and has no entry past ``t_K``.  So the outer times
+run in slabs ``[K0, K1)`` of at most :data:`SLAB`, each through every
+order on the leading ``K1 d`` columns of the operands only: the result is
+the same, the working arrays have slab height and the cost is about a
+third of ``O(order (G d)^3)``.
 
 The per-time engine (:class:`SeriesContext`, :func:`contraction_BA`,
 :func:`contraction_BB`, :func:`recurse_a`, :func:`recurse_b`,
 :func:`alpha_beta`) builds the full tables at one outer time from the
-leading ``[0, t_K]`` squares of the samples; it is kept as a reference
-for the tests.  Results are deterministic at a fixed BLAS thread count.
+leading ``[0, t_K]`` squares of the samples, in complex arithmetic (it
+also takes a commutator kernel with a real part); it is kept as a
+reference for the tests.  Results are deterministic at a fixed BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -127,12 +147,6 @@ def _on_pairs(W: np.ndarray, d: int) -> np.ndarray:
     return np.repeat(np.repeat(W, d, axis=0), d, axis=1)
 
 
-def _at_outer(X: np.ndarray, K: int, d: int) -> np.ndarray:
-    """Row block ``K`` of a stacked matrix up to column block ``K``,
-    ``X[(K, j), (a, k)]``, as the view ``[j, k, a]``."""
-    return X[K * d : (K + 1) * d, : (K + 1) * d].reshape(d, K + 1, d).transpose(0, 2, 1)
-
-
 def _pin(T: np.ndarray, X: np.ndarray) -> np.ndarray:
     """``out[(a, j), c] = sum_l T[a, j, l] X[(a, l), c]``: a channel matrix
     per time ``a`` applied to the rows of ``X``."""
@@ -140,20 +154,30 @@ def _pin(T: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.matmul(T, X.reshape(n, d, -1)).reshape(n * d, -1)
 
 
+def _read_only(*arrays) -> tuple:
+    """``arrays``, marked read-only."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 class SampledKernels:
     """``D`` and ``f`` sampled once on the whole grid square.
 
-    Every array is a ``(G d, G d)`` matrix in the time-major layout of
-    the module docstring; the inputs at outer index ``K`` are their
+    Every array is a real ``(G d, G d)`` matrix in the time-major layout
+    of the module docstring; the inputs at outer index ``K`` are their
     leading ``(K + 1) d`` squares.  ``WDRe``/``WDIm`` are
-    ``D^Re``/``D^Im`` times the prefix-weight matrix, ``G1`` is the
-    order-1 source-independent chain factor
-    ``g^1[l, j2](s1, t2) = f^{j2 l}(t2, s1) theta(t2 - s1)`` and
-    ``F_below`` is ``f^{jk}(a, b) theta(b - a)``.  ``Wpre`` (the
+    ``D^Re``/``D^Im`` times the prefix-weight matrix.  ``Gamma1`` is the
+    imaginary part of the order-1 source-independent chain factor
+    ``g^1[l, j2](s1, t2) = f^{j2 l}(t2, s1) theta(t2 - s1)`` and ``Phi``
+    that of ``F_below = f^{jk}(a, b) theta(b - a)``.  For Hermitian
+    channels ``Re f`` is exactly 0 and ``f_re`` is None; otherwise it
+    holds the real parts of ``G1`` and ``F_below``, which the per-time
+    engine reads as complex matrices (with ``V``).  ``Wpre`` (the
     prefix-weight matrix) is a view of ``Wpad``, which adds one zero row
-    on top so that suffix rules are views too.  The arrays are
-    read-only: tables share them as views.  The samples are checked for
-    finiteness here, once; tables check only what the recursions compute.
+    on top so that suffix rules are views too.  The arrays are read-only:
+    tables share them as views.  The samples are checked for finiteness
+    here, once; tables check only what the recursions compute.
     """
 
     def __init__(
@@ -181,7 +205,9 @@ class SampledKernels:
                 DRe[j, k] = np.real(val)
                 DIm[j, k] = np.imag(val)
                 F[j, k] = f(j, k, T1, T2)
-        theta = theta_mask(n)
+        for name, arr in (("D", DRe), ("D", DIm), ("f", F)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"non-finite entries in sampled {name}")
         self.Wpad = np.zeros((n + 1, n))
         self.Wpad[1:] = prefix_weights(n, grid.h, method)
         self.Wpre = self.Wpad[1:]
@@ -190,13 +216,16 @@ class SampledKernels:
         self.DIm = _blk(DIm)
         self.WDRe = wpre * self.DRe
         self.WDIm = wpre * self.DIm
-        self.G1 = np.ascontiguousarray(_blk(F * theta).T)
-        self.F_below = _blk(F * theta.T)
-        for name, arr in (("D", self.DRe), ("D", self.DIm), ("f", F)):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"non-finite entries in sampled {name}")
-        for arr in (self.Wpre, self.Wpad, self.DRe, self.DIm, self.WDRe, self.WDIm, self.G1, self.F_below):
-            arr.flags.writeable = False
+        theta = _on_pairs(theta_mask(n), d)
+        F_im = _blk(F.imag)
+        self.Gamma1 = np.ascontiguousarray((theta * F_im).T)
+        self.Phi = theta.T * F_im
+        F_re = _blk(F.real)
+        self.f_re = ((theta * F_re).T, theta.T * F_re) if F_re.any() else None
+        _read_only(
+            self.Wpre, self.Wpad, self.DRe, self.DIm, self.WDRe, self.WDIm, self.Gamma1, self.Phi,
+            *(self.f_re or ()),
+        )
 
     def suffix_rule(self, n: int) -> np.ndarray:
         """Suffix-weight matrix ``Wsuf[i, i + c] = Wpre[n - 1 - i, c]`` of
@@ -213,17 +242,38 @@ class SampledKernels:
         )
 
     @cached_property
-    def V(self) -> tuple:
-        """``(V_im, V_re)``, ``V_X[k, m](tau', s2) = int_0^{tau'} dsig'
-        D^X[k, l](tau', sig') f^{m l}(s2, sig') theta(s2 - sig')``.
+    def U(self) -> tuple:
+        """``(U_im, U_re)``, ``U_X = WDX @ Gamma1``: the imaginary part of
+        ``V_X[k, m](tau', s2) = int_0^{tau'} dsig' D^X[k, l](tau', sig')
+        f^{m l}(s2, sig') theta(s2 - sig')``.
 
         The integral stops at ``tau'``, so it does not depend on the
         outer time and is built once for the whole grid.
         """
-        V = (self.WDIm @ self.G1, self.WDRe @ self.G1)
-        for arr in V:
-            arr.flags.writeable = False
-        return V
+        return _read_only(self.WDIm @ self.Gamma1, self.WDRe @ self.Gamma1)
+
+    @cached_property
+    def G1(self) -> np.ndarray:
+        """Complex ``g^1``, for the per-time engine."""
+        return self._complex(self.Gamma1, 0)
+
+    @cached_property
+    def F_below(self) -> np.ndarray:
+        """Complex ``F_below``, for the per-time engine."""
+        return self._complex(self.Phi, 1)
+
+    def _complex(self, im: np.ndarray, part: int) -> np.ndarray:
+        out = 1j * im
+        if self.f_re is not None:
+            out += self.f_re[part]
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def V(self) -> tuple:
+        """``(V_im, V_re)`` of :attr:`U` with the complex ``G1``, for the
+        per-time engine."""
+        return _read_only(self.WDIm @ self.G1, self.WDRe @ self.G1)
 
 
 class SeriesContext:
@@ -509,6 +559,11 @@ class ABKernels:
     converged: bool
 
 
+#: Most outer times in one slab of :func:`build_ab_tables`; slabs are split
+#: evenly, so G = 65 (64 outer times with a correction) runs as one slab.
+SLAB = 64
+
+
 def build_ab_tables(
     D: CorrelationKernel,
     f: CommutatorKernel,
@@ -520,10 +575,12 @@ def build_ab_tables(
     """Truncated kernel series ``A = D^Re + sum alpha^n``,
     ``B = D^Im + sum beta^n`` at every grid time, entry ``K`` at ``t_K``.
 
-    The chain sums of every outer time are the row blocks of stacked
-    matrices, so each recursion step is a few products for all outer times
-    at once (see the module docstring).  Each outer time stops at the first
-    order whose relative sup-norm drops below ``config.eps_series``.
+    The chain sums of every outer time are the row blocks of stacked real
+    matrices, built one slab of outer times at a time (see the module
+    docstring).  Each outer time stops at the first order whose relative
+    sup-norm drops below ``config.eps_series``.  ``A`` and ``B`` are
+    float64 views of one zero-padded ``(d, d, G, G)`` array each, entry
+    ``K`` at ``[:, :, K, :K + 1]``, so the build copies no entry.
 
     Two exact closures short-circuit the series: constant coupling
     operators (``f`` identically zero) and purely real correlation
@@ -532,95 +589,136 @@ def build_ab_tables(
     shortcut (the recursions then produce exact zeros anyway).
     ``samples`` is a :class:`SampledKernels` of ``(D, f, grid,
     config.method)``; without it the grid square is sampled here.
+    Raises ``ValueError`` unless ``Re f`` is exactly 0.
     """
     samples = _samples_for(D, f, grid, config.method, samples)
+    if samples.f_re is not None:
+        raise ValueError("commutator kernel has a real part; the series needs Re f = 0 (Hermitian channels)")
     d, G = samples.d, grid.n_points
     closure = (f.is_zero or D.is_real) and not force_series
-    max_order = 0 if closure else config.max_order
-    # t_0 has no correction: every integral of its chains is empty
-    active = list(range(1, G))
-    # zeroth order: D with its first slot at the outer time; the orders
-    # are added in place, so the tables that get them are complex
-    dtypes = [complex if max_order and K else float for K in range(G)]
-    A = [_at_outer(samples.DRe, K, d).astype(dtypes[K], order="C") for K in range(G)]
-    B = [_at_outer(samples.DIm, K, d).astype(dtypes[K], order="C") for K in range(G)]
-    per_order = [[] for _ in range(G)]
-    last_rel = [0.0] * G
-    ref = [max(np.max(np.abs(A[K])), np.max(np.abs(B[K])), 1e-300) for K in range(G)]
-
-    Pw = _on_pairs(samples.Wpre, d)
-    # entries past t_K in row block K of the stacked sums feed no output;
-    # they are kept at zero so that an overflow there cannot reach one
-    past = ~_on_pairs(np.tri(G, dtype=bool), d)
-    # Tsuf[s1, tau] = Wpre[G - 1, tau - s1] (tau >= s1), the rule of the
-    # longest interval, equals the suffix rule of int_{s1}^{t_K} dtau left
-    # of t_{K-1} for both rules; SDX weights D^X with it on channel pairs
-    lag = np.subtract.outer(np.arange(G), np.arange(G))
-    Tsuf = np.where(lag <= 0, samples.Wpre[G - 1][np.abs(lag)], 0.0)
-    SDRe = _on_pairs(Tsuf.T, d) * samples.DRe
-    SDIm = _on_pairs(Tsuf.T, d) * samples.DIm
-    for n in range(1, max_order + 1):
-        if n == 1:
-            V_im, V_re = samples.V
-            r = 2j * V_im
-            q = 2j * V_re
-        else:
-            # the order-(n-1) sums are weighted in place: s * Pw, r * Pw
-            s *= Pw
-            q = s @ samples.F_below
-            del s
-            r *= Pw
-            q -= r @ V_re
-            q *= -2j
-            r = r @ V_im
-            r *= 2j
-        np.copyto(r, 0, where=past)
-        np.copyto(q, 0, where=past)
-        rows = (d * np.array(active)[:, None] + np.arange(d)).ravel()
-        if not (np.isfinite(r[rows]).all() and np.isfinite(q[rows]).all()):
-            raise ValueError(f"non-finite entries in order-{n} chain sums")
-        s = r @ samples.WDRe.T
-        s += q @ samples.WDIm.T
-        np.copyto(s, 0, where=past)
-        sign = (-1.0) ** n
-        for K in active:
-            m, N = K + 1, (K + 1) * d
-            blk, head, last = slice(K * d, N), slice(0, (K - 1) * d), slice((K - 1) * d, N)
-            # [tau, 1, s1, 1] weights of int_{s1}^{t_K} dtau at tau = t_{K-1}, t_K
-            w_last = samples.suffix_rule(m)[:, K - 1 :].T[:, None, :, None]
-            alpha_K, beta_K = (
-                r[blk, head] @ SDX[head, :N]
-                + r[blk, last] @ (DX[last, :N].reshape(2, d, m, d) * w_last).reshape(2 * d, N)
-                for SDX, DX in ((SDRe, samples.DRe), (SDIm, samples.DIm))
+    max_order = 0 if closure or G < 2 else config.max_order
+    # zeroth order: A[j, k, K, a] = D^Re_jk(t_K, s_a) for a <= K, zero past t_K
+    below = np.tri(G, dtype=bool)
+    A = np.where(below, _unblk(samples.DRe, d), 0.0)
+    B = np.where(below, _unblk(samples.DIm, d), 0.0)
+    ref = np.maximum(np.abs(A).max(axis=(0, 1, 3)), np.abs(B).max(axis=(0, 1, 3))).clip(1e-300)
+    norms = np.zeros((G, max_order, 2))
+    achieved = np.zeros(G, dtype=int)
+    last_rel = np.zeros(G)
+    if max_order:
+        # Tsuf[s1, tau] = Wpre[G - 1, tau - s1] (tau >= s1), the rule of the
+        # longest interval, equals the suffix rule of int_{s1}^{t_K} dtau left
+        # of t_{K-1} for both rules; SDX[(tau, l), (s1, k)] is Tsuf[s1, tau]
+        # times D^X on channel pairs
+        lag = np.subtract.outer(np.arange(G), np.arange(G))
+        TsufT = _on_pairs(np.where(lag >= 0, samples.Wpre[G - 1][np.abs(lag)], 0.0), d)
+        SD = (TsufT * samples.DRe, TsufT * samples.DIm)
+        del lag, TsufT
+        # t_0 has no correction: every integral of its chains is empty
+        n_slabs = -(-(G - 1) // SLAB)
+        edges = [1 + (G - 1) * i // n_slabs for i in range(n_slabs + 1)]
+        for K0, K1 in zip(edges, edges[1:]):
+            slab = slice(K0, K1)
+            norms[slab], achieved[slab], last_rel[slab] = _slab(
+                samples, SD, K0, K1, max_order, config.eps_series,
+                A[:, :, slab, :K1], B[:, :, slab, :K1], ref[slab],
             )
-            alpha_K += s[blk, :N]
-            # [j, (s1, k)] -> [j, k, s1]
-            alpha_K = sign * alpha_K.reshape(d, m, d).transpose(0, 2, 1)
-            beta_K = sign * beta_K.reshape(d, m, d).transpose(0, 2, 1)
-            norm_a = float(np.max(np.abs(alpha_K)))
-            norm_b = float(np.max(np.abs(beta_K)))
-            per_order[K].append((n, norm_a, norm_b))
-            A[K] += alpha_K
-            B[K] += beta_K
-            last_rel[K] = (norm_a + norm_b) / ref[K]
-        active = [K for K in active if not last_rel[K] < config.eps_series]
-        if not active:
-            break
 
     return [
         ABKernels(
             outer_index=K,
             outer_time=float(grid.points[K]),
             grid=grid,
-            A=A[K],
-            B=B[K],
-            achieved_order=len(per_order[K]),
-            last_order_norm=last_rel[K],
-            per_order=tuple(per_order[K]),
-            converged=last_rel[K] < config.eps_series,
+            A=A[:, :, K, : K + 1],
+            B=B[:, :, K, : K + 1],
+            achieved_order=int(achieved[K]),
+            last_order_norm=float(last_rel[K]),
+            per_order=tuple((n, float(na), float(nb)) for n, (na, nb) in enumerate(norms[K, : achieved[K]], 1)),
+            converged=bool(last_rel[K] < config.eps_series),
         )
         for K in range(G)
     ]
+
+
+def _slab(samples, SD, K0, K1, max_order, eps, A, B, ref) -> tuple:
+    """Add the orders of the outer times ``[K0, K1)`` to their rows ``A``,
+    ``B`` (``[j, k, K - K0, s1]``, ``s1 < t_{K1}``) and return the
+    per-order sup-norms, the order reached and the last relative norm of
+    each; ``ref`` is the zeroth-order sup-norm of each.
+
+    Row block ``K`` of the chain sums has no entry past ``t_K``, so the
+    slab reads only the leading ``K1`` column blocks of every operand.
+    """
+    d = samples.d
+    h, c = K1 - K0, K1 * d
+    Ks = np.arange(K0, K1)
+    lag = Ks[:, None] - np.arange(K1)  # K - s1 on (outer time, column time)
+    Pw = _on_pairs(samples.Wpre[K0:K1, :K1], d)
+    # entries past t_K feed no output; they are kept at zero so that an
+    # overflow there cannot reach one
+    past = _on_pairs(lag < 0, d)
+    # columns tau <= t_{K-2}, where the suffix rule of t_K is Tsuf
+    head = _on_pairs(lag >= 2, d)
+    # the two-point end term at tau = t_{K-1}, t_K: the suffix rule there,
+    # Wsuf_K[s1, tau] = Wpre[K - s1, tau - s1], zero for s1 past tau, times
+    # D^X on those two row blocks, as (h, 2 d, c) operands
+    L = np.maximum(lag, 0)
+    w_end = np.stack((np.where(lag >= 1, samples.Wpre[L, L - 1], 0.0), np.where(lag >= 0, samples.Wpre[L, L], 0.0)), 1)
+    E = []
+    for DX in (samples.DRe, samples.DIm):
+        Dblk = DX[(K0 - 1) * d : K1 * d, :c].reshape(h + 1, d, K1, d)
+        E.append((np.stack((Dblk[:-1], Dblk[1:]), 1) * w_end[:, :, None, :, None]).reshape(h, 2 * d, c))
+    # column indices of t_{K-1}, t_K in each row block
+    end_cols = ((Ks - 1) * d)[:, None, None] + np.arange(2 * d)
+    U_im, U_re = samples.U
+    Phi, SDRe, SDIm = samples.Phi[:c, :c], SD[0][:c, :c], SD[1][:c, :c]
+    WDReT, WDImT = samples.WDRe[:c, :c].T, samples.WDIm[:c, :c].T
+    norms = np.zeros((h, max_order, 2))
+    achieved = np.zeros(h, dtype=int)
+    last_rel = np.zeros(h)
+    active = np.ones(h, dtype=bool)
+    for n in range(1, max_order + 1):
+        if n == 1:
+            r = -2.0 * U_im[K0 * d : c, :c]
+            q = -2.0 * U_re[K0 * d : c, :c]
+        else:
+            # the order-(n-1) sums are weighted in place: s * Pw, r * Pw
+            s *= Pw
+            q = s @ Phi
+            del s
+            r *= Pw
+            q -= r @ U_re[:c, :c]
+            q *= 2.0
+            r = r @ U_im[:c, :c]
+            r *= -2.0
+        np.copyto(r, 0.0, where=past)
+        np.copyto(q, 0.0, where=past)
+        finite = (np.isfinite(r).all(axis=1) & np.isfinite(q).all(axis=1)).reshape(h, d).all(axis=1)
+        if (active & ~finite).any():
+            raise ValueError(f"non-finite entries in order-{n} chain sums")
+        s = r @ WDReT
+        s += q @ WDImT
+        np.copyto(s, 0.0, where=past)
+        r_head = np.where(head, r, 0.0)
+        r_end = np.take_along_axis(r.reshape(h, d, c), end_cols, axis=2)
+        alpha = r_head @ SDRe
+        alpha += s
+        alpha += np.matmul(r_end, E[0]).reshape(h * d, c)
+        beta = r_head @ SDIm
+        beta += np.matmul(r_end, E[1]).reshape(h * d, c)
+        del r_head, r_end
+        norms[active, n - 1, 0] = np.abs(alpha).reshape(h, d * c).max(axis=1)[active]
+        norms[active, n - 1, 1] = np.abs(beta).reshape(h, d * c).max(axis=1)[active]
+        # [(K, j), (s1, k)] -> [j, k, K, s1] on the outer times still running
+        sign = (-1.0) ** n
+        A[:, :, active] += sign * alpha.reshape(h, d, K1, d)[active].transpose(1, 3, 0, 2)
+        B[:, :, active] += sign * beta.reshape(h, d, K1, d)[active].transpose(1, 3, 0, 2)
+        achieved[active] = n
+        last_rel[active] = norms[active, n - 1].sum(axis=1) / ref[active]
+        active &= ~(last_rel < eps)
+        if not active.any():
+            break
+    return norms, achieved, last_rel
 
 
 def assemble_AB(

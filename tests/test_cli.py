@@ -1,8 +1,11 @@
+import copy
 import json
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nmgme.cli import main
 from nmgme.scenarios import ConfigError, RunConfig
@@ -177,6 +180,18 @@ def test_invalid_config_exit_2(tmp_path, capsys):
         # the default of 6 per mode on five modes: 2 * 6^5 > 4096
         ("oracle-check", "oracle", "mode_dims", None, "oracle.mode_dims",
          {**ORACLE_2, "kernel": {**MODES, "mode_freqs": [1.0] * 5, "couplings": [[0.1] * 5]}}),
+        # top-level values: no value is ignored, replaced or taken by truthiness
+        ("dephasing", "output_dir", None, ["a", "b"], "output_dir"),
+        ("dephasing", "output_dir", None, "", "output_dir"),
+        ("dephasing", "dump_rho", None, "no", "dump_rho"),
+        ("dephasing", "dump_rho", None, 7, "dump_rho"),
+        ("hpz", "model", None, "qmupl", "model"),
+        ("dephasing", "model", None, 5, "model"),
+        ("hpz", "scenario", None, "qmupl", "scenario"),
+        ("coeffs", "scenario", None, None, "scenario"),
+        # the collapse model's shifted frequency sqrt(omega^2 - (lam mu)^2)
+        ("qmupl", "system", None, {"lam": 4.0, "mu": 0.25}, "system"),
+        ("coeffs", "system", None, {"lam": 4.0, "mu": 0.5}, "system", {"model": "qmupl"}),
     ]
     for scenario, block, key, value, field_path, *extra in cases:
         cfg = base_dephasing(tmp_path)
@@ -193,6 +208,87 @@ def test_invalid_config_exit_2(tmp_path, capsys):
         assert err["field"] == field_path
         # rejected before any computation: no output directory yet
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, flags, rc, field", [
+    ("[1, 2]\n", [], 2, "<root>"),
+    ("5\n", [], 2, "<root>"),
+    ("hello\n", [], 2, "<root>"),
+    ("[]\n", [], 2, "<root>"),
+    ("grid: 5\n", ["--grid", "5"], 2, "grid"),
+    ("{1: 2, a: 3}\n", [], 2, "1"),
+    # an empty config runs every default; a config scenario may repeat the
+    # command line's, and a model its scenario
+    ("", ["--grid", "5"], 0, None),
+    ("scenario: coeffs\nmodel: dephasing\n", ["--grid", "5"], 0, None),
+])
+def test_config_tree_checked_before_output(tmp_path, monkeypatch, capsys, text, flags, rc, field):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.yaml").write_text(text)
+    assert main(["coeffs", "--config", "run.yaml", *flags]) == rc
+    if field is not None:
+        assert json.loads(capsys.readouterr().err)["field"] == field
+    assert (tmp_path / "out").exists() == (rc == 0)
+
+
+def test_model_may_name_its_own_scenario(tmp_path):
+    cfg = base_dephasing(tmp_path)
+    cfg.update(scenario="dephasing", model="dephasing")
+    assert main(["dephasing", "--config", write_config(tmp_path, cfg)]) == 0
+
+
+#: A valid tiny ``coeffs`` config, the seed of the fuzzed configs.
+TINY_COEFFS = {
+    "model": "qmupl",
+    "kernel": {"family": "exponential", "gamma": 1.0, "tau_c": 0.5},
+    "system": {"m": 1.0, "omega": 1.0, "lam": 0.2, "mu": 0.1},
+    "grid": {"t_max": 0.5, "n_points": 5},
+    "series": {"max_order": 2, "eps_series": 1e-6, "quadrature": "trapezoid"},
+    "propagation": {"initial_state": {"type": "coherent", "alpha_re": 1.0}},
+    "output_dir": "out",
+}
+#: Values a mutation writes; small numbers keep every run cheap
+FUZZ_VALUES = [
+    None, True, False, 0, 1, 3, -1, 0.5, 2.5, float("nan"), float("inf"), "", "x",
+    "hpz", "qmupl", "dephasing", "coeffs", "discrete_modes", "simpson", [], [1, 2], ["a", "b"], {}, {"x": 1},
+]
+FUZZ_KEYS = ["scenario", "model", "output_dir", "dump_rho", "kernel", "grid", "mode_freqs", "n_points", "type", "x"]
+
+
+def _paths(tree, prefix=()):
+    """Every path of the config tree, the root first."""
+    yield prefix
+    if isinstance(tree, dict):
+        for key, value in tree.items():
+            yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    cfg = {"root": copy.deepcopy(TINY_COEFFS)}
+    for _ in range(draw(st.integers(1, 3))):
+        path = ("root",) + draw(st.sampled_from(list(_paths(cfg["root"]))))
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        action = draw(st.sampled_from(["set", "delete", "add"]))
+        if action == "set" or (action == "delete" and len(path) == 1):
+            parent[path[-1]] = draw(st.sampled_from(FUZZ_VALUES))
+        elif action == "delete":
+            del parent[path[-1]]
+        elif isinstance(parent[path[-1]], dict):
+            parent[path[-1]][draw(st.sampled_from(FUZZ_KEYS))] = draw(st.sampled_from(FUZZ_VALUES))
+    return cfg["root"]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=mutated_configs())
+def test_fuzzed_config_exits_0_or_2(tmp_path, monkeypatch, capsys, cfg):
+    # a config either runs or names its bad field: no trace, no exit 1 or 3
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.yaml").write_text(yaml.safe_dump(cfg))
+    assert main(["coeffs", "--config", "run.yaml"]) in (0, 2), capsys.readouterr().err
 
 
 def test_coeffs_checks_initial_state_against_the_model_system(tmp_path):

@@ -738,3 +738,83 @@ def test_non_finite_recursion_payload_rejected():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="non-finite entries in order-2"):
             assemble_AB(D, f, SeriesConfig(max_order=2, eps_series=1e-30), 1.0, make_grid(1.0, 9))
+
+
+def _spy_on_slabs(monkeypatch) -> list:
+    """``(K0, K1)`` of every slab the build runs, in order."""
+    calls, slab = [], series._slab
+
+    def spy(samples, SD, K0, K1, *rest):
+        calls.append((K0, K1))
+        return slab(samples, SD, K0, K1, *rest)
+
+    monkeypatch.setattr(series, "_slab", spy)
+    return calls
+
+
+@pytest.mark.parametrize("G, edges", [
+    (4, [1, 4]),  # three outer times with a correction, under one slab
+    (5, [1, 5]),  # exactly one slab
+    (6, [1, 3, 6]),  # one outer time more: two even slabs
+    (17, [1, 5, 9, 13, 17]),  # several slabs
+])
+@pytest.mark.parametrize("model", ["hpz", "qmupl_order4_eps"])
+def test_slabs_match_per_time_reference(monkeypatch, model, G, edges):
+    # a slab of outer times reads only its leading columns; with slabs of
+    # four the boundaries fall inside the eps_series stops of
+    # qmupl_order4_eps, whose outer times end at orders 2, 3 and 4
+    monkeypatch.setattr(series, "SLAB", 4)
+    calls = _spy_on_slabs(monkeypatch)
+    setup, max_order, eps = SERIES_CASES[model]
+    D, f = setup()
+    for method in ("trapezoid", "simpson"):
+        calls.clear()
+        config = SeriesConfig(max_order=max_order, eps_series=eps, method=method)
+        _assert_matches_reference(D, f, config, make_grid(2.0 * (G - 1) / 16, G), range(G))
+        assert calls == list(zip(edges, edges[1:]))
+    if model == "qmupl_order4_eps" and G == 17:
+        tabs = build_ab_tables(D, f, config, make_grid(2.0, G))
+        assert {ab.achieved_order for ab in tabs[1:]} == {2, 3, 4}
+
+
+@pytest.mark.parametrize("G, n_slabs", [(65, 1), (66, 2), (129, 2), (130, 3)])
+def test_default_slabs_are_even(monkeypatch, G, n_slabs):
+    # at most SLAB outer times per slab, split evenly: G = 65 is one slab
+    calls = _spy_on_slabs(monkeypatch)
+    build_ab_tables(*hpz_setup(), SeriesConfig(max_order=1), make_grid(2.0, G))
+    heights = [K1 - K0 for K0, K1 in calls]
+    assert len(heights) == n_slabs and sum(heights) == G - 1 and calls[0][0] == 1
+    assert max(heights) - min(heights) <= 1 and max(heights) <= series.SLAB
+
+
+def test_build_needs_an_imaginary_commutator_kernel():
+    # Hermitian channels make f imaginary; a real part is rejected by the
+    # real-arithmetic build (the per-time engine still takes it)
+    D, f = one_mode_setup()
+
+    def with_real_part(j, k, t, s):
+        return f(j, k, t, s) + 0.1
+
+    g = CommutatorKernel(1, with_real_part)
+    grid = make_grid(1.0, 9)
+    with pytest.raises(ValueError, match="real part"):
+        build_ab_tables(D, g, SeriesConfig(max_order=2), grid)
+    assert SampledKernels(D, f, grid).f_re is None
+    assert contraction_BA(D, g, 1.0, grid).values.dtype == complex
+
+
+def test_build_returns_float64_views_of_one_stacked_array():
+    grid = make_grid(2.0, 17)
+    for D, f, order in (
+        (*qmupl_setup(lam=0.5, mu=0.3), 3),
+        (*hpz_setup(), 2),
+        (make_exponential(1.0, 0.5), commutator_kernel(harmonic_kernels(1.0, 1.0), ["q"]), 3),  # closure
+    ):
+        tabs = build_ab_tables(D, f, SeriesConfig(max_order=order), grid)
+        for x in ("A", "B"):
+            stacked = getattr(tabs[0], x).base
+            assert stacked.dtype == np.float64 and stacked.shape == (D.n_channels,) * 2 + (17, 17)
+            for K, ab in enumerate(tabs):
+                assert getattr(ab, x).dtype == np.float64 and getattr(ab, x).base is stacked
+                assert np.array_equal(getattr(ab, x), stacked[:, :, K, : K + 1])
+            assert not np.triu(stacked, k=1).any()  # zero past every outer time
