@@ -40,27 +40,43 @@ evaluation, two small products turn the time-dependent weights into
 ``X rho`` and the sandwich sum ``S``.
 
 * In general the result is ``X rho + S + rho Y``, with ``rho Y`` folded
-  into the second wide product: ``2 (n_F + 1)`` matrix products.
+  into the second wide product: ``2 (n_F + 1)`` complex matrix products.
 * When a stage is exactly Hermiticity preserving (``Y = X^dag``,
   ``W = W^dag`` entry by entry, Hermitian ``F``) and ``rho`` is
-  Hermitian, it is ``K + K^dag`` with ``K = X rho + S/2``: ``2 n_F + 1``
-  products, five for the collapse model at any Fock dimension.  The
-  result is then exactly Hermitian in floating point, so a run from a
-  Hermitian state keeps a zero Hermiticity defect whenever its
-  coefficients are exactly physical.
+  Hermitian, the stage runs in real arithmetic on
+  ``M = Re rho + Im rho``, which holds all of ``rho``:
+  ``Re rho = (M + M^T)/2`` and ``Im rho = (M - M^T)/2``.  For real ``A``,
+  ``B`` and complex ``c``, ``Re + Im`` of ``c A rho B`` is
+  ``A (Re c M + Im c M^T) B``.  Each ``F_a = sum_m C_am R_m`` over real
+  matrices ``R_m`` (its nonzero real and imaginary parts), so the
+  sandwich sum is ``sum_mn Omega_mn R_m rho R_n`` with
+  ``Omega = C^T W C``, and ``rho Y = (X rho)^dag``.  With
+  ``Ahat_n = sum_m Omega_mn R_m``, one real product of
+  ``[X; iX; Ahat_1..Ahat_N]`` (complex entries as real/imaginary column
+  pairs) with the interleaved rows of ``M`` and ``M^T`` gives
+  ``[Q; Q'; Yhat_1..Yhat_N]``, and ``dM/dt = Q + Q'^T + [Yhat_1 | ... |
+  Yhat_N] @ [R_1; ...; R_N]``.  That is ``3 N + 4`` real ``dim^3``
+  products: 10 for the Fock models (``q`` real and ``p`` imaginary, so
+  ``N = 2``) against the 20 of the five complex products of
+  ``X rho + S/2`` plus its adjoint.  Any real ``M`` is a Hermitian
+  ``rho``, so a run from a Hermitian state keeps a zero Hermiticity
+  defect whenever its coefficients are exactly physical.
 
 ``rho`` is not assumed Hermitian: it is checked, and any other state
 takes the general branch, so the Hermiticity defect of a run stays a
-measurement (verified in the test suite, not assumed).
+measurement (verified in the test suite, not assumed).  :func:`evolve`
+keeps the state as ``M`` while its steps are mirrored and forms ``rho``
+only at sample times and before an unmirrored step.
 
 Integration is classical fixed-step fourth-order Runge-Kutta with
 coefficients linearly interpolated between grid nodes.  The coefficient
 rows of the stage times ``t, t + h/2, t + h`` are interpolated in one
 vectorised blend per block of steps and turned into sandwich weights
 there, so the step loop only multiplies matrices.  The Gaussian moments
-obey a linear ODE in ``(mean, cov, 1)`` whose 7x7 matrices are built
-the same way.  Per-step renormalization is off by default: trace drift
-is a diagnostic, not a knob.
+obey a linear ODE in ``(mean, cov, 1)``: the 7x7 RK4 step matrices of a
+block are built with batched products, and a step is one matrix-vector
+product.  Per-step renormalization is off by default: trace drift is a
+diagnostic, not a knob.
 """
 
 from __future__ import annotations
@@ -247,13 +263,14 @@ class CoefficientInterpolator:
 class _SandwichForm:
     """The generator of the module docstring over one set of operators.
 
-    Built once per run: the distinct operators ``F``, the constant
-    products and the buffers of the two wide products.  :meth:`weights`
-    maps coefficient arrays with a leading stage axis to the weights of
-    each stage; calling the form with a state and one stage
-    ``(XY, Wt, mirror)`` evaluates the right-hand side.  ``shifts`` says
-    whether ``H_eff`` carries ``p^2`` and ``{q,p}`` (``ops`` then holds
-    ``q`` and ``p``), ``pp`` whether ``gamma_pp`` is present.
+    Built once per run: the distinct operators ``F``, their real parts
+    ``R``, the constant products and the buffers of the wide products.
+    :meth:`weights` maps coefficient arrays with a leading stage axis to
+    the weights of each stage; calling the form with a state and one
+    stage ``(XY, Wt, Om, mirror)`` evaluates the right-hand side.
+    ``shifts`` says whether ``H_eff`` carries ``p^2`` and ``{q,p}``
+    (``ops`` then holds ``q`` and ``p``), ``pp`` whether ``gamma_pp`` is
+    present.
     """
 
     def __init__(self, ops: dict, dim: int, shifts: bool, pp: bool):
@@ -267,7 +284,7 @@ class _SandwichForm:
         for op in A + list(V or ()) + ([ops["p"]] if pp else []):
             hit = next((i for i, f in enumerate(F) if np.array_equal(f, op)), len(F))
             if hit == len(F):
-                F.append(op)
+                F.append(np.asarray(op))
             where.append(hit)
         n = len(F)
         # channel k of each family -> its slot in F
@@ -275,6 +292,18 @@ class _SandwichForm:
         self.PV = np.eye(n)[where[d : 2 * d]] if V is not None else None
         self.ip = where[-1] if pp else None
         self.shifts, self.pp = shifts, pp
+        # F_a = sum_m C_am R_m over the distinct nonzero real and imaginary
+        # parts R_m of the operators
+        R, C = [], np.zeros((n, 2 * n), dtype=complex)
+        for a, f in enumerate(F):
+            for part, unit in ((f.real, 1.0), (f.imag, 1j)):
+                if part.any():
+                    m = next((i for i, r in enumerate(R) if np.array_equal(r, part)), len(R))
+                    if m == len(R):
+                        R.append(part)
+                    C[a, m] += unit
+        N = len(R)
+        self.C = C[:, :N]
 
         # constant products [A_j F_a, H0, (p^2), ({q,p}), F_a A_j]: X is a
         # combination of the first d n + n_ham, Y of the last
@@ -287,13 +316,13 @@ class _SandwichForm:
         products = [A[j] @ F[a] for j in range(d) for a in range(n)] + ham
         products += [F[a] @ A[j] for j in range(d) for a in range(n)]
         self.products = np.array(products, dtype=complex).reshape(len(products), dim * dim)
-        self.dim, self.n, self.d = dim, n, d
+        self.dim, self.n, self.d, self.N = dim, n, d, N
         # with Hermitian operators, (A_j F_a)^dag = F_a A_j: a stage is
         # mirrored when its weights are
         shift_ops = [ops["q"], ops["p"]] if shifts else []
         self.hermitian = all(np.array_equal(x, x.conj().T) for x in F + [ops["H0"]] + shift_ops)
 
-        # [X; Fhat], and [Fhat rho | rho] @ [F; Y]
+        # general stages: [X; Fhat], and [Fhat rho | rho] @ [F; Y]
         self._Z = np.empty((n + 1, dim * dim), dtype=complex)
         self._left = np.empty((dim, (n + 1) * dim), dtype=complex)
         self._right = np.empty(((n + 1) * dim, dim), dtype=complex)
@@ -301,12 +330,33 @@ class _SandwichForm:
         self.F = self._right[: n * dim].reshape(n, dim * dim)
         self._hat = self._left[:, : n * dim].reshape(dim, n, dim)
         self._Y = self._right[n * dim :].reshape(1, dim * dim)
+        # mirrored stages: [X; iX; Ahat] against [M; M^T] row by row, and
+        # [Yhat_1 | ... | Yhat_N] @ [R_1; ...; R_N]
+        self._Zr = np.empty((N + 2, dim * dim), dtype=complex)
+        self._MMt = np.empty((dim, 2, dim))
+        self._Yhat = np.empty((dim, N * dim))
+        self._R = np.array(R, dtype=float).reshape(N * dim, dim)
+        # [R; iR] as real/imaginary pairs: Ahat = [Re Omega^T | Im Omega^T] @ [R; iR]
+        Rc = self._R.reshape(N, dim * dim).astype(complex)
+        self._Rri = np.vstack([Rc.view(float), (1j * Rc).view(float)])
+
+    @classmethod
+    def of_run(cls, coeffs: MECoefficients, ops: dict, dim: int) -> "_SandwichForm":
+        """The form of a run over ``coeffs``: with the Hamiltonian shifts
+        and ``gamma_pp`` only where the tables carry them."""
+        shifts = bool(coeffs.lam_mu) or (
+            coeffs.has_extras() and bool(np.any(coeffs.alpha) or np.any(coeffs.beta))
+        )
+        pp = coeffs.has_extras() and bool(np.any(coeffs.gamma_pp))
+        return cls(ops, dim, shifts, pp)
 
     def weights(self, c: dict) -> tuple:
-        """Stage weights ``(XY, Wt, mirror)`` for ``s`` stages: the
+        """Stage weights ``(XY, Wt, Om, mirror)`` for ``s`` stages: the
         weights of ``X`` and of ``Y`` over their constant products
         ``(s, 2, d n_F + n_ham)``, ``W^T`` ``(s, n_F, n_F)`` (so that
-        ``Fhat = W^T F``), and whether the stage is exactly Hermiticity
+        ``Fhat = W^T F``), ``[Re Omega^T | Im Omega^T]`` ``(s, N, 2 N)``
+        with ``Omega = C^T W C`` (the weights of ``R`` and ``i R`` in
+        ``Ahat``), and whether the stage is exactly Hermiticity
         preserving: Hermitian operators and ``Y = X^dag``, ``W = W^dag``
         entry by entry.
 
@@ -343,30 +393,48 @@ class _SandwichForm:
         )
         # R_j = -L_j^dag entry by entry gives Y = X^dag and W = W^dag
         mirror = self.hermitian & (-rF == lF.conj()).all(axis=(1, 2))
-        return XY, W.transpose(0, 2, 1), mirror
+        Wt = W.transpose(0, 2, 1)
+        OmT = self.C.T @ Wt @ self.C
+        return XY, Wt, np.concatenate([OmT.real, OmT.imag], axis=2), mirror
 
-    def __call__(self, rho: np.ndarray, stage: tuple) -> np.ndarray:
-        """Right-hand side at ``rho``.  With ``mirror`` set, the caller
-        vouches that ``rho`` is Hermitian and the stage is mirrored: the
-        result is then ``K + K^dag`` with ``K = X rho + S/2``, exactly
-        Hermitian, and ``rho Y`` is not needed."""
-        XY, Wt, mirror = stage
-        dim, n = self.dim, self.n
-        Z = self._Z
-        np.matmul(XY[:1], self.products[: self.n_af + self.n_ham], out=Z[:1])
-        np.matmul(Wt, self.F, out=Z[1:])
-        T = Z.reshape((n + 1) * dim, dim) @ rho  # [X rho; Fhat_b rho]
-        self._hat[...] = T[dim:].reshape(n, dim, dim).transpose(1, 0, 2)
+    def __call__(self, y: np.ndarray, stage: tuple) -> np.ndarray:
+        """Right-hand side at ``y``.  With ``mirror`` set, the caller
+        vouches that the stage is mirrored, and ``y`` is the real
+        ``M = Re rho + Im rho`` of a Hermitian ``rho``: the result is the
+        real representation of ``drho/dt``.  Otherwise ``y`` is ``rho``."""
+        XY, Wt, Om, mirror = stage
+        dim, n, N = self.dim, self.n, self.N
+        n_x = self.n_af + self.n_ham
         if mirror:
-            K = self._left[:, : n * dim] @ self._right[: n * dim]  # S
-            K *= 0.5
-            K += T[:dim]
-            return K + K.conj().T
+            Z = self._Zr
+            np.matmul(XY[:1], self.products[:n_x], out=Z[:1])
+            np.multiply(Z[0], 1j, out=Z[1])
+            np.matmul(Om, self._Rri, out=Z[2:].view(float))
+            self._MMt[:, 0] = y
+            self._MMt[:, 1] = y.T
+            # [Q; Q'; Yhat_n]: Re + Im of [X rho; iX rho; sum_m Omega_mn R_m rho]
+            T = Z.view(float).reshape((N + 2) * dim, 2 * dim) @ self._MMt.reshape(2 * dim, dim)
+            self._Yhat.reshape(dim, N, dim)[...] = T[2 * dim :].reshape(N, dim, dim).transpose(1, 0, 2)
+            out = self._Yhat @ self._R
+            out += T[:dim]
+            out += T[dim : 2 * dim].T
+            return out
+        Z = self._Z
+        np.matmul(XY[:1], self.products[:n_x], out=Z[:1])
+        np.matmul(Wt, self.F, out=Z[1:])
+        T = Z.reshape((n + 1) * dim, dim) @ y  # [X rho; Fhat_b rho]
+        self._hat[...] = T[dim:].reshape(n, dim, dim).transpose(1, 0, 2)
         np.matmul(XY[1:], self.products[self.n_af :], out=self._Y)
-        self._left[:, n * dim :] = rho
+        self._left[:, n * dim :] = y
         out = self._left @ self._right  # S + rho Y
         out += T[:dim]
         return out
+
+
+def _hermitian_of(M: np.ndarray) -> np.ndarray:
+    """The Hermitian ``rho`` whose real representation is
+    ``M = Re rho + Im rho``; exactly Hermitian in floating point."""
+    return 0.5 * (M + M.T) + 0.5j * (M - M.T)
 
 
 def me_rhs(rho: np.ndarray, coeff: dict, ops: dict) -> np.ndarray:
@@ -378,13 +446,16 @@ def me_rhs(rho: np.ndarray, coeff: dict, ops: dict) -> np.ndarray:
     matrices ``A`` (list), their velocity conjugates ``V`` (list), the
     free Hamiltonian ``H0`` and, when Hamiltonian shifts are present,
     ``q`` and ``p``.  Evaluated in the sandwich form of the module
-    docstring, with the operators of this one call.
+    docstring, with the operators of this one call; a Hermitian ``rho``
+    under a mirrored stage goes through the real representation.
     """
     shifts = bool(coeff.get("alpha", 0.0) or coeff.get("beta", 0.0) or coeff.get("lam_mu", 0.0))
     form = _SandwichForm(ops, rho.shape[0], shifts, bool(coeff.get("gamma_pp", 0.0)))
     c = {k: np.asarray(v)[None] if np.ndim(v) == 2 else v for k, v in coeff.items()}
-    XY, Wt, mirror = form.weights(c)
-    return form(rho, (XY[0], Wt[0], mirror[0] and np.array_equal(rho, rho.conj().T)))
+    XY, Wt, Om, mirror = form.weights(c)
+    if mirror[0] and np.array_equal(rho, rho.conj().T):
+        return _hermitian_of(form(rho.real + rho.imag, (XY[0], Wt[0], Om[0], True)))
+    return form(rho, (XY[0], Wt[0], Om[0], False))
 
 
 def kossakowski_rhs(
@@ -444,6 +515,9 @@ class Trajectory:
     params: dict = field(default_factory=dict)
     source: str = "me"
     warnings: list = field(default_factory=list)
+    # largest population of the top two Fock levels after any step, as
+    # seen by the truncation guard; None when the guard is off
+    top_population: float | None = None
 
     def to_json_dict(self, dump_rho: bool = False) -> dict:
         out = {
@@ -545,11 +619,7 @@ def evolve(
             f"t_final {t_final} exceeds coefficient grid t_max {coeffs.grid.t_max}"
         )
     interp = CoefficientInterpolator(coeffs)
-    shifts = bool(coeffs.lam_mu) or (
-        coeffs.has_extras() and bool(np.any(coeffs.alpha) or np.any(coeffs.beta))
-    )
-    pp = coeffs.has_extras() and bool(np.any(coeffs.gamma_pp))
-    form = _SandwichForm(ops, dim, shifts, pp)
+    form = _SandwichForm.of_run(coeffs, ops, dim)
 
     sample_times = np.linspace(0.0, t_final, n_samples)
     n_steps, h_eff = aligned_steps(t_final, h, n_samples)
@@ -569,34 +639,42 @@ def evolve(
 
     record(rho)
     guard_on = truncation_guard and dim > 3
+    top = 0.0 if guard_on else None  # peak population of the top two levels
     # a step is mirrored when the state is Hermitian and all three stages
-    # are; its result is then Hermitian again (RK4 combines with real
-    # weights), so the state is checked only after an unmirrored step
+    # are; the state y is then the real M of rho, whose diagonal is the
+    # populations, and stays Hermitian; after an unmirrored step y is rho,
+    # and it is checked
+    y, real = rho, False
     hermitian = np.array_equal(rho, rho.conj().T)
     next_sample = 1
     for first, count, c in _stage_blocks(interp, n_steps, h_eff):
-        XY, Wt, mirror = form.weights(c)
+        XY, Wt, Om, mirror = form.weights(c)
         mirrored = mirror.reshape(count, 3).all(axis=1)
         for i in range(count):
-            m = hermitian and mirrored[i]
-            stages = [(XY[k], Wt[k], m) for k in range(3 * i, 3 * i + 3)]
-            rho = _rk4_step(form, rho, h_eff, *stages)
+            m = bool(mirrored[i]) and (real or hermitian)
+            if m != real:
+                y = y.real + y.imag if m else _hermitian_of(y)
+                real = m
+            stages = [(XY[k], Wt[k], Om[k], m) for k in range(3 * i, 3 * i + 3)]
+            y = _rk4_step(form, y, h_eff, *stages)
             if not m:
-                hermitian = np.array_equal(rho, rho.conj().T)
+                hermitian = np.array_equal(y, y.conj().T)
             t = (first + i + 1) * h_eff
-            if not np.isfinite(rho).all():
+            if not np.isfinite(y).all():
                 raise EvolutionError(f"state became non-finite at t={t:.6g}", time=t - h_eff)
             if renormalize:
-                rho = rho / np.real(np.trace(rho))
+                y = y / np.real(np.trace(y))
             if guard_on:
-                pops = np.real(np.diag(rho))
-                if pops[-1] + pops[-2] > 1e-6:
+                pops = np.real(np.diag(y))
+                top = max(top, pops[-1] + pops[-2])
+                if top > 1e-6:
                     raise TruncationError(
-                        f"top two Fock levels hold {pops[-1] + pops[-2]:.3e} population "
+                        f"top two Fock levels hold {top:.3e} population "
                         f"at t={t:.6g}; increase the truncation dimension",
                         time=t,
                     )
             while next_sample < n_samples and sample_times[next_sample] <= t + 1e-12:
+                rho = _hermitian_of(y) if real else y
                 states[next_sample] = rho
                 record(rho)
                 next_sample += 1
@@ -614,6 +692,7 @@ def evolve(
         params=params or {},
         source="me",
         warnings=warnings,
+        top_population=None if top is None else float(top),
     )
 
 
@@ -642,15 +721,12 @@ def evolve_moments(
     ``a_x = lam_mu/2 + beta``.  Both are one linear ODE
     ``dy/dt = K y`` in ``y = (mean, vec cov, 1)``; the 7x7 ``K`` of the
     RK4 stage times are built a block of steps at a time
-    (:func:`_moment_matrices`).
+    (:func:`_moment_matrices`) and folded into one RK4 step matrix per
+    step (:func:`_rk4_step_matrices`).
     """
     if coeffs.scenario == "dephasing" or coeffs.n_channels != 1:
         raise ValueError("moment propagation needs a linear single-channel scenario")
     interp = CoefficientInterpolator(coeffs)
-
-    def rhs(y, K):
-        return K @ y
-
     y = np.concatenate([m0.mean, m0.cov.ravel(), [1.0]])
     sample_times = np.linspace(0.0, t_final, n_samples)
     n_steps, h_eff = aligned_steps(t_final, h, n_samples)
@@ -658,9 +734,9 @@ def evolve_moments(
     means, covs = [y[:2].copy()], [y[2:6].reshape(2, 2).copy()]
     next_sample = 1
     for first, count, c in _stage_blocks(interp, n_steps, h_eff):
-        K = _moment_matrices(c, m, omega)
+        P = _rk4_step_matrices(_moment_matrices(c, m, omega), h_eff)
         for i in range(count):
-            y = _rk4_step(rhs, y, h_eff, *K[3 * i : 3 * i + 3])
+            y = P[i] @ y
             t = (first + i + 1) * h_eff
             while next_sample < len(sample_times) and sample_times[next_sample] <= t + 1e-12:
                 means.append(y[:2].copy())
@@ -698,3 +774,17 @@ def _moment_matrices(c: dict, m: float, omega: float) -> np.ndarray:
         [-2.0 * c.get("gamma_pp", np.zeros(s)), theta, theta, -2.0 * c["Gamma"][:, 0, 0].real], axis=1
     )
     return K
+
+
+def _rk4_step_matrices(K: np.ndarray, h: float) -> np.ndarray:
+    """Matrices ``P`` of the RK4 steps of ``dy/dt = K(t) y``, one per
+    step, from the stage matrices ``K`` (``t, t + h/2, t + h`` of each
+    step, step-major): ``y(t + h) = P y(t)`` with
+    ``P = I + h/6 (K0 + 2 Km P1 + 2 Km P2 + K1 P3)``, ``P1 = I + h/2 K0``,
+    ``P2 = I + h/2 Km P1`` and ``P3 = I + h Km P2``."""
+    K0, Km, K1 = K[0::3], K[1::3], K[2::3]
+    eye = np.eye(K.shape[-1])
+    k2 = Km @ (eye + 0.5 * h * K0)
+    k3 = Km @ (eye + 0.5 * h * k2)
+    k4 = K1 @ (eye + h * k3)
+    return eye + (h / 6.0) * (K0 + 2.0 * k2 + 2.0 * k3 + k4)

@@ -80,6 +80,11 @@ class RunConfig:
     output_dir: str = "out"
     dump_rho: bool = False
 
+    def __post_init__(self):
+        # a scenario without a model choice is its own model
+        if self.scenario not in _MODELS:
+            self.model = self.scenario
+
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
         if not isinstance(raw, dict):
@@ -123,9 +128,10 @@ class RunConfig:
             _check_number(getattr(self, block).get(key), path, integer, low, strict)
         if self.series.get("quadrature") not in ("trapezoid", "simpson"):
             raise ConfigError("series.quadrature", "must be trapezoid or simpson")
-        model = self.model if self.scenario in _MODELS else self.scenario
-        if model not in _MODELS.get(self.scenario, (model,)):
-            raise ConfigError("model", f"{self.scenario} supports {_MODELS[self.scenario]}, got {model!r}")
+        model = self.model
+        allowed = _MODELS.get(self.scenario, (self.scenario,))
+        if model not in allowed:
+            raise ConfigError("model", f"{self.scenario} supports {allowed}, got {model!r}")
         if model == "joos-zeh" and not self.system["lam"] > 0:
             raise ConfigError("system.lam", "joos-zeh needs a positive coupling")
         lam_mu = self.system["lam"] * self.system["mu"]
@@ -416,14 +422,20 @@ def _series_report(ab_tables) -> dict:
 
 
 def _traj_report(traj: Trajectory) -> dict:
+    """Trust entries of a trajectory; ``fock_headroom``, the largest
+    population of the top two Fock levels, where the truncation guard
+    ran."""
     d = traj.diagnostics
     span = traj.times[-1] - traj.times[0] if len(traj.times) > 1 else 1.0
-    return {
+    report = {
         "trace_drift_per_unit_time": float(abs(d["trace"][-1] - d["trace"][0]) / max(span, 1e-12)),
         "max_hermiticity_defect": float(np.max(d["hermiticity_defect"])),
         "min_eigenvalue": float(np.min(d["min_eigenvalue"])),
         "warnings": traj.warnings,
     }
+    if traj.top_population is not None:
+        report["fock_headroom"] = traj.top_population
+    return report
 
 
 def _moment_check(cfg: RunConfig, coeffs, grid, traj: Trajectory) -> dict:
@@ -477,7 +489,7 @@ def run(cfg: RunConfig) -> dict:
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     p = cfg.propagation
-    model = cfg.model if cfg.scenario in _MODELS else cfg.scenario
+    model = cfg.model
     oracle_check = cfg.scenario == "oracle-check"
     # dephasing and oracle-check keep the series out of their artifacts
     with_series = cfg.scenario not in ("dephasing", "oracle-check")

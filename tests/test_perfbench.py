@@ -3,7 +3,8 @@
 ``perfbench/tracing.py`` wraps public names of the package with timing
 spans; a rename there crashes traced benchmark runs, and a call that
 bypasses a patched name leaves its metric at 0.  This runs one traced
-smoke sample of each workload end to end.
+smoke sample of each workload end to end, and checks that the RK4 step
+count of ``evolve`` still reaches the harness.
 """
 
 import importlib.util
@@ -15,6 +16,8 @@ from pathlib import Path
 
 import pytest
 import yaml
+
+from nmgme.propagate import aligned_steps
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -55,5 +58,9 @@ def test_traced_sample_records_scenario_spans(tmp_path, workload):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
-    spans = json.loads((tmp_path / "result.json").read_text())["trace"]["spans"]
-    assert SPANS[workload] <= {span[1] for span in spans}
+    trace = json.loads((tmp_path / "result.json").read_text())["trace"]
+    assert SPANS[workload] <= {span[1] for span in trace["spans"]}
+    if "propagate.evolve" in SPANS[workload]:
+        # every step of evolve goes through the patched propagate._rk4_step
+        p = cfg["propagation"]
+        assert trace["counts"]["propagate.rk4_steps"] == aligned_steps(cfg["grid"]["t_max"], p["h"], p["n_samples"])[0]

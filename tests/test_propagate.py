@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nmgme import propagate
 from nmgme.bath import make_discrete_modes, make_exponential
 from nmgme.coefficients import (
     MECoefficients,
@@ -26,6 +27,8 @@ from nmgme.propagate import (
     kossakowski_rhs,
     me_rhs,
     trace_distance,
+    _hermitian_of,
+    _rk4_step,
     _SandwichForm,
     _stage_blocks,
 )
@@ -571,6 +574,17 @@ EVOLVE_CASES = {
 }
 
 
+# the cases whose stages are all mirrored, with the (shifts, gamma_pp) of
+# their operator sets: the qubit, hpz, qmupl and two channels with V and
+# every extra
+MIRRORED_CASES = {
+    "dephasing": (False, False),
+    "hpz": (False, False),
+    "qmupl-dim40": (True, True),
+    "synthetic-d2": (True, True),
+}
+
+
 @pytest.mark.parametrize("case", EVOLVE_CASES)
 def test_evolve_matches_outer_commutator_reference(case):
     coeffs, ops, rho0, t_final = EVOLVE_CASES[case]()
@@ -581,6 +595,10 @@ def test_evolve_matches_outer_commutator_reference(case):
     assert np.max(np.abs(traj.states - states)) <= 1e-13
     for key, values in diags.items():
         assert np.max(np.abs(np.array(traj.diagnostics[key]) - values)) <= 1e-13, key
+    if case in MIRRORED_CASES:
+        # mirrored runs record exactly Hermitian states
+        assert traj.diagnostics["hermiticity_defect"] == [0.0] * n_samples
+        assert np.array_equal(traj.states, traj.states.conj().transpose(0, 2, 1))
 
 
 @pytest.mark.parametrize("case", ["qmupl-dim40", "hpz"])
@@ -620,35 +638,70 @@ def interp_at(coeffs, t):
 
 
 def _form_and_stage(coeffs, ops, t):
+    """The form of a run over ``coeffs`` and its stage at time ``t``."""
     interp = CoefficientInterpolator(coeffs)
-    c = interp.split(interp.rows([t]))
-    form = _SandwichForm(ops, ops["H0"].shape[0], True, True)
-    XY, Wt, mirror = form.weights(c)
-    return form, XY[0], Wt[0], bool(mirror[0])
+    form = _SandwichForm.of_run(coeffs, ops, ops["H0"].shape[0])
+    XY, Wt, Om, mirror = form.weights(interp.split(interp.rows([t])))
+    return form, (XY[0], Wt[0], Om[0], bool(mirror[0]))
 
 
 def test_mirrored_branch_is_hermitian_and_equals_general_branch():
-    coeffs = _synthetic_d2_coeffs()
-    ops = fock_channel_operators(8, 2, with_v=True, with_extras=True)
-    form, XY, Wt, mirror = _form_and_stage(coeffs, ops, 0.13)
-    assert mirror
     rng = np.random.default_rng(17)
-    for _ in range(5):
-        rho = random_hermitian_unit_trace(rng, 8)
-        mirrored = form(rho, (XY, Wt, True))
-        general = form(rho, (XY, Wt, False))
-        assert np.array_equal(mirrored, mirrored.conj().T)
-        scale = max(1.0, np.max(np.abs(general)))
-        assert np.max(np.abs(mirrored - general)) <= 1e-13 * scale
-        assert np.max(np.abs(mirrored - outer_commutator_rhs(rho, interp_at(coeffs, 0.13), ops))) <= 1e-13 * scale
+    for case, flags in MIRRORED_CASES.items():
+        coeffs, ops, rho0, t_final = EVOLVE_CASES[case]()
+        t = 0.37 * t_final  # between grid nodes
+        form, (XY, Wt, Om, mirror) = _form_and_stage(coeffs, ops, t)
+        assert (form.shifts, form.pp) == flags, case
+        assert mirror, case
+        for _ in range(5):
+            rho = random_density_matrix(rng, rho0.shape[0])
+            real = form(rho.real + rho.imag, (XY, Wt, Om, True))
+            assert real.dtype == np.float64
+            mirrored = _hermitian_of(real)
+            assert np.array_equal(mirrored, mirrored.conj().T)
+            general = form(rho, (XY, Wt, Om, False))
+            ref = outer_commutator_rhs(rho, interp_at(coeffs, t), ops)
+            scale = max(1.0, np.max(np.abs(general)))
+            assert np.max(np.abs(mirrored - general)) <= 1e-13 * scale, case
+            assert np.max(np.abs(mirrored - ref)) <= 1e-13 * scale, case
+
+
+def test_run_switching_to_unmirrored_steps_matches_reference(monkeypatch):
+    coeffs = _synthetic_d2_coeffs()
+    # a real part far below the reality tolerance on one interior node
+    # (t = 0.2): the steps whose stages reach into (0.15, 0.25) are not
+    # mirrored, and the state they leave is no longer exactly Hermitian
+    coeffs.Xi[4] += 1e-14
+    ops = fock_channel_operators(8, 2, with_v=True, with_extras=True)
+    psi = coherent_state(8, 0.6)
+    rho0 = np.outer(psi, psi.conj())
+    seen = []
+
+    def rk4_step(rhs, y, h, *stages):
+        seen.append((stages[0][3], y.dtype == np.float64))
+        return _rk4_step(rhs, y, h, *stages)
+
+    monkeypatch.setattr(propagate, "_rk4_step", rk4_step)
+    n_samples, h = 9, 2e-3
+    traj = evolve(rho0, coeffs, ops, 0.4, h, n_samples=n_samples, truncation_guard=False)
+    mirrored = [m for m, _ in seen]
+    # mirrored steps in the real representation, then general ones
+    assert all(m == real for m, real in seen)
+    assert mirrored == [True] * mirrored.index(False) + [False] * (len(seen) - mirrored.index(False))
+    assert 0 < mirrored.index(False) < 100
+    states, diags = reference_evolve(rho0, coeffs, ops, 0.4, h, n_samples)
+    assert np.max(np.abs(traj.states - states)) <= 1e-13
+    for key, values in diags.items():
+        assert np.max(np.abs(np.array(traj.diagnostics[key]) - values)) <= 1e-13, key
+    assert traj.diagnostics["hermiticity_defect"][-1] > 0.0
 
 
 def test_unphysical_stage_is_not_mirrored():
     ops = fock_channel_operators(8, 2, with_v=True, with_extras=True)
-    assert not _form_and_stage(_synthetic_d2_coeffs(physical=False), ops, 0.13)[3]
+    assert not _form_and_stage(_synthetic_d2_coeffs(physical=False), ops, 0.13)[1][3]
     # a non-Hermitian channel operator rules the mirror out as well
     ops["A"] = [ops["A"][0] + 0.1j * np.triu(np.ones((8, 8)), 1), ops["A"][1]]
-    assert not _form_and_stage(_synthetic_d2_coeffs(), ops, 0.13)[3]
+    assert not _form_and_stage(_synthetic_d2_coeffs(), ops, 0.13)[1][3]
 
 
 def test_operators_deduplicated_by_value():

@@ -23,6 +23,8 @@ BASE = {"coefficients.csv", "report.json"}
 SERIES_KEYS = {"max_achieved_order", "max_last_order_norm", "all_converged"}
 CLOSED_KEYS = {"series"}
 TRAJ_KEYS = {"trace_drift_per_unit_time", "max_hermiticity_defect", "min_eigenvalue", "warnings"}
+# where the truncation guard runs: Fock propagation outside oracle-check
+FOCK_KEYS = TRAJ_KEYS | {"fock_headroom"}
 ORACLE_KEYS = {"max_trace_distance", "recurrence_time_estimate"}
 FOCK_OBS = {"mean_q", "mean_p", "var_q_raw", "var_p_raw", "mean_n"}
 QUBIT_OBS = {"coherence_re", "population_0"}
@@ -40,19 +42,19 @@ CASES = [
     ("dephasing", "dephasing", {"kernel": EXP, "propagation": QUBIT},
      BASE | {"trajectory.json"}, TRAJ_KEYS, ("dephasing", {"kernel"}, QUBIT_OBS)),
     ("hpz", "hpz", {"kernel": MODES, "propagation": FOCK},
-     BASE | {"trajectory.json", "series_convergence.csv"}, SERIES_KEYS | TRAJ_KEYS,
+     BASE | {"trajectory.json", "series_convergence.csv"}, SERIES_KEYS | FOCK_KEYS,
      ("hpz", {"system", "kernel"}, FOCK_OBS)),
     ("joos-zeh", "joos-zeh", {"kernel": EXP, "system": SYSTEM, "propagation": FOCK},
-     BASE | {"trajectory.json"}, CLOSED_KEYS | TRAJ_KEYS, ("joos-zeh", {"system", "kernel"}, FOCK_OBS)),
+     BASE | {"trajectory.json"}, CLOSED_KEYS | FOCK_KEYS, ("joos-zeh", {"system", "kernel"}, FOCK_OBS)),
     ("joos-zeh-sweep", "joos-zeh", {"kernel": EXP, "system": SYSTEM, "propagation": FOCK, "white_noise_sweep": SWEEP},
-     BASE | {"trajectory.json"}, CLOSED_KEYS | TRAJ_KEYS | {"white_noise_limit"},
+     BASE | {"trajectory.json"}, CLOSED_KEYS | FOCK_KEYS | {"white_noise_limit"},
      ("joos-zeh", {"system", "kernel"}, FOCK_OBS)),
     ("qmupl-coherent", "qmupl", {"kernel": EXP, "system": SYSTEM, "propagation": FOCK},
      BASE | {"trajectory.json", "series_convergence.csv"},
-     SERIES_KEYS | TRAJ_KEYS | {"moment_fock_max_dq", "uncertainty_ok"}, ("qmupl", {"system", "kernel"}, FOCK_OBS)),
+     SERIES_KEYS | FOCK_KEYS | {"moment_fock_max_dq", "uncertainty_ok"}, ("qmupl", {"system", "kernel"}, FOCK_OBS)),
     ("qmupl-basis", "qmupl",
      {"kernel": EXP, "system": SYSTEM, "propagation": {**FOCK, "initial_state": {"type": "basis", "index": 1}}},
-     BASE | {"trajectory.json", "series_convergence.csv"}, SERIES_KEYS | TRAJ_KEYS,
+     BASE | {"trajectory.json", "series_convergence.csv"}, SERIES_KEYS | FOCK_KEYS,
      ("qmupl", {"system", "kernel"}, FOCK_OBS)),
     ("oracle-check-dephasing", "oracle-check",
      {"model": "dephasing", "kernel": MODES, "propagation": QUBIT, "oracle": {"mode_dims": [3, 3]}},
@@ -76,6 +78,10 @@ def test_artifact_contract(tmp_path, scenario, extra, files, report_keys, trajec
     report = json.loads((out / "report.json").read_text())
     assert set(report) == report_keys | {"scenario", "config"}
     assert report["scenario"] == scenario
+    # the resolved config names the model that ran
+    assert report["config"]["model"] == report.get("model", scenario)
+    if "fock_headroom" in report:
+        assert 0.0 <= report["fock_headroom"] <= 1e-6
     assert set(returned) == set(report)
     if trajectory is None:
         return
