@@ -439,9 +439,11 @@ def _traj_report(traj: Trajectory) -> dict:
 
 
 def _moment_check(cfg: RunConfig, coeffs, grid, traj: Trajectory) -> dict:
-    """Largest gap between the Fock-space mean position and the Gaussian
-    moment equations under the same coefficient tables; coherent
-    initial states only."""
+    """Largest gaps between the Fock-space moments and the Gaussian
+    moment equations under the same coefficient tables: the means of
+    ``q`` and ``p``, and the second moments ``<q^2>``, ``<p^2>`` against
+    ``cov + mean^2`` (the diffusion terms, which leave the means alone,
+    show only there); coherent initial states only."""
     p = cfg.propagation
     spec = p["initial_state"]
     if spec.get("type", "coherent") != "coherent":
@@ -453,8 +455,18 @@ def _moment_check(cfg: RunConfig, coeffs, grid, traj: Trajectory) -> dict:
         2.0 * scale_q * alpha.real, np.sqrt(2.0 * m * omega) * alpha.imag, m, omega
     )
     mtraj = evolve_moments(mom0, coeffs, m, omega, grid.t_max, p["h"], p["n_samples"])
-    dq = np.abs(np.array(traj.observables["mean_q"]) - mtraj.means[:, 0])
-    return {"moment_fock_max_dq": float(np.max(dq)), "uncertainty_ok": mtraj.uncertainty_ok}
+    obs = {name: np.array(values) for name, values in traj.observables.items()}
+    mean, cov = mtraj.means, mtraj.covs
+    second = np.abs(np.stack([
+        obs["var_q_raw"] - (cov[:, 0, 0] + mean[:, 0] ** 2),
+        obs["var_p_raw"] - (cov[:, 1, 1] + mean[:, 1] ** 2),
+    ]))
+    return {
+        "moment_fock_max_dq": float(np.max(np.abs(obs["mean_q"] - mean[:, 0]))),
+        "moment_fock_max_dp": float(np.max(np.abs(obs["mean_p"] - mean[:, 1]))),
+        "moment_fock_max_dsecond": float(np.max(second)),
+        "uncertainty_ok": mtraj.uncertainty_ok,
+    }
 
 
 def _oracle_comparison(cfg: RunConfig, ops: dict, psi0, grid, traj: Trajectory):

@@ -179,14 +179,32 @@ def fock_channel_operators(dim, d, with_v, with_extras):
     return ops
 
 
+def dense_channel_operators(dim, d, with_v, with_extras):
+    """The layout of :func:`fock_channel_operators` with dense random
+    Hermitian matrices: every constant operator has half-bandwidth
+    ``dim - 1``."""
+    rng = np.random.default_rng([dim, d, with_v, with_extras])
+
+    def hermitian():
+        x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        return (x + x.conj().T) / (2.0 * np.sqrt(dim))
+
+    ops = {"A": [hermitian() for _ in range(d)], "H0": hermitian()}
+    if with_v:
+        ops["V"] = [hermitian() for _ in range(d)]
+    if with_extras:
+        ops["q"], ops["p"] = hermitian(), hermitian()
+    return ops
+
+
 @pytest.mark.parametrize("hermitian", [True, False], ids=["herm", "nonherm"])
 @pytest.mark.parametrize("with_extras", [True, False], ids=["extras", "plain"])
 @pytest.mark.parametrize("with_v", [True, False], ids=["V", "noV"])
-@pytest.mark.parametrize("d", [1, 2])
-def test_single_form_matches_double_commutator_reference(d, with_v, with_extras, hermitian):
+@pytest.mark.parametrize("d, dense", [(1, False), (2, False), (2, True)], ids=["1", "2", "dense"])
+def test_single_form_matches_double_commutator_reference(d, dense, with_v, with_extras, hermitian):
     rng = np.random.default_rng([d, with_v, with_extras, hermitian])
     dim = 8
-    ops = fock_channel_operators(dim, d, with_v, with_extras)
+    ops = (dense_channel_operators if dense else fock_channel_operators)(dim, d, with_v, with_extras)
 
     def cplx(shape):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -426,6 +444,40 @@ def test_kossakowski_rhs_equals_direct_rhs():
             assert np.max(np.abs(direct - rewritten)) < 1e-10
 
 
+@st.composite
+def kossakowski_cases(draw):
+    """A random Hermitian unit-trace state, one channel ``A``, ``V`` (Fock
+    ``q``, ``p`` or random Hermitian matrices) and a physical coefficient
+    slice: ``Gamma``, ``Theta`` real, ``Xi``, ``Upsilon`` imaginary."""
+    dim = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    real = st.floats(-2.0, 2.0)
+    coeff = {
+        "Gamma": np.array([[draw(real)]], dtype=complex),
+        "Theta": np.array([[draw(real)]], dtype=complex),
+        "Xi": np.array([[1j * draw(real)]]),
+        "Upsilon": np.array([[1j * draw(real)]]),
+    }
+    if draw(st.booleans()):
+        f = fock_operators(dim)
+        ops = {"A": [f["q"]], "V": [f["p"]], "H0": quadratic_hamiltonian(dim)}
+    else:
+        ops = dense_channel_operators(dim, 1, with_v=True, with_extras=False)
+    return random_hermitian_unit_trace(rng, dim), coeff, ops
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kossakowski_cases())
+def test_kossakowski_rhs_equals_direct_rhs_property(case):
+    rho, coeff, ops = case
+    grid = make_grid(1.0, 2)
+    tables = {name: np.repeat(value[None], 2, axis=0) for name, value in coeff.items()}
+    form = kossakowski_form(MECoefficients(grid=grid, scenario="linear", **tables))
+    rewritten = kossakowski_rhs(rho, form, 1, ops)
+    scale = max(1.0, np.max(np.abs(rewritten)))
+    assert np.max(np.abs(me_rhs(rho, coeff, ops) - rewritten)) <= 1e-12 * scale
+
+
 def test_qmupl_rhs_matches_channel_expansion():
     # independent reference: eliminate the coupled channels directly by
     # expanding A_k(s) over (q_t, p_t) with the flow and integrating the
@@ -554,9 +606,10 @@ def _synthetic_d2_coeffs(n=9, t_max=0.4, physical=True):
     return MECoefficients(grid=grid, scenario="synthetic", lam_mu=0.04, **tables, **extras)
 
 
-def _synthetic_case(physical=True, hermitian=True):
+def _synthetic_case(physical=True, hermitian=True, dense=False):
     dim = 8
-    ops = fock_channel_operators(dim, 2, with_v=True, with_extras=True)
+    channels = dense_channel_operators if dense else fock_channel_operators
+    ops = channels(dim, 2, with_v=True, with_extras=True)
     psi = coherent_state(dim, 0.6)
     rho0 = np.outer(psi, psi.conj())
     if not hermitian:
@@ -571,18 +624,40 @@ EVOLVE_CASES = {
     "synthetic-d2": _synthetic_case,
     "synthetic-d2-unphysical": lambda: _synthetic_case(physical=False),
     "synthetic-d2-nonhermitian": lambda: _synthetic_case(hermitian=False),
+    "dense-d2": lambda: _synthetic_case(dense=True),
+}
+
+# the half-bandwidth of each case's constant operators: q, p and the
+# quadratic Hamiltonians reach 2, the synthetic channel q^2/dim makes
+# products that reach 4, sigma_z is diagonal and a dense set reaches
+# dim - 1
+HALF_BANDWIDTHS = {
+    "qmupl-dim40": 2,
+    "hpz": 2,
+    "dephasing": 0,
+    "synthetic-d2": 4,
+    "synthetic-d2-unphysical": 4,
+    "synthetic-d2-nonhermitian": 4,
+    "dense-d2": 7,
 }
 
 
 # the cases whose stages are all mirrored, with the (shifts, gamma_pp) of
 # their operator sets: the qubit, hpz, qmupl and two channels with V and
-# every extra
+# every extra, on Fock and on dense operators
 MIRRORED_CASES = {
     "dephasing": (False, False),
     "hpz": (False, False),
     "qmupl-dim40": (True, True),
     "synthetic-d2": (True, True),
+    "dense-d2": (True, True),
 }
+
+
+@pytest.mark.parametrize("case", EVOLVE_CASES)
+def test_half_bandwidth_is_detected(case):
+    coeffs, ops, rho0, _ = EVOLVE_CASES[case]()
+    assert _SandwichForm.of_run(coeffs, ops, rho0.shape[0]).band == HALF_BANDWIDTHS[case]
 
 
 @pytest.mark.parametrize("case", EVOLVE_CASES)
@@ -637,12 +712,13 @@ def interp_at(coeffs, t):
     return scalar_interp(CoefficientInterpolator(coeffs), t)
 
 
-def _form_and_stage(coeffs, ops, t):
-    """The form of a run over ``coeffs`` and its stage at time ``t``."""
+def _form_and_weights(coeffs, ops, t):
+    """The form of a run over ``coeffs`` and its weight rows at time
+    ``t``, with the mirror flag."""
     interp = CoefficientInterpolator(coeffs)
     form = _SandwichForm.of_run(coeffs, ops, ops["H0"].shape[0])
-    XY, Wt, Om, mirror = form.weights(interp.split(interp.rows([t])))
-    return form, (XY[0], Wt[0], Om[0], bool(mirror[0]))
+    real, cplx, mirror = form.weights(interp.split(interp.rows([t])))
+    return form, (real, cplx, bool(mirror[0]))
 
 
 def test_mirrored_branch_is_hermitian_and_equals_general_branch():
@@ -650,16 +726,16 @@ def test_mirrored_branch_is_hermitian_and_equals_general_branch():
     for case, flags in MIRRORED_CASES.items():
         coeffs, ops, rho0, t_final = EVOLVE_CASES[case]()
         t = 0.37 * t_final  # between grid nodes
-        form, (XY, Wt, Om, mirror) = _form_and_stage(coeffs, ops, t)
+        form, (real_w, cplx_w, mirror) = _form_and_weights(coeffs, ops, t)
         assert (form.shifts, form.pp) == flags, case
         assert mirror, case
         for _ in range(5):
             rho = random_density_matrix(rng, rho0.shape[0])
-            real = form(rho.real + rho.imag, (XY, Wt, Om, True))
+            real = form(rho.real + rho.imag, form.stages(real_w, cplx_w, True)[0])
             assert real.dtype == np.float64
             mirrored = _hermitian_of(real)
             assert np.array_equal(mirrored, mirrored.conj().T)
-            general = form(rho, (XY, Wt, Om, False))
+            general = form(rho, form.stages(real_w, cplx_w, False)[0])
             ref = outer_commutator_rhs(rho, interp_at(coeffs, t), ops)
             scale = max(1.0, np.max(np.abs(general)))
             assert np.max(np.abs(mirrored - general)) <= 1e-13 * scale, case
@@ -678,7 +754,7 @@ def test_run_switching_to_unmirrored_steps_matches_reference(monkeypatch):
     seen = []
 
     def rk4_step(rhs, y, h, *stages):
-        seen.append((stages[0][3], y.dtype == np.float64))
+        seen.append((stages[0][-1], y.dtype == np.float64))
         return _rk4_step(rhs, y, h, *stages)
 
     monkeypatch.setattr(propagate, "_rk4_step", rk4_step)
@@ -698,10 +774,10 @@ def test_run_switching_to_unmirrored_steps_matches_reference(monkeypatch):
 
 def test_unphysical_stage_is_not_mirrored():
     ops = fock_channel_operators(8, 2, with_v=True, with_extras=True)
-    assert not _form_and_stage(_synthetic_d2_coeffs(physical=False), ops, 0.13)[1][3]
+    assert not _form_and_weights(_synthetic_d2_coeffs(physical=False), ops, 0.13)[1][-1]
     # a non-Hermitian channel operator rules the mirror out as well
     ops["A"] = [ops["A"][0] + 0.1j * np.triu(np.ones((8, 8)), 1), ops["A"][1]]
-    assert not _form_and_stage(_synthetic_d2_coeffs(), ops, 0.13)[1][3]
+    assert not _form_and_weights(_synthetic_d2_coeffs(), ops, 0.13)[1][-1]
 
 
 def test_operators_deduplicated_by_value():

@@ -5,10 +5,14 @@ Each case runs at tiny sizes and pins the files written, the keys of
 the keys of its ``params`` and its observable names.
 """
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
+from nmgme import scenarios
+from nmgme.propagate import evolve
 from nmgme.scenarios import RunConfig, run
 
 EXP = {"family": "exponential", "gamma": 1.0, "tau_c": 0.5}
@@ -26,6 +30,7 @@ TRAJ_KEYS = {"trace_drift_per_unit_time", "max_hermiticity_defect", "min_eigenva
 # where the truncation guard runs: Fock propagation outside oracle-check
 FOCK_KEYS = TRAJ_KEYS | {"fock_headroom"}
 ORACLE_KEYS = {"max_trace_distance", "recurrence_time_estimate"}
+MOMENT_KEYS = {"moment_fock_max_dq", "moment_fock_max_dp", "moment_fock_max_dsecond", "uncertainty_ok"}
 FOCK_OBS = {"mean_q", "mean_p", "var_q_raw", "var_p_raw", "mean_n"}
 QUBIT_OBS = {"coherence_re", "population_0"}
 
@@ -51,7 +56,7 @@ CASES = [
      ("joos-zeh", {"system", "kernel"}, FOCK_OBS)),
     ("qmupl-coherent", "qmupl", {"kernel": EXP, "system": SYSTEM, "propagation": FOCK},
      BASE | {"trajectory.json", "series_convergence.csv"},
-     SERIES_KEYS | FOCK_KEYS | {"moment_fock_max_dq", "uncertainty_ok"}, ("qmupl", {"system", "kernel"}, FOCK_OBS)),
+     SERIES_KEYS | FOCK_KEYS | MOMENT_KEYS, ("qmupl", {"system", "kernel"}, FOCK_OBS)),
     ("qmupl-basis", "qmupl",
      {"kernel": EXP, "system": SYSTEM, "propagation": {**FOCK, "initial_state": {"type": "basis", "index": 1}}},
      BASE | {"trajectory.json", "series_convergence.csv"}, SERIES_KEYS | FOCK_KEYS,
@@ -92,3 +97,30 @@ def test_artifact_contract(tmp_path, scenario, extra, files, report_keys, trajec
             assert traj["scenario"] == name
             assert set(traj["params"]) == params
             assert set(traj["observables"]) == observables
+
+
+def test_moment_check_sees_a_diffusion_error(tmp_path):
+    # Gamma only enters the momentum diffusion: scaling it in the Fock run
+    # alone leaves the means as they are and moves the second moments
+    cfg = RunConfig.from_dict({
+        "scenario": "qmupl", "kernel": EXP, "system": SYSTEM, "series": SERIES,
+        "grid": {"t_max": 0.5, "n_points": 9}, "output_dir": str(tmp_path / "out"),
+        "propagation": {**FOCK, "fock_dim": 16, "h": 2e-3, "n_samples": 5},
+    })
+    grid, coeffs, _ = scenarios._coefficients_for(cfg, cfg.model)
+    dim, ops, observables, _ = scenarios._system_for(cfg, cfg.model)
+    psi0 = scenarios._initial_state(cfg.propagation["initial_state"], dim)
+    p = cfg.propagation
+    checks = {}
+    for scale in (1.0, 1.01):
+        fock = dataclasses.replace(coeffs, Gamma=scale * coeffs.Gamma)
+        traj = evolve(np.outer(psi0, psi0.conj()), fock, ops, grid.t_max, p["h"], p["n_samples"],
+                      observables=observables)
+        checks[scale] = scenarios._moment_check(cfg, coeffs, grid, traj)
+    assert set(checks[1.0]) == MOMENT_KEYS
+    for scale, check in checks.items():
+        assert check["moment_fock_max_dq"] < 1e-13, scale
+        assert check["moment_fock_max_dp"] < 1e-13, scale
+    # the second moments differ by the RK4 error of cov = <q^2> - <q>^2
+    assert checks[1.0]["moment_fock_max_dsecond"] < 1e-11
+    assert checks[1.01]["moment_fock_max_dsecond"] > 1e-8
