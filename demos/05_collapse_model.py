@@ -30,7 +30,7 @@ DIM = 30
 
 base = make_exponential(1.0, 0.5)
 grid = make_grid(T_FINAL, 65)
-coeffs = coefficients_qmupl(
+coeffs, _ = coefficients_qmupl(
     LAM, MU, 1.0, 1.0, base, SeriesConfig(max_order=2, eps_series=1e-8), grid
 )
 

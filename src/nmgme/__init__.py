@@ -36,7 +36,7 @@ from .propagate import (
     me_rhs,
     trace_distance,
 )
-from .series import ABKernels, KernelTable, SeriesConfig, assemble_AB
+from .series import ABKernels, SeriesConfig, SeriesTables, assemble_AB
 from .system import (
     CommutatorKernel,
     LinearSystem,
@@ -69,7 +69,7 @@ __all__ = [
     "fock_operators",
     "quadratic_hamiltonian",
     "SeriesConfig",
-    "KernelTable",
+    "SeriesTables",
     "ABKernels",
     "assemble_AB",
     "MECoefficients",

@@ -48,7 +48,7 @@ from .bath import CorrelationKernel, make_qmupl_matrix
 # builds through this module's name as well.
 from .grids import TimeGrid, prefix_weights, quad_weights  # noqa: F401
 # assemble_AB is not called here; perfbench/tracing.py wraps this name.
-from .series import ABKernels, SeriesConfig, assemble_AB, build_ab_tables  # noqa: F401
+from .series import SeriesConfig, SeriesTables, assemble_AB, build_ab_tables  # noqa: F401
 from .system import PropagatorKernels, commutator_kernel, qmupl_kernels
 
 __all__ = [
@@ -152,22 +152,11 @@ class MECoefficients:
         return self.alpha is not None
 
 
-def _stack_ab(ab_tables: list[ABKernels], grid: TimeGrid) -> dict:
-    """Per-time ``A``/``B`` samples as zero-padded ``(d, d, G, G)`` arrays."""
-    G = grid.n_points
-    if len(ab_tables) != G:
-        raise ValueError(
-            f"need one AB table per grid point ({G}), got {len(ab_tables)}"
-        )
-    d = ab_tables[0].A.shape[0]
-    dtype = np.result_type(*{x.dtype for ab in ab_tables for x in (ab.A, ab.B)})
-    X = {"A": np.zeros((d, d, G, G), dtype), "B": np.zeros((d, d, G, G), dtype)}
-    for K, ab in enumerate(ab_tables):
-        if ab.outer_index != K:
-            raise ValueError("AB tables do not match the coefficient grid")
-        X["A"][:, :, K, : K + 1] = ab.A
-        X["B"][:, :, K, : K + 1] = ab.B
-    return X
+def _series(tables: SeriesTables, grid: TimeGrid) -> dict:
+    """The built ``A``/``B`` of ``tables``, which must be on ``grid``."""
+    if not np.array_equal(tables.grid.points, grid.points):
+        raise ValueError("series tables do not match the coefficient grid")
+    return {"A": tables.A, "B": tables.B}
 
 
 def _closure(D: CorrelationKernel, grid: TimeGrid, scale: float = 1.0) -> dict:
@@ -215,7 +204,7 @@ def _tables(grid: TimeGrid, scenario: str, vals: dict, params, **extras) -> MECo
 
 
 def coefficients_linear(
-    ab_tables: list[ABKernels],
+    tables: SeriesTables,
     kernels: PropagatorKernels,
     grid: TimeGrid,
     method: str = "trapezoid",
@@ -224,7 +213,7 @@ def coefficients_linear(
 ) -> MECoefficients:
     """Coefficients of the time-local master equation for one channel.
 
-    ``ab_tables`` holds the assembled kernels at every grid time (see
+    ``tables`` holds the assembled kernels at every time of ``grid`` (see
     :func:`build_ab_tables`).  Multi-channel coupled systems go through
     :func:`coefficients_qmupl`, which eliminates the channels against the
     2x2 flow instead of the (redundant) ``C``/``C_tilde`` split.
@@ -234,7 +223,7 @@ def coefficients_linear(
             "coefficients_linear handles single-channel systems; "
             "use coefficients_qmupl for the coupled-channel model"
         )
-    vals = _reduce(_stack_ab(ab_tables, grid), _flow(kernels, grid), grid, method)
+    vals = _reduce(_series(tables, grid), _flow(kernels, grid), grid, method)
     return _tables(grid, scenario, vals, params)
 
 
@@ -291,9 +280,9 @@ def coefficients_qmupl(
     config: SeriesConfig,
     grid: TimeGrid,
     method: str = "trapezoid",
-    return_ab: bool = False,
-):
-    """Seven-coefficient set of the dissipative collapse master equation.
+) -> tuple[MECoefficients, SeriesTables]:
+    """Seven-coefficient set of the dissipative collapse master equation,
+    with the series tables it was reduced from.
 
     The two channels ``(q, -mu p)`` are eliminated by expanding
     ``A_j(s)`` over ``(q_t, p_t)`` with the 2x2 flow; the resulting map
@@ -307,8 +296,8 @@ def coefficients_qmupl(
     kernels = qmupl_kernels(m, omega, lam, mu)
     D = make_qmupl_matrix(lam, base)
     f = commutator_kernel(kernels, [(1.0, 0.0), (0.0, -mu)])
-    ab_tables = build_ab_tables(D, f, config, grid)
-    vals = _reduce(_stack_ab(ab_tables, grid), _flow(kernels, grid), grid, method, mu)
+    tables = build_ab_tables(D, f, config, grid)
+    vals = _reduce(_series(tables, grid), _flow(kernels, grid), grid, method, mu)
     coeffs = _tables(
         grid,
         "qmupl",
@@ -321,9 +310,7 @@ def coefficients_qmupl(
     )
     for name in ("alpha", "beta", "gamma_pp"):
         _check_real(vals[name], name)
-    if return_ab:
-        return coeffs, ab_tables
-    return coeffs
+    return coeffs, tables
 
 
 def _check_real(arr, name):

@@ -95,13 +95,13 @@ vectorised blend per block of steps and turned into sandwich weights
 there, so the step loop only multiplies matrices.  The Gaussian moments
 obey a linear ODE in ``(mean, cov, 1)``: the 7x7 RK4 step matrices of a
 block are built with batched products, and a step is one matrix-vector
-product.  Per-step renormalization is off by default: trace drift is a
-diagnostic, not a knob.
+product.  The state is never rescaled: trace drift is a diagnostic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -322,10 +322,11 @@ class _SandwichForm:
     Built once per run: the distinct operators ``F``, their real parts
     ``R``, the half-bandwidth ``band`` of every constant operator, and
     the bases that map a stage's weights to the band coefficients of its
-    products.  :meth:`weights` maps coefficient arrays with a leading
-    stage axis to the weight rows of each stage, :meth:`stages` the rows
-    of one RK4 step to its stages, and calling the form with a state and
-    a stage evaluates the right-hand side.  ``shifts`` says whether
+    products (the general one on the first unmirrored stage).
+    :meth:`weights` maps coefficient arrays with a leading stage axis to
+    the weight rows of each stage, :meth:`stages` the rows of one RK4 step
+    to its stages, and calling the form with a state and a stage
+    evaluates the right-hand side.  ``shifts`` says whether
     ``H_eff`` carries ``p^2`` and ``{q,p}`` (``ops`` then holds ``q`` and
     ``p``), ``pp`` whether ``gamma_pp`` is present.
     """
@@ -407,28 +408,34 @@ class _SandwichForm:
         self._Yhat = _BandProduct(dim, b, N, float)
         self._T = np.empty((N + 2, dim, dim))  # Q, Q', Yhat_1..Yhat_N
         self._S = np.empty((dim, 1, dim))
+        self._general_bands = (dim, Pb[:n_x], PbT[d * n :], Fb, FbT)
 
-        # general stages: the band rows of [X; Fhat_1..Fhat_n] over the
-        # rows of rho, then of [F_1^T .. F_n^T, Y^T] over the rows of
-        # (Fhat_a rho)^T and rho^T, weighted by [X weights | W^T | Y
-        # weights | 1]
+    @cached_property
+    def _general(self) -> tuple:
+        """``(basis, coef, slots, rho, hat)`` of the general stages, built on
+        the first one: the band rows of ``[X; Fhat_1..Fhat_n]`` over the rows
+        of ``rho``, then of ``[F_1^T .. F_n^T, Y^T]`` over the rows of
+        ``(Fhat_a rho)^T`` and ``rho^T``, weighted by ``[X weights | W^T | Y
+        weights | 1]``; a coefficient slot per stage time; window buffers."""
+        dim, PbX, PbY, Fb, FbT = self._general_bands
+        n, n_x, b = self.n, len(PbX), self.band
+        w = 2 * b + 1
         rows = n_x + n * n + n_x + 1
         left = np.zeros((rows, dim, n + 1, w), dtype=complex)
         right = np.zeros((rows, dim, w, n + 1), dtype=complex)
-        left[:n_x, :, 0] = Pb[:n_x]
+        left[:n_x, :, 0] = PbX
         fhat = left[n_x : n_x + n * n].reshape(n, n, dim, n + 1, w)  # W^T[k, a]
         for k in range(n):
             fhat[k, :, :, 1 + k] = Fb
-        right[n_x + n * n : -1, :, :, n] = PbT[d * n :]
+        right[n_x + n * n : -1, :, :, n] = PbY
         right[-1, :, :, :n] = FbT.transpose(1, 2, 0)
-        self._basis_c = np.hstack([left.reshape(rows, -1), right.reshape(rows, -1)])
-        self._coef_c = np.empty((3, self._basis_c.shape[1]), dtype=complex)
-        self._slots_c = [
+        basis = np.hstack([left.reshape(rows, -1), right.reshape(rows, -1)])
+        coef = np.empty((3, basis.shape[1]), dtype=complex)
+        slots = [
             (c[: left[0].size].reshape(dim, n + 1, w), c[left[0].size :].reshape(dim, 1, w * (n + 1)))
-            for c in self._coef_c
+            for c in coef
         ]
-        self._rho = _BandProduct(dim, b, 1, complex)
-        self._hat = _BandProduct(dim, b, n + 1, complex)
+        return basis, coef, slots, _BandProduct(dim, b, 1, complex), _BandProduct(dim, b, n + 1, complex)
 
     @classmethod
     def of_run(cls, coeffs: MECoefficients, ops: dict, dim: int) -> "_SandwichForm":
@@ -499,8 +506,9 @@ class _SandwichForm:
         if mirror:
             np.matmul(real, self._basis_r, out=self._coef_r[:s].reshape(s, -1))
             return [(coef, True) for coef in self._coef_r[:s]]
-        np.matmul(cplx, self._basis_c, out=self._coef_c[:s])
-        return [(coef, False) for coef in self._slots_c[:s]]
+        basis, coef, slots = self._general[:3]
+        np.matmul(cplx, basis, out=coef[:s])
+        return [(slot, False) for slot in slots[:s]]
 
     def __call__(self, y: np.ndarray, stage: tuple) -> np.ndarray:
         """Right-hand side at ``y`` under a stage of :meth:`stages`.  With
@@ -522,11 +530,12 @@ class _SandwichForm:
             return np.add(T[0], S.T, out=out)  # Q + Q'^T + sum_n Yhat_n R_n
         n = self.n
         left, right = coef
-        self._rho.rows[:, 0] = y
-        T = self._rho(left)  # rows of [X rho; Fhat_a rho]
-        self._hat.rows[:, :n] = T[:, 1:].transpose(2, 1, 0)
-        self._hat.rows[:, n] = y.T
-        S = self._hat(right)[:, 0]  # (sum_a Fhat_a rho F_a + rho Y)^T
+        rho, hat = self._general[3:]
+        rho.rows[:, 0] = y
+        T = rho(left)  # rows of [X rho; Fhat_a rho]
+        hat.rows[:, :n] = T[:, 1:].transpose(2, 1, 0)
+        hat.rows[:, n] = y.T
+        S = hat(right)[:, 0]  # (sum_a Fhat_a rho F_a + rho Y)^T
         return np.add(T[:, 0], S.T, out=out)
 
 
@@ -695,7 +704,6 @@ def evolve(
     h: float,
     n_samples: int = 101,
     observables: dict | None = None,
-    renormalize: bool = False,
     truncation_guard: bool = True,
     scenario: str = "",
     params: dict | None = None,
@@ -703,11 +711,11 @@ def evolve(
     """Propagate a density matrix with fixed-step RK4.
 
     Samples ``n_samples`` equally spaced times in ``[0, t_final]`` and
-    logs trace, Hermiticity defect and minimum eigenvalue at each sample.
-    The truncation guard aborts when the top two Fock levels accumulate
-    more than 1e-6 population (disabled automatically for dim <= 3,
-    where the whole basis is "the top").  Trace drift beyond 1e-6 is
-    recorded as a warning.
+    logs trace, Hermiticity defect, minimum eigenvalue and purity at each
+    sample.  The truncation guard aborts when the top two Fock levels
+    accumulate more than 1e-6 population (disabled automatically for
+    dim <= 3, where the whole basis is "the top").  The state is never
+    rescaled to unit trace; trace drift beyond 1e-6 is a warning.
     """
     rho = np.asarray(
         rho0.matrix if isinstance(rho0, DensityMatrix) else rho0, dtype=complex
@@ -761,8 +769,6 @@ def evolve(
             t = (first + i + 1) * h_eff
             if not np.isfinite(y).all():
                 raise EvolutionError(f"state became non-finite at t={t:.6g}", time=t - h_eff)
-            if renormalize:
-                y = y / np.real(np.trace(y))
             if guard_on:  # the diagonal of rho and of M is the populations
                 top = max(top, y[-1, -1].real + y[-2, -2].real)
                 if top > 1e-6:

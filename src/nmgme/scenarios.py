@@ -329,7 +329,7 @@ def _couplings(rows) -> np.ndarray:
 
 
 def coherent_state(dim: int, alpha: complex) -> np.ndarray:
-    """Coherent-state vector in a truncated number basis (renormalized)."""
+    """Coherent-state vector in a truncated number basis, normalized."""
     n = np.arange(dim)
     log_fact = np.cumsum(np.log(np.maximum(n, 1)))
     with np.errstate(divide="ignore"):
@@ -369,18 +369,17 @@ def _coefficients_for(cfg: RunConfig, model: str):
         return grid, coefficients_dephasing(kernel, grid, method), None
     if model == "hpz":
         kern = harmonic_kernels(m, omega)
-        ab_tables = build_ab_tables(kernel, commutator_kernel(kern, ["q"]), _series_config(cfg), grid)
-        return grid, coefficients_linear(ab_tables, kern, grid, method, scenario="hpz"), ab_tables
+        tables = build_ab_tables(kernel, commutator_kernel(kern, ["q"]), _series_config(cfg), grid)
+        return grid, coefficients_linear(tables, kern, grid, method, scenario="hpz"), tables
     if model == "joos-zeh":
         kern = harmonic_kernels(m, omega)
         coeffs = coefficients_nondissipative(kernel, kern, grid, method, lam_scale=cfg.system["lam"])
         return grid, coeffs, None
     # qmupl; validate() admits no other model
-    coeffs, ab_tables = coefficients_qmupl(
-        cfg.system["lam"], cfg.system["mu"], m, omega, kernel,
-        _series_config(cfg), grid, method, return_ab=True,
+    coeffs, tables = coefficients_qmupl(
+        cfg.system["lam"], cfg.system["mu"], m, omega, kernel, _series_config(cfg), grid, method
     )
-    return grid, coeffs, ab_tables
+    return grid, coeffs, tables
 
 
 def _system_for(cfg: RunConfig, model: str):
@@ -410,14 +409,13 @@ def _system_for(cfg: RunConfig, model: str):
     return dim, ops, observables, {"system": cfg.system, "kernel": cfg.kernel}
 
 
-def _series_report(ab_tables) -> dict:
-    if not ab_tables:
+def _series_report(tables) -> dict:
+    if tables is None:
         return {"series": "closed-form (no expansion needed)"}
-    achieved = [ab.achieved_order for ab in ab_tables]
     return {
-        "max_achieved_order": int(np.max(achieved)),
-        "max_last_order_norm": float(np.max([ab.last_order_norm for ab in ab_tables])),
-        "all_converged": bool(all(ab.converged for ab in ab_tables)),
+        "max_achieved_order": int(tables.achieved_order.max()),
+        "max_last_order_norm": float(tables.last_order_norm.max()),
+        "all_converged": bool(tables.converged.all()),
     }
 
 
@@ -506,12 +504,12 @@ def run(cfg: RunConfig) -> dict:
     # dephasing and oracle-check keep the series out of their artifacts
     with_series = cfg.scenario not in ("dephasing", "oracle-check")
 
-    grid, coeffs, ab_tables = _coefficients_for(cfg, model)
+    grid, coeffs, tables = _coefficients_for(cfg, model)
     report = {"scenario": cfg.scenario}
     if cfg.scenario in _MODELS:
         report["model"] = model
     if with_series:
-        report.update(_series_report(ab_tables))
+        report.update(_series_report(tables))
 
     traj = traj_or = None
     if cfg.scenario != "coeffs":
@@ -538,8 +536,8 @@ def run(cfg: RunConfig) -> dict:
     for name, trajectory in (("trajectory.json", traj), ("oracle_trajectory.json", traj_or)):
         if trajectory is not None:
             _write_json(outdir / name, trajectory.to_json_dict(cfg.dump_rho))
-    if with_series and ab_tables:
-        dump_convergence_csv(ab_tables, outdir / "series_convergence.csv")
+    if with_series and tables is not None:
+        dump_convergence_csv(tables, outdir / "series_convergence.csv")
     report["config"] = asdict(cfg)
     _write_json(outdir / "report.json", report)
     return report

@@ -33,6 +33,10 @@ of ``b^n``, which equals that of ``P^n``) and ``q_n`` (the sum of
 from the right by matrices that do not depend on the outer time, so they
 are stacked as the row blocks of ``(G d) x (G d)`` matrices, row block
 ``K`` holding ``t_K``, and each step is one product for all outer times.
+The result is one :class:`SeriesTables` record: ``A`` and ``B`` as
+``(d, d, G, G)`` arrays, row ``K`` at ``t_K``, and the per-order norms
+of every outer time, which the coefficient reduction and the reports
+read as built.  :func:`assemble_AB` cuts one outer time out of it.
 
 **Real arithmetic.**  The channels of every model are Hermitian
 combinations of ``q`` and ``p``, so ``f = [x_t, x_s]`` is ``i`` times a
@@ -98,6 +102,7 @@ __all__ = [
     "SampledKernels",
     "KernelTable",
     "ABKernels",
+    "SeriesTables",
     "SeriesContext",
     "contraction_BA",
     "contraction_BB",
@@ -371,20 +376,10 @@ def _outer_index(t: float, grid: TimeGrid) -> int:
     return idx
 
 
-def _samples_for(D, f, grid, method, samples=None) -> SampledKernels:
-    """The given shared samples, checked against the inputs, or a fresh
-    sample of the whole grid."""
-    if samples is None:
-        return SampledKernels(D, f, grid, method)
-    if not (samples.D is D and samples.f is f and samples.grid is grid and samples.method == method):
-        raise ValueError("samples were taken for other kernels, grid or quadrature rule")
-    return samples
-
-
 def _context(D, f, t, grid, method) -> SeriesContext:
     """Context at outer time ``t`` on a fresh sample of the whole grid."""
     K = _outer_index(t, grid)
-    return SeriesContext(_samples_for(D, f, grid, method), K)
+    return SeriesContext(SampledKernels(D, f, grid, method), K)
 
 
 def contraction_BA(
@@ -540,7 +535,7 @@ def alpha_beta(n: int, b_table: KernelTable, a_table: KernelTable) -> dict:
 
 @dataclass(frozen=True)
 class ABKernels:
-    """Assembled nonlocal kernels at one outer time.
+    """Assembled nonlocal kernels at one outer time, from :func:`assemble_AB`.
 
     ``A[j, k, a]`` samples ``A_jk(t, s_a)`` on the prefix grid, likewise
     ``B``.  ``per_order`` records ``(n, sup|alpha^n|, sup|beta^n|)`` for
@@ -559,6 +554,25 @@ class ABKernels:
     converged: bool
 
 
+@dataclass(frozen=True)
+class SeriesTables:
+    """The kernel series at every time of ``grid`` (:func:`build_ab_tables`).
+
+    Row ``K`` holds ``t_K`` as :class:`ABKernels` holds one time:
+    ``A[j, k, K, a]`` samples ``A_jk(t_K, s_a)`` and is zero past ``t_K``
+    (likewise ``B``; both read-only float64); ``norms[K, n - 1]`` is
+    ``(sup|alpha^n|, sup|beta^n|)``, zero past ``achieved_order[K]``.
+    """
+
+    grid: TimeGrid
+    A: np.ndarray = field(repr=False)
+    B: np.ndarray = field(repr=False)
+    norms: np.ndarray = field(repr=False)
+    achieved_order: np.ndarray = field(repr=False)
+    last_order_norm: np.ndarray = field(repr=False)
+    converged: np.ndarray = field(repr=False)
+
+
 #: Most outer times in one slab of :func:`build_ab_tables`; slabs are split
 #: evenly, so G = 65 (64 outer times with a correction) runs as one slab.
 SLAB = 64
@@ -569,34 +583,29 @@ def build_ab_tables(
     f: CommutatorKernel,
     config: SeriesConfig,
     grid: TimeGrid,
-    force_series: bool = False,
-    samples: SampledKernels | None = None,
-) -> list[ABKernels]:
+) -> SeriesTables:
     """Truncated kernel series ``A = D^Re + sum alpha^n``,
-    ``B = D^Im + sum beta^n`` at every grid time, entry ``K`` at ``t_K``.
+    ``B = D^Im + sum beta^n`` at every grid time, as one
+    :class:`SeriesTables`.
 
     The chain sums of every outer time are the row blocks of stacked real
     matrices, built one slab of outer times at a time (see the module
-    docstring).  Each outer time stops at the first order whose relative
-    sup-norm drops below ``config.eps_series``.  ``A`` and ``B`` are
-    float64 views of one zero-padded ``(d, d, G, G)`` array each, entry
-    ``K`` at ``[:, :, K, :K + 1]``, so the build copies no entry.
+    docstring) and added in place into the record's arrays.  Each outer
+    time stops at the first order whose relative sup-norm drops below
+    ``config.eps_series``.
 
     Two exact closures short-circuit the series: constant coupling
-    operators (``f`` identically zero) and purely real correlation
-    kernels, for which every correction vanishes identically and the
-    zeroth order is returned bit for bit.  ``force_series`` disables the
-    shortcut (the recursions then produce exact zeros anyway).
-    ``samples`` is a :class:`SampledKernels` of ``(D, f, grid,
-    config.method)``; without it the grid square is sampled here.
-    Raises ``ValueError`` unless ``Re f`` is exactly 0.
+    operators (``f.is_zero``) and purely real correlation kernels
+    (``D.is_real``), for which every correction vanishes identically and
+    the zeroth order is returned bit for bit.  A kernel without the flag
+    runs the recursions, which then produce exact zeros.  Raises
+    ``ValueError`` unless ``Re f`` is exactly 0.
     """
-    samples = _samples_for(D, f, grid, config.method, samples)
+    samples = SampledKernels(D, f, grid, config.method)
     if samples.f_re is not None:
         raise ValueError("commutator kernel has a real part; the series needs Re f = 0 (Hermitian channels)")
     d, G = samples.d, grid.n_points
-    closure = (f.is_zero or D.is_real) and not force_series
-    max_order = 0 if closure or G < 2 else config.max_order
+    max_order = 0 if f.is_zero or D.is_real else config.max_order
     # zeroth order: A[j, k, K, a] = D^Re_jk(t_K, s_a) for a <= K, zero past t_K
     below = np.tri(G, dtype=bool)
     A = np.where(below, _unblk(samples.DRe, d), 0.0)
@@ -624,20 +633,7 @@ def build_ab_tables(
                 A[:, :, slab, :K1], B[:, :, slab, :K1], ref[slab],
             )
 
-    return [
-        ABKernels(
-            outer_index=K,
-            outer_time=float(grid.points[K]),
-            grid=grid,
-            A=A[:, :, K, : K + 1],
-            B=B[:, :, K, : K + 1],
-            achieved_order=int(achieved[K]),
-            last_order_norm=float(last_rel[K]),
-            per_order=tuple((n, float(na), float(nb)) for n, (na, nb) in enumerate(norms[K, : achieved[K]], 1)),
-            converged=bool(last_rel[K] < config.eps_series),
-        )
-        for K in range(G)
-    ]
+    return SeriesTables(grid, *_read_only(A, B, norms, achieved, last_rel, last_rel < config.eps_series))
 
 
 def _slab(samples, SD, K0, K1, max_order, eps, A, B, ref) -> tuple:
@@ -727,26 +723,30 @@ def assemble_AB(
     config: SeriesConfig,
     t: float,
     grid: TimeGrid,
-    force_series: bool = False,
-    samples: SampledKernels | None = None,
 ) -> ABKernels:
-    """The kernel series at outer time ``t``: the entry of
-    :func:`build_ab_tables` at ``t``, bit for bit, built with the whole
-    grid."""
+    """Row ``K`` of :func:`build_ab_tables` at ``t_K = t``, bit for bit."""
     K = _outer_index(t, grid)
-    return build_ab_tables(D, f, config, grid, force_series, samples)[K]
+    tables = build_ab_tables(D, f, config, grid)
+    n = int(tables.achieved_order[K])
+    return ABKernels(
+        outer_index=K,
+        outer_time=float(grid.points[K]),
+        grid=grid,
+        A=tables.A[:, :, K, : K + 1],
+        B=tables.B[:, :, K, : K + 1],
+        achieved_order=n,
+        last_order_norm=float(tables.last_order_norm[K]),
+        per_order=tuple((i, float(na), float(nb)) for i, (na, nb) in enumerate(tables.norms[K, :n], 1)),
+        converged=bool(tables.converged[K]),
+    )
 
 
-def dump_convergence_csv(results, path) -> None:
-    """Write per-order sup-norms of a sequence of builds to CSV.
-
-    Columns: ``t, n, norm_alpha, norm_beta``, one row per included order.
-    """
+def dump_convergence_csv(tables: SeriesTables, path) -> None:
+    """Write the per-order sup-norms of a build to CSV: columns ``t, n,
+    norm_alpha, norm_beta``, one row per outer time and included order."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "n", "norm_alpha", "norm_beta"])
-        for res in results:
-            for n, na, nb in res.per_order:
-                writer.writerow(
-                    [f"{res.outer_time:.17g}", n, f"{na:.17g}", f"{nb:.17g}"]
-                )
+        for t, n_K, norms in zip(tables.grid.points, tables.achieved_order, tables.norms):
+            for n, (na, nb) in enumerate(norms[:n_K], 1):
+                writer.writerow([f"{t:.17g}", n, f"{na:.17g}", f"{nb:.17g}"])

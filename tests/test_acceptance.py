@@ -6,6 +6,8 @@ runs) are shared through module-scoped fixtures; every tolerance below
 is pinned, nothing is calibrated at run time.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -174,8 +176,10 @@ def test_criterion_4_nondissipative_closure():
     kern = harmonic_kernels(1.0, 1.0)
     f = commutator_kernel(kern, ["q"])
     grid = make_grid(2.0, 65)
-    tabs = build_ab_tables(D, f, SeriesConfig(max_order=3), grid, force_series=True)
-    b_sup = max(float(np.max(np.abs(ab.B))) for ab in tabs)
+    # without the is_real flag the series runs its recursions on the real kernel
+    tabs = build_ab_tables(dataclasses.replace(D, is_real=False), f, SeriesConfig(max_order=3), grid)
+    assert tabs.achieved_order.max() >= 1
+    b_sup = float(np.max(np.abs(tabs.B)))
     via_series = coefficients_linear(tabs, kern, grid)
     direct = coefficients_nondissipative(D, kern, grid)
     dev = max(
@@ -200,7 +204,7 @@ def test_criterion_5_mu_zero_reduction():
     base = make_exponential(1.0, 0.5)
     lam = 0.3
     grid = make_grid(2.0, 65)
-    qm = coefficients_qmupl(
+    qm, _ = coefficients_qmupl(
         lam, 0.0, 1.0, 1.0, base, SeriesConfig(max_order=2), grid
     )
     nd = coefficients_nondissipative(
@@ -294,7 +298,7 @@ def qmupl_golden():
     base = make_exponential(1.0, 0.5)
     t_final, n_samples = 3.0, 31
     grid = make_grid(t_final, 65)
-    coeffs = coefficients_qmupl(
+    coeffs, _ = coefficients_qmupl(
         QM_LAM, QM_MU, 1.0, 1.0, base, SeriesConfig(max_order=2, eps_series=1e-30), grid
     )
     dims = {}

@@ -7,6 +7,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from nmgme import series
 from nmgme.cli import main
 from nmgme.scenarios import ConfigError, RunConfig
 
@@ -467,6 +468,34 @@ def test_qmupl_scenario(tmp_path):
     assert report["moment_fock_max_dq"] < 1e-6
     header = (tmp_path / "out" / "coefficients.csv").read_text().splitlines()[0]
     assert "gamma_pp" in header
+
+
+@pytest.mark.parametrize("scenario, extra", [
+    ("coeffs", {"model": "hpz", "kernel": {"family": "discrete_modes", "mode_freqs": [1.3], "couplings": [[0.2]]}}),
+    ("qmupl", {"kernel": {"family": "exponential", "gamma": 1.0, "tau_c": 0.5},
+               "system": {"m": 1.0, "omega": 1.0, "lam": 0.2, "mu": 0.1},
+               "propagation": {"fock_dim": 8, "h": 0.01, "n_samples": 3,
+                               "initial_state": {"type": "coherent", "alpha_re": 0.3}}}),
+])
+def test_series_runs_build_no_per_time_kernels(tmp_path, monkeypatch, scenario, extra):
+    # the reduction, the report and series_convergence.csv read the one
+    # stacked build; no outer time is cut out of it
+    made = []
+    init = series.ABKernels.__init__
+
+    def spy(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(series.ABKernels, "__init__", spy)
+    cfg = {"grid": {"t_max": 0.5, "n_points": 17}, "series": {"max_order": 2, "eps_series": 1e-30},
+           "output_dir": str(tmp_path / "out"), **extra}
+    assert main([scenario, "--config", write_config(tmp_path, cfg)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["max_achieved_order"] == 2
+    rows = (tmp_path / "out" / "series_convergence.csv").read_text().splitlines()
+    assert len(rows) == 1 + 2 * 16
+    assert made == []
 
 
 def test_run_config_validation_direct():

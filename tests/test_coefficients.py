@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -14,29 +16,24 @@ from nmgme.coefficients import (
     write_coefficients_csv,
 )
 from nmgme.grids import make_grid, quad_weights
-from nmgme.series import ABKernels, SeriesConfig
+from nmgme import coefficients
+from nmgme.series import SeriesConfig, SeriesTables
 from nmgme.system import commutator_kernel, harmonic_kernels, qmupl_kernels
 
 
 def constant_ab_tables(grid, d0, d=1):
     """Synthetic assembled kernels A = d0, B = 0 on every prefix."""
-    tables = []
-    for K, t in enumerate(grid.points):
-        shape = (d, d, K + 1)
-        tables.append(
-            ABKernels(
-                outer_index=K,
-                outer_time=float(t),
-                grid=grid,
-                A=np.full(shape, d0, dtype=float),
-                B=np.zeros(shape),
-                achieved_order=0,
-                last_order_norm=0.0,
-                per_order=(),
-                converged=True,
-            )
-        )
-    return tables
+    G = grid.n_points
+    below = np.tri(G, dtype=bool)
+    return SeriesTables(
+        grid=grid,
+        A=np.where(below, d0, 0.0) * np.ones((d, d, 1, 1)),
+        B=np.zeros((d, d, G, G)),
+        norms=np.zeros((G, 0, 2)),
+        achieved_order=np.zeros(G, dtype=int),
+        last_order_norm=np.zeros(G),
+        converged=np.ones(G, dtype=bool),
+    )
 
 
 def test_linear_constant_kernel_closed_form():
@@ -107,7 +104,9 @@ def test_nondissipative_matches_series_pipeline():
     grid = make_grid(1.5, 49)
     direct = coefficients_nondissipative(D, kern, grid)
     f = commutator_kernel(kern, ["q"])
-    tabs = build_ab_tables(D, f, SeriesConfig(max_order=3), grid, force_series=True)
+    # without the is_real flag the series runs its recursions on the real kernel
+    tabs = build_ab_tables(dataclasses.replace(D, is_real=False), f, SeriesConfig(max_order=3), grid)
+    assert tabs.achieved_order.max() >= 1
     via_series = coefficients_linear(tabs, kern, grid)
     assert np.max(np.abs(direct.Gamma - via_series.Gamma)) < 1e-8
     assert np.max(np.abs(direct.Theta - via_series.Theta)) < 1e-8
@@ -166,7 +165,7 @@ def test_dephasing_complex_kernel_xi():
 
 def test_qmupl_lambda_zero_all_coefficients_vanish():
     base = make_exponential(1.0, 0.5)
-    coeffs = coefficients_qmupl(
+    coeffs, _ = coefficients_qmupl(
         0.0, 0.1, 1.0, 1.0, base, SeriesConfig(max_order=2), make_grid(1.0, 17)
     )
     for name in ("Gamma", "Theta", "Xi", "Upsilon"):
@@ -180,7 +179,7 @@ def test_qmupl_mu_zero_reduces_to_nondissipative():
     base = make_exponential(1.0, 0.5)
     lam = 0.3
     grid = make_grid(1.0, 33)
-    qm = coefficients_qmupl(lam, 0.0, 1.0, 1.0, base, SeriesConfig(max_order=2), grid)
+    qm, _ = coefficients_qmupl(lam, 0.0, 1.0, 1.0, base, SeriesConfig(max_order=2), grid)
     nd = coefficients_nondissipative(
         base, harmonic_kernels(1.0, 1.0), grid, lam_scale=lam
     )
@@ -196,7 +195,7 @@ def test_qmupl_mu_zero_reduces_to_nondissipative():
 def test_qmupl_golden_table():
     base = make_exponential(1.0, 0.5)
     grid = make_grid(1.0, 65)
-    coeffs = coefficients_qmupl(
+    coeffs, _ = coefficients_qmupl(
         0.3, 0.1, 1.0, 1.0, base, SeriesConfig(max_order=2, eps_series=1e-30), grid
     )
     for idx, row in GOLDEN_QMUPL_COEFFS.items():
@@ -306,7 +305,7 @@ def test_csv_round_trip(tmp_path):
 
 def test_csv_qmupl_extras(tmp_path):
     base = make_exponential(1.0, 0.5)
-    coeffs = coefficients_qmupl(
+    coeffs, _ = coefficients_qmupl(
         0.2, 0.1, 1.0, 1.0, base, SeriesConfig(max_order=1), make_grid(0.5, 9)
     )
     path = tmp_path / "c.csv"
@@ -316,22 +315,20 @@ def test_csv_qmupl_extras(tmp_path):
         assert name in header
 
 
-def _per_time_quadrature(ab_tables, grid, method, weight_fns):
+def _per_time_quadrature(tables, grid, method, weight_fns):
     """Reference: the former per-outer-time reduction of ``A``/``B``.
 
     ``weight_fns`` maps names to ``(kernel, j, k, flow_fn, factor)`` terms.
     """
     out = {name: np.zeros(grid.n_points, dtype=complex) for name in weight_fns}
-    for K, ab in enumerate(ab_tables):
+    for K in range(1, grid.n_points):
         n = K + 1
-        if n == 1:
-            continue
         w = quad_weights(n, grid.h, method)
-        u = ab.outer_time - grid.points[:n]
+        u = grid.points[K] - grid.points[:n]
         for name, terms in weight_fns.items():
             total = 0.0
             for which, j, k, flow_fn, factor in terms:
-                kern = ab.A if which == "A" else ab.B
+                kern = getattr(tables, which)[:, :, K, :n]
                 total = total + factor * np.dot(w, kern[j, k] * flow_fn(u))
             out[name][K] = total
     return out
@@ -380,9 +377,7 @@ def test_one_reduction_matches_per_time_reference(method):
 
     # collapse model: all seven coefficients
     lam, mu = 0.5, 0.3
-    qm, tabs = coefficients_qmupl(
-        lam, mu, 1.0, 1.0, make_exponential(1.0, 0.5), cfg, grid, method, return_ab=True
-    )
+    qm, tabs = coefficients_qmupl(lam, mu, 1.0, 1.0, make_exponential(1.0, 0.5), cfg, grid, method)
     flow = qmupl_kernels(1.0, 1.0, lam, mu).flow
     C11, C12, C21, C22 = (
         (lambda u, l=l, m=m: flow(u)[l, m]) for l, m in ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -441,3 +436,38 @@ GOLDEN_QMUPL_COEFFS = {
          -0.04749584973050414, 0.004262976566399386, -0.011746073135634055,
          -0.0010534427762019841),
 }
+
+
+def _spy_on_reduce(monkeypatch) -> list:
+    """The ``A`` array of every reduction, in order."""
+    seen, reduce = [], coefficients._reduce
+
+    def spy(X, *args, **kwargs):
+        seen.append(X["A"])
+        return reduce(X, *args, **kwargs)
+
+    monkeypatch.setattr(coefficients, "_reduce", spy)
+    return seen
+
+
+def test_reductions_read_the_build_arrays(monkeypatch):
+    # coefficients_linear and coefficients_qmupl contract A and B as the
+    # series build filled them, with no per-time copy in between
+    seen = _spy_on_reduce(monkeypatch)
+    kern = harmonic_kernels(1.0, 1.0)
+    grid = make_grid(1.0, 17)
+    cfg = SeriesConfig(max_order=2)
+    tabs = build_ab_tables(make_discrete_modes([1.3], [[0.3]]), commutator_kernel(kern, ["q"]), cfg, grid)
+    coefficients_linear(tabs, kern, grid)
+    _, qm_tabs = coefficients_qmupl(0.3, 0.1, 1.0, 1.0, make_exponential(1.0, 0.5), cfg, grid)
+    assert len(seen) == 2
+    assert np.shares_memory(seen[0], tabs.A) and np.shares_memory(seen[1], qm_tabs.A)
+    assert tabs.A.dtype == qm_tabs.A.dtype == np.float64
+
+
+def test_tables_from_another_grid_rejected():
+    kern = harmonic_kernels(1.0, 1.0)
+    grid = make_grid(1.0, 17)
+    for other in (make_grid(1.0, 9), make_grid(2.0, 17)):
+        with pytest.raises(ValueError, match="coefficient grid"):
+            coefficients_linear(constant_ab_tables(other, 1.0), kern, grid)

@@ -486,9 +486,7 @@ def test_qmupl_rhs_matches_channel_expansion():
     base = make_exponential(1.0, 0.5)
     grid = make_grid(1.0, 33)
     cfg = SeriesConfig(max_order=2, eps_series=1e-30)
-    coeffs, tabs = coefficients_qmupl(
-        lam, mu, m, omega, base, cfg, grid, return_ab=True
-    )
+    coeffs, tabs = coefficients_qmupl(lam, mu, m, omega, base, cfg, grid)
     kern = qmupl_kernels(m, omega, lam, mu)
 
     dim = 12
@@ -499,8 +497,8 @@ def test_qmupl_rhs_matches_channel_expansion():
     S = np.array([[1.0, 0.0], [0.0, -mu]])
 
     K = 32
-    ab = tabs[K]
-    t = ab.outer_time
+    A, B = tabs.A[:, :, K], tabs.B[:, :, K]
+    t = grid.points[K]
     n = K + 1
     w = quad_weights(n, grid.h)
     flows = kern.flow(t - grid.points[:n])  # (2, 2, n)
@@ -516,8 +514,8 @@ def test_qmupl_rhs_matches_channel_expansion():
                     row = S[k] @ flows[:, :, a]
                     Ak_s = row[0] * q + row[1] * p
                     out = out - w[a] * (
-                        ab.A[j, k, a] * comm(Aj, comm(Ak_s, rho))
-                        + 2j * ab.B[j, k, a] * 0.5 * comm(Aj, acomm(Ak_s, rho))
+                        A[j, k, a] * comm(Aj, comm(Ak_s, rho))
+                        + 2j * B[j, k, a] * 0.5 * comm(Aj, acomm(Ak_s, rho))
                     )
         return out
 
@@ -554,7 +552,7 @@ def test_trajectory_json_dict():
 def _qmupl_case():
     grid = make_grid(0.25, 9)
     cfg = SeriesConfig(max_order=2, eps_series=1e-30)
-    coeffs = coefficients_qmupl(0.1, 0.3, 1.0, 1.0, make_exponential(1.0, 0.5), cfg, grid)
+    coeffs, _ = coefficients_qmupl(0.1, 0.3, 1.0, 1.0, make_exponential(1.0, 0.5), cfg, grid)
     dim = 40
     f = fock_operators(dim)
     ops = {"A": [f["q"]], "V": [f["p"]], "H0": quadratic_hamiltonian(dim), "q": f["q"], "p": f["p"]}
@@ -770,6 +768,27 @@ def test_run_switching_to_unmirrored_steps_matches_reference(monkeypatch):
     for key, values in diags.items():
         assert np.max(np.abs(np.array(traj.diagnostics[key]) - values)) <= 1e-13, key
     assert traj.diagnostics["hermiticity_defect"][-1] > 0.0
+
+
+def test_mirrored_run_builds_no_general_stage_buffers(monkeypatch):
+    # every stage of a Fock qmupl run is mirrored, so the general basis,
+    # coefficient slots and window buffers are never built; the first
+    # unmirrored stage builds them
+    forms, of_run = [], _SandwichForm.of_run.__func__
+
+    def spy(cls, *args):
+        forms.append(of_run(cls, *args))
+        return forms[-1]
+
+    monkeypatch.setattr(_SandwichForm, "of_run", classmethod(spy))
+    coeffs, ops, rho0, t_final = EVOLVE_CASES["qmupl-dim40"]()
+    evolve(rho0, coeffs, ops, t_final, 2e-3, n_samples=3, truncation_guard=False)
+    (form,) = forms
+    general = {"_general", "_basis_c", "_coef_c", "_slots_c", "_rho", "_hat"}
+    assert general.isdisjoint(vars(form))
+    _, (real_w, cplx_w, _) = _form_and_weights(coeffs, ops, 0.5 * t_final)
+    form.stages(real_w, cplx_w, False)
+    assert "_general" in vars(form)
 
 
 def test_unphysical_stage_is_not_mirrored():

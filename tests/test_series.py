@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -363,8 +365,9 @@ def test_assemble_real_kernel_closure():
     res = assemble_AB(D, f, SeriesConfig(max_order=3), 1.0, grid)
     assert res.achieved_order == 0
     assert np.max(np.abs(res.B)) == 0.0
-    # forcing the series through produces exact zeros as well
-    res_f = assemble_AB(D, f, SeriesConfig(max_order=3), 1.0, grid, force_series=True)
+    # without the is_real flag the recursions run and produce exact zeros
+    res_f = assemble_AB(dataclasses.replace(D, is_real=False), f, SeriesConfig(max_order=3), 1.0, grid)
+    assert res_f.achieved_order >= 1
     assert np.array_equal(res_f.A, res.A)
     assert np.max(np.abs(res_f.B)) == 0.0
 
@@ -450,15 +453,16 @@ def test_simpson_series_close_to_trapezoid():
 def test_convergence_csv_dump(tmp_path):
     D, f = one_mode_setup()
     grid = make_grid(0.5, 17)
-    res = [
-        assemble_AB(D, f, SeriesConfig(max_order=2, eps_series=1e-30), t, grid)
-        for t in grid.points
-    ]
+    tabs = build_ab_tables(D, f, SeriesConfig(max_order=2, eps_series=1e-30), grid)
     path = tmp_path / "conv.csv"
-    dump_convergence_csv(res, path)
+    dump_convergence_csv(tabs, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "t,n,norm_alpha,norm_beta"
-    assert len(lines) > 16
+    # one row per outer time and included order: none at t_0, two at the others
+    assert len(lines) == 1 + tabs.achieved_order.sum() == 1 + 2 * 16
+    # 17 significant digits round-trip exactly
+    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    assert rows[:2] == [[grid.points[1], n, na, nb] for n, (na, nb) in enumerate(tabs.norms[1], 1)]
 
 
 # Recorded from the validated pipeline (see test_qmupl_golden_assembly).
@@ -549,12 +553,12 @@ def _ref_alpha_beta(c, n, b, a):
     return (-1.0) ** n * alpha, (-1.0) ** n * beta
 
 
-def _ref_assemble(D, f, config, K, grid, force_series=False):
+def _ref_assemble(D, f, config, K, grid):
     """``(A, B, per_order, achieved_order, converged, last_order_norm)`` at
     outer index ``K``."""
     c = _RefContext(D, f, grid, K, config.method)
     A, B = c.DRe_t.copy(), c.DIm_t.copy()
-    if ((f.is_zero or D.is_real) and not force_series) or config.max_order == 0 or c.n == 1:
+    if f.is_zero or D.is_real or config.max_order == 0 or c.n == 1:
         return A, B, (), 0, True, 0.0
     ref = max(np.max(np.abs(A)), np.max(np.abs(B)), 1e-300)
     b, a = _ref_BA(c), _ref_BB(c)
@@ -575,20 +579,18 @@ def _ref_assemble(D, f, config, K, grid, force_series=False):
     return A, B, tuple(per_order), len(per_order), converged, last_rel
 
 
-def _assert_matches_reference(D, f, config, grid, indices, force_series=False):
-    tabs = build_ab_tables(D, f, config, grid, force_series=force_series)
+def _assert_matches_reference(D, f, config, grid, indices):
+    tabs = build_ab_tables(D, f, config, grid)
     for K in indices:
-        A, B, per_order, achieved, converged, last_rel = _ref_assemble(D, f, config, K, grid, force_series)
-        res = tabs[K]
-        assert res.outer_index == K
-        assert (res.achieved_order, res.converged) == (achieved, converged), K
-        assert abs(res.last_order_norm - last_rel) <= 1e-13, K
-        assert np.max(np.abs(res.A - A)) <= 1e-13, K
-        assert np.max(np.abs(res.B - B)) <= 1e-13, K
-        assert len(res.per_order) == len(per_order), K
-        for (n, na, nb), (n_ref, na_ref, nb_ref) in zip(res.per_order, per_order):
-            assert n == n_ref
-            assert abs(na - na_ref) <= 1e-13 and abs(nb - nb_ref) <= 1e-13, (K, n)
+        A, B, per_order, achieved, converged, last_rel = _ref_assemble(D, f, config, K, grid)
+        assert (tabs.achieved_order[K], tabs.converged[K]) == (achieved, converged), K
+        assert abs(tabs.last_order_norm[K] - last_rel) <= 1e-13, K
+        assert np.max(np.abs(tabs.A[:, :, K, : K + 1] - A)) <= 1e-13, K
+        assert np.max(np.abs(tabs.B[:, :, K, : K + 1] - B)) <= 1e-13, K
+        assert not tabs.A[:, :, K, K + 1 :].any() and not tabs.B[:, :, K, K + 1 :].any(), K
+        assert not tabs.norms[K, achieved:].any(), K
+        for (na, nb), (n_ref, na_ref, nb_ref) in zip(tabs.norms[K], per_order):
+            assert abs(na - na_ref) <= 1e-13 and abs(nb - nb_ref) <= 1e-13, (K, n_ref)
 
 
 #: ``(setup, max_order, eps_series)``: d = 1 (discrete modes) and d = 2
@@ -616,8 +618,8 @@ def test_shared_sample_engine_matches_per_time_reference(model, G, method):
     _assert_matches_reference(D, f, config, grid, indices)
     if model == "qmupl_order4_eps" and G == 17:
         tabs = build_ab_tables(D, f, config, grid)
-        assert {ab.achieved_order for ab in tabs[1:]} == {2, 3, 4}
-        assert {ab.converged for ab in tabs} == {True, False}
+        assert set(tabs.achieved_order[1:]) == {2, 3, 4}
+        assert set(tabs.converged) == {True, False}
 
 
 def test_shared_sample_engine_matches_reference_when_truncating_or_forced():
@@ -626,13 +628,13 @@ def test_shared_sample_engine_matches_reference_when_truncating_or_forced():
     D, f = qmupl_setup(lam=0.5, mu=0.3)
     _assert_matches_reference(D, f, SeriesConfig(max_order=3, method="simpson"), grid, range(17))
     _assert_matches_reference(D, f, SeriesConfig(max_order=1, eps_series=1e-30), grid, range(17))
-    # a closure case with the shortcut disabled runs the recursions to zeros
-    D = make_exponential(1.0, 0.5)
+    # a real kernel without its is_real flag runs the recursions to zeros
+    D = dataclasses.replace(make_exponential(1.0, 0.5), is_real=False)
     f = commutator_kernel(harmonic_kernels(1.0, 1.0), ["q"])
-    _assert_matches_reference(D, f, SeriesConfig(max_order=3, eps_series=1e-30), grid, range(17), force_series=True)
-    # and a complex single-channel kernel with the shortcut disabled, too
+    _assert_matches_reference(D, f, SeriesConfig(max_order=3, eps_series=1e-30), grid, range(17))
+    # and a complex single-channel kernel stopped at order 2
     D, f = hpz_setup()
-    _assert_matches_reference(D, f, SeriesConfig(max_order=2, eps_series=1e-30), grid, range(17), force_series=True)
+    _assert_matches_reference(D, f, SeriesConfig(max_order=2, eps_series=1e-30), grid, range(17))
 
 
 def test_standalone_assembly_equals_shared_build_bit_for_bit():
@@ -645,8 +647,10 @@ def test_standalone_assembly_equals_shared_build_bit_for_bit():
         tabs = build_ab_tables(D, f, config, grid)
         for K in (1, 32, 44, 50, 64):
             res = assemble_AB(D, f, config, grid.points[K], grid)
-            assert np.array_equal(res.A, tabs[K].A) and np.array_equal(res.B, tabs[K].B), K
-            assert res.per_order == tabs[K].per_order, K
+            assert np.array_equal(res.A, tabs.A[:, :, K, : K + 1]), K
+            assert np.array_equal(res.B, tabs.B[:, :, K, : K + 1]), K
+            assert res.achieved_order == tabs.achieved_order[K] == 3, K
+            assert res.per_order == tuple((n, na, nb) for n, (na, nb) in enumerate(tabs.norms[K], 1)), K
 
 
 def test_build_runs_no_per_time_engine(monkeypatch):
@@ -658,7 +662,7 @@ def test_build_runs_no_per_time_engine(monkeypatch):
         monkeypatch.setattr(series, name, forbidden)
     D, f = qmupl_setup(lam=0.5, mu=0.3)
     tabs = coefficients.build_ab_tables(D, f, SeriesConfig(max_order=3, eps_series=1e-30), make_grid(2.0, 17))
-    assert [ab.achieved_order for ab in tabs] == [0] + [3] * 16
+    assert tabs.achieved_order.tolist() == [0] + [3] * 16
 
 
 @pytest.mark.parametrize("method", ["trapezoid", "simpson"])
@@ -774,7 +778,7 @@ def test_slabs_match_per_time_reference(monkeypatch, model, G, edges):
         assert calls == list(zip(edges, edges[1:]))
     if model == "qmupl_order4_eps" and G == 17:
         tabs = build_ab_tables(D, f, config, make_grid(2.0, G))
-        assert {ab.achieved_order for ab in tabs[1:]} == {2, 3, 4}
+        assert set(tabs.achieved_order[1:]) == {2, 3, 4}
 
 
 @pytest.mark.parametrize("G, n_slabs", [(65, 1), (66, 2), (129, 2), (130, 3)])
@@ -811,10 +815,15 @@ def test_build_returns_float64_views_of_one_stacked_array():
         (make_exponential(1.0, 0.5), commutator_kernel(harmonic_kernels(1.0, 1.0), ["q"]), 3),  # closure
     ):
         tabs = build_ab_tables(D, f, SeriesConfig(max_order=order), grid)
+        assert tabs.grid is grid
+        assert tabs.achieved_order.shape == tabs.last_order_norm.shape == tabs.converged.shape == (17,)
+        assert tabs.norms.shape == (17, 0 if D.is_real else order, 2)
+        res = assemble_AB(D, f, SeriesConfig(max_order=order), grid.points[9], grid)
         for x in ("A", "B"):
-            stacked = getattr(tabs[0], x).base
+            stacked = getattr(tabs, x)
             assert stacked.dtype == np.float64 and stacked.shape == (D.n_channels,) * 2 + (17, 17)
-            for K, ab in enumerate(tabs):
-                assert getattr(ab, x).dtype == np.float64 and getattr(ab, x).base is stacked
-                assert np.array_equal(getattr(ab, x), stacked[:, :, K, : K + 1])
+            assert not stacked.flags.writeable
             assert not np.triu(stacked, k=1).any()  # zero past every outer time
+            # an assembled outer time is a view of its build's stacked array
+            view = getattr(res, x)
+            assert view.base.shape == stacked.shape and np.array_equal(view, stacked[:, :, 9, :10])
