@@ -91,8 +91,6 @@ def main(argv=None) -> int:
 
     try:
         report = run(cfg)
-    except ConfigError as exc:
-        return _fail(2, "invalid_config", {"field": exc.field_path, "message": str(exc)})
     except EvolutionError as exc:
         return _fail(
             3, "runtime_abort", {"message": str(exc), "last_valid_time": exc.time}

@@ -279,10 +279,10 @@ def coefficients_qmupl(
     base: CorrelationKernel,
     config: SeriesConfig,
     grid: TimeGrid,
-    method: str = "trapezoid",
 ) -> tuple[MECoefficients, SeriesTables]:
     """Seven-coefficient set of the dissipative collapse master equation,
-    with the series tables it was reduced from.
+    with the series tables it was reduced from; the series and the
+    reduction both use the quadrature ``config.method``.
 
     The two channels ``(q, -mu p)`` are eliminated by expanding
     ``A_j(s)`` over ``(q_t, p_t)`` with the 2x2 flow; the resulting map
@@ -297,7 +297,7 @@ def coefficients_qmupl(
     D = make_qmupl_matrix(lam, base)
     f = commutator_kernel(kernels, [(1.0, 0.0), (0.0, -mu)])
     tables = build_ab_tables(D, f, config, grid)
-    vals = _reduce(_series(tables, grid), _flow(kernels, grid), grid, method, mu)
+    vals = _reduce(_series(tables, grid), _flow(kernels, grid), grid, config.method, mu)
     coeffs = _tables(
         grid,
         "qmupl",

@@ -35,15 +35,15 @@ where ``F`` lists the distinct operators among ``A_j``, ``V_j`` and (with
 depend on time -- ``p^2``, ``{q,p}``, the products ``A_j F_a`` and
 ``F_a A_j`` -- is built once per run (:class:`_SandwichForm`).  ``X``,
 ``Fhat_b = sum_a W_ab F_a`` and ``Y`` are linear in the time-dependent
-weights; ``[X; Fhat] rho`` gives ``X rho`` and the ``Fhat_b rho``, and
-``S = sum_b (Fhat_b rho) F_b`` the sandwich sum.
+weights.
 
-Every product is taken on the band of its operators.  The channel
-operators of the Gaussian models are linear in ``q`` and ``p`` and the
-Hamiltonians quadratic, so in the Fock basis every constant operator has
-half-bandwidth ``b = 2`` (``sigma_z``: 0); ``b``, the largest ``|i - l|``
-over the nonzero entries of all of them, is found from the operators,
-and a dense set (``b = dim - 1``) runs the same code.  Row ``i`` of
+A mirrored stage (below) takes every product on the band of its
+operators.  The channel operators of the Gaussian models are linear in
+``q`` and ``p`` and the Hamiltonians quadratic, so in the Fock basis
+every constant operator has half-bandwidth ``b = 2`` (``sigma_z``: 0);
+``b``, the largest ``|i - l|`` over the nonzero entries of all of them,
+is found from the operators, and a dense set (``b = dim - 1``) runs the
+same code.  Row ``i`` of
 ``sum_o c_o O_o B`` only reaches rows ``i - b .. i + b`` of ``B``: the
 rows of the right operands are kept in a zero-padded buffer, and one
 batched product multiplies the band coefficients of every row
@@ -56,37 +56,36 @@ times of an RK4 step (the mid one serves ``k2`` and ``k3``) are one
 product of their weight rows with a constant basis built once per run,
 written into fixed slots.
 
-* In general the result is ``X rho + S + rho Y``: ``[X; Fhat]`` acts on
-  the rows of ``rho``, then ``[F_1^T .. F_n^T, Y^T]`` on the rows of the
-  ``(Fhat_b rho)^T`` and ``rho^T`` give ``(S + rho Y)^T``, all in
-  complex arithmetic.
-* When a stage is exactly Hermiticity preserving (``Y = X^dag``,
-  ``W = W^dag`` entry by entry, Hermitian ``F``) and ``rho`` is
-  Hermitian, the stage runs in real arithmetic on
-  ``M = Re rho + Im rho``, which holds all of ``rho``:
-  ``Re rho = (M + M^T)/2`` and ``Im rho = (M - M^T)/2``.  For real ``A``,
-  ``B`` and complex ``c``, ``Re + Im`` of ``c A rho B`` is
-  ``A (Re c M + Im c M^T) B``.  Each ``F_a = sum_m C_am R_m`` over real
-  matrices ``R_m`` (its nonzero real and imaginary parts), so the
-  sandwich sum is ``sum_mn Omega_mn R_m rho R_n`` with
-  ``Omega = C^T W C``, and ``rho Y = (X rho)^dag``.  With
-  ``Ahat_n = sum_m Omega_mn R_m``, the band rows of
-  ``[X; iX; Ahat_1..Ahat_N]`` (complex entries as real/imaginary pairs)
-  on the interleaved rows of ``M`` and ``M^T`` give
-  ``[Q; Q'; Yhat_1..Yhat_N]``, the ``R_n^T`` on the rows of the
-  ``Yhat_n^T`` give ``(sum_n Yhat_n R_n)^T``, and
-  ``dM/dt = Q + Q'^T + sum_n Yhat_n R_n``.  At dim 40 (Fock models:
-  ``q`` real and ``p`` imaginary, so ``N = 2``) the two products take
-  0.16 MFlop per stage, against 1.28 MFlop for the same two products
-  taken dense (0.13 against 1.02 for the first).  Any real ``M`` is a
-  Hermitian ``rho``, so a run from a Hermitian state keeps a zero
-  Hermiticity defect whenever its coefficients are exactly physical.
+A stage is mirrored when it is exactly Hermiticity preserving
+(``Y = X^dag``, ``W = W^dag`` entry by entry, Hermitian ``F``) and
+``rho`` is Hermitian, as every stage of the closed master equation from
+a physical state is.  It runs in real arithmetic on
+``M = Re rho + Im rho``, which holds all of ``rho``:
+``Re rho = (M + M^T)/2`` and ``Im rho = (M - M^T)/2``.  For real ``A``,
+``B`` and complex ``c``, ``Re + Im`` of ``c A rho B`` is
+``A (Re c M + Im c M^T) B``.  Each ``F_a = sum_m C_am R_m`` over real
+matrices ``R_m`` (its nonzero real and imaginary parts), so the
+sandwich sum is ``sum_mn Omega_mn R_m rho R_n`` with
+``Omega = C^T W C``, and ``rho Y = (X rho)^dag``.  With
+``Ahat_n = sum_m Omega_mn R_m``, the band rows of
+``[X; iX; Ahat_1..Ahat_N]`` (complex entries as real/imaginary pairs)
+on the interleaved rows of ``M`` and ``M^T`` give
+``[Q; Q'; Yhat_1..Yhat_N]``, the ``R_n^T`` on the rows of the
+``Yhat_n^T`` give ``(sum_n Yhat_n R_n)^T``, and
+``dM/dt = Q + Q'^T + sum_n Yhat_n R_n``.  At dim 40 (Fock models:
+``q`` real and ``p`` imaginary, so ``N = 2``) the two products take
+0.16 MFlop per stage, against 1.28 MFlop for the same two products
+taken dense (0.13 against 1.02 for the first).  Any real ``M`` is a
+Hermitian ``rho``, so a run from a Hermitian state keeps a zero
+Hermiticity defect whenever its coefficients are exactly physical.
 
-``rho`` is not assumed Hermitian: it is checked, and any other state
-takes the general branch, so the Hermiticity defect of a run stays a
-measurement (verified in the test suite, not assumed).  :func:`evolve`
-keeps the state as ``M`` while its steps are mirrored and forms ``rho``
-only at sample times and before an unmirrored step.
+Any other stage (non-Hermitian operators or state, or coefficients off
+the physical structure) is evaluated as written, ``X rho + rho Y +
+sum_b Fhat_b rho F_b``, with dense ``X``, ``Y`` and ``Fhat``.  ``rho``
+is not assumed Hermitian: it is checked, so the Hermiticity defect of a
+run stays a measurement.  :func:`evolve` keeps the state as ``M`` while
+its steps are mirrored and forms ``rho`` only at sample times and
+before an unmirrored step.
 
 Integration is classical fixed-step fourth-order Runge-Kutta with
 coefficients linearly interpolated between grid nodes.  The coefficient
@@ -101,7 +100,6 @@ product.  The state is never rescaled: trace drift is a diagnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -320,9 +318,10 @@ class _SandwichForm:
     """The generator of the module docstring over one set of operators.
 
     Built once per run: the distinct operators ``F``, their real parts
-    ``R``, the half-bandwidth ``band`` of every constant operator, and
-    the bases that map a stage's weights to the band coefficients of its
-    products (the general one on the first unmirrored stage).
+    ``R``, the constant products that ``X`` and ``Y`` combine, the
+    half-bandwidth ``band`` of every constant operator, and the basis
+    that maps a mirrored stage's weights to the band coefficients of its
+    products.
     :meth:`weights` maps coefficient arrays with a leading stage axis to
     the weight rows of each stage, :meth:`stages` the rows of one RK4 step
     to its stages, and calling the form with a state and a stage
@@ -380,13 +379,13 @@ class _SandwichForm:
         products = np.array(products + [F[a] @ A[j] for j in range(d) for a in range(n)], dtype=complex)
         F = np.array(F, dtype=complex)
         R = np.array(R, dtype=float).reshape(N, dim, dim)
+        self._products, self._F = products, F
         # the half-bandwidth: the largest |i - l| over the nonzero entries
         _, i, l = np.nonzero(np.concatenate([products, F, R]))
         self.band = b = int(np.max(np.abs(i - l), initial=0))
         w = 2 * b + 1
-        n_x = d * n + self.n_ham
-        Pb, Fb, Rb = _band(products, b), _band(F, b), _band(R, b)
-        PbT, FbT, RbT = (_band(x.transpose(0, 2, 1), b) for x in (products, F, R))
+        self.n_x = n_x = d * n + self.n_ham
+        Pb, Rb, RbT = _band(products, b), _band(R, b), _band(R.transpose(0, 2, 1), b)
 
         # mirrored stages: the band rows of [X; iX; Ahat_1..Ahat_N] over
         # the rows of M and M^T (entries as real/imaginary pairs), weighted
@@ -408,34 +407,6 @@ class _SandwichForm:
         self._Yhat = _BandProduct(dim, b, N, float)
         self._T = np.empty((N + 2, dim, dim))  # Q, Q', Yhat_1..Yhat_N
         self._S = np.empty((dim, 1, dim))
-        self._general_bands = (dim, Pb[:n_x], PbT[d * n :], Fb, FbT)
-
-    @cached_property
-    def _general(self) -> tuple:
-        """``(basis, coef, slots, rho, hat)`` of the general stages, built on
-        the first one: the band rows of ``[X; Fhat_1..Fhat_n]`` over the rows
-        of ``rho``, then of ``[F_1^T .. F_n^T, Y^T]`` over the rows of
-        ``(Fhat_a rho)^T`` and ``rho^T``, weighted by ``[X weights | W^T | Y
-        weights | 1]``; a coefficient slot per stage time; window buffers."""
-        dim, PbX, PbY, Fb, FbT = self._general_bands
-        n, n_x, b = self.n, len(PbX), self.band
-        w = 2 * b + 1
-        rows = n_x + n * n + n_x + 1
-        left = np.zeros((rows, dim, n + 1, w), dtype=complex)
-        right = np.zeros((rows, dim, w, n + 1), dtype=complex)
-        left[:n_x, :, 0] = PbX
-        fhat = left[n_x : n_x + n * n].reshape(n, n, dim, n + 1, w)  # W^T[k, a]
-        for k in range(n):
-            fhat[k, :, :, 1 + k] = Fb
-        right[n_x + n * n : -1, :, :, n] = PbY
-        right[-1, :, :, :n] = FbT.transpose(1, 2, 0)
-        basis = np.hstack([left.reshape(rows, -1), right.reshape(rows, -1)])
-        coef = np.empty((3, basis.shape[1]), dtype=complex)
-        slots = [
-            (c[: left[0].size].reshape(dim, n + 1, w), c[left[0].size :].reshape(dim, 1, w * (n + 1)))
-            for c in coef
-        ]
-        return basis, coef, slots, _BandProduct(dim, b, 1, complex), _BandProduct(dim, b, n + 1, complex)
 
     @classmethod
     def of_run(cls, coeffs: MECoefficients, ops: dict, dim: int) -> "_SandwichForm":
@@ -455,10 +426,10 @@ class _SandwichForm:
         ``n_x = d n_F + n_ham`` constant products, then
         ``[Re Omega^T | Im Omega^T]`` row by row, with
         ``Omega = C^T W C`` (the weights of ``R`` and ``i R`` in
-        ``Ahat``).  ``cplx`` ``(s, 2 n_x + n_F^2 + 1)`` weights the general
-        basis: the weights of ``X``, ``W^T`` (so that ``Fhat = W^T F``),
-        the weights of ``Y`` and 1 for the constant ``F``.  ``mirror``
-        says whether the stage is exactly Hermiticity preserving:
+        ``Ahat``).  ``cplx`` ``(s, 2 n_x + n_F^2)`` weights the constant
+        products of the other stages: ``[X weights | Y weights | W^T]``,
+        ``Y`` over the last ``n_x`` products and ``Fhat = W^T F``.
+        ``mirror`` says whether the stage is exactly Hermiticity preserving:
         Hermitian operators and ``Y = X^dag``, ``W = W^dag`` entry by
         entry.
 
@@ -494,21 +465,23 @@ class _SandwichForm:
         OmT = self.C.T @ Wt @ self.C
         Om = np.concatenate([OmT.real, OmT.imag], axis=2)
         real = np.concatenate([xw.real, xw.imag, Om.reshape(s, -1)], axis=1)
-        cplx = np.concatenate([xw, Wt.reshape(s, -1), yw, np.ones((s, 1))], axis=1)
+        cplx = np.concatenate([xw, yw, Wt.reshape(s, -1)], axis=1)
         return real, cplx, mirror
 
     def stages(self, real: np.ndarray, cplx: np.ndarray, mirror: bool) -> list:
         """The stages ``(coefficients, mirror)`` of up to three weight rows
-        of :meth:`weights` (the stage times of one RK4 step), mirrored or
-        not: their band coefficients are one product of the rows with the
-        basis, written into fixed slots that the next call overwrites."""
-        s = len(real)
+        of :meth:`weights` (the stage times of one RK4 step).  Mirrored, the
+        band coefficients are one product of the rows with the basis,
+        written into fixed slots that the next call overwrites; otherwise
+        they are the dense ``(X, Y, Fhat)`` of each row."""
+        s, n_x, P = len(real), self.n_x, self._products
         if mirror:
             np.matmul(real, self._basis_r, out=self._coef_r[:s].reshape(s, -1))
             return [(coef, True) for coef in self._coef_r[:s]]
-        basis, coef, slots = self._general[:3]
-        np.matmul(cplx, basis, out=coef[:s])
-        return [(slot, False) for slot in slots[:s]]
+        X = np.tensordot(cplx[:, :n_x], P[:n_x], 1)
+        Y = np.tensordot(cplx[:, n_x : 2 * n_x], P[-n_x:], 1)
+        Fhat = np.tensordot(cplx[:, 2 * n_x :].reshape(s, self.n, self.n), self._F, 1)
+        return [(coef, False) for coef in zip(X, Y, Fhat)]
 
     def __call__(self, y: np.ndarray, stage: tuple) -> np.ndarray:
         """Right-hand side at ``y`` under a stage of :meth:`stages`.  With
@@ -517,7 +490,6 @@ class _SandwichForm:
         ``rho``: the result is the real representation of ``drho/dt``.
         Otherwise ``y`` is ``rho``."""
         coef, mirror = stage
-        out = np.empty(y.shape, dtype=float if mirror else complex)
         if mirror:
             self._MMt.rows[:, 0] = y
             self._MMt.rows[:, 1] = y.T
@@ -527,16 +499,9 @@ class _SandwichForm:
             self._Yhat.rows[...] = T[2:].transpose(2, 0, 1)
             S = self._Yhat(self._RT, out=self._S)[:, 0]  # (sum_n Yhat_n R_n)^T
             S += T[1]
-            return np.add(T[0], S.T, out=out)  # Q + Q'^T + sum_n Yhat_n R_n
-        n = self.n
-        left, right = coef
-        rho, hat = self._general[3:]
-        rho.rows[:, 0] = y
-        T = rho(left)  # rows of [X rho; Fhat_a rho]
-        hat.rows[:, :n] = T[:, 1:].transpose(2, 1, 0)
-        hat.rows[:, n] = y.T
-        S = hat(right)[:, 0]  # (sum_a Fhat_a rho F_a + rho Y)^T
-        return np.add(T[:, 0], S.T, out=out)
+            return T[0] + S.T  # Q + Q'^T + sum_n Yhat_n R_n
+        X, Y, Fhat = coef
+        return X @ y + y @ Y + (Fhat @ y @ self._F).sum(axis=0)
 
 
 def _hermitian_of(M: np.ndarray) -> np.ndarray:

@@ -150,6 +150,9 @@ class RunConfig:
             if not isinstance(self.white_noise_sweep, dict):
                 raise ConfigError("white_noise_sweep", "must be a mapping")
             _check_fields(self.white_noise_sweep, _SWEEP, "white_noise_sweep")
+            # the extrapolation fits a line in eps^2
+            if len(set(self.white_noise_sweep["eps_values"])) < 2:
+                raise ConfigError("white_noise_sweep.eps_values", "need at least two distinct widths")
             if self.scenario != "joos-zeh":
                 raise ConfigError("white_noise_sweep", f"only joos-zeh runs the sweep, not {self.scenario}")
         # the system the model has: a qubit for dephasing, else the Fock space
@@ -377,7 +380,7 @@ def _coefficients_for(cfg: RunConfig, model: str):
         return grid, coeffs, None
     # qmupl; validate() admits no other model
     coeffs, tables = coefficients_qmupl(
-        cfg.system["lam"], cfg.system["mu"], m, omega, kernel, _series_config(cfg), grid, method
+        cfg.system["lam"], cfg.system["mu"], m, omega, kernel, _series_config(cfg), grid
     )
     return grid, coeffs, tables
 

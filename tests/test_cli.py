@@ -165,6 +165,9 @@ def test_invalid_config_exit_2(tmp_path, capsys):
         ("dephasing", "white_noise_sweep", None, {**SWEEP, "t_eval": 0.0}, "white_noise_sweep.t_eval"),
         ("dephasing", "white_noise_sweep", None, {**SWEEP, "eps_values": []}, "white_noise_sweep.eps_values"),
         ("dephasing", "white_noise_sweep", None, {**SWEEP, "eps_values": [0.1, -0.05]}, "white_noise_sweep.eps_values"),
+        # a line in eps^2 needs two distinct widths
+        ("dephasing", "white_noise_sweep", None, {**SWEEP, "eps_values": [0.1]}, "white_noise_sweep.eps_values"),
+        ("dephasing", "white_noise_sweep", None, {**SWEEP, "eps_values": [0.1, 0.1]}, "white_noise_sweep.eps_values"),
         ("dephasing", "white_noise_sweep", None, {"strength": 1.0}, "white_noise_sweep.eps_values"),
         ("dephasing", "white_noise_sweep", None, [0.1, 0.05], "white_noise_sweep"),
         # a valid sweep on a scenario that does not run it

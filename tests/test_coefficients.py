@@ -377,7 +377,7 @@ def test_one_reduction_matches_per_time_reference(method):
 
     # collapse model: all seven coefficients
     lam, mu = 0.5, 0.3
-    qm, tabs = coefficients_qmupl(lam, mu, 1.0, 1.0, make_exponential(1.0, 0.5), cfg, grid, method)
+    qm, tabs = coefficients_qmupl(lam, mu, 1.0, 1.0, make_exponential(1.0, 0.5), cfg, grid)
     flow = qmupl_kernels(1.0, 1.0, lam, mu).flow
     C11, C12, C21, C22 = (
         (lambda u, l=l, m=m: flow(u)[l, m]) for l, m in ((0, 0), (0, 1), (1, 0), (1, 1))

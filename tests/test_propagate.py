@@ -200,11 +200,18 @@ def dense_channel_operators(dim, d, with_v, with_extras):
 @pytest.mark.parametrize("hermitian", [True, False], ids=["herm", "nonherm"])
 @pytest.mark.parametrize("with_extras", [True, False], ids=["extras", "plain"])
 @pytest.mark.parametrize("with_v", [True, False], ids=["V", "noV"])
-@pytest.mark.parametrize("d, dense", [(1, False), (2, False), (2, True)], ids=["1", "2", "dense"])
-def test_single_form_matches_double_commutator_reference(d, dense, with_v, with_extras, hermitian):
+@pytest.mark.parametrize(
+    "d, channels", [(1, "fock"), (2, "fock"), (2, "dense"), (2, "nonhermitian")],
+    ids=["1", "2", "dense", "nonherm-ops"],
+)
+def test_single_form_matches_double_commutator_reference(d, channels, with_v, with_extras, hermitian):
     rng = np.random.default_rng([d, with_v, with_extras, hermitian])
     dim = 8
-    ops = (dense_channel_operators if dense else fock_channel_operators)(dim, d, with_v, with_extras)
+    make_ops = dense_channel_operators if channels == "dense" else fock_channel_operators
+    ops = make_ops(dim, d, with_v, with_extras)
+    if channels == "nonhermitian":
+        # non-Hermitian channel operators rule the mirrored stage out
+        ops["A"] = [a + 0.1j * np.triu(np.ones((dim, dim)), 1) for a in ops["A"]]
 
     def cplx(shape):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -768,27 +775,6 @@ def test_run_switching_to_unmirrored_steps_matches_reference(monkeypatch):
     for key, values in diags.items():
         assert np.max(np.abs(np.array(traj.diagnostics[key]) - values)) <= 1e-13, key
     assert traj.diagnostics["hermiticity_defect"][-1] > 0.0
-
-
-def test_mirrored_run_builds_no_general_stage_buffers(monkeypatch):
-    # every stage of a Fock qmupl run is mirrored, so the general basis,
-    # coefficient slots and window buffers are never built; the first
-    # unmirrored stage builds them
-    forms, of_run = [], _SandwichForm.of_run.__func__
-
-    def spy(cls, *args):
-        forms.append(of_run(cls, *args))
-        return forms[-1]
-
-    monkeypatch.setattr(_SandwichForm, "of_run", classmethod(spy))
-    coeffs, ops, rho0, t_final = EVOLVE_CASES["qmupl-dim40"]()
-    evolve(rho0, coeffs, ops, t_final, 2e-3, n_samples=3, truncation_guard=False)
-    (form,) = forms
-    general = {"_general", "_basis_c", "_coef_c", "_slots_c", "_rho", "_hat"}
-    assert general.isdisjoint(vars(form))
-    _, (real_w, cplx_w, _) = _form_and_weights(coeffs, ops, 0.5 * t_final)
-    form.stages(real_w, cplx_w, False)
-    assert "_general" in vars(form)
 
 
 def test_unphysical_stage_is_not_mirrored():
