@@ -79,6 +79,19 @@ taken dense (0.13 against 1.02 for the first).  Any real ``M`` is a
 Hermitian ``rho``, so a run from a Hermitian state keeps a zero
 Hermiticity defect whenever its coefficients are exactly physical.
 
+At small dimensions a stage costs per-call overhead rather than
+arithmetic, so :func:`evolve` takes the mirrored stages of a run of
+dimension at most ``_SUPEROPERATOR_DIM`` (12; its comment holds the
+timings it rests on) as one product of the real superoperator with
+``vec(M)``, the standard dense Liouville-space form at such sizes
+(Havel, J. Math. Phys. 44, 534 (2003)).  It is the same sandwich form:
+``L = Re S + Im S'``, with ``S = X (x) 1 + 1 (x) Y^T +
+sum_b Fhat_b (x) F_b^T`` from the weights of a node row and ``S'`` its
+columns transposed (:class:`_Superoperator`).  The weights are affine in
+the interpolated rows, so ``L(t) = L_k + (t - t_k) dL_k`` on grid
+interval ``k``, and only the current interval's ``[L_k | dL_k]``
+(``2 dim^4`` floats) is kept.  Larger runs take the band products above.
+
 Any other stage (non-Hermitian operators or state, or coefficients off
 the physical structure) is evaluated as written, ``X rho + rho Y +
 sum_b Fhat_b rho F_b``, with dense ``X``, ``Y`` and ``Fhat``.  ``rho``
@@ -127,6 +140,18 @@ _HERM_TOL = 1e-12
 _TRACE_TOL = 1e-12
 # RK4 steps whose stage coefficients are built together
 _BLOCK_STEPS = 32
+# the largest dimension whose mirrored stages take one product with the
+# real superoperator (_Superoperator) instead of the two band products.
+# One RK4 step of an hpz Fock run (half-bandwidth 2), and the build of
+# one interval's superoperator, which a run at h = 1e-3 on a grid of
+# spacing 1/32 shares among 31 steps (2 cores, 1 BLAS thread, best of 5):
+#   dim              2      10      12      13      14      16
+#   superoperator   19 us   35 us   45 us   67 us   72 us  119 us
+#   band            49 us   55 us   58 us   85 us   86 us   62 us
+#   interval build  63 us  192 us  347 us  529 us  631 us  832 us
+_SUPEROPERATOR_DIM = 12
+# the truncation guard's bound on the population of the top two Fock levels
+TRUNCATION_LIMIT = 1e-6
 
 
 class EvolutionError(RuntimeError):
@@ -248,17 +273,29 @@ class CoefficientInterpolator:
         self.slopes = np.diff(self.table, axis=0) / np.diff(self.nodes)[:, None]
         self._d = d
 
-    def rows(self, times) -> np.ndarray:
-        """Interpolated table rows ``(len(times), n)``; a node time gets
-        its table row exactly."""
+    def _locate(self, times) -> tuple:
+        """Times clipped to the grid, the last node at or before each, and
+        the grid interval ``k`` that interpolates it (the last interval for
+        the end of the grid)."""
         nodes = self.nodes
         t = np.clip(np.asarray(times, dtype=float), nodes[0], nodes[-1])
         j = np.searchsorted(nodes, t, side="right") - 1
-        k = np.minimum(j, len(nodes) - 2)
-        out = self.slopes[k] * (t - nodes[k])[:, None] + self.table[k]
-        exact = nodes[j] == t
+        return t, j, np.minimum(j, len(nodes) - 2)
+
+    def rows(self, times) -> np.ndarray:
+        """Interpolated table rows ``(len(times), n)``; a node time gets
+        its table row exactly."""
+        t, j, k = self._locate(times)
+        out = self.slopes[k] * (t - self.nodes[k])[:, None] + self.table[k]
+        exact = self.nodes[j] == t
         out[exact] = self.table[j[exact]]
         return out
+
+    def intervals(self, times) -> tuple:
+        """Grid interval ``k`` of each time and the offset ``t - t_k``:
+        the row of ``t`` is ``table[k] + (t - t_k) slopes[k]``."""
+        t, _, k = self._locate(times)
+        return k, t - self.nodes[k]
 
     def split(self, rows: np.ndarray) -> dict:
         """Views of a row block: ``(s, d, d)`` complex matrices, ``(s,)``
@@ -379,6 +416,7 @@ class _SandwichForm:
         products = np.array(products + [F[a] @ A[j] for j in range(d) for a in range(n)], dtype=complex)
         F = np.array(F, dtype=complex)
         R = np.array(R, dtype=float).reshape(N, dim, dim)
+        self.dim = dim
         self._products, self._F = products, F
         # the half-bandwidth: the largest |i - l| over the nonzero entries
         _, i, l = np.nonzero(np.concatenate([products, F, R]))
@@ -474,14 +512,20 @@ class _SandwichForm:
         band coefficients are one product of the rows with the basis,
         written into fixed slots that the next call overwrites; otherwise
         they are the dense ``(X, Y, Fhat)`` of each row."""
-        s, n_x, P = len(real), self.n_x, self._products
+        s = len(real)
         if mirror:
             np.matmul(real, self._basis_r, out=self._coef_r[:s].reshape(s, -1))
             return [(coef, True) for coef in self._coef_r[:s]]
+        return [(coef, False) for coef in zip(*self.dense(cplx))]
+
+    def dense(self, cplx: np.ndarray) -> tuple:
+        """The dense ``X``, ``Y`` ``(s, dim, dim)`` and ``Fhat``
+        ``(s, n_F, dim, dim)`` of complex weight rows of :meth:`weights`."""
+        s, n_x, P = len(cplx), self.n_x, self._products
         X = np.tensordot(cplx[:, :n_x], P[:n_x], 1)
         Y = np.tensordot(cplx[:, n_x : 2 * n_x], P[-n_x:], 1)
         Fhat = np.tensordot(cplx[:, 2 * n_x :].reshape(s, self.n, self.n), self._F, 1)
-        return [(coef, False) for coef in zip(X, Y, Fhat)]
+        return X, Y, Fhat
 
     def __call__(self, y: np.ndarray, stage: tuple) -> np.ndarray:
         """Right-hand side at ``y`` under a stage of :meth:`stages`.  With
@@ -502,6 +546,68 @@ class _SandwichForm:
             return T[0] + S.T  # Q + Q'^T + sum_n Yhat_n R_n
         X, Y, Fhat = coef
         return X @ y + y @ Y + (Fhat @ y @ self._F).sum(axis=0)
+
+
+class _Superoperator:
+    """Mirrored stages of a small run as one real matrix-vector product.
+
+    A mirrored stage is linear in ``M``: ``vec(dM/dt) = L vec(M)``
+    (row-major ``vec``) with ``L = Re S + Im S'``, where
+    ``S = X (x) 1 + 1 (x) Y^T + sum_b Fhat_b (x) F_b^T`` is the
+    superoperator of the sandwich form and ``S'`` is ``S`` with its two
+    column indices swapped.  The weights of a stage are affine in its
+    interpolated coefficient row ``table[k] + (t - t_k) slopes[k]``, so on
+    grid interval ``k`` ``L(t) = L_k + (t - t_k) dL_k``: ``L_k`` is ``L``
+    of the weights of node row ``k``, and ``dL_k`` of the weights of
+    ``slopes[k]`` less their constant part (the weights of a zero row).
+    Only the current interval's ``[L_k | dL_k]`` is kept, and a stage
+    ``(k, t - t_k)`` is its product with ``[vec M; (t - t_k) vec M]``; a
+    stage loads its interval when another one is current, so a run that
+    steps forward in time builds each interval once.
+    """
+
+    def __init__(self, form: _SandwichForm, interp: CoefficientInterpolator):
+        self.form, self.interp = form, interp
+        # complex weights of every node row and of every slope row (less
+        # the weights of a zero row), one small row per grid point
+        table = interp.table
+        rows = np.concatenate([table, interp.slopes, np.zeros_like(table[:1])])
+        cplx = form.weights(interp.split(rows))[1]
+        G = len(table)
+        self._w_node, self._w_slope = cplx[:G], cplx[G:-1] - cplx[-1]
+        n = form.dim * form.dim
+        self._L = np.empty((n, 2 * n))  # [L_k | dL_k]
+        self._x = np.empty(2 * n)  # [vec(M); (t - t_k) vec(M)]
+        self._k = None
+
+    def stages(self, times) -> list:
+        """The stages ``((k, t - t_k), True)`` of stage times."""
+        k, dt = self.interp.intervals(times)
+        return [(stage, True) for stage in zip(k.tolist(), dt.tolist())]
+
+    def _load(self, k: int) -> None:
+        dim, F = self.form.dim, self.form._F
+        X, Y, Fhat = self.form.dense(np.stack([self._w_node[k], self._w_slope[k]]))
+        Ls = self._L.reshape(dim, dim, 2, dim, dim).transpose(2, 0, 1, 3, 4)
+        for L, x, y, fhat in zip(Ls, X, Y, Fhat):
+            # S[i, j, k, l] = sum_b Fhat_b[i, k] F_b[l, j] + X[i, k] delta_jl
+            # + delta_ik Y[l, j]
+            S = (fhat.reshape(len(F), -1).T @ F.reshape(len(F), -1)).reshape(dim, dim, dim, dim)
+            S = S.transpose(0, 3, 1, 2)
+            np.einsum("ijkj->ijk", S)[...] += x[:, None, :]
+            np.einsum("ijil->ijl", S)[...] += y.T
+            np.add(S.real, S.imag.swapaxes(2, 3), out=L)
+        self._k = k
+
+    def __call__(self, y: np.ndarray, stage: tuple) -> np.ndarray:
+        """``dM/dt`` at the real ``M = y`` under a stage of :meth:`stages`."""
+        (k, dt), _ = stage
+        if k != self._k:
+            self._load(k)
+        m, x = y.reshape(-1), self._x
+        x[: m.size] = m
+        np.multiply(m, dt, out=x[m.size :])
+        return (self._L @ x).reshape(y.shape)
 
 
 def _hermitian_of(M: np.ndarray) -> np.ndarray:
@@ -644,9 +750,14 @@ def _stage_blocks(interp: CoefficientInterpolator, n_steps: int, h: float):
     :meth:`CoefficientInterpolator.split` arrays, stage rows step-major."""
     for first in range(0, n_steps, _BLOCK_STEPS):
         count = min(_BLOCK_STEPS, n_steps - first)
-        t = np.arange(first, first + count) * h
-        rows = interp.rows(np.stack([t, t + 0.5 * h, t + h], axis=1).ravel())
-        yield first, count, interp.split(rows)
+        yield first, count, interp.split(interp.rows(_stage_times(first, count, h)))
+
+
+def _stage_times(first: int, count: int, h: float) -> np.ndarray:
+    """The stage times ``t, t + h/2, t + h`` of ``count`` steps from step
+    ``first`` (``t = step * h``), step-major."""
+    t = np.arange(first, first + count) * h
+    return np.stack([t, t + 0.5 * h, t + h], axis=1).ravel()
 
 
 def aligned_steps(t_final: float, h: float, n_samples: int) -> tuple[int, float]:
@@ -692,6 +803,7 @@ def evolve(
         )
     interp = CoefficientInterpolator(coeffs)
     form = _SandwichForm.of_run(coeffs, ops, dim)
+    small = _Superoperator(form, interp) if dim <= _SUPEROPERATOR_DIM else None
 
     sample_times = np.linspace(0.0, t_final, n_samples)
     n_steps, h_eff = aligned_steps(t_final, h, n_samples)
@@ -722,13 +834,18 @@ def evolve(
     for first, count, c in _stage_blocks(interp, n_steps, h_eff):
         real_w, cplx_w, mirror = form.weights(c)
         mirrored = mirror.reshape(count, 3).all(axis=1)
+        if small is not None and mirrored.any():
+            small_stages = small.stages(_stage_times(first, count, h_eff))
         for i in range(count):
             m = bool(mirrored[i]) and (real or hermitian)
             if m != real:
                 y = y.real + y.imag if m else _hermitian_of(y)
                 real = m
             rows = slice(3 * i, 3 * i + 3)
-            y = _rk4_step(form, y, h_eff, *form.stages(real_w[rows], cplx_w[rows], m))
+            if m and small is not None:
+                y = _rk4_step(small, y, h_eff, *small_stages[rows])
+            else:
+                y = _rk4_step(form, y, h_eff, *form.stages(real_w[rows], cplx_w[rows], m))
             if not m:
                 hermitian = np.array_equal(y, y.conj().T)
             t = (first + i + 1) * h_eff
@@ -736,7 +853,7 @@ def evolve(
                 raise EvolutionError(f"state became non-finite at t={t:.6g}", time=t - h_eff)
             if guard_on:  # the diagonal of rho and of M is the populations
                 top = max(top, y[-1, -1].real + y[-2, -2].real)
-                if top > 1e-6:
+                if top > TRUNCATION_LIMIT:
                     raise TruncationError(
                         f"top two Fock levels hold {top:.3e} population "
                         f"at t={t:.6g}; increase the truncation dimension",

@@ -47,7 +47,7 @@ from .coefficients import (
 )
 from .grids import make_grid, quad_weights
 from .oracle import DEFAULT_DIMENSION_CAP, DEFAULT_MODE_DIM, JointModel, compare_with_me, evolve_joint
-from .propagate import GaussianMoments, Trajectory, evolve, evolve_moments
+from .propagate import TRUNCATION_LIMIT, GaussianMoments, Trajectory, evolve, evolve_moments
 from .series import SeriesConfig, dump_convergence_csv
 from .system import commutator_kernel, fock_operators, harmonic_kernels, quadratic_hamiltonian
 
@@ -158,6 +158,10 @@ class RunConfig:
         # the system the model has: a qubit for dephasing, else the Fock space
         dim = 2 if model == "dephasing" else self.propagation["fock_dim"]
         _check_initial_state(self.propagation.get("initial_state"), dim)
+        # the scenarios whose run keeps the truncation guard on (evolve
+        # turns it off for dim <= 3)
+        if self.scenario not in _MODELS and dim > 3:
+            _check_headroom(self.propagation["initial_state"], dim)
         _check_mode_dims(self, dim)
         if not isinstance(self.output_dir, str) or not self.output_dir:
             raise ConfigError("output_dir", f"need a directory path, got {self.output_dir!r}")
@@ -192,7 +196,9 @@ def _check_number(value, path: str, integer: bool, low: float, strict: bool) -> 
     finite = not isinstance(value, float) or math.isfinite(value)
     if isinstance(value, bool) or not isinstance(value, kinds) or not finite:
         kind = "an integer" if integer else "a finite number"
-        raise ConfigError(path, f"need {kind}, got {value!r}")
+        # YAML 1.1 reads 1e-3 and 1.0e300 as strings
+        got = f"the string {value!r}" if isinstance(value, str) else repr(value)
+        raise ConfigError(path, f"need {kind}, got {got}")
     if value < low or (strict and value == low):
         raise ConfigError(path, f"must be {'>' if strict else '>='} {low}, got {value!r}")
 
@@ -226,6 +232,19 @@ def _check_initial_state(spec, dim: int) -> None:
         raise ConfigError(path, "plus state needs dim 2")
     if spec.get("index", 0) >= dim:
         raise ConfigError(f"{path}.index", "outside basis")
+
+
+def _check_headroom(spec: dict, dim: int) -> None:
+    """Reject an initial state that the truncation guard would stop at
+    once: one whose top two Fock levels hold more than
+    ``TRUNCATION_LIMIT`` population."""
+    top = float(np.sum(np.abs(_initial_state(spec, dim)[-2:]) ** 2))
+    if top > TRUNCATION_LIMIT:
+        raise ConfigError(
+            "propagation.initial_state",
+            f"the top two Fock levels hold {top:.3e} population, above the truncation "
+            f"guard's {TRUNCATION_LIMIT:g}; increase propagation.fock_dim",
+        )
 
 
 def _check_mode_dims(cfg: RunConfig, system_dim: int) -> None:
@@ -572,11 +591,13 @@ def white_noise_limit_report(cfg: RunConfig) -> dict:
         ratios.append(float(coeffs.Gamma[K, 0, 0].real / denom))
         thetas.append(float(abs(coeffs.Theta[K, 0, 0].real)))
     eps_sq = np.array(eps_values, dtype=float) ** 2
+    # |Theta| at each distinct width, narrowest first, whatever the listed order
+    _, first = np.unique(eps_sq, return_index=True)
     slope, intercept = np.polyfit(eps_sq, ratios, 1)
     return {
         "eps_values": [float(e) for e in eps_values],
         "gamma_ratio": ratios,
         "abs_theta": thetas,
         "gamma_ratio_extrapolated": float(intercept),
-        "theta_monotone_decreasing": bool(np.all(np.diff(thetas) < 0)),
+        "theta_monotone_decreasing": bool(np.all(np.diff(np.array(thetas)[first]) > 0)),
     }

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from nmgme import series
 from nmgme.cli import main
-from nmgme.scenarios import ConfigError, RunConfig
+from nmgme.scenarios import ConfigError, RunConfig, white_noise_limit_report
 
 
 def write_config(tmp_path, payload, name="run.yaml"):
@@ -328,16 +328,17 @@ def test_unknown_key_exit_2(tmp_path, capsys):
 
 
 def test_runtime_abort_exit_3(tmp_path, capsys):
-    # tiny truncation with an energetic coherent state trips the guard
+    # a small truncation that the strong diffusion fills trips the guard
+    # (at t = 0.126); the initial state starts below its bound
     cfg = {
         "kernel": {"family": "exponential", "gamma": 4.0, "tau_c": 0.2},
         "system": {"m": 1.0, "omega": 1.0, "lam": 1.0, "mu": 0.0},
         "grid": {"t_max": 2.0, "n_points": 33},
         "propagation": {
-            "fock_dim": 4,
+            "fock_dim": 8,
             "h": 0.002,
             "n_samples": 5,
-            "initial_state": {"type": "coherent", "alpha_re": 1.2, "alpha_im": 0.0},
+            "initial_state": {"type": "coherent", "alpha_re": 0.3, "alpha_im": 0.0},
         },
         "output_dir": str(tmp_path / "out"),
     }
@@ -347,6 +348,53 @@ def test_runtime_abort_exit_3(tmp_path, capsys):
     err = json.loads(captured.err)
     assert err["error"] == "runtime_abort"
     assert "truncation" in err["message"]
+
+
+@pytest.mark.parametrize("scenario", ["hpz", "qmupl", "joos-zeh"])
+def test_initial_state_over_the_truncation_guard_exit_2(tmp_path, capsys, scenario):
+    # the default coherent state (alpha = 1) holds 5.839e-4 in the top two
+    # of 8 levels, above the guard's 1e-6: rejected before the run
+    cfg = {
+        "kernel": {"family": "exponential", "gamma": 1.0, "tau_c": 0.5},
+        "system": {"m": 1.0, "omega": 1.0, "lam": 0.2, "mu": 0.1},
+        "grid": {"t_max": 0.5, "n_points": 9},
+        "propagation": {"fock_dim": 8, "h": 0.01, "n_samples": 3},
+        "output_dir": str(tmp_path / "out"),
+    }
+    assert main([scenario, "--config", write_config(tmp_path, cfg)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["field"] == "propagation.initial_state"
+    assert "5.839e-04" in err["message"]
+    assert not (tmp_path / "out").exists()
+    # the basis state next to the top levels fails too, the one below passes
+    def basis(index):
+        state = {"type": "basis", "index": index}
+        return {"scenario": scenario, "system": cfg["system"], "propagation": {"fock_dim": 8, "initial_state": state}}
+
+    with pytest.raises(ConfigError, match="top two Fock levels"):
+        RunConfig.from_dict(basis(6))
+    RunConfig.from_dict(basis(5))
+
+
+def test_initial_state_headroom_only_where_the_guard_runs():
+    # oracle-check runs without the guard and coeffs does not propagate;
+    # at fock_dim <= 3 the guard is off
+    near_top = {"fock_dim": 8, "initial_state": {"type": "basis", "index": 7}}
+    RunConfig.from_dict({"scenario": "oracle-check", "kernel": MODES, "propagation": near_top,
+                         "oracle": {"mode_dims": [2, 2]}})
+    RunConfig.from_dict({"scenario": "coeffs", "propagation": near_top})
+    RunConfig.from_dict({"scenario": "hpz", "propagation": {"fock_dim": 3, "initial_state": {"type": "basis", "index": 2}}})
+
+
+@pytest.mark.parametrize("text", ["1.0e300", "1e-3"])
+def test_yaml_string_number_named_as_a_string(tmp_path, capsys, text):
+    # YAML 1.1 reads a float without a dot or an exponent sign as a string
+    (tmp_path / "run.yaml").write_text(f"grid: {{t_max: {text}}}\noutput_dir: {tmp_path / 'out'}\n")
+    assert main(["dephasing", "--config", str(tmp_path / "run.yaml")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["field"] == "grid.t_max"
+    assert f"got the string '{text}'" in err["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_config_exit_2(tmp_path, capsys):
@@ -418,6 +466,21 @@ def test_joos_zeh_with_sweep(tmp_path):
     wn = report["white_noise_limit"]
     assert wn["theta_monotone_decreasing"]
     assert abs(wn["gamma_ratio_extrapolated"] + 1.0) < 0.05
+
+
+def test_theta_flag_does_not_depend_on_the_listed_order():
+    # |Theta| shrinks as the width narrows, in whatever order the widths
+    # are listed and however often; the values themselves follow the list
+    thetas, flags = [], []
+    for eps in ([0.2, 0.1, 0.05], [0.05, 0.1, 0.2], [0.1, 0.2, 0.05, 0.1]):
+        cfg = RunConfig.from_dict({"scenario": "joos-zeh", "system": {"lam": 1.0},
+                                   "white_noise_sweep": {**SWEEP, "eps_values": eps}})
+        report = white_noise_limit_report(cfg)
+        thetas.append(dict(zip(eps, report["abs_theta"])))
+        flags.append(report["theta_monotone_decreasing"])
+    assert flags == [True, True, True]
+    assert thetas[0] == thetas[1] == thetas[2]
+    assert thetas[0][0.2] > thetas[0][0.1] > thetas[0][0.05]
 
 
 def test_hpz_scenario_and_oracle_check(tmp_path):

@@ -31,6 +31,7 @@ from nmgme.propagate import (
     _rk4_step,
     _SandwichForm,
     _stage_blocks,
+    _Superoperator,
 )
 from nmgme.scenarios import coherent_state
 from nmgme.series import SeriesConfig
@@ -745,6 +746,54 @@ def test_mirrored_branch_is_hermitian_and_equals_general_branch():
             scale = max(1.0, np.max(np.abs(general)))
             assert np.max(np.abs(mirrored - general)) <= 1e-13 * scale, case
             assert np.max(np.abs(mirrored - ref)) <= 1e-13 * scale, case
+
+
+@pytest.mark.parametrize("case", MIRRORED_CASES)
+def test_superoperator_stage_equals_band_stage(case):
+    # evolve takes the superoperator at or below _SUPEROPERATOR_DIM and the
+    # band above it; both evaluate every mirrored case here, so the band
+    # stays covered at half-bandwidths 0, 2, 4 and 7
+    coeffs, ops, rho0, t_final = EVOLVE_CASES[case]()
+    dim = rho0.shape[0]
+    form = _SandwichForm.of_run(coeffs, ops, dim)
+    interp = CoefficientInterpolator(coeffs)
+    small = _Superoperator(form, interp)
+    rng = np.random.default_rng(29)
+    # between nodes, on a node, and at the end of the grid
+    nodes = coeffs.grid.points
+    for t in (0.37 * t_final, nodes[2], nodes[-1]):
+        real_w, cplx_w, mirror = form.weights(interp.split(interp.rows([t])))
+        assert mirror[0], case
+        band = form.stages(real_w, cplx_w, True)[0]
+        stage = small.stages([t])[0]
+        assert stage[-1] is True
+        for _ in range(3):
+            M = rng.normal(size=(dim, dim))
+            want = form(M, band)
+            got = small(M, stage)
+            assert got.dtype == np.float64 and got.shape == (dim, dim)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (case, t)
+
+
+@pytest.mark.parametrize("dim, kind", [(12, _Superoperator), (13, _SandwichForm), (16, _SandwichForm)])
+def test_mirrored_evaluation_selected_by_dimension(monkeypatch, dim, kind):
+    # both sides of the crossover _SUPEROPERATOR_DIM
+    coeffs = _hpz_case()[0]
+    f = fock_operators(dim)
+    ops = {"A": [f["q"]], "V": [f["p"]], "H0": quadratic_hamiltonian(dim), "q": f["q"], "p": f["p"]}
+    rho0 = np.zeros((dim, dim), dtype=complex)
+    rho0[0, 0] = 1.0
+    seen = []
+
+    def rk4_step(rhs, y, h, *stages):
+        seen.append((type(rhs), stages[0][-1]))
+        return _rk4_step(rhs, y, h, *stages)
+
+    monkeypatch.setattr(propagate, "_rk4_step", rk4_step)
+    traj = evolve(rho0, coeffs, ops, 0.1, 1e-2, n_samples=3, truncation_guard=False)
+    assert seen == [(kind, True)] * 10
+    states, _ = reference_evolve(rho0, coeffs, ops, 0.1, 1e-2, 3)
+    assert np.max(np.abs(traj.states - states)) <= 1e-13
 
 
 def test_run_switching_to_unmirrored_steps_matches_reference(monkeypatch):
