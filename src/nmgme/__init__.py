@@ -21,13 +21,11 @@ from .coefficients import (
     coefficients_linear,
     coefficients_nondissipative,
     coefficients_qmupl,
-    kossakowski_form,
     write_coefficients_csv,
 )
 from .grids import TimeGrid, make_grid
 from .oracle import JointModel, build_joint, compare_with_me, evolve_joint
 from .propagate import (
-    DensityMatrix,
     GaussianMoments,
     Trajectory,
     diagnostics,
@@ -39,14 +37,12 @@ from .propagate import (
 from .series import ABKernels, SeriesConfig, SeriesTables, assemble_AB
 from .system import (
     CommutatorKernel,
-    LinearSystem,
     PropagatorKernels,
     commutator_kernel,
     fock_operators,
     harmonic_kernels,
     qmupl_kernels,
     quadratic_hamiltonian,
-    zero_commutator,
 )
 
 __version__ = "0.1.0"
@@ -59,13 +55,11 @@ __all__ = [
     "make_white_noise_approximant",
     "TimeGrid",
     "make_grid",
-    "LinearSystem",
     "PropagatorKernels",
     "CommutatorKernel",
     "harmonic_kernels",
     "qmupl_kernels",
     "commutator_kernel",
-    "zero_commutator",
     "fock_operators",
     "quadratic_hamiltonian",
     "SeriesConfig",
@@ -78,9 +72,7 @@ __all__ = [
     "coefficients_nondissipative",
     "coefficients_qmupl",
     "coefficients_dephasing",
-    "kossakowski_form",
     "write_coefficients_csv",
-    "DensityMatrix",
     "GaussianMoments",
     "Trajectory",
     "me_rhs",

@@ -12,7 +12,7 @@ grid happens in :mod:`nmgme.series` where the grid is known.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -39,7 +39,6 @@ class CorrelationKernel:
     n_channels: int
     evaluator: Callable[[int, int, np.ndarray, np.ndarray], np.ndarray]
     is_real: bool = False
-    label: str = "custom"
 
     def __call__(self, j: int, k: int, t, s):
         self._check_channel(j)
@@ -53,21 +52,6 @@ class CorrelationKernel:
     def re_part(self, j: int, k: int, t, s):
         """Real symmetric part ``D^Re_jk(t, s)``."""
         return np.real(self(j, k, t, s))
-
-    def im_part(self, j: int, k: int, t, s):
-        """Real-valued antisymmetric part ``D^Im_jk(t, s)`` (so that
-        ``D = D^Re + i D^Im``)."""
-        return np.imag(self(j, k, t, s))
-
-    def scaled(self, factor: float) -> "CorrelationKernel":
-        """Kernel with every entry multiplied by ``factor``."""
-        base = self.evaluator
-        return CorrelationKernel(
-            n_channels=self.n_channels,
-            evaluator=lambda j, k, t, s: factor * base(j, k, t, s),
-            is_real=self.is_real and float(np.imag(factor)) == 0.0,
-            label=f"{self.label}*{factor}",
-        )
 
 
 def make_exponential(gamma: float, tau_c: float) -> CorrelationKernel:
@@ -85,7 +69,7 @@ def make_exponential(gamma: float, tau_c: float) -> CorrelationKernel:
     def evaluator(j, k, t, s):
         return amp * np.exp(-np.abs(t - s) / tau_c) + 0j
 
-    return CorrelationKernel(1, evaluator, is_real=True, label="exponential")
+    return CorrelationKernel(1, evaluator, is_real=True)
 
 
 def make_white_noise_approximant(strength: float, eps: float) -> CorrelationKernel:
@@ -99,8 +83,7 @@ def make_white_noise_approximant(strength: float, eps: float) -> CorrelationKern
         raise ValueError(f"width must be positive, got {eps}")
     if not strength > 0:
         raise ValueError(f"strength must be positive, got {strength}")
-    kernel = make_exponential(strength, eps)
-    return replace(kernel, label="white_noise")
+    return make_exponential(strength, eps)
 
 
 def make_discrete_modes(mode_freqs, couplings) -> CorrelationKernel:
@@ -128,7 +111,7 @@ def make_discrete_modes(mode_freqs, couplings) -> CorrelationKernel:
         phases = np.exp(-1j * np.multiply.outer(tau, freqs))
         return phases @ (g[j] * np.conj(g[k]))
 
-    return CorrelationKernel(g.shape[0], evaluator, is_real=False, label="discrete_modes")
+    return CorrelationKernel(g.shape[0], evaluator, is_real=False)
 
 
 def make_qmupl_matrix(collapse_strength: float, base: CorrelationKernel) -> CorrelationKernel:
@@ -155,4 +138,4 @@ def make_qmupl_matrix(collapse_strength: float, base: CorrelationKernel) -> Corr
     def evaluator(j, k, t, s):
         return lam * phase[j, k] * base_eval(0, 0, t, s)
 
-    return CorrelationKernel(2, evaluator, is_real=False, label="qmupl_matrix")
+    return CorrelationKernel(2, evaluator, is_real=False)

@@ -53,13 +53,11 @@ from .system import PropagatorKernels, commutator_kernel, qmupl_kernels
 
 __all__ = [
     "MECoefficients",
-    "KossakowskiForm",
     "build_ab_tables",
     "coefficients_linear",
     "coefficients_nondissipative",
     "coefficients_qmupl",
     "coefficients_dephasing",
-    "kossakowski_form",
     "write_coefficients_csv",
 ]
 
@@ -113,7 +111,6 @@ class MECoefficients:
     beta: np.ndarray | None = field(repr=False, default=None)
     gamma_pp: np.ndarray | None = field(repr=False, default=None)
     lam_mu: float = 0.0
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name in ("Gamma", "Theta", "Xi", "Upsilon", "alpha", "beta", "gamma_pp"):
@@ -143,10 +140,6 @@ class MECoefficients:
     @property
     def n_channels(self) -> int:
         return self.Gamma.shape[1]
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.grid.points
 
     def has_extras(self) -> bool:
         return self.alpha is not None
@@ -189,12 +182,11 @@ def _reduce(X: dict, phi: np.ndarray, grid: TimeGrid, method: str, mu: float = 0
     return out
 
 
-def _tables(grid: TimeGrid, scenario: str, vals: dict, params, **extras) -> MECoefficients:
+def _tables(grid: TimeGrid, scenario: str, vals: dict, **extras) -> MECoefficients:
     shape = (grid.n_points, 1, 1)
     return MECoefficients(
         grid=grid,
         scenario=scenario,
-        params=params or {},
         **{
             name: np.asarray(vals[name], dtype=complex).reshape(shape)
             for name in ("Gamma", "Theta", "Xi", "Upsilon")
@@ -209,7 +201,6 @@ def coefficients_linear(
     grid: TimeGrid,
     method: str = "trapezoid",
     scenario: str = "linear",
-    params: dict | None = None,
 ) -> MECoefficients:
     """Coefficients of the time-local master equation for one channel.
 
@@ -224,7 +215,7 @@ def coefficients_linear(
             "use coefficients_qmupl for the coupled-channel model"
         )
     vals = _reduce(_series(tables, grid), _flow(kernels, grid), grid, method)
-    return _tables(grid, scenario, vals, params)
+    return _tables(grid, scenario, vals)
 
 
 def coefficients_nondissipative(
@@ -233,7 +224,6 @@ def coefficients_nondissipative(
     grid: TimeGrid,
     method: str = "trapezoid",
     lam_scale: float = 1.0,
-    params: dict | None = None,
 ) -> MECoefficients:
     """Direct quadrature of the non-dissipative coefficients.
 
@@ -247,14 +237,13 @@ def coefficients_nondissipative(
     if kernels.dim != 1:
         raise ValueError("non-dissipative reduction is single-channel")
     vals = _reduce(_closure(D, grid, lam_scale), _flow(kernels, grid), grid, method)
-    return _tables(grid, "nondissipative", vals, params)
+    return _tables(grid, "nondissipative", vals)
 
 
 def coefficients_dephasing(
     D: CorrelationKernel,
     grid: TimeGrid,
     method: str = "trapezoid",
-    params: dict | None = None,
 ) -> MECoefficients:
     """Coefficients for a constant coupling operator (pure dephasing).
 
@@ -268,7 +257,7 @@ def coefficients_dephasing(
     G = grid.n_points
     identity = np.broadcast_to(np.eye(2)[:, :, None, None], (2, 2, G, G))
     vals = _reduce(_closure(D, grid), identity, grid, method)
-    return _tables(grid, "dephasing", vals, params)
+    return _tables(grid, "dephasing", vals)
 
 
 def coefficients_qmupl(
@@ -302,7 +291,6 @@ def coefficients_qmupl(
         grid,
         "qmupl",
         vals,
-        {"lam": lam, "mu": mu, "m": m, "omega": omega},
         alpha=np.real(vals["alpha"]),
         beta=np.real(vals["beta"]),
         gamma_pp=np.real(vals["gamma_pp"]),
@@ -317,63 +305,6 @@ def _check_real(arr, name):
     scale = max(np.max(np.abs(arr)), 1.0)
     if np.max(np.abs(np.imag(arr))) > _REALITY_TOL * scale:
         raise ValueError(f"{name} should be real, got imaginary part")
-
-
-@dataclass(frozen=True)
-class KossakowskiForm:
-    """Non-diagonal Kossakowski rewrite of a single-channel coefficient set.
-
-    ``f_matrix[t]`` is the 2x2 coefficient matrix over the operator basis
-    ``(A, V)`` entering
-    ``sum_lm f_lm (F_l rho F_m - 1/2 {F_m F_l, rho})``;
-    ``h_A2``, ``h_AV`` and ``h_comm`` are the (real) Hamiltonian-shift
-    coefficients of ``A^2``, ``{A, V}`` and ``i[A, V]``.  The last term is
-    a c-number shift for canonical pairs but must be kept as a matrix in a
-    truncated basis, where it makes the rewrite an identity.
-    """
-
-    grid: TimeGrid
-    f_matrix: np.ndarray = field(repr=False)
-    h_A2: np.ndarray = field(repr=False)
-    h_AV: np.ndarray = field(repr=False)
-    h_comm: np.ndarray = field(repr=False)
-
-
-def kossakowski_form(coeffs: MECoefficients) -> KossakowskiForm:
-    """Rewrite single-channel coefficients in Kossakowski form.
-
-    With the half-anticommutator generator convention the equivalent
-    coefficient matrix over ``(A, V)`` is
-
-    ``[[-2 Gamma, -Theta + Upsilon/2], [-Theta - Upsilon/2, 0]]``
-
-    and the Hamiltonian shift is ``(i Xi / 2) A^2 + (i Upsilon / 4) {A, V}
-    + (Theta / 2) i[A, V]`` (all coefficients real since ``Xi``,
-    ``Upsilon`` are purely imaginary).  The rewrite is a pure algebraic
-    rearrangement: it reproduces the direct generator identically, with no
-    use of the canonical commutator.  Momentum-diffusion extras are
-    outside this 2x2 rewrite.
-    """
-    if coeffs.n_channels != 1:
-        raise ValueError("Kossakowski rewrite implemented for single-channel sets")
-    if coeffs.has_extras() and np.max(np.abs(coeffs.gamma_pp)) > 0:
-        raise ValueError("momentum-diffusion term has no 2x2 Kossakowski rewrite")
-    G = coeffs.grid.n_points
-    Gam = coeffs.Gamma[:, 0, 0]
-    The = coeffs.Theta[:, 0, 0]
-    Xi = coeffs.Xi[:, 0, 0]
-    Ups = coeffs.Upsilon[:, 0, 0]
-    f = np.zeros((G, 2, 2), dtype=complex)
-    f[:, 0, 0] = -2.0 * Gam
-    f[:, 0, 1] = -The + 0.5 * Ups
-    f[:, 1, 0] = -The - 0.5 * Ups
-    return KossakowskiForm(
-        grid=coeffs.grid,
-        f_matrix=f,
-        h_A2=np.real(0.5j * Xi),
-        h_AV=np.real(0.25j * Ups),
-        h_comm=np.real(0.5 * The),
-    )
 
 
 def write_coefficients_csv(coeffs: MECoefficients, path) -> None:

@@ -65,12 +65,6 @@ class TimeGrid:
         """Grid spacing ``t_max / (G - 1)``."""
         return self.t_max / (self.n_points - 1)
 
-    def prefix(self, k: int) -> np.ndarray:
-        """Points of the sub-grid ``[0, t_k]``."""
-        if not 0 <= k < self.n_points:
-            raise ValueError(f"prefix index {k} outside grid of {self.n_points} points")
-        return self.points[: k + 1]
-
 
 def make_grid(t_max: float, n_points: int | None = None) -> TimeGrid:
     """Build a uniform grid on ``[0, t_max]``.

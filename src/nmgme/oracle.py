@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.linalg import eigh
 
-from .bath import CorrelationKernel, make_discrete_modes
 from .propagate import Trajectory, diagnostics, trace_distance
 
 __all__ = [
@@ -66,7 +65,6 @@ class JointModel:
     mode_freqs: tuple
     couplings: np.ndarray = field(repr=False)
     mode_dims: tuple = ()
-    dimension_cap: int = DEFAULT_DIMENSION_CAP
 
     def __post_init__(self):
         freqs = np.asarray(self.mode_freqs, dtype=float)
@@ -83,10 +81,8 @@ class JointModel:
         if len(self.mode_dims) != freqs.size:
             raise ValueError("one Fock dimension per mode required")
         dim = self.joint_dim
-        if dim > self.dimension_cap:
-            raise ValueError(
-                f"joint dimension {dim} exceeds cap {self.dimension_cap}"
-            )
+        if dim > DEFAULT_DIMENSION_CAP:
+            raise ValueError(f"joint dimension {dim} exceeds cap {DEFAULT_DIMENSION_CAP}")
         ds = self.h_system.shape[0]
         for op in self.channel_ops:
             if op.shape != (ds, ds):
@@ -99,10 +95,6 @@ class JointModel:
     @property
     def joint_dim(self) -> int:
         return self.system_dim * int(np.prod(self.mode_dims))
-
-    def correlation_kernel(self) -> CorrelationKernel:
-        """The bath kernel induced by the mode list (vacuum state)."""
-        return make_discrete_modes(self.mode_freqs, self.couplings)
 
 
 def build_joint(model: JointModel) -> np.ndarray:
@@ -172,7 +164,6 @@ def evolve_joint(
     t_final: float,
     n_samples: int = 101,
     scenario: str = "",
-    params: dict | None = None,
 ) -> Trajectory:
     """Exact reduced dynamics of a factorized initial state.
 
@@ -230,7 +221,6 @@ def evolve_joint(
         states=np.array(states),
         diagnostics=logs,
         scenario=scenario,
-        params=params or {},
         source="oracle",
     )
 

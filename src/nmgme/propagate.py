@@ -90,7 +90,9 @@ sum_b Fhat_b (x) F_b^T`` from the weights of a node row and ``S'`` its
 columns transposed (:class:`_Superoperator`).  The weights are affine in
 the interpolated rows, so ``L(t) = L_k + (t - t_k) dL_k`` on grid
 interval ``k``, and only the current interval's ``[L_k | dL_k]``
-(``2 dim^4`` floats) is kept.  Larger runs take the band products above.
+(``2 dim^4`` floats) is kept.  A block of steps that all take it needs
+the mirror flags of its stages (:meth:`_SandwichForm.mirror`) but not
+their weight rows.  Larger runs take the band products above.
 
 Any other stage (non-Hermitian operators or state, or coefficients off
 the physical structure) is evaluated as written, ``X rho + rho Y +
@@ -117,17 +119,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .coefficients import KossakowskiForm, MECoefficients
+from .coefficients import MECoefficients
 
 __all__ = [
-    "DensityMatrix",
     "GaussianMoments",
     "Trajectory",
     "MomentTrajectory",
     "EvolutionError",
     "TruncationError",
     "me_rhs",
-    "kossakowski_rhs",
     "evolve",
     "evolve_moments",
     "diagnostics",
@@ -136,8 +136,6 @@ __all__ = [
     "aligned_steps",
 ]
 
-_HERM_TOL = 1e-12
-_TRACE_TOL = 1e-12
 # RK4 steps whose stage coefficients are built together
 _BLOCK_STEPS = 32
 # the largest dimension whose mirrored stages take one product with the
@@ -164,45 +162,6 @@ class EvolutionError(RuntimeError):
 
 class TruncationError(EvolutionError):
     """Population reached the top of the truncated Fock basis."""
-
-
-@dataclass
-class DensityMatrix:
-    """Hermitian unit-trace matrix in a truncated basis.
-
-    Positivity violations beyond ``tol_pos`` are flagged by
-    :meth:`validate`, never silently clipped.
-    """
-
-    matrix: np.ndarray
-    tol_pos: float = 1e-8
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
-            raise ValueError("density matrix must be square")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def validate(self) -> dict:
-        """Check Hermiticity, unit trace and positivity; return diagnostics."""
-        diag = diagnostics(self.matrix)
-        if diag["hermiticity_defect"] > _HERM_TOL:
-            raise ValueError(
-                f"state not Hermitian: defect {diag['hermiticity_defect']:.3e}"
-            )
-        if abs(diag["trace"] - 1.0) > _TRACE_TOL:
-            raise ValueError(f"state trace {diag['trace']} differs from 1")
-        diag["positive"] = diag["min_eigenvalue"] >= -self.tol_pos
-        return diag
-
-    @classmethod
-    def pure(cls, vec: np.ndarray, **kw) -> "DensityMatrix":
-        v = np.asarray(vec, dtype=complex)
-        v = v / np.linalg.norm(v)
-        return cls(np.outer(v, v.conj()), **kw)
 
 
 @dataclass
@@ -237,14 +196,6 @@ class GaussianMoments:
             mean=[q0, p0],
             cov=[[1.0 / (2.0 * m * omega), 0.0], [0.0, m * omega / 2.0]],
         )
-
-
-def _comm(x, y):
-    return x @ y - y @ x
-
-
-def _acomm(x, y):
-    return x @ y + y @ x
 
 
 class CoefficientInterpolator:
@@ -474,15 +425,8 @@ class _SandwichForm:
         ``c`` holds ``Gamma``, ``Theta``, ``Xi``, ``Upsilon`` as
         ``(s, d, d)`` arrays, optional ``alpha``, ``beta``, ``gamma_pp``
         broadcastable to ``(s,)`` and the scalar ``lam_mu``."""
-        Gam, Xi = c["Gamma"], c["Xi"]
-        s = Gam.shape[0]
-        # weights of F_a in L_j and R_j
-        lF = (Gam + 0.5 * Xi) @ self.PA
-        rF = (0.5 * Xi - Gam) @ self.PA
-        if self.PV is not None:
-            The, Ups = c["Theta"], c["Upsilon"]
-            lF = lF + (The + 0.5 * Ups) @ self.PV
-            rF = rF + (0.5 * Ups - The) @ self.PV
+        lF, rF = self._channel_weights(c)
+        s = len(lF)
         # A_j rho R_j - L_j rho A_j (- 2 gamma_pp p rho p)
         W = self.PA.T @ rF - lF.transpose(0, 2, 1) @ self.PA
         # weights of H0, p^2, {q,p} in H_eff, and gamma_pp on p^2
@@ -497,14 +441,31 @@ class _SandwichForm:
             W[:, self.ip, self.ip] -= 2.0 * pp2[:, 1]
         xw = np.hstack([lF.reshape(s, -1), -1j * ham + pp2])
         yw = np.hstack([1j * ham + pp2, -rF.reshape(s, -1)])
-        # R_j = -L_j^dag entry by entry gives Y = X^dag and W = W^dag
-        mirror = self.hermitian & (-rF == lF.conj()).all(axis=(1, 2))
         Wt = W.transpose(0, 2, 1)
         OmT = self.C.T @ Wt @ self.C
         Om = np.concatenate([OmT.real, OmT.imag], axis=2)
         real = np.concatenate([xw.real, xw.imag, Om.reshape(s, -1)], axis=1)
         cplx = np.concatenate([xw, yw, Wt.reshape(s, -1)], axis=1)
-        return real, cplx, mirror
+        return real, cplx, self._mirror(lF, rF)
+
+    def mirror(self, c: dict) -> np.ndarray:
+        """The ``mirror`` flags of :meth:`weights`, without its rows."""
+        return self._mirror(*self._channel_weights(c))
+
+    def _channel_weights(self, c: dict) -> tuple:
+        """The weights ``(s, d, n_F)`` of ``F_a`` in ``L_j`` and ``R_j``."""
+        Gam, Xi = c["Gamma"], c["Xi"]
+        lF = (Gam + 0.5 * Xi) @ self.PA
+        rF = (0.5 * Xi - Gam) @ self.PA
+        if self.PV is not None:
+            The, Ups = c["Theta"], c["Upsilon"]
+            lF = lF + (The + 0.5 * Ups) @ self.PV
+            rF = rF + (0.5 * Ups - The) @ self.PV
+        return lF, rF
+
+    def _mirror(self, lF: np.ndarray, rF: np.ndarray) -> np.ndarray:
+        # R_j = -L_j^dag entry by entry gives Y = X^dag and W = W^dag
+        return self.hermitian & (-rF == lF.conj()).all(axis=(1, 2))
 
     def stages(self, real: np.ndarray, cplx: np.ndarray, mirror: bool) -> list:
         """The stages ``(coefficients, mirror)`` of up to three weight rows
@@ -637,35 +598,6 @@ def me_rhs(rho: np.ndarray, coeff: dict, ops: dict) -> np.ndarray:
     return form(rho, form.stages(real, cplx, False)[0])
 
 
-def kossakowski_rhs(
-    rho: np.ndarray, kform: KossakowskiForm, t_index: int, ops: dict
-) -> np.ndarray:
-    """Right-hand side assembled from the Kossakowski rewrite.
-
-    Equals :func:`me_rhs` with the matching coefficient slice; the
-    equivalence on random Hermitian inputs is part of the acceptance
-    suite.
-    """
-    A = ops["A"][0]
-    V = ops["V"][0]
-    F = (A, V)
-    f = kform.f_matrix[t_index]
-    H = (
-        ops["H0"]
-        + kform.h_A2[t_index] * (A @ A)
-        + kform.h_AV[t_index] * _acomm(A, V)
-        + kform.h_comm[t_index] * 1j * _comm(A, V)
-    )
-    rhs = -1j * _comm(H, rho)
-    for l in range(2):
-        for m in range(2):
-            if f[l, m] != 0:
-                rhs = rhs + f[l, m] * (
-                    F[l] @ rho @ F[m] - 0.5 * _acomm(F[m] @ F[l], rho)
-                )
-    return rhs
-
-
 def diagnostics(rho: np.ndarray) -> dict:
     """Trace, Hermiticity defect, minimum eigenvalue and purity."""
     herm = 0.5 * (rho + rho.conj().T)
@@ -773,7 +705,7 @@ def aligned_steps(t_final: float, h: float, n_samples: int) -> tuple[int, float]
 
 
 def evolve(
-    rho0,
+    rho0: np.ndarray,
     coeffs: MECoefficients,
     ops: dict,
     t_final: float,
@@ -784,18 +716,23 @@ def evolve(
     scenario: str = "",
     params: dict | None = None,
 ) -> Trajectory:
-    """Propagate a density matrix with fixed-step RK4.
+    """Propagate the density matrix ``rho0`` with fixed-step RK4.
 
+    ``rho0`` must be a square matrix of the dimension of ``ops["H0"]``.
     Samples ``n_samples`` equally spaced times in ``[0, t_final]`` and
     logs trace, Hermiticity defect, minimum eigenvalue and purity at each
     sample.  The truncation guard aborts when the top two Fock levels
-    accumulate more than 1e-6 population (disabled automatically for
-    dim <= 3, where the whole basis is "the top").  The state is never
-    rescaled to unit trace; trace drift beyond 1e-6 is a warning.
+    accumulate more than ``TRUNCATION_LIMIT`` population (disabled
+    automatically for dim <= 3, where the whole basis is "the top").  The
+    state is never rescaled to unit trace; trace drift beyond 1e-6 is a
+    warning.
     """
-    rho = np.asarray(
-        rho0.matrix if isinstance(rho0, DensityMatrix) else rho0, dtype=complex
-    ).copy()
+    rho = np.array(rho0, dtype=complex)
+    if rho.shape != (len(ops["H0"]),) * 2:
+        raise ValueError(
+            f"rho0 must be a square matrix of the dimension of ops['H0'] "
+            f"{np.shape(ops['H0'])}, got shape {rho.shape}"
+        )
     dim = rho.shape[0]
     if t_final > coeffs.grid.t_max + 1e-12:
         raise ValueError(
@@ -832,10 +769,18 @@ def evolve(
     hermitian = np.array_equal(rho, rho.conj().T)
     next_sample = 1
     for first, count, c in _stage_blocks(interp, n_steps, h_eff):
-        real_w, cplx_w, mirror = form.weights(c)
+        if small is None:
+            real_w, cplx_w, mirror = form.weights(c)
+        else:
+            mirror = form.mirror(c)
         mirrored = mirror.reshape(count, 3).all(axis=1)
         if small is not None and mirrored.any():
             small_stages = small.stages(_stage_times(first, count, h_eff))
+        # every step of a block is mirrored from the first one on when all
+        # its stages are and the state is Hermitian; a small run then
+        # steps only through the superoperator and needs no weight rows
+        if small is not None and not (mirrored.all() and (real or hermitian)):
+            real_w, cplx_w, _ = form.weights(c)
         for i in range(count):
             m = bool(mirrored[i]) and (real or hermitian)
             if m != real:

@@ -167,6 +167,8 @@ class RunConfig:
             raise ConfigError("output_dir", f"need a directory path, got {self.output_dir!r}")
         if not isinstance(self.dump_rho, bool):
             raise ConfigError("dump_rho", f"need true or false, got {self.dump_rho!r}")
+        if self.dump_rho and self.scenario == "coeffs":
+            raise ConfigError("dump_rho", "coeffs writes no trajectory to dump the states into")
 
 
 #: Numeric fields ``(path, integer, lower bound, bound excluded)``, checked

@@ -15,13 +15,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
-    "LinearSystem",
     "PropagatorKernels",
     "CommutatorKernel",
     "harmonic_kernels",
     "qmupl_kernels",
     "commutator_kernel",
-    "zero_commutator",
     "fock_operators",
     "quadratic_hamiltonian",
     "SYMPLECTIC_FORM",
@@ -29,43 +27,6 @@ __all__ = [
 
 #: Symplectic form of the canonical pair, [q, p] = i * SYMPLECTIC_FORM[0, 1].
 SYMPLECTIC_FORM = np.array([[0.0, 1.0], [-1.0, 0.0]])
-
-
-@dataclass(frozen=True)
-class LinearSystem:
-    """Parameters of a quadratic single-mode system.
-
-    ``coupling`` names the channel structure: ``"q"`` for pure position
-    coupling, ``"qp"`` for the position-momentum pair ``(q, -mu p)`` of
-    the dissipative collapse model.
-    """
-
-    m: float = 1.0
-    omega: float = 1.0
-    mu: float = 0.0
-    lam: float = 0.0
-    coupling: str = "q"
-
-    def __post_init__(self):
-        if self.m <= 0:
-            raise ValueError(f"mass must be positive, got {self.m}")
-        if self.omega < 0 or self.mu < 0 or self.lam < 0:
-            raise ValueError("omega, mu and lam must be non-negative")
-        if self.coupling not in ("q", "qp"):
-            raise ValueError(f"unknown coupling spec {self.coupling!r}")
-        if self.coupling == "qp":
-            lm = self.lam * self.mu
-            if self.omega**2 <= lm**2:
-                raise ValueError(
-                    "effective frequency sqrt(omega^2 - (lam*mu)^2) must be real: "
-                    f"omega^2={self.omega**2} <= (lam*mu)^2={lm**2}"
-                )
-
-    @property
-    def omega_tilde(self) -> float:
-        """Shifted frequency ``sqrt(omega^2 - (lam mu)^2)``."""
-        lm = self.lam * self.mu
-        return float(np.sqrt(self.omega**2 - lm**2))
 
 
 @dataclass(frozen=True)
@@ -81,12 +42,9 @@ class PropagatorKernels:
     """
 
     dim: int
-    m: float
     flow: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     C: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     C_tilde: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    generator: np.ndarray = field(repr=False, default=None)
-    label: str = "linear"
 
 
 def _harmonic_flow(m: float, omega: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -121,15 +79,11 @@ def harmonic_kernels(m: float, omega: float) -> PropagatorKernels:
     if omega < 0:
         raise ValueError(f"frequency must be non-negative, got {omega}")
     flow = _harmonic_flow(m, omega)
-    gen = np.array([[0.0, 1.0 / m], [-m * omega**2, 0.0]])
     return PropagatorKernels(
         dim=1,
-        m=m,
         flow=flow,
         C=lambda u: flow(u)[0, 0][np.newaxis, np.newaxis],
         C_tilde=lambda u: flow(u)[0, 1][np.newaxis, np.newaxis],
-        generator=gen,
-        label="harmonic",
     )
 
 
@@ -139,12 +93,21 @@ def qmupl_kernels(m: float, omega: float, lam: float, mu: float) -> PropagatorKe
 
     The 2x2 flow uses the shifted frequency
     ``omega_tilde = sqrt(omega^2 - (lam mu)^2)``; construction is rejected
-    when the shift would make it imaginary.  ``C`` is the flow itself and
-    ``C_tilde`` its transpose.
+    for a non-positive mass, a negative ``omega``, ``mu`` or ``lam``, or a
+    shift that would make ``omega_tilde`` imaginary.  ``C`` is the flow
+    itself and ``C_tilde`` its transpose.
     """
-    sys = LinearSystem(m=m, omega=omega, mu=mu, lam=lam, coupling="qp")
-    wt = sys.omega_tilde
+    if m <= 0:
+        raise ValueError(f"mass must be positive, got {m}")
+    if omega < 0 or mu < 0 or lam < 0:
+        raise ValueError("omega, mu and lam must be non-negative")
     lm = lam * mu
+    if omega**2 <= lm**2:
+        raise ValueError(
+            "effective frequency sqrt(omega^2 - (lam*mu)^2) must be real: "
+            f"omega^2={omega**2} <= (lam*mu)^2={lm**2}"
+        )
+    wt = float(np.sqrt(omega**2 - lm**2))
 
     def flow(u):
         u = np.asarray(u, dtype=float)
@@ -156,15 +119,11 @@ def qmupl_kernels(m: float, omega: float, lam: float, mu: float) -> PropagatorKe
         out[1, 1] = c + (lm / wt) * s
         return out
 
-    gen = np.array([[lm, 1.0 / m], [-m * omega**2, -lm]])
     return PropagatorKernels(
         dim=2,
-        m=m,
         flow=flow,
         C=flow,
         C_tilde=lambda u: np.swapaxes(flow(u), 0, 1),
-        generator=gen,
-        label="qmupl",
     )
 
 
@@ -186,15 +145,6 @@ class CommutatorKernel:
         if not (0 <= j < self.n_channels and 0 <= k < self.n_channels):
             raise ValueError(f"channel pair ({j}, {k}) outside range")
         return self.evaluator(j, k, np.asarray(t, dtype=float), np.asarray(s, dtype=float))
-
-
-def zero_commutator(n_channels: int = 1) -> CommutatorKernel:
-    """Kernel of constant (mutually commuting) coupling operators."""
-
-    def evaluator(j, k, t, s):
-        return np.zeros(np.broadcast(t, s).shape, dtype=complex)
-
-    return CommutatorKernel(n_channels, evaluator, is_zero=True)
 
 
 def _channel_matrix(channel_ops: Sequence) -> np.ndarray:

@@ -1,13 +1,17 @@
 """Test-only helpers shared by several test modules."""
 
 import bisect
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh, expm
 
+from nmgme.bath import CorrelationKernel
+from nmgme.coefficients import MECoefficients
 from nmgme.grids import TimeGrid, prefix_weights, quad_weights
 from nmgme.oracle import JointModel, _reduce, _vacuum, build_joint
 from nmgme.propagate import CoefficientInterpolator, Trajectory, aligned_steps, diagnostics, evolve
+from nmgme.system import CommutatorKernel
 
 
 def _check_finite(samples: np.ndarray) -> None:
@@ -244,6 +248,144 @@ def _comm(x, y):
 
 def _acomm(x, y):
     return x @ y + y @ x
+
+
+@dataclass(frozen=True)
+class KossakowskiForm:
+    """Non-diagonal Kossakowski rewrite of a single-channel coefficient set.
+
+    ``f_matrix[t]`` is the 2x2 coefficient matrix over the operator basis
+    ``(A, V)`` entering
+    ``sum_lm f_lm (F_l rho F_m - 1/2 {F_m F_l, rho})``;
+    ``h_A2``, ``h_AV`` and ``h_comm`` are the (real) Hamiltonian-shift
+    coefficients of ``A^2``, ``{A, V}`` and ``i[A, V]``.  The last term is
+    a c-number shift for canonical pairs but must be kept as a matrix in a
+    truncated basis, where it makes the rewrite an identity.
+    """
+
+    grid: TimeGrid
+    f_matrix: np.ndarray = field(repr=False)
+    h_A2: np.ndarray = field(repr=False)
+    h_AV: np.ndarray = field(repr=False)
+    h_comm: np.ndarray = field(repr=False)
+
+
+def kossakowski_form(coeffs: MECoefficients) -> KossakowskiForm:
+    """Rewrite single-channel coefficients in Kossakowski form.
+
+    With the half-anticommutator generator convention the equivalent
+    coefficient matrix over ``(A, V)`` is
+
+    ``[[-2 Gamma, -Theta + Upsilon/2], [-Theta - Upsilon/2, 0]]``
+
+    and the Hamiltonian shift is ``(i Xi / 2) A^2 + (i Upsilon / 4) {A, V}
+    + (Theta / 2) i[A, V]`` (all coefficients real since ``Xi``,
+    ``Upsilon`` are purely imaginary).  The rewrite is a pure algebraic
+    rearrangement: it reproduces the direct generator identically, with no
+    use of the canonical commutator.  Momentum-diffusion extras are
+    outside this 2x2 rewrite.
+    """
+    if coeffs.n_channels != 1:
+        raise ValueError("Kossakowski rewrite implemented for single-channel sets")
+    if coeffs.has_extras() and np.max(np.abs(coeffs.gamma_pp)) > 0:
+        raise ValueError("momentum-diffusion term has no 2x2 Kossakowski rewrite")
+    G = coeffs.grid.n_points
+    Gam = coeffs.Gamma[:, 0, 0]
+    The = coeffs.Theta[:, 0, 0]
+    Xi = coeffs.Xi[:, 0, 0]
+    Ups = coeffs.Upsilon[:, 0, 0]
+    f = np.zeros((G, 2, 2), dtype=complex)
+    f[:, 0, 0] = -2.0 * Gam
+    f[:, 0, 1] = -The + 0.5 * Ups
+    f[:, 1, 0] = -The - 0.5 * Ups
+    return KossakowskiForm(
+        grid=coeffs.grid,
+        f_matrix=f,
+        h_A2=np.real(0.5j * Xi),
+        h_AV=np.real(0.25j * Ups),
+        h_comm=np.real(0.5 * The),
+    )
+
+def kossakowski_rhs(rho: np.ndarray, kform: KossakowskiForm, t_index: int, ops: dict) -> np.ndarray:
+    """Right-hand side assembled from the Kossakowski rewrite.
+
+    Equals :func:`nmgme.propagate.me_rhs` with the matching coefficient
+    slice; the equivalence on random Hermitian inputs is part of the
+    acceptance suite.
+    """
+    A = ops["A"][0]
+    V = ops["V"][0]
+    F = (A, V)
+    f = kform.f_matrix[t_index]
+    H = (
+        ops["H0"]
+        + kform.h_A2[t_index] * (A @ A)
+        + kform.h_AV[t_index] * _acomm(A, V)
+        + kform.h_comm[t_index] * 1j * _comm(A, V)
+    )
+    rhs = -1j * _comm(H, rho)
+    for l in range(2):
+        for m in range(2):
+            if f[l, m] != 0:
+                rhs = rhs + f[l, m] * (
+                    F[l] @ rho @ F[m] - 0.5 * _acomm(F[m] @ F[l], rho)
+                )
+    return rhs
+
+
+@dataclass
+class DensityMatrix:
+    """Hermitian unit-trace matrix in a truncated basis.
+
+    Positivity violations beyond ``tol_pos`` are flagged by
+    :meth:`validate`, never silently clipped.
+    """
+
+    matrix: np.ndarray
+    tol_pos: float = 1e-8
+
+    def __post_init__(self):
+        self.matrix = np.asarray(self.matrix, dtype=complex)
+        if self.matrix.ndim != 2 or self.matrix.shape[0] != self.matrix.shape[1]:
+            raise ValueError("density matrix must be square")
+
+    def validate(self) -> dict:
+        """Check Hermiticity and unit trace to 1e-12 and positivity;
+        return diagnostics."""
+        diag = diagnostics(self.matrix)
+        if diag["hermiticity_defect"] > 1e-12:
+            raise ValueError(
+                f"state not Hermitian: defect {diag['hermiticity_defect']:.3e}"
+            )
+        if abs(diag["trace"] - 1.0) > 1e-12:
+            raise ValueError(f"state trace {diag['trace']} differs from 1")
+        diag["positive"] = diag["min_eigenvalue"] >= -self.tol_pos
+        return diag
+
+    @classmethod
+    def pure(cls, vec: np.ndarray, **kw) -> "DensityMatrix":
+        v = np.asarray(vec, dtype=complex)
+        v = v / np.linalg.norm(v)
+        return cls(np.outer(v, v.conj()), **kw)
+
+
+def zero_commutator(n_channels: int = 1) -> CommutatorKernel:
+    """Kernel of constant (mutually commuting) coupling operators."""
+
+    def evaluator(j, k, t, s):
+        return np.zeros(np.broadcast(t, s).shape, dtype=complex)
+
+    return CommutatorKernel(n_channels, evaluator, is_zero=True)
+
+
+def scaled_kernel(kernel: CorrelationKernel, factor: float) -> CorrelationKernel:
+    """``kernel`` with every entry multiplied by ``factor``."""
+    base = kernel.evaluator
+    return CorrelationKernel(
+        n_channels=kernel.n_channels,
+        evaluator=lambda j, k, t, s: factor * base(j, k, t, s),
+        is_real=kernel.is_real and float(np.imag(factor)) == 0.0,
+    )
 
 
 def outer_commutator_rhs(rho, coeff, ops):

@@ -22,7 +22,6 @@ from nmgme.coefficients import (
     coefficients_linear,
     coefficients_nondissipative,
     coefficients_qmupl,
-    kossakowski_form,
 )
 from nmgme.grids import make_grid, quad_weights
 from nmgme.oracle import JointModel, compare_with_me, evolve_joint
@@ -31,7 +30,6 @@ from nmgme.propagate import (
     GaussianMoments,
     evolve,
     evolve_moments,
-    kossakowski_rhs,
     me_rhs,
 )
 from nmgme.scenarios import coherent_state
@@ -42,6 +40,8 @@ from nmgme.system import (
     harmonic_kernels,
     quadratic_hamiltonian,
 )
+
+from helpers import kossakowski_form, kossakowski_rhs, scaled_kernel
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
@@ -139,7 +139,7 @@ def test_criterion_3_series_homogeneity():
     worst = 0.0
     for D, f in setups.values():
         corr = {}
-        for label, kern in (("1", D), ("1/2", D.scaled(0.5)), ("1/4", D.scaled(0.25))):
+        for label, kern in (("1", D), ("1/2", scaled_kernel(D, 0.5)), ("1/4", scaled_kernel(D, 0.25))):
             b1 = contraction_BA(kern, f, grid.t_max, grid)
             a1 = contraction_BB(kern, f, grid.t_max, grid)
             c1 = alpha_beta(1, b1, a1)
@@ -446,7 +446,7 @@ def test_criterion_9_weak_coupling_zeroth_order(oracle_convergence):
         s = grid.points[: K + 1]
         w = quad_weights(K + 1, grid.h)
         dre = D.re_part(0, 0, t, s)
-        dim_part = D.im_part(0, 0, t, s)
+        dim_part = np.imag(D(0, 0, t, s))
         cosw = np.cos(t - s)
         sinw = -np.sin(t - s)
         explicit[0, K] = -np.dot(w, dre * cosw)

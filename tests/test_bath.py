@@ -9,6 +9,8 @@ from nmgme.bath import (
 )
 from nmgme.grids import make_grid
 
+from helpers import scaled_kernel
+
 
 def _grid_pairs(t_max=2.0, n=17):
     pts = make_grid(t_max, n).points
@@ -146,7 +148,7 @@ def test_white_noise_half_line_integral():
 
 
 def test_scaled_kernel():
-    D = make_exponential(2.0, 1.0).scaled(0.5)
+    D = scaled_kernel(make_exponential(2.0, 1.0), 0.5)
     assert D(0, 0, 1.0, 1.0) == pytest.approx(0.5)
     assert D.is_real
 

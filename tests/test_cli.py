@@ -88,6 +88,19 @@ def test_dump_rho_flag(tmp_path):
     assert len(traj["rho"][0]) == 8
 
 
+@pytest.mark.parametrize("in_config", [True, False])
+def test_dump_rho_on_coeffs_exit_2(tmp_path, capsys, in_config):
+    # coeffs writes no trajectory, so there are no states to dump
+    cfg = {**base_dephasing(tmp_path), "model": "dephasing"}
+    if in_config:
+        cfg["dump_rho"] = True
+    flags = [] if in_config else ["--dump-rho"]
+    assert main(["coeffs", "--config", write_config(tmp_path, cfg), *flags]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["field"]) == ("invalid_config", "dump_rho")
+    assert not (tmp_path / "out").exists()
+
+
 MODES = {"family": "discrete_modes", "mode_freqs": [1.0, 1.6], "couplings": [[0.2, [0.1, 0.05]]]}
 ORACLE_2 = {"model": "dephasing", "kernel": MODES}
 SWEEP = {"eps_values": [0.1, 0.05], "strength": 1.0, "t_eval": 1.0, "n_points": 65}

@@ -12,13 +12,14 @@ from nmgme.coefficients import (
     coefficients_linear,
     coefficients_nondissipative,
     coefficients_qmupl,
-    kossakowski_form,
     write_coefficients_csv,
 )
 from nmgme.grids import make_grid, quad_weights
 from nmgme import coefficients
 from nmgme.series import SeriesConfig, SeriesTables
 from nmgme.system import commutator_kernel, harmonic_kernels, qmupl_kernels
+
+from helpers import kossakowski_form
 
 
 def constant_ab_tables(grid, d0, d=1):

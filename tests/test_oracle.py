@@ -8,6 +8,7 @@ import pytest
 from scipy.linalg import expm
 
 from nmgme import oracle
+from nmgme.bath import make_discrete_modes
 from nmgme.oracle import (
     JointModel,
     build_joint,
@@ -89,7 +90,7 @@ def test_correlation_kernel_consistency():
         couplings=g,
         mode_dims=(2, 2, 2),
     )
-    D = model.correlation_kernel()
+    D = make_discrete_modes(model.mode_freqs, model.couplings)
     pts = np.linspace(0.0, 3.0, 9)
     T, S = np.meshgrid(pts, pts, indexing="ij")
     expected = sum(
@@ -232,7 +233,6 @@ def mode_convergence_check(
         mode_freqs=model.mode_freqs,
         couplings=model.couplings,
         mode_dims=tuple(dims),
-        dimension_cap=max(model.dimension_cap, model.joint_dim * 2),
     )
     traj2 = evolve_joint(bigger, psi0_system, t_final, n_samples)
     vals1 = [np.real(np.trace(observable @ r)) for r in traj.states]

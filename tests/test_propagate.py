@@ -11,20 +11,17 @@ from nmgme.coefficients import (
     coefficients_dephasing,
     coefficients_linear,
     coefficients_qmupl,
-    kossakowski_form,
 )
 from nmgme.grids import make_grid, quad_weights
 from nmgme.propagate import (
     _BLOCK_STEPS,
     CoefficientInterpolator,
-    DensityMatrix,
     EvolutionError,
     GaussianMoments,
     TruncationError,
     diagnostics,
     evolve,
     evolve_moments,
-    kossakowski_rhs,
     me_rhs,
     trace_distance,
     _hermitian_of,
@@ -44,6 +41,9 @@ from nmgme.system import (
 )
 
 from helpers import (
+    DensityMatrix,
+    kossakowski_form,
+    kossakowski_rhs,
     outer_commutator_rhs,
     reference_evolve,
     reference_evolve_moments,
@@ -298,6 +298,24 @@ def test_evolve_dephasing_golden_closed_form():
     assert np.max(np.abs(coherences - exact)) < 1e-6
 
 
+@pytest.mark.parametrize(
+    "rho0",
+    [np.full(4, 0.25), np.eye(3) / 3, np.eye(4)[:, :3] / 3, np.eye(4)[None] / 4],
+    ids=["vector", "3x3", "4x3", "stacked"],
+)
+def test_evolve_rejects_an_initial_state_off_the_operators(rho0, monkeypatch):
+    # rejected before any work: no interpolator is built
+    def no_work(*args):
+        raise AssertionError("evolve started before checking rho0")
+
+    monkeypatch.setattr(propagate, "CoefficientInterpolator", no_work)
+    coeffs = analytic_dephasing_coeffs(t_max=1.0, n=9)
+    f = fock_operators(4)
+    ops = {"A": [f["q"]], "V": [f["p"]], "H0": quadratic_hamiltonian(4)}
+    with pytest.raises(ValueError, match=r"rho0 must be a square matrix .* \(4, 4\)"):
+        evolve(rho0, coeffs, ops, 1.0, 0.1, n_samples=3)
+
+
 def test_evolve_unitary_purity_conserved():
     dim = 12
     grid = make_grid(5.0, 11)
@@ -309,7 +327,7 @@ def test_evolve_unitary_purity_conserved():
     )
     ops_f = fock_operators(dim)
     ops = {"A": [ops_f["q"]], "V": [ops_f["p"]], "H0": quadratic_hamiltonian(dim)}
-    rho0 = DensityMatrix.pure(coherent_state(dim, 1.0))
+    rho0 = DensityMatrix.pure(coherent_state(dim, 1.0)).matrix
     traj = evolve(rho0, coeffs, ops, 5.0, 1e-3, n_samples=11, truncation_guard=False)
     purity = np.array(traj.diagnostics["purity"])
     assert np.max(np.abs(purity - 1.0)) < 1e-10
@@ -338,7 +356,7 @@ def test_truncation_guard_trips():
     )
     ops_f = fock_operators(dim)
     ops = {"A": [ops_f["q"]], "V": [ops_f["p"]], "H0": quadratic_hamiltonian(dim)}
-    rho0 = DensityMatrix.pure(np.eye(dim)[0])
+    rho0 = DensityMatrix.pure(np.eye(dim)[0]).matrix
     with pytest.raises(TruncationError, match="truncation"):
         evolve(rho0, coeffs, ops, 4.0, 1e-2, n_samples=5)
 
@@ -355,7 +373,7 @@ def test_non_finite_abort_reports_last_valid_time():
     )
     ops_f = fock_operators(4)
     ops = {"A": [ops_f["q"]], "V": [ops_f["p"]], "H0": quadratic_hamiltonian(4)}
-    rho0 = DensityMatrix.pure(coherent_state(4, 0.5))
+    rho0 = DensityMatrix.pure(coherent_state(4, 0.5)).matrix
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(EvolutionError, match="non-finite") as err:
             evolve(rho0, coeffs, ops, 1.0, 0.5, n_samples=3, truncation_guard=False)

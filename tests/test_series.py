@@ -29,10 +29,9 @@ from nmgme.system import (
     commutator_kernel,
     harmonic_kernels,
     qmupl_kernels,
-    zero_commutator,
 )
 
-from helpers import suffix_weights
+from helpers import scaled_kernel, suffix_weights, zero_commutator
 
 
 def qmupl_setup(lam=0.3, mu=0.1, gamma=1.0, tau_c=0.5, m=1.0, omega=1.0):
@@ -161,7 +160,7 @@ def test_recurse_b_scaling():
     grid = make_grid(1.0, 33)
     b1 = contraction_BA(D, f, 1.0, grid)
     b2 = recurse_b(2, b1, b1)
-    Ds = D.scaled(0.5)
+    Ds = scaled_kernel(D, 0.5)
     b1s = contraction_BA(Ds, f, 1.0, grid)
     b2s = recurse_b(2, b1s, b1s)
     ratio = np.max(np.abs(b2s.values)) / np.max(np.abs(b2.values))
@@ -208,7 +207,7 @@ def test_recurse_a_scaling():
     b1 = contraction_BA(D, f, 1.0, grid)
     a1 = contraction_BB(D, f, 1.0, grid)
     a2 = recurse_a(2, a1, b1)
-    Ds = D.scaled(0.5)
+    Ds = scaled_kernel(D, 0.5)
     b1s = contraction_BA(Ds, f, 1.0, grid)
     a1s = contraction_BB(Ds, f, 1.0, grid)
     a2s = recurse_a(2, a1s, b1s)
@@ -392,7 +391,7 @@ def test_homogeneity_invariant_orders_1_and_2():
         D, f = setup
         grid = make_grid(1.0, 33)
         tables = {}
-        for label, kern in (("base", D), ("half", D.scaled(0.5)), ("quarter", D.scaled(0.25))):
+        for label, kern in (("base", D), ("half", scaled_kernel(D, 0.5)), ("quarter", scaled_kernel(D, 0.25))):
             b1 = contraction_BA(kern, f, 1.0, grid)
             a1 = contraction_BB(kern, f, 1.0, grid)
             c1 = alpha_beta(1, b1, a1)
@@ -491,7 +490,7 @@ GOLDEN_QMUPL_AB = {
 class _RefContext:
     def __init__(self, D, f, grid, outer_index, method):
         self.d = d = D.n_channels
-        pts = grid.prefix(outer_index)
+        pts = grid.points[: outer_index + 1]
         self.n = n = pts.size
         T1, T2 = np.meshgrid(pts, pts, indexing="ij")
         self.DRe = np.empty((d, d, n, n))

@@ -3,14 +3,14 @@ import pytest
 from scipy.linalg import expm
 
 from nmgme.system import (
-    LinearSystem,
     commutator_kernel,
     fock_operators,
     harmonic_kernels,
     qmupl_kernels,
     quadratic_hamiltonian,
-    zero_commutator,
 )
+
+from helpers import zero_commutator
 
 
 def test_harmonic_kernel_values():
@@ -74,13 +74,29 @@ def test_qmupl_kernels_transpose_relation():
 def test_qmupl_rejects_imaginary_shifted_frequency():
     with pytest.raises(ValueError, match="omega"):
         qmupl_kernels(1.0, 1.0, 2.0, 0.6)
-    with pytest.raises(ValueError):
-        LinearSystem(omega=1.0, lam=2.0, mu=0.6, coupling="qp")
+    with pytest.raises(ValueError, match="effective frequency"):
+        qmupl_kernels(1.0, 1.0, 2.0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "m, omega, lam, mu, message",
+    [
+        (0.0, 1.0, 0.1, 0.1, "mass must be positive"),
+        (-1.0, 1.0, 0.1, 0.1, "mass must be positive"),
+        (1.0, -1.0, 0.1, 0.1, "non-negative"),
+        (1.0, 1.0, -0.1, 0.1, "non-negative"),
+        (1.0, 1.0, 0.1, -0.1, "non-negative"),
+    ],
+)
+def test_qmupl_rejects_bad_parameters(m, omega, lam, mu, message):
+    with pytest.raises(ValueError, match=message):
+        qmupl_kernels(m, omega, lam, mu)
 
 
 def test_qmupl_flow_satisfies_matrix_ode():
-    kern = qmupl_kernels(1.0, 1.2, 2.0, 0.3)
-    A = kern.generator
+    m, omega, lm = 1.0, 1.2, 2.0 * 0.3
+    kern = qmupl_kernels(m, omega, 2.0, 0.3)
+    A = np.array([[lm, 1.0 / m], [-m * omega**2, -lm]])
     h = 1e-5
     u = 0.5
     dC = (kern.flow(u + h) - kern.flow(u - h)) / (2 * h)
