@@ -185,10 +185,6 @@ class GaussianMoments:
         if self.cov[0, 0] <= 0 or self.cov[1, 1] <= 0:
             raise ValueError("diagonal covariances must be positive")
 
-    def uncertainty_ok(self) -> bool:
-        det = self.cov[0, 0] * self.cov[1, 1] - self.cov[0, 1] ** 2
-        return det >= 0.25 - self.tol_pos
-
     @classmethod
     def coherent(cls, q0: float, p0: float, m: float = 1.0, omega: float = 1.0):
         """Moments of a coherent state of the ``(m, omega)`` oscillator."""

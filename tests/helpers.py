@@ -151,8 +151,8 @@ def stepped_evolve_joint(model, psi0_system, t_final, h, n_samples=101):
 
 def full_eigh_evolve_joint(model, psi0_system, t_final, n_samples=101):
     """The former eigendecomposition oracle: one ``eigh`` of the whole
-    dense joint Hamiltonian; the reference for the sector ``eigh`` in
-    :func:`nmgme.oracle.evolve_joint`."""
+    dense joint Hamiltonian; the reference for the sector Chebyshev
+    expansion in :func:`nmgme.oracle.evolve_joint`."""
     psi_s = np.asarray(psi0_system, dtype=complex)
     if abs(np.linalg.norm(psi_s) - 1.0) > 1e-10:
         raise ValueError("system state must be normalized")

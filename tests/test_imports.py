@@ -1,5 +1,5 @@
-"""The command-line path loads numpy and yaml but not scipy, and every
-exported name has a caller outside the tests."""
+"""The command-line path, an oracle run included, loads numpy and yaml
+but not scipy, and every exported name has a caller outside the tests."""
 
 import ast
 import inspect
@@ -13,16 +13,41 @@ import pytest
 from nmgme import oracle
 
 
-def test_cli_import_loads_no_scipy():
+def _scipy_modules_after(code: str, cwd=None) -> str:
+    """Last line printed by ``code`` run in a fresh interpreter, which
+    ends by printing the sorted ``scipy*`` modules it loaded."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    code = "import sys, nmgme.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code += "\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))"
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_loads_no_scipy():
+    assert _scipy_modules_after("import sys, nmgme.cli") == "[]"
+
+
+@pytest.mark.parametrize("model", ["dephasing", "hpz"])
+def test_oracle_check_run_loads_no_scipy(model, tmp_path):
+    (tmp_path / "check.yaml").write_text(
+        f"model: {model}\n"
+        "kernel: {family: discrete_modes, mode_freqs: [1.0, 1.6], couplings: [[0.2, 0.2]]}\n"
+        "grid: {t_max: 0.5, n_points: 9}\n"
+        "propagation: {fock_dim: 6, h: 0.01, n_samples: 5}\n"
+        "oracle: {mode_dims: [3, 3]}\n"
+        "output_dir: out\n"
+    )
+    code = (
+        "import sys\n"
+        "from nmgme.cli import main\n"
+        "assert main(['oracle-check', '--config', 'check.yaml']) == 0"
+    )
+    assert _scipy_modules_after(code, cwd=tmp_path) == "[]"
+    assert (tmp_path / "out" / "oracle_trajectory.json").is_file()
 
 
 def test_oracle_expm_resolves_on_access():

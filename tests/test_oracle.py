@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -251,7 +252,7 @@ def test_mode_convergence_check_weak_coupling():
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 EIGEN_CASES = {
-    # name: (model, whether H is real, so the real solver runs)
+    # name: (model, whether H is real, so the real recursion runs)
     "real": (
         JointModel(
             h_system=0.5 * SX + 0.3 * SZ,
@@ -290,13 +291,13 @@ EIGEN_CASES = {
 @pytest.mark.parametrize("case", list(EIGEN_CASES))
 def test_eigen_oracle_matches_stepped_reference(case, monkeypatch):
     model, real = EIGEN_CASES[case]
-    solved, exact = [], oracle.eigh
+    solved, exact = [], oracle._chebyshev_propagate
 
-    def spy(H):
+    def spy(H, psi0, times):
         solved.append(H.dtype)
-        return exact(H)
+        return exact(H, psi0, times)
 
-    monkeypatch.setattr(oracle, "eigh", spy)
+    monkeypatch.setattr(oracle, "_chebyshev_propagate", spy)
     traj = evolve_joint(model, PLUS, 3.0, n_samples=13)
     ref = stepped_evolve_joint(model, PLUS, 3.0, 1e-2, n_samples=13)
     assert solved == [np.float64 if real else np.complex128]
@@ -306,15 +307,26 @@ def test_eigen_oracle_matches_stepped_reference(case, monkeypatch):
 
 
 def test_norm_guard_raises_at_a_sample(monkeypatch):
-    # eigenvectors off unitarity by 1e-7 push every sampled norm past 1e-8
-    exact = oracle.eigh
+    # states off unitarity by 1e-7 push every sampled norm past 1e-8
+    exact = oracle._chebyshev_propagate
 
-    def skewed(H):
-        E, V = exact(H)
-        return E, V * (1.0 + 1e-7)
+    def skewed(H, psi0, times):
+        return exact(H, psi0, times) * (1.0 + 1e-7)
 
-    monkeypatch.setattr(oracle, "eigh", skewed)
+    monkeypatch.setattr(oracle, "_chebyshev_propagate", skewed)
     with pytest.raises(RuntimeError, match="norm drifted"):
+        evolve_joint(dephasing_model(), PLUS, 1.0, n_samples=5)
+
+
+def test_norm_guard_raises_on_nan(monkeypatch):
+    # a NaN norm fails every comparison, so the guard must not pass it
+    exact = oracle._chebyshev_propagate
+
+    def broken(H, psi0, times):
+        return exact(H, psi0, times) * np.nan
+
+    monkeypatch.setattr(oracle, "_chebyshev_propagate", broken)
+    with pytest.raises(RuntimeError, match="norm drifted to nan"):
         evolve_joint(dephasing_model(), PLUS, 1.0, n_samples=5)
 
 
@@ -332,7 +344,7 @@ def _parity_model():
 
 
 SECTOR_CASES = {
-    # name: (model, system state, size of the block handed to eigh)
+    # name: (model, system state, size of the block handed to the propagator)
     # n = 1 lies in the odd sector, which does not hold joint index 0
     "parity-one-of-two": (_parity_model(), np.eye(6, dtype=complex)[1], 81),
     # sigma_z coupling: one component per qubit state, PLUS reaches both
@@ -344,19 +356,68 @@ SECTOR_CASES = {
 @pytest.mark.parametrize("case", list(SECTOR_CASES))
 def test_sector_oracle_matches_full_eigh_reference(case, monkeypatch):
     model, psi0, block = SECTOR_CASES[case]
-    shapes, exact = [], oracle.eigh
+    shapes, exact = [], oracle._chebyshev_propagate
 
-    def spy(H):
-        shapes.append(H.shape)
-        return exact(H)
+    def spy(H, psi0, times):
+        shapes.append((H.shape, psi0.shape))
+        return exact(H, psi0, times)
 
-    monkeypatch.setattr(oracle, "eigh", spy)
+    monkeypatch.setattr(oracle, "_chebyshev_propagate", spy)
     traj = evolve_joint(model, psi0, 3.0, n_samples=13)
     ref = full_eigh_evolve_joint(model, psi0, 3.0, n_samples=13)
-    assert shapes == [(block, block)]
+    assert shapes == [((block, block), (block,))]
     assert np.array_equal(traj.times, ref.times)
     assert np.max(np.abs(traj.states - ref.states)) <= 1e-12
     assert np.max(np.abs(np.subtract(traj.diagnostics["norm"], ref.diagnostics["norm"]))) <= 1e-12
+
+
+def test_bessel_helper_matches_scipy():
+    from scipy.special import jv
+
+    x = np.array([0.0, 1e-3, 0.75, 31.0, 150.0])
+    k = np.arange(201)
+    J = oracle._bessel_j(200, x)
+    assert J.shape == (201, 5)
+    assert np.max(np.abs(J - jv(k[:, None], x[None, :]))) <= 1e-14
+
+
+@pytest.mark.parametrize("x", [1e-3, 0.75, 5.0, 31.0, 150.0])
+def test_chebyshev_order_is_the_smallest_with_a_small_tail(x):
+    from scipy.special import jv
+
+    K = oracle._chebyshev_order(x)
+    tail = 2 * np.sum(np.abs(jv(np.arange(K + 1, K + 400), x)))
+    assert tail <= oracle.CHEBYSHEV_TAIL
+    # one order fewer fails the bound that chose K
+    if K and 2 * K + 2 > x:
+        log_shorter = K * math.log(x / 2) - math.lgamma(K + 1) - math.log1p(-x / (2 * K + 2))
+        assert 2 * math.exp(log_shorter) > oracle.CHEBYSHEV_TAIL
+
+
+def test_one_state_sector_is_the_exact_phase(monkeypatch):
+    # decoupled qubit with H_S = sigma_z: |up, vacuum> is an eigenstate
+    # alone in its component, a one-point spectrum
+    blocks, exact = [], oracle._chebyshev_propagate
+
+    def spy(H, psi0, times):
+        blocks.append((H.copy(), exact(H, psi0, times)))
+        return blocks[-1][1]
+
+    monkeypatch.setattr(oracle, "_chebyshev_propagate", spy)
+    up = np.array([1.0, 0.0], dtype=complex)
+    traj = evolve_joint(dephasing_model(g=0.0, h_sys=SZ), up, 3.0, n_samples=7)
+    (H, psis), = blocks
+    assert H.shape == (1, 1)
+    assert np.max(np.abs(psis[:, 0] - np.exp(-1j * traj.times))) <= 1e-15
+    assert np.max(np.abs(traj.states - np.outer(up, up))) <= 1e-15
+
+
+def test_long_time_parity_oracle_matches_full_eigh_reference():
+    # t_final 40 takes the expansion to order 422, against 53 at t_final 3
+    psi0 = np.eye(6, dtype=complex)[1]
+    traj = evolve_joint(_parity_model(), psi0, 40.0, n_samples=21)
+    ref = full_eigh_evolve_joint(_parity_model(), psi0, 40.0, n_samples=21)
+    assert np.max(np.abs(traj.states - ref.states)) <= 1e-12
 
 
 @pytest.mark.parametrize(

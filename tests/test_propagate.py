@@ -420,8 +420,15 @@ def test_moments_validation():
         GaussianMoments(mean=[0, 0], cov=[[1.0, 0.2], [0.1, 1.0]])
     with pytest.raises(ValueError, match="positive"):
         GaussianMoments(mean=[0, 0], cov=[[0.0, 0.0], [0.0, 1.0]])
+    # det cov = 0.01 < 1/4 violates the uncertainty relation; free motion
+    # keeps the determinant, so the run reports it
+    zeros = np.zeros((5, 1, 1), dtype=complex)
+    coeffs = MECoefficients(
+        grid=make_grid(1.0, 5), scenario="linear", Gamma=zeros, Theta=zeros.copy(),
+        Xi=zeros.copy(), Upsilon=zeros.copy(),
+    )
     m = GaussianMoments(mean=[0, 0], cov=[[0.1, 0.0], [0.0, 0.1]])
-    assert not m.uncertainty_ok()
+    assert evolve_moments(m, coeffs, 1.0, 1.0, 1.0, 1e-2, n_samples=5).uncertainty_ok is False
 
 
 def test_diagnostics_and_trace_distance():
