@@ -51,10 +51,7 @@ batched product multiplies the band coefficients of every row
 interleaved operands ``(dim, g (2 b + 1), dim)`` (:class:`_BandProduct`,
 the diagonal storage of Saad, *Iterative Methods for Sparse Linear
 Systems*, section 3.4).  A right product ``B O`` is the same product on
-transposes, ``(O^T B^T)^T``.  The band coefficients of the three stage
-times of an RK4 step (the mid one serves ``k2`` and ``k3``) are one
-product of their weight rows with a constant basis built once per run,
-written into fixed slots.
+transposes, ``(O^T B^T)^T``.
 
 A stage is mirrored when it is exactly Hermiticity preserving
 (``Y = X^dag``, ``W = W^dag`` entry by entry, Hermitian ``F``) and
@@ -67,7 +64,7 @@ a physical state is.  It runs in real arithmetic on
 matrices ``R_m`` (its nonzero real and imaginary parts), so the
 sandwich sum is ``sum_mn Omega_mn R_m rho R_n`` with
 ``Omega = C^T W C``, and ``rho Y = (X rho)^dag``.  With
-``Ahat_n = sum_m Omega_mn R_m``, the band rows of
+``Ahat_n = sum_m Omega_mn R_m = sum_b C_bn Fhat_b``, the band rows of
 ``[X; iX; Ahat_1..Ahat_N]`` (complex entries as real/imaginary pairs)
 on the interleaved rows of ``M`` and ``M^T`` give
 ``[Q; Q'; Yhat_1..Yhat_N]``, the ``R_n^T`` on the rows of the
@@ -80,19 +77,13 @@ Hermitian ``rho``, so a run from a Hermitian state keeps a zero
 Hermiticity defect whenever its coefficients are exactly physical.
 
 At small dimensions a stage costs per-call overhead rather than
-arithmetic, so :func:`evolve` takes the mirrored stages of a run of
-dimension at most ``_SUPEROPERATOR_DIM`` (12; its comment holds the
-timings it rests on) as one product of the real superoperator with
-``vec(M)``, the standard dense Liouville-space form at such sizes
-(Havel, J. Math. Phys. 44, 534 (2003)).  It is the same sandwich form:
-``L = Re S + Im S'``, with ``S = X (x) 1 + 1 (x) Y^T +
-sum_b Fhat_b (x) F_b^T`` from the weights of a node row and ``S'`` its
-columns transposed (:class:`_Superoperator`).  The weights are affine in
-the interpolated rows, so ``L(t) = L_k + (t - t_k) dL_k`` on grid
-interval ``k``, and only the current interval's ``[L_k | dL_k]``
-(``2 dim^4`` floats) is kept.  A block of steps that all take it needs
-the mirror flags of its stages (:meth:`_SandwichForm.mirror`) but not
-their weight rows.  Larger runs take the band products above.
+arithmetic, so the mirrored stages of a run of dimension at most
+``_SUPEROPERATOR_DIM`` (12; its comment holds the timings it rests on)
+are one product of the real superoperator with ``vec(M)``, the standard
+dense Liouville-space form at such sizes (Havel, J. Math. Phys. 44, 534
+(2003)).  It is the same sandwich form: ``L = Re S + Im S'``, with
+``S = X (x) 1 + 1 (x) Y^T + sum_b Fhat_b (x) F_b^T`` and ``S'`` its
+columns transposed.  Larger runs take the band products above.
 
 Any other stage (non-Hermitian operators or state, or coefficients off
 the physical structure) is evaluated as written, ``X rho + rho Y +
@@ -103,10 +94,17 @@ its steps are mirrored and forms ``rho`` only at sample times and
 before an unmirrored step.
 
 Integration is classical fixed-step fourth-order Runge-Kutta with
-coefficients linearly interpolated between grid nodes.  The coefficient
-rows of the stage times ``t, t + h/2, t + h`` are interpolated in one
-vectorised blend per block of steps and turned into sandwich weights
-there, so the step loop only multiplies matrices.  The Gaussian moments
+coefficients linearly interpolated between grid nodes.  The weights are
+affine in the interpolated rows, so on grid interval ``k`` every stage
+operator is ``Op_k + (t - t_k) dOp_k``, and a stage is addressed by
+``(k, t - t_k)`` (:class:`_Stages`).  When a stage first reaches an
+interval, the dense ``X``, ``Y``, ``Fhat`` of its node row and of its
+slope row are built, and from them the interval's operator: ``[L_k |
+dL_k]`` at small dimensions, the band coefficients of a mirrored stage
+above, or the dense parts themselves.  Only the current interval's
+operator is kept, so the step loop only combines and multiplies
+matrices.  An interval is mirrored when its node row and its slope row
+are exactly Hermiticity preserving.  The Gaussian moments
 obey a linear ODE in ``(mean, cov, 1)``: the 7x7 RK4 step matrices of a
 block are built with batched products, and a step is one matrix-vector
 product.  The state is never rescaled: trace drift is a diagnostic.
@@ -136,10 +134,10 @@ __all__ = [
     "aligned_steps",
 ]
 
-# RK4 steps whose stage coefficients are built together
+# RK4 steps whose stage times are handled together
 _BLOCK_STEPS = 32
 # the largest dimension whose mirrored stages take one product with the
-# real superoperator (_Superoperator) instead of the two band products.
+# real superoperator (_Stages) instead of the two band products.
 # One RK4 step of an hpz Fock run (half-bandwidth 2), and the build of
 # one interval's superoperator, which a run at h = 1e-3 on a grid of
 # spacing 1/32 shares among 31 steps (2 cores, 1 BLAS thread, best of 5):
@@ -150,6 +148,8 @@ _BLOCK_STEPS = 32
 _SUPEROPERATOR_DIM = 12
 # the truncation guard's bound on the population of the top two Fock levels
 TRUNCATION_LIMIT = 1e-6
+# how far below 1/4 the moments' uncertainty product may fall and pass
+_UNCERTAINTY_TOL = 1e-8
 
 
 class EvolutionError(RuntimeError):
@@ -175,7 +175,6 @@ class GaussianMoments:
 
     mean: np.ndarray
     cov: np.ndarray
-    tol_pos: float = 1e-8
 
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float).reshape(2)
@@ -275,7 +274,7 @@ def _band(x: np.ndarray, b: int) -> np.ndarray:
 
 
 class _BandProduct:
-    """Products of operators of half-bandwidth ``b`` with ``g`` matrices.
+    """Products of operators of half-bandwidth ``b`` with ``g`` real matrices.
 
     ``rows[l, k]`` takes row ``l`` of matrix ``k``.  It is the interior of
     a zero-padded buffer ``(dim + 2 b, g, dim)``, whose interleaved rows
@@ -287,8 +286,8 @@ class _BandProduct:
     operator products, ``(dim, o, dim)``, in one batched product.
     """
 
-    def __init__(self, dim: int, b: int, g: int, dtype):
-        buf = np.zeros((dim + 2 * b, g, dim), dtype=dtype)
+    def __init__(self, dim: int, b: int, g: int):
+        buf = np.zeros((dim + 2 * b, g, dim))
         self.rows = buf[b : b + dim]
         windows = sliding_window_view(buf.reshape(-1, dim), g * (2 * b + 1), axis=0)
         # with g = 0 (all operators zero) one empty window, broadcast
@@ -302,14 +301,14 @@ class _SandwichForm:
     """The generator of the module docstring over one set of operators.
 
     Built once per run: the distinct operators ``F``, their real parts
-    ``R``, the constant products that ``X`` and ``Y`` combine, the
-    half-bandwidth ``band`` of every constant operator, and the basis
-    that maps a mirrored stage's weights to the band coefficients of its
-    products.
-    :meth:`weights` maps coefficient arrays with a leading stage axis to
-    the weight rows of each stage, :meth:`stages` the rows of one RK4 step
-    to its stages, and calling the form with a state and a stage
-    evaluates the right-hand side.  ``shifts`` says whether
+    ``R`` with ``F_a = sum_m C_am R_m``, the constant products that ``X``
+    and ``Y`` combine, the half-bandwidth ``band`` of every constant
+    operator and the buffers of the mirrored stage.  :meth:`weights` maps
+    coefficient arrays with a leading stage axis to the weight rows of
+    each stage, :meth:`dense` weight rows to the dense parts of their
+    stages, :meth:`banded` dense parts to the band coefficients of
+    mirrored stages, and calling the form with a state and the parts of a
+    stage evaluates the right-hand side.  ``shifts`` says whether
     ``H_eff`` carries ``p^2`` and ``{q,p}`` (``ops`` then holds ``q`` and
     ``p``), ``pp`` whether ``gamma_pp`` is present.
     """
@@ -368,28 +367,11 @@ class _SandwichForm:
         # the half-bandwidth: the largest |i - l| over the nonzero entries
         _, i, l = np.nonzero(np.concatenate([products, F, R]))
         self.band = b = int(np.max(np.abs(i - l), initial=0))
-        w = 2 * b + 1
-        self.n_x = n_x = d * n + self.n_ham
-        Pb, Rb, RbT = _band(products, b), _band(R, b), _band(R.transpose(0, 2, 1), b)
-
-        # mirrored stages: the band rows of [X; iX; Ahat_1..Ahat_N] over
-        # the rows of M and M^T (entries as real/imaginary pairs), weighted
-        # by [Re | Im of the X weights | Om]; then sum_n R_n^T over the
-        # rows of the Yhat_n^T
-        basis = np.zeros((2 * n_x + 2 * N * N, dim, N + 2, w), dtype=complex)
-        basis[:n_x, :, 0] = Pb[:n_x]
-        basis[:n_x, :, 1] = 1j * Pb[:n_x]
-        basis[n_x : 2 * n_x, :, 0] = 1j * Pb[:n_x]
-        basis[n_x : 2 * n_x, :, 1] = -Pb[:n_x]
-        om = basis[2 * n_x :].reshape(N, 2, N, dim, N + 2, w)  # Om[k, (re, im), m]
-        for k in range(N):
-            om[k, 0, :, :, 2 + k] = Rb
-            om[k, 1, :, :, 2 + k] = 1j * Rb
-        self._basis_r = basis.view(float).reshape(len(basis), -1)
-        self._coef_r = np.empty((3, dim, N + 2, 2 * w))  # one slot per stage time
-        self._RT = RbT.transpose(1, 2, 0).reshape(dim, 1, w * N)
-        self._MMt = _BandProduct(dim, b, 2, float)
-        self._Yhat = _BandProduct(dim, b, N, float)
+        self.n_x = d * n + self.n_ham
+        # mirrored stages: the R_n^T over the rows of the Yhat_n^T
+        self._RT = _band(R.transpose(0, 2, 1), b).transpose(1, 2, 0).reshape(dim, 1, (2 * b + 1) * N)
+        self._MMt = _BandProduct(dim, b, 2)
+        self._Yhat = _BandProduct(dim, b, N)
         self._T = np.empty((N + 2, dim, dim))  # Q, Q', Yhat_1..Yhat_N
         self._S = np.empty((dim, 1, dim))
 
@@ -404,24 +386,26 @@ class _SandwichForm:
         return cls(ops, dim, shifts, pp)
 
     def weights(self, c: dict) -> tuple:
-        """Stage weight rows ``(real, cplx, mirror)`` for ``s`` stages.
+        """Stage weight rows ``(w, mirror)`` for ``s`` stages.
 
-        ``real`` ``(s, 2 n_x + 2 N^2)`` weights the mirrored basis: the
-        real and imaginary parts of the weights of ``X`` over its
-        ``n_x = d n_F + n_ham`` constant products, then
-        ``[Re Omega^T | Im Omega^T]`` row by row, with
-        ``Omega = C^T W C`` (the weights of ``R`` and ``i R`` in
-        ``Ahat``).  ``cplx`` ``(s, 2 n_x + n_F^2)`` weights the constant
-        products of the other stages: ``[X weights | Y weights | W^T]``,
-        ``Y`` over the last ``n_x`` products and ``Fhat = W^T F``.
-        ``mirror`` says whether the stage is exactly Hermiticity preserving:
-        Hermitian operators and ``Y = X^dag``, ``W = W^dag`` entry by
-        entry.
+        ``w`` ``(s, 2 n_x + n_F^2)`` weights the constant products:
+        ``[X weights | Y weights | W^T]``, ``X`` over the first
+        ``n_x = d n_F + n_ham`` products, ``Y`` over the last ``n_x`` and
+        ``Fhat = W^T F``.  ``mirror`` says whether the stage is exactly
+        Hermiticity preserving: Hermitian operators and ``Y = X^dag``,
+        ``W = W^dag`` entry by entry.
 
         ``c`` holds ``Gamma``, ``Theta``, ``Xi``, ``Upsilon`` as
         ``(s, d, d)`` arrays, optional ``alpha``, ``beta``, ``gamma_pp``
         broadcastable to ``(s,)`` and the scalar ``lam_mu``."""
-        lF, rF = self._channel_weights(c)
+        # the weights (s, d, n_F) of F_a in L_j and R_j
+        Gam, Xi = c["Gamma"], c["Xi"]
+        lF = (Gam + 0.5 * Xi) @ self.PA
+        rF = (0.5 * Xi - Gam) @ self.PA
+        if self.PV is not None:
+            The, Ups = c["Theta"], c["Upsilon"]
+            lF = lF + (The + 0.5 * Ups) @ self.PV
+            rF = rF + (0.5 * Ups - The) @ self.PV
         s = len(lF)
         # A_j rho R_j - L_j rho A_j (- 2 gamma_pp p rho p)
         W = self.PA.T @ rF - lF.transpose(0, 2, 1) @ self.PA
@@ -437,134 +421,132 @@ class _SandwichForm:
             W[:, self.ip, self.ip] -= 2.0 * pp2[:, 1]
         xw = np.hstack([lF.reshape(s, -1), -1j * ham + pp2])
         yw = np.hstack([1j * ham + pp2, -rF.reshape(s, -1)])
-        Wt = W.transpose(0, 2, 1)
-        OmT = self.C.T @ Wt @ self.C
-        Om = np.concatenate([OmT.real, OmT.imag], axis=2)
-        real = np.concatenate([xw.real, xw.imag, Om.reshape(s, -1)], axis=1)
-        cplx = np.concatenate([xw, yw, Wt.reshape(s, -1)], axis=1)
-        return real, cplx, self._mirror(lF, rF)
-
-    def mirror(self, c: dict) -> np.ndarray:
-        """The ``mirror`` flags of :meth:`weights`, without its rows."""
-        return self._mirror(*self._channel_weights(c))
-
-    def _channel_weights(self, c: dict) -> tuple:
-        """The weights ``(s, d, n_F)`` of ``F_a`` in ``L_j`` and ``R_j``."""
-        Gam, Xi = c["Gamma"], c["Xi"]
-        lF = (Gam + 0.5 * Xi) @ self.PA
-        rF = (0.5 * Xi - Gam) @ self.PA
-        if self.PV is not None:
-            The, Ups = c["Theta"], c["Upsilon"]
-            lF = lF + (The + 0.5 * Ups) @ self.PV
-            rF = rF + (0.5 * Ups - The) @ self.PV
-        return lF, rF
-
-    def _mirror(self, lF: np.ndarray, rF: np.ndarray) -> np.ndarray:
+        w = np.concatenate([xw, yw, W.transpose(0, 2, 1).reshape(s, -1)], axis=1)
         # R_j = -L_j^dag entry by entry gives Y = X^dag and W = W^dag
-        return self.hermitian & (-rF == lF.conj()).all(axis=(1, 2))
+        return w, self.hermitian & (-rF == lF.conj()).all(axis=(1, 2))
 
-    def stages(self, real: np.ndarray, cplx: np.ndarray, mirror: bool) -> list:
-        """The stages ``(coefficients, mirror)`` of up to three weight rows
-        of :meth:`weights` (the stage times of one RK4 step).  Mirrored, the
-        band coefficients are one product of the rows with the basis,
-        written into fixed slots that the next call overwrites; otherwise
-        they are the dense ``(X, Y, Fhat)`` of each row."""
-        s = len(real)
-        if mirror:
-            np.matmul(real, self._basis_r, out=self._coef_r[:s].reshape(s, -1))
-            return [(coef, True) for coef in self._coef_r[:s]]
-        return [(coef, False) for coef in zip(*self.dense(cplx))]
+    def dense(self, w: np.ndarray) -> np.ndarray:
+        """The dense parts ``[X, Y, Fhat_1..Fhat_nF]``
+        ``(s, 2 + n_F, dim, dim)`` of weight rows of :meth:`weights`."""
+        s, n_x, P = len(w), self.n_x, self._products
+        parts = np.empty((s, 2 + self.n, self.dim, self.dim), dtype=complex)
+        parts[:, 0] = np.tensordot(w[:, :n_x], P[:n_x], 1)
+        parts[:, 1] = np.tensordot(w[:, n_x : 2 * n_x], P[-n_x:], 1)
+        parts[:, 2:] = np.tensordot(w[:, 2 * n_x :].reshape(s, self.n, self.n), self._F, 1)
+        return parts
 
-    def dense(self, cplx: np.ndarray) -> tuple:
-        """The dense ``X``, ``Y`` ``(s, dim, dim)`` and ``Fhat``
-        ``(s, n_F, dim, dim)`` of complex weight rows of :meth:`weights`."""
-        s, n_x, P = len(cplx), self.n_x, self._products
-        X = np.tensordot(cplx[:, :n_x], P[:n_x], 1)
-        Y = np.tensordot(cplx[:, n_x : 2 * n_x], P[-n_x:], 1)
-        Fhat = np.tensordot(cplx[:, 2 * n_x :].reshape(s, self.n, self.n), self._F, 1)
-        return X, Y, Fhat
+    def banded(self, parts: np.ndarray) -> np.ndarray:
+        """The band coefficients ``(s, dim, N + 2, 2 (2 b + 1))`` of the
+        mirrored stages with dense parts ``parts``: the band rows of
+        ``[X; iX; Ahat_1..Ahat_N]``, ``Ahat_m = sum_b C_bm Fhat_b``, with
+        each complex entry as the real/imaginary pair that weights the
+        interleaved rows of ``M`` and ``M^T``."""
+        s, dim = len(parts), self.dim
+        X = parts[:, :1]
+        Ahat = (self.C.T @ parts[:, 2:].reshape(s, self.n, -1)).reshape(s, -1, dim, dim)
+        coef = _band(np.concatenate([X, 1j * X, Ahat], axis=1), self.band)
+        return np.ascontiguousarray(coef.transpose(0, 2, 1, 3)).view(float)
 
-    def __call__(self, y: np.ndarray, stage: tuple) -> np.ndarray:
-        """Right-hand side at ``y`` under a stage of :meth:`stages`.  With
-        ``mirror`` set, the caller vouches that the stage is mirrored,
-        and ``y`` is the real ``M = Re rho + Im rho`` of a Hermitian
-        ``rho``: the result is the real representation of ``drho/dt``.
-        Otherwise ``y`` is ``rho``."""
-        coef, mirror = stage
+    def __call__(self, y: np.ndarray, parts: np.ndarray, mirror: bool) -> np.ndarray:
+        """Right-hand side at ``y`` under one stage.  With ``mirror`` set,
+        the caller vouches that the stage is mirrored, ``parts`` are its
+        band coefficients (:meth:`banded`) and ``y`` is the real
+        ``M = Re rho + Im rho`` of a Hermitian ``rho``: the result is the
+        real representation of ``drho/dt``.  Otherwise ``parts`` are its
+        dense parts (:meth:`dense`) and ``y`` is ``rho``."""
         if mirror:
             self._MMt.rows[:, 0] = y
             self._MMt.rows[:, 1] = y.T
             # [Q; Q'; Yhat_n]: Re + Im of [X rho; iX rho; Ahat_n rho]
             T = self._T
-            self._MMt(coef, out=T.transpose(1, 0, 2))
+            self._MMt(parts, out=T.transpose(1, 0, 2))
             self._Yhat.rows[...] = T[2:].transpose(2, 0, 1)
             S = self._Yhat(self._RT, out=self._S)[:, 0]  # (sum_n Yhat_n R_n)^T
             S += T[1]
             return T[0] + S.T  # Q + Q'^T + sum_n Yhat_n R_n
-        X, Y, Fhat = coef
-        return X @ y + y @ Y + (Fhat @ y @ self._F).sum(axis=0)
+        return parts[0] @ y + y @ parts[1] + (parts[2:] @ y @ self._F).sum(axis=0)
 
 
-class _Superoperator:
-    """Mirrored stages of a small run as one real matrix-vector product.
+class _Stages:
+    """The RK4 stages of a run, addressed by grid interval.
 
-    A mirrored stage is linear in ``M``: ``vec(dM/dt) = L vec(M)``
-    (row-major ``vec``) with ``L = Re S + Im S'``, where
-    ``S = X (x) 1 + 1 (x) Y^T + sum_b Fhat_b (x) F_b^T`` is the
-    superoperator of the sandwich form and ``S'`` is ``S`` with its two
-    column indices swapped.  The weights of a stage are affine in its
-    interpolated coefficient row ``table[k] + (t - t_k) slopes[k]``, so on
-    grid interval ``k`` ``L(t) = L_k + (t - t_k) dL_k``: ``L_k`` is ``L``
-    of the weights of node row ``k``, and ``dL_k`` of the weights of
-    ``slopes[k]`` less their constant part (the weights of a zero row).
-    Only the current interval's ``[L_k | dL_k]`` is kept, and a stage
-    ``(k, t - t_k)`` is its product with ``[vec M; (t - t_k) vec M]``; a
-    stage loads its interval when another one is current, so a run that
-    steps forward in time builds each interval once.
+    The weights of a stage are affine in its interpolated coefficient row
+    ``table[k] + (t - t_k) slopes[k]``, so on grid interval ``k`` each of
+    its operators is ``Op_k + (t - t_k) dOp_k``: ``Op_k`` from the weights
+    of node row ``k``, ``dOp_k`` from the weights of ``slopes[k]`` less
+    their constant part (the weights of a zero row).  A stage is
+    ``(k, t - t_k, mirror)``; interval ``k`` may be mirrored when node row
+    ``k`` and slope row ``k`` both are (:attr:`mirror`), and a mirrored
+    stage acts on the real ``M`` of a Hermitian ``rho``.
+
+    When a stage reaches an interval or mirror flag other than the current
+    one, the dense parts of its two rows (:meth:`_SandwichForm.dense`)
+    give the interval's operator, and only that operator is kept, so a
+    run that steps forward in time builds each interval once:
+
+    - mirrored at dimension at most ``_SUPEROPERATOR_DIM``: the real
+      superoperator ``[L_k | dL_k]``, with ``L = Re S + Im S'`` (module
+      docstring); a stage is its product with ``[vec M; (t - t_k) vec M]``
+      (row-major ``vec``);
+    - mirrored above: the band coefficients of the two rows
+      (:meth:`_SandwichForm.banded`);
+    - not mirrored: the dense parts themselves.
+
+    The last two combine ``Op_k + (t - t_k) dOp_k`` once per stage; the
+    ``k2`` and ``k3`` of a step share one.
     """
 
     def __init__(self, form: _SandwichForm, interp: CoefficientInterpolator):
-        self.form, self.interp = form, interp
-        # complex weights of every node row and of every slope row (less
-        # the weights of a zero row), one small row per grid point
+        self.form = form
+        # weights of every node row and of every slope row (less the
+        # weights of a zero row)
         table = interp.table
         rows = np.concatenate([table, interp.slopes, np.zeros_like(table[:1])])
-        cplx = form.weights(interp.split(rows))[1]
+        w, mirror = form.weights(interp.split(rows))
         G = len(table)
-        self._w_node, self._w_slope = cplx[:G], cplx[G:-1] - cplx[-1]
-        n = form.dim * form.dim
-        self._L = np.empty((n, 2 * n))  # [L_k | dL_k]
-        self._x = np.empty(2 * n)  # [vec(M); (t - t_k) vec(M)]
-        self._k = None
+        self._w_node, self._w_slope = w[: G - 1], w[G:-1] - w[-1]
+        self.mirror = mirror[: G - 1] & mirror[G:-1]
+        self._small = form.dim <= _SUPEROPERATOR_DIM
+        self._key = self._stage = None  # (k, mirror) built, stage combined
 
-    def stages(self, times) -> list:
-        """The stages ``((k, t - t_k), True)`` of stage times."""
-        k, dt = self.interp.intervals(times)
-        return [(stage, True) for stage in zip(k.tolist(), dt.tolist())]
-
-    def _load(self, k: int) -> None:
-        dim, F = self.form.dim, self.form._F
-        X, Y, Fhat = self.form.dense(np.stack([self._w_node[k], self._w_slope[k]]))
-        Ls = self._L.reshape(dim, dim, 2, dim, dim).transpose(2, 0, 1, 3, 4)
-        for L, x, y, fhat in zip(Ls, X, Y, Fhat):
-            # S[i, j, k, l] = sum_b Fhat_b[i, k] F_b[l, j] + X[i, k] delta_jl
-            # + delta_ik Y[l, j]
-            S = (fhat.reshape(len(F), -1).T @ F.reshape(len(F), -1)).reshape(dim, dim, dim, dim)
-            S = S.transpose(0, 3, 1, 2)
-            np.einsum("ijkj->ijk", S)[...] += x[:, None, :]
-            np.einsum("ijil->ijl", S)[...] += y.T
-            np.add(S.real, S.imag.swapaxes(2, 3), out=L)
-        self._k = k
+    def _load(self, k: int, mirror: bool) -> None:
+        form, dim = self.form, self.form.dim
+        parts = form.dense(np.stack([self._w_node[k], self._w_slope[k]]))
+        if mirror and self._small:
+            F = form._F
+            self._op = np.empty((dim * dim, 2 * dim * dim))  # [L_k | dL_k]
+            Ls = self._op.reshape(dim, dim, 2, dim, dim).transpose(2, 0, 1, 3, 4)
+            for L, (x, y), fhat in zip(Ls, parts[:, :2], parts[:, 2:]):
+                # S[i, j, k, l] = sum_b Fhat_b[i, k] F_b[l, j] + X[i, k] delta_jl
+                # + delta_ik Y[l, j]
+                S = (fhat.reshape(len(F), -1).T @ F.reshape(len(F), -1)).reshape(dim, dim, dim, dim)
+                S = S.transpose(0, 3, 1, 2)
+                np.einsum("ijkj->ijk", S)[...] += x[:, None, :]
+                np.einsum("ijil->ijl", S)[...] += y.T
+                np.add(S.real, S.imag.swapaxes(2, 3), out=L)
+            self._x = np.empty(2 * dim * dim)  # [vec(M); (t - t_k) vec(M)]
+        else:
+            self._op = form.banded(parts) if mirror else parts
+            self._c = np.empty_like(self._op[0])
+        self._key, self._stage = (k, mirror), None
 
     def __call__(self, y: np.ndarray, stage: tuple) -> np.ndarray:
-        """``dM/dt`` at the real ``M = y`` under a stage of :meth:`stages`."""
-        (k, dt), _ = stage
-        if k != self._k:
-            self._load(k)
-        m, x = y.reshape(-1), self._x
-        x[: m.size] = m
-        np.multiply(m, dt, out=x[m.size :])
-        return (self._L @ x).reshape(y.shape)
+        """Right-hand side at ``y`` under ``stage``: ``dM/dt`` at the real
+        ``M = y`` when the stage is mirrored, else ``drho/dt`` at
+        ``rho = y``."""
+        k, dt, mirror = stage
+        if (k, mirror) != self._key:
+            self._load(k, mirror)
+        if mirror and self._small:
+            m, x = y.reshape(-1), self._x
+            x[: m.size] = m
+            np.multiply(m, dt, out=x[m.size :])
+            return (self._op @ x).reshape(y.shape)
+        if stage != self._stage:
+            np.multiply(self._op[1], dt, out=self._c)
+            self._c += self._op[0]
+            self._stage = stage
+        return self.form(y, self._c, mirror)
 
 
 def _hermitian_of(M: np.ndarray) -> np.ndarray:
@@ -588,10 +570,11 @@ def me_rhs(rho: np.ndarray, coeff: dict, ops: dict) -> np.ndarray:
     shifts = bool(coeff.get("alpha", 0.0) or coeff.get("beta", 0.0) or coeff.get("lam_mu", 0.0))
     form = _SandwichForm(ops, rho.shape[0], shifts, bool(coeff.get("gamma_pp", 0.0)))
     c = {k: np.asarray(v)[None] if np.ndim(v) == 2 else v for k, v in coeff.items()}
-    real, cplx, mirror = form.weights(c)
+    w, mirror = form.weights(c)
+    parts = form.dense(w)
     if mirror[0] and np.array_equal(rho, rho.conj().T):
-        return _hermitian_of(form(rho.real + rho.imag, form.stages(real, cplx, True)[0]))
-    return form(rho, form.stages(real, cplx, False)[0])
+        return _hermitian_of(form(rho.real + rho.imag, form.banded(parts)[0], True))
+    return form(rho, parts[0], False)
 
 
 def diagnostics(rho: np.ndarray) -> dict:
@@ -671,29 +654,25 @@ def _rk4_step(rhs, y, h, c0, c_mid, c1):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _stage_blocks(interp: CoefficientInterpolator, n_steps: int, h: float):
-    """Coefficients of the RK4 stage times ``t, t + h/2, t + h`` of every
-    step (``t = step * h``), interpolated ``_BLOCK_STEPS`` steps at a
-    time: yields the first step, the step count and the block of
-    :meth:`CoefficientInterpolator.split` arrays, stage rows step-major."""
+def _stage_blocks(n_steps: int, h: float):
+    """The RK4 stage times ``t, t + h/2, t + h`` of every step
+    (``t = step * h``), ``_BLOCK_STEPS`` steps at a time: yields the first
+    step, the step count and the block's times, step-major."""
     for first in range(0, n_steps, _BLOCK_STEPS):
         count = min(_BLOCK_STEPS, n_steps - first)
-        yield first, count, interp.split(interp.rows(_stage_times(first, count, h)))
-
-
-def _stage_times(first: int, count: int, h: float) -> np.ndarray:
-    """The stage times ``t, t + h/2, t + h`` of ``count`` steps from step
-    ``first`` (``t = step * h``), step-major."""
-    t = np.arange(first, first + count) * h
-    return np.stack([t, t + 0.5 * h, t + h], axis=1).ravel()
+        t = np.arange(first, first + count) * h
+        yield first, count, np.stack([t, t + 0.5 * h, t + h], axis=1).ravel()
 
 
 def aligned_steps(t_final: float, h: float, n_samples: int) -> tuple[int, float]:
     """Step count and effective step so samples land exactly on steps.
 
     Rounds the requested step count up to a multiple of the sample
-    intervals; the effective step is then at most ``h``.
+    intervals; the effective step is then at most ``h``, which must be
+    finite and positive.
     """
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"step h must be finite and > 0, got {h}")
     intervals = max(n_samples - 1, 1)
     per_interval = max(int(np.ceil(t_final / h / intervals - 1e-9)), 1)
     n_steps = per_interval * intervals
@@ -734,12 +713,10 @@ def evolve(
         raise ValueError(
             f"t_final {t_final} exceeds coefficient grid t_max {coeffs.grid.t_max}"
         )
-    interp = CoefficientInterpolator(coeffs)
-    form = _SandwichForm.of_run(coeffs, ops, dim)
-    small = _Superoperator(form, interp) if dim <= _SUPEROPERATOR_DIM else None
-
     sample_times = np.linspace(0.0, t_final, n_samples)
     n_steps, h_eff = aligned_steps(t_final, h, n_samples)
+    interp = CoefficientInterpolator(coeffs)
+    stages = _Stages(_SandwichForm.of_run(coeffs, ops, dim), interp)
 
     states = np.empty((n_samples, dim, dim), dtype=complex)
     states[0] = rho
@@ -764,29 +741,17 @@ def evolve(
     y, real = rho, False
     hermitian = np.array_equal(rho, rho.conj().T)
     next_sample = 1
-    for first, count, c in _stage_blocks(interp, n_steps, h_eff):
-        if small is None:
-            real_w, cplx_w, mirror = form.weights(c)
-        else:
-            mirror = form.mirror(c)
-        mirrored = mirror.reshape(count, 3).all(axis=1)
-        if small is not None and mirrored.any():
-            small_stages = small.stages(_stage_times(first, count, h_eff))
-        # every step of a block is mirrored from the first one on when all
-        # its stages are and the state is Hermitian; a small run then
-        # steps only through the superoperator and needs no weight rows
-        if small is not None and not (mirrored.all() and (real or hermitian)):
-            real_w, cplx_w, _ = form.weights(c)
+    for first, count, times in _stage_blocks(n_steps, h_eff):
+        k, dt = interp.intervals(times)
+        mirrored = stages.mirror[k].reshape(count, 3).all(axis=1)
+        k, dt = k.tolist(), dt.tolist()
         for i in range(count):
             m = bool(mirrored[i]) and (real or hermitian)
             if m != real:
                 y = y.real + y.imag if m else _hermitian_of(y)
                 real = m
-            rows = slice(3 * i, 3 * i + 3)
-            if m and small is not None:
-                y = _rk4_step(small, y, h_eff, *small_stages[rows])
-            else:
-                y = _rk4_step(form, y, h_eff, *form.stages(real_w[rows], cplx_w[rows], m))
+            s = slice(3 * i, 3 * i + 3)
+            y = _rk4_step(stages, y, h_eff, *zip(k[s], dt[s], (m,) * 3))
             if not m:
                 hermitian = np.array_equal(y, y.conj().T)
             t = (first + i + 1) * h_eff
@@ -853,6 +818,10 @@ def evolve_moments(
     """
     if coeffs.scenario == "dephasing" or coeffs.n_channels != 1:
         raise ValueError("moment propagation needs a linear single-channel scenario")
+    if t_final > coeffs.grid.t_max + 1e-12:
+        raise ValueError(
+            f"t_final {t_final} exceeds coefficient grid t_max {coeffs.grid.t_max}"
+        )
     interp = CoefficientInterpolator(coeffs)
     y = np.concatenate([m0.mean, m0.cov.ravel(), [1.0]])
     sample_times = np.linspace(0.0, t_final, n_samples)
@@ -860,8 +829,9 @@ def evolve_moments(
 
     means, covs = [y[:2].copy()], [y[2:6].reshape(2, 2).copy()]
     next_sample = 1
-    for first, count, c in _stage_blocks(interp, n_steps, h_eff):
-        P = _rk4_step_matrices(_moment_matrices(c, m, omega), h_eff)
+    for first, count, times in _stage_blocks(n_steps, h_eff):
+        K = _moment_matrices(interp.split(interp.rows(times)), m, omega)
+        P = _rk4_step_matrices(K, h_eff)
         for i in range(count):
             y = P[i] @ y
             t = (first + i + 1) * h_eff
@@ -876,7 +846,7 @@ def evolve_moments(
         times=sample_times[: len(means)],
         means=np.array(means),
         covs=covs,
-        uncertainty_ok=bool(np.all(dets >= 0.25 - m0.tol_pos)),
+        uncertainty_ok=bool(np.all(dets >= 0.25 - _UNCERTAINTY_TOL)),
     )
 
 

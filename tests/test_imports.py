@@ -1,5 +1,6 @@
 """The command-line path, an oracle run included, loads numpy and yaml
-but not scipy, and every exported name has a caller outside the tests."""
+but not scipy, and every exported name, module-level function or class
+and method of the package has a caller outside the tests."""
 
 import ast
 import inspect
@@ -62,15 +63,23 @@ def test_oracle_expm_resolves_on_access():
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _exported_names() -> dict:
-    """``__all__`` of the package and of each submodule, by file."""
+def _defined_names() -> dict:
+    """Names of each module of the package, by file: its ``__all__``, its
+    module-level ``def``s and ``class``es, and the methods of those
+    classes, dunders such as a module ``__getattr__`` excepted."""
     out = {}
     for path in sorted((ROOT / "src" / "nmgme").glob("*.py")):
+        names = []
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
             ):
-                out[path.name] = [elt.value for elt in node.value.elts]
+                names += [elt.value for elt in node.value.elts]
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                body = node.body if isinstance(node, ast.ClassDef) else []
+                defs = [node] + [f for f in body if isinstance(f, ast.FunctionDef)]
+                names += [f.name for f in defs if not (f.name.startswith("__") and f.name.endswith("__"))]
+        out[path.name] = names
     return out
 
 
@@ -105,11 +114,12 @@ def _references(tree: ast.AST) -> set:
 
 
 def test_every_exported_name_has_a_caller_outside_the_tests():
+    # exported names, module-level functions and classes, and methods
     used = set()
     for top in ("src", "demos", "perfbench"):
         for path in sorted((ROOT / top).rglob("*.py")):
             used |= _references(ast.parse(path.read_text()))
     unused = {
-        module: sorted(set(names) - used) for module, names in _exported_names().items()
+        module: sorted(set(names) - used) for module, names in _defined_names().items()
     }
     assert {module: names for module, names in unused.items() if names} == {}

@@ -28,7 +28,7 @@ from nmgme.propagate import (
     _rk4_step,
     _SandwichForm,
     _stage_blocks,
-    _Superoperator,
+    _Stages,
 )
 from nmgme.scenarios import coherent_state
 from nmgme.series import SeriesConfig
@@ -415,6 +415,27 @@ def test_moments_reject_dephasing():
         evolve_moments(GaussianMoments.coherent(0, 0), coeffs, 1.0, 1.0, 1.0, 1e-2)
 
 
+def _run_hpz(caller, t_final, h):
+    """An hpz run (grid t_max 0.5) of ``evolve`` or ``evolve_moments``."""
+    coeffs, ops, rho0, _ = _hpz_case()
+    if caller == "evolve":
+        return evolve(rho0, coeffs, ops, t_final, h, n_samples=3)
+    return evolve_moments(GaussianMoments.coherent(0.0, 0.0), coeffs, 1.0, 1.0, t_final, h, n_samples=3)
+
+
+@pytest.mark.parametrize("caller", ["evolve", "evolve_moments"])
+def test_t_final_past_the_coefficient_grid_rejected(caller):
+    with pytest.raises(ValueError, match="exceeds coefficient grid t_max"):
+        _run_hpz(caller, 5.0, 1e-2)
+
+
+@pytest.mark.parametrize("h", [-1e-3, 0.0, np.inf, np.nan])
+@pytest.mark.parametrize("caller", ["evolve", "evolve_moments"])
+def test_step_must_be_finite_and_positive(caller, h):
+    with pytest.raises(ValueError, match="step h must be finite and > 0"):
+        _run_hpz(caller, 0.5, h)
+
+
 def test_moments_validation():
     with pytest.raises(ValueError, match="symmetric"):
         GaussianMoments(mean=[0, 0], cov=[[1.0, 0.2], [0.1, 1.0]])
@@ -726,7 +747,8 @@ def test_stage_rows_equal_scalar_interpolation(case):
     t_max = coeffs.grid.t_max
     n_steps, h = 2 * _BLOCK_STEPS + 5, t_max / (2 * _BLOCK_STEPS + 5)
     seen = 0
-    for first, count, c in _stage_blocks(interp, n_steps, h):
+    for first, count, times in _stage_blocks(n_steps, h):
+        c = interp.split(interp.rows(times))
         for i in range(count):
             t = (first + i) * h
             for k, ts in enumerate((t, t + 0.5 * h, t + h)):
@@ -743,30 +765,32 @@ def interp_at(coeffs, t):
     return scalar_interp(CoefficientInterpolator(coeffs), t)
 
 
-def _form_and_weights(coeffs, ops, t):
-    """The form of a run over ``coeffs`` and its weight rows at time
-    ``t``, with the mirror flag."""
+def _interval_stage(coeffs, ops, t):
+    """The form and the stages of a run over ``coeffs``, and the grid
+    interval ``k`` of time ``t`` with the offset ``t - t_k``."""
     interp = CoefficientInterpolator(coeffs)
     form = _SandwichForm.of_run(coeffs, ops, ops["H0"].shape[0])
-    real, cplx, mirror = form.weights(interp.split(interp.rows([t])))
-    return form, (real, cplx, bool(mirror[0]))
+    (k,), (dt,) = interp.intervals([t])
+    return form, _Stages(form, interp), (int(k), float(dt))
 
 
-def test_mirrored_branch_is_hermitian_and_equals_general_branch():
+def test_mirrored_branch_is_hermitian_and_equals_general_branch(monkeypatch):
+    # the band products evaluate every mirrored stage, whatever the dimension
+    monkeypatch.setattr(propagate, "_SUPEROPERATOR_DIM", 0)
     rng = np.random.default_rng(17)
     for case, flags in MIRRORED_CASES.items():
         coeffs, ops, rho0, t_final = EVOLVE_CASES[case]()
         t = 0.37 * t_final  # between grid nodes
-        form, (real_w, cplx_w, mirror) = _form_and_weights(coeffs, ops, t)
+        form, stages, (k, dt) = _interval_stage(coeffs, ops, t)
         assert (form.shifts, form.pp) == flags, case
-        assert mirror, case
+        assert stages.mirror[k], case
         for _ in range(5):
             rho = random_density_matrix(rng, rho0.shape[0])
-            real = form(rho.real + rho.imag, form.stages(real_w, cplx_w, True)[0])
+            real = stages(rho.real + rho.imag, (k, dt, True))
             assert real.dtype == np.float64
             mirrored = _hermitian_of(real)
             assert np.array_equal(mirrored, mirrored.conj().T)
-            general = form(rho, form.stages(real_w, cplx_w, False)[0])
+            general = stages(rho, (k, dt, False))
             ref = outer_commutator_rhs(rho, interp_at(coeffs, t), ops)
             scale = max(1.0, np.max(np.abs(general)))
             assert np.max(np.abs(mirrored - general)) <= 1e-13 * scale, case
@@ -774,57 +798,81 @@ def test_mirrored_branch_is_hermitian_and_equals_general_branch():
 
 
 @pytest.mark.parametrize("case", MIRRORED_CASES)
-def test_superoperator_stage_equals_band_stage(case):
+def test_superoperator_stage_equals_band_stage(monkeypatch, case):
     # evolve takes the superoperator at or below _SUPEROPERATOR_DIM and the
     # band above it; both evaluate every mirrored case here, so the band
     # stays covered at half-bandwidths 0, 2, 4 and 7
     coeffs, ops, rho0, t_final = EVOLVE_CASES[case]()
     dim = rho0.shape[0]
-    form = _SandwichForm.of_run(coeffs, ops, dim)
-    interp = CoefficientInterpolator(coeffs)
-    small = _Superoperator(form, interp)
+    monkeypatch.setattr(propagate, "_SUPEROPERATOR_DIM", 0)
+    band = _interval_stage(coeffs, ops, 0.0)[1]
+    monkeypatch.setattr(propagate, "_SUPEROPERATOR_DIM", dim)
+    small = _interval_stage(coeffs, ops, 0.0)[1]
     rng = np.random.default_rng(29)
     # between nodes, on a node, and at the end of the grid
     nodes = coeffs.grid.points
     for t in (0.37 * t_final, nodes[2], nodes[-1]):
-        real_w, cplx_w, mirror = form.weights(interp.split(interp.rows([t])))
-        assert mirror[0], case
-        band = form.stages(real_w, cplx_w, True)[0]
-        stage = small.stages([t])[0]
-        assert stage[-1] is True
+        (k,), (dt,) = CoefficientInterpolator(coeffs).intervals([t])
+        assert small.mirror[k], case
         for _ in range(3):
             M = rng.normal(size=(dim, dim))
-            want = form(M, band)
-            got = small(M, stage)
+            want = band(M, (k, dt, True))
+            got = small(M, (k, dt, True))
             assert got.dtype == np.float64 and got.shape == (dim, dim)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (case, t)
 
 
-@pytest.mark.parametrize("dim, kind", [(12, _Superoperator), (13, _SandwichForm), (16, _SandwichForm)])
+@pytest.mark.parametrize("dim, kind", [(12, "superoperator"), (13, "band"), (16, "band")])
 def test_mirrored_evaluation_selected_by_dimension(monkeypatch, dim, kind):
-    # both sides of the crossover _SUPEROPERATOR_DIM
+    # both sides of the crossover _SUPEROPERATOR_DIM: the band products run
+    # only above it
     coeffs = _hpz_case()[0]
     f = fock_operators(dim)
     ops = {"A": [f["q"]], "V": [f["p"]], "H0": quadratic_hamiltonian(dim), "q": f["q"], "p": f["p"]}
     rho0 = np.zeros((dim, dim), dtype=complex)
     rho0[0, 0] = 1.0
-    seen = []
+    seen, band = [], []
 
     def rk4_step(rhs, y, h, *stages):
-        seen.append((type(rhs), stages[0][-1]))
+        seen.append(stages[0][-1])
         return _rk4_step(rhs, y, h, *stages)
 
+    form_call = _SandwichForm.__call__
+
+    def spy(form, y, parts, mirror):
+        band.append(mirror)
+        return form_call(form, y, parts, mirror)
+
     monkeypatch.setattr(propagate, "_rk4_step", rk4_step)
+    monkeypatch.setattr(_SandwichForm, "__call__", spy)
     traj = evolve(rho0, coeffs, ops, 0.1, 1e-2, n_samples=3, truncation_guard=False)
-    assert seen == [(kind, True)] * 10
+    assert seen == [True] * 10
+    assert band == ([] if kind == "superoperator" else [True] * 40)
     states, _ = reference_evolve(rho0, coeffs, ops, 0.1, 1e-2, 3)
     assert np.max(np.abs(traj.states - states)) <= 1e-13
+
+
+@pytest.mark.parametrize("case", ["hpz", "qmupl-dim40"])
+def test_forward_run_builds_each_interval_once(monkeypatch, case):
+    # hpz (dim 10) steps through the superoperator, qmupl (dim 40) through
+    # the band products
+    coeffs, ops, rho0, t_final = EVOLVE_CASES[case]()
+    loads = []
+    load = _Stages._load
+
+    def spy(stages, k, mirror):
+        loads.append((k, mirror))
+        return load(stages, k, mirror)
+
+    monkeypatch.setattr(_Stages, "_load", spy)
+    evolve(rho0, coeffs, ops, t_final, 2e-3, n_samples=6, truncation_guard=False)
+    assert loads == [(k, True) for k in range(coeffs.grid.n_points - 1)]
 
 
 def test_run_switching_to_unmirrored_steps_matches_reference(monkeypatch):
     coeffs = _synthetic_d2_coeffs()
     # a real part far below the reality tolerance on one interior node
-    # (t = 0.2): the steps whose stages reach into (0.15, 0.25) are not
+    # (t = 0.2): the steps whose stages reach into [0.15, 0.25) are not
     # mirrored, and the state they leave is no longer exactly Hermitian
     coeffs.Xi[4] += 1e-14
     ops = fock_channel_operators(8, 2, with_v=True, with_extras=True)
@@ -851,12 +899,25 @@ def test_run_switching_to_unmirrored_steps_matches_reference(monkeypatch):
     assert traj.diagnostics["hermiticity_defect"][-1] > 0.0
 
 
+@pytest.mark.parametrize("node", [0, 4, 8])
+def test_interval_mirrored_iff_node_and_slope_rows_are(node):
+    # a real part far below the reality tolerance on one node unmirrors
+    # the intervals on either side of it, and only those
+    ops = fock_channel_operators(8, 2, with_v=True, with_extras=True)
+    coeffs = _synthetic_d2_coeffs()
+    assert _interval_stage(coeffs, ops, 0.0)[1].mirror.all()
+    coeffs.Xi[node] += 1e-14
+    mirror = _interval_stage(coeffs, ops, 0.0)[1].mirror
+    assert len(mirror) == coeffs.grid.n_points - 1
+    assert [k for k, m in enumerate(mirror) if not m] == [k for k in (node - 1, node) if 0 <= k < len(mirror)]
+
+
 def test_unphysical_stage_is_not_mirrored():
     ops = fock_channel_operators(8, 2, with_v=True, with_extras=True)
-    assert not _form_and_weights(_synthetic_d2_coeffs(physical=False), ops, 0.13)[1][-1]
+    assert not _interval_stage(_synthetic_d2_coeffs(physical=False), ops, 0.13)[1].mirror.any()
     # a non-Hermitian channel operator rules the mirror out as well
     ops["A"] = [ops["A"][0] + 0.1j * np.triu(np.ones((8, 8)), 1), ops["A"][1]]
-    assert not _form_and_weights(_synthetic_d2_coeffs(), ops, 0.13)[1][-1]
+    assert not _interval_stage(_synthetic_d2_coeffs(), ops, 0.13)[1].mirror.any()
 
 
 def test_operators_deduplicated_by_value():
