@@ -2,19 +2,20 @@
 a few discrete bath modes, followed by a partial trace.
 
 The joint Hamiltonian ``H`` is time independent, so ``exp(-iHt) psi0``
-needs no integrator.  ``H`` is a dense array built in place, and the
-propagator acts only on the sectors the initial state reaches: the
-connected components of the nonzero pattern of ``H`` that hold the
-support of ``psi0``.  ``H`` is block diagonal over its components, so no
-amplitude leaves them.  On that block ``exp(-iHt)`` is one Chebyshev
-expansion (Tal-Ezer & Kosloff 1984) over ``[0, t_final]``, made of
-matrix-vector products only and cut where a rigorous bound puts its tail
-below ``CHEBYSHEV_TAIL`` at every sample time, so the result is exact to
-rounding with no step size and no integrator coupling between oracle and
-master-equation errors.  The induced bath correlation kernel of a model
-equals ``make_discrete_modes`` on the same ``(frequencies, couplings)``
-by construction, so both sides of a comparison share one bath
-definition.
+needs no integrator.  ``H`` is kept as its coalesced nonzero entries
+(about 11 a row for a Fock system on three modes), never as an ``N x N``
+array, and the propagator acts only on the sectors the initial state
+reaches: the connected components of the nonzero pattern of ``H`` that
+hold the support of ``psi0``.  ``H`` is block diagonal over its
+components, so no amplitude leaves them.  On that block ``exp(-iHt)`` is
+one Chebyshev expansion (Tal-Ezer & Kosloff 1984) over ``[0, t_final]``,
+made of sparse matrix-vector products only and cut where a rigorous
+bound puts its tail below ``CHEBYSHEV_TAIL`` at every sample time, so
+the result is exact to rounding with no step size and no integrator
+coupling between oracle and master-equation errors.  The induced bath
+correlation kernel of a model equals ``make_discrete_modes`` on the same
+``(frequencies, couplings)`` by construction, so both sides of a
+comparison share one bath definition.
 
 Discrete-mode kernels are quasi-periodic; comparisons are meaningful
 only below the bath recurrence time, which the comparison report
@@ -102,16 +103,37 @@ class JointModel:
         return self.system_dim * int(np.prod(self.mode_dims))
 
 
-def build_joint(model: JointModel) -> np.ndarray:
-    """Assemble the joint Hamiltonian as a dense array.
+@dataclass(frozen=True)
+class _Entries:
+    """Coalesced entries of a square matrix: ``M[rows[i], cols[i]] =
+    vals[i]``, sorted by ``(row, column)``, each position once, no stored
+    zeros.  ``M @ v`` is one ``np.bincount`` over the rows (one each for
+    the real and imaginary parts when complex)."""
 
-    ``H = H_S x 1 + 1 x sum_m w_m n_m + sum_jm A_j x (g_jm b_m + h.c.)``,
-    written in place on the ``(system, bath, system, bath)`` view of
-    ``H``: ``H_S`` on each bath-diagonal block, ``w_m n_m`` on the main
-    diagonal and ``A_j g_jm sqrt(n_m)`` at each pair of bath states
-    ``(n - e_m, n)`` with its conjugate at ``(n, n - e_m)``.  Real when
-    every entry is real.  Hermiticity defect of the result is checked
-    below 1e-12.
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    shape: tuple
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        prod = self.vals * v[self.cols]
+        n = self.shape[0]
+        if np.isrealobj(prod):
+            return np.bincount(self.rows, prod, n)
+        return np.bincount(self.rows, prod.real, n) + 1j * np.bincount(self.rows, prod.imag, n)
+
+
+def build_joint(model: JointModel) -> _Entries:
+    """Assemble the coalesced entries of the joint Hamiltonian.
+
+    ``H = H_S x 1 + 1 x sum_m w_m n_m + sum_jm A_j x (g_jm b_m + h.c.)``
+    on the ``(system, bath)`` index ``s * n_b + n``: ``H_S`` on each
+    bath-diagonal block, ``w_m n_m`` on the main diagonal and ``A_j g_jm
+    sqrt(n_m)`` at each pair of bath states ``(n - e_m, n)`` with its
+    conjugate at ``(n, n - e_m)``, one term per nonzero of ``H_S`` and
+    ``A_j``; the terms at one position add in the order listed.  Real
+    when every entry is real.  Hermiticity defect of the result (each
+    entry against its transposed partner) is checked below 1e-12.
     """
     d_s, dims = model.system_dim, model.mode_dims
     n_b = int(np.prod(dims))
@@ -121,38 +143,55 @@ def build_joint(model: JointModel) -> np.ndarray:
     real = not any(np.iscomplexobj(x) and x.imag.any() for x in (g, h_s, *ops))
     if real:
         g, h_s, ops = g.real, h_s.real, [A.real for A in ops]
-    H = np.zeros((N, N), dtype=float if real else complex)
-    H4 = H.reshape(d_s, n_b, d_s, n_b)
-    H4[:, np.arange(n_b), :, np.arange(n_b)] = h_s
+    rows, cols, vals = [], [], []
+
+    def add(op, lo, hi, weight):
+        # op[a, c] * weight[k] at (a, lo[k]), (c, hi[k]) for each nonzero
+        a, c = np.nonzero(op)
+        rows.append((a[:, None] * n_b + lo).ravel())
+        cols.append((c[:, None] * n_b + hi).ravel())
+        vals.append((op[a, c][:, None] * weight).ravel())
+
+    every = np.arange(n_b)
+    add(h_s, every, every, np.ones(n_b))
     # occupation of each mode in each bath state (C order, last mode fastest)
     occ = np.indices(dims).reshape(len(dims), n_b)
-    diag = H.reshape(-1)[:: N + 1]
     for m, freq in enumerate(model.mode_freqs):
         root = np.sqrt(occ[m])
         # sqrt(n) * sqrt(n) rounds like the matrix product b^dag b
-        diag += np.tile(freq * (root * root), d_s)
+        add(np.eye(d_s), every, every, freq * (root * root))
         hi = np.flatnonzero(occ[m])  # states n with n_m >= 1
         lo = hi - int(np.prod(dims[m + 1 :]))  # n - e_m
         for j, A in enumerate(ops):
             if g[j, m] == 0:
                 continue
-            lower = (g[j, m] * root[hi])[:, None, None]
-            H4[:, lo, :, hi] += A * lower
-            H4[:, hi, :, lo] += A * np.conj(lower)
+            lower = g[j, m] * root[hi]
+            add(A, lo, hi, lower)
+            add(A, hi, lo, np.conj(lower))
 
-    # square tiles on and above the diagonal cover every pair (i, j)
-    # once: no second N x N array
-    side = 256
-    defect = max(
-        np.abs(H[r : r + side, c : c + side] - H[c : c + side, r : r + side].conj().T).max()
-        for r in range(0, N, side)
-        for c in range(r, N, side)
-    )
+    keys, slot = np.unique(np.concatenate(rows) * N + np.concatenate(cols), return_inverse=True)
+    terms = np.concatenate(vals)
+    # bincount adds the terms of a position in their order above
+    vals = np.bincount(slot, terms.real, keys.size)
+    if not real:
+        vals = vals + 1j * np.bincount(slot, terms.imag, keys.size)
+    nz = vals != 0
+    keys, vals = keys[nz], vals[nz]
+    rows, cols = np.divmod(keys, N)
+
+    # a partner absent from the entries is 0; numpy's search is fast only
+    # for ascending needles
+    partner = cols * N + rows
+    order = np.argsort(partner)
+    partner = partner[order]
+    at = np.minimum(np.searchsorted(keys, partner), keys.size - 1)
+    mirror = np.where(keys[at] == partner, vals[at], 0)
+    defect = np.max(np.abs(vals[order] - np.conj(mirror)), initial=0.0)
     if defect > 1e-12:
         raise ValueError(f"joint Hamiltonian not Hermitian: defect {defect:.3e}")
-    if not real and not H.imag.any():
-        H = H.real
-    return H
+    if not real and not vals.imag.any():
+        vals = vals.real
+    return _Entries(rows, cols, vals, (N, N))
 
 
 def _vacuum(model: JointModel) -> np.ndarray:
@@ -213,7 +252,7 @@ def _chebyshev_order(x: float) -> int:
     return K
 
 
-def _chebyshev_propagate(H: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
+def _chebyshev_propagate(H: _Entries, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
     """``exp(-iHt) psi0`` at each of the ascending ``times >= 0``, one
     row per time.
 
@@ -227,15 +266,18 @@ def _chebyshev_propagate(H: np.ndarray, psi0: np.ndarray, times: np.ndarray) -> 
     so every sample is off by at most ``CHEBYSHEV_TAIL`` plus rounding.
     A one-point spectrum (``r = 0``) is the pure phase ``e^{-ict}``.
     """
-    diag = H.diagonal().real
-    radii = np.abs(H).sum(axis=1) - np.abs(diag)
+    n = H.shape[0]
+    on = H.rows == H.cols
+    diag = np.zeros(n)
+    diag[H.rows[on]] = H.vals[on].real
+    radii = np.bincount(H.rows, np.abs(H.vals), n) - np.abs(diag)
     lo, hi = np.min(diag - radii), np.max(diag + radii)
     c, r = (hi + lo) / 2, (hi - lo) / 2
     phase = np.exp(-1j * c * times)[:, None]
     if r == 0:
         return phase * psi0
     K = _chebyshev_order(r * times[-1])
-    real = np.isrealobj(H) and not psi0.imag.any()
+    real = np.isrealobj(H.vals) and not psi0.imag.any()
     v = np.empty((K + 1, psi0.size), dtype=float if real else complex)
     v[0] = psi0.real if real else psi0
     if K:
@@ -261,10 +303,10 @@ def evolve_joint(
     vacuum.  ``idx`` lists the joint states in the connected components
     of ``H`` that hold a nonzero entry of ``psi0``.  The joint state at
     each of the ``n_samples`` times ``t_k`` in ``[0, t_final]`` is
-    ``exp(-i H[idx, idx] t_k) psi0[idx]`` (:func:`_chebyshev_propagate`)
-    on ``idx`` and zero elsewhere; samples are reduced by partial trace
-    over the bath.  A sampled norm off 1 by more than 1e-8, or not a
-    number, aborts the run.
+    ``exp(-i H[idx, idx] t_k) psi0[idx]`` (:func:`_chebyshev_propagate`
+    on the entries of that block) on ``idx`` and zero elsewhere; samples
+    are reduced by partial trace over the bath.  A sampled norm off 1 by
+    more than 1e-8, or not a number, aborts the run.
     """
     psi_s = np.asarray(psi0_system, dtype=complex)
     if abs(np.linalg.norm(psi_s) - 1.0) > 1e-10:
@@ -276,14 +318,21 @@ def evolve_joint(
     # search from the support of psi0 finds exactly its components
     reached = frontier = psi0 != 0
     while frontier.any():
-        frontier = (H[frontier] != 0).any(axis=0) & ~reached
+        hit = np.zeros_like(reached)
+        hit[H.cols[frontier[H.rows]]] = True
+        frontier = hit & ~reached
         reached |= frontier
     idx = np.flatnonzero(reached)
+    if idx.size < H.shape[0]:
+        # the reached rows hold every entry of their columns; renumbering
+        # them in order keeps the entries sorted
+        new = np.cumsum(reached) - 1
+        on = reached[H.rows]
+        H = _Entries(new[H.rows[on]], new[H.cols[on]], H.vals[on], (idx.size, idx.size))
     # one expansion over all reached components
     times = np.linspace(0.0, t_final, n_samples)
-    psis = np.zeros((n_samples, H.shape[0]), dtype=complex)
-    Hs = H if idx.size == H.shape[0] else H[np.ix_(idx, idx)]
-    psis[:, idx] = _chebyshev_propagate(Hs, psi0[idx], times)
+    psis = np.zeros((n_samples, reached.size), dtype=complex)
+    psis[:, idx] = _chebyshev_propagate(H, psi0[idx], times)
 
     d_s = model.system_dim
     states = []

@@ -105,7 +105,7 @@ def stepped_evolve_joint(model, psi0_system, t_final, h, n_samples=101):
         raise ValueError("system state must be normalized")
     psi = np.kron(psi_s, _vacuum(model))
 
-    H = build_joint(model)
+    H = densify(build_joint(model))
     sample_times = np.linspace(0.0, t_final, n_samples)
     n_steps, h_eff = aligned_steps(t_final, h, n_samples)
     U = expm(-1j * H * h_eff)
@@ -158,7 +158,7 @@ def full_eigh_evolve_joint(model, psi0_system, t_final, n_samples=101):
         raise ValueError("system state must be normalized")
     psi0 = np.kron(psi_s, _vacuum(model))
 
-    E, V = eigh(build_joint(model))
+    E, V = eigh(densify(build_joint(model)))
     times = np.linspace(0.0, t_final, n_samples)
     psis = (V @ (np.exp(-1j * np.outer(E, times)) * (V.conj().T @ psi0)[:, None])).T
 
@@ -190,10 +190,19 @@ def full_eigh_evolve_joint(model, psi0_system, t_final, n_samples=101):
     )
 
 
+def densify(entries) -> np.ndarray:
+    """The dense array of the coalesced entries that
+    :func:`nmgme.oracle.build_joint` returns or
+    :func:`nmgme.oracle._chebyshev_propagate` receives."""
+    out = np.zeros(entries.shape, dtype=entries.vals.dtype)
+    out[entries.rows, entries.cols] = entries.vals
+    return out
+
+
 def kron_build_joint(model: JointModel) -> np.ndarray:
     """The former dense assembly of the joint Hamiltonian: one full-size
     complex ``np.kron`` per mode term and per coupling; the reference for
-    the in-place assembly in :func:`nmgme.oracle.build_joint`."""
+    the sparse entries of :func:`nmgme.oracle.build_joint`."""
     dims = model.mode_dims
     d_bath = int(np.prod(dims))
     eye_s = np.eye(model.system_dim, dtype=complex)

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from nmgme.oracle import (
 from nmgme.propagate import trace_distance
 from nmgme.system import fock_operators, quadratic_hamiltonian
 
-from helpers import full_eigh_evolve_joint, kron_build_joint, stepped_evolve_joint
+from helpers import densify, full_eigh_evolve_joint, kron_build_joint, stepped_evolve_joint
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
@@ -38,7 +39,7 @@ def dephasing_model(g=0.2, omega=1.0, dim=8, h_sys=None):
 
 def test_decoupled_hamiltonian_is_direct_sum():
     model = dephasing_model(g=0.0, dim=4)
-    H = build_joint(model)
+    H = densify(build_joint(model))
     b = np.diag(np.sqrt(np.arange(1, 4, dtype=float)), k=1).astype(complex)
     expected = np.kron(np.zeros((2, 2)), np.eye(4)) + np.kron(
         np.eye(2), 1.0 * b.conj().T @ b
@@ -67,7 +68,7 @@ def test_dephasing_block_structure():
     # sigma_z coupling block-diagonalizes into two shifted oscillators
     g, omega, dim = 0.3, 1.2, 6
     model = dephasing_model(g=g, omega=omega, dim=dim)
-    H = build_joint(model)
+    H = densify(build_joint(model))
     # qubit-major ordering: blocks are H(+/-) = omega n ± (g b + g* b^dag)
     upper = H[:dim, :dim]
     lower = H[dim:, dim:]
@@ -294,7 +295,7 @@ def test_eigen_oracle_matches_stepped_reference(case, monkeypatch):
     solved, exact = [], oracle._chebyshev_propagate
 
     def spy(H, psi0, times):
-        solved.append(H.dtype)
+        solved.append(H.vals.dtype)
         return exact(H, psi0, times)
 
     monkeypatch.setattr(oracle, "_chebyshev_propagate", spy)
@@ -400,7 +401,7 @@ def test_one_state_sector_is_the_exact_phase(monkeypatch):
     blocks, exact = [], oracle._chebyshev_propagate
 
     def spy(H, psi0, times):
-        blocks.append((H.copy(), exact(H, psi0, times)))
+        blocks.append((densify(H), exact(H, psi0, times)))
         return blocks[-1][1]
 
     monkeypatch.setattr(oracle, "_chebyshev_propagate", spy)
@@ -472,8 +473,65 @@ def _two_channel_model(g):
     ids=["real", "complex", "two-channel-real", "two-channel-complex", "sigma-y-imaginary"],
 )
 def test_joint_assembly_matches_kron_reference(model):
-    H = build_joint(model)
+    entries = build_joint(model)
+    H = densify(entries)
     ref = kron_build_joint(model)
     assert np.max(np.abs(H - ref)) <= 1e-15
     # real couplings of real operators give a real array
     assert np.isrealobj(H) == (not ref.imag.any())
+    # coalesced: each position once, sorted by (row, column), no zeros
+    keys = entries.rows * entries.shape[0] + entries.cols
+    assert np.all(np.diff(keys) > 0)
+    assert np.all(entries.vals != 0)
+    assert entries.vals.size == np.count_nonzero(ref)
+
+
+SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        # H is the one entry H_S[0, 1], whose transposed partner is absent
+        dephasing_model(dim=1, h_sys=np.array([[0.0, 0.3], [0.0, 0.0]], dtype=complex)),
+        JointModel(
+            h_system=np.zeros((2, 2), dtype=complex),
+            channel_ops=(SIGMA_PLUS,),
+            mode_freqs=(1.0,),
+            couplings=np.array([[0.2]]),
+            mode_dims=(4,),
+        ),
+    ],
+    ids=["h-system", "sigma-plus-channel"],
+)
+def test_non_hermitian_joint_hamiltonian_rejected(model):
+    with pytest.raises(ValueError, match="not Hermitian"):
+        build_joint(model)
+
+
+def test_all_zero_hamiltonian_keeps_the_initial_state():
+    # one-level mode and H_S = 0: H has no nonzero entry at all
+    model = dephasing_model(dim=1)
+    assert build_joint(model).vals.size == 0
+    traj = evolve_joint(model, PLUS, 2.0, n_samples=5)
+    assert np.max(np.abs(traj.states - np.outer(PLUS, PLUS.conj()))) <= 1e-15
+
+
+def test_oracle_memory_stays_sparse():
+    # the oracle-hpz model at joint dimension 1250: a dense H alone is
+    # 12.5 MB, the sparse entries and the sector expansion under 3 MB
+    model = JointModel(
+        h_system=quadratic_hamiltonian(10),
+        channel_ops=(fock_operators(10)["q"],),
+        mode_freqs=(1.3, 1.7, 2.1),
+        couplings=np.array([[0.15, 0.1, 0.1]]),
+        mode_dims=(5, 5, 5),
+    )
+    psi0 = np.eye(10, dtype=complex)[0]
+    tracemalloc.start()
+    try:
+        evolve_joint(model, psi0, 2.0, n_samples=41)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
