@@ -37,33 +37,34 @@ depend on time -- ``p^2``, ``{q,p}``, the products ``A_j F_a`` and
 ``Fhat_b = sum_a W_ab F_a`` and ``Y`` are linear in the time-dependent
 weights.
 
-A mirrored stage (below) takes every product on the band of its
-operators.  The channel operators of the Gaussian models are linear in
-``q`` and ``p`` and the Hamiltonians quadratic, so in the Fock basis
-every constant operator has half-bandwidth ``b = 2`` (``sigma_z``: 0);
-``b``, the largest ``|i - l|`` over the nonzero entries of all of them,
-is found from the operators, and a dense set (``b = dim - 1``) runs the
-same code.  Row ``i`` of
-``sum_o c_o O_o B`` only reaches rows ``i - b .. i + b`` of ``B``: the
-rows of the right operands are kept in a zero-padded buffer, and one
-batched product multiplies the band coefficients of every row
-``(dim, o, g (2 b + 1))`` with read-only overlapping windows of ``g``
-interleaved operands ``(dim, g (2 b + 1), dim)`` (:class:`_BandProduct`,
-the diagonal storage of Saad, *Iterative Methods for Sparse Linear
-Systems*, section 3.4).  A right product ``B O`` is the same product on
+Every stage takes every product on the band of its operators.  The
+channel operators of the Gaussian models are linear in ``q`` and ``p``
+and the Hamiltonians quadratic, so in the Fock basis every constant
+operator has half-bandwidth ``b = 2`` (``sigma_z``: 0); ``b``, the
+largest ``|i - l|`` over the nonzero entries of all of them, is found
+from the operators, and a dense set (``b = dim - 1``) runs the same
+code.  Row ``i`` of ``sum_o c_o O_o B`` only reaches rows
+``i - b .. i + b`` of ``B``: the rows of the right operands are kept in
+a zero-padded buffer, and one batched product multiplies the band
+coefficients of every row ``(dim, o, g (2 b + 1))`` with read-only
+overlapping windows of ``g`` interleaved operands
+``(dim, g (2 b + 1), dim)`` (:class:`_BandProduct`, the diagonal storage
+of Saad, *Iterative Methods for Sparse Linear Systems*, section 3.4).  A right product ``B O`` is the same product on
 transposes, ``(O^T B^T)^T``.
 
-A stage is mirrored when it is exactly Hermiticity preserving
-(``Y = X^dag``, ``W = W^dag`` entry by entry, Hermitian ``F``) and
-``rho`` is Hermitian, as every stage of the closed master equation from
-a physical state is.  It runs in real arithmetic on
-``M = Re rho + Im rho``, which holds all of ``rho``:
-``Re rho = (M + M^T)/2`` and ``Im rho = (M - M^T)/2``.  For real ``A``,
-``B`` and complex ``c``, ``Re + Im`` of ``c A rho B`` is
-``A (Re c M + Im c M^T) B``.  Each ``F_a = sum_m C_am R_m`` over real
-matrices ``R_m`` (its nonzero real and imaginary parts), so the
-sandwich sum is ``sum_mn Omega_mn R_m rho R_n`` with
-``Omega = C^T W C``, and ``rho Y = (X rho)^dag``.  With
+The closed master equation from a physical state is exactly
+Hermiticity preserving, and only such runs are taken: ``F``, ``H0``
+(``q``, ``p``) exactly Hermitian, every coefficient row with
+``R_j = -L_j^dag`` entry by entry (so ``Y = X^dag``, ``W = W^dag``)
+and ``rho`` exactly Hermitian, else ``ValueError`` before the first
+step.  A stage runs in real arithmetic on ``M = Re rho + Im rho``,
+which holds all of ``rho``: ``Re rho = (M + M^T)/2`` and
+``Im rho = (M - M^T)/2``.  For real ``A``, ``B`` and complex ``c``,
+``Re + Im`` of ``c A rho B`` is ``A (Re c M + Im c M^T) B``.  Each
+``F_a = sum_m C_am R_m`` over real matrices ``R_m`` (its nonzero real
+and imaginary parts), so the sandwich sum is
+``sum_mn Omega_mn R_m rho R_n`` with ``Omega = C^T W C``, and
+``rho Y = (X rho)^dag``.  With
 ``Ahat_n = sum_m Omega_mn R_m = sum_b C_bn Fhat_b``, the band rows of
 ``[X; iX; Ahat_1..Ahat_N]`` (complex entries as real/imaginary pairs)
 on the interleaved rows of ``M`` and ``M^T`` give
@@ -72,26 +73,19 @@ on the interleaved rows of ``M`` and ``M^T`` give
 ``dM/dt = Q + Q'^T + sum_n Yhat_n R_n``.  At dim 40 (Fock models:
 ``q`` real and ``p`` imaginary, so ``N = 2``) the two products take
 0.16 MFlop per stage, against 1.28 MFlop for the same two products
-taken dense (0.13 against 1.02 for the first).  Any real ``M`` is a
-Hermitian ``rho``, so a run from a Hermitian state keeps a zero
-Hermiticity defect whenever its coefficients are exactly physical.
+taken dense (0.13 against 1.02 for the first).  :func:`evolve` keeps
+the state as ``M`` and forms ``rho`` only at sample times: any real
+``M`` is a Hermitian ``rho``, so a trajectory's Hermiticity defect is 0
+by construction.
 
 At small dimensions a stage costs per-call overhead rather than
-arithmetic, so the mirrored stages of a run of dimension at most
+arithmetic, so the stages of a run of dimension at most
 ``_SUPEROPERATOR_DIM`` (12; its comment holds the timings it rests on)
 are one product of the real superoperator with ``vec(M)``, the standard
 dense Liouville-space form at such sizes (Havel, J. Math. Phys. 44, 534
 (2003)).  It is the same sandwich form: ``L = Re S + Im S'``, with
 ``S = X (x) 1 + 1 (x) Y^T + sum_b Fhat_b (x) F_b^T`` and ``S'`` its
 columns transposed.  Larger runs take the band products above.
-
-Any other stage (non-Hermitian operators or state, or coefficients off
-the physical structure) is evaluated as written, ``X rho + rho Y +
-sum_b Fhat_b rho F_b``, with dense ``X``, ``Y`` and ``Fhat``.  ``rho``
-is not assumed Hermitian: it is checked, so the Hermiticity defect of a
-run stays a measurement.  :func:`evolve` keeps the state as ``M`` while
-its steps are mirrored and forms ``rho`` only at sample times and
-before an unmirrored step.
 
 Integration is classical fixed-step fourth-order Runge-Kutta with
 coefficients linearly interpolated between grid nodes.  The weights are
@@ -100,14 +94,11 @@ operator is ``Op_k + (t - t_k) dOp_k``, and a stage is addressed by
 ``(k, t - t_k)`` (:class:`_Stages`).  When a stage first reaches an
 interval, the dense ``X``, ``Y``, ``Fhat`` of its node row and of its
 slope row are built, and from them the interval's operator: ``[L_k |
-dL_k]`` at small dimensions, the band coefficients of a mirrored stage
-above, or the dense parts themselves.  Only the current interval's
-operator is kept, so the step loop only combines and multiplies
-matrices.  An interval is mirrored when its node row and its slope row
-are exactly Hermiticity preserving.  The Gaussian moments
-obey a linear ODE in ``(mean, cov, 1)``: the 7x7 RK4 step matrices of a
-block are built with batched products, and a step is one matrix-vector
-product.  The state is never rescaled: trace drift is a diagnostic.
+dL_k]`` at small dimensions, the band coefficients above.  Only the
+current interval's operator is kept, so the step loop only combines and
+multiplies matrices.  The Gaussian moments obey a linear ODE in
+``(mean, cov, 1)``: the 7x7 RK4 step matrices of a block are built with
+batched products, and a step is one matrix-vector product.  The state is never rescaled: trace drift is a diagnostic.
 """
 
 from __future__ import annotations
@@ -136,7 +127,7 @@ __all__ = [
 
 # RK4 steps whose stage times are handled together
 _BLOCK_STEPS = 32
-# the largest dimension whose mirrored stages take one product with the
+# the largest dimension whose stages take one product with the
 # real superoperator (_Stages) instead of the two band products.
 # One RK4 step of an hpz Fock run (half-bandwidth 2), and the build of
 # one interval's superoperator, which a run at h = 1e-3 on a grid of
@@ -303,22 +294,27 @@ class _SandwichForm:
     Built once per run: the distinct operators ``F``, their real parts
     ``R`` with ``F_a = sum_m C_am R_m``, the constant products that ``X``
     and ``Y`` combine, the half-bandwidth ``band`` of every constant
-    operator and the buffers of the mirrored stage.  :meth:`weights` maps
+    operator and the buffers of the band stage.  :meth:`weights` maps
     coefficient arrays with a leading stage axis to the weight rows of
     each stage, :meth:`dense` weight rows to the dense parts of their
-    stages, :meth:`banded` dense parts to the band coefficients of
-    mirrored stages, and calling the form with a state and the parts of a
-    stage evaluates the right-hand side.  ``shifts`` says whether
-    ``H_eff`` carries ``p^2`` and ``{q,p}`` (``ops`` then holds ``q`` and
-    ``p``), ``pp`` whether ``gamma_pp`` is present.
+    stages, :meth:`banded` dense parts to the band coefficients of the
+    stages, and calling the form with ``M`` and the band coefficients of
+    a stage evaluates ``dM/dt``.  ``shifts`` says whether ``H_eff``
+    carries ``p^2`` and ``{q,p}`` (``ops`` then holds ``q`` and ``p``),
+    ``pp`` whether ``gamma_pp`` is present.  Every operator the form
+    uses must be exactly Hermitian, else ``ValueError``.
     """
 
     def __init__(self, ops: dict, dim: int, shifts: bool, pp: bool):
         A = list(ops["A"])
         V = ops.get("V")
-        for mat in A + list(V or ()) + [ops["H0"]]:
+        named = [(f"A[{j}]", a) for j, a in enumerate(A)] + [(f"V[{j}]", v) for j, v in enumerate(V or ())]
+        named += [(x, ops[x]) for x in ["H0"] + (["q", "p"] if shifts else ["p"] if pp else [])]
+        for name, mat in named:
             if np.shape(mat) != (dim, dim):
-                raise ValueError("channel operator dimension mismatch")
+                raise ValueError(f"operator {name} dimension mismatch: shape {np.shape(mat)}, not {(dim, dim)}")
+            if not np.array_equal(mat, np.conj(mat).T):
+                raise ValueError(f"operator {name} is not exactly Hermitian")
         d = len(A)
         F, where = [], []  # distinct operators, compared by value
         for op in A + list(V or ()) + ([ops["p"]] if pp else []):
@@ -345,10 +341,6 @@ class _SandwichForm:
         N = len(R)
         self.C = C[:, :N]
         self.n = n
-        # with Hermitian operators, (A_j F_a)^dag = F_a A_j: a stage is
-        # mirrored when its weights are
-        shift_ops = [ops["q"], ops["p"]] if shifts else []
-        self.hermitian = all(np.array_equal(x, x.conj().T) for x in F + [ops["H0"]] + shift_ops)
 
         # constant products [A_j F_a, H0, (p^2), ({q,p}), F_a A_j]: X is a
         # combination of the first n_x, Y of the last n_x
@@ -368,7 +360,7 @@ class _SandwichForm:
         _, i, l = np.nonzero(np.concatenate([products, F, R]))
         self.band = b = int(np.max(np.abs(i - l), initial=0))
         self.n_x = d * n + self.n_ham
-        # mirrored stages: the R_n^T over the rows of the Yhat_n^T
+        # the band stage: the R_n^T over the rows of the Yhat_n^T
         self._RT = _band(R.transpose(0, 2, 1), b).transpose(1, 2, 0).reshape(dim, 1, (2 * b + 1) * N)
         self._MMt = _BandProduct(dim, b, 2)
         self._Yhat = _BandProduct(dim, b, N)
@@ -385,19 +377,19 @@ class _SandwichForm:
         pp = coeffs.has_extras() and bool(np.any(coeffs.gamma_pp))
         return cls(ops, dim, shifts, pp)
 
-    def weights(self, c: dict) -> tuple:
-        """Stage weight rows ``(w, mirror)`` for ``s`` stages.
+    def weights(self, c: dict, where) -> np.ndarray:
+        """Stage weight rows ``(s, 2 n_x + n_F^2)`` for ``s`` stages.
 
-        ``w`` ``(s, 2 n_x + n_F^2)`` weights the constant products:
-        ``[X weights | Y weights | W^T]``, ``X`` over the first
-        ``n_x = d n_F + n_ham`` products, ``Y`` over the last ``n_x`` and
-        ``Fhat = W^T F``.  ``mirror`` says whether the stage is exactly
-        Hermiticity preserving: Hermitian operators and ``Y = X^dag``,
-        ``W = W^dag`` entry by entry.
+        A row weights the constant products: ``[X weights | Y weights |
+        W^T]``, ``X`` over the first ``n_x = d n_F + n_ham`` products,
+        ``Y`` over the last ``n_x`` and ``Fhat = W^T F``.
 
         ``c`` holds ``Gamma``, ``Theta``, ``Xi``, ``Upsilon`` as
         ``(s, d, d)`` arrays, optional ``alpha``, ``beta``, ``gamma_pp``
-        broadcastable to ``(s,)`` and the scalar ``lam_mu``."""
+        broadcastable to ``(s,)`` and the scalar ``lam_mu``.  Every stage
+        must be exactly Hermiticity preserving, ``R_j = -L_j^dag`` entry
+        by entry; else ``ValueError`` names the first failing stage by
+        ``where(i)``."""
         # the weights (s, d, n_F) of F_a in L_j and R_j
         Gam, Xi = c["Gamma"], c["Xi"]
         lF = (Gam + 0.5 * Xi) @ self.PA
@@ -406,6 +398,12 @@ class _SandwichForm:
             The, Ups = c["Theta"], c["Upsilon"]
             lF = lF + (The + 0.5 * Ups) @ self.PV
             rF = rF + (0.5 * Ups - The) @ self.PV
+        # with Hermitian operators, (A_j F_a)^dag = F_a A_j: R_j = -L_j^dag
+        # gives Y = X^dag and W = W^dag
+        ok = (-rF == lF.conj()).all(axis=(1, 2))
+        if not ok.all():
+            bad = where(int(np.argmin(ok)))
+            raise ValueError(f"coefficients {bad} are not exactly Hermiticity preserving (R_j != -L_j^dag)")
         s = len(lF)
         # A_j rho R_j - L_j rho A_j (- 2 gamma_pp p rho p)
         W = self.PA.T @ rF - lF.transpose(0, 2, 1) @ self.PA
@@ -421,9 +419,7 @@ class _SandwichForm:
             W[:, self.ip, self.ip] -= 2.0 * pp2[:, 1]
         xw = np.hstack([lF.reshape(s, -1), -1j * ham + pp2])
         yw = np.hstack([1j * ham + pp2, -rF.reshape(s, -1)])
-        w = np.concatenate([xw, yw, W.transpose(0, 2, 1).reshape(s, -1)], axis=1)
-        # R_j = -L_j^dag entry by entry gives Y = X^dag and W = W^dag
-        return w, self.hermitian & (-rF == lF.conj()).all(axis=(1, 2))
+        return np.concatenate([xw, yw, W.transpose(0, 2, 1).reshape(s, -1)], axis=1)
 
     def dense(self, w: np.ndarray) -> np.ndarray:
         """The dense parts ``[X, Y, Fhat_1..Fhat_nF]``
@@ -437,7 +433,7 @@ class _SandwichForm:
 
     def banded(self, parts: np.ndarray) -> np.ndarray:
         """The band coefficients ``(s, dim, N + 2, 2 (2 b + 1))`` of the
-        mirrored stages with dense parts ``parts``: the band rows of
+        stages with dense parts ``parts``: the band rows of
         ``[X; iX; Ahat_1..Ahat_N]``, ``Ahat_m = sum_b C_bm Fhat_b``, with
         each complex entry as the real/imaginary pair that weights the
         interleaved rows of ``M`` and ``M^T``."""
@@ -447,24 +443,19 @@ class _SandwichForm:
         coef = _band(np.concatenate([X, 1j * X, Ahat], axis=1), self.band)
         return np.ascontiguousarray(coef.transpose(0, 2, 1, 3)).view(float)
 
-    def __call__(self, y: np.ndarray, parts: np.ndarray, mirror: bool) -> np.ndarray:
-        """Right-hand side at ``y`` under one stage.  With ``mirror`` set,
-        the caller vouches that the stage is mirrored, ``parts`` are its
-        band coefficients (:meth:`banded`) and ``y`` is the real
-        ``M = Re rho + Im rho`` of a Hermitian ``rho``: the result is the
-        real representation of ``drho/dt``.  Otherwise ``parts`` are its
-        dense parts (:meth:`dense`) and ``y`` is ``rho``."""
-        if mirror:
-            self._MMt.rows[:, 0] = y
-            self._MMt.rows[:, 1] = y.T
-            # [Q; Q'; Yhat_n]: Re + Im of [X rho; iX rho; Ahat_n rho]
-            T = self._T
-            self._MMt(parts, out=T.transpose(1, 0, 2))
-            self._Yhat.rows[...] = T[2:].transpose(2, 0, 1)
-            S = self._Yhat(self._RT, out=self._S)[:, 0]  # (sum_n Yhat_n R_n)^T
-            S += T[1]
-            return T[0] + S.T  # Q + Q'^T + sum_n Yhat_n R_n
-        return parts[0] @ y + y @ parts[1] + (parts[2:] @ y @ self._F).sum(axis=0)
+    def __call__(self, M: np.ndarray, coef: np.ndarray) -> np.ndarray:
+        """``dM/dt``, the real representation of ``drho/dt``, at the real
+        ``M = Re rho + Im rho`` under the stage with band coefficients
+        ``coef`` (:meth:`banded`)."""
+        self._MMt.rows[:, 0] = M
+        self._MMt.rows[:, 1] = M.T
+        # [Q; Q'; Yhat_n]: Re + Im of [X rho; iX rho; Ahat_n rho]
+        T = self._T
+        self._MMt(coef, out=T.transpose(1, 0, 2))
+        self._Yhat.rows[...] = T[2:].transpose(2, 0, 1)
+        S = self._Yhat(self._RT, out=self._S)[:, 0]  # (sum_n Yhat_n R_n)^T
+        S += T[1]
+        return T[0] + S.T  # Q + Q'^T + sum_n Yhat_n R_n
 
 
 class _Stages:
@@ -475,44 +466,46 @@ class _Stages:
     its operators is ``Op_k + (t - t_k) dOp_k``: ``Op_k`` from the weights
     of node row ``k``, ``dOp_k`` from the weights of ``slopes[k]`` less
     their constant part (the weights of a zero row).  A stage is
-    ``(k, t - t_k, mirror)``; interval ``k`` may be mirrored when node row
-    ``k`` and slope row ``k`` both are (:attr:`mirror`), and a mirrored
-    stage acts on the real ``M`` of a Hermitian ``rho``.
+    ``(k, t - t_k)`` and acts on the real ``M`` of a Hermitian ``rho``;
+    a node or slope row that is not exactly Hermiticity preserving is
+    rejected when the stages are built.
 
-    When a stage reaches an interval or mirror flag other than the current
-    one, the dense parts of its two rows (:meth:`_SandwichForm.dense`)
-    give the interval's operator, and only that operator is kept, so a
-    run that steps forward in time builds each interval once:
+    When a stage reaches an interval other than the current one, the
+    dense parts of its two rows (:meth:`_SandwichForm.dense`) give the
+    interval's operator, and only that operator is kept, so a run that
+    steps forward in time builds each interval once:
 
-    - mirrored at dimension at most ``_SUPEROPERATOR_DIM``: the real
+    - at dimension at most ``_SUPEROPERATOR_DIM``: the real
       superoperator ``[L_k | dL_k]``, with ``L = Re S + Im S'`` (module
       docstring); a stage is its product with ``[vec M; (t - t_k) vec M]``
       (row-major ``vec``);
-    - mirrored above: the band coefficients of the two rows
-      (:meth:`_SandwichForm.banded`);
-    - not mirrored: the dense parts themselves.
-
-    The last two combine ``Op_k + (t - t_k) dOp_k`` once per stage; the
-    ``k2`` and ``k3`` of a step share one.
+    - above: the band coefficients of the two rows
+      (:meth:`_SandwichForm.banded`), combined into ``Op_k + (t - t_k)
+      dOp_k`` once per stage; the ``k2`` and ``k3`` of a step share one.
     """
 
     def __init__(self, form: _SandwichForm, interp: CoefficientInterpolator):
         self.form = form
         # weights of every node row and of every slope row (less the
         # weights of a zero row)
-        table = interp.table
-        rows = np.concatenate([table, interp.slopes, np.zeros_like(table[:1])])
-        w, mirror = form.weights(interp.split(rows))
+        table, nodes = interp.table, interp.nodes
         G = len(table)
-        self._w_node, self._w_slope = w[: G - 1], w[G:-1] - w[-1]
-        self.mirror = mirror[: G - 1] & mirror[G:-1]
-        self._small = form.dim <= _SUPEROPERATOR_DIM
-        self._key = self._stage = None  # (k, mirror) built, stage combined
+        rows = np.concatenate([table, interp.slopes, np.zeros_like(table[:1])])
 
-    def _load(self, k: int, mirror: bool) -> None:
+        def where(i):
+            if i < G:
+                return f"at grid time t={nodes[i]:.6g}"
+            return f"on the slope of grid interval [{nodes[i - G]:.6g}, {nodes[i - G + 1]:.6g}]"
+
+        w = form.weights(interp.split(rows), where)
+        self._w_node, self._w_slope = w[: G - 1], w[G:-1] - w[-1]
+        self._small = form.dim <= _SUPEROPERATOR_DIM
+        self._key = self._stage = None  # interval built, stage combined
+
+    def _load(self, k: int) -> None:
         form, dim = self.form, self.form.dim
         parts = form.dense(np.stack([self._w_node[k], self._w_slope[k]]))
-        if mirror and self._small:
+        if self._small:
             F = form._F
             self._op = np.empty((dim * dim, 2 * dim * dim))  # [L_k | dL_k]
             Ls = self._op.reshape(dim, dim, 2, dim, dim).transpose(2, 0, 1, 3, 4)
@@ -526,27 +519,33 @@ class _Stages:
                 np.add(S.real, S.imag.swapaxes(2, 3), out=L)
             self._x = np.empty(2 * dim * dim)  # [vec(M); (t - t_k) vec(M)]
         else:
-            self._op = form.banded(parts) if mirror else parts
+            self._op = form.banded(parts)
             self._c = np.empty_like(self._op[0])
-        self._key, self._stage = (k, mirror), None
+        self._key, self._stage = k, None
 
-    def __call__(self, y: np.ndarray, stage: tuple) -> np.ndarray:
-        """Right-hand side at ``y`` under ``stage``: ``dM/dt`` at the real
-        ``M = y`` when the stage is mirrored, else ``drho/dt`` at
-        ``rho = y``."""
-        k, dt, mirror = stage
-        if (k, mirror) != self._key:
-            self._load(k, mirror)
-        if mirror and self._small:
-            m, x = y.reshape(-1), self._x
+    def __call__(self, M: np.ndarray, stage: tuple) -> np.ndarray:
+        """``dM/dt`` at the real ``M`` under ``stage``."""
+        k, dt = stage
+        if k != self._key:
+            self._load(k)
+        if self._small:
+            m, x = M.reshape(-1), self._x
             x[: m.size] = m
             np.multiply(m, dt, out=x[m.size :])
-            return (self._op @ x).reshape(y.shape)
+            return (self._op @ x).reshape(M.shape)
         if stage != self._stage:
             np.multiply(self._op[1], dt, out=self._c)
             self._c += self._op[0]
             self._stage = stage
-        return self.form(y, self._c, mirror)
+        return self.form(M, self._c)
+
+
+def _real_of(rho: np.ndarray) -> np.ndarray:
+    """The real representation ``M = Re rho + Im rho`` of an exactly
+    Hermitian ``rho``; any other ``rho`` raises ``ValueError``."""
+    if not np.array_equal(rho, np.conj(rho).T):
+        raise ValueError("state rho is not exactly Hermitian (rho != rho^dag entry by entry)")
+    return rho.real + rho.imag
 
 
 def _hermitian_of(M: np.ndarray) -> np.ndarray:
@@ -564,17 +563,18 @@ def me_rhs(rho: np.ndarray, coeff: dict, ops: dict) -> np.ndarray:
     matrices ``A`` (list), their velocity conjugates ``V`` (list), the
     free Hamiltonian ``H0`` and, when Hamiltonian shifts are present,
     ``q`` and ``p``.  Evaluated in the sandwich form of the module
-    docstring, with the operators of this one call; a Hermitian ``rho``
-    under a mirrored stage goes through the real representation.
+    docstring, with the operators of this one call, through the real
+    representation of ``rho``.
+
+    Raises ``ValueError`` for an operator of the wrong shape or not
+    exactly Hermitian, a coefficient slice that is not exactly
+    Hermiticity preserving, or a ``rho`` that is not exactly Hermitian.
     """
     shifts = bool(coeff.get("alpha", 0.0) or coeff.get("beta", 0.0) or coeff.get("lam_mu", 0.0))
     form = _SandwichForm(ops, rho.shape[0], shifts, bool(coeff.get("gamma_pp", 0.0)))
     c = {k: np.asarray(v)[None] if np.ndim(v) == 2 else v for k, v in coeff.items()}
-    w, mirror = form.weights(c)
-    parts = form.dense(w)
-    if mirror[0] and np.array_equal(rho, rho.conj().T):
-        return _hermitian_of(form(rho.real + rho.imag, form.banded(parts)[0], True))
-    return form(rho, parts[0], False)
+    coef = form.banded(form.dense(form.weights(c, lambda i: "of the slice")))[0]
+    return _hermitian_of(form(_real_of(rho), coef))
 
 
 def diagnostics(rho: np.ndarray) -> dict:
@@ -668,12 +668,16 @@ def aligned_steps(t_final: float, h: float, n_samples: int) -> tuple[int, float]
     """Step count and effective step so samples land exactly on steps.
 
     Rounds the requested step count up to a multiple of the sample
-    intervals; the effective step is then at most ``h``, which must be
-    finite and positive.
+    intervals; the effective step is then at most ``h``.  ``t_final`` and
+    ``h`` must be finite and positive, and ``n_samples`` at least 2.
     """
+    if not (np.isfinite(t_final) and t_final > 0):
+        raise ValueError(f"t_final must be finite and > 0, got {t_final}")
     if not (np.isfinite(h) and h > 0):
         raise ValueError(f"step h must be finite and > 0, got {h}")
-    intervals = max(n_samples - 1, 1)
+    if not n_samples >= 2:
+        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
+    intervals = n_samples - 1
     per_interval = max(int(np.ceil(t_final / h / intervals - 1e-9)), 1)
     n_steps = per_interval * intervals
     return n_steps, t_final / n_steps
@@ -696,11 +700,17 @@ def evolve(
     ``rho0`` must be a square matrix of the dimension of ``ops["H0"]``.
     Samples ``n_samples`` equally spaced times in ``[0, t_final]`` and
     logs trace, Hermiticity defect, minimum eigenvalue and purity at each
-    sample.  The truncation guard aborts when the top two Fock levels
-    accumulate more than ``TRUNCATION_LIMIT`` population (disabled
-    automatically for dim <= 3, where the whole basis is "the top").  The
-    state is never rescaled to unit trace; trace drift beyond 1e-6 is a
-    warning.
+    sample (the Hermiticity defect is 0 by construction).  The truncation
+    guard aborts when the top two Fock levels accumulate more than
+    ``TRUNCATION_LIMIT`` population (disabled automatically for
+    dim <= 3, where the whole basis is "the top").  The state is never
+    rescaled to unit trace; trace drift beyond 1e-6 is a warning.
+
+    Raises ``ValueError`` before the first step for: a ``rho0`` of the
+    wrong shape or not exactly Hermitian; an operator of the wrong shape
+    or not exactly Hermitian; a coefficient node or slope row that is not
+    exactly Hermiticity preserving (named by grid time or interval); a
+    ``t_final`` past the grid; what :func:`aligned_steps` rejects.
     """
     rho = np.array(rho0, dtype=complex)
     if rho.shape != (len(ops["H0"]),) * 2:
@@ -708,13 +718,15 @@ def evolve(
             f"rho0 must be a square matrix of the dimension of ops['H0'] "
             f"{np.shape(ops['H0'])}, got shape {rho.shape}"
         )
+    # the real M of rho, whose diagonal is the populations
+    M = _real_of(rho)
     dim = rho.shape[0]
     if t_final > coeffs.grid.t_max + 1e-12:
         raise ValueError(
             f"t_final {t_final} exceeds coefficient grid t_max {coeffs.grid.t_max}"
         )
-    sample_times = np.linspace(0.0, t_final, n_samples)
     n_steps, h_eff = aligned_steps(t_final, h, n_samples)
+    sample_times = np.linspace(0.0, t_final, n_samples)
     interp = CoefficientInterpolator(coeffs)
     stages = _Stages(_SandwichForm.of_run(coeffs, ops, dim), interp)
 
@@ -734,31 +746,18 @@ def evolve(
     record(rho)
     guard_on = truncation_guard and dim > 3
     top = 0.0 if guard_on else None  # peak population of the top two levels
-    # a step is mirrored when the state is Hermitian and all three stages
-    # are; the state y is then the real M of rho, whose diagonal is the
-    # populations, and stays Hermitian; after an unmirrored step y is rho,
-    # and it is checked
-    y, real = rho, False
-    hermitian = np.array_equal(rho, rho.conj().T)
     next_sample = 1
     for first, count, times in _stage_blocks(n_steps, h_eff):
         k, dt = interp.intervals(times)
-        mirrored = stages.mirror[k].reshape(count, 3).all(axis=1)
         k, dt = k.tolist(), dt.tolist()
         for i in range(count):
-            m = bool(mirrored[i]) and (real or hermitian)
-            if m != real:
-                y = y.real + y.imag if m else _hermitian_of(y)
-                real = m
             s = slice(3 * i, 3 * i + 3)
-            y = _rk4_step(stages, y, h_eff, *zip(k[s], dt[s], (m,) * 3))
-            if not m:
-                hermitian = np.array_equal(y, y.conj().T)
+            M = _rk4_step(stages, M, h_eff, *zip(k[s], dt[s]))
             t = (first + i + 1) * h_eff
-            if not np.isfinite(y).all():
+            if not np.isfinite(M).all():
                 raise EvolutionError(f"state became non-finite at t={t:.6g}", time=t - h_eff)
-            if guard_on:  # the diagonal of rho and of M is the populations
-                top = max(top, y[-1, -1].real + y[-2, -2].real)
+            if guard_on:
+                top = max(top, M[-1, -1] + M[-2, -2])
                 if top > TRUNCATION_LIMIT:
                     raise TruncationError(
                         f"top two Fock levels hold {top:.3e} population "
@@ -766,7 +765,7 @@ def evolve(
                         time=t,
                     )
             while next_sample < n_samples and sample_times[next_sample] <= t + 1e-12:
-                rho = _hermitian_of(y) if real else y
+                rho = _hermitian_of(M)
                 states[next_sample] = rho
                 record(rho)
                 next_sample += 1
@@ -822,10 +821,10 @@ def evolve_moments(
         raise ValueError(
             f"t_final {t_final} exceeds coefficient grid t_max {coeffs.grid.t_max}"
         )
+    n_steps, h_eff = aligned_steps(t_final, h, n_samples)
     interp = CoefficientInterpolator(coeffs)
     y = np.concatenate([m0.mean, m0.cov.ravel(), [1.0]])
     sample_times = np.linspace(0.0, t_final, n_samples)
-    n_steps, h_eff = aligned_steps(t_final, h, n_samples)
 
     means, covs = [y[:2].copy()], [y[2:6].reshape(2, 2).copy()]
     next_sample = 1

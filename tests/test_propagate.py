@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -211,13 +213,14 @@ def test_single_form_matches_double_commutator_reference(d, channels, with_v, wi
     make_ops = dense_channel_operators if channels == "dense" else fock_channel_operators
     ops = make_ops(dim, d, with_v, with_extras)
     if channels == "nonhermitian":
-        # non-Hermitian channel operators rule the mirrored stage out
         ops["A"] = [a + 0.1j * np.triu(np.ones((dim, dim)), 1) for a in ops["A"]]
 
     def cplx(shape):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
-    coeff = {name: cplx((d, d)) for name in ("Gamma", "Theta", "Xi", "Upsilon")}
+    # a physical slice: Gamma, Theta real, Xi, Upsilon imaginary
+    coeff = {name: unit * rng.normal(size=(d, d)).astype(complex)
+             for name, unit in (("Gamma", 1.0), ("Theta", 1.0), ("Xi", 1j), ("Upsilon", 1j))}
     # one zero entry: the reference skips it, the single form multiplies by it
     coeff["Xi"][0, 0] = 0.0
     if with_extras:
@@ -228,6 +231,11 @@ def test_single_form_matches_double_commutator_reference(d, channels, with_v, wi
         rho /= np.trace(rho).real
         if not hermitian:
             rho = rho + 0.1 * cplx((dim, dim)) / dim
+        if not hermitian or channels == "nonhermitian":
+            # only Hermitian operators and states are propagated
+            with pytest.raises(ValueError, match="not exactly Hermitian"):
+                me_rhs(rho, coeff, ops)
+            continue
         got = me_rhs(rho, coeff, ops)
         assert np.max(np.abs(got - reference_me_rhs(rho, coeff, ops))) <= 1e-13
 
@@ -415,12 +423,12 @@ def test_moments_reject_dephasing():
         evolve_moments(GaussianMoments.coherent(0, 0), coeffs, 1.0, 1.0, 1.0, 1e-2)
 
 
-def _run_hpz(caller, t_final, h):
+def _run_hpz(caller, t_final, h, n_samples=3):
     """An hpz run (grid t_max 0.5) of ``evolve`` or ``evolve_moments``."""
     coeffs, ops, rho0, _ = _hpz_case()
     if caller == "evolve":
-        return evolve(rho0, coeffs, ops, t_final, h, n_samples=3)
-    return evolve_moments(GaussianMoments.coherent(0.0, 0.0), coeffs, 1.0, 1.0, t_final, h, n_samples=3)
+        return evolve(rho0, coeffs, ops, t_final, h, n_samples=n_samples)
+    return evolve_moments(GaussianMoments.coherent(0.0, 0.0), coeffs, 1.0, 1.0, t_final, h, n_samples=n_samples)
 
 
 @pytest.mark.parametrize("caller", ["evolve", "evolve_moments"])
@@ -434,6 +442,19 @@ def test_t_final_past_the_coefficient_grid_rejected(caller):
 def test_step_must_be_finite_and_positive(caller, h):
     with pytest.raises(ValueError, match="step h must be finite and > 0"):
         _run_hpz(caller, 0.5, h)
+
+
+@pytest.mark.parametrize(
+    "t_final, n_samples, message",
+    [(-0.5, 3, "t_final must be finite and > 0"), (0.0, 3, "t_final must be finite and > 0"),
+     (np.nan, 3, "t_final must be finite and > 0"), (0.5, 0, "n_samples must be >= 2"),
+     (0.5, 1, "n_samples must be >= 2")],
+    ids=["t_final-negative", "t_final-zero", "t_final-nan", "n_samples-0", "n_samples-1"],
+)
+@pytest.mark.parametrize("caller", ["evolve", "evolve_moments"])
+def test_sampling_must_be_forward_and_at_least_two_samples(caller, t_final, n_samples, message):
+    with pytest.raises(ValueError, match=message):
+        _run_hpz(caller, t_final, 1e-2, n_samples)
 
 
 def test_moments_validation():
@@ -633,11 +654,8 @@ def _dephasing_case():
     return coeffs, ops, np.full((2, 2), 0.5, dtype=complex), 0.5
 
 
-def _synthetic_d2_coeffs(n=9, t_max=0.4, physical=True):
-    """Two channels with ``V`` and every extra, smooth in time; with
-    ``physical=False`` ``Xi`` carries a real part far below the reality
-    tolerance, so no stage is exactly Hermiticity preserving (``W`` stays
-    Hermitian: only ``Y = X^dag`` fails)."""
+def _synthetic_d2_coeffs(n=9, t_max=0.4):
+    """Two channels with ``V`` and every extra, smooth in time."""
     grid = make_grid(t_max, n)
     t = grid.points[:, None, None]
     rng = np.random.default_rng(3)
@@ -648,8 +666,6 @@ def _synthetic_d2_coeffs(n=9, t_max=0.4, physical=True):
         return vals.astype(complex) if kind == "re" else 1j * vals
 
     tables = {"Gamma": table("re"), "Theta": table("re"), "Xi": table("im"), "Upsilon": table("im")}
-    if not physical:
-        tables["Xi"] = tables["Xi"] + 1e-14
     extras = {
         "alpha": 0.03 * np.cos(grid.points),
         "beta": -0.02 * grid.points,
@@ -658,15 +674,12 @@ def _synthetic_d2_coeffs(n=9, t_max=0.4, physical=True):
     return MECoefficients(grid=grid, scenario="synthetic", lam_mu=0.04, **tables, **extras)
 
 
-def _synthetic_case(physical=True, hermitian=True, dense=False):
+def _synthetic_case(dense=False):
     dim = 8
     channels = dense_channel_operators if dense else fock_channel_operators
     ops = channels(dim, 2, with_v=True, with_extras=True)
     psi = coherent_state(dim, 0.6)
-    rho0 = np.outer(psi, psi.conj())
-    if not hermitian:
-        rho0 = rho0 + 1e-3j * np.triu(np.ones((dim, dim)), 1)
-    return _synthetic_d2_coeffs(physical=physical), ops, rho0, 0.4
+    return _synthetic_d2_coeffs(), ops, np.outer(psi, psi.conj()), 0.4
 
 
 EVOLVE_CASES = {
@@ -674,8 +687,6 @@ EVOLVE_CASES = {
     "hpz": _hpz_case,
     "dephasing": _dephasing_case,
     "synthetic-d2": _synthetic_case,
-    "synthetic-d2-unphysical": lambda: _synthetic_case(physical=False),
-    "synthetic-d2-nonhermitian": lambda: _synthetic_case(hermitian=False),
     "dense-d2": lambda: _synthetic_case(dense=True),
 }
 
@@ -688,16 +699,13 @@ HALF_BANDWIDTHS = {
     "hpz": 2,
     "dephasing": 0,
     "synthetic-d2": 4,
-    "synthetic-d2-unphysical": 4,
-    "synthetic-d2-nonhermitian": 4,
     "dense-d2": 7,
 }
 
-
-# the cases whose stages are all mirrored, with the (shifts, gamma_pp) of
-# their operator sets: the qubit, hpz, qmupl and two channels with V and
-# every extra, on Fock and on dense operators
-MIRRORED_CASES = {
+# the (shifts, gamma_pp) of each case's operator set: the qubit, hpz,
+# qmupl and two channels with V and every extra, on Fock and on dense
+# operators
+FORM_TERMS = {
     "dephasing": (False, False),
     "hpz": (False, False),
     "qmupl-dim40": (True, True),
@@ -722,10 +730,9 @@ def test_evolve_matches_outer_commutator_reference(case):
     assert np.max(np.abs(traj.states - states)) <= 1e-13
     for key, values in diags.items():
         assert np.max(np.abs(np.array(traj.diagnostics[key]) - values)) <= 1e-13, key
-    if case in MIRRORED_CASES:
-        # mirrored runs record exactly Hermitian states
-        assert traj.diagnostics["hermiticity_defect"] == [0.0] * n_samples
-        assert np.array_equal(traj.states, traj.states.conj().transpose(0, 2, 1))
+    # the real state M records exactly Hermitian states
+    assert traj.diagnostics["hermiticity_defect"] == [0.0] * n_samples
+    assert np.array_equal(traj.states, traj.states.conj().transpose(0, 2, 1))
 
 
 @pytest.mark.parametrize("case", ["qmupl-dim40", "hpz"])
@@ -766,8 +773,8 @@ def interp_at(coeffs, t):
 
 
 def _interval_stage(coeffs, ops, t):
-    """The form and the stages of a run over ``coeffs``, and the grid
-    interval ``k`` of time ``t`` with the offset ``t - t_k``."""
+    """The form and the stages of a run over ``coeffs``, and the stage
+    of time ``t``: its grid interval ``k`` and the offset ``t - t_k``."""
     interp = CoefficientInterpolator(coeffs)
     form = _SandwichForm.of_run(coeffs, ops, ops["H0"].shape[0])
     (k,), (dt,) = interp.intervals([t])
@@ -775,33 +782,32 @@ def _interval_stage(coeffs, ops, t):
 
 
 def test_mirrored_branch_is_hermitian_and_equals_general_branch(monkeypatch):
-    # the band products evaluate every mirrored stage, whatever the dimension
+    # the band products evaluate every stage, whatever the dimension; the
+    # real result is an exactly Hermitian drho/dt equal to the outer
+    # commutator form
     monkeypatch.setattr(propagate, "_SUPEROPERATOR_DIM", 0)
     rng = np.random.default_rng(17)
-    for case, flags in MIRRORED_CASES.items():
+    for case, terms in FORM_TERMS.items():
         coeffs, ops, rho0, t_final = EVOLVE_CASES[case]()
         t = 0.37 * t_final  # between grid nodes
-        form, stages, (k, dt) = _interval_stage(coeffs, ops, t)
-        assert (form.shifts, form.pp) == flags, case
-        assert stages.mirror[k], case
+        form, stages, stage = _interval_stage(coeffs, ops, t)
+        assert (form.shifts, form.pp) == terms, case
         for _ in range(5):
             rho = random_density_matrix(rng, rho0.shape[0])
-            real = stages(rho.real + rho.imag, (k, dt, True))
+            real = stages(rho.real + rho.imag, stage)
             assert real.dtype == np.float64
-            mirrored = _hermitian_of(real)
-            assert np.array_equal(mirrored, mirrored.conj().T)
-            general = stages(rho, (k, dt, False))
+            got = _hermitian_of(real)
+            assert np.array_equal(got, got.conj().T)
             ref = outer_commutator_rhs(rho, interp_at(coeffs, t), ops)
-            scale = max(1.0, np.max(np.abs(general)))
-            assert np.max(np.abs(mirrored - general)) <= 1e-13 * scale, case
-            assert np.max(np.abs(mirrored - ref)) <= 1e-13 * scale, case
+            scale = max(1.0, np.max(np.abs(ref)))
+            assert np.max(np.abs(got - ref)) <= 1e-13 * scale, case
 
 
-@pytest.mark.parametrize("case", MIRRORED_CASES)
+@pytest.mark.parametrize("case", EVOLVE_CASES)
 def test_superoperator_stage_equals_band_stage(monkeypatch, case):
     # evolve takes the superoperator at or below _SUPEROPERATOR_DIM and the
-    # band above it; both evaluate every mirrored case here, so the band
-    # stays covered at half-bandwidths 0, 2, 4 and 7
+    # band above it; both evaluate every case here, so the band stays
+    # covered at half-bandwidths 0, 2, 4 and 7
     coeffs, ops, rho0, t_final = EVOLVE_CASES[case]()
     dim = rho0.shape[0]
     monkeypatch.setattr(propagate, "_SUPEROPERATOR_DIM", 0)
@@ -813,11 +819,10 @@ def test_superoperator_stage_equals_band_stage(monkeypatch, case):
     nodes = coeffs.grid.points
     for t in (0.37 * t_final, nodes[2], nodes[-1]):
         (k,), (dt,) = CoefficientInterpolator(coeffs).intervals([t])
-        assert small.mirror[k], case
         for _ in range(3):
             M = rng.normal(size=(dim, dim))
-            want = band(M, (k, dt, True))
-            got = small(M, (k, dt, True))
+            want = band(M, (k, dt))
+            got = small(M, (k, dt))
             assert got.dtype == np.float64 and got.shape == (dim, dim)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (case, t)
 
@@ -834,20 +839,21 @@ def test_mirrored_evaluation_selected_by_dimension(monkeypatch, dim, kind):
     seen, band = [], []
 
     def rk4_step(rhs, y, h, *stages):
-        seen.append(stages[0][-1])
+        seen.append(y.dtype)
         return _rk4_step(rhs, y, h, *stages)
 
     form_call = _SandwichForm.__call__
 
-    def spy(form, y, parts, mirror):
-        band.append(mirror)
-        return form_call(form, y, parts, mirror)
+    def spy(form, M, coef):
+        band.append(M.dtype)
+        return form_call(form, M, coef)
 
     monkeypatch.setattr(propagate, "_rk4_step", rk4_step)
     monkeypatch.setattr(_SandwichForm, "__call__", spy)
     traj = evolve(rho0, coeffs, ops, 0.1, 1e-2, n_samples=3, truncation_guard=False)
-    assert seen == [True] * 10
-    assert band == ([] if kind == "superoperator" else [True] * 40)
+    # every step and every band stage acts on the real M
+    assert seen == [np.float64] * 10
+    assert band == ([] if kind == "superoperator" else [np.float64] * 40)
     states, _ = reference_evolve(rho0, coeffs, ops, 0.1, 1e-2, 3)
     assert np.max(np.abs(traj.states - states)) <= 1e-13
 
@@ -860,64 +866,62 @@ def test_forward_run_builds_each_interval_once(monkeypatch, case):
     loads = []
     load = _Stages._load
 
-    def spy(stages, k, mirror):
-        loads.append((k, mirror))
-        return load(stages, k, mirror)
+    def spy(stages, k):
+        loads.append(k)
+        return load(stages, k)
 
     monkeypatch.setattr(_Stages, "_load", spy)
     evolve(rho0, coeffs, ops, t_final, 2e-3, n_samples=6, truncation_guard=False)
-    assert loads == [(k, True) for k in range(coeffs.grid.n_points - 1)]
+    assert loads == list(range(coeffs.grid.n_points - 1))
 
 
-def test_run_switching_to_unmirrored_steps_matches_reference(monkeypatch):
-    coeffs = _synthetic_d2_coeffs()
-    # a real part far below the reality tolerance on one interior node
-    # (t = 0.2): the steps whose stages reach into [0.15, 0.25) are not
-    # mirrored, and the state they leave is no longer exactly Hermitian
-    coeffs.Xi[4] += 1e-14
-    ops = fock_channel_operators(8, 2, with_v=True, with_extras=True)
-    psi = coherent_state(8, 0.6)
-    rho0 = np.outer(psi, psi.conj())
-    seen = []
-
-    def rk4_step(rhs, y, h, *stages):
-        seen.append((stages[0][-1], y.dtype == np.float64))
-        return _rk4_step(rhs, y, h, *stages)
-
-    monkeypatch.setattr(propagate, "_rk4_step", rk4_step)
-    n_samples, h = 9, 2e-3
-    traj = evolve(rho0, coeffs, ops, 0.4, h, n_samples=n_samples, truncation_guard=False)
-    mirrored = [m for m, _ in seen]
-    # mirrored steps in the real representation, then general ones
-    assert all(m == real for m, real in seen)
-    assert mirrored == [True] * mirrored.index(False) + [False] * (len(seen) - mirrored.index(False))
-    assert 0 < mirrored.index(False) < 100
-    states, diags = reference_evolve(rho0, coeffs, ops, 0.4, h, n_samples)
-    assert np.max(np.abs(traj.states - states)) <= 1e-13
-    for key, values in diags.items():
-        assert np.max(np.abs(np.array(traj.diagnostics[key]) - values)) <= 1e-13, key
-    assert traj.diagnostics["hermiticity_defect"][-1] > 0.0
+def _unphysical_case(case):
+    """The synthetic-d2 case with one input off the physical structure,
+    and a time whose coefficient slice carries it: a non-Hermitian
+    channel operator, a non-Hermitian state, ``Xi`` with a real part far
+    below any tolerance on one grid node, or ``Gamma`` of -8e306 and 8e306
+    on the nodes 3 and 4 (both rows pass, their slope overflows)."""
+    coeffs, ops, rho0, _ = _synthetic_case()
+    upper = np.triu(np.ones_like(rho0), 1)
+    nodes = coeffs.grid.points
+    t = 0.5 * (nodes[3] + nodes[4])
+    if case == "operator":
+        ops["A"] = [ops["A"][0] + 0.1j * upper, ops["A"][1]]
+    elif case == "state":
+        rho0 = rho0 + 1e-3j * upper
+    elif case == "slope-3":
+        coeffs.Gamma[3:5] = [[[-8e306]], [[8e306]]]
+    else:
+        node = int(case.removeprefix("node-"))
+        coeffs.Xi[node] += 1e-14
+        t = nodes[node]
+    return coeffs, ops, rho0, t
 
 
-@pytest.mark.parametrize("node", [0, 4, 8])
-def test_interval_mirrored_iff_node_and_slope_rows_are(node):
-    # a real part far below the reality tolerance on one node unmirrors
-    # the intervals on either side of it, and only those
-    ops = fock_channel_operators(8, 2, with_v=True, with_extras=True)
-    coeffs = _synthetic_d2_coeffs()
-    assert _interval_stage(coeffs, ops, 0.0)[1].mirror.all()
-    coeffs.Xi[node] += 1e-14
-    mirror = _interval_stage(coeffs, ops, 0.0)[1].mirror
-    assert len(mirror) == coeffs.grid.n_points - 1
-    assert [k for k, m in enumerate(mirror) if not m] == [k for k in (node - 1, node) if 0 <= k < len(mirror)]
+HERMITICITY = "are not exactly Hermiticity preserving"
+# the message of evolve and of me_rhs for each case
+REJECTIONS = {
+    "operator": ("operator A[0] is not exactly Hermitian",) * 2,
+    "state": ("state rho is not exactly Hermitian",) * 2,
+    "node-0": (f"coefficients at grid time t=0 {HERMITICITY}", f"coefficients of the slice {HERMITICITY}"),
+    "node-4": (f"coefficients at grid time t=0.2 {HERMITICITY}", f"coefficients of the slice {HERMITICITY}"),
+    "node-8": (f"coefficients at grid time t=0.4 {HERMITICITY}", f"coefficients of the slice {HERMITICITY}"),
+    "slope-3": (f"coefficients on the slope of grid interval [0.15, 0.2] {HERMITICITY}",
+                f"coefficients of the slice {HERMITICITY}"),
+}
 
 
-def test_unphysical_stage_is_not_mirrored():
-    ops = fock_channel_operators(8, 2, with_v=True, with_extras=True)
-    assert not _interval_stage(_synthetic_d2_coeffs(physical=False), ops, 0.13)[1].mirror.any()
-    # a non-Hermitian channel operator rules the mirror out as well
-    ops["A"] = [ops["A"][0] + 0.1j * np.triu(np.ones((8, 8)), 1), ops["A"][1]]
-    assert not _interval_stage(_synthetic_d2_coeffs(), ops, 0.13)[1].mirror.any()
+@pytest.mark.parametrize("case", REJECTIONS)
+def test_unphysical_input_rejected_before_any_step(monkeypatch, case):
+    coeffs, ops, rho0, t = _unphysical_case(case)
+    steps = []
+    monkeypatch.setattr(propagate, "_rk4_step", lambda *args: steps.append(args))
+    in_evolve, in_rhs = REJECTIONS[case]
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=re.escape(in_evolve)):
+        evolve(rho0, coeffs, ops, coeffs.grid.t_max, 2e-3, n_samples=3, truncation_guard=False)
+    assert steps == []
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=re.escape(in_rhs)):
+        me_rhs(rho0, interp_at(coeffs, t), ops)
 
 
 def test_operators_deduplicated_by_value():
@@ -927,7 +931,8 @@ def test_operators_deduplicated_by_value():
            "q": f["q"], "p": f["p"].copy()}
     form = _SandwichForm(ops, 6, True, True)
     assert form.n == 3
-    coeff = {name: np.full((2, 2), 0.1 + 0.2j) for name in ("Gamma", "Theta", "Xi", "Upsilon")}
+    coeff = {name: np.full((2, 2), value) for name, value in
+             (("Gamma", 0.1 + 0j), ("Theta", 0.1 + 0j), ("Xi", 0.2j), ("Upsilon", 0.2j))}
     coeff.update(alpha=0.05, beta=-0.02, gamma_pp=-0.03, lam_mu=0.06)
     rho = random_hermitian_unit_trace(np.random.default_rng(2), 6)
     assert np.max(np.abs(me_rhs(rho, coeff, ops) - outer_commutator_rhs(rho, coeff, ops))) <= 1e-12
