@@ -212,8 +212,10 @@ def _bessel_j(k_max: int, x: np.ndarray) -> np.ndarray:
     Miller's backward recurrence ``J_{k-1} = (2k/x) J_k - J_{k+1}``
     from ``J_{m+1} = 0, J_m = 1`` at ``m`` past both ``k_max`` and
     ``x`` (the start margin of Numerical Recipes' ``bessj``), rescaled
-    whenever a value passes 1e250 and normalised by
-    ``J_0 + 2 sum_k J_2k = 1``.
+    where a value has passed 1e250 and normalised by
+    ``J_0 + 2 sum_k J_2k = 1``.  A step multiplies the largest value by
+    at most ``g = 2m / min(x) + 1``, so testing every ``s`` steps with
+    ``g^s <= 1e50`` keeps every value below 1e300.
     """
     x = np.asarray(x, dtype=float)
     J = np.zeros((k_max + 1, x.size))
@@ -225,11 +227,13 @@ def _bessel_j(k_max: int, x: np.ndarray) -> np.ndarray:
         m = 2 * ((top + int(math.sqrt(160 * top)) + 16) // 2)
         B = np.zeros((m + 2, xp.size))
         B[m] = 1.0
+        s = max(1, int(50 / math.log10(2 * m / xp.min() + 1)))
         for k in range(m, 0, -1):
             B[k - 1] = (2 * k / xp) * B[k] - B[k + 1]
-            big = np.abs(B[k - 1]) > 1e250
-            if big.any():
-                B[k - 1 :, big] *= 1e-250
+            if k % s == 0:
+                big = np.abs(B[k - 1]) > 1e250
+                if big.any():
+                    B[k - 1 :, big] *= 1e-250
         J[:, pos] = B[: k_max + 1] / (B[0] + 2 * B[2::2].sum(axis=0))
     return J
 

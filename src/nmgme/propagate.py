@@ -74,31 +74,46 @@ on the interleaved rows of ``M`` and ``M^T`` give
 ``q`` real and ``p`` imaginary, so ``N = 2``) the two products take
 0.16 MFlop per stage, against 1.28 MFlop for the same two products
 taken dense (0.13 against 1.02 for the first).  :func:`evolve` keeps
-the state as ``M`` and forms ``rho`` only at sample times: any real
+the state as ``M`` (on the superoperator path below, as the entries of
+``M`` it reaches) and forms ``rho`` only at sample times: any real
 ``M`` is a Hermitian ``rho``, so a trajectory's Hermiticity defect is 0
 by construction.
 
 At small dimensions a stage costs per-call overhead rather than
-arithmetic, so the stages of a run of dimension at most
-``_SUPEROPERATOR_DIM`` (12; its comment holds the timings it rests on)
-are one product of the real superoperator with ``vec(M)``, the standard
-dense Liouville-space form at such sizes (Havel, J. Math. Phys. 44, 534
-(2003)).  It is the same sandwich form: ``L = Re S + Im S'``, with
+arithmetic, so a small run takes each stage as one product of the real
+superoperator with ``vec(M)``, the standard dense Liouville-space form at
+such sizes (Havel, J. Math. Phys. 44, 534 (2003)).  It is the same
+sandwich form: ``L = Re S + Im S'``, with
 ``S = X (x) 1 + 1 (x) Y^T + sum_b Fhat_b (x) F_b^T`` and ``S'`` its
-columns transposed.  Larger runs take the band products above.
+columns transposed.  Liouville space splits into sectors that ``L``
+never couples: the channel operators change the Fock number by one and
+the Hamiltonians by zero or two, so every stage conserves the parity of
+``m - n`` on ``rho_mn``, a weak symmetry of the generator (Buca &
+Prosen, New J. Phys. 14, 073007 (2012)), and a vacuum start never leaves
+the even half.  The entries a run reaches are found once, by a frontier
+search from the nonzero entries of ``M`` over the sparsity pattern of
+the constant operators (:meth:`_SandwichForm.reached`, like the oracle's
+search over its Hamiltonian), and the superoperator is built and applied
+on those entries only; every other entry of ``M`` stays exactly 0.  A
+run that reaches at most ``_SUPEROPERATOR_ENTRIES`` entries (144; its
+comment holds the timings it rests on) steps this way, a larger one
+takes the band products above on all of ``M``, where the sectors are
+not used.
 
 Integration is classical fixed-step fourth-order Runge-Kutta with
 coefficients linearly interpolated between grid nodes.  The weights are
 affine in the interpolated rows, so on grid interval ``k`` every stage
 operator is ``Op_k + (t - t_k) dOp_k``, and a stage is addressed by
 ``(k, t - t_k)`` (:class:`_Stages`).  When a stage first reaches an
-interval, the dense ``X``, ``Y``, ``Fhat`` of its node row and of its
-slope row are built, and from them the interval's operator: ``[L_k |
-dL_k]`` at small dimensions, the band coefficients above.  Only the
-current interval's operator is kept, so the step loop only combines and
-multiplies matrices.  The Gaussian moments obey a linear ODE in
-``(mean, cov, 1)``: the 7x7 RK4 step matrices of a block are built with
-batched products, and a step is one matrix-vector product.  The state is never rescaled: trace drift is a diagnostic.
+interval, the interval's operator is built from the weights of its node
+row and of its slope row: ``[L_k | dL_k]`` on the reached sector, as one
+product of those weights with the superoperators of unit weights (built
+once per run), or the band coefficients of the dense ``X`` and ``Fhat``.
+Only the current interval's operator is kept, so the step loop only
+combines and multiplies matrices.  The Gaussian moments obey a linear
+ODE in ``(mean, cov, 1)``: the 7x7 RK4 step matrices of a block are
+built with batched products, and a step is one matrix-vector product.
+The state is never rescaled: trace drift is a diagnostic.
 """
 
 from __future__ import annotations
@@ -127,16 +142,25 @@ __all__ = [
 
 # RK4 steps whose stage times are handled together
 _BLOCK_STEPS = 32
-# the largest dimension whose stages take one product with the
-# real superoperator (_Stages) instead of the two band products.
-# One RK4 step of an hpz Fock run (half-bandwidth 2), and the build of
-# one interval's superoperator, which a run at h = 1e-3 on a grid of
-# spacing 1/32 shares among 31 steps (2 cores, 1 BLAS thread, best of 5):
-#   dim              2      10      12      13      14      16
-#   superoperator   19 us   35 us   45 us   67 us   72 us  119 us
-#   band            49 us   55 us   58 us   85 us   86 us   62 us
-#   interval build  63 us  192 us  347 us  529 us  631 us  832 us
-_SUPEROPERATOR_DIM = 12
+# the most entries of vec(M) that a run may reach and still take each
+# stage as one product with the real superoperator of its reached sector
+# (_Stages) instead of the two band products: the superoperator's cost
+# follows the reached count r, the band's the dimension.  One RK4 step of
+# an hpz Fock run (half-bandwidth 2) and the build of one interval's
+# operator, which a run at h = 1e-3 on a grid of spacing 1/32 shares among
+# 31 steps (2 cores, 1 BLAS thread, least of 3 runs of best of 5):
+#   dim                     2      10     12     13     14     16     17
+#   every entry: r          4     100    144    169    196    256    289
+#     superoperator step   25 us  27 us  32 us  42 us  56 us  96 us  98 us
+#     its build             9 us  22 us  30 us  34 us  41 us  56 us  63 us
+#   vacuum sector: r        2      50     72     85     98    128    145
+#     superoperator step   27 us  18 us  22 us  22 us  25 us  35 us  36 us
+#     its build             5 us  13 us  17 us  19 us  24 us  28 us  33 us
+#   band step              39 us  46 us  48 us  49 us  54 us  54 us  57 us
+#     its build            39 us  46 us  45 us  45 us  51 us  51 us  55 us
+# The crossover lies between 169 and 196 entries; 144 = 12^2 keeps every
+# run whose state reaches all of M on the side it took by dimension.
+_SUPEROPERATOR_ENTRIES = 144
 # the truncation guard's bound on the population of the top two Fock levels
 TRUNCATION_LIMIT = 1e-6
 # how far below 1/4 the moments' uncertainty product may fall and pass
@@ -299,7 +323,9 @@ class _SandwichForm:
     each stage, :meth:`dense` weight rows to the dense parts of their
     stages, :meth:`banded` dense parts to the band coefficients of the
     stages, and calling the form with ``M`` and the band coefficients of
-    a stage evaluates ``dM/dt``.  ``shifts`` says whether ``H_eff``
+    a stage evaluates ``dM/dt``.  :meth:`reached` finds the sector of
+    ``vec(M)`` that a state reaches and :meth:`superoperators` gives the
+    superoperators of unit weights on it.  ``shifts`` says whether ``H_eff``
     carries ``p^2`` and ``{q,p}`` (``ops`` then holds ``q`` and ``p``),
     ``pp`` whether ``gamma_pp`` is present.  Every operator the form
     uses must be exactly Hermitian, else ``ValueError``.
@@ -422,14 +448,70 @@ class _SandwichForm:
         return np.concatenate([xw, yw, W.transpose(0, 2, 1).reshape(s, -1)], axis=1)
 
     def dense(self, w: np.ndarray) -> np.ndarray:
-        """The dense parts ``[X, Y, Fhat_1..Fhat_nF]``
-        ``(s, 2 + n_F, dim, dim)`` of weight rows of :meth:`weights`."""
-        s, n_x, P = len(w), self.n_x, self._products
-        parts = np.empty((s, 2 + self.n, self.dim, self.dim), dtype=complex)
-        parts[:, 0] = np.tensordot(w[:, :n_x], P[:n_x], 1)
-        parts[:, 1] = np.tensordot(w[:, n_x : 2 * n_x], P[-n_x:], 1)
-        parts[:, 2:] = np.tensordot(w[:, 2 * n_x :].reshape(s, self.n, self.n), self._F, 1)
+        """The dense parts ``[X, Fhat_1..Fhat_nF]``
+        ``(s, 1 + n_F, dim, dim)`` of weight rows of :meth:`weights`,
+        all that the band stage reads (``Y = X^dag``)."""
+        s, n_x = len(w), self.n_x
+        parts = np.empty((s, 1 + self.n, self.dim, self.dim), dtype=complex)
+        parts[:, 0] = np.tensordot(w[:, :n_x], self._products[:n_x], 1)
+        parts[:, 1:] = np.tensordot(w[:, 2 * n_x :].reshape(s, self.n, self.n), self._F, 1)
         return parts
+
+    def reached(self, M: np.ndarray) -> np.ndarray:
+        """Flat indices of the entries of ``vec M`` that a run from ``M``
+        can make nonzero: a frontier search from the nonzero entries of
+        ``M`` over the sparsity pattern of the superoperator.
+
+        The pattern is that of the constant operators, which every
+        weighted combination stays within: ``X rho`` couples ``(i, j)``
+        to ``(k, j)`` where a product of ``X`` is nonzero at ``(i, k)``,
+        ``rho Y`` couples it to ``(i, l)`` where one of ``Y`` is nonzero
+        at ``(l, j)``, ``Fhat_b rho F_b`` to ``(k, l)`` where some ``F_a``
+        is nonzero at ``(i, k)`` and some at ``(l, j)``; and since
+        ``L = Re S + Im S'`` reads ``M^T`` as well, each coupling also
+        holds from the transposed entry."""
+        # the patterns as 0/1 floats, so that the products run in BLAS
+        on = self._products != 0
+        X = on[: self.n_x].any(0).astype(float)
+        Y = on[-self.n_x :].any(0).astype(float)
+        F = (self._F != 0).any(0).astype(float)
+        reached = frontier = M != 0
+        while frontier.any():
+            f = (frontier | frontier.T).astype(float)
+            frontier = (X @ f + f @ Y + F @ f @ F > 0) & ~reached
+            reached = reached | frontier
+        return np.flatnonzero(reached)
+
+    def superoperators(self, idx: np.ndarray) -> tuple:
+        """The real superoperators ``L`` of unit weights on the entries
+        ``idx`` of ``vec M`` (row-major), at the ``(row, column)``
+        positions where some term can be nonzero: returns the positions
+        in ``idx`` of those ``rows`` and ``cols``, and the values
+        ``(2 n_w, len(rows))`` for the ``n_w`` weights of a row of
+        :meth:`weights`: row ``o`` is ``L`` of weight 1 on term ``o``,
+        row ``n_w + o`` that of weight ``i``.  A stage with weight row
+        ``w`` is then ``sum_o Re w_o L_o + Im w_o L_{n_w + o}``, and 0 at
+        every other position.
+
+        Term ``o`` is ``S_o[(i, j), (k, l)] = A_o[i, k] B_o[l, j]``:
+        ``(P_o, 1)`` for a product of ``X``, ``(1, P_o)`` for one of
+        ``Y``, ``(F_a, F_b)`` for ``W_ab``; ``L = Re S + Im S'``, ``S'``
+        with its column ``(k, l)`` read at ``(l, k)``."""
+        dim, n, n_x, P, F = self.dim, self.n, self.n_x, self._products, self._F
+        one = np.broadcast_to(np.eye(dim), (n_x, dim, dim))
+        A = np.concatenate([P[:n_x], one, np.tile(F, (n, 1, 1))])
+        B = np.concatenate([one, P[-n_x:], np.repeat(F, n, axis=0)])
+        i, j = np.divmod(idx, dim)
+        # where the terms of each kind (X, Y, W) can be nonzero in S and S'
+        on = np.zeros((len(idx), len(idx)), dtype=bool)
+        for a, b in zip(np.split(A != 0, [n_x, 2 * n_x]), np.split(B != 0, [n_x, 2 * n_x])):
+            a, b = a.any(0), b.any(0)
+            on |= a[i[:, None], i] & b[j, j[:, None]]
+            on |= a[i[:, None], j] & b[i, j[:, None]]
+        rows, cols = np.nonzero(on)
+        ir, jr, k, l = i[rows], j[rows], i[cols], j[cols]
+        S, St = A[:, ir, k] * B[:, l, jr], A[:, ir, l] * B[:, k, jr]
+        return rows, cols, np.concatenate([S.real + St.imag, St.real - S.imag])
 
     def banded(self, parts: np.ndarray) -> np.ndarray:
         """The band coefficients ``(s, dim, N + 2, 2 (2 b + 1))`` of the
@@ -439,7 +521,7 @@ class _SandwichForm:
         interleaved rows of ``M`` and ``M^T``."""
         s, dim = len(parts), self.dim
         X = parts[:, :1]
-        Ahat = (self.C.T @ parts[:, 2:].reshape(s, self.n, -1)).reshape(s, -1, dim, dim)
+        Ahat = (self.C.T @ parts[:, 1:].reshape(s, self.n, -1)).reshape(s, -1, dim, dim)
         coef = _band(np.concatenate([X, 1j * X, Ahat], axis=1), self.band)
         return np.ascontiguousarray(coef.transpose(0, 2, 1, 3)).view(float)
 
@@ -459,32 +541,40 @@ class _SandwichForm:
 
 
 class _Stages:
-    """The RK4 stages of a run, addressed by grid interval.
+    """The RK4 stages of a run from ``M0``, addressed by grid interval.
 
     The weights of a stage are affine in its interpolated coefficient row
     ``table[k] + (t - t_k) slopes[k]``, so on grid interval ``k`` each of
     its operators is ``Op_k + (t - t_k) dOp_k``: ``Op_k`` from the weights
     of node row ``k``, ``dOp_k`` from the weights of ``slopes[k]`` less
     their constant part (the weights of a zero row).  A stage is
-    ``(k, t - t_k)`` and acts on the real ``M`` of a Hermitian ``rho``;
-    a node or slope row that is not exactly Hermiticity preserving is
-    rejected when the stages are built.
+    ``(k, t - t_k)`` and acts on the stepped state ``y``; a node or slope
+    row that is not exactly Hermiticity preserving is rejected when the
+    stages are built.
 
     When a stage reaches an interval other than the current one, the
-    dense parts of its two rows (:meth:`_SandwichForm.dense`) give the
-    interval's operator, and only that operator is kept, so a run that
-    steps forward in time builds each interval once:
+    interval's operator is built from its two weight rows, and only that
+    operator is kept, so a run that steps forward in time builds each
+    interval once.  ``idx`` lists the entries of ``vec(M)`` (row-major)
+    that ``y`` holds:
 
-    - at dimension at most ``_SUPEROPERATOR_DIM``: the real
-      superoperator ``[L_k | dL_k]``, with ``L = Re S + Im S'`` (module
-      docstring); a stage is its product with ``[vec M; (t - t_k) vec M]``
-      (row-major ``vec``);
-    - above: the band coefficients of the two rows
-      (:meth:`_SandwichForm.banded`), combined into ``Op_k + (t - t_k)
-      dOp_k`` once per stage; the ``k2`` and ``k3`` of a step share one.
+    - when ``M0`` reaches at most ``_SUPEROPERATOR_ENTRIES`` entries
+      (:meth:`_SandwichForm.reached`), ``idx`` is that sector and ``y``
+      is ``vec(M)[idx]``; no other entry of ``M`` can become nonzero.
+      The operator is the real superoperator ``[L_k | dL_k]`` on the
+      sector's rows and columns, ``L = Re S + Im S'`` (module
+      docstring): the two weight rows as real rows ``[Re w | Im w]``
+      times the values of the unit-weight superoperators of the sector
+      (:meth:`_SandwichForm.superoperators`, built once per run), put at
+      their positions.  A stage is its product with ``[y; (t - t_k) y]``;
+    - otherwise ``idx`` is every entry and ``y`` is ``M`` itself; the
+      operator is the band coefficients of the two rows
+      (:meth:`_SandwichForm.banded` of :meth:`_SandwichForm.dense`),
+      combined into ``Op_k + (t - t_k) dOp_k`` once per stage; the
+      ``k2`` and ``k3`` of a step share one.
     """
 
-    def __init__(self, form: _SandwichForm, interp: CoefficientInterpolator):
+    def __init__(self, form: _SandwichForm, interp: CoefficientInterpolator, M0: np.ndarray):
         self.form = form
         # weights of every node row and of every slope row (less the
         # weights of a zero row)
@@ -498,46 +588,61 @@ class _Stages:
             return f"on the slope of grid interval [{nodes[i - G]:.6g}, {nodes[i - G + 1]:.6g}]"
 
         w = form.weights(interp.split(rows), where)
+        dim = form.dim
+        self.idx = form.reached(M0)
+        self._small = len(self.idx) <= _SUPEROPERATOR_ENTRIES
+        if self._small:
+            # the weights as real rows [Re w | Im w] over the unit-weight
+            # superoperators of the reached sector
+            w = np.concatenate([w.real, w.imag], axis=1)
+            r = len(self.idx)
+            rows, cols, self._units = form.superoperators(self.idx)
+            # where the values of L_k and of dL_k go in [L_k | dL_k]
+            self._at = np.concatenate([rows * 2 * r + cols, rows * 2 * r + r + cols])
+            self._op = np.zeros((r, 2 * r))
+            self._x = np.empty(2 * r)  # [y; (t - t_k) y]
+        else:
+            self.idx = np.arange(dim * dim)
         self._w_node, self._w_slope = w[: G - 1], w[G:-1] - w[-1]
-        self._small = form.dim <= _SUPEROPERATOR_DIM
         self._key = self._stage = None  # interval built, stage combined
 
+    def state(self, M: np.ndarray) -> np.ndarray:
+        """The stepped state ``y`` of the real ``M``."""
+        return M.reshape(-1)[self.idx] if self._small else M
+
+    def matrix(self, y: np.ndarray) -> np.ndarray:
+        """The real ``M`` of the stepped state ``y``."""
+        if not self._small:
+            return y
+        dim = self.form.dim
+        M = np.zeros(dim * dim)
+        M[self.idx] = y.reshape(-1)
+        return M.reshape(dim, dim)
+
     def _load(self, k: int) -> None:
-        form, dim = self.form, self.form.dim
-        parts = form.dense(np.stack([self._w_node[k], self._w_slope[k]]))
+        w = np.stack([self._w_node[k], self._w_slope[k]])
         if self._small:
-            F = form._F
-            self._op = np.empty((dim * dim, 2 * dim * dim))  # [L_k | dL_k]
-            Ls = self._op.reshape(dim, dim, 2, dim, dim).transpose(2, 0, 1, 3, 4)
-            for L, (x, y), fhat in zip(Ls, parts[:, :2], parts[:, 2:]):
-                # S[i, j, k, l] = sum_b Fhat_b[i, k] F_b[l, j] + X[i, k] delta_jl
-                # + delta_ik Y[l, j]
-                S = (fhat.reshape(len(F), -1).T @ F.reshape(len(F), -1)).reshape(dim, dim, dim, dim)
-                S = S.transpose(0, 3, 1, 2)
-                np.einsum("ijkj->ijk", S)[...] += x[:, None, :]
-                np.einsum("ijil->ijl", S)[...] += y.T
-                np.add(S.real, S.imag.swapaxes(2, 3), out=L)
-            self._x = np.empty(2 * dim * dim)  # [vec(M); (t - t_k) vec(M)]
+            self._op.reshape(-1)[self._at] = (w @ self._units).reshape(-1)
         else:
-            self._op = form.banded(parts)
+            self._op = self.form.banded(self.form.dense(w))
             self._c = np.empty_like(self._op[0])
         self._key, self._stage = k, None
 
-    def __call__(self, M: np.ndarray, stage: tuple) -> np.ndarray:
-        """``dM/dt`` at the real ``M`` under ``stage``."""
+    def __call__(self, y: np.ndarray, stage: tuple) -> np.ndarray:
+        """``dy/dt`` at the stepped state ``y`` under ``stage``."""
         k, dt = stage
         if k != self._key:
             self._load(k)
         if self._small:
-            m, x = M.reshape(-1), self._x
-            x[: m.size] = m
-            np.multiply(m, dt, out=x[m.size :])
-            return (self._op @ x).reshape(M.shape)
+            x, r = self._x, len(y)
+            x[:r] = y
+            np.multiply(y, dt, out=x[r:])
+            return self._op @ x
         if stage != self._stage:
             np.multiply(self._op[1], dt, out=self._c)
             self._c += self._op[0]
             self._stage = stage
-        return self.form(M, self._c)
+        return self.form(y, self._c)
 
 
 def _real_of(rho: np.ndarray) -> np.ndarray:
@@ -728,7 +833,8 @@ def evolve(
     n_steps, h_eff = aligned_steps(t_final, h, n_samples)
     sample_times = np.linspace(0.0, t_final, n_samples)
     interp = CoefficientInterpolator(coeffs)
-    stages = _Stages(_SandwichForm.of_run(coeffs, ops, dim), interp)
+    stages = _Stages(_SandwichForm.of_run(coeffs, ops, dim), interp, M)
+    y = stages.state(M)
 
     states = np.empty((n_samples, dim, dim), dtype=complex)
     states[0] = rho
@@ -746,18 +852,22 @@ def evolve(
     record(rho)
     guard_on = truncation_guard and dim > 3
     top = 0.0 if guard_on else None  # peak population of the top two levels
+    # where y holds the populations of the top two levels; an entry the
+    # state does not reach stays 0
+    tops = [int(np.searchsorted(stages.idx, e)) for e in (dim * dim - 1, dim * dim - dim - 2) if e in stages.idx]
     next_sample = 1
     for first, count, times in _stage_blocks(n_steps, h_eff):
         k, dt = interp.intervals(times)
         k, dt = k.tolist(), dt.tolist()
         for i in range(count):
             s = slice(3 * i, 3 * i + 3)
-            M = _rk4_step(stages, M, h_eff, *zip(k[s], dt[s]))
+            y = _rk4_step(stages, y, h_eff, *zip(k[s], dt[s]))
             t = (first + i + 1) * h_eff
-            if not np.isfinite(M).all():
+            if not np.isfinite(y).all():
                 raise EvolutionError(f"state became non-finite at t={t:.6g}", time=t - h_eff)
             if guard_on:
-                top = max(top, M[-1, -1] + M[-2, -2])
+                flat = y.reshape(-1)
+                top = max(top, sum(flat[j] for j in tops))
                 if top > TRUNCATION_LIMIT:
                     raise TruncationError(
                         f"top two Fock levels hold {top:.3e} population "
@@ -765,7 +875,7 @@ def evolve(
                         time=t,
                     )
             while next_sample < n_samples and sample_times[next_sample] <= t + 1e-12:
-                rho = _hermitian_of(M)
+                rho = _hermitian_of(stages.matrix(y))
                 states[next_sample] = rho
                 record(rho)
                 next_sample += 1

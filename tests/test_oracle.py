@@ -375,11 +375,16 @@ def test_sector_oracle_matches_full_eigh_reference(case, monkeypatch):
 def test_bessel_helper_matches_scipy():
     from scipy.special import jv
 
-    x = np.array([0.0, 1e-3, 0.75, 31.0, 150.0])
+    x = np.array([0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.75, 31.0, 150.0])
     k = np.arange(201)
     J = oracle._bessel_j(200, x)
-    assert J.shape == (201, 5)
+    assert J.shape == (201, 8)
     assert np.max(np.abs(J - jv(k[:, None], x[None, :]))) <= 1e-14
+    # the overflow test runs every few steps, whatever the smallest x
+    for x in ([1e-12], [0.0, 1e-12], [0.0], [150.0], [1e-12, 150.0]):
+        J = oracle._bessel_j(200, np.array(x))
+        assert np.isfinite(J).all()
+        assert np.max(np.abs(J - jv(k[:, None], np.array(x)[None, :]))) <= 1e-14
 
 
 @pytest.mark.parametrize("x", [1e-3, 0.75, 5.0, 31.0, 150.0])

@@ -772,20 +772,23 @@ def interp_at(coeffs, t):
     return scalar_interp(CoefficientInterpolator(coeffs), t)
 
 
-def _interval_stage(coeffs, ops, t):
-    """The form and the stages of a run over ``coeffs``, and the stage
-    of time ``t``: its grid interval ``k`` and the offset ``t - t_k``."""
+def _interval_stage(coeffs, ops, t, M0=None):
+    """The form and the stages of a run over ``coeffs`` from the real
+    state ``M0`` (every entry nonzero when not given), and the stage of
+    time ``t``: its grid interval ``k`` and the offset ``t - t_k``."""
     interp = CoefficientInterpolator(coeffs)
-    form = _SandwichForm.of_run(coeffs, ops, ops["H0"].shape[0])
+    dim = ops["H0"].shape[0]
+    form = _SandwichForm.of_run(coeffs, ops, dim)
     (k,), (dt,) = interp.intervals([t])
-    return form, _Stages(form, interp), (int(k), float(dt))
+    M0 = np.ones((dim, dim)) if M0 is None else M0
+    return form, _Stages(form, interp, M0), (int(k), float(dt))
 
 
 def test_mirrored_branch_is_hermitian_and_equals_general_branch(monkeypatch):
     # the band products evaluate every stage, whatever the dimension; the
     # real result is an exactly Hermitian drho/dt equal to the outer
     # commutator form
-    monkeypatch.setattr(propagate, "_SUPEROPERATOR_DIM", 0)
+    monkeypatch.setattr(propagate, "_SUPEROPERATOR_ENTRIES", 0)
     rng = np.random.default_rng(17)
     for case, terms in FORM_TERMS.items():
         coeffs, ops, rho0, t_final = EVOLVE_CASES[case]()
@@ -805,15 +808,21 @@ def test_mirrored_branch_is_hermitian_and_equals_general_branch(monkeypatch):
 
 @pytest.mark.parametrize("case", EVOLVE_CASES)
 def test_superoperator_stage_equals_band_stage(monkeypatch, case):
-    # evolve takes the superoperator at or below _SUPEROPERATOR_DIM and the
-    # band above it; both evaluate every case here, so the band stays
-    # covered at half-bandwidths 0, 2, 4 and 7
+    # evolve takes the superoperator when the state reaches at most
+    # _SUPEROPERATOR_ENTRIES entries and the band otherwise; both evaluate
+    # every case here, so the band stays covered at half-bandwidths 0, 2,
+    # 4 and 7.  The superoperator steps the entries of vec(M) that the
+    # run's state reaches: all of them from a full M, and from rho0 a
+    # sector, outside of which the band stage leaves a state on the
+    # sector exactly 0
     coeffs, ops, rho0, t_final = EVOLVE_CASES[case]()
     dim = rho0.shape[0]
-    monkeypatch.setattr(propagate, "_SUPEROPERATOR_DIM", 0)
+    monkeypatch.setattr(propagate, "_SUPEROPERATOR_ENTRIES", 0)
     band = _interval_stage(coeffs, ops, 0.0)[1]
-    monkeypatch.setattr(propagate, "_SUPEROPERATOR_DIM", dim)
+    monkeypatch.setattr(propagate, "_SUPEROPERATOR_ENTRIES", dim * dim)
     small = _interval_stage(coeffs, ops, 0.0)[1]
+    sector = _interval_stage(coeffs, ops, 0.0, rho0.real + rho0.imag)[1]
+    assert np.array_equal(small.idx, np.arange(dim * dim))
     rng = np.random.default_rng(29)
     # between nodes, on a node, and at the end of the grid
     nodes = coeffs.grid.points
@@ -821,21 +830,60 @@ def test_superoperator_stage_equals_band_stage(monkeypatch, case):
         (k,), (dt,) = CoefficientInterpolator(coeffs).intervals([t])
         for _ in range(3):
             M = rng.normal(size=(dim, dim))
-            want = band(M, (k, dt))
-            got = small(M, (k, dt))
-            assert got.dtype == np.float64 and got.shape == (dim, dim)
+            want = band(M, (k, dt)).reshape(-1)
+            got = small(small.state(M), (k, dt))
+            assert got.dtype == np.float64 and got.shape == (dim * dim,)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (case, t)
+            M = sector.matrix(sector.state(M))
+            want = band(M, (k, dt)).reshape(-1)
+            assert not np.delete(want, sector.idx).any(), (case, t)
+            got = sector(sector.state(M), (k, dt))
+            assert np.max(np.abs(got - want[sector.idx])) <= 1e-13 * np.max(np.abs(want)), (case, t)
 
 
-@pytest.mark.parametrize("dim, kind", [(12, "superoperator"), (13, "band"), (16, "band")])
-def test_mirrored_evaluation_selected_by_dimension(monkeypatch, dim, kind):
-    # both sides of the crossover _SUPEROPERATOR_DIM: the band products run
-    # only above it
+def _reached_count(case, M0):
+    coeffs, ops, rho0, _ = EVOLVE_CASES[case]()
+    return len(_SandwichForm.of_run(coeffs, ops, rho0.shape[0]).reached(M0))
+
+
+def test_reached_sector_counts():
+    # the Gaussian generators conserve the parity of m - n: the vacuum
+    # reaches the 50 even entries of 100, a coherent state all of them;
+    # the dephasing qubit's operators are diagonal, so |0> stays |0><0|
+    vacuum = np.zeros((10, 10))
+    vacuum[0, 0] = 1.0
+    assert _reached_count("hpz", vacuum) == 50
+    psi = coherent_state(10, 0.5)
+    assert _reached_count("hpz", np.outer(psi, psi)) == 100
+    assert _reached_count("dephasing", np.full((2, 2), 0.5)) == 4
+    assert _reached_count("dephasing", np.diag([1.0, 0.0])) == 1
+    # an odd entry of M, such as Re + Im of rho_01, reaches the odd sector
+    odd = vacuum.copy()
+    odd[0, 1] = 0.1
+    assert _reached_count("hpz", odd) == 100
+
+
+def test_vacuum_sector_trajectory_equals_band_trajectory(monkeypatch):
+    coeffs, ops, rho0, t_final = EVOLVE_CASES["hpz"]()
+    sector = evolve(rho0, coeffs, ops, t_final, 2e-3, n_samples=6)
+    monkeypatch.setattr(propagate, "_SUPEROPERATOR_ENTRIES", 0)
+    band = evolve(rho0, coeffs, ops, t_final, 2e-3, n_samples=6)
+    assert np.max(np.abs(sector.states - band.states)) <= 1e-13
+    assert sector.top_population == pytest.approx(band.top_population, rel=0, abs=1e-13)
+    assert sector.top_population > 0
+    # the odd entries are exactly 0 on both paths
+    m, n = np.indices((10, 10))
+    assert not sector.states[:, (m - n) % 2 == 1].any()
+    assert not band.states[:, (m - n) % 2 == 1].any()
+
+
+def _selected_evaluation(monkeypatch, dim, psi):
+    """The evaluation that an hpz run of dimension ``dim`` from ``psi``
+    steps through, checked against the reference trajectory."""
     coeffs = _hpz_case()[0]
     f = fock_operators(dim)
     ops = {"A": [f["q"]], "V": [f["p"]], "H0": quadratic_hamiltonian(dim), "q": f["q"], "p": f["p"]}
-    rho0 = np.zeros((dim, dim), dtype=complex)
-    rho0[0, 0] = 1.0
+    rho0 = np.outer(psi, psi.conj())
     seen, band = [], []
 
     def rk4_step(rhs, y, h, *stages):
@@ -851,11 +899,28 @@ def test_mirrored_evaluation_selected_by_dimension(monkeypatch, dim, kind):
     monkeypatch.setattr(propagate, "_rk4_step", rk4_step)
     monkeypatch.setattr(_SandwichForm, "__call__", spy)
     traj = evolve(rho0, coeffs, ops, 0.1, 1e-2, n_samples=3, truncation_guard=False)
-    # every step and every band stage acts on the real M
-    assert seen == [np.float64] * 10
-    assert band == ([] if kind == "superoperator" else [np.float64] * 40)
     states, _ = reference_evolve(rho0, coeffs, ops, 0.1, 1e-2, 3)
     assert np.max(np.abs(traj.states - states)) <= 1e-13
+    # every step and every band stage acts on the real M
+    assert seen == [np.float64] * 10
+    assert band in ([], [np.float64] * 40)
+    return "band" if band else "superoperator"
+
+
+@pytest.mark.parametrize("dim, kind", [(12, "superoperator"), (13, "band"), (16, "band")])
+def test_mirrored_evaluation_selected_by_dimension(monkeypatch, dim, kind):
+    # both sides of the crossover _SUPEROPERATOR_ENTRIES (144) for a
+    # coherent state, which reaches all dim^2 entries of M
+    assert _selected_evaluation(monkeypatch, dim, coherent_state(dim, 0.5)) == kind
+
+
+@pytest.mark.parametrize("dim, kind", [(12, "superoperator"), (16, "superoperator"), (17, "band")])
+def test_vacuum_sector_selected_by_reached_count(monkeypatch, dim, kind):
+    # the vacuum reaches the ceil(dim^2 / 2) entries of even m - n: 72,
+    # 128 and 145
+    psi = np.zeros(dim)
+    psi[0] = 1.0
+    assert _selected_evaluation(monkeypatch, dim, psi) == kind
 
 
 @pytest.mark.parametrize("case", ["hpz", "qmupl-dim40"])
