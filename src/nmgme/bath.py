@@ -6,8 +6,11 @@ exchange ``(j, t) <-> (k, s)``, the imaginary part ``D^Im`` is
 antisymmetric; both are real-valued functions.  Dynamics generated by a
 purely real kernel is non-dissipative.
 
-Kernels expose pointwise (vectorized) evaluation only; tabulation on a
-grid happens in :mod:`nmgme.series` where the grid is known.
+Every kernel here is stationary: a function of the lag ``u = t - s``
+only, evaluated pointwise (vectorized) on lags.  Tabulation happens where
+the grid is known (:mod:`nmgme.series`, :mod:`nmgme.coefficients`), once
+per channel pair on the ``2G - 1`` lags of the grid
+(:func:`nmgme.grids.lags`).
 """
 
 from __future__ import annotations
@@ -26,24 +29,33 @@ __all__ = [
 ]
 
 
+def require_finite(**params) -> None:
+    """Raise ``ValueError`` naming the first parameter that holds a NaN or
+    an infinity (a range check such as ``x <= 0`` lets NaN through)."""
+    for name, value in params.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class CorrelationKernel:
     """Two-time bath correlation with ``n_channels`` coupling channels.
 
-    ``evaluator(j, k, t, s)`` returns ``D_jk(t, s)``; ``t`` and ``s`` may
-    be numpy arrays (broadcast).  ``is_real`` marks kernels with
-    identically vanishing imaginary part, which lets downstream series
-    machinery close exactly at zeroth order.
+    ``evaluator(j, k, u)`` returns ``D_jk`` at the lag ``u = t - s`` (a
+    numpy array); calling the kernel as ``D(j, k, t, s)`` evaluates it at
+    ``t - s`` (broadcast).  ``is_real`` marks kernels with identically
+    vanishing imaginary part, which lets downstream series machinery
+    close exactly at zeroth order.
     """
 
     n_channels: int
-    evaluator: Callable[[int, int, np.ndarray, np.ndarray], np.ndarray]
+    evaluator: Callable[[int, int, np.ndarray], np.ndarray]
     is_real: bool = False
 
     def __call__(self, j: int, k: int, t, s):
         self._check_channel(j)
         self._check_channel(k)
-        return self.evaluator(j, k, np.asarray(t), np.asarray(s))
+        return self.evaluator(j, k, np.asarray(t) - np.asarray(s))
 
     def _check_channel(self, j: int) -> None:
         if not 0 <= j < self.n_channels:
@@ -60,14 +72,15 @@ def make_exponential(gamma: float, tau_c: float) -> CorrelationKernel:
     ``D(t, s) = gamma / (2 tau_c) * exp(-|t - s| / tau_c)``, purely real,
     with line integral ``gamma`` over the full real axis.
     """
+    require_finite(gamma=gamma, tau_c=tau_c)
     if not tau_c > 0:
         raise ValueError(f"correlation time must be positive, got {tau_c}")
     if not gamma >= 0:
         raise ValueError(f"coupling strength must be non-negative, got {gamma}")
     amp = gamma / (2.0 * tau_c)
 
-    def evaluator(j, k, t, s):
-        return amp * np.exp(-np.abs(t - s) / tau_c) + 0j
+    def evaluator(j, k, u):
+        return amp * np.exp(-np.abs(u) / tau_c) + 0j
 
     return CorrelationKernel(1, evaluator, is_real=True)
 
@@ -79,6 +92,7 @@ def make_white_noise_approximant(strength: float, eps: float) -> CorrelationKern
     ``strength`` for every width ``eps``, while the peak grows as
     ``strength / (2 eps)``.
     """
+    require_finite(strength=strength, eps=eps)
     if not eps > 0:
         raise ValueError(f"width must be positive, got {eps}")
     if not strength > 0:
@@ -97,6 +111,7 @@ def make_discrete_modes(mode_freqs, couplings) -> CorrelationKernel:
     """
     freqs = np.atleast_1d(np.asarray(mode_freqs, dtype=float))
     g = np.atleast_2d(np.asarray(couplings, dtype=complex))
+    require_finite(mode_freqs=freqs, couplings=g)
     if freqs.size == 0:
         raise ValueError("need at least one bath mode")
     if np.any(freqs <= 0):
@@ -106,9 +121,8 @@ def make_discrete_modes(mode_freqs, couplings) -> CorrelationKernel:
             f"coupling matrix has {g.shape[1]} mode columns, expected {freqs.size}"
         )
 
-    def evaluator(j, k, t, s):
-        tau = np.asarray(t) - np.asarray(s)
-        phases = np.exp(-1j * np.multiply.outer(tau, freqs))
+    def evaluator(j, k, u):
+        phases = np.exp(-1j * np.multiply.outer(u, freqs))
         return phases @ (g[j] * np.conj(g[k]))
 
     return CorrelationKernel(g.shape[0], evaluator, is_real=False)
@@ -124,6 +138,7 @@ def make_qmupl_matrix(collapse_strength: float, base: CorrelationKernel) -> Corr
     ``phi_1 = i sqrt(lambda) phi``, ``phi_2 = sqrt(lambda) phi`` driving
     channels ``(q, -mu p)``.
     """
+    require_finite(collapse_strength=collapse_strength)
     if collapse_strength < 0:
         raise ValueError(f"collapse strength must be non-negative, got {collapse_strength}")
     if base.n_channels != 1:
@@ -135,7 +150,7 @@ def make_qmupl_matrix(collapse_strength: float, base: CorrelationKernel) -> Corr
     # entry factors of lam * D: D_11 = D_22 = lam D, D_12 = -i lam D, D_21 = +i lam D
     phase = np.array([[1.0, -1.0j], [1.0j, 1.0]])
 
-    def evaluator(j, k, t, s):
-        return lam * phase[j, k] * base_eval(0, 0, t, s)
+    def evaluator(j, k, u):
+        return lam * phase[j, k] * base_eval(0, 0, u)
 
     return CorrelationKernel(2, evaluator, is_real=False)

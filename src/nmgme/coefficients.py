@@ -46,7 +46,7 @@ from .bath import CorrelationKernel, make_qmupl_matrix
 
 # quad_weights is not called here; perfbench/tracing.py counts quadrature
 # builds through this module's name as well.
-from .grids import TimeGrid, prefix_weights, quad_weights  # noqa: F401
+from .grids import TimeGrid, lags, on_square, prefix_weights, quad_weights  # noqa: F401
 # assemble_AB is not called here; perfbench/tracing.py wraps this name.
 from .series import SeriesConfig, SeriesTables, assemble_AB, build_ab_tables  # noqa: F401
 from .system import PropagatorKernels, commutator_kernel, qmupl_kernels
@@ -154,16 +154,20 @@ def _series(tables: SeriesTables, grid: TimeGrid) -> dict:
 
 def _closure(D: CorrelationKernel, grid: TimeGrid, scale: float = 1.0) -> dict:
     """Zeroth-order closure ``A = scale D^Re``, ``B = scale D^Im`` on the
-    grid square, as ``(1, 1, G, G)`` arrays."""
-    t = grid.points
-    val = D(0, 0, t[:, None], t[None, :])[None, None]
-    return {"A": scale * val.real, "B": scale * val.imag}
+    grid square, as ``(1, 1, G, G)`` arrays gathered from the lags."""
+    val = D(0, 0, lags(grid), 0.0)
+    return {"A": _square(scale * val.real)[None, None], "B": _square(scale * val.imag)[None, None]}
 
 
 def _flow(kernels: PropagatorKernels, grid: TimeGrid) -> np.ndarray:
-    """Heisenberg flow ``Phi(t_K - s)`` sampled on the grid square."""
-    t = grid.points
-    return kernels.flow(t[:, None] - t[None, :])
+    """Heisenberg flow ``Phi(t_K - s)`` on the grid square, gathered from
+    the lags."""
+    return _square(kernels.flow(lags(grid)))
+
+
+def _square(lagged: np.ndarray) -> np.ndarray:
+    """Contiguous copy of :func:`nmgme.grids.on_square`."""
+    return np.ascontiguousarray(on_square(lagged))
 
 
 def _reduce(X: dict, phi: np.ndarray, grid: TimeGrid, method: str, mu: float = 0.0):

@@ -1,10 +1,15 @@
-"""Uniform time grids and deterministic quadrature rules.
+"""Uniform time grids, lag sampling and deterministic quadrature rules.
 
 Every kernel integral in the package is a line integral over ``[0, t_k]``
 or an iterated integral over the lower triangle ``0 <= s <= tau <= t_k``.
 Both are discretized here once, so that all modules share a single
 convention for panel weights and for the half-weight treatment of the
-triangle diagonal.
+triangle diagonal (the unit step is 1/2 at lag 0).
+
+Every kernel of the package depends on its two times through the lag
+``u = t - s`` only, so it is sampled once on the ``2G - 1`` lags of the
+grid (:func:`lags`) and read on the grid square through
+:func:`on_square`.
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ __all__ = [
     "make_grid",
     "quad_weights",
     "prefix_weights",
-    "theta_mask",
+    "lags",
+    "on_square",
 ]
 
 #: Grid points per unit of dimensionless time used when no resolution is given.
@@ -124,14 +130,28 @@ def prefix_weights(n: int, h: float, method: str = "trapezoid") -> np.ndarray:
     return W
 
 
-def theta_mask(n: int) -> np.ndarray:
-    """Samples of the unit step ``theta(t_a - t_b)`` on the grid square.
+def lags(grid: TimeGrid) -> np.ndarray:
+    """The ``2G - 1`` lags ``t_a - t_b`` of the grid square, increasing:
+    ``[-t_{G-1}, ..., -t_1, t_0, ..., t_{G-1}]``.
 
-    ``M[a, b]`` is 1 for ``a > b``, 1/2 on the diagonal and 0 below it.
-    The half-weight diagonal matches the symmetric-limit convention used
-    for contractions at coincident times; it is the single source of
-    truth for step-function sampling in the kernel recursions.
+    The negative lags are exact negations of the grid points, so a kernel
+    that is odd in the lag stays exactly antisymmetric on the square.  On
+    a grid with a dyadic step every lag equals ``t_a - t_b`` bit for bit;
+    otherwise they differ in the last bit at most.
     """
-    M = np.tril(np.ones((n, n)), k=-1)
-    np.fill_diagonal(M, 0.5)
-    return M
+    t = grid.points
+    return np.concatenate((-t[:0:-1], t))
+
+
+def on_square(lagged: np.ndarray) -> np.ndarray:
+    """Read-only view ``X[..., a, b] = lagged[..., G - 1 + a - b]`` of
+    samples on the :func:`lags` of a ``G``-point grid (last axis) as the
+    grid square."""
+    n = (lagged.shape[-1] + 1) // 2
+    s = lagged.strides[-1]
+    return np.lib.stride_tricks.as_strided(
+        lagged[..., n - 1 :],
+        shape=lagged.shape[:-1] + (n, n),
+        strides=lagged.strides[:-1] + (s, -s),
+        writeable=False,
+    )

@@ -17,10 +17,12 @@ chain at its last link yields closed two-table recursions:
   (channel indices contracted against the last factor).
 
 All integrals are iterated rules on the triangle ``0 <= s <= tau <= t``
-with the half-weight diagonal convention of :func:`nmgme.grids.theta_mask`.
+with the half-weight diagonal convention: the step ``theta(t_a - t_b)``
+is 1/2 at ``a = b``.
 
-``D`` and ``f`` are sampled once on the whole grid square
-(:class:`SampledKernels`).  Channel and time indices are flattened
+``D`` and ``f`` depend on ``t - s`` only, so each channel pair is sampled
+once on the ``2G - 1`` lags of the grid and gathered onto the grid
+square (:class:`SampledKernels`).  Channel and time indices are flattened
 time-major, so a table ``X[j, k, a, b]`` is the matrix
 ``X[(a, j), (b, k)]`` and every contraction is one matrix product after
 the quadrature weights are applied elementwise.
@@ -94,7 +96,7 @@ import numpy as np
 from .bath import CorrelationKernel
 # quad_weights is not called here; perfbench/tracing.py counts quadrature
 # builds through this module's name as well.
-from .grids import TimeGrid, prefix_weights, quad_weights, theta_mask  # noqa: F401
+from .grids import TimeGrid, lags, on_square, prefix_weights, quad_weights  # noqa: F401
 from .system import CommutatorKernel
 
 __all__ = [
@@ -147,6 +149,32 @@ def _unblk(M: np.ndarray, d: int) -> np.ndarray:
     return M.reshape(M.shape[0] // d, d, M.shape[1] // d, d).transpose(1, 3, 0, 2)
 
 
+def _gather(lagged: np.ndarray) -> np.ndarray:
+    """Lag samples ``L[j, k, u]`` as the contiguous matrix
+    ``M[(a, j), (b, k)] = L[j, k, t_a - t_b]``."""
+    # laid out channel-last and lag-reversed in memory, the columns (b, k)
+    # of each row of M are one contiguous run of the samples
+    rev = np.ascontiguousarray(lagged[..., ::-1].transpose(0, 2, 1))
+    return np.ascontiguousarray(_blk(on_square(rev[:, ::-1].transpose(0, 2, 1))))
+
+
+def _stepped(lagged: np.ndarray, u: np.ndarray) -> tuple:
+    """``(G1, F_below)`` parts of commutator samples ``lagged[j, k]`` on
+    the lags ``u``: ``theta(t_a - t_b) f^{jk}(t_a, t_b)`` at
+    ``[(b, k), (a, j)]`` and ``theta(t_b - t_a) f^{jk}(t_a, t_b)`` at
+    ``[(a, j), (b, k)]``, with the half-weight step ``theta(0) = 1/2``."""
+    theta = 0.5 + 0.5 * np.sign(u)
+    # G1 reads the lag -u with the channels swapped
+    return _gather((theta * lagged).transpose(1, 0, 2)[..., ::-1]), _gather(theta[::-1] * lagged)
+
+
+def _weigh(W: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``W[a, b] X[(a, j), (b, k)]``: time weights applied to the blocks of
+    ``X``."""
+    n, d = W.shape[0], X.shape[0] // W.shape[0]
+    return (X.reshape(n, d, n * d) * np.repeat(W, d, axis=1)[:, None]).reshape(X.shape)
+
+
 def _on_pairs(W: np.ndarray, d: int) -> np.ndarray:
     """Time weights ``W[a, b]`` spread over the channel pairs of each block."""
     return np.repeat(np.repeat(W, d, axis=0), d, axis=1)
@@ -167,7 +195,8 @@ def _read_only(*arrays) -> tuple:
 
 
 class SampledKernels:
-    """``D`` and ``f`` sampled once on the whole grid square.
+    """``D`` and ``f`` sampled once on the grid lags, gathered onto the
+    whole grid square.
 
     Every array is a real ``(G d, G d)`` matrix in the time-major layout
     of the module docstring; the inputs at outer index ``K`` are their
@@ -200,33 +229,23 @@ class SampledKernels:
         self.D, self.f, self.grid, self.method = D, f, grid, method
         self.d = d = D.n_channels
         n = grid.n_points
-        T1, T2 = np.meshgrid(grid.points, grid.points, indexing="ij")
-        DRe = np.empty((d, d, n, n))
-        DIm = np.empty((d, d, n, n))
-        F = np.empty((d, d, n, n), dtype=complex)
-        for j in range(d):
-            for k in range(d):
-                val = D(j, k, T1, T2)
-                DRe[j, k] = np.real(val)
-                DIm[j, k] = np.imag(val)
-                F[j, k] = f(j, k, T1, T2)
-        for name, arr in (("D", DRe), ("D", DIm), ("f", F)):
+        # each channel pair once, on the 2G - 1 lags u = t - s; through
+        # __call__ at s = 0, so a traced call counts its points
+        u = lags(grid)
+        Dl = np.array([[D(j, k, u, 0.0) for k in range(d)] for j in range(d)])
+        fl = np.array([[f(j, k, u, 0.0) for k in range(d)] for j in range(d)])
+        for name, arr in (("D", Dl), ("f", fl)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"non-finite entries in sampled {name}")
         self.Wpad = np.zeros((n + 1, n))
         self.Wpad[1:] = prefix_weights(n, grid.h, method)
         self.Wpre = self.Wpad[1:]
-        wpre = _on_pairs(self.Wpre, d)
-        self.DRe = _blk(DRe)
-        self.DIm = _blk(DIm)
-        self.WDRe = wpre * self.DRe
-        self.WDIm = wpre * self.DIm
-        theta = _on_pairs(theta_mask(n), d)
-        F_im = _blk(F.imag)
-        self.Gamma1 = np.ascontiguousarray((theta * F_im).T)
-        self.Phi = theta.T * F_im
-        F_re = _blk(F.real)
-        self.f_re = ((theta * F_re).T, theta.T * F_re) if F_re.any() else None
+        self.DRe = _gather(Dl.real)
+        self.DIm = _gather(Dl.imag)
+        self.WDRe = _weigh(self.Wpre, self.DRe)
+        self.WDIm = _weigh(self.Wpre, self.DIm)
+        self.Gamma1, self.Phi = _stepped(fl.imag, u)
+        self.f_re = _stepped(fl.real, u) if fl.real.any() else None
         _read_only(
             self.Wpre, self.Wpad, self.DRe, self.DIm, self.WDRe, self.WDIm, self.Gamma1, self.Phi,
             *(self.f_re or ()),
@@ -619,10 +638,8 @@ def build_ab_tables(
         # longest interval, equals the suffix rule of int_{s1}^{t_K} dtau left
         # of t_{K-1} for both rules; SDX[(tau, l), (s1, k)] is Tsuf[s1, tau]
         # times D^X on channel pairs
-        lag = np.subtract.outer(np.arange(G), np.arange(G))
-        TsufT = _on_pairs(np.where(lag >= 0, samples.Wpre[G - 1][np.abs(lag)], 0.0), d)
-        SD = (TsufT * samples.DRe, TsufT * samples.DIm)
-        del lag, TsufT
+        TsufT = on_square(np.concatenate((np.zeros(G - 1), samples.Wpre[G - 1])))
+        SD = (_weigh(TsufT, samples.DRe), _weigh(TsufT, samples.DIm))
         # t_0 has no correction: every integral of its chains is empty
         n_slabs = -(-(G - 1) // SLAB)
         edges = [1 + (G - 1) * i // n_slabs for i in range(n_slabs + 1)]

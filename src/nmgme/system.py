@@ -14,6 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .bath import require_finite
+
 __all__ = [
     "PropagatorKernels",
     "CommutatorKernel",
@@ -74,6 +76,7 @@ def harmonic_kernels(m: float, omega: float) -> PropagatorKernels:
     the free-particle limit ``omega = 0`` extends continuously to
     ``C = 1``, ``C_tilde = -u / m``.
     """
+    require_finite(m=m, omega=omega)
     if m <= 0:
         raise ValueError(f"mass must be positive, got {m}")
     if omega < 0:
@@ -97,6 +100,7 @@ def qmupl_kernels(m: float, omega: float, lam: float, mu: float) -> PropagatorKe
     shift that would make ``omega_tilde`` imaginary.  ``C`` is the flow
     itself and ``C_tilde`` its transpose.
     """
+    require_finite(m=m, omega=omega, lam=lam, mu=mu)
     if m <= 0:
         raise ValueError(f"mass must be positive, got {m}")
     if omega < 0 or mu < 0 or lam < 0:
@@ -133,18 +137,20 @@ class CommutatorKernel:
 
     Values are purely imaginary for canonical ``q``/``p`` channel
     combinations and antisymmetric under ``(j, t) <-> (k, s)``.
+    ``evaluator(j, k, u)`` returns ``f_jk`` at the lag ``u = t - s``;
+    calling the kernel as ``f(j, k, t, s)`` evaluates it at ``t - s``.
     ``is_zero`` marks constant coupling operators (pure dephasing), for
     which all Wick corrections vanish identically.
     """
 
     n_channels: int
-    evaluator: Callable[[int, int, np.ndarray, np.ndarray], np.ndarray] = field(repr=False)
+    evaluator: Callable[[int, int, np.ndarray], np.ndarray] = field(repr=False)
     is_zero: bool = False
 
     def __call__(self, j: int, k: int, t, s):
         if not (0 <= j < self.n_channels and 0 <= k < self.n_channels):
             raise ValueError(f"channel pair ({j}, {k}) outside range")
-        return self.evaluator(j, k, np.asarray(t, dtype=float), np.asarray(s, dtype=float))
+        return self.evaluator(j, k, np.asarray(t, dtype=float) - np.asarray(s, dtype=float))
 
 
 def _channel_matrix(channel_ops: Sequence) -> np.ndarray:
@@ -172,16 +178,17 @@ def commutator_kernel(kernels: PropagatorKernels, channel_ops: Sequence) -> Comm
     coefficients ``(c_q, c_p)`` defining the channel operator
     ``c_q q + c_p p``; anything else is rejected as outside the
     linear-system scope.  With ``S`` the channel matrix and ``Phi`` the
-    flow, ``f_jk(t, s) = i [S Phi(s - t) Omega S^T]_jk``, which for
-    single-channel position coupling reduces to
-    ``f(t, s) = i sin(omega (s - t)) / (m omega)``.
+    flow, ``f_jk(t, s) = i [S Phi(-u) Omega S^T]_jk`` at the lag
+    ``u = t - s``, which for single-channel position coupling reduces to
+    ``f(t, s) = -i sin(omega u) / (m omega)``.
     """
     S = _channel_matrix(channel_ops)
     flow = kernels.flow
 
-    def evaluator(j, k, t, s):
-        u = np.asarray(s, dtype=float) - np.asarray(t, dtype=float)
-        phi = flow(u)
+    def evaluator(j, k, u):
+        u = np.asarray(u, dtype=float)
+        # f_jk(t, s) reads the flow at s - t = -u
+        phi = flow(-u)
         # contract channel rows against the symplectic form
         mat = np.einsum("a,abX,bc,c->X", S[j], phi.reshape(2, 2, -1), SYMPLECTIC_FORM, S[k])
         return 1j * mat.reshape(u.shape)
@@ -197,6 +204,7 @@ def fock_operators(dim: int, m: float = 1.0, omega: float = 1.0) -> dict:
     row/column violates the canonical commutator; accuracy assertions
     should exclude the last basis state.
     """
+    require_finite(dim=dim, m=m, omega=omega)
     if dim < 2:
         raise ValueError(f"Fock dimension must be at least 2, got {dim}")
     if m <= 0 or omega <= 0:
@@ -212,6 +220,7 @@ def quadratic_hamiltonian(
     dim: int, m: float = 1.0, omega: float = 1.0, lam_mu: float = 0.0
 ) -> np.ndarray:
     """Fock matrix of ``p^2/2m + m omega^2 q^2 / 2 + (lam mu / 2) {q, p}``."""
+    require_finite(lam_mu=lam_mu)
     ops = fock_operators(dim, m, omega)
     q, p = ops["q"], ops["p"]
     h = p @ p / (2.0 * m) + 0.5 * m * omega**2 * (q @ q)

@@ -381,8 +381,8 @@ class DensityMatrix:
 def zero_commutator(n_channels: int = 1) -> CommutatorKernel:
     """Kernel of constant (mutually commuting) coupling operators."""
 
-    def evaluator(j, k, t, s):
-        return np.zeros(np.broadcast(t, s).shape, dtype=complex)
+    def evaluator(j, k, u):
+        return np.zeros(np.shape(u), dtype=complex)
 
     return CommutatorKernel(n_channels, evaluator, is_zero=True)
 
@@ -392,9 +392,42 @@ def scaled_kernel(kernel: CorrelationKernel, factor: float) -> CorrelationKernel
     base = kernel.evaluator
     return CorrelationKernel(
         n_channels=kernel.n_channels,
-        evaluator=lambda j, k, t, s: factor * base(j, k, t, s),
+        evaluator=lambda j, k, u: factor * base(j, k, u),
         is_real=kernel.is_real and float(np.imag(factor)) == 0.0,
     )
+
+
+def theta_mask(n: int) -> np.ndarray:
+    """Samples of the unit step ``theta(t_a - t_b)`` on the grid square:
+    ``M[a, b]`` is 1 for ``a > b``, 1/2 on the diagonal and 0 above it."""
+    M = np.tril(np.ones((n, n)), k=-1)
+    np.fill_diagonal(M, 0.5)
+    return M
+
+
+def square_samples(D: CorrelationKernel, f: CommutatorKernel, grid: TimeGrid) -> dict:
+    """Reference for :class:`nmgme.series.SampledKernels`: ``D`` and ``f``
+    evaluated at every pair ``(t_a, t_b)`` of the grid square, in the
+    blocked layout ``X[(a, j), (b, k)]``, with the half-weight step
+    applied as in the series: ``Gamma1`` and ``Phi`` from ``Im f``,
+    ``f_re`` from ``Re f`` (None when it vanishes)."""
+    d, n = D.n_channels, grid.n_points
+    T1, T2 = np.meshgrid(grid.points, grid.points, indexing="ij")
+    Dv = np.array([[D(j, k, T1, T2) for k in range(d)] for j in range(d)])
+    F = np.array([[f(j, k, T1, T2) for k in range(d)] for j in range(d)], dtype=complex)
+
+    def blk(X):
+        return np.ascontiguousarray(X.transpose(2, 0, 3, 1).reshape(n * d, n * d))
+
+    theta = np.repeat(np.repeat(theta_mask(n), d, axis=0), d, axis=1)
+    F_im, F_re = blk(F.imag), blk(F.real)
+    return {
+        "DRe": blk(np.real(Dv)),
+        "DIm": blk(np.imag(Dv)),
+        "Gamma1": np.ascontiguousarray((theta * F_im).T),
+        "Phi": theta.T * F_im,
+        "f_re": ((theta * F_re).T, theta.T * F_re) if F_re.any() else None,
+    }
 
 
 def outer_commutator_rhs(rho, coeff, ops):

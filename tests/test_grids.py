@@ -3,13 +3,14 @@ import pytest
 
 from nmgme.grids import (
     TimeGrid,
+    lags,
     make_grid,
+    on_square,
     prefix_weights,
     quad_weights,
-    theta_mask,
 )
 
-from helpers import integrate_1d, integrate_triangular, suffix_weights
+from helpers import integrate_1d, integrate_triangular, suffix_weights, theta_mask
 
 
 def test_make_grid_default_resolution():
@@ -142,3 +143,18 @@ def test_prefix_rules_are_leading_blocks_of_the_full_grid(method):
         assert np.array_equal(prefix_weights(n, h, method), W[:n, :n])
         assert np.array_equal(theta_mask(n), M[:n, :n])
         assert np.array_equal(quad_weights(n, h, method), prefix_weights(n, h, method)[-1])
+
+
+def test_lags_read_as_the_grid_square():
+    grid = make_grid(2.0, 9)
+    u = lags(grid)
+    # 2G - 1 increasing lags, the negative ones exact negations
+    assert u.shape == (17,) and np.all(np.diff(u) > 0)
+    assert np.array_equal(u[:8], -grid.points[:0:-1]) and np.array_equal(u[8:], grid.points)
+    square = on_square(u)
+    # a dyadic step: every lag is t_a - t_b bit for bit
+    assert np.array_equal(square, np.subtract.outer(grid.points, grid.points))
+    assert not square.flags.writeable
+    # leading axes are carried, and a reversed sample reads u -> -u
+    assert np.array_equal(on_square(np.stack((u, 2 * u)))[1], 2 * square)
+    assert np.array_equal(on_square(u[::-1]), -square)

@@ -4,7 +4,8 @@
 spans; a rename there crashes traced benchmark runs, and a call that
 bypasses a patched name leaves its metric at 0.  This runs one traced
 smoke sample of each workload end to end, and checks that the RK4 step
-count of ``evolve`` still reaches the harness.
+count of ``evolve`` and the kernel sampling points still reach the
+harness.
 """
 
 import importlib.util
@@ -60,6 +61,12 @@ def test_traced_sample_records_scenario_spans(tmp_path, workload):
     assert done.returncode == 0, done.stderr
     trace = json.loads((tmp_path / "result.json").read_text())["trace"]
     assert SPANS[workload] <= {span[1] for span in trace["spans"]}
+    # every kernel is sampled through __call__ on the 2G - 1 grid lags at
+    # most, never on the G x G square
+    G = cfg["grid"]["n_points"]
+    for name in ("bath.kernel", "system.commutator"):
+        points = [span[5].get("points", 0) for span in trace["spans"] if span[1] == name]
+        assert points and all(0 < p <= 2 * G - 1 for p in points), (name, G, points)
     if "propagate.evolve" in SPANS[workload]:
         # every step of evolve goes through the patched propagate._rk4_step
         p = cfg["propagation"]

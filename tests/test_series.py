@@ -11,7 +11,7 @@ from nmgme.bath import (
     make_qmupl_matrix,
 )
 from nmgme.coefficients import build_ab_tables
-from nmgme.grids import make_grid, prefix_weights, quad_weights, theta_mask
+from nmgme.grids import make_grid, prefix_weights, quad_weights
 from nmgme.series import (
     SampledKernels,
     SeriesConfig,
@@ -31,7 +31,7 @@ from nmgme.system import (
     qmupl_kernels,
 )
 
-from helpers import scaled_kernel, suffix_weights, zero_commutator
+from helpers import scaled_kernel, square_samples, suffix_weights, theta_mask, zero_commutator
 
 
 def qmupl_setup(lam=0.3, mu=0.1, gamma=1.0, tau_c=0.5, m=1.0, omega=1.0):
@@ -172,13 +172,13 @@ def test_recurse_b_constant_kernel_double_integral():
     # b2(0, t) -> c^2 t^2 / 2 up to the theta-edge quadrature error
     d_im = 0.8
 
-    def d_eval(j, k, t, s):
-        return np.broadcast_to(1j * d_im, np.broadcast(t, s).shape).copy()
+    def d_eval(j, k, u):
+        return np.full(np.shape(u), 1j * d_im)
 
     f0 = 0.6
 
-    def f_eval(j, k, t, s):
-        return np.broadcast_to(f0 + 0j, np.broadcast(t, s).shape).copy()
+    def f_eval(j, k, u):
+        return np.full(np.shape(u), f0 + 0j)
 
     D = CorrelationKernel(1, d_eval)
     f = CommutatorKernel(1, f_eval)
@@ -637,7 +637,7 @@ def test_shared_sample_engine_matches_reference_when_truncating_or_forced():
 
 
 def test_standalone_assembly_equals_shared_build_bit_for_bit():
-    # without shared samples a call samples the same full grid square, so
+    # without shared samples a call samples the same whole grid, so
     # it runs the same products on the same inputs as build_ab_tables (a
     # prefix-square sample differs in the last bits at some K for d = 2)
     grid = make_grid(2.0, 65)
@@ -678,9 +678,82 @@ def test_suffix_rule_depends_on_the_outer_time_only_at_its_last_two_points(metho
         assert np.array_equal(samples.suffix_rule(n)[:, :keep], Tsuf[:n, :keep]), n
 
 
+#: Kernels of every family the package builds, with a channel matrix.
+SAMPLING_CASES = {
+    "qmupl": lambda: qmupl_setup(lam=0.5, mu=0.3),
+    "discrete_modes": hpz_setup,
+    "exponential": lambda: (make_exponential(1.0, 0.5), commutator_kernel(harmonic_kernels(1.0, 1.3), ["q"])),
+}
+
+
+@pytest.mark.parametrize("G", [17, 65])
+@pytest.mark.parametrize("model", sorted(SAMPLING_CASES))
+def test_lag_samples_equal_square_samples_bit_for_bit_on_dyadic_grids(model, G):
+    # with a dyadic step every lag t_a - t_b is a grid point or its exact
+    # negation, so the 2G - 1 lag samples gathered onto the square are the
+    # square samples themselves
+    D, f = SAMPLING_CASES[model]()
+    grid = make_grid(2.0, G)
+    samples, ref = SampledKernels(D, f, grid), square_samples(D, f, grid)
+    for name in ("DRe", "DIm", "Gamma1", "Phi"):
+        assert np.array_equal(getattr(samples, name), ref[name]), name
+        assert getattr(samples, name).flags.c_contiguous, name
+    assert samples.f_re is None and ref["f_re"] is None
+
+
+@pytest.mark.parametrize("model", sorted(SAMPLING_CASES))
+def test_lag_samples_match_square_samples_on_a_non_dyadic_grid(model):
+    D, f = SAMPLING_CASES[model]()
+    grid = make_grid(1.7, 53)
+    samples, ref = SampledKernels(D, f, grid), square_samples(D, f, grid)
+    for name in ("DRe", "DIm", "Gamma1", "Phi"):
+        assert np.max(np.abs(getattr(samples, name) - ref[name])) <= 1e-15, name
+    # the negative lags are exact negations: D^Im and f stay antisymmetric
+    # under (j, t) <-> (k, s), as on the square
+    assert np.array_equal(samples.DIm, -samples.DIm.T)
+    assert np.array_equal(samples.DRe, samples.DRe.T)
+    assert np.array_equal(samples.Gamma1, -samples.Phi)
+
+
+def test_lag_samples_keep_a_real_part_of_f():
+    # the per-time engine still reads the real parts of G1 and F_below
+    D, f = one_mode_setup()
+    g = CommutatorKernel(1, lambda j, k, u: f.evaluator(j, k, u) + 0.1 * np.cos(u))
+    grid = make_grid(2.0, 33)
+    samples, ref = SampledKernels(D, g, grid), square_samples(D, g, grid)
+    for got, want in zip(samples.f_re, ref["f_re"]):
+        assert np.array_equal(got, want)
+
+
+def test_build_samples_each_channel_pair_once_on_the_lags(monkeypatch):
+    # one call per channel pair of D and of f and build, each on the
+    # 2G - 1 lags of the grid
+    calls = []
+
+    def spy(cls, key):
+        call = cls.__call__
+
+        def wrapper(self, j, k, t, s):
+            calls.append((key, j, k, np.broadcast(np.asarray(t), np.asarray(s)).shape))
+            return call(self, j, k, t, s)
+
+        monkeypatch.setattr(cls, "__call__", wrapper)
+
+    spy(CorrelationKernel, "D")
+    spy(CommutatorKernel, "f")
+    G = 65
+    for D, f in (hpz_setup(), qmupl_setup()):
+        calls.clear()
+        d = D.n_channels
+        build_ab_tables(D, f, SeriesConfig(max_order=3, eps_series=1e-30), make_grid(2.0, G))
+        pairs = [(j, k) for j in range(d) for k in range(d)]
+        assert sorted(calls) == sorted((key, j, k, (2 * G - 1,)) for key in "Df" for j, k in pairs)
+
+
 def test_build_samples_each_kernel_once_per_grid_point(monkeypatch):
-    # D and f are sampled once on the G x G square (d^2 G^2 points each);
-    # sampling every outer time's prefix square again would take
+    # D and f take at most d^2 G^2 points each (the lag sampling takes
+    # d^2 (2G - 1), see the test above); sampling every outer time's
+    # prefix square again would take
     # d^2 sum_n n^2 ~ d^2 G^3 / 3 points, about 22x more at G = 65
     points = {"D": 0, "f": 0}
 
@@ -722,8 +795,8 @@ def test_non_finite_samples_rejected_once_at_sampling(bad):
     D, f = hpz_setup()
 
     def poisoned(kernel):
-        def evaluator(j, k, t, s):
-            return np.where(np.asarray(t) == grid.points[3], np.nan, kernel(j, k, t, s))
+        def evaluator(j, k, u):
+            return np.where(u == grid.points[3], np.nan, kernel.evaluator(j, k, u))
 
         return evaluator
 
@@ -795,8 +868,8 @@ def test_build_needs_an_imaginary_commutator_kernel():
     # real-arithmetic build (the per-time engine still takes it)
     D, f = one_mode_setup()
 
-    def with_real_part(j, k, t, s):
-        return f(j, k, t, s) + 0.1
+    def with_real_part(j, k, u):
+        return f.evaluator(j, k, u) + 0.1
 
     g = CommutatorKernel(1, with_real_part)
     grid = make_grid(1.0, 9)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from nmgme.bath import make_discrete_modes, make_exponential, make_qmupl_matrix, make_white_noise_approximant
 from nmgme.system import (
     commutator_kernel,
     fock_operators,
@@ -186,3 +187,38 @@ def test_fock_validation():
         fock_operators(1)
     with pytest.raises(ValueError):
         fock_operators(4, m=-1.0)
+
+
+#: One call per factory parameter, with the value under test in its place.
+NON_FINITE_CASES = {
+    "harmonic_kernels.m": (lambda x: harmonic_kernels(x, 1.0), "m"),
+    "harmonic_kernels.omega": (lambda x: harmonic_kernels(1.0, x), "omega"),
+    "qmupl_kernels.m": (lambda x: qmupl_kernels(x, 1.0, 0.3, 0.1), "m"),
+    "qmupl_kernels.omega": (lambda x: qmupl_kernels(1.0, x, 0.3, 0.1), "omega"),
+    "qmupl_kernels.lam": (lambda x: qmupl_kernels(1.0, 1.0, x, 0.1), "lam"),
+    "qmupl_kernels.mu": (lambda x: qmupl_kernels(1.0, 1.0, 0.3, x), "mu"),
+    "fock_operators.dim": (lambda x: fock_operators(x), "dim"),
+    "fock_operators.m": (lambda x: fock_operators(4, m=x), "m"),
+    "fock_operators.omega": (lambda x: fock_operators(4, omega=x), "omega"),
+    "quadratic_hamiltonian.m": (lambda x: quadratic_hamiltonian(4, m=x), "m"),
+    "quadratic_hamiltonian.lam_mu": (lambda x: quadratic_hamiltonian(4, lam_mu=x), "lam_mu"),
+    "make_exponential.gamma": (lambda x: make_exponential(x, 0.5), "gamma"),
+    "make_exponential.tau_c": (lambda x: make_exponential(1.0, x), "tau_c"),
+    "make_white_noise_approximant.strength": (lambda x: make_white_noise_approximant(x, 0.1), "strength"),
+    "make_white_noise_approximant.eps": (lambda x: make_white_noise_approximant(1.0, x), "eps"),
+    "make_discrete_modes.mode_freqs": (lambda x: make_discrete_modes([1.0, x], [[0.2, 0.1]]), "mode_freqs"),
+    "make_discrete_modes.couplings": (lambda x: make_discrete_modes([1.0, 1.5], [[0.2, x]]), "couplings"),
+    "make_qmupl_matrix.collapse_strength": (
+        lambda x: make_qmupl_matrix(x, make_exponential(1.0, 0.5)), "collapse_strength",
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("case", sorted(NON_FINITE_CASES))
+def test_factories_reject_non_finite_parameters_by_name(case, value):
+    # a range check such as m <= 0 lets NaN through, and
+    # make_exponential(1.0, inf) would be the all-zero kernel
+    build, name = NON_FINITE_CASES[case]
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        build(value)
