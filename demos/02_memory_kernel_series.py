@@ -41,7 +41,7 @@ print("\ncoefficients at a few times, order 0 vs order 3:")
 coeff_by_order = {}
 for N in (0, 3):
     tabs = build_ab_tables(D, f, SeriesConfig(max_order=N, eps_series=1e-30), grid)
-    coeff_by_order[N] = coefficients_linear(tabs, kern, grid)
+    coeff_by_order[N] = coefficients_linear(tabs, kern)
 print(f"{'t':>5} {'Gamma(0th)':>12} {'Gamma(3rd)':>12} {'Theta(0th)':>12} {'Theta(3rd)':>12}")
 for i in range(0, grid.n_points, 16):
     c0, c3 = coeff_by_order[0], coeff_by_order[3]

@@ -93,8 +93,8 @@ f = commutator_kernel(kern, ["q"])
 grid = make_grid(T_STAR, 401)
 w = quad_weights(grid.n_points, grid.h)
 u = T_STAR - grid.points
-Cv = kern.C(u)[0, 0]
-Ctv = kern.C_tilde(u)[0, 0]
+Cv = kern.flow(u)[0, 0]
+Ctv = kern.flow(u)[0, 1]
 
 print(f"\n{'order':>5} {'|dGamma|':>11} {'|dTheta|':>11} {'|dXi|':>11} {'|dUpsilon|':>11}")
 for N in (1, 2, 3, 4):

@@ -6,9 +6,9 @@ Every model goes through one reduction: the memory kernels ``X`` in
 
 ``I^X[K, j, k, l, m] = int_0^{t_K} X_jk(t_K, s) Phi_lm(t_K - s) ds``,
 
-in one contraction over the prefix-weight matrix of the grid, and each
-model is a fixed linear map from ``I`` to its named coefficients (the
-data table ``_ROWS``).  For a single position-coupled channel, with
+in one contraction over the prefix-weight matrix of the series build,
+and each model is a fixed linear map from ``I`` to its named
+coefficients (the data table ``_ROWS``).  For a single position-coupled channel, with
 ``C = Phi_11`` and ``Ct = Phi_12`` the kernel multiplying the momentum
 operator, the map reads
 
@@ -17,11 +17,13 @@ operator, the map reads
 ``Xi(t)    = -2i int_0^t B(t,s) C(t-s) ds``     (commutator-anticommutator)
 ``Upsilon(t) = -2i int_0^t B(t,s) Ct(t-s) ds``
 
-Models differ only in the samples they feed in: series-assembled
-``A``/``B`` for the generic channel and the collapse model, the
-zeroth-order closure ``A = D^Re``, ``B = D^Im`` for the non-dissipative
-and pure-dephasing models (the latter with the identity flow, as a
-constant coupling operator does not evolve).
+Every model reduces from the :class:`~nmgme.series.SeriesTables` that
+:func:`build_ab_tables` returns, read with the rule it was built with.
+The generic channel and the collapse model run the series; the
+non-dissipative model (real kernel, ``D.is_real``) and the pure-dephasing
+model (constant coupling, ``f.is_zero``) take its exact zeroth-order
+closure ``A = D^Re``, ``B = D^Im``, the latter with the identity flow, as
+a constant coupling operator does not evolve.
 
 The generator convention is fixed in :mod:`nmgme.propagate`: the
 anticommutator channels enter with weight 1/2 (half-anticommutator
@@ -46,10 +48,10 @@ from .bath import CorrelationKernel, make_qmupl_matrix
 
 # quad_weights is not called here; perfbench/tracing.py counts quadrature
 # builds through this module's name as well.
-from .grids import TimeGrid, lags, on_square, prefix_weights, quad_weights  # noqa: F401
+from .grids import TimeGrid, lags, on_square, quad_weights  # noqa: F401
 # assemble_AB is not called here; perfbench/tracing.py wraps this name.
 from .series import SeriesConfig, SeriesTables, assemble_AB, build_ab_tables  # noqa: F401
-from .system import PropagatorKernels, commutator_kernel, qmupl_kernels
+from .system import CommutatorKernel, PropagatorKernels, commutator_kernel, qmupl_kernels
 
 __all__ = [
     "MECoefficients",
@@ -145,40 +147,21 @@ class MECoefficients:
         return self.alpha is not None
 
 
-def _series(tables: SeriesTables, grid: TimeGrid) -> dict:
-    """The built ``A``/``B`` of ``tables``, which must be on ``grid``."""
-    if not np.array_equal(tables.grid.points, grid.points):
-        raise ValueError("series tables do not match the coefficient grid")
-    return {"A": tables.A, "B": tables.B}
-
-
-def _closure(D: CorrelationKernel, grid: TimeGrid, scale: float = 1.0) -> dict:
-    """Zeroth-order closure ``A = scale D^Re``, ``B = scale D^Im`` on the
-    grid square, as ``(1, 1, G, G)`` arrays gathered from the lags."""
-    val = D(0, 0, lags(grid), 0.0)
-    return {"A": _square(scale * val.real)[None, None], "B": _square(scale * val.imag)[None, None]}
-
-
 def _flow(kernels: PropagatorKernels, grid: TimeGrid) -> np.ndarray:
     """Heisenberg flow ``Phi(t_K - s)`` on the grid square, gathered from
     the lags."""
-    return _square(kernels.flow(lags(grid)))
+    return np.ascontiguousarray(on_square(kernels.flow(lags(grid))))
 
 
-def _square(lagged: np.ndarray) -> np.ndarray:
-    """Contiguous copy of :func:`nmgme.grids.on_square`."""
-    return np.ascontiguousarray(on_square(lagged))
-
-
-def _reduce(X: dict, phi: np.ndarray, grid: TimeGrid, method: str, mu: float = 0.0):
-    """Contract ``X`` against ``phi`` into ``I`` and apply ``_ROWS``.
+def _reduce(tables: SeriesTables, phi: np.ndarray, mu: float = 0.0):
+    """Contract ``tables.A``/``tables.B`` against ``phi`` into ``I`` with
+    the prefix rule of the build, ``tables.Wpre``, and apply ``_ROWS``.
 
     Returns the named coefficients as arrays of shape ``(G,)``; names with
-    no row for the channel count of ``X`` are absent.
+    no row for the channel count of the tables are absent.
     """
-    W = prefix_weights(grid.n_points, grid.h, method)
-    I = {x: np.einsum("Ks,jkKs,lmKs->Kjklm", W, arr, phi) for x, arr in X.items()}
-    d = X["A"].shape[0]
+    I = {x: np.einsum("Ks,jkKs,lmKs->Kjklm", tables.Wpre, getattr(tables, x), phi) for x in "AB"}
+    d = tables.A.shape[0]
     out = {}
     for name, x, j, k, l, m, factor in _ROWS:
         if j < d and k < d:
@@ -202,24 +185,22 @@ def _tables(grid: TimeGrid, scenario: str, vals: dict, **extras) -> MECoefficien
 def coefficients_linear(
     tables: SeriesTables,
     kernels: PropagatorKernels,
-    grid: TimeGrid,
-    method: str = "trapezoid",
     scenario: str = "linear",
 ) -> MECoefficients:
     """Coefficients of the time-local master equation for one channel.
 
-    ``tables`` holds the assembled kernels at every time of ``grid`` (see
-    :func:`build_ab_tables`).  Multi-channel coupled systems go through
-    :func:`coefficients_qmupl`, which eliminates the channels against the
-    2x2 flow instead of the (redundant) ``C``/``C_tilde`` split.
+    ``tables`` holds the assembled kernels at every time of its grid, with
+    the quadrature rule they were built with (see :func:`build_ab_tables`).
+    Multi-channel coupled systems go through :func:`coefficients_qmupl`,
+    which eliminates the channels against the 2x2 flow.
     """
     if kernels.dim != 1:
         raise ValueError(
             "coefficients_linear handles single-channel systems; "
             "use coefficients_qmupl for the coupled-channel model"
         )
-    vals = _reduce(_series(tables, grid), _flow(kernels, grid), grid, method)
-    return _tables(grid, scenario, vals)
+    vals = _reduce(tables, _flow(kernels, tables.grid))
+    return _tables(tables.grid, scenario, vals)
 
 
 def coefficients_nondissipative(
@@ -229,19 +210,29 @@ def coefficients_nondissipative(
     method: str = "trapezoid",
     lam_scale: float = 1.0,
 ) -> MECoefficients:
-    """Direct quadrature of the non-dissipative coefficients.
+    """Non-dissipative coefficients, from the zeroth-order closure.
 
     For a purely real correlation kernel the series corrections vanish
-    identically, so ``Gamma = -int D^Re C`` and ``Theta = -int D^Re Ct``
-    bypass the series machinery altogether.  ``lam_scale`` multiplies the
-    kernel (coupling-operator normalization ``A = sqrt(lam) q``).
+    identically (:func:`build_ab_tables` closes at ``A = D^Re``, ``B = 0``),
+    so ``Gamma = -int D^Re C`` and ``Theta = -int D^Re Ct``.  ``lam_scale``
+    multiplies the kernel (coupling-operator normalization
+    ``A = sqrt(lam) q``).
     """
     if not D.is_real:
         raise ValueError("non-dissipative reduction needs a purely real kernel")
     if kernels.dim != 1:
         raise ValueError("non-dissipative reduction is single-channel")
-    vals = _reduce(_closure(D, grid, lam_scale), _flow(kernels, grid), grid, method)
-    return _tables(grid, "nondissipative", vals)
+    scaled = CorrelationKernel(
+        D.n_channels, lambda j, k, u: lam_scale * D.evaluator(j, k, u), is_real=True
+    )
+    f = commutator_kernel(kernels, ["q"])
+    tables = build_ab_tables(scaled, f, SeriesConfig(method=method), grid)
+    return coefficients_linear(tables, kernels, "nondissipative")
+
+
+#: Commutator kernel of a constant coupling operator: every Wick
+#: correction vanishes and :func:`build_ab_tables` closes at zeroth order.
+_CONSTANT_COUPLING = CommutatorKernel(1, lambda j, k, u: np.zeros_like(u), is_zero=True)
 
 
 def coefficients_dephasing(
@@ -252,16 +243,16 @@ def coefficients_dephasing(
     """Coefficients for a constant coupling operator (pure dephasing).
 
     The commutator kernel vanishes, the series closes at zeroth order,
-    and there is no velocity channel:
+    and a constant coupling operator does not evolve (the identity flow):
     ``Gamma(t) = -int_0^t D^Re(t, s) ds``,
     ``Xi(t) = -2i int_0^t D^Im(t, s) ds``, ``Theta = Upsilon = 0``.
     """
     if D.n_channels != 1:
         raise ValueError("dephasing reduction is single-channel")
+    tables = build_ab_tables(D, _CONSTANT_COUPLING, SeriesConfig(method=method), grid)
     G = grid.n_points
     identity = np.broadcast_to(np.eye(2)[:, :, None, None], (2, 2, G, G))
-    vals = _reduce(_closure(D, grid), identity, grid, method)
-    return _tables(grid, "dephasing", vals)
+    return _tables(grid, "dephasing", _reduce(tables, identity))
 
 
 def coefficients_qmupl(
@@ -290,7 +281,7 @@ def coefficients_qmupl(
     D = make_qmupl_matrix(lam, base)
     f = commutator_kernel(kernels, [(1.0, 0.0), (0.0, -mu)])
     tables = build_ab_tables(D, f, config, grid)
-    vals = _reduce(_series(tables, grid), _flow(kernels, grid), grid, config.method, mu)
+    vals = _reduce(tables, _flow(kernels, grid), mu)
     coeffs = _tables(
         grid,
         "qmupl",

@@ -105,12 +105,12 @@ def quad_weights(n: int, h: float, method: str = "trapezoid") -> np.ndarray:
         return w
     if method == "simpson":
         panels = n - 1
-        pairs = panels // 2
-        for p in range(pairs):
-            i = 2 * p
-            w[i] += h / 3
-            w[i + 1] += 4 * h / 3
-            w[i + 2] += h / 3
+        end = 2 * (panels // 2) + 1  # nodes covered by panel pairs
+        if end > 1:
+            # interior even nodes close one pair and open the next
+            w[:end:2] = h / 3
+            w[2 : end - 1 : 2] += h / 3
+            w[1:end:2] = 4 * h / 3
         if panels % 2 == 1:
             w[-2] += h / 2
             w[-1] += h / 2

@@ -394,7 +394,7 @@ def _coefficients_for(cfg: RunConfig, model: str):
     if model == "hpz":
         kern = harmonic_kernels(m, omega)
         tables = build_ab_tables(kernel, commutator_kernel(kern, ["q"]), _series_config(cfg), grid)
-        return grid, coefficients_linear(tables, kern, grid, method, scenario="hpz"), tables
+        return grid, coefficients_linear(tables, kern, scenario="hpz"), tables
     if model == "joos-zeh":
         kern = harmonic_kernels(m, omega)
         coeffs = coefficients_nondissipative(kernel, kern, grid, method, lam_scale=cfg.system["lam"])

@@ -36,9 +36,10 @@ from the right by matrices that do not depend on the outer time, so they
 are stacked as the row blocks of ``(G d) x (G d)`` matrices, row block
 ``K`` holding ``t_K``, and each step is one product for all outer times.
 The result is one :class:`SeriesTables` record: ``A`` and ``B`` as
-``(d, d, G, G)`` arrays, row ``K`` at ``t_K``, and the per-order norms
-of every outer time, which the coefficient reduction and the reports
-read as built.  :func:`assemble_AB` cuts one outer time out of it.
+``(d, d, G, G)`` arrays, row ``K`` at ``t_K``, the per-order norms of
+every outer time and the prefix rule the rows were built with, which the
+coefficient reduction and the reports read as built.
+:func:`assemble_AB` cuts one outer time out of it.
 
 **Real arithmetic.**  The channels of every model are Hermitian
 combinations of ``q`` and ``p``, so ``f = [x_t, x_s]`` is ``i`` times a
@@ -581,6 +582,9 @@ class SeriesTables:
     ``A[j, k, K, a]`` samples ``A_jk(t_K, s_a)`` and is zero past ``t_K``
     (likewise ``B``; both read-only float64); ``norms[K, n - 1]`` is
     ``(sup|alpha^n|, sup|beta^n|)``, zero past ``achieved_order[K]``.
+    ``Wpre`` is the read-only prefix-weight matrix of the build
+    (:attr:`SampledKernels.Wpre`): the coefficient reduction integrates
+    with the rule and on the grid the rows were built with.
     """
 
     grid: TimeGrid
@@ -590,6 +594,7 @@ class SeriesTables:
     achieved_order: np.ndarray = field(repr=False)
     last_order_norm: np.ndarray = field(repr=False)
     converged: np.ndarray = field(repr=False)
+    Wpre: np.ndarray = field(repr=False)
 
 
 #: Most outer times in one slab of :func:`build_ab_tables`; slabs are split
@@ -614,11 +619,14 @@ def build_ab_tables(
     ``config.eps_series``.
 
     Two exact closures short-circuit the series: constant coupling
-    operators (``f.is_zero``) and purely real correlation kernels
-    (``D.is_real``), for which every correction vanishes identically and
-    the zeroth order is returned bit for bit.  A kernel without the flag
-    runs the recursions, which then produce exact zeros.  Raises
-    ``ValueError`` unless ``Re f`` is exactly 0.
+    operators (``f.is_zero``: the pure-dephasing model) and purely real
+    correlation kernels (``D.is_real``: the non-dissipative model, and
+    the ``hpz`` model with a real kernel), for which every correction
+    vanishes identically and the zeroth order ``A = D^Re``, ``B = D^Im``
+    is returned bit for bit.  A kernel without the flag runs the
+    recursions, which then produce exact zeros.  Raises ``ValueError``
+    unless ``D`` and ``f`` have the same channel count and ``Re f`` is
+    exactly 0.
     """
     samples = SampledKernels(D, f, grid, config.method)
     if samples.f_re is not None:
@@ -650,7 +658,9 @@ def build_ab_tables(
                 A[:, :, slab, :K1], B[:, :, slab, :K1], ref[slab],
             )
 
-    return SeriesTables(grid, *_read_only(A, B, norms, achieved, last_rel, last_rel < config.eps_series))
+    return SeriesTables(
+        grid, *_read_only(A, B, norms, achieved, last_rel, last_rel < config.eps_series), samples.Wpre
+    )
 
 
 def _slab(samples, SD, K0, K1, max_order, eps, A, B, ref) -> tuple:

@@ -33,20 +33,18 @@ SYMPLECTIC_FORM = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 @dataclass(frozen=True)
 class PropagatorKernels:
-    """Homogeneous Heisenberg-solution kernels of a linear system.
+    """Homogeneous Heisenberg-solution kernels of a linear system with
+    ``dim`` coupling channels.
 
-    ``C(u)`` and ``C_tilde(u)`` are the ``d x d`` channel kernels that
-    expand a channel operator at time ``t - u`` over the boundary pair at
-    time ``t``; ``flow(u)`` is the underlying 2x2 flow of ``(q, p)``.
-    For single-channel position coupling ``C_tilde`` multiplies the
-    momentum operator (the mass factor is absorbed in ``C_tilde``, so
-    ``C_tilde'(0) = -1/m``).
+    ``flow(u)`` is the 2x2 flow of ``(q, p)``, of shape ``(2, 2) + u.shape``:
+    it expands an operator at time ``t - u`` over the pair at time ``t``.
+    For single-channel position coupling ``flow(u)[0, 0]`` is the kernel
+    ``C`` of ``q`` and ``flow(u)[0, 1]`` the kernel ``C_tilde`` of ``p``
+    (the mass factor is absorbed in it, so ``C_tilde'(0) = -1/m``).
     """
 
     dim: int
     flow: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    C: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    C_tilde: Callable[[np.ndarray], np.ndarray] = field(repr=False)
 
 
 def _harmonic_flow(m: float, omega: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -72,7 +70,8 @@ def _harmonic_flow(m: float, omega: float) -> Callable[[np.ndarray], np.ndarray]
 def harmonic_kernels(m: float, omega: float) -> PropagatorKernels:
     """Kernels of the harmonic oscillator with position coupling.
 
-    ``C(u) = cos(omega u)`` and ``C_tilde(u) = -sin(omega u) / (m omega)``;
+    ``C(u) = cos(omega u)`` and ``C_tilde(u) = -sin(omega u) / (m omega)``
+    (the first row of the flow);
     the free-particle limit ``omega = 0`` extends continuously to
     ``C = 1``, ``C_tilde = -u / m``.
     """
@@ -81,13 +80,7 @@ def harmonic_kernels(m: float, omega: float) -> PropagatorKernels:
         raise ValueError(f"mass must be positive, got {m}")
     if omega < 0:
         raise ValueError(f"frequency must be non-negative, got {omega}")
-    flow = _harmonic_flow(m, omega)
-    return PropagatorKernels(
-        dim=1,
-        flow=flow,
-        C=lambda u: flow(u)[0, 0][np.newaxis, np.newaxis],
-        C_tilde=lambda u: flow(u)[0, 1][np.newaxis, np.newaxis],
-    )
+    return PropagatorKernels(dim=1, flow=_harmonic_flow(m, omega))
 
 
 def qmupl_kernels(m: float, omega: float, lam: float, mu: float) -> PropagatorKernels:
@@ -97,8 +90,7 @@ def qmupl_kernels(m: float, omega: float, lam: float, mu: float) -> PropagatorKe
     The 2x2 flow uses the shifted frequency
     ``omega_tilde = sqrt(omega^2 - (lam mu)^2)``; construction is rejected
     for a non-positive mass, a negative ``omega``, ``mu`` or ``lam``, or a
-    shift that would make ``omega_tilde`` imaginary.  ``C`` is the flow
-    itself and ``C_tilde`` its transpose.
+    shift that would make ``omega_tilde`` imaginary.
     """
     require_finite(m=m, omega=omega, lam=lam, mu=mu)
     if m <= 0:
@@ -123,12 +115,7 @@ def qmupl_kernels(m: float, omega: float, lam: float, mu: float) -> PropagatorKe
         out[1, 1] = c + (lm / wt) * s
         return out
 
-    return PropagatorKernels(
-        dim=2,
-        flow=flow,
-        C=flow,
-        C_tilde=lambda u: np.swapaxes(flow(u), 0, 1),
-    )
+    return PropagatorKernels(dim=2, flow=flow)
 
 
 @dataclass(frozen=True)
@@ -183,14 +170,14 @@ def commutator_kernel(kernels: PropagatorKernels, channel_ops: Sequence) -> Comm
     ``f(t, s) = -i sin(omega u) / (m omega)``.
     """
     S = _channel_matrix(channel_ops)
+    # row k is Omega S[k]; Omega only swaps and negates, so this is exact
+    OS = S @ SYMPLECTIC_FORM.T
     flow = kernels.flow
 
     def evaluator(j, k, u):
         u = np.asarray(u, dtype=float)
         # f_jk(t, s) reads the flow at s - t = -u
-        phi = flow(-u)
-        # contract channel rows against the symplectic form
-        mat = np.einsum("a,abX,bc,c->X", S[j], phi.reshape(2, 2, -1), SYMPLECTIC_FORM, S[k])
+        mat = np.einsum("a,abX,b->X", S[j], flow(-u).reshape(2, 2, -1), OS[k])
         return 1j * mat.reshape(u.shape)
 
     return CommutatorKernel(S.shape[0], evaluator, is_zero=not S.any())

@@ -7,11 +7,11 @@ import numpy as np
 from scipy.linalg import eigh, expm
 
 from nmgme.bath import CorrelationKernel
-from nmgme.coefficients import MECoefficients
-from nmgme.grids import TimeGrid, prefix_weights, quad_weights
+from nmgme.coefficients import _ROWS, MECoefficients
+from nmgme.grids import TimeGrid, lags, on_square, prefix_weights, quad_weights
 from nmgme.oracle import JointModel, _reduce, _vacuum, build_joint
 from nmgme.propagate import CoefficientInterpolator, Trajectory, aligned_steps, diagnostics, evolve
-from nmgme.system import CommutatorKernel
+from nmgme.system import CommutatorKernel, PropagatorKernels
 
 
 def _check_finite(samples: np.ndarray) -> None:
@@ -522,3 +522,54 @@ def reference_evolve_moments(m0, coeffs, m, omega, t_final, h, n_samples):
 
     y0 = np.concatenate([m0.mean, m0.cov.ravel()])
     return _stepped_rk4(rhs, y0, t_final, h, n_samples)
+
+
+def simpson_loop_weights(n: int, h: float) -> np.ndarray:
+    """Reference: the composite Simpson rule of :func:`nmgme.grids.quad_weights`
+    built one panel pair at a time, with the trapezoid tail."""
+    w = np.zeros(n)
+    panels = n - 1
+    for p in range(panels // 2):
+        i = 2 * p
+        w[i] += h / 3
+        w[i + 1] += 4 * h / 3
+        w[i + 2] += h / 3
+    if panels % 2 == 1:
+        w[-2] += h / 2
+        w[-1] += h / 2
+    return w
+
+
+def closure_reference(
+    D: CorrelationKernel,
+    grid: TimeGrid,
+    method: str,
+    kernels: PropagatorKernels | None = None,
+    lam_scale: float = 1.0,
+) -> dict:
+    """Reference: the former separate zeroth-order path of the
+    non-dissipative (``kernels`` given) and pure-dephasing (``kernels``
+    None, identity flow) coefficients.
+
+    ``A = lam_scale D^Re`` and ``B = lam_scale D^Im`` of channel 0 on the
+    whole grid square, contracted with the flow against a prefix rule of
+    its own; returns ``Gamma``, ``Theta``, ``Xi``, ``Upsilon`` as complex
+    ``(G,)`` arrays.
+    """
+    G, u = grid.n_points, lags(grid)
+    val = D(0, 0, u, 0.0)
+    X = {
+        x: np.ascontiguousarray(on_square(lam_scale * part))[None, None]
+        for x, part in (("A", val.real), ("B", val.imag))
+    }
+    if kernels is None:
+        phi = np.broadcast_to(np.eye(2)[:, :, None, None], (2, 2, G, G))
+    else:
+        phi = np.ascontiguousarray(on_square(kernels.flow(u)))
+    W = prefix_weights(G, grid.h, method)
+    I = {x: np.einsum("Ks,jkKs,lmKs->Kjklm", W, arr, phi) for x, arr in X.items()}
+    out = {}
+    for name, x, j, k, l, m, factor in _ROWS:
+        if j == k == 0:
+            out[name] = out.get(name, 0) + factor * I[x][:, j, k, l, m]
+    return {name: np.asarray(out[name], dtype=complex) for name in ("Gamma", "Theta", "Xi", "Upsilon")}

@@ -180,7 +180,7 @@ def test_criterion_4_nondissipative_closure():
     tabs = build_ab_tables(dataclasses.replace(D, is_real=False), f, SeriesConfig(max_order=3), grid)
     assert tabs.achieved_order.max() >= 1
     b_sup = float(np.max(np.abs(tabs.B)))
-    via_series = coefficients_linear(tabs, kern, grid)
+    via_series = coefficients_linear(tabs, kern)
     direct = coefficients_nondissipative(D, kern, grid)
     dev = max(
         float(np.max(np.abs(via_series.Gamma - direct.Gamma))),
@@ -261,7 +261,7 @@ def oracle_convergence():
     for N in (0, 1, 2):
         cfg = SeriesConfig(max_order=N, eps_series=1e-30)
         tabs = build_ab_tables(D, f, cfg, grid)
-        coeffs = coefficients_linear(tabs, kern, grid, scenario="hpz")
+        coeffs = coefficients_linear(tabs, kern, scenario="hpz")
         traj = evolve(
             rho0, coeffs, ops, OC_T, 1e-3, n_samples, truncation_guard=False
         )

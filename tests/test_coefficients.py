@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from nmgme.bath import make_discrete_modes, make_exponential, make_white_noise_approximant
+from nmgme.bath import CorrelationKernel, make_discrete_modes, make_exponential, make_white_noise_approximant
 from nmgme.coefficients import (
     MECoefficients,
     build_ab_tables,
@@ -14,12 +14,12 @@ from nmgme.coefficients import (
     coefficients_qmupl,
     write_coefficients_csv,
 )
-from nmgme.grids import make_grid, quad_weights
-from nmgme import coefficients
+from nmgme.grids import make_grid, prefix_weights, quad_weights
+from nmgme import coefficients, grids, scenarios, series
 from nmgme.series import SeriesConfig, SeriesTables
 from nmgme.system import commutator_kernel, harmonic_kernels, qmupl_kernels
 
-from helpers import kossakowski_form
+from helpers import closure_reference, kossakowski_form
 
 
 def constant_ab_tables(grid, d0, d=1):
@@ -34,6 +34,7 @@ def constant_ab_tables(grid, d0, d=1):
         achieved_order=np.zeros(G, dtype=int),
         last_order_norm=np.zeros(G),
         converged=np.ones(G, dtype=bool),
+        Wpre=prefix_weights(G, grid.h),
     )
 
 
@@ -42,12 +43,12 @@ def test_linear_constant_kernel_closed_form():
     omega, d0 = 1.7, 0.8
     grid = make_grid(2.0, 129)
     kern = harmonic_kernels(1.0, omega)
-    coeffs = coefficients_linear(constant_ab_tables(grid, d0), kern, grid)
+    coeffs = coefficients_linear(constant_ab_tables(grid, d0), kern)
     expected = -d0 * np.sin(omega * grid.points) / omega
     assert np.max(np.abs(coeffs.Gamma[:, 0, 0].real - expected)) < 2e-4
     # trapezoid refinement: tighter on a finer grid
     grid2 = make_grid(2.0, 257)
-    coeffs2 = coefficients_linear(constant_ab_tables(grid2, d0), kern, grid2)
+    coeffs2 = coefficients_linear(constant_ab_tables(grid2, d0), kern)
     expected2 = -d0 * np.sin(omega * grid2.points) / omega
     assert np.max(np.abs(coeffs2.Gamma[:, 0, 0].real - expected2)) < 5e-5
 
@@ -55,7 +56,7 @@ def test_linear_constant_kernel_closed_form():
 def test_linear_zero_at_t0():
     grid = make_grid(1.0, 17)
     kern = harmonic_kernels(1.0, 1.0)
-    coeffs = coefficients_linear(constant_ab_tables(grid, 1.0), kern, grid)
+    coeffs = coefficients_linear(constant_ab_tables(grid, 1.0), kern)
     for name in ("Gamma", "Theta", "Xi", "Upsilon"):
         assert getattr(coeffs, name)[0, 0, 0] == 0.0
 
@@ -66,7 +67,7 @@ def test_linear_real_kernel_has_no_anticommutator_channels():
     f = commutator_kernel(kern, ["q"])
     grid = make_grid(1.0, 33)
     tabs = build_ab_tables(D, f, SeriesConfig(max_order=2), grid)
-    coeffs = coefficients_linear(tabs, kern, grid)
+    coeffs = coefficients_linear(tabs, kern)
     assert np.max(np.abs(coeffs.Xi)) == 0.0
     assert np.max(np.abs(coeffs.Upsilon)) == 0.0
 
@@ -108,7 +109,7 @@ def test_nondissipative_matches_series_pipeline():
     # without the is_real flag the series runs its recursions on the real kernel
     tabs = build_ab_tables(dataclasses.replace(D, is_real=False), f, SeriesConfig(max_order=3), grid)
     assert tabs.achieved_order.max() >= 1
-    via_series = coefficients_linear(tabs, kern, grid)
+    via_series = coefficients_linear(tabs, kern)
     assert np.max(np.abs(direct.Gamma - via_series.Gamma)) < 1e-8
     assert np.max(np.abs(direct.Theta - via_series.Theta)) < 1e-8
     assert np.max(np.abs(via_series.Xi)) == 0.0
@@ -277,7 +278,7 @@ def test_kossakowski_assembly_identity_hpz():
     f = commutator_kernel(kern, ["q"])
     grid = make_grid(1.0, 33)
     tabs = build_ab_tables(D, f, SeriesConfig(max_order=2), grid)
-    coeffs = coefficients_linear(tabs, kern, grid, scenario="hpz")
+    coeffs = coefficients_linear(tabs, kern, scenario="hpz")
     form = kossakowski_form(coeffs)
     i = grid.n_points - 1
     gam = coeffs.Gamma[i, 0, 0].real
@@ -365,7 +366,7 @@ def test_one_reduction_matches_per_time_reference(method):
     D = make_discrete_modes([1.3, 1.7, 2.1], [[0.15, 0.1, 0.1]])
     cfg = SeriesConfig(max_order=3, eps_series=1e-30, method=method)
     tabs = build_ab_tables(D, commutator_kernel(kern, ["q"]), cfg, grid)
-    lin = coefficients_linear(tabs, kern, grid, method)
+    lin = coefficients_linear(tabs, kern)
     ref = _per_time_quadrature(tabs, grid, method, {
         "Gamma": [("A", 0, 0, C, -1.0)],
         "Theta": [("A", 0, 0, Ct, -1.0)],
@@ -439,36 +440,101 @@ GOLDEN_QMUPL_COEFFS = {
 }
 
 
-def _spy_on_reduce(monkeypatch) -> list:
-    """The ``A`` array of every reduction, in order."""
-    seen, reduce = [], coefficients._reduce
+def _spy_on_reduce(monkeypatch) -> tuple:
+    """The tables of every reduction and of every build, in order."""
+    seen, built = [], []
+    reduce, build = coefficients._reduce, coefficients.build_ab_tables
 
-    def spy(X, *args, **kwargs):
-        seen.append(X["A"])
-        return reduce(X, *args, **kwargs)
+    def spy_reduce(tables, *args, **kwargs):
+        seen.append(tables)
+        return reduce(tables, *args, **kwargs)
 
-    monkeypatch.setattr(coefficients, "_reduce", spy)
-    return seen
+    def spy_build(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(coefficients, "_reduce", spy_reduce)
+    monkeypatch.setattr(coefficients, "build_ab_tables", spy_build)
+    return seen, built
 
 
 def test_reductions_read_the_build_arrays(monkeypatch):
-    # coefficients_linear and coefficients_qmupl contract A and B as the
-    # series build filled them, with no per-time copy in between
-    seen = _spy_on_reduce(monkeypatch)
+    # every model contracts A and B as the series build filled them, with
+    # no per-time copy in between, and with the build's own prefix rule
+    seen, built = _spy_on_reduce(monkeypatch)
     kern = harmonic_kernels(1.0, 1.0)
     grid = make_grid(1.0, 17)
     cfg = SeriesConfig(max_order=2)
     tabs = build_ab_tables(make_discrete_modes([1.3], [[0.3]]), commutator_kernel(kern, ["q"]), cfg, grid)
-    coefficients_linear(tabs, kern, grid)
+    coefficients_linear(tabs, kern)
     _, qm_tabs = coefficients_qmupl(0.3, 0.1, 1.0, 1.0, make_exponential(1.0, 0.5), cfg, grid)
-    assert len(seen) == 2
-    assert np.shares_memory(seen[0], tabs.A) and np.shares_memory(seen[1], qm_tabs.A)
-    assert tabs.A.dtype == qm_tabs.A.dtype == np.float64
+    coefficients_nondissipative(make_exponential(1.0, 0.5), kern, grid)
+    coefficients_dephasing(make_exponential(1.0, 0.5), grid)
+    assert len(seen) == 4 and len(built) == 3
+    assert seen[0] is tabs and built[0] is qm_tabs
+    assert all(reduced is made for reduced, made in zip(seen[1:], built))
+    for tables in seen:
+        assert tables.A.dtype == tables.B.dtype == np.float64
+        assert not tables.Wpre.flags.writeable
+        assert np.array_equal(tables.Wpre, prefix_weights(grid.n_points, grid.h))
 
 
-def test_tables_from_another_grid_rejected():
-    kern = harmonic_kernels(1.0, 1.0)
-    grid = make_grid(1.0, 17)
-    for other in (make_grid(1.0, 9), make_grid(2.0, 17)):
-        with pytest.raises(ValueError, match="coefficient grid"):
-            coefficients_linear(constant_ab_tables(other, 1.0), kern, grid)
+CLOSURE_GRIDS = [make_grid(1.0, 9), make_grid(2.0, 65), make_grid(3.0, 129), make_grid(1.7, 53)]
+
+
+@pytest.mark.parametrize("method", ["trapezoid", "simpson"])
+@pytest.mark.parametrize("grid", CLOSURE_GRIDS, ids=lambda g: f"G{g.n_points}")
+def test_closure_models_match_the_former_closure_bit_for_bit(grid, method):
+    # the dephasing and non-dissipative models reduce from the zeroth order
+    # of build_ab_tables; the former separate closure is the reference,
+    # signed zeros included
+    kern = harmonic_kernels(1.0, 1.2)
+    cases = [
+        (coefficients_dephasing(D, grid, method), closure_reference(D, grid, method))
+        for D in (make_exponential(1.3, 0.4), make_discrete_modes([1.3, 1.7], [[0.15, 0.1]]))
+    ]
+    D = make_exponential(1.3, 0.4)
+    cases.append((
+        coefficients_nondissipative(D, kern, grid, method, lam_scale=0.37),
+        closure_reference(D, grid, method, kern, lam_scale=0.37),
+    ))
+    for coeffs, ref in cases:
+        for name, vals in ref.items():
+            assert getattr(coeffs, name)[:, 0, 0].tobytes() == vals.tobytes(), name
+
+
+def test_nondissipative_rejects_a_multichannel_kernel():
+    # the model couples one channel, q: a multi-channel kernel is refused
+    # before any sample is taken, not cut down to channel 0
+    calls = []
+
+    def evaluator(j, k, u):
+        calls.append((j, k))
+        return np.exp(-np.abs(u)) * (1.0 if j == k else 0.5)
+
+    D = CorrelationKernel(2, evaluator, is_real=True)
+    with pytest.raises(ValueError, match="2 channels"):
+        coefficients_nondissipative(D, harmonic_kernels(1.0, 1.0), make_grid(1.0, 9))
+    assert calls == []
+
+
+@pytest.mark.parametrize("model", ["dephasing", "hpz", "joos-zeh", "qmupl"])
+def test_one_prefix_rule_per_run(monkeypatch, model):
+    # the series build and the reduction share one prefix-weight matrix
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return prefix_weights(*args, **kwargs)
+
+    for module in (grids, series, coefficients, scenarios):
+        if hasattr(module, "prefix_weights"):
+            monkeypatch.setattr(module, "prefix_weights", counting)
+    cfg = scenarios.RunConfig(
+        scenario="coeffs",
+        model=model,
+        system={"m": 1.0, "omega": 1.0, "lam": 0.3, "mu": 0.1},
+        grid={"t_max": 1.0, "n_points": 17},
+    )
+    scenarios._coefficients_for(cfg, model)
+    assert len(calls) == 1

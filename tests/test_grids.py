@@ -10,7 +10,7 @@ from nmgme.grids import (
     quad_weights,
 )
 
-from helpers import integrate_1d, integrate_triangular, suffix_weights, theta_mask
+from helpers import integrate_1d, integrate_triangular, simpson_loop_weights, suffix_weights, theta_mask
 
 
 def test_make_grid_default_resolution():
@@ -143,6 +143,13 @@ def test_prefix_rules_are_leading_blocks_of_the_full_grid(method):
         assert np.array_equal(prefix_weights(n, h, method), W[:n, :n])
         assert np.array_equal(theta_mask(n), M[:n, :n])
         assert np.array_equal(quad_weights(n, h, method), prefix_weights(n, h, method)[-1])
+
+
+@pytest.mark.parametrize("h", [0.1, 1 / 64, 1.7 / 52, 0.3, 2 / 640])
+def test_simpson_weights_match_the_pair_loop_bit_for_bit(h):
+    # n = 2 has no panel pair, only the trapezoid tail
+    for n in range(2, 700):
+        assert quad_weights(n, h, "simpson").tobytes() == simpson_loop_weights(n, h).tobytes(), n
 
 
 def test_lags_read_as_the_grid_square():

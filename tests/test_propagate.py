@@ -503,7 +503,7 @@ def test_kossakowski_rhs_equals_direct_rhs():
     f = commutator_kernel(kern, ["q"])
     grid = make_grid(1.0, 17)
     tabs = build_ab_tables(D, f, SeriesConfig(max_order=2), grid)
-    coeffs = coefficients_linear(tabs, kern, grid, scenario="hpz")
+    coeffs = coefficients_linear(tabs, kern, scenario="hpz")
     form = kossakowski_form(coeffs)
     dim = 10
     ops_f = fock_operators(dim)
@@ -640,7 +640,7 @@ def _hpz_case():
     D = make_discrete_modes([1.3, 1.7], [[0.15, 0.1]])
     kern = harmonic_kernels(1.0, 1.0)
     tabs = build_ab_tables(D, commutator_kernel(kern, ["q"]), SeriesConfig(max_order=3, eps_series=1e-30), grid)
-    coeffs = coefficients_linear(tabs, kern, grid, scenario="hpz")
+    coeffs = coefficients_linear(tabs, kern, scenario="hpz")
     f = fock_operators(10)
     ops = {"A": [f["q"]], "V": [f["p"]], "H0": quadratic_hamiltonian(10), "q": f["q"], "p": f["p"]}
     rho0 = np.zeros((10, 10), dtype=complex)

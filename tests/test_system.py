@@ -4,6 +4,7 @@ from scipy.linalg import expm
 
 from nmgme.bath import make_discrete_modes, make_exponential, make_qmupl_matrix, make_white_noise_approximant
 from nmgme.system import (
+    SYMPLECTIC_FORM,
     commutator_kernel,
     fock_operators,
     harmonic_kernels,
@@ -17,45 +18,43 @@ from helpers import zero_commutator
 def test_harmonic_kernel_values():
     kern = harmonic_kernels(1.0, 2.0)
     u = np.pi / 4
-    assert kern.C(u)[0, 0] == pytest.approx(0.0, abs=1e-15)
-    assert kern.C_tilde(u)[0, 0] == pytest.approx(-0.5)
+    assert kern.flow(u)[0, 0] == pytest.approx(0.0, abs=1e-15)
+    assert kern.flow(u)[0, 1] == pytest.approx(-0.5)
 
 
 def test_harmonic_boundary_conditions():
     for m, omega in ((1.0, 1.0), (2.0, 0.7)):
         kern = harmonic_kernels(m, omega)
-        assert kern.C(0.0)[0, 0] == pytest.approx(1.0)
-        assert kern.C_tilde(0.0)[0, 0] == pytest.approx(0.0)
+        assert kern.flow(0.0)[0, 0] == pytest.approx(1.0)
+        assert kern.flow(0.0)[0, 1] == pytest.approx(0.0)
         # finite-difference Cdot(0) = 0 within O(h^2)
         h = 1e-5
-        cdot = (kern.C(h)[0, 0] - kern.C(-h)[0, 0]) / (2 * h)
+        cdot = (kern.flow(h)[0, 0] - kern.flow(-h)[0, 0]) / (2 * h)
         assert abs(cdot) < 1e-9
         # velocity-kernel slope carries the 1/m factor
-        ctdot = (kern.C_tilde(h)[0, 0] - kern.C_tilde(-h)[0, 0]) / (2 * h)
+        ctdot = (kern.flow(h)[0, 1] - kern.flow(-h)[0, 1]) / (2 * h)
         assert ctdot == pytest.approx(-1.0 / m, abs=1e-9)
 
 
 def test_free_particle_limit():
     kern = harmonic_kernels(1.0, 0.0)
-    assert kern.C(1.3)[0, 0] == pytest.approx(1.0)
-    assert kern.C_tilde(1.3)[0, 0] == pytest.approx(-1.3)
+    assert kern.flow(1.3)[0, 0] == pytest.approx(1.0)
+    assert kern.flow(1.3)[0, 1] == pytest.approx(-1.3)
     # continuity: small omega approaches the limit
     kern_eps = harmonic_kernels(1.0, 1e-6)
-    assert kern_eps.C_tilde(1.3)[0, 0] == pytest.approx(-1.3, abs=1e-9)
+    assert kern_eps.flow(1.3)[0, 1] == pytest.approx(-1.3, abs=1e-9)
 
 
 def test_qmupl_kernels_reduce_to_harmonic():
     kq = qmupl_kernels(1.0, 1.3, 0.0, 0.0)
     kh = harmonic_kernels(1.0, 1.3)
     u = np.linspace(0.0, 2.0, 9)
-    assert np.allclose(kq.C(u)[0, 0], kh.C(u)[0, 0])
-    assert np.allclose(kq.C(u)[0, 1], kh.C_tilde(u)[0, 0])
+    assert np.allclose(kq.flow(u), kh.flow(u))
 
 
 def test_qmupl_kernels_identity_at_zero():
     kern = qmupl_kernels(1.0, 1.0, 3.0, 0.2)
-    assert np.allclose(kern.C(0.0), np.eye(2))
-    assert np.allclose(kern.C_tilde(0.0), np.eye(2))
+    assert np.allclose(kern.flow(0.0), np.eye(2))
 
 
 def test_qmupl_kernels_explicit_value():
@@ -63,13 +62,15 @@ def test_qmupl_kernels_explicit_value():
     kern = qmupl_kernels(1.0, 1.0, 6.0, 0.1)
     wt = 0.8
     u = 0.5 * np.pi / wt
-    assert kern.C(u)[0, 0] == pytest.approx(-0.75)
+    assert kern.flow(u)[0, 0] == pytest.approx(-0.75)
 
 
-def test_qmupl_kernels_transpose_relation():
+def test_qmupl_flow_is_symplectic():
+    # the flow keeps [q, p]: Phi Omega Phi^T = Omega (det Phi = 1)
     kern = qmupl_kernels(1.0, 1.0, 2.0, 0.2)
-    u = 0.9
-    assert np.allclose(kern.C_tilde(u), kern.C(u).T)
+    for u in (0.0, 0.9, -1.7):
+        phi = kern.flow(u)
+        assert np.allclose(phi @ SYMPLECTIC_FORM @ phi.T, SYMPLECTIC_FORM, atol=1e-14)
 
 
 def test_qmupl_rejects_imaginary_shifted_frequency():
