@@ -91,10 +91,14 @@ def main(argv=None) -> int:
 
     try:
         report = run(cfg)
+    except ConfigError as exc:  # an output directory that cannot be made
+        return _fail(2, "invalid_config", {"field": exc.field_path, "message": str(exc)})
     except EvolutionError as exc:
         return _fail(
             3, "runtime_abort", {"message": str(exc), "last_valid_time": exc.time}
         )
+    except MemoryError as exc:
+        return _fail(3, "runtime_abort", {"message": f"out of memory: {exc}"})
     except (ValueError, RuntimeError) as exc:
         return _fail(3, "runtime_abort", {"message": str(exc)})
 

@@ -521,7 +521,10 @@ def run(cfg: RunConfig) -> dict:
     and the artifacts listed in the module docstring.
     """
     outdir = Path(cfg.output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("output_dir", f"cannot make directory {cfg.output_dir!r}: {exc.strerror}") from exc
     p = cfg.propagation
     model = cfg.model
     oracle_check = cfg.scenario == "oracle-check"

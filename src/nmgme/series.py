@@ -43,12 +43,13 @@ coefficient reduction and the reports read as built.
 
 **Real arithmetic.**  The channels of every model are Hermitian
 combinations of ``q`` and ``p``, so ``f = [x_t, x_s]`` is ``i`` times a
-real kernel (``Re f`` is exactly 0; the build raises otherwise).  With
-``Gamma1 = Im G1``, ``Phi = Im F_below`` and ``U_X = WDX Gamma1`` (the
-imaginary part of ``V_X``, :attr:`SampledKernels.U`) every chain sum is
-real.  With ``Pw`` the prefix-weight matrix on channel pairs (it scales
-row block ``K`` by the outer rule of ``t_K`` and zeroes every column past
-``t_K``) and ``*`` elementwise::
+real kernel (``Re f`` is exactly 0; sampling raises otherwise).  With
+``Gamma1 = Im G1``, ``Phi = Im F_below``, ``WDX`` the samples ``D^X``
+times the prefix-weight matrix and ``U_X = WDX Gamma1`` (the imaginary
+part of ``V_X``; the build forms both) every chain sum is real.  With
+``Pw`` the prefix-weight matrix on channel pairs (it scales row block
+``K`` by the outer rule of ``t_K`` and zeroes every column past ``t_K``)
+and ``*`` elementwise::
 
     r_1 = -2 U_im                  q_1 = -2 U_re
     s_n     = r_n WDRe^T + q_n WDIm^T
@@ -80,17 +81,15 @@ third of ``O(order (G d)^3)``.
 The per-time engine (:class:`SeriesContext`, :func:`contraction_BA`,
 :func:`contraction_BB`, :func:`recurse_a`, :func:`recurse_b`,
 :func:`alpha_beta`) builds the full tables at one outer time from the
-leading ``[0, t_K]`` squares of the samples, in complex arithmetic (it
-also takes a commutator kernel with a real part); it is kept as a
-reference for the tests.  Results are deterministic at a fixed BLAS
-thread count.
+leading ``[0, t_K]`` squares of the samples, in complex arithmetic,
+and derives its weighted operands there; it is kept as a reference for
+the tests.  Results are deterministic at a fixed BLAS thread count.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -199,20 +198,18 @@ class SampledKernels:
     """``D`` and ``f`` sampled once on the grid lags, gathered onto the
     whole grid square.
 
-    Every array is a real ``(G d, G d)`` matrix in the time-major layout
-    of the module docstring; the inputs at outer index ``K`` are their
-    leading ``(K + 1) d`` squares.  ``WDRe``/``WDIm`` are
-    ``D^Re``/``D^Im`` times the prefix-weight matrix.  ``Gamma1`` is the
-    imaginary part of the order-1 source-independent chain factor
-    ``g^1[l, j2](s1, t2) = f^{j2 l}(t2, s1) theta(t2 - s1)`` and ``Phi``
-    that of ``F_below = f^{jk}(a, b) theta(b - a)``.  For Hermitian
-    channels ``Re f`` is exactly 0 and ``f_re`` is None; otherwise it
-    holds the real parts of ``G1`` and ``F_below``, which the per-time
-    engine reads as complex matrices (with ``V``).  ``Wpre`` (the
-    prefix-weight matrix) is a view of ``Wpad``, which adds one zero row
-    on top so that suffix rules are views too.  The arrays are read-only:
-    tables share them as views.  The samples are checked for finiteness
-    here, once; tables check only what the recursions compute.
+    ``DRe``/``DIm``, ``Gamma1`` and ``Phi`` are real ``(G d, G d)``
+    matrices in the time-major layout of the module docstring; the
+    inputs at outer index ``K`` are their leading ``(K + 1) d`` squares.
+    ``Gamma1`` is the imaginary part of the order-1 source-independent
+    chain factor ``g^1[l, j2](s1, t2) = f^{j2 l}(t2, s1) theta(t2 - s1)``
+    and ``Phi`` that of ``F_below = f^{jk}(a, b) theta(b - a)``; both are
+    the whole of it, since ``Re f`` must be exactly 0 (Hermitian
+    channels).  ``Wpre`` is the ``(G, G)`` prefix-weight matrix.  The
+    table holds the samples only: each consumer weighs them itself.  The
+    arrays are read-only: tables share them as views.  The samples are
+    checked here, once, for finiteness and for ``Re f = 0``; tables check
+    only what the recursions compute.
     """
 
     def __init__(
@@ -229,7 +226,6 @@ class SampledKernels:
             )
         self.D, self.f, self.grid, self.method = D, f, grid, method
         self.d = d = D.n_channels
-        n = grid.n_points
         # each channel pair once, on the 2G - 1 lags u = t - s; through
         # __call__ at s = 0, so a traced call counts its points
         u = lags(grid)
@@ -238,76 +234,26 @@ class SampledKernels:
         for name, arr in (("D", Dl), ("f", fl)):
             if not np.isfinite(arr).all():
                 raise ValueError(f"non-finite entries in sampled {name}")
-        self.Wpad = np.zeros((n + 1, n))
-        self.Wpad[1:] = prefix_weights(n, grid.h, method)
-        self.Wpre = self.Wpad[1:]
+        if fl.real.any():
+            raise ValueError("commutator kernel has a real part; the series needs Re f = 0 (Hermitian channels)")
+        self.Wpre = prefix_weights(grid.n_points, grid.h, method)
         self.DRe = _gather(Dl.real)
         self.DIm = _gather(Dl.imag)
-        self.WDRe = _weigh(self.Wpre, self.DRe)
-        self.WDIm = _weigh(self.Wpre, self.DIm)
         self.Gamma1, self.Phi = _stepped(fl.imag, u)
-        self.f_re = _stepped(fl.real, u) if fl.real.any() else None
-        _read_only(
-            self.Wpre, self.Wpad, self.DRe, self.DIm, self.WDRe, self.WDIm, self.Gamma1, self.Phi,
-            *(self.f_re or ()),
-        )
-
-    def suffix_rule(self, n: int) -> np.ndarray:
-        """Suffix-weight matrix ``Wsuf[i, i + c] = Wpre[n - 1 - i, c]`` of
-        the ``n``-point prefix grid, whose row ``i`` is the rule for
-        ``int_{t_i}^{t_{n-1}}``: a read-only view of ``Wpad``."""
-        # Wsuf[i, j] = Wpre[n - 1 - i, j - i] = Wpad[n - i, j - i]: one row
-        # down is one row up and one column left in Wpad.  Left of the
-        # diagonal the flat offset wraps into the tail of the row above,
-        # which is zero (Wpre vanishes right of its diagonal, and the top
-        # row is the pad); every index stays inside Wpad since n <= G
-        s0, s1 = self.Wpad.strides
-        return np.lib.stride_tricks.as_strided(
-            self.Wpad[n], shape=(n, n), strides=(-s0 - s1, s1), writeable=False
-        )
-
-    @cached_property
-    def U(self) -> tuple:
-        """``(U_im, U_re)``, ``U_X = WDX @ Gamma1``: the imaginary part of
-        ``V_X[k, m](tau', s2) = int_0^{tau'} dsig' D^X[k, l](tau', sig')
-        f^{m l}(s2, sig') theta(s2 - sig')``.
-
-        The integral stops at ``tau'``, so it does not depend on the
-        outer time and is built once for the whole grid.
-        """
-        return _read_only(self.WDIm @ self.Gamma1, self.WDRe @ self.Gamma1)
-
-    @cached_property
-    def G1(self) -> np.ndarray:
-        """Complex ``g^1``, for the per-time engine."""
-        return self._complex(self.Gamma1, 0)
-
-    @cached_property
-    def F_below(self) -> np.ndarray:
-        """Complex ``F_below``, for the per-time engine."""
-        return self._complex(self.Phi, 1)
-
-    def _complex(self, im: np.ndarray, part: int) -> np.ndarray:
-        out = 1j * im
-        if self.f_re is not None:
-            out += self.f_re[part]
-        out.flags.writeable = False
-        return out
-
-    @cached_property
-    def V(self) -> tuple:
-        """``(V_im, V_re)`` of :attr:`U` with the complex ``G1``, for the
-        per-time engine."""
-        return _read_only(self.WDIm @ self.G1, self.WDRe @ self.G1)
+        _read_only(self.Wpre, self.DRe, self.DIm, self.Gamma1, self.Phi)
 
 
 class SeriesContext:
-    """Inputs shared by every table at outer index ``outer_index``.
+    """Inputs shared by every table at outer index ``outer_index``, in
+    complex arithmetic.
 
-    Prefix views of the :class:`SampledKernels` matrices, the outer rule
-    ``w`` (the last row of the prefix-weight matrix) and the suffix-weight
-    matrix ``Wsuf`` (:meth:`SampledKernels.suffix_rule`), so no weight
-    table is built per outer time.
+    Prefix views of the :class:`SampledKernels` matrices and the
+    operands derived from them on the leading block: ``WDRe``/``WDIm``
+    (``D^X`` times the prefix-weight matrix), the complex ``G1 = i
+    Gamma1`` and ``F_below = i Phi``, ``V = (WDIm G1, WDRe G1)``, the
+    outer rule ``w`` (the last row of the prefix-weight matrix) and the
+    suffix-weight matrix ``Wsuf``, whose row ``i`` is the rule of
+    ``int_{t_i}^{t_K}``.
     """
 
     def __init__(self, samples: SampledKernels, outer_index: int):
@@ -321,22 +267,22 @@ class SeriesContext:
         N = n * d
         self.DRe = samples.DRe[:N, :N]
         self.DIm = samples.DIm[:N, :N]
-        self.WDRe = samples.WDRe[:N, :N]
-        self.WDIm = samples.WDIm[:N, :N]
-        self.G1 = samples.G1[:N, :N]
-        self.F_below = samples.F_below[:N, :N]
+        self.WDRe = _weigh(samples.Wpre[:n, :n], self.DRe)
+        self.WDIm = _weigh(samples.Wpre[:n, :n], self.DIm)
+        self.G1 = 1j * samples.Gamma1[:N, :N]
+        self.F_below = 1j * samples.Phi[:N, :N]
+        # V_X[k, m](tau', s2) = int_0^{tau'} dsig' D^X[k, l](tau', sig')
+        # f^{m l}(s2, sig') theta(s2 - sig'), as (V_im, V_re)
+        self.V = (self.WDIm @ self.G1, self.WDRe @ self.G1)
         self.w = samples.Wpre[K, :n]
         # the same rule on the flattened (time, channel) axis
         self.w_blk = np.repeat(self.w, d)
-        self.Wsuf = samples.suffix_rule(n)
+        self.Wsuf = np.zeros((n, n))
+        for i in range(n):
+            self.Wsuf[i, i:] = samples.Wpre[K - i, : n - i]
         # D with its first slot pinned at the outer time: [a, j, k] = D_jk(t, s_a)
         self.DRe_t = self.DRe[N - d :].reshape(d, n, d).transpose(1, 0, 2)
         self.DIm_t = self.DIm[N - d :].reshape(d, n, d).transpose(1, 0, 2)
-
-    @property
-    def V(self) -> tuple:
-        N = self.n * self.d
-        return tuple(V[:N, :N] for V in self.samples.V)
 
 
 @dataclass(frozen=True)
@@ -507,7 +453,7 @@ def recurse_a(n: int, a_prev: KernelTable, b_prev: KernelTable) -> KernelTable:
     Q_n = wa @ ctx.F_below
     del wa
 
-    # last link of bath-terminated type, against V_X (see SampledKernels.V)
+    # last link of bath-terminated type, against V_X (see SeriesContext)
     V_im, V_re = ctx.V
     bw = _blk(b_prev.values) * w
     Q_n -= bw @ V_re
@@ -629,8 +575,6 @@ def build_ab_tables(
     exactly 0.
     """
     samples = SampledKernels(D, f, grid, config.method)
-    if samples.f_re is not None:
-        raise ValueError("commutator kernel has a real part; the series needs Re f = 0 (Hermitian channels)")
     d, G = samples.d, grid.n_points
     max_order = 0 if f.is_zero or D.is_real else config.max_order
     # zeroth order: A[j, k, K, a] = D^Re_jk(t_K, s_a) for a <= K, zero past t_K
@@ -648,13 +592,20 @@ def build_ab_tables(
         # times D^X on channel pairs
         TsufT = on_square(np.concatenate((np.zeros(G - 1), samples.Wpre[G - 1])))
         SD = (_weigh(TsufT, samples.DRe), _weigh(TsufT, samples.DIm))
+        # WDX is D^X times the prefix-weight matrix, and U_X = WDX Gamma1 the
+        # imaginary part of V_X[k, m](tau', s2) = int_0^{tau'} dsig'
+        # D^X[k, l](tau', sig') f^{m l}(s2, sig') theta(s2 - sig'); the
+        # integral stops at tau', so it does not depend on the outer time
+        # and is built once for the whole grid
+        WD = (_weigh(samples.Wpre, samples.DRe), _weigh(samples.Wpre, samples.DIm))
+        U = (WD[1] @ samples.Gamma1, WD[0] @ samples.Gamma1)
         # t_0 has no correction: every integral of its chains is empty
         n_slabs = -(-(G - 1) // SLAB)
         edges = [1 + (G - 1) * i // n_slabs for i in range(n_slabs + 1)]
         for K0, K1 in zip(edges, edges[1:]):
             slab = slice(K0, K1)
             norms[slab], achieved[slab], last_rel[slab] = _slab(
-                samples, SD, K0, K1, max_order, config.eps_series,
+                samples, SD, WD, U, K0, K1, max_order, config.eps_series,
                 A[:, :, slab, :K1], B[:, :, slab, :K1], ref[slab],
             )
 
@@ -663,11 +614,13 @@ def build_ab_tables(
     )
 
 
-def _slab(samples, SD, K0, K1, max_order, eps, A, B, ref) -> tuple:
+def _slab(samples, SD, WD, U, K0, K1, max_order, eps, A, B, ref) -> tuple:
     """Add the orders of the outer times ``[K0, K1)`` to their rows ``A``,
     ``B`` (``[j, k, K - K0, s1]``, ``s1 < t_{K1}``) and return the
     per-order sup-norms, the order reached and the last relative norm of
-    each; ``ref`` is the zeroth-order sup-norm of each.
+    each; ``ref`` is the zeroth-order sup-norm of each.  ``SD``, ``WD`` and
+    ``U`` are the ``(Re, Im)``, ``(Re, Im)`` and ``(im, re)`` operands of
+    the whole grid (see :func:`build_ab_tables`).
 
     Row block ``K`` of the chain sums has no entry past ``t_K``, so the
     slab reads only the leading ``K1`` column blocks of every operand.
@@ -693,9 +646,9 @@ def _slab(samples, SD, K0, K1, max_order, eps, A, B, ref) -> tuple:
         E.append((np.stack((Dblk[:-1], Dblk[1:]), 1) * w_end[:, :, None, :, None]).reshape(h, 2 * d, c))
     # column indices of t_{K-1}, t_K in each row block
     end_cols = ((Ks - 1) * d)[:, None, None] + np.arange(2 * d)
-    U_im, U_re = samples.U
+    U_im, U_re = U
     Phi, SDRe, SDIm = samples.Phi[:c, :c], SD[0][:c, :c], SD[1][:c, :c]
-    WDReT, WDImT = samples.WDRe[:c, :c].T, samples.WDIm[:c, :c].T
+    WDReT, WDImT = WD[0][:c, :c].T, WD[1][:c, :c].T
     norms = np.zeros((h, max_order, 2))
     achieved = np.zeros(h, dtype=int)
     last_rel = np.zeros(h)

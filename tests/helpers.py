@@ -409,8 +409,7 @@ def square_samples(D: CorrelationKernel, f: CommutatorKernel, grid: TimeGrid) ->
     """Reference for :class:`nmgme.series.SampledKernels`: ``D`` and ``f``
     evaluated at every pair ``(t_a, t_b)`` of the grid square, in the
     blocked layout ``X[(a, j), (b, k)]``, with the half-weight step
-    applied as in the series: ``Gamma1`` and ``Phi`` from ``Im f``,
-    ``f_re`` from ``Re f`` (None when it vanishes)."""
+    applied as in the series: ``Gamma1`` and ``Phi`` from ``Im f``."""
     d, n = D.n_channels, grid.n_points
     T1, T2 = np.meshgrid(grid.points, grid.points, indexing="ij")
     Dv = np.array([[D(j, k, T1, T2) for k in range(d)] for j in range(d)])
@@ -420,13 +419,12 @@ def square_samples(D: CorrelationKernel, f: CommutatorKernel, grid: TimeGrid) ->
         return np.ascontiguousarray(X.transpose(2, 0, 3, 1).reshape(n * d, n * d))
 
     theta = np.repeat(np.repeat(theta_mask(n), d, axis=0), d, axis=1)
-    F_im, F_re = blk(F.imag), blk(F.real)
+    F_im = blk(F.imag)
     return {
         "DRe": blk(np.real(Dv)),
         "DIm": blk(np.imag(Dv)),
         "Gamma1": np.ascontiguousarray((theta * F_im).T),
         "Phi": theta.T * F_im,
-        "f_re": ((theta * F_re).T, theta.T * F_re) if F_re.any() else None,
     }
 
 

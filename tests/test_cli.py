@@ -332,6 +332,31 @@ def test_complex_kernel_exit_2_without_output(tmp_path, capsys, scenario, model)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("out", ["taken", "taken/out"])
+def test_unusable_output_dir_exit_2(tmp_path, capsys, out):
+    # a path that is a file, or lies under one, cannot be the output directory
+    (tmp_path / "taken").write_text("kept\n")
+    cfg = {**base_dephasing(tmp_path, out), "model": "dephasing"}
+    rc = main(["coeffs", "--config", write_config(tmp_path, cfg)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["field"]) == ("invalid_config", "output_dir")
+    assert (tmp_path / "taken").read_text() == "kept\n"
+
+
+def test_memory_error_exit_3(tmp_path, monkeypatch, capsys):
+    # a grid too large to allocate ends the run as a runtime abort
+    def exhausted(cfg):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+
+    monkeypatch.setattr("nmgme.cli.run", exhausted)
+    cfg = {**base_dephasing(tmp_path), "model": "dephasing"}
+    rc = main(["coeffs", "--config", write_config(tmp_path, cfg)])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "runtime_abort" and "74.5 GiB" in err["message"]
+
+
 def test_unknown_key_exit_2(tmp_path, capsys):
     cfg = base_dephasing(tmp_path)
     cfg["kernell"] = {}

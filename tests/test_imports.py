@@ -1,6 +1,7 @@
 """The command-line path, an oracle run included, loads numpy and yaml
-but not scipy, and every exported name, module-level function or class
-and method of the package has a caller outside the tests."""
+but not scipy, every exported name, module-level function or class and
+method of the package has a caller outside the tests, and every name a
+module imports is read there or exported."""
 
 import ast
 import inspect
@@ -63,19 +64,26 @@ def test_oracle_expm_resolves_on_access():
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _exported(tree: ast.AST) -> set:
+    """The names a module's ``__all__`` lists."""
+    return {
+        elt.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for elt in node.value.elts
+    }
+
+
 def _defined_names() -> dict:
     """Names of each module of the package, by file: its ``__all__``, its
     module-level ``def``s and ``class``es, and the methods of those
     classes, dunders such as a module ``__getattr__`` excepted."""
     out = {}
     for path in sorted((ROOT / "src" / "nmgme").glob("*.py")):
-        names = []
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-            ):
-                names += [elt.value for elt in node.value.elts]
-            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        tree = ast.parse(path.read_text())
+        names = sorted(_exported(tree))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 body = node.body if isinstance(node, ast.ClassDef) else []
                 defs = [node] + [f for f in body if isinstance(f, ast.FunctionDef)]
                 names += [f.name for f in defs if not (f.name.startswith("__") and f.name.endswith("__"))]
@@ -123,3 +131,28 @@ def test_every_exported_name_has_a_caller_outside_the_tests():
         module: sorted(set(names) - used) for module, names in _defined_names().items()
     }
     assert {module: names for module, names in unused.items() if names} == {}
+
+
+def test_every_imported_name_is_read_or_exported():
+    # a name imported into a module of the package is read there or listed
+    # in its __all__; the one excuse is a "# noqa: F401" name that the
+    # benchmark's tracing looks up on that module
+    tracing = _references(ast.parse((ROOT / "perfbench" / "tracing.py").read_text()))
+    unread, excused = {}, {}
+    for path in sorted((ROOT / "src" / "nmgme").glob("*.py")):
+        text = path.read_text()
+        tree = ast.parse(text)
+        lines = text.splitlines()
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _exported(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
+                continue
+            noqa = any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno])
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    (excused if noqa else unread).setdefault(path.stem, []).append(name)
+    assert unread == {}
+    assert excused == {"coefficients": ["quad_weights", "assemble_AB"], "series": ["quad_weights"]}
+    for module, names in excused.items():
+        assert module in tracing and set(names) <= tracing, module

@@ -175,10 +175,10 @@ def test_recurse_b_constant_kernel_double_integral():
     def d_eval(j, k, u):
         return np.full(np.shape(u), 1j * d_im)
 
-    f0 = 0.6
+    f0 = 0.6j
 
     def f_eval(j, k, u):
-        return np.full(np.shape(u), f0 + 0j)
+        return np.full(np.shape(u), f0)
 
     D = CorrelationKernel(1, d_eval)
     f = CommutatorKernel(1, f_eval)
@@ -664,6 +664,32 @@ def test_build_runs_no_per_time_engine(monkeypatch):
     assert tabs.achieved_order.tolist() == [0] + [3] * 16
 
 
+def test_closures_derive_no_weighted_operand(monkeypatch):
+    # a zeroth-order closure reads only the samples; a series build weighs
+    # D^Re and D^Im twice each (the prefix rule and the longest suffix rule)
+    calls, weigh = [], series._weigh
+
+    def spy(W, X):
+        calls.append(X.shape)
+        return weigh(W, X)
+
+    monkeypatch.setattr(series, "_weigh", spy)
+    grid = make_grid(2.0, 17)
+    D = make_exponential(1.0, 0.5)
+    kern = harmonic_kernels(1.0, 1.3)
+    closures = {
+        "dephasing": lambda: coefficients.coefficients_dephasing(D, grid),
+        "nondissipative": lambda: coefficients.coefficients_nondissipative(D, kern, grid),
+        "hpz-real": lambda: build_ab_tables(D, commutator_kernel(kern, ["q"]), SeriesConfig(), grid),
+    }
+    for name, build in closures.items():
+        calls.clear()
+        build()
+        assert calls == [], name
+    build_ab_tables(*qmupl_setup(lam=0.5, mu=0.3), SeriesConfig(max_order=3), grid)
+    assert calls == [(34, 34)] * 4
+
+
 @pytest.mark.parametrize("method", ["trapezoid", "simpson"])
 def test_suffix_rule_depends_on_the_outer_time_only_at_its_last_two_points(method):
     # the stacked build weights int_{s1}^{t_K} dtau with the rule of the
@@ -675,7 +701,7 @@ def test_suffix_rule_depends_on_the_outer_time_only_at_its_last_two_points(metho
     Tsuf = np.where(lag >= 0, samples.Wpre[G - 1][np.abs(lag)], 0.0)
     for n in range(1, G + 1):
         keep = max(n - 2, 0)
-        assert np.array_equal(samples.suffix_rule(n)[:, :keep], Tsuf[:n, :keep]), n
+        assert np.array_equal(SeriesContext(samples, n - 1).Wsuf[:, :keep], Tsuf[:n, :keep]), n
 
 
 #: Kernels of every family the package builds, with a channel matrix.
@@ -698,7 +724,6 @@ def test_lag_samples_equal_square_samples_bit_for_bit_on_dyadic_grids(model, G):
     for name in ("DRe", "DIm", "Gamma1", "Phi"):
         assert np.array_equal(getattr(samples, name), ref[name]), name
         assert getattr(samples, name).flags.c_contiguous, name
-    assert samples.f_re is None and ref["f_re"] is None
 
 
 @pytest.mark.parametrize("model", sorted(SAMPLING_CASES))
@@ -715,14 +740,14 @@ def test_lag_samples_match_square_samples_on_a_non_dyadic_grid(model):
     assert np.array_equal(samples.Gamma1, -samples.Phi)
 
 
-def test_lag_samples_keep_a_real_part_of_f():
-    # the per-time engine still reads the real parts of G1 and F_below
+def test_lag_samples_reject_a_real_part_of_f():
+    # Hermitian channels make f imaginary: sampling is the one place that
+    # checks it, for the build and the per-time engine alike
     D, f = one_mode_setup()
     g = CommutatorKernel(1, lambda j, k, u: f.evaluator(j, k, u) + 0.1 * np.cos(u))
     grid = make_grid(2.0, 33)
-    samples, ref = SampledKernels(D, g, grid), square_samples(D, g, grid)
-    for got, want in zip(samples.f_re, ref["f_re"]):
-        assert np.array_equal(got, want)
+    with pytest.raises(ValueError, match="real part"):
+        SampledKernels(D, g, grid)
 
 
 def test_build_samples_each_channel_pair_once_on_the_lags(monkeypatch):
@@ -820,9 +845,9 @@ def _spy_on_slabs(monkeypatch) -> list:
     """``(K0, K1)`` of every slab the build runs, in order."""
     calls, slab = [], series._slab
 
-    def spy(samples, SD, K0, K1, *rest):
+    def spy(samples, SD, WD, U, K0, K1, *rest):
         calls.append((K0, K1))
-        return slab(samples, SD, K0, K1, *rest)
+        return slab(samples, SD, WD, U, K0, K1, *rest)
 
     monkeypatch.setattr(series, "_slab", spy)
     return calls
@@ -864,8 +889,8 @@ def test_default_slabs_are_even(monkeypatch, G, n_slabs):
 
 
 def test_build_needs_an_imaginary_commutator_kernel():
-    # Hermitian channels make f imaginary; a real part is rejected by the
-    # real-arithmetic build (the per-time engine still takes it)
+    # Hermitian channels make f imaginary; a real part is rejected when
+    # the kernels are sampled, by the build and the per-time engine alike
     D, f = one_mode_setup()
 
     def with_real_part(j, k, u):
@@ -875,8 +900,8 @@ def test_build_needs_an_imaginary_commutator_kernel():
     grid = make_grid(1.0, 9)
     with pytest.raises(ValueError, match="real part"):
         build_ab_tables(D, g, SeriesConfig(max_order=2), grid)
-    assert SampledKernels(D, f, grid).f_re is None
-    assert contraction_BA(D, g, 1.0, grid).values.dtype == complex
+    with pytest.raises(ValueError, match="real part"):
+        contraction_BA(D, g, 1.0, grid)
 
 
 def test_build_returns_float64_views_of_one_stacked_array():
