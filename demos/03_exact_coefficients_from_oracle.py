@@ -7,7 +7,7 @@ pins the diffusion matrix.  Comparing the contraction series against
 these moment-extracted values shows geometric convergence order by
 order -- the sharpest validation of the kernel machinery in this repo.
 
-Runtime: about a minute (brute-force joint evolution dominates).
+Runtime: about a second (brute-force joint evolution dominates).
 """
 
 import numpy as np

@@ -39,7 +39,6 @@ Hamiltonian renormalizations, one is a momentum diffusion rate).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -309,28 +308,23 @@ def write_coefficients_csv(coeffs: MECoefficients, path) -> None:
     ``Theta``, ``Xi``, ``Upsilon`` and, when present, ``alpha``, ``beta``,
     ``gamma_pp``; one row per grid time.
     """
-    d = coeffs.n_channels
-    names = []
+    d, G = coeffs.n_channels, coeffs.grid.n_points
+    header = ["t"]
+    columns = [coeffs.grid.points[:, None]]
     for base in ("Gamma", "Theta", "Xi", "Upsilon"):
         for j in range(d):
             for k in range(d):
                 tag = base if d == 1 else f"{base}_{j + 1}{k + 1}"
-                names.append((base, j, k, tag))
-    header = ["t"]
-    for _, _, _, tag in names:
-        header += [f"{tag}_re", f"{tag}_im"]
-    extras = []
+                header += [f"{tag}_re", f"{tag}_im"]
+        X = getattr(coeffs, base)
+        columns.append(np.stack((X.real, X.imag), axis=-1).reshape(G, 2 * d * d))
     if coeffs.has_extras():
         extras = ["alpha", "beta", "gamma_pp"]
         header += extras
+        columns += [getattr(coeffs, name)[:, None] for name in extras]
+    table = np.concatenate(columns, axis=1, dtype=np.float64)
+    fmt = ",".join(["%.17g"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, t in enumerate(coeffs.grid.points):
-            row = [f"{t:.17g}"]
-            for base, j, k, _ in names:
-                val = getattr(coeffs, base)[i, j, k]
-                row += [f"{val.real:.17g}", f"{val.imag:.17g}"]
-            for name in extras:
-                row.append(f"{getattr(coeffs, name)[i]:.17g}")
-            writer.writerow(row)
+        fh.write(",".join(header) + "\r\n")
+        for row in table:
+            fh.write(fmt % tuple(row.tolist()))

@@ -73,10 +73,11 @@ and ``B`` are array operations over the outer times.
 
 **Slabs.**  Row block ``K`` of order ``n + 1`` depends only on row block
 ``K`` of order ``n``, and has no entry past ``t_K``.  So the outer times
-run in slabs ``[K0, K1)`` of at most :data:`SLAB`, each through every
-order on the leading ``K1 d`` columns of the operands only: the result is
-the same, the working arrays have slab height and the cost is about a
-third of ``O(order (G d)^3)``.
+run in even slabs ``[K0, K1)`` of at most :data:`SLAB`, at least three
+once ``G d >=`` :data:`SLAB_SPLIT` (one below: the products are small),
+each through every order on the leading ``K1 d`` columns of the operands
+only: the result is the same, the working arrays have slab height and
+the cost is about a third of ``O(order (G d)^3)``.
 
 The per-time engine (:class:`SeriesContext`, :func:`contraction_BA`,
 :func:`contraction_BB`, :func:`recurse_a`, :func:`recurse_b`,
@@ -88,8 +89,8 @@ the tests.  Results are deterministic at a fixed BLAS thread count.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -162,10 +163,11 @@ def _stepped(lagged: np.ndarray, u: np.ndarray) -> tuple:
     """``(G1, F_below)`` parts of commutator samples ``lagged[j, k]`` on
     the lags ``u``: ``theta(t_a - t_b) f^{jk}(t_a, t_b)`` at
     ``[(b, k), (a, j)]`` and ``theta(t_b - t_a) f^{jk}(t_a, t_b)`` at
-    ``[(a, j), (b, k)]``, with the half-weight step ``theta(0) = 1/2``."""
+    ``[(a, j), (b, k)]``, with the half-weight step ``theta(0) = 1/2``;
+    read-only."""
     theta = 0.5 + 0.5 * np.sign(u)
     # G1 reads the lag -u with the channels swapped
-    return _gather((theta * lagged).transpose(1, 0, 2)[..., ::-1]), _gather(theta[::-1] * lagged)
+    return _read_only(_gather((theta * lagged).transpose(1, 0, 2)[..., ::-1]), _gather(theta[::-1] * lagged))
 
 
 def _weigh(W: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -205,11 +207,12 @@ class SampledKernels:
     chain factor ``g^1[l, j2](s1, t2) = f^{j2 l}(t2, s1) theta(t2 - s1)``
     and ``Phi`` that of ``F_below = f^{jk}(a, b) theta(b - a)``; both are
     the whole of it, since ``Re f`` must be exactly 0 (Hermitian
-    channels).  ``Wpre`` is the ``(G, G)`` prefix-weight matrix.  The
-    table holds the samples only: each consumer weighs them itself.  The
-    arrays are read-only: tables share them as views.  The samples are
-    checked here, once, for finiteness and for ``Re f = 0``; tables check
-    only what the recursions compute.
+    channels).  They are gathered on first use: a zeroth-order closure
+    never reads them.  ``Wpre`` is the ``(G, G)`` prefix-weight matrix.
+    The table holds the samples only: each consumer weighs them itself.
+    The arrays are read-only: tables share them as views.  The samples
+    are checked here, once, for finiteness and for ``Re f = 0``; tables
+    check only what the recursions compute.
     """
 
     def __init__(
@@ -239,8 +242,20 @@ class SampledKernels:
         self.Wpre = prefix_weights(grid.n_points, grid.h, method)
         self.DRe = _gather(Dl.real)
         self.DIm = _gather(Dl.imag)
-        self.Gamma1, self.Phi = _stepped(fl.imag, u)
-        _read_only(self.Wpre, self.DRe, self.DIm, self.Gamma1, self.Phi)
+        _read_only(self.Wpre, self.DRe, self.DIm)
+        self._f_lags = fl.imag, u
+
+    @cached_property
+    def _chain_factors(self) -> tuple:
+        return _stepped(*self._f_lags)
+
+    @property
+    def Gamma1(self) -> np.ndarray:
+        return self._chain_factors[0]
+
+    @property
+    def Phi(self) -> np.ndarray:
+        return self._chain_factors[1]
 
 
 class SeriesContext:
@@ -543,9 +558,37 @@ class SeriesTables:
     Wpre: np.ndarray = field(repr=False)
 
 
-#: Most outer times in one slab of :func:`build_ab_tables`; slabs are split
-#: evenly, so G = 65 (64 outer times with a correction) runs as one slab.
+# Build time of the series (qmupl for d = 2, hpz for d = 1; order 3,
+# sampling included, one BLAS thread, min of 21 in process, G = 513 min of
+# 3) by slab count, in ms:
+#     G x d          1      2      3      4      8     12     24
+#    33 x 2 =   66  1.5    1.4    1.6    2.0
+#    65 x 1 =   65  1.5    1.3    1.6    1.8
+#    65 x 2 =  130  5.0    4.2    4.0    4.0
+#   129 x 1 =  129   -     4.3    4.1    4.2
+#   129 x 2 =  258   -    19.1   17.4   17.2
+#   513 x 1 =  513   -      -      -      -     94     99    116
+#   513 x 2 = 1026   -      -      -      -    552    544    583
+# A slab reads only the leading columns of the triangle, which pays once
+# the stacked square is large.  As the one build of a fresh process (after
+# a tiny one, min of 15) the small sizes run best as one slab: 1.8, 2.0
+# and 2.3 ms for G d = 66 on 1, 2 and 3 slabs, 1.9, 2.0 and 2.3 ms for
+# G d = 65; G d = 130 takes 8.1, 5.3 and 6.0 ms.  Slabs much shorter than
+# 64 outer times lose at large G.
+#: Most outer times in one slab of :func:`build_ab_tables`.
 SLAB = 64
+#: Stacked size ``G d`` from which the build runs in at least three slabs.
+SLAB_SPLIT = 128
+
+
+def _slab_edges(G: int, d: int) -> list:
+    """Edges ``1 = K_0 < ... = G`` of the even slabs of a build: at most
+    :data:`SLAB` outer times each, and at least three once ``G d >=``
+    :data:`SLAB_SPLIT`; t_0 has no correction."""
+    n_slabs = -(-(G - 1) // SLAB)
+    if G * d >= SLAB_SPLIT:
+        n_slabs = min(max(n_slabs, 3), G - 1)
+    return [1 + (G - 1) * i // n_slabs for i in range(n_slabs + 1)]
 
 
 def build_ab_tables(
@@ -581,11 +624,12 @@ def build_ab_tables(
     below = np.tri(G, dtype=bool)
     A = np.where(below, _unblk(samples.DRe, d), 0.0)
     B = np.where(below, _unblk(samples.DIm, d), 0.0)
-    ref = np.maximum(np.abs(A).max(axis=(0, 1, 3)), np.abs(B).max(axis=(0, 1, 3))).clip(1e-300)
     norms = np.zeros((G, max_order, 2))
     achieved = np.zeros(G, dtype=int)
     last_rel = np.zeros(G)
     if max_order:
+        # the zeroth-order sup-norm of each outer time
+        ref = np.maximum(np.abs(A).max(axis=(0, 1, 3)), np.abs(B).max(axis=(0, 1, 3))).clip(1e-300)
         # Tsuf[s1, tau] = Wpre[G - 1, tau - s1] (tau >= s1), the rule of the
         # longest interval, equals the suffix rule of int_{s1}^{t_K} dtau left
         # of t_{K-1} for both rules; SDX[(tau, l), (s1, k)] is Tsuf[s1, tau]
@@ -599,9 +643,7 @@ def build_ab_tables(
         # and is built once for the whole grid
         WD = (_weigh(samples.Wpre, samples.DRe), _weigh(samples.Wpre, samples.DIm))
         U = (WD[1] @ samples.Gamma1, WD[0] @ samples.Gamma1)
-        # t_0 has no correction: every integral of its chains is empty
-        n_slabs = -(-(G - 1) // SLAB)
-        edges = [1 + (G - 1) * i // n_slabs for i in range(n_slabs + 1)]
+        edges = _slab_edges(G, d)
         for K0, K1 in zip(edges, edges[1:]):
             slab = slice(K0, K1)
             norms[slab], achieved[slab], last_rel[slab] = _slab(
@@ -724,9 +766,9 @@ def assemble_AB(
 def dump_convergence_csv(tables: SeriesTables, path) -> None:
     """Write the per-order sup-norms of a build to CSV: columns ``t, n,
     norm_alpha, norm_beta``, one row per outer time and included order."""
+    K, n = np.nonzero(np.arange(1, tables.norms.shape[1] + 1) <= tables.achieved_order[:, None])
+    table = np.column_stack((tables.grid.points[K], n + 1, tables.norms[K, n]))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "n", "norm_alpha", "norm_beta"])
-        for t, n_K, norms in zip(tables.grid.points, tables.achieved_order, tables.norms):
-            for n, (na, nb) in enumerate(norms[:n_K], 1):
-                writer.writerow([f"{t:.17g}", n, f"{na:.17g}", f"{nb:.17g}"])
+        fh.write("t,n,norm_alpha,norm_beta\r\n")
+        for row in table:
+            fh.write("%.17g,%d,%.17g,%.17g\r\n" % tuple(row.tolist()))

@@ -1,6 +1,7 @@
 """Test-only helpers shared by several test modules."""
 
 import bisect
+import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,6 +12,7 @@ from nmgme.coefficients import _ROWS, MECoefficients
 from nmgme.grids import TimeGrid, lags, on_square, prefix_weights, quad_weights
 from nmgme.oracle import JointModel, _reduce, _vacuum, build_joint
 from nmgme.propagate import CoefficientInterpolator, Trajectory, aligned_steps, diagnostics, evolve
+from nmgme.series import SeriesTables
 from nmgme.system import CommutatorKernel, PropagatorKernels
 
 
@@ -571,3 +573,45 @@ def closure_reference(
         if j == k == 0:
             out[name] = out.get(name, 0) + factor * I[x][:, j, k, l, m]
     return {name: np.asarray(out[name], dtype=complex) for name in ("Gamma", "Theta", "Xi", "Upsilon")}
+
+
+def csv_writer_coefficients(coeffs: MECoefficients, path) -> None:
+    """Reference for :func:`nmgme.coefficients.write_coefficients_csv`:
+    the table written one formatted scalar at a time through
+    ``csv.writer``."""
+    d = coeffs.n_channels
+    names = []
+    for base in ("Gamma", "Theta", "Xi", "Upsilon"):
+        for j in range(d):
+            for k in range(d):
+                tag = base if d == 1 else f"{base}_{j + 1}{k + 1}"
+                names.append((base, j, k, tag))
+    header = ["t"]
+    for _, _, _, tag in names:
+        header += [f"{tag}_re", f"{tag}_im"]
+    extras = []
+    if coeffs.has_extras():
+        extras = ["alpha", "beta", "gamma_pp"]
+        header += extras
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i, t in enumerate(coeffs.grid.points):
+            row = [f"{t:.17g}"]
+            for base, j, k, _ in names:
+                val = getattr(coeffs, base)[i, j, k]
+                row += [f"{val.real:.17g}", f"{val.imag:.17g}"]
+            for name in extras:
+                row.append(f"{getattr(coeffs, name)[i]:.17g}")
+            writer.writerow(row)
+
+
+def csv_writer_convergence(tables: SeriesTables, path) -> None:
+    """Reference for :func:`nmgme.series.dump_convergence_csv`: one
+    ``csv.writer`` row per outer time and included order."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "n", "norm_alpha", "norm_beta"])
+        for t, n_K, norms in zip(tables.grid.points, tables.achieved_order, tables.norms):
+            for n, (na, nb) in enumerate(norms[:n_K], 1):
+                writer.writerow([f"{t:.17g}", n, f"{na:.17g}", f"{nb:.17g}"])

@@ -19,7 +19,7 @@ from nmgme import coefficients, grids, scenarios, series
 from nmgme.series import SeriesConfig, SeriesTables
 from nmgme.system import commutator_kernel, harmonic_kernels, qmupl_kernels
 
-from helpers import closure_reference, kossakowski_form
+from helpers import closure_reference, csv_writer_coefficients, kossakowski_form
 
 
 def constant_ab_tables(grid, d0, d=1):
@@ -315,6 +315,52 @@ def test_csv_qmupl_extras(tmp_path):
     header = path.read_text().splitlines()[0]
     for name in ("alpha", "beta", "gamma_pp"):
         assert name in header
+
+
+def _assert_writes_like_csv_writer(coeffs, tmp_path):
+    write_coefficients_csv(coeffs, tmp_path / "new.csv")
+    csv_writer_coefficients(coeffs, tmp_path / "ref.csv")
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "ref.csv").read_bytes()
+    assert new.count(b"\r\n") == coeffs.grid.n_points + 1 and new.endswith(b"\r\n")
+    return new
+
+
+def test_csv_bytes_match_csv_writer_dephasing(tmp_path):
+    # one channel, no extras
+    coeffs = coefficients_dephasing(make_exponential(2.0, 1.0), make_grid(1.0, 9))
+    assert not coeffs.has_extras()
+    _assert_writes_like_csv_writer(coeffs, tmp_path)
+
+
+def test_csv_bytes_match_csv_writer_qmupl(tmp_path):
+    # the two-channel series, with the three extra columns
+    coeffs, _ = coefficients_qmupl(0.5, 0.3, 1.0, 1.0, make_exponential(1.0, 0.5), SeriesConfig(), make_grid(2.0, 33))
+    assert coeffs.has_extras()
+    _assert_writes_like_csv_writer(coeffs, tmp_path)
+
+
+def test_csv_bytes_match_csv_writer_on_extreme_values(tmp_path):
+    # signed zero, the smallest subnormal and a huge value, in a
+    # two-channel table (channel-tagged columns)
+    grid = make_grid(1.0, 3)
+    vals = np.array([-0.0, 5e-324, 1e308, -1e308, 0.1, -5e-324])
+    real = np.resize(vals, (3, 2, 2))
+
+    def cplx(re, im):  # keeps the sign of each zero
+        z = np.empty(re.shape, dtype=complex)
+        z.real, z.imag = re, im
+        return z
+
+    zero = np.zeros_like(real)
+    coeffs = MECoefficients(
+        grid, "linear", cplx(real, zero), cplx(-real, -zero), cplx(zero, real), cplx(-zero, np.flip(real)),
+        alpha=vals[:3], beta=vals[3:], gamma_pp=-vals[:3],
+    )
+    text = _assert_writes_like_csv_writer(coeffs, tmp_path).decode()
+    assert text.startswith("t,Gamma_11_re,Gamma_11_im,Gamma_12_re,")
+    row = text.splitlines()[1].split(",")
+    assert row[1:6:2] == ["-0", "4.9406564584124654e-324", "1e+308"]
 
 
 def _per_time_quadrature(tables, grid, method, weight_fns):

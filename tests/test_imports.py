@@ -1,7 +1,8 @@
 """The command-line path, an oracle run included, loads numpy and yaml
-but not scipy, every exported name, module-level function or class and
-method of the package has a caller outside the tests, and every name a
-module imports is read there or exported."""
+but not scipy, its import loads no csv either, every exported name,
+module-level function or class and method of the package has a caller
+outside the tests, and every name a module imports is read there or
+exported."""
 
 import ast
 import inspect
@@ -15,13 +16,14 @@ import pytest
 from nmgme import oracle
 
 
-def _scipy_modules_after(code: str, cwd=None) -> str:
+def _modules_after(code: str, cwd=None, prefix: str = "scipy") -> str:
     """Last line printed by ``code`` run in a fresh interpreter, which
-    ends by printing the sorted ``scipy*`` modules it loaded."""
+    ends by printing the sorted modules it loaded whose names start with
+    ``prefix``."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    code += "\nprint(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code += f"\nprint(sorted(m for m in sys.modules if m.startswith({prefix!r})))"
     done = subprocess.run(
         [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
     )
@@ -30,7 +32,13 @@ def _scipy_modules_after(code: str, cwd=None) -> str:
 
 
 def test_cli_import_loads_no_scipy():
-    assert _scipy_modules_after("import sys, nmgme.cli") == "[]"
+    assert _modules_after("import sys, nmgme.cli") == "[]"
+
+
+def test_cli_import_loads_no_csv():
+    # the writers format their rows themselves; every run pays for the
+    # import set in its setup time
+    assert _modules_after("import sys, nmgme.cli", prefix="csv") == "[]"
 
 
 @pytest.mark.parametrize("model", ["dephasing", "hpz"])
@@ -48,7 +56,7 @@ def test_oracle_check_run_loads_no_scipy(model, tmp_path):
         "from nmgme.cli import main\n"
         "assert main(['oracle-check', '--config', 'check.yaml']) == 0"
     )
-    assert _scipy_modules_after(code, cwd=tmp_path) == "[]"
+    assert _modules_after(code, cwd=tmp_path) == "[]"
     assert (tmp_path / "out" / "oracle_trajectory.json").is_file()
 
 

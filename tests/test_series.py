@@ -31,7 +31,7 @@ from nmgme.system import (
     qmupl_kernels,
 )
 
-from helpers import scaled_kernel, square_samples, suffix_weights, theta_mask, zero_commutator
+from helpers import csv_writer_convergence, scaled_kernel, square_samples, suffix_weights, theta_mask, zero_commutator
 
 
 def qmupl_setup(lam=0.3, mu=0.1, gamma=1.0, tau_c=0.5, m=1.0, omega=1.0):
@@ -449,6 +449,20 @@ def test_simpson_series_close_to_trapezoid():
     assert np.max(np.abs(res_t.B - res_s.B)) < 1e-3 * scale
 
 
+@pytest.mark.parametrize("model", ["hpz", "qmupl_order4_eps"])
+def test_convergence_csv_bytes_match_csv_writer(model, tmp_path):
+    # qmupl_order4_eps stops its outer times at orders 2, 3 and 4
+    setup, max_order, eps = SERIES_CASES[model]
+    tabs = build_ab_tables(*setup(), SeriesConfig(max_order=max_order, eps_series=eps), make_grid(2.0, 17))
+    if model == "qmupl_order4_eps":
+        assert set(tabs.achieved_order[1:]) == {2, 3, 4}
+    dump_convergence_csv(tabs, tmp_path / "new.csv")
+    csv_writer_convergence(tabs, tmp_path / "ref.csv")
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "ref.csv").read_bytes()
+    assert new.count(b"\r\n") == 1 + tabs.achieved_order.sum() and new.endswith(b"\r\n")
+
+
 def test_convergence_csv_dump(tmp_path):
     D, f = one_mode_setup()
     grid = make_grid(0.5, 17)
@@ -665,9 +679,11 @@ def test_build_runs_no_per_time_engine(monkeypatch):
 
 
 def test_closures_derive_no_weighted_operand(monkeypatch):
-    # a zeroth-order closure reads only the samples; a series build weighs
-    # D^Re and D^Im twice each (the prefix rule and the longest suffix rule)
-    calls, weigh = [], series._weigh
+    # a zeroth-order closure reads only the D samples: it neither gathers
+    # the stepped f samples nor weighs; a series build gathers once and
+    # weighs D^Re and D^Im twice each (the prefix rule and the longest
+    # suffix rule)
+    calls, weigh, step = [], series._weigh, series._stepped
 
     def spy(W, X):
         calls.append(X.shape)
@@ -682,12 +698,14 @@ def test_closures_derive_no_weighted_operand(monkeypatch):
         "nondissipative": lambda: coefficients.coefficients_nondissipative(D, kern, grid),
         "hpz-real": lambda: build_ab_tables(D, commutator_kernel(kern, ["q"]), SeriesConfig(), grid),
     }
+    stepped = []
+    monkeypatch.setattr(series, "_stepped", lambda *args: stepped.append(1) or step(*args))
     for name, build in closures.items():
         calls.clear()
         build()
-        assert calls == [], name
+        assert calls == [] and stepped == [], name
     build_ab_tables(*qmupl_setup(lam=0.5, mu=0.3), SeriesConfig(max_order=3), grid)
-    assert calls == [(34, 34)] * 4
+    assert calls == [(34, 34)] * 4 and stepped == [1]
 
 
 @pytest.mark.parametrize("method", ["trapezoid", "simpson"])
@@ -878,14 +896,29 @@ def test_slabs_match_per_time_reference(monkeypatch, model, G, edges):
         assert set(tabs.achieved_order[1:]) == {2, 3, 4}
 
 
-@pytest.mark.parametrize("G, n_slabs", [(65, 1), (66, 2), (129, 2), (130, 3)])
-def test_default_slabs_are_even(monkeypatch, G, n_slabs):
-    # at most SLAB outer times per slab, split evenly: G = 65 is one slab
+@pytest.mark.parametrize("d, G, n_slabs", [
+    (1, 65, 1), (1, 66, 2), (1, 129, 3), (1, 130, 3),
+    (2, 65, 3), (2, 129, 3), (2, 257, 4), (2, 513, 8),
+])
+def test_default_slabs_are_even(monkeypatch, d, G, n_slabs):
+    # at most SLAB outer times per slab, split evenly, and at least three
+    # once G d >= SLAB_SPLIT: G = 65 is one slab at d = 1, three at d = 2
+    monkeypatch.setattr(series, "_slab", lambda *args: (0.0, 0, 0.0))  # the edges only
     calls = _spy_on_slabs(monkeypatch)
-    build_ab_tables(*hpz_setup(), SeriesConfig(max_order=1), make_grid(2.0, G))
+    D, f = hpz_setup() if d == 1 else qmupl_setup()
+    build_ab_tables(D, f, SeriesConfig(max_order=1), make_grid(2.0, G))
     heights = [K1 - K0 for K0, K1 in calls]
     assert len(heights) == n_slabs and sum(heights) == G - 1 and calls[0][0] == 1
     assert max(heights) - min(heights) <= 1 and max(heights) <= series.SLAB
+
+
+def test_default_three_slab_build_matches_per_time_reference(monkeypatch):
+    # G d = 130: the default qmupl build at G = 65 runs as three slabs;
+    # the outer times on both sides of each slab edge match the reference
+    calls = _spy_on_slabs(monkeypatch)
+    D, f = qmupl_setup(lam=0.5, mu=0.3)
+    _assert_matches_reference(D, f, SeriesConfig(), make_grid(2.0, 65), (1, 21, 22, 42, 43, 64))
+    assert calls == [(1, 22), (22, 43), (43, 65)]
 
 
 def test_build_needs_an_imaginary_commutator_kernel():
