@@ -64,6 +64,11 @@ __all__ = [
 
 _REALITY_TOL = 1e-9
 
+#: The channel tables (complex, ``(G, d, d)``) and the real extras
+#: (``(G,)``) in the column order of :meth:`MECoefficients.table`.
+CHANNEL_TABLES = ("Gamma", "Theta", "Xi", "Upsilon")
+EXTRAS = ("alpha", "beta", "gamma_pp")
+
 #: Rows ``(name, X, j, k, l, m, factor)``: ``name += factor * (-mu)^(j + k)
 #: * I^X[j, k, l, m]``, collected in the operator basis ``{[q,[q,.]],
 #: [q,[p,.]], [p,[p,.]], [q,{q,.}], [q,{p,.}], [{q,p},.], [p^2,.]}``.
@@ -114,7 +119,7 @@ class MECoefficients:
     lam_mu: float = 0.0
 
     def __post_init__(self):
-        for name in ("Gamma", "Theta", "Xi", "Upsilon", "alpha", "beta", "gamma_pp"):
+        for name in CHANNEL_TABLES + EXTRAS:
             arr = getattr(self, name)
             if arr is not None and not np.isfinite(arr).all():
                 raise ValueError(f"non-finite entries in {name}")
@@ -144,6 +149,16 @@ class MECoefficients:
 
     def has_extras(self) -> bool:
         return self.alpha is not None
+
+    def table(self) -> np.ndarray:
+        """Every coefficient as one real ``(G, n)`` table: ``Re``/``Im`` of
+        each channel entry (row-major) of ``Gamma``, ``Theta``, ``Xi``,
+        ``Upsilon``, then ``alpha``, ``beta``, ``gamma_pp`` when present."""
+        G, d = self.grid.n_points, self.n_channels
+        cols = [np.asarray(getattr(self, name), dtype=complex).reshape(G, d * d).view(float) for name in CHANNEL_TABLES]
+        if self.has_extras():
+            cols += [np.asarray(getattr(self, name), dtype=float).reshape(G, 1) for name in EXTRAS]
+        return np.hstack(cols)
 
 
 def _flow(kernels: PropagatorKernels, grid: TimeGrid) -> np.ndarray:
@@ -304,25 +319,19 @@ def _check_real(arr, name):
 def write_coefficients_csv(coeffs: MECoefficients, path) -> None:
     """Write a coefficient table to CSV at 17 significant digits.
 
-    Columns: ``t`` then ``Re``/``Im`` of each channel entry of ``Gamma``,
-    ``Theta``, ``Xi``, ``Upsilon`` and, when present, ``alpha``, ``beta``,
-    ``gamma_pp``; one row per grid time.
+    Columns: ``t`` then those of :meth:`MECoefficients.table`; one row
+    per grid time.
     """
-    d, G = coeffs.n_channels, coeffs.grid.n_points
+    d = coeffs.n_channels
     header = ["t"]
-    columns = [coeffs.grid.points[:, None]]
-    for base in ("Gamma", "Theta", "Xi", "Upsilon"):
+    for base in CHANNEL_TABLES:
         for j in range(d):
             for k in range(d):
                 tag = base if d == 1 else f"{base}_{j + 1}{k + 1}"
                 header += [f"{tag}_re", f"{tag}_im"]
-        X = getattr(coeffs, base)
-        columns.append(np.stack((X.real, X.imag), axis=-1).reshape(G, 2 * d * d))
     if coeffs.has_extras():
-        extras = ["alpha", "beta", "gamma_pp"]
-        header += extras
-        columns += [getattr(coeffs, name)[:, None] for name in extras]
-    table = np.concatenate(columns, axis=1, dtype=np.float64)
+        header += EXTRAS
+    table = np.hstack([coeffs.grid.points[:, None], coeffs.table()])
     fmt = ",".join(["%.17g"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")

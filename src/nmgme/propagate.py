@@ -108,12 +108,16 @@ operator is ``Op_k + (t - t_k) dOp_k``, and a stage is addressed by
 interval, the interval's operator is built from the weights of its node
 row and of its slope row: ``[L_k | dL_k]`` on the reached sector, as one
 product of those weights with the superoperators of unit weights (built
-once per run), or the band coefficients of the dense ``X`` and ``Fhat``.
-Only the current interval's operator is kept, so the step loop only
-combines and multiplies matrices.  The Gaussian moments obey a linear
-ODE in ``(mean, cov, 1)``: the 7x7 RK4 step matrices of a block are
-built with batched products, and a step is one matrix-vector product.
-The state is never rescaled: trace drift is a diagnostic.
+once per run), or its band coefficients, the two weight rows times the
+band rows of the constant operators (cut once per run).  Only the
+current interval's operator is kept, so the step loop only combines and
+multiplies matrices.  The Gaussian moments obey a linear ODE in
+``(mean, cov, 1)``: the 7x7 RK4 step matrices of a block are the one
+RK4 step (:func:`_rk4_step`) applied to the identity with batched
+products, and a step is one matrix-vector product.  Both propagators
+take a sample every ``n_steps // (n_samples - 1)`` steps, a whole number
+by :func:`aligned_steps`.  The state is never rescaled: trace drift is a
+diagnostic.
 """
 
 from __future__ import annotations
@@ -123,7 +127,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .coefficients import MECoefficients
+from .coefficients import CHANNEL_TABLES, EXTRAS, MECoefficients
 
 __all__ = [
     "GaussianMoments",
@@ -211,8 +215,8 @@ class GaussianMoments:
 class CoefficientInterpolator:
     """Linear interpolation of coefficient tables between grid nodes.
 
-    All tables are stacked once into one real ``(G, n)`` array (complex
-    entries as real/imaginary column pairs).  :meth:`rows` blends the
+    All tables are stacked once into one real ``(G, n)`` array, the
+    layout of :meth:`MECoefficients.table`.  :meth:`rows` blends the
     rows of many times at once with the same arithmetic as ``np.interp``;
     times outside the grid are clipped to its ends.  :meth:`split` views
     a block of rows as the named coefficient arrays and a call returns
@@ -222,17 +226,11 @@ class CoefficientInterpolator:
     def __init__(self, coeffs: MECoefficients):
         self.coeffs = coeffs
         self.nodes = coeffs.grid.points
-        G, d = coeffs.grid.n_points, coeffs.n_channels
-        self.names = ["Gamma", "Theta", "Xi", "Upsilon"]
-        self.extras = ["alpha", "beta", "gamma_pp"] if coeffs.has_extras() else []
-        cols = [
-            np.asarray(getattr(coeffs, name), dtype=complex).reshape(G, d * d).view(float)
-            for name in self.names
-        ]
-        cols += [np.asarray(getattr(coeffs, name), dtype=float).reshape(G, 1) for name in self.extras]
-        self.table = np.hstack(cols)
+        self.names = CHANNEL_TABLES
+        self.extras = EXTRAS if coeffs.has_extras() else ()
+        self.table = coeffs.table()
         self.slopes = np.diff(self.table, axis=0) / np.diff(self.nodes)[:, None]
-        self._d = d
+        self._d = coeffs.n_channels
 
     def _locate(self, times) -> tuple:
         """Times clipped to the grid, the last node at or before each, and
@@ -318,16 +316,16 @@ class _SandwichForm:
     Built once per run: the distinct operators ``F``, their real parts
     ``R`` with ``F_a = sum_m C_am R_m``, the constant products that ``X``
     and ``Y`` combine, the half-bandwidth ``band`` of every constant
-    operator and the buffers of the band stage.  :meth:`weights` maps
-    coefficient arrays with a leading stage axis to the weight rows of
-    each stage, :meth:`dense` weight rows to the dense parts of their
-    stages, :meth:`banded` dense parts to the band coefficients of the
-    stages, and calling the form with ``M`` and the band coefficients of
-    a stage evaluates ``dM/dt``.  :meth:`reached` finds the sector of
-    ``vec(M)`` that a state reaches and :meth:`superoperators` gives the
-    superoperators of unit weights on it.  ``shifts`` says whether ``H_eff``
-    carries ``p^2`` and ``{q,p}`` (``ops`` then holds ``q`` and ``p``),
-    ``pp`` whether ``gamma_pp`` is present.  Every operator the form
+    operator, their band rows and the buffers of the band stage.
+    :meth:`weights` maps coefficient arrays with a leading stage axis to
+    the weight rows of each stage, :meth:`banded` weight rows to the band
+    coefficients of the stages, and calling the form with ``M`` and the
+    band coefficients of a stage evaluates ``dM/dt``.  :meth:`reached`
+    finds the sector of ``vec(M)`` that a state reaches and
+    :meth:`superoperators` gives the superoperators of unit weights on
+    it.  ``shifts`` says whether ``H_eff`` carries ``p^2`` and ``{q,p}``
+    (``ops`` then holds ``q`` and ``p``), ``pp`` whether ``gamma_pp`` is
+    present.  Every operator the form
     uses must be exactly Hermitian, else ``ValueError``.
     """
 
@@ -386,6 +384,11 @@ class _SandwichForm:
         _, i, l = np.nonzero(np.concatenate([products, F, R]))
         self.band = b = int(np.max(np.abs(i - l), initial=0))
         self.n_x = d * n + self.n_ham
+        # the band rows that the band coefficients of a stage combine: the
+        # products of X, and C_bm F_a for entry (b, a) of W^T and Ahat_m
+        # (the band stage reads no Y, as Y = X^dag)
+        self._Xband = _band(products[: self.n_x], b)
+        self._Aband = (self.C[:, None, :, None, None] * _band(F, b)[None, :, None]).reshape(n * n, N, dim, 2 * b + 1)
         # the band stage: the R_n^T over the rows of the Yhat_n^T
         self._RT = _band(R.transpose(0, 2, 1), b).transpose(1, 2, 0).reshape(dim, 1, (2 * b + 1) * N)
         self._MMt = _BandProduct(dim, b, 2)
@@ -447,16 +450,6 @@ class _SandwichForm:
         yw = np.hstack([1j * ham + pp2, -rF.reshape(s, -1)])
         return np.concatenate([xw, yw, W.transpose(0, 2, 1).reshape(s, -1)], axis=1)
 
-    def dense(self, w: np.ndarray) -> np.ndarray:
-        """The dense parts ``[X, Fhat_1..Fhat_nF]``
-        ``(s, 1 + n_F, dim, dim)`` of weight rows of :meth:`weights`,
-        all that the band stage reads (``Y = X^dag``)."""
-        s, n_x = len(w), self.n_x
-        parts = np.empty((s, 1 + self.n, self.dim, self.dim), dtype=complex)
-        parts[:, 0] = np.tensordot(w[:, :n_x], self._products[:n_x], 1)
-        parts[:, 1:] = np.tensordot(w[:, 2 * n_x :].reshape(s, self.n, self.n), self._F, 1)
-        return parts
-
     def reached(self, M: np.ndarray) -> np.ndarray:
         """Flat indices of the entries of ``vec M`` that a run from ``M``
         can make nonzero: a frontier search from the nonzero entries of
@@ -513,16 +506,16 @@ class _SandwichForm:
         S, St = A[:, ir, k] * B[:, l, jr], A[:, ir, l] * B[:, k, jr]
         return rows, cols, np.concatenate([S.real + St.imag, St.real - S.imag])
 
-    def banded(self, parts: np.ndarray) -> np.ndarray:
+    def banded(self, w: np.ndarray) -> np.ndarray:
         """The band coefficients ``(s, dim, N + 2, 2 (2 b + 1))`` of the
-        stages with dense parts ``parts``: the band rows of
+        stages with weight rows ``w`` (:meth:`weights`): the band rows of
         ``[X; iX; Ahat_1..Ahat_N]``, ``Ahat_m = sum_b C_bm Fhat_b``, with
         each complex entry as the real/imaginary pair that weights the
-        interleaved rows of ``M`` and ``M^T``."""
-        s, dim = len(parts), self.dim
-        X = parts[:, :1]
-        Ahat = (self.C.T @ parts[:, 1:].reshape(s, self.n, -1)).reshape(s, -1, dim, dim)
-        coef = _band(np.concatenate([X, 1j * X, Ahat], axis=1), self.band)
+        interleaved rows of ``M`` and ``M^T``; the weights of ``X`` and of
+        ``W^T`` combine the band rows of the constant operators."""
+        X = np.tensordot(w[:, : self.n_x], self._Xband, 1)[:, None]
+        Ahat = np.tensordot(w[:, 2 * self.n_x :], self._Aband, 1)
+        coef = np.concatenate([X, 1j * X, Ahat], axis=1)
         return np.ascontiguousarray(coef.transpose(0, 2, 1, 3)).view(float)
 
     def __call__(self, M: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -569,9 +562,9 @@ class _Stages:
       their positions.  A stage is its product with ``[y; (t - t_k) y]``;
     - otherwise ``idx`` is every entry and ``y`` is ``M`` itself; the
       operator is the band coefficients of the two rows
-      (:meth:`_SandwichForm.banded` of :meth:`_SandwichForm.dense`),
-      combined into ``Op_k + (t - t_k) dOp_k`` once per stage; the
-      ``k2`` and ``k3`` of a step share one.
+      (:meth:`_SandwichForm.banded`), combined into
+      ``Op_k + (t - t_k) dOp_k`` once per stage; the ``k2`` and ``k3`` of
+      a step share one.
     """
 
     def __init__(self, form: _SandwichForm, interp: CoefficientInterpolator, M0: np.ndarray):
@@ -624,7 +617,7 @@ class _Stages:
         if self._small:
             self._op.reshape(-1)[self._at] = (w @ self._units).reshape(-1)
         else:
-            self._op = self.form.banded(self.form.dense(w))
+            self._op = self.form.banded(w)
             self._c = np.empty_like(self._op[0])
         self._key, self._stage = k, None
 
@@ -678,7 +671,7 @@ def me_rhs(rho: np.ndarray, coeff: dict, ops: dict) -> np.ndarray:
     shifts = bool(coeff.get("alpha", 0.0) or coeff.get("beta", 0.0) or coeff.get("lam_mu", 0.0))
     form = _SandwichForm(ops, rho.shape[0], shifts, bool(coeff.get("gamma_pp", 0.0)))
     c = {k: np.asarray(v)[None] if np.ndim(v) == 2 else v for k, v in coeff.items()}
-    coef = form.banded(form.dense(form.weights(c, lambda i: "of the slice")))[0]
+    coef = form.banded(form.weights(c, lambda i: "of the slice"))[0]
     return _hermitian_of(form(_real_of(rho), coef))
 
 
@@ -831,7 +824,7 @@ def evolve(
             f"t_final {t_final} exceeds coefficient grid t_max {coeffs.grid.t_max}"
         )
     n_steps, h_eff = aligned_steps(t_final, h, n_samples)
-    sample_times = np.linspace(0.0, t_final, n_samples)
+    every = n_steps // (n_samples - 1)  # steps between samples
     interp = CoefficientInterpolator(coeffs)
     stages = _Stages(_SandwichForm.of_run(coeffs, ops, dim), interp, M)
     y = stages.state(M)
@@ -855,14 +848,14 @@ def evolve(
     # where y holds the populations of the top two levels; an entry the
     # state does not reach stays 0
     tops = [int(np.searchsorted(stages.idx, e)) for e in (dim * dim - 1, dim * dim - dim - 2) if e in stages.idx]
-    next_sample = 1
     for first, count, times in _stage_blocks(n_steps, h_eff):
         k, dt = interp.intervals(times)
         k, dt = k.tolist(), dt.tolist()
         for i in range(count):
             s = slice(3 * i, 3 * i + 3)
             y = _rk4_step(stages, y, h_eff, *zip(k[s], dt[s]))
-            t = (first + i + 1) * h_eff
+            step = first + i + 1
+            t = step * h_eff
             if not np.isfinite(y).all():
                 raise EvolutionError(f"state became non-finite at t={t:.6g}", time=t - h_eff)
             if guard_on:
@@ -874,19 +867,19 @@ def evolve(
                         f"at t={t:.6g}; increase the truncation dimension",
                         time=t,
                     )
-            while next_sample < n_samples and sample_times[next_sample] <= t + 1e-12:
+            sample, rest = divmod(step, every)
+            if rest == 0:
                 rho = _hermitian_of(stages.matrix(y))
-                states[next_sample] = rho
+                states[sample] = rho
                 record(rho)
-                next_sample += 1
 
     drift = abs(logs["trace"][-1] - logs["trace"][0])
     if drift > 1e-6:
         warnings.append(f"trace drift {drift:.3e} exceeds 1e-6 over the run")
 
     return Trajectory(
-        times=sample_times[:next_sample],
-        states=states[:next_sample],
+        times=np.linspace(0.0, t_final, n_samples),
+        states=states,
         diagnostics=logs,
         observables=obs_logs,
         scenario=scenario,
@@ -922,8 +915,8 @@ def evolve_moments(
     ``a_x = lam_mu/2 + beta``.  Both are one linear ODE
     ``dy/dt = K y`` in ``y = (mean, vec cov, 1)``; the 7x7 ``K`` of the
     RK4 stage times are built a block of steps at a time
-    (:func:`_moment_matrices`) and folded into one RK4 step matrix per
-    step (:func:`_rk4_step_matrices`).
+    (:func:`_moment_matrices`), and the RK4 step of the identity under
+    them is the step matrix of each step.
     """
     if coeffs.scenario == "dephasing" or coeffs.n_channels != 1:
         raise ValueError("moment propagation needs a linear single-channel scenario")
@@ -932,28 +925,25 @@ def evolve_moments(
             f"t_final {t_final} exceeds coefficient grid t_max {coeffs.grid.t_max}"
         )
     n_steps, h_eff = aligned_steps(t_final, h, n_samples)
+    every = n_steps // (n_samples - 1)  # steps between samples
     interp = CoefficientInterpolator(coeffs)
     y = np.concatenate([m0.mean, m0.cov.ravel(), [1.0]])
-    sample_times = np.linspace(0.0, t_final, n_samples)
-
-    means, covs = [y[:2].copy()], [y[2:6].reshape(2, 2).copy()]
-    next_sample = 1
+    samples = np.empty((n_samples, 7))
+    samples[0] = y
     for first, count, times in _stage_blocks(n_steps, h_eff):
         K = _moment_matrices(interp.split(interp.rows(times)), m, omega)
-        P = _rk4_step_matrices(K, h_eff)
+        P = _rk4_step(lambda x, K: K @ x, np.eye(7), h_eff, K[0::3], K[1::3], K[2::3])
         for i in range(count):
             y = P[i] @ y
-            t = (first + i + 1) * h_eff
-            while next_sample < len(sample_times) and sample_times[next_sample] <= t + 1e-12:
-                means.append(y[:2].copy())
-                covs.append(y[2:6].reshape(2, 2).copy())
-                next_sample += 1
+            sample, rest = divmod(first + i + 1, every)
+            if rest == 0:
+                samples[sample] = y
 
-    covs = np.array(covs)
+    covs = samples[:, 2:6].reshape(-1, 2, 2)
     dets = covs[:, 0, 0] * covs[:, 1, 1] - covs[:, 0, 1] ** 2
     return MomentTrajectory(
-        times=sample_times[: len(means)],
-        means=np.array(means),
+        times=np.linspace(0.0, t_final, n_samples),
+        means=samples[:, :2],
         covs=covs,
         uncertainty_ok=bool(np.all(dets >= 0.25 - _UNCERTAINTY_TOL)),
     )
@@ -980,17 +970,3 @@ def _moment_matrices(c: dict, m: float, omega: float) -> np.ndarray:
         [-2.0 * c.get("gamma_pp", np.zeros(s)), theta, theta, -2.0 * c["Gamma"][:, 0, 0].real], axis=1
     )
     return K
-
-
-def _rk4_step_matrices(K: np.ndarray, h: float) -> np.ndarray:
-    """Matrices ``P`` of the RK4 steps of ``dy/dt = K(t) y``, one per
-    step, from the stage matrices ``K`` (``t, t + h/2, t + h`` of each
-    step, step-major): ``y(t + h) = P y(t)`` with
-    ``P = I + h/6 (K0 + 2 Km P1 + 2 Km P2 + K1 P3)``, ``P1 = I + h/2 K0``,
-    ``P2 = I + h/2 Km P1`` and ``P3 = I + h Km P2``."""
-    K0, Km, K1 = K[0::3], K[1::3], K[2::3]
-    eye = np.eye(K.shape[-1])
-    k2 = Km @ (eye + 0.5 * h * K0)
-    k3 = Km @ (eye + 0.5 * h * k2)
-    k4 = K1 @ (eye + h * k3)
-    return eye + (h / 6.0) * (K0 + 2.0 * k2 + 2.0 * k3 + k4)

@@ -18,8 +18,8 @@ byte-identical files.
 
 The default initial state is the coherent state ``alpha = 1``.  On the
 two levels of the ``dephasing`` model it is renormalised to the equal
-superposition, with amplitudes ``0.7071067811865476``; ``{type: plus}``
-gives ``0.7071067811865475``, one rounding step apart.
+superposition, the same amplitudes ``0.7071067811865475`` as
+``{type: plus}``.
 """
 
 from __future__ import annotations
@@ -158,10 +158,10 @@ class RunConfig:
         # the system the model has: a qubit for dephasing, else the Fock space
         dim = 2 if model == "dephasing" else self.propagation["fock_dim"]
         _check_initial_state(self.propagation.get("initial_state"), dim)
-        # the scenarios whose run keeps the truncation guard on (evolve
-        # turns it off for dim <= 3)
-        if self.scenario not in _MODELS and dim > 3:
-            _check_headroom(self.propagation["initial_state"], dim)
+        if self.scenario != "coeffs":  # every other scenario builds the state
+            # the truncation guard runs outside oracle-check, and evolve
+            # turns it off for dim <= 3
+            _check_state(self.propagation["initial_state"], dim, self.scenario not in _MODELS and dim > 3)
         _check_mode_dims(self, dim)
         if not isinstance(self.output_dir, str) or not self.output_dir:
             raise ConfigError("output_dir", f"need a directory path, got {self.output_dir!r}")
@@ -236,12 +236,16 @@ def _check_initial_state(spec, dim: int) -> None:
         raise ConfigError(f"{path}.index", "outside basis")
 
 
-def _check_headroom(spec: dict, dim: int) -> None:
-    """Reject an initial state that the truncation guard would stop at
-    once: one whose top two Fock levels hold more than
-    ``TRUNCATION_LIMIT`` population."""
-    top = float(np.sum(np.abs(_initial_state(spec, dim)[-2:]) ** 2))
-    if top > TRUNCATION_LIMIT:
+def _check_state(spec: dict, dim: int, guarded: bool) -> None:
+    """Reject an initial state vector that is not finite and, where the
+    run is ``guarded``, one that the truncation guard would stop at once:
+    one whose top two Fock levels hold more than ``TRUNCATION_LIMIT``
+    population."""
+    psi = _initial_state(spec, dim)
+    if not np.isfinite(psi).all():
+        raise ConfigError("propagation.initial_state", "the state vector is not finite")
+    top = float(np.sum(np.abs(psi[-2:]) ** 2))
+    if guarded and top > TRUNCATION_LIMIT:
         raise ConfigError(
             "propagation.initial_state",
             f"the top two Fock levels hold {top:.3e} population, above the truncation "
@@ -353,11 +357,19 @@ def _couplings(rows) -> np.ndarray:
 
 
 def coherent_state(dim: int, alpha: complex) -> np.ndarray:
-    """Coherent-state vector in a truncated number basis, normalized."""
-    n = np.arange(dim)
-    log_fact = np.cumsum(np.log(np.maximum(n, 1)))
-    with np.errstate(divide="ignore"):
-        amps = np.exp(-0.5 * abs(alpha) ** 2) * alpha**n / np.exp(0.5 * log_fact)
+    """Coherent-state vector in a truncated number basis, normalized.
+
+    The amplitudes ``alpha^n / sqrt(n!)`` grow by the ratio
+    ``alpha / sqrt(n)`` up to ``n = |alpha|^2`` and shrink after it, so
+    they are built outward from that largest one, of modulus 1: none
+    overflows, whatever ``dim`` and ``alpha``."""
+    alpha = complex(alpha)
+    with np.errstate(over="ignore", under="ignore"):
+        peak = min(int(min(np.abs(alpha), dim) ** 2), dim - 1)
+        n = np.arange(1, dim)
+        below = np.cumprod(np.sqrt(n[:peak][::-1]) / alpha)[::-1]
+        above = np.cumprod(alpha / np.sqrt(n[peak:]))
+    amps = np.concatenate([below, [1.0], above]) * np.exp(1j * peak * np.angle(alpha))
     return amps / np.linalg.norm(amps)
 
 

@@ -11,7 +11,7 @@ from nmgme.bath import CorrelationKernel
 from nmgme.coefficients import _ROWS, MECoefficients
 from nmgme.grids import TimeGrid, lags, on_square, prefix_weights, quad_weights
 from nmgme.oracle import JointModel, _reduce, _vacuum, build_joint
-from nmgme.propagate import CoefficientInterpolator, Trajectory, aligned_steps, diagnostics, evolve
+from nmgme.propagate import CoefficientInterpolator, Trajectory, _band, aligned_steps, diagnostics, evolve
 from nmgme.series import SeriesTables
 from nmgme.system import CommutatorKernel, PropagatorKernels
 
@@ -129,19 +129,16 @@ def stepped_evolve_joint(model, psi0_system, t_final, h, n_samples=101):
         logs["norm"].append(float(np.linalg.norm(vec)))
 
     record(states[0], psi)
-    next_sample = 1
-    t = 0.0
-    for step in range(n_steps):
+    for step in range(1, n_steps + 1):
         psi = U @ psi
-        t = (step + 1) * h_eff
+        t = step * h_eff
         norm = np.linalg.norm(psi)
         if abs(norm - 1.0) > 1e-8:
             raise RuntimeError(f"joint norm drifted to {norm} at t={t:.6g}")
-        while next_sample < n_samples and sample_times[next_sample] <= t + 1e-12:
+        if step % (n_steps // (n_samples - 1)) == 0:
             rho = _reduce(psi, d_s)
             states.append(rho)
             record(rho, psi)
-            next_sample += 1
 
     return Trajectory(
         times=sample_times[: len(states)],
@@ -467,21 +464,18 @@ def outer_commutator_rhs(rho, coeff, ops):
 def _stepped_rk4(rhs, y, t_final, h, n_samples):
     """Fixed-step RK4 of ``dy/dt = rhs(t, y)`` on the aligned grid; the
     states at the sample times."""
-    sample_times = np.linspace(0.0, t_final, n_samples)
     n_steps, h_eff = aligned_steps(t_final, h, n_samples)
     out = [y.copy()]
-    next_sample = 1
     t = 0.0
-    for step in range(n_steps):
+    for step in range(1, n_steps + 1):
         k1 = rhs(t, y)
         k2 = rhs(t + 0.5 * h_eff, y + 0.5 * h_eff * k1)
         k3 = rhs(t + 0.5 * h_eff, y + 0.5 * h_eff * k2)
         k4 = rhs(t + h_eff, y + h_eff * k3)
         y = y + (h_eff / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = (step + 1) * h_eff
-        while next_sample < n_samples and sample_times[next_sample] <= t + 1e-12:
+        t = step * h_eff
+        if step % (n_steps // (n_samples - 1)) == 0:
             out.append(y.copy())
-            next_sample += 1
     return np.array(out)
 
 
@@ -615,3 +609,41 @@ def csv_writer_convergence(tables: SeriesTables, path) -> None:
         for t, n_K, norms in zip(tables.grid.points, tables.achieved_order, tables.norms):
             for n, (na, nb) in enumerate(norms[:n_K], 1):
                 writer.writerow([f"{t:.17g}", n, f"{na:.17g}", f"{nb:.17g}"])
+
+
+def rk4_step_matrices(K: np.ndarray, h: float) -> np.ndarray:
+    """The former ``propagate._rk4_step_matrices``: the RK4 step matrices
+    ``P`` of ``dy/dt = K(t) y`` from the stage matrices ``K`` (``t``,
+    ``t + h/2``, ``t + h`` of each step, step-major), the tableau written
+    out; the reference for the RK4 step of the identity."""
+    K0, Km, K1 = K[0::3], K[1::3], K[2::3]
+    eye = np.eye(K.shape[-1])
+    k2 = Km @ (eye + 0.5 * h * K0)
+    k3 = Km @ (eye + 0.5 * h * k2)
+    k4 = K1 @ (eye + h * k3)
+    return eye + (h / 6.0) * (K0 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def dense_banded(form, w: np.ndarray) -> np.ndarray:
+    """The former band coefficients of weight rows ``w``: the dense ``X``
+    and ``Fhat_b`` of every row (the former ``_SandwichForm.dense``),
+    ``Ahat_m = sum_b C_bm Fhat_b``, then the band rows of
+    ``[X; iX; Ahat_1..Ahat_N]`` cut from the dense stack; the reference
+    for :meth:`nmgme.propagate._SandwichForm.banded`."""
+    s, n, n_x, dim = len(w), form.n, form.n_x, form.dim
+    X = np.tensordot(w[:, :n_x], form._products[:n_x], 1)[:, None]
+    Fhat = np.tensordot(w[:, 2 * n_x :].reshape(s, n, n), form._F, 1)
+    Ahat = (form.C.T @ Fhat.reshape(s, n, -1)).reshape(s, -1, dim, dim)
+    coef = _band(np.concatenate([X, 1j * X, Ahat], axis=1), form.band)
+    return np.ascontiguousarray(coef.transpose(0, 2, 1, 3)).view(float)
+
+
+def product_coherent_state(dim: int, alpha: complex) -> np.ndarray:
+    """The former ``scenarios.coherent_state``: ``exp(-|alpha|^2 / 2)
+    alpha^n / exp(log(n!) / 2)``, normalized, which overflows to NaN at
+    large ``dim`` and ``alpha``."""
+    n = np.arange(dim)
+    log_fact = np.cumsum(np.log(np.maximum(n, 1)))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        amps = np.exp(-0.5 * abs(alpha) ** 2) * alpha**n / np.exp(0.5 * log_fact)
+        return amps / np.linalg.norm(amps)

@@ -7,9 +7,11 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nmgme import series
+from nmgme import scenarios, series
 from nmgme.cli import main
 from nmgme.scenarios import ConfigError, RunConfig, white_noise_limit_report
+
+from helpers import product_coherent_state
 
 
 def write_config(tmp_path, payload, name="run.yaml"):
@@ -412,6 +414,26 @@ def test_initial_state_over_the_truncation_guard_exit_2(tmp_path, capsys, scenar
     with pytest.raises(ConfigError, match="top two Fock levels"):
         RunConfig.from_dict(basis(6))
     RunConfig.from_dict(basis(5))
+
+
+def test_non_finite_initial_state_exit_2(tmp_path, monkeypatch, capsys):
+    # a coherent state of alpha 10 in 400 levels passes; the former product
+    # formula overflowed on it to NaN, which the headroom check let through
+    # (nan > 1e-6 is false) and the run then stopped on with exit 3
+    cfg = {
+        "kernel": {"family": "exponential", "gamma": 1.0, "tau_c": 0.5},
+        "grid": {"t_max": 0.5, "n_points": 9},
+        "propagation": {"fock_dim": 400, "h": 0.01, "n_samples": 3,
+                        "initial_state": {"type": "coherent", "alpha_re": 10.0}},
+        "output_dir": str(tmp_path / "out"),
+    }
+    RunConfig.from_dict({"scenario": "hpz", **cfg})
+    monkeypatch.setattr(scenarios, "coherent_state", product_coherent_state)
+    assert main(["hpz", "--config", write_config(tmp_path, cfg)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["field"] == "propagation.initial_state"
+    assert "not finite" in err["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_initial_state_headroom_only_where_the_guard_runs():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from nmgme import propagate
 from nmgme.bath import make_discrete_modes, make_exponential
@@ -25,8 +26,10 @@ from nmgme.propagate import (
     evolve,
     evolve_moments,
     me_rhs,
+    aligned_steps,
     trace_distance,
     _hermitian_of,
+    _moment_matrices,
     _rk4_step,
     _SandwichForm,
     _stage_blocks,
@@ -44,12 +47,14 @@ from nmgme.system import (
 
 from helpers import (
     DensityMatrix,
+    dense_banded,
     kossakowski_form,
     kossakowski_rhs,
     outer_commutator_rhs,
     reference_evolve,
     reference_evolve_moments,
     richardson_check,
+    rk4_step_matrices,
     scalar_interp,
 )
 
@@ -1001,3 +1006,110 @@ def test_operators_deduplicated_by_value():
     coeff.update(alpha=0.05, beta=-0.02, gamma_pp=-0.03, lam_mu=0.06)
     rho = random_hermitian_unit_trace(np.random.default_rng(2), 6)
     assert np.max(np.abs(me_rhs(rho, coeff, ops) - outer_commutator_rhs(rho, coeff, ops))) <= 1e-12
+
+
+def _constant_coeffs(t_max, scenario, Gamma=0.0, Theta=0.0, Xi=0.0, Upsilon=0.0):
+    """Coefficients that hold one value on a two-node grid."""
+    def table(value):
+        return np.full((2, 1, 1), value, dtype=complex)
+
+    return MECoefficients(grid=make_grid(t_max, 2), scenario=scenario, Gamma=table(Gamma), Theta=table(Theta),
+                          Xi=table(Xi), Upsilon=table(Upsilon))
+
+
+# 15390 steps of h = 2e4 / 15390 and a sample every 2565 of them: the
+# step times fall a few 1e-12 off the sample times, where a float
+# comparison of the two records sample 5 one step late
+LONG_WINDOW = {"t_final": 2e4, "h": 1.3, "n_samples": 7}
+
+
+def test_evolve_samples_a_long_window_on_its_steps():
+    # d rho01/dt = (4 Gamma - i omega) rho01 under H0 = omega sigma_z / 2,
+    # slow enough that RK4 at h = 1.3 is exact to rounding
+    gamma, omega = -1e-5, 1e-4
+    coeffs = _constant_coeffs(2e4, "dephasing", Gamma=gamma)
+    ops = {"A": [SZ], "H0": 0.5 * omega * SZ}
+    rho0 = np.full((2, 2), 0.5, dtype=complex)
+    traj = evolve(rho0, coeffs, ops, **LONG_WINDOW)
+    t = np.linspace(0.0, 2e4, 7)
+    assert np.array_equal(traj.times, t) and traj.states.shape == (7, 2, 2)
+    exact = np.empty((7, 2, 2), dtype=complex)
+    exact[:, 0, 0] = exact[:, 1, 1] = 0.5
+    exact[:, 0, 1] = 0.5 * np.exp((4.0 * gamma - 1j * omega) * t)
+    exact[:, 1, 0] = exact[:, 0, 1].conj()
+    assert np.max(np.abs(traj.states - exact)) <= 1e-10
+    assert len(traj.diagnostics["trace"]) == 7
+
+
+def test_evolve_moments_samples_a_long_window_on_its_steps():
+    # an oscillator of frequency 1e-4 (m omega = 1), damped by Upsilon and
+    # driven by the Gamma and Theta diffusion; the moment ODE is linear
+    # with constant K, so y(t) = expm(K t) y(0)
+    m, omega = 1e4, 1e-4
+    coeffs = _constant_coeffs(2e4, "linear", Gamma=-1e-6, Theta=1e-7, Xi=2e-6j, Upsilon=-2e-5j)
+    m0 = GaussianMoments.coherent(0.8, -0.5, m, omega)
+    traj = evolve_moments(m0, coeffs, m, omega, **LONG_WINDOW)
+    t = np.linspace(0.0, 2e4, 7)
+    assert np.array_equal(traj.times, t)
+    interp = CoefficientInterpolator(coeffs)
+    K = _moment_matrices(interp.split(interp.table[:1]), m, omega)[0]
+    y0 = np.concatenate([m0.mean, m0.cov.ravel(), [1.0]])
+    exact = np.array([expm(K * ti) @ y0 for ti in t])
+    assert np.max(np.abs(traj.means - exact[:, :2])) <= 1e-10
+    assert np.max(np.abs(traj.covs.reshape(-1, 4) - exact[:, 2:6])) <= 1e-10
+
+
+@pytest.mark.parametrize("case", ["qmupl-dim40", "hpz"])
+def test_moment_step_matrices_equal_the_written_out_tableau(monkeypatch, case):
+    # evolve_moments takes one RK4 step of the identity per block; each is
+    # the former written-out tableau bit for bit, and so is the trajectory
+    coeffs, _, _, t_final = EVOLVE_CASES[case]()
+    blocks = []
+
+    def spy(rhs, y, h, K0, Km, K1):
+        P = _rk4_step(rhs, y, h, K0, Km, K1)
+        assert np.array_equal(y, np.eye(7))
+        assert np.array_equal(P, rk4_step_matrices(np.stack([K0, Km, K1], axis=1).reshape(-1, 7, 7), h))
+        blocks.append(len(P))
+        return P
+
+    monkeypatch.setattr(propagate, "_rk4_step", spy)
+    m0 = GaussianMoments.coherent(0.9, -0.3, 1.0, 1.0)
+    traj = evolve_moments(m0, coeffs, 1.0, 1.0, t_final, 1e-3, n_samples=11)
+    n_steps, h = aligned_steps(t_final, 1e-3, 11)
+    assert sum(blocks) == n_steps and len(blocks) > 1
+    interp = CoefficientInterpolator(coeffs)
+    y = np.concatenate([m0.mean, m0.cov.ravel(), [1.0]])
+    samples = [y]
+    for first, count, times in _stage_blocks(n_steps, h):
+        P = rk4_step_matrices(_moment_matrices(interp.split(interp.rows(times)), 1.0, 1.0), h)
+        for i in range(count):
+            y = P[i] @ y
+            if (first + i + 1) % (n_steps // 10) == 0:
+                samples.append(y)
+    samples = np.array(samples)
+    assert np.array_equal(traj.means, samples[:, :2])
+    assert np.array_equal(traj.covs.reshape(-1, 4), samples[:, 2:6])
+
+
+def _hpz_dim16_case():
+    coeffs, _, _, t_final = _hpz_case()
+    f = fock_operators(16)
+    ops = {"A": [f["q"]], "V": [f["p"]], "H0": quadratic_hamiltonian(16), "q": f["q"], "p": f["p"]}
+    return coeffs, ops, np.eye(16, dtype=complex) / 16, t_final
+
+
+@pytest.mark.parametrize("case", ["qmupl-dim40", "hpz-dim16", "synthetic-d2"])
+def test_band_coefficients_equal_the_dense_route(case):
+    # every node row, every slope row and the zero row, as _Stages weighs
+    # them; the band rows of the constant operators combine to the band
+    # rows cut from the dense X and Fhat
+    coeffs, ops, rho0, _ = _hpz_dim16_case() if case == "hpz-dim16" else EVOLVE_CASES[case]()
+    interp = CoefficientInterpolator(coeffs)
+    form = _SandwichForm.of_run(coeffs, ops, rho0.shape[0])
+    rows = np.concatenate([interp.table, interp.slopes, np.zeros_like(interp.table[:1])])
+    w = form.weights(interp.split(rows), str)
+    got, want = form.banded(w), dense_banded(form, w)
+    assert got.shape == want.shape == (len(rows), form.dim, form.C.shape[1] + 2, 2 * (2 * form.band + 1))
+    for g, r in zip(got, want):
+        assert np.max(np.abs(g - r)) <= 1e-15 * np.max(np.abs(r))

@@ -7,13 +7,16 @@ the keys of its ``params`` and its observable names.
 
 import dataclasses
 import json
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from nmgme import scenarios
 from nmgme.propagate import evolve
-from nmgme.scenarios import RunConfig, run
+from nmgme.scenarios import RunConfig, coherent_state, run
+
+from helpers import product_coherent_state
 
 EXP = {"family": "exponential", "gamma": 1.0, "tau_c": 0.5}
 MODES = {"family": "discrete_modes", "mode_freqs": [1.0, 1.6], "couplings": [[0.2, [0.1, 0.05]]]}
@@ -124,3 +127,44 @@ def test_moment_check_sees_a_diffusion_error(tmp_path):
     # the second moments differ by the RK4 error of cov = <q^2> - <q>^2
     assert checks[1.0]["moment_fock_max_dsecond"] < 1e-11
     assert checks[1.01]["moment_fock_max_dsecond"] > 1e-8
+
+
+def _decimal_coherent_state(dim: int, alpha: float) -> np.ndarray:
+    """The coherent state of a real ``alpha`` at 40 digits: ``alpha^n /
+    sqrt(n!)``, normalized."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        a, amps = Decimal(alpha), [Decimal(1)]
+        for n in range(1, dim):
+            amps.append(amps[-1] * a / Decimal(n).sqrt())
+        norm = sum(x * x for x in amps).sqrt()
+        return np.array([float(x / norm) for x in amps])
+
+
+def test_coherent_state_has_no_overflow():
+    # alpha^n and exp(log(n!) / 2) both overflow at (400, 10)
+    psi = coherent_state(400, 10.0)
+    assert np.isfinite(psi).all()
+    assert abs(np.linalg.norm(psi) - 1.0) <= 1e-15
+    assert not np.isfinite(product_coherent_state(400, 10.0)).all()
+    assert np.max(np.abs(psi - _decimal_coherent_state(400, 10.0))) <= 1e-15
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0, 1 + 1j, 0.6j, -2.5 + 0.3j, 3.0, -3j])
+@pytest.mark.parametrize("dim", [2, 3, 8, 30, 40, 100, 400])
+def test_coherent_state_matches_the_product_formula(dim, alpha):
+    # every |alpha| up to 3, beyond those of the configs, tests and demos
+    # (at most 1): both formulas are within rounding of the state
+    old = product_coherent_state(dim, alpha)
+    assert np.isfinite(old).all()
+    assert np.max(np.abs(coherent_state(dim, alpha) - old)) <= 1e-15
+
+
+@pytest.mark.parametrize("alpha", [7.0, 10.0, 20.0, 30.0])
+@pytest.mark.parametrize("dim", [10, 40, 100, 300])
+def test_coherent_state_matches_40_digits_where_the_product_formula_drifts(dim, alpha):
+    # where the product formula is finite on these cases it is off by up
+    # to 8.4e-15, and by 5.1e-3 at alpha 30 in 40 levels, where its
+    # squares fall below the normal range; the outward ratios stay within
+    # rounding of 40-digit values
+    assert np.max(np.abs(coherent_state(dim, alpha) - _decimal_coherent_state(dim, alpha))) <= 1e-15
