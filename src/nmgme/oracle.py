@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .propagate import Trajectory, diagnostics, trace_distance
+from .bath import require_finite
+from .propagate import Trajectory, _hermitian_of, diagnostics
 
 __all__ = [
     "JointModel",
@@ -63,7 +64,9 @@ class JointModel:
     ``channel_ops`` are the Hermitian system coupling operators ``A_j``;
     ``couplings[j, m]`` couples channel ``j`` to mode ``m`` through the
     field ``g_jm b_m + conj(g_jm) b_m^dag``.  ``mode_dims`` truncates
-    each mode's Fock space (6 is plenty at weak coupling).
+    each mode's Fock space (6 is plenty at weak coupling).  A NaN or an
+    infinity in ``h_system``, a channel operator, ``mode_freqs`` or
+    ``couplings`` raises ``ValueError`` naming the field.
     """
 
     h_system: np.ndarray = field(repr=False)
@@ -82,6 +85,8 @@ class JointModel:
                 f"couplings shape {g.shape} inconsistent with "
                 f"{len(self.channel_ops)} channels x {freqs.size} modes"
             )
+        ops = {f"channel_ops[{j}]": op for j, op in enumerate(self.channel_ops)}
+        require_finite(h_system=self.h_system, **ops, mode_freqs=freqs, couplings=g)
         if not self.mode_dims:
             object.__setattr__(self, "mode_dims", tuple(DEFAULT_MODE_DIM for _ in freqs))
         if len(self.mode_dims) != freqs.size:
@@ -187,7 +192,7 @@ def build_joint(model: JointModel) -> _Entries:
     at = np.minimum(np.searchsorted(keys, partner), keys.size - 1)
     mirror = np.where(keys[at] == partner, vals[at], 0)
     defect = np.max(np.abs(vals[order] - np.conj(mirror)), initial=0.0)
-    if defect > 1e-12:
+    if not defect <= 1e-12:
         raise ValueError(f"joint Hamiltonian not Hermitian: defect {defect:.3e}")
     if not real and not vals.imag.any():
         vals = vals.real
@@ -268,7 +273,8 @@ def _chebyshev_propagate(H: _Entries, psi0: np.ndarray, times: np.ndarray) -> np
     ``psi0`` are), and the series stops at the order
     :func:`_chebyshev_order` gives for the last time.  ``|T_k(X)| <= 1``,
     so every sample is off by at most ``CHEBYSHEV_TAIL`` plus rounding.
-    A one-point spectrum (``r = 0``) is the pure phase ``e^{-ict}``.
+    A one-point spectrum (``r = 0``) is the pure phase ``e^{-ict}``.  The
+    sums go into one complex output, which takes the phase in place.
     """
     n = H.shape[0]
     on = H.rows == H.cols
@@ -291,7 +297,18 @@ def _chebyshev_propagate(H: _Entries, psi0: np.ndarray, times: np.ndarray) -> np
     # (2 - delta_k0) (-i)^k J_k is real at even k and imaginary at odd k
     w = _bessel_j(K, r * times) * np.array([1.0, -1.0, -1.0, 1.0])[np.arange(K + 1) % 4, None]
     w[1:] *= 2
-    return phase * (w[0::2].T @ v[0::2] + 1j * (w[1::2].T @ v[1::2]))
+    # numpy's complex product rounds by operand order, so each factor
+    # stays the first operand, as in phase * (even + 1j * odd)
+    out = np.empty((times.size, psi0.size), dtype=complex)
+    if real:
+        # the even terms sum to the real part, the odd to the imaginary
+        out.real = w[0::2].T @ v[0::2]
+        out.imag = w[1::2].T @ v[1::2]
+    else:
+        np.matmul(w[0::2].T, v[0::2], out=out)
+        odd = w[1::2].T @ v[1::2]
+        out += np.multiply(1j, odd, out=odd)
+    return np.multiply(phase, out, out=out)
 
 
 def evolve_joint(
@@ -308,12 +325,16 @@ def evolve_joint(
     of ``H`` that hold a nonzero entry of ``psi0``.  The joint state at
     each of the ``n_samples`` times ``t_k`` in ``[0, t_final]`` is
     ``exp(-i H[idx, idx] t_k) psi0[idx]`` (:func:`_chebyshev_propagate`
-    on the entries of that block) on ``idx`` and zero elsewhere; samples
-    are reduced by partial trace over the bath.  A sampled norm off 1 by
-    more than 1e-8, or not a number, aborts the run.
+    on the entries of that block) on ``idx`` and zero elsewhere; each
+    sample is formed from its row of the reached amplitudes in turn and
+    reduced by partial trace over the bath, and the trajectory keeps the
+    real form of the reduced state's Hermitian part.  A system state
+    that is not finite or not normalized raises ``ValueError`` before
+    ``H`` is built; a sampled norm off 1 by more than 1e-8, or not a
+    number, aborts the run.
     """
     psi_s = np.asarray(psi0_system, dtype=complex)
-    if abs(np.linalg.norm(psi_s) - 1.0) > 1e-10:
+    if not abs(np.linalg.norm(psi_s) - 1.0) <= 1e-10:
         raise ValueError("system state must be normalized")
     psi0 = np.kron(psi_s, _vacuum(model))
 
@@ -335,11 +356,11 @@ def evolve_joint(
         H = _Entries(new[H.rows[on]], new[H.cols[on]], H.vals[on], (idx.size, idx.size))
     # one expansion over all reached components
     times = np.linspace(0.0, t_final, n_samples)
-    psis = np.zeros((n_samples, reached.size), dtype=complex)
-    psis[:, idx] = _chebyshev_propagate(H, psi0[idx], times)
+    amps = _chebyshev_propagate(H, psi0[idx], times)
 
     d_s = model.system_dim
-    states = []
+    states = np.empty((n_samples, d_s, d_s))
+    psi = np.zeros(reached.size, dtype=complex)  # one joint state at a time
     logs = {
         "trace": [],
         "hermiticity_defect": [],
@@ -347,20 +368,22 @@ def evolve_joint(
         "purity": [],
         "norm": [],
     }
-    for t, psi in zip(times, psis):
+    for i, (t, row) in enumerate(zip(times, amps)):
+        psi[idx] = row
         norm = float(np.linalg.norm(psi))
         if not abs(norm - 1.0) <= 1e-8:
             raise RuntimeError(f"joint norm drifted to {norm} at t={t:.6g}")
         rho = _reduce(psi, d_s)
-        states.append(rho)
         diag = diagnostics(rho)
         for key in ("trace", "hermiticity_defect", "min_eigenvalue", "purity"):
             logs[key].append(diag[key])
         logs["norm"].append(norm)
+        herm = 0.5 * (rho + rho.conj().T)  # exactly Hermitian
+        states[i] = herm.real + herm.imag
 
     return Trajectory(
         times=times,
-        states=np.array(states),
+        real_states=states,
         diagnostics=logs,
         scenario=scenario,
         source="oracle",
@@ -388,17 +411,22 @@ def compare_with_me(
 ) -> dict:
     """Pointwise trace distances between matched trajectories.
 
-    Rejects mismatched sample times or dimensions.  The report carries
-    the distance curve, its maximum, and (when the mode comb is given)
-    the bath recurrence estimate that bounds the meaningful window.
+    The difference of two Hermitian states is Hermitian, so its trace
+    norm is the sum of the absolute values of its eigenvalues
+    (``eigvalsh``); it is formed from the difference of the real forms,
+    to which it is linear.  Rejects mismatched sample times or
+    dimensions.  The report carries the distance curve, its maximum, and
+    (when the mode comb is given) the bath recurrence estimate that
+    bounds the meaningful window.
     """
     ta, tb = oracle_traj.times, me_traj.times
     if len(ta) != len(tb) or np.max(np.abs(np.asarray(ta) - np.asarray(tb))) > 1e-9:
         raise ValueError("trajectories sampled at different times")
-    if oracle_traj.states.shape != me_traj.states.shape:
+    if oracle_traj.real_states.shape != me_traj.real_states.shape:
         raise ValueError("trajectories have different system dimensions")
     dists = [
-        trace_distance(a, b) for a, b in zip(oracle_traj.states, me_traj.states)
+        0.5 * np.sum(np.abs(np.linalg.eigvalsh(_hermitian_of(a - b))))
+        for a, b in zip(oracle_traj.real_states, me_traj.real_states)
     ]
     report = {
         "times": [float(t) for t in ta],

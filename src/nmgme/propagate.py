@@ -75,9 +75,10 @@ on the interleaved rows of ``M`` and ``M^T`` give
 0.16 MFlop per stage, against 1.28 MFlop for the same two products
 taken dense (0.13 against 1.02 for the first).  :func:`evolve` keeps
 the state as ``M`` (on the superoperator path below, as the entries of
-``M`` it reaches) and forms ``rho`` only at sample times: any real
-``M`` is a Hermitian ``rho``, so a trajectory's Hermiticity defect is 0
-by construction.
+``M`` it reaches), stores each sample as ``M`` and forms ``rho`` only to
+log a sample and when :attr:`Trajectory.states` is read: any real ``M``
+is a Hermitian ``rho``, so a trajectory's Hermiticity defect is 0 by
+construction.
 
 At small dimensions a stage costs per-call overhead rather than
 arithmetic, so a small run takes each stage as one product of the real
@@ -127,6 +128,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .bath import require_finite
 from .coefficients import CHANNEL_TABLES, EXTRAS, MECoefficients
 
 __all__ = [
@@ -188,8 +190,8 @@ class GaussianMoments:
     """First and second moments of a single-mode Gaussian state.
 
     ``mean = (<q>, <p>)`` and ``cov`` the symmetric covariance matrix
-    ``[[s_qq, s_qp], [s_qp, s_pp]]``.  The uncertainty product is
-    monitored, not enforced.
+    ``[[s_qq, s_qp], [s_qp, s_pp]]``, both finite.  The uncertainty
+    product is monitored, not enforced.
     """
 
     mean: np.ndarray
@@ -198,6 +200,7 @@ class GaussianMoments:
     def __post_init__(self):
         self.mean = np.asarray(self.mean, dtype=float).reshape(2)
         self.cov = np.asarray(self.cov, dtype=float).reshape(2, 2)
+        require_finite(mean=self.mean, cov=self.cov)
         if np.max(np.abs(self.cov - self.cov.T)) > 1e-12:
             raise ValueError("covariance matrix must be symmetric")
         if self.cov[0, 0] <= 0 or self.cov[1, 1] <= 0:
@@ -648,8 +651,10 @@ def _real_of(rho: np.ndarray) -> np.ndarray:
 
 def _hermitian_of(M: np.ndarray) -> np.ndarray:
     """The Hermitian ``rho`` whose real representation is
-    ``M = Re rho + Im rho``; exactly Hermitian in floating point."""
-    return 0.5 * (M + M.T) + 0.5j * (M - M.T)
+    ``M = Re rho + Im rho``, for one ``M`` or a stack of them; exactly
+    Hermitian in floating point."""
+    Mt = np.swapaxes(M, -1, -2)
+    return 0.5 * (M + Mt) + 0.5j * (M - Mt)
 
 
 def me_rhs(rho: np.ndarray, coeff: dict, ops: dict) -> np.ndarray:
@@ -693,10 +698,16 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 @dataclass
 class Trajectory:
-    """Sampled density-matrix evolution plus running diagnostics."""
+    """Sampled density-matrix evolution plus running diagnostics.
+
+    ``real_states`` holds each sampled state once, as the real
+    ``M = Re rho + Im rho`` of its Hermitian ``rho``: a float64 stack
+    ``(n_samples, dim, dim)``, half the size of the complex one.
+    :attr:`states` forms the complex stack on each read.
+    """
 
     times: np.ndarray
-    states: np.ndarray = field(repr=False)
+    real_states: np.ndarray = field(repr=False)
     diagnostics: dict = field(default_factory=dict)
     observables: dict = field(default_factory=dict)
     scenario: str = ""
@@ -706,6 +717,12 @@ class Trajectory:
     # largest population of the top two Fock levels after any step, as
     # seen by the truncation guard; None when the guard is off
     top_population: float | None = None
+
+    @property
+    def states(self) -> np.ndarray:
+        """The sampled ``rho`` ``(n_samples, dim, dim)``, formed from
+        ``real_states`` by :func:`_hermitian_of` on each read."""
+        return _hermitian_of(self.real_states)
 
     def to_json_dict(self, dump_rho: bool = False) -> dict:
         out = {
@@ -722,13 +739,9 @@ class Trajectory:
             "warnings": list(self.warnings),
         }
         if dump_rho:
-            flat = []
-            for rho in self.states:
-                inter = np.empty(2 * rho.size)
-                inter[0::2] = rho.real.ravel()
-                inter[1::2] = rho.imag.ravel()
-                flat.append([float(x) for x in inter])
-            out["rho"] = flat
+            # one sample at a time, real and imaginary parts interleaved
+            # as a complex rho lies in memory
+            out["rho"] = [_hermitian_of(M).reshape(-1).view(float).tolist() for M in self.real_states]
         return out
 
 
@@ -829,8 +842,8 @@ def evolve(
     stages = _Stages(_SandwichForm.of_run(coeffs, ops, dim), interp, M)
     y = stages.state(M)
 
-    states = np.empty((n_samples, dim, dim), dtype=complex)
-    states[0] = rho
+    states = np.empty((n_samples, dim, dim))
+    states[0] = M
     logs = {"trace": [], "hermiticity_defect": [], "min_eigenvalue": [], "purity": []}
     obs_logs = {name: [] for name in (observables or {})}
     warnings = []
@@ -869,9 +882,8 @@ def evolve(
                     )
             sample, rest = divmod(step, every)
             if rest == 0:
-                rho = _hermitian_of(stages.matrix(y))
-                states[sample] = rho
-                record(rho)
+                states[sample] = stages.matrix(y)
+                record(_hermitian_of(states[sample]))
 
     drift = abs(logs["trace"][-1] - logs["trace"][0])
     if drift > 1e-6:
@@ -879,7 +891,7 @@ def evolve(
 
     return Trajectory(
         times=np.linspace(0.0, t_final, n_samples),
-        states=states,
+        real_states=states,
         diagnostics=logs,
         observables=obs_logs,
         scenario=scenario,

@@ -386,6 +386,19 @@ def _initial_state(spec: dict, dim: int) -> np.ndarray:
     return coherent_state(dim, alpha)
 
 
+def _projector(psi: np.ndarray) -> np.ndarray:
+    """``|psi><psi|``, exactly Hermitian entry by entry: its real part
+    ``Re psi Re psi^T + Im psi Im psi^T`` is symmetric and its imaginary
+    part ``Im psi Re psi^T - Re psi Im psi^T`` antisymmetric, which the
+    complex product ``np.outer(psi, psi.conj())`` does not guarantee.  A
+    real ``psi`` gives the bits of that product, signed zeros included."""
+    re, im = psi.real, psi.imag
+    rho = np.empty((psi.size, psi.size), dtype=complex)
+    rho.real = np.outer(re, re) + np.outer(im, im)
+    rho.imag = np.outer(im, re) - np.outer(re, im)
+    return rho
+
+
 def _series_config(cfg: RunConfig) -> SeriesConfig:
     return SeriesConfig(
         max_order=int(cfg.series["max_order"]),
@@ -557,7 +570,7 @@ def run(cfg: RunConfig) -> dict:
             observables = params = None
         psi0 = _initial_state(p["initial_state"], dim)
         traj = evolve(
-            np.outer(psi0, psi0.conj()), coeffs, ops, grid.t_max, p["h"], p["n_samples"],
+            _projector(psi0), coeffs, ops, grid.t_max, p["h"], p["n_samples"],
             observables=observables, truncation_guard=not oracle_check,
             scenario=model, params=params,
         )

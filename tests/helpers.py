@@ -11,7 +11,7 @@ from nmgme.bath import CorrelationKernel
 from nmgme.coefficients import _ROWS, MECoefficients
 from nmgme.grids import TimeGrid, lags, on_square, prefix_weights, quad_weights
 from nmgme.oracle import JointModel, _reduce, _vacuum, build_joint
-from nmgme.propagate import CoefficientInterpolator, Trajectory, _band, aligned_steps, diagnostics, evolve
+from nmgme.propagate import CoefficientInterpolator, Trajectory, _band, _real_of, aligned_steps, diagnostics, evolve
 from nmgme.series import SeriesTables
 from nmgme.system import CommutatorKernel, PropagatorKernels
 
@@ -142,7 +142,7 @@ def stepped_evolve_joint(model, psi0_system, t_final, h, n_samples=101):
 
     return Trajectory(
         times=sample_times[: len(states)],
-        states=np.array(states),
+        real_states=hermitian_real_forms(states),
         diagnostics=logs,
         source="oracle",
     )
@@ -183,10 +183,30 @@ def full_eigh_evolve_joint(model, psi0_system, t_final, n_samples=101):
 
     return Trajectory(
         times=times,
-        states=np.array(states),
+        real_states=hermitian_real_forms(states),
         diagnostics=logs,
         source="oracle",
     )
+
+
+def hermitian_real_forms(states) -> np.ndarray:
+    """The real forms ``M = Re h + Im h`` of the Hermitian parts
+    ``h = (rho + rho^dag)/2`` of reduced states, the stored form of an
+    oracle sample in :func:`nmgme.oracle.evolve_joint`."""
+    return np.array([_real_of(0.5 * (rho + rho.conj().T)) for rho in states])
+
+
+def former_rho_dump(states) -> list:
+    """The former ``rho`` entry of ``Trajectory.to_json_dict``: each
+    complex state's real and imaginary parts interleaved into a list of
+    floats; the reference for the dump from the real forms."""
+    flat = []
+    for rho in states:
+        inter = np.empty(2 * rho.size)
+        inter[0::2] = rho.real.ravel()
+        inter[1::2] = rho.imag.ravel()
+        flat.append([float(x) for x in inter])
+    return flat
 
 
 def densify(entries) -> np.ndarray:

@@ -436,6 +436,38 @@ def test_non_finite_initial_state_exit_2(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out").exists()
 
 
+COMPLEX_START = {"type": "coherent", "alpha_re": 1.0, "alpha_im": 0.5}
+COMPLEX_START_CASES = {
+    "hpz": {"kernel": {"family": "discrete_modes", "mode_freqs": [1.3], "couplings": [[0.2]]}},
+    "qmupl": {"kernel": {"family": "exponential", "gamma": 1.0, "tau_c": 0.5},
+              "system": {"m": 1.0, "omega": 1.0, "lam": 0.2, "mu": 0.1}},
+    "oracle-check": {"model": "hpz", "oracle": {"mode_dims": [5]},
+                     "kernel": {"family": "discrete_modes", "mode_freqs": [1.3], "couplings": [[0.2]]}},
+}
+
+
+@pytest.mark.parametrize("scenario", COMPLEX_START_CASES)
+def test_complex_coherent_start_runs(tmp_path, scenario):
+    # |alpha><alpha| with Im alpha != 0 is built exactly Hermitian
+    cfg = {
+        **COMPLEX_START_CASES[scenario],
+        "grid": {"t_max": 0.5, "n_points": 17},
+        "series": {"max_order": 1, "eps_series": 1e-6, "quadrature": "trapezoid"},
+        "propagation": {"fock_dim": 16, "h": 0.005, "n_samples": 6, "initial_state": COMPLEX_START},
+        "output_dir": str(tmp_path / "out"),
+    }
+    assert main([scenario, "--config", write_config(tmp_path, cfg)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["max_hermiticity_defect"] == 0.0
+    if scenario == "oracle-check":
+        assert report["max_trace_distance"] < 5e-3
+        return
+    obs = json.loads((tmp_path / "out" / "trajectory.json").read_text())["observables"]
+    # <p> = sqrt(2 m omega) Im alpha and <q> = Re alpha sqrt(2 / (m omega)) at t = 0
+    assert obs["mean_p"][0] == pytest.approx(np.sqrt(2.0) * 0.5, abs=1e-6)
+    assert obs["mean_q"][0] == pytest.approx(np.sqrt(2.0), abs=1e-6)
+
+
 def test_initial_state_headroom_only_where_the_guard_runs():
     # oracle-check runs without the guard and coeffs does not propagate;
     # at fock_dim <= 3 the guard is off

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -522,9 +524,9 @@ def test_all_zero_hamiltonian_keeps_the_initial_state():
     assert np.max(np.abs(traj.states - np.outer(PLUS, PLUS.conj()))) <= 1e-15
 
 
-def test_oracle_memory_stays_sparse():
-    # the oracle-hpz model at joint dimension 1250: a dense H alone is
-    # 12.5 MB, the sparse entries and the sector expansion under 3 MB
+def _oracle_hpz_peak(n_samples):
+    """``tracemalloc`` peak of ``evolve_joint`` on the oracle-hpz model
+    (joint dimension 1250) from the vacuum, which reaches 625 entries."""
     model = JointModel(
         h_system=quadratic_hamiltonian(10),
         channel_ops=(fock_operators(10)["q"],),
@@ -535,8 +537,111 @@ def test_oracle_memory_stays_sparse():
     psi0 = np.eye(10, dtype=complex)[0]
     tracemalloc.start()
     try:
-        evolve_joint(model, psi0, 2.0, n_samples=41)
-        peak = tracemalloc.get_traced_memory()[1]
+        evolve_joint(model, psi0, 2.0, n_samples=n_samples)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4e6
+
+
+def test_oracle_memory_stays_sparse():
+    # a dense H alone is 12.5 MB, the sparse entries and the sector
+    # expansion under 3 MB
+    assert _oracle_hpz_peak(41) <= 4e6
+
+
+def test_oracle_samples_hold_no_joint_state_stack():
+    # at 1001 samples the reached amplitudes are 1001 x 625 complex
+    # (10 MB); a (1001, 1250) complex stack of joint states would be
+    # another 20 MB, and complex temporaries of the whole Chebyshev sum
+    # 10 MB each
+    assert _oracle_hpz_peak(1001) <= 20e6
+
+
+@pytest.mark.parametrize("g", [0.15, 0.15 * np.exp(0.3j)], ids=["real", "complex"])
+def test_oracle_stores_the_real_form_of_the_hermitian_part(monkeypatch, g):
+    # each sample is kept once, as the float64 real form of the Hermitian
+    # part of the reduced product; its diagnostics are those of the
+    # product itself
+    products, reduce = [], oracle._reduce
+
+    def spy(psi, d_s):
+        products.append(reduce(psi, d_s))
+        return products[-1]
+
+    monkeypatch.setattr(oracle, "_reduce", spy)
+    model = dataclasses.replace(_parity_model(), couplings=np.array([[g, 0.1, 0.1]]))
+    traj = evolve_joint(model, np.eye(6, dtype=complex)[1], 2.0, n_samples=9)
+    assert traj.real_states.dtype == np.float64 and traj.real_states.shape == (9, 6, 6)
+    assert len(products) == 9
+    for i, (M, rho) in enumerate(zip(traj.real_states, products)):
+        herm = 0.5 * (rho + rho.conj().T)
+        assert np.array_equal(M, herm.real + herm.imag)
+        assert traj.diagnostics["hermiticity_defect"][i] == np.max(np.abs(rho - rho.conj().T))
+        assert traj.diagnostics["purity"][i] == np.sum(rho * rho.T).real
+    assert np.array_equal(traj.states, traj.states.conj().transpose(0, 2, 1))
+
+
+def test_trace_distance_from_eigenvalues_without_svd(monkeypatch):
+    # the difference of two Hermitian states: half its summed absolute
+    # eigenvalues, which the SVD of the difference matches
+    model = _parity_model()
+    a = evolve_joint(model, np.eye(6, dtype=complex)[1], 2.0, n_samples=9)
+    b = evolve_joint(model, np.full(6, 1 / np.sqrt(6), dtype=complex), 2.0, n_samples=9)
+    svd = [trace_distance(x, y) for x, y in zip(a.states, b.states)]
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("compare_with_me took an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    report = compare_with_me(a, b)
+    assert np.max(np.abs(np.subtract(report["trace_distance"], svd))) <= 1e-15
+    assert report["max_trace_distance"] == max(report["trace_distance"]) > 0.1
+
+
+@pytest.mark.parametrize("state", [[np.nan, 0.0], [np.inf, 0.0], [1.0, np.nan]], ids=["nan", "inf", "nan-second"])
+def test_non_finite_system_state_rejected_before_build(monkeypatch, state):
+    def no_build(model):
+        raise AssertionError("build_joint ran on a non-finite state")
+
+    monkeypatch.setattr(oracle, "build_joint", no_build)
+    with pytest.raises(ValueError, match="normalized"):
+        evolve_joint(dephasing_model(), np.array(state, dtype=complex), 1.0)
+
+
+def _finite_fields():
+    return {
+        "h_system": np.zeros((2, 2), dtype=complex),
+        "channel_ops": (SZ,),
+        "mode_freqs": (1.0, 1.6),
+        "couplings": np.array([[0.2, 0.1]]),
+        "mode_dims": (3, 3),
+    }
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("h_system", np.array([[0.0, np.nan], [np.nan, 0.0]])),
+        ("channel_ops[0]", np.diag([1.0, np.inf])),
+        ("mode_freqs", (1.0, np.nan)),
+        ("couplings", np.array([[0.2, np.inf]])),
+        ("couplings", np.array([[0.2, complex(0.1, np.nan)]])),
+    ],
+    ids=["h_system", "channel_ops", "mode_freqs", "couplings-inf", "couplings-nan-imag"],
+)
+def test_non_finite_joint_model_rejected_by_name(field, value):
+    fields = _finite_fields()
+    if field == "channel_ops[0]":
+        fields["channel_ops"] = (value,)
+    else:
+        fields[field] = value
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be finite")):
+        JointModel(**fields)
+
+
+def test_overflowing_joint_hamiltonian_rejected():
+    # finite couplings whose entries g sqrt(n) overflow: the Hermiticity
+    # defect inf - inf is NaN, which a "defect > bound" test lets through
+    model = dephasing_model(g=1e308, dim=5)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="not Hermitian: defect nan"):
+        build_joint(model)

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from nmgme import propagate
+from nmgme import propagate, scenarios
 from nmgme.bath import make_discrete_modes, make_exponential
 from nmgme.coefficients import (
     MECoefficients,
@@ -21,6 +22,7 @@ from nmgme.propagate import (
     CoefficientInterpolator,
     EvolutionError,
     GaussianMoments,
+    Trajectory,
     TruncationError,
     diagnostics,
     evolve,
@@ -30,6 +32,7 @@ from nmgme.propagate import (
     trace_distance,
     _hermitian_of,
     _moment_matrices,
+    _real_of,
     _rk4_step,
     _SandwichForm,
     _stage_blocks,
@@ -48,6 +51,7 @@ from nmgme.system import (
 from helpers import (
     DensityMatrix,
     dense_banded,
+    former_rho_dump,
     kossakowski_form,
     kossakowski_rhs,
     outer_commutator_rhs,
@@ -478,6 +482,16 @@ def test_moments_validation():
     assert evolve_moments(m, coeffs, 1.0, 1.0, 1.0, 1e-2, n_samples=5).uncertainty_ok is False
 
 
+@pytest.mark.parametrize("field, mean, cov", [
+    ("cov", [0.0, 0.0], [[np.nan, 0.0], [0.0, 1.0]]),
+    ("mean", [np.inf, 0.0], [[1.0, 0.0], [0.0, 1.0]]),
+])
+def test_moments_reject_non_finite_entries(field, mean, cov):
+    # NaN passes both the symmetry and the positivity comparisons
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        GaussianMoments(mean=mean, cov=cov)
+
+
 def test_diagnostics_and_trace_distance():
     rho_pure = DensityMatrix.pure(np.array([1.0, 0.0]))
     d = diagnostics(rho_pure.matrix)
@@ -627,6 +641,43 @@ def test_trajectory_json_dict():
     assert len(payload["observables"]["pop0"]) == 6
     assert len(payload["rho"]) == 6
     assert len(payload["rho"][0]) == 8  # 2x2 complex, re/im interleaved
+
+
+@pytest.mark.parametrize("case", ["qmupl-dim40", "hpz"])
+def test_trajectory_keeps_each_sample_once_as_float64(monkeypatch, case):
+    coeffs, ops, rho0, t_final = EVOLVE_CASES[case]()
+    n_samples, dim = 6, rho0.shape[0]
+    logged, diag = [], propagate.diagnostics
+
+    def spy(rho):
+        logged.append(rho)
+        return diag(rho)
+
+    monkeypatch.setattr(propagate, "diagnostics", spy)
+    traj = evolve(rho0, coeffs, ops, t_final, 1e-2, n_samples=n_samples, truncation_guard=False)
+    assert traj.real_states.dtype == np.float64
+    assert traj.real_states.nbytes == n_samples * dim * dim * 8
+    assert np.array_equal(traj.real_states[0], _real_of(rho0))
+    states = traj.states
+    assert states.dtype == np.complex128 and states.shape == (n_samples, dim, dim)
+    for i, M in enumerate(traj.real_states):
+        # bit for bit, signed zeros included
+        assert states[i].tobytes() == _hermitian_of(M).tobytes()
+        if i:  # the sampled rho that is logged, as it was stored before
+            assert states[i].tobytes() == logged[i].tobytes()
+    with pytest.raises(AttributeError):
+        traj.states = states
+
+
+def test_rho_dump_equals_the_former_interleave():
+    # a complex coherent start, so both parts of most entries are nonzero
+    coeffs, ops, _, t_final = EVOLVE_CASES["hpz"]()
+    rho0 = scenarios._projector(coherent_state(10, complex(0.5, 0.4)))
+    traj = evolve(rho0, coeffs, ops, t_final, 1e-2, n_samples=6, truncation_guard=False)
+    former = {**traj.to_json_dict(), "rho": former_rho_dump(traj.states)}
+    assert json.dumps(traj.to_json_dict(dump_rho=True)) == json.dumps(former)
+    rebuilt = Trajectory(times=traj.times, real_states=traj.real_states.copy())
+    assert rebuilt.to_json_dict(dump_rho=True)["rho"] == former["rho"]
 
 
 def _qmupl_case():

@@ -141,6 +141,26 @@ def _decimal_coherent_state(dim: int, alpha: float) -> np.ndarray:
         return np.array([float(x / norm) for x in amps])
 
 
+@pytest.mark.parametrize("alpha", [0.5j, complex(1.0, 0.5), -1.3, complex(-0.4, -2.0)])
+def test_projector_is_exactly_hermitian(alpha):
+    # -1.3 has amplitudes with imaginary parts ~1e-17 from the phase of
+    # alpha, so it is complex too
+    psi = coherent_state(20, alpha)
+    rho = scenarios._projector(psi)
+    assert np.array_equal(rho, rho.conj().T)
+    assert np.max(np.abs(rho - np.outer(psi, psi.conj()))) <= 1e-16
+
+
+@pytest.mark.parametrize("psi", [
+    coherent_state(20, 1.0),
+    np.array([0.5, -0.5, 0.0, -0.0, 0.5, -0.5], dtype=complex),
+    np.eye(5, dtype=complex)[2],
+])
+def test_projector_of_a_real_state_is_the_complex_product(psi):
+    # every bit of np.outer(psi, psi.conj()), signed zeros included
+    assert scenarios._projector(psi).tobytes() == np.outer(psi, psi.conj()).tobytes()
+
+
 def test_coherent_state_has_no_overflow():
     # alpha^n and exp(log(n!) / 2) both overflow at (400, 10)
     psi = coherent_state(400, 10.0)
