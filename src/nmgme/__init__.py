@@ -32,7 +32,6 @@ from .propagate import (
     evolve,
     evolve_moments,
     me_rhs,
-    trace_distance,
 )
 from .series import ABKernels, SeriesConfig, SeriesTables, assemble_AB
 from .system import (
@@ -79,7 +78,6 @@ __all__ = [
     "evolve",
     "evolve_moments",
     "diagnostics",
-    "trace_distance",
     "JointModel",
     "build_joint",
     "evolve_joint",

@@ -96,7 +96,7 @@ search from the nonzero entries of ``M`` over the sparsity pattern of
 the constant operators (:meth:`_SandwichForm.reached`, like the oracle's
 search over its Hamiltonian), and the superoperator is built and applied
 on those entries only; every other entry of ``M`` stays exactly 0.  A
-run that reaches at most ``_SUPEROPERATOR_ENTRIES`` entries (144; its
+run that reaches at most ``_SUPEROPERATOR_ENTRIES`` entries (169; its
 comment holds the timings it rests on) steps this way, a larger one
 takes the band products above on all of ``M``, where the sectors are
 not used.
@@ -112,17 +112,25 @@ product of those weights with the superoperators of unit weights (built
 once per run), or its band coefficients, the two weight rows times the
 band rows of the constant operators (cut once per run).  Only the
 current interval's operator is kept, so the step loop only combines and
-multiplies matrices.  The Gaussian moments obey a linear ODE in
-``(mean, cov, 1)``: the 7x7 RK4 step matrices of a block are the one
-RK4 step (:func:`_rk4_step`) applied to the identity with batched
-products, and a step is one matrix-vector product.  Both propagators
-take a sample every ``n_steps // (n_samples - 1)`` steps, a whole number
-by :func:`aligned_steps`.  The state is never rescaled: trace drift is a
+multiplies matrices.  On the reached sector the interval's operator is
+also kept times each stage scale ``a = (h/2, h/2, h, h/6)`` of the
+tableau, and a step is four in-place products: stage ``s`` gives
+``z_s = a_s k_s``, the next stage reads ``y + z_s``, and the step is
+``y + (z_1 + 2 z_2 + z_3) / 3 + z_4``, the classical tableau regrouped
+(:meth:`_Stages.step`; :func:`_rk4_step` hands such stages the step).
+The band path takes the classical tableau as written.  The Gaussian
+moments obey a linear ODE in ``(mean, cov, 1)``: the 7x7 RK4 step
+matrices of a block are the one RK4 step (:func:`_rk4_step`) applied to
+the identity with batched products, and a step is one matrix-vector
+product.  Both propagators take a sample every
+``n_steps // (n_samples - 1)`` steps, a whole number by
+:func:`aligned_steps`.  The state is never rescaled: trace drift is a
 diagnostic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,7 +149,6 @@ __all__ = [
     "evolve",
     "evolve_moments",
     "diagnostics",
-    "trace_distance",
     "CoefficientInterpolator",
     "aligned_steps",
 ]
@@ -152,21 +159,28 @@ _BLOCK_STEPS = 32
 # stage as one product with the real superoperator of its reached sector
 # (_Stages) instead of the two band products: the superoperator's cost
 # follows the reached count r, the band's the dimension.  One RK4 step of
-# an hpz Fock run (half-bandwidth 2) and the build of one interval's
+# an hpz Fock run (half-bandwidth 2; the sector step of _Stages.step
+# against the band's classical step) and the build of one interval's
 # operator, which a run at h = 1e-3 on a grid of spacing 1/32 shares among
-# 31 steps (2 cores, 1 BLAS thread, least of 3 runs of best of 5):
-#   dim                     2      10     12     13     14     16     17
-#   every entry: r          4     100    144    169    196    256    289
-#     superoperator step   25 us  27 us  32 us  42 us  56 us  96 us  98 us
-#     its build             9 us  22 us  30 us  34 us  41 us  56 us  63 us
-#   vacuum sector: r        2      50     72     85     98    128    145
-#     superoperator step   27 us  18 us  22 us  22 us  25 us  35 us  36 us
-#     its build             5 us  13 us  17 us  19 us  24 us  28 us  33 us
-#   band step              39 us  46 us  48 us  49 us  54 us  54 us  57 us
-#     its build            39 us  46 us  45 us  45 us  51 us  51 us  55 us
-# The crossover lies between 169 and 196 entries; 144 = 12^2 keeps every
-# run whose state reaches all of M on the side it took by dimension.
-_SUPEROPERATOR_ENTRIES = 144
+# 31 steps (Xeon, 2 cores with 2 MiB of L2 each, 1 BLAS thread, least of
+# 4 runs of best of 15):
+#   dim                     2     10     12     13     14     16     17     18     19
+#   every entry: r          4    100    144    169    196    256    289    324    361
+#     superoperator step    8 us 20 us  30 us  32 us  52 us 139 us 177 us 223 us 294 us
+#     its build             7 us 39 us  61 us  80 us 107 us 183 us 205 us 234 us 278 us
+#   vacuum sector: r        2     50     72     85     98    128    145    162    181
+#     superoperator step    8 us 10 us  13 us  15 us  15 us  20 us  26 us  26 us  36 us
+#     its build             7 us 21 us  31 us  34 us  40 us  54 us  60 us  78 us  91 us
+#   band step              39 us 46 us  48 us  50 us  50 us  52 us  57 us  56 us  59 us
+#     its build            27 us 27 us  28 us  26 us  27 us  28 us  29 us  28 us  29 us
+# The crossover lies between 181 and 196 entries: the step's stack of
+# four operators takes 64 r^2 bytes, 2.1 MB at r = 181 and 2.5 MB at 196, and
+# past the L2 cache the step slows sharply.  169 = 13^2 is the largest
+# square on the superoperator's side.
+_SUPEROPERATOR_ENTRIES = 169
+# the weights of the scaled slopes z_s = a_s k_s in a sector step
+# (_Stages.step)
+_STEP_WEIGHTS = np.array([1.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0, 1.0])
 # the truncation guard's bound on the population of the top two Fock levels
 TRUNCATION_LIMIT = 1e-6
 # how far below 1/4 the moments' uncertainty product may fall and pass
@@ -562,15 +576,19 @@ class _Stages:
       docstring): the two weight rows as real rows ``[Re w | Im w]``
       times the values of the unit-weight superoperators of the sector
       (:meth:`_SandwichForm.superoperators`, built once per run), put at
-      their positions.  A stage is its product with ``[y; (t - t_k) y]``;
+      their positions.  A stage is its product with ``[y; (t - t_k) y]``.
+      The build also fills the operator times the tableau's stage scales
+      ``h/2``, ``h`` and ``h/6`` for the step ``h`` of the run, so that
+      :meth:`step` takes a whole RK4 step as four in-place products;
     - otherwise ``idx`` is every entry and ``y`` is ``M`` itself; the
       operator is the band coefficients of the two rows
       (:meth:`_SandwichForm.banded`), combined into
       ``Op_k + (t - t_k) dOp_k`` once per stage; the ``k2`` and ``k3`` of
-      a step share one.
+      a step share one, and a step is the classical tableau of
+      :func:`_rk4_step`.
     """
 
-    def __init__(self, form: _SandwichForm, interp: CoefficientInterpolator, M0: np.ndarray):
+    def __init__(self, form: _SandwichForm, interp: CoefficientInterpolator, M0: np.ndarray, h: float):
         self.form = form
         # weights of every node row and of every slope row (less the
         # weights of a zero row)
@@ -593,10 +611,20 @@ class _Stages:
             w = np.concatenate([w.real, w.imag], axis=1)
             r = len(self.idx)
             rows, cols, self._units = form.superoperators(self.idx)
-            # where the values of L_k and of dL_k go in [L_k | dL_k]
-            self._at = np.concatenate([rows * 2 * r + cols, rows * 2 * r + r + cols])
-            self._op = np.zeros((r, 2 * r))
-            self._x = np.empty(2 * r)  # [y; (t - t_k) y]
+            # the stack of [L_k | dL_k] times each of the scales (1, h/2,
+            # h, h/6) of the tableau, and where the values of L_k and of
+            # dL_k go in each
+            self._scales = np.array([1.0, 0.5 * h, h, h / 6.0])[:, None, None]
+            at = np.concatenate([rows * 2 * r + cols, rows * 2 * r + r + cols])
+            self._at = (np.arange(4)[:, None] * (2 * r * r) + at).reshape(-1)
+            self._op = np.zeros((4, r, 2 * r))
+            self._x = np.empty(2 * r)  # [u; (t - t_k) u] of a stage input u
+            self._z = np.empty((4, r))  # the scaled slopes of a step
+            # views of the step: the halves of x, the operator of each
+            # stage (scaled by h/2, h/2, h, h/6) and the rows of z
+            self._u, self._ut = self._x[:r], self._x[r:]
+            self._stage_ops = (self._op[1], self._op[1], self._op[2], self._op[3])
+            self._zs = tuple(self._z)
         else:
             self.idx = np.arange(dim * dim)
         self._w_node, self._w_slope = w[: G - 1], w[G:-1] - w[-1]
@@ -618,7 +646,7 @@ class _Stages:
     def _load(self, k: int) -> None:
         w = np.stack([self._w_node[k], self._w_slope[k]])
         if self._small:
-            self._op.reshape(-1)[self._at] = (w @ self._units).reshape(-1)
+            self._op.reshape(-1)[self._at] = ((self._scales * w).reshape(8, -1) @ self._units).reshape(-1)
         else:
             self._op = self.form.banded(w)
             self._c = np.empty_like(self._op[0])
@@ -630,15 +658,35 @@ class _Stages:
         if k != self._key:
             self._load(k)
         if self._small:
-            x, r = self._x, len(y)
-            x[:r] = y
-            np.multiply(y, dt, out=x[r:])
-            return self._op @ x
+            np.copyto(self._u, y)
+            np.multiply(y, dt, out=self._ut)
+            return self._op[0] @ self._x
         if stage != self._stage:
             np.multiply(self._op[1], dt, out=self._c)
             self._c += self._op[0]
             self._stage = stage
         return self.form(y, self._c)
+
+    def step(self, y: np.ndarray, c0: tuple, c_mid: tuple, c1: tuple) -> np.ndarray:
+        """One RK4 step of the sector state ``y`` over the stages ``c0``,
+        ``c_mid``, ``c1``, with the step ``h`` the stages were built for:
+        the tableau of :func:`_rk4_step` regrouped.  Stage ``s`` puts its
+        slope times the tableau's scale ``a_s`` of ``(h/2, h/2, h, h/6)``
+        into ``z_s``, in one product with the operator scaled when the
+        interval was built; the next stage reads ``y + z_s``, and the step
+        is ``y + (z_1 + 2 z_2 + z_3) / 3 + z_4``."""
+        x, u, ut, z = self._x, self._u, self._ut, self._zs
+        np.copyto(u, y)
+        for s, (k, dt) in enumerate((c0, c_mid, c_mid, c1)):
+            if k != self._key:
+                self._load(k)
+            if s:
+                np.add(y, z[s - 1], out=u)
+            np.multiply(u, dt, out=ut)
+            np.dot(self._stage_ops[s], x, out=z[s])
+        out = np.dot(_STEP_WEIGHTS, self._z)
+        out += y
+        return out
 
 
 def _real_of(rho: np.ndarray) -> np.ndarray:
@@ -689,11 +737,6 @@ def diagnostics(rho: np.ndarray) -> dict:
         "min_eigenvalue": float(np.min(np.linalg.eigvalsh(herm))),
         "purity": float(np.sum(rho * rho.T).real),
     }
-
-
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Half the sum of singular values of the difference."""
-    return float(0.5 * np.sum(np.linalg.svd(rho - sigma, compute_uv=False)))
 
 
 @dataclass
@@ -757,7 +800,11 @@ class MomentTrajectory:
 
 def _rk4_step(rhs, y, h, c0, c_mid, c1):
     """One classical RK4 step of ``dy/dt = rhs(y, c)``; ``c0``, ``c_mid``
-    and ``c1`` are the coefficients at ``t``, ``t + h/2`` and ``t + h``."""
+    and ``c1`` are the coefficients at ``t``, ``t + h/2`` and ``t + h``.
+    Stages on a reached sector take the step themselves
+    (:meth:`_Stages.step`, the same tableau regrouped)."""
+    if isinstance(rhs, _Stages) and rhs._small:
+        return rhs.step(y, c0, c_mid, c1)
     k1 = rhs(y, c0)
     k2 = rhs(y + 0.5 * h * k1, c_mid)
     k3 = rhs(y + 0.5 * h * k2, c_mid)
@@ -839,7 +886,7 @@ def evolve(
     n_steps, h_eff = aligned_steps(t_final, h, n_samples)
     every = n_steps // (n_samples - 1)  # steps between samples
     interp = CoefficientInterpolator(coeffs)
-    stages = _Stages(_SandwichForm.of_run(coeffs, ops, dim), interp, M)
+    stages = _Stages(_SandwichForm.of_run(coeffs, ops, dim), interp, M, h_eff)
     y = stages.state(M)
 
     states = np.empty((n_samples, dim, dim))
@@ -869,10 +916,12 @@ def evolve(
             y = _rk4_step(stages, y, h_eff, *zip(k[s], dt[s]))
             step = first + i + 1
             t = step * h_eff
-            if not np.isfinite(y).all():
+            # any NaN or inf entry makes the sum of squares non-finite, and
+            # no sum of squares cancels: only an overflow needs the full test
+            flat = y.reshape(-1)
+            if not math.isfinite(np.dot(flat, flat)) and not np.isfinite(flat).all():
                 raise EvolutionError(f"state became non-finite at t={t:.6g}", time=t - h_eff)
             if guard_on:
-                flat = y.reshape(-1)
                 top = max(top, sum(flat[j] for j in tops))
                 if top > TRUNCATION_LIMIT:
                     raise TruncationError(

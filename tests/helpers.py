@@ -196,6 +196,12 @@ def hermitian_real_forms(states) -> np.ndarray:
     return np.array([_real_of(0.5 * (rho + rho.conj().T)) for rho in states])
 
 
+def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """Half the sum of singular values of the difference: the SVD
+    reference for the eigenvalue form of :func:`nmgme.oracle.compare_with_me`."""
+    return float(0.5 * np.sum(np.linalg.svd(rho - sigma, compute_uv=False)))
+
+
 def former_rho_dump(states) -> list:
     """The former ``rho`` entry of ``Trajectory.to_json_dict``: each
     complex state's real and imaginary parts interleaved into a list of

@@ -20,10 +20,9 @@ from nmgme.oracle import (
     evolve_joint,
     recurrence_estimate,
 )
-from nmgme.propagate import trace_distance
 from nmgme.system import fock_operators, quadratic_hamiltonian
 
-from helpers import densify, full_eigh_evolve_joint, kron_build_joint, stepped_evolve_joint
+from helpers import densify, full_eigh_evolve_joint, kron_build_joint, stepped_evolve_joint, trace_distance
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)

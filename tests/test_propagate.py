@@ -29,7 +29,6 @@ from nmgme.propagate import (
     evolve_moments,
     me_rhs,
     aligned_steps,
-    trace_distance,
     _hermitian_of,
     _moment_matrices,
     _real_of,
@@ -60,6 +59,7 @@ from helpers import (
     richardson_check,
     rk4_step_matrices,
     scalar_interp,
+    trace_distance,
 )
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -378,23 +378,45 @@ def test_truncation_guard_trips():
         evolve(rho0, coeffs, ops, 4.0, 1e-2, n_samples=5)
 
 
-def test_non_finite_abort_reports_last_valid_time():
-    # a wildly stiff coefficient at a coarse step overflows RK4
+def _constant_gamma_dim4(gamma):
+    """A single-channel run at Fock dimension 4 with constant ``Gamma``."""
     grid = make_grid(1.0, 3)
     shape = (3, 1, 1)
     zeros = np.zeros(shape, dtype=complex)
     coeffs = MECoefficients(
         grid=grid, scenario="linear",
-        Gamma=np.full(shape, -1e80, dtype=complex),
+        Gamma=np.full(shape, gamma, dtype=complex),
         Theta=zeros, Xi=zeros.copy(), Upsilon=zeros.copy(),
     )
     ops_f = fock_operators(4)
-    ops = {"A": [ops_f["q"]], "V": [ops_f["p"]], "H0": quadratic_hamiltonian(4)}
+    return coeffs, {"A": [ops_f["q"]], "V": [ops_f["p"]], "H0": quadratic_hamiltonian(4)}
+
+
+def test_non_finite_abort_reports_last_valid_time():
+    # a wildly stiff coefficient at a coarse step overflows RK4: in the
+    # first step at Gamma = -1e80, in the fourth of steps 0.25 at -1e20
+    rho0 = DensityMatrix.pure(coherent_state(4, 0.5)).matrix
+    for gamma, h, last_valid in ((-1e80, 0.5, 0.0), (-1e20, 0.25, 0.75)):
+        coeffs, ops = _constant_gamma_dim4(gamma)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(EvolutionError, match="non-finite") as err:
+                evolve(rho0, coeffs, ops, 1.0, h, n_samples=3, truncation_guard=False)
+        assert err.value.time == last_valid
+
+
+def test_finite_state_whose_sum_of_squares_overflows_runs():
+    # entries near 1e160 are finite, but their squares overflow: the
+    # cheap test of each step (the sum of squares) alarms, and the full
+    # test of the entries lets the run go on (the logged purity overflows
+    # as well)
+    coeffs, ops = _constant_gamma_dim4(0.0)
     rho0 = DensityMatrix.pure(coherent_state(4, 0.5)).matrix
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(EvolutionError, match="non-finite") as err:
-            evolve(rho0, coeffs, ops, 1.0, 0.5, n_samples=3, truncation_guard=False)
-    assert err.value.time is not None
+        big = evolve(1e160 * rho0, coeffs, ops, 1.0, 0.25, n_samples=3, truncation_guard=False)
+        assert not np.isfinite(np.sum(big.real_states[-1] ** 2))
+    unit = evolve(rho0, coeffs, ops, 1.0, 0.25, n_samples=3, truncation_guard=False)
+    assert np.isfinite(big.real_states).all()
+    assert np.max(np.abs(1e-160 * big.real_states - unit.real_states)) <= 1e-14
 
 
 def test_richardson_check_small_for_smooth_run():
@@ -837,7 +859,7 @@ def _interval_stage(coeffs, ops, t, M0=None):
     form = _SandwichForm.of_run(coeffs, ops, dim)
     (k,), (dt,) = interp.intervals([t])
     M0 = np.ones((dim, dim)) if M0 is None else M0
-    return form, _Stages(form, interp, M0), (int(k), float(dt))
+    return form, _Stages(form, interp, M0, 1e-3), (int(k), float(dt))
 
 
 def test_mirrored_branch_is_hermitian_and_equals_general_branch(monkeypatch):
@@ -963,17 +985,18 @@ def _selected_evaluation(monkeypatch, dim, psi):
     return "band" if band else "superoperator"
 
 
-@pytest.mark.parametrize("dim, kind", [(12, "superoperator"), (13, "band"), (16, "band")])
+@pytest.mark.parametrize("dim, kind", [(12, "superoperator"), (13, "superoperator"), (14, "band"), (16, "band")])
 def test_mirrored_evaluation_selected_by_dimension(monkeypatch, dim, kind):
-    # both sides of the crossover _SUPEROPERATOR_ENTRIES (144) for a
+    # both sides of the crossover _SUPEROPERATOR_ENTRIES (169) for a
     # coherent state, which reaches all dim^2 entries of M
     assert _selected_evaluation(monkeypatch, dim, coherent_state(dim, 0.5)) == kind
 
 
-@pytest.mark.parametrize("dim, kind", [(12, "superoperator"), (16, "superoperator"), (17, "band")])
+@pytest.mark.parametrize("dim, kind", [(12, "superoperator"), (16, "superoperator"), (18, "superoperator"),
+                                       (19, "band")])
 def test_vacuum_sector_selected_by_reached_count(monkeypatch, dim, kind):
     # the vacuum reaches the ceil(dim^2 / 2) entries of even m - n: 72,
-    # 128 and 145
+    # 128, 162 and 181
     psi = np.zeros(dim)
     psi[0] = 1.0
     assert _selected_evaluation(monkeypatch, dim, psi) == kind
@@ -989,11 +1012,63 @@ def test_forward_run_builds_each_interval_once(monkeypatch, case):
 
     def spy(stages, k):
         loads.append(k)
-        return load(stages, k)
+        load(stages, k)
+        if stages._small:
+            # the operator of each stage, scaled by h/2, h or h/6
+            op = stages._op
+            scaled = stages._scales[1:] * op[0]
+            assert np.max(np.abs(op[1:] - scaled)) <= 1e-15 * np.max(np.abs(scaled))
 
     monkeypatch.setattr(_Stages, "_load", spy)
     evolve(rho0, coeffs, ops, t_final, 2e-3, n_samples=6, truncation_guard=False)
     assert loads == list(range(coeffs.grid.n_points - 1))
+
+
+def _hpz_coherent_case():
+    coeffs, ops, _, t_final = _hpz_case()
+    psi = coherent_state(10, 0.5)
+    return coeffs, ops, np.outer(psi, psi.conj()), t_final
+
+
+# the runs that step on a reached sector, and how many entries they reach
+SECTOR_CASES = {"hpz": 50, "hpz-coherent": 100, "dephasing": 4, "synthetic-d2": 64, "dense-d2": 64}
+
+
+@pytest.mark.parametrize("case", SECTOR_CASES)
+def test_sector_step_matches_the_classical_tableau(monkeypatch, case):
+    # a run on a reached sector takes each RK4 step as four products with
+    # [L_k | dL_k] scaled by the tableau's h/2, h/2, h, h/6 when the
+    # interval is built (_Stages.step): the classical tableau over the
+    # same stages, regrouped, inside one grid interval and across a node
+    coeffs, ops, rho0, _ = _hpz_coherent_case() if case == "hpz-coherent" else EVOLVE_CASES[case]()
+    h = 1e-3
+    interp = CoefficientInterpolator(coeffs)
+    stages = _Stages(_SandwichForm.of_run(coeffs, ops, rho0.shape[0]), interp, _real_of(rho0), h)
+    assert stages._small and len(stages.idx) == SECTOR_CASES[case]
+    evaluations = []
+    call = _Stages.__call__
+
+    def spy(stages, y, stage):
+        evaluations.append(stage)
+        return call(stages, y, stage)
+
+    monkeypatch.setattr(_Stages, "__call__", spy)
+    rng = np.random.default_rng(41)
+    node = coeffs.grid.points[3]
+    # inside interval 2; c1 past node 3; c_mid and c1 past it
+    for t in (0.5 * (coeffs.grid.points[2] + node), node - 0.7 * h, node - 0.3 * h):
+        k, dt = interp.intervals([t, t + 0.5 * h, t + h])
+        c0, c_mid, c1 = zip(k.tolist(), dt.tolist())
+        assert (c0[0] == c1[0]) == (t < node - h)
+        y = stages.state(rng.normal(size=rho0.shape))
+        before = y.copy()
+        got = _rk4_step(stages, y, h, c0, c_mid, c1)
+        assert evaluations == [] and np.array_equal(y, before)
+        want = _rk4_step(lambda x, c: stages(x, c), y, h, c0, c_mid, c1)
+        assert len(evaluations) == 4
+        evaluations.clear()
+        assert got.dtype == np.float64 and got.shape == y.shape
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(y)), (case, t)
 
 
 def _unphysical_case(case):
