@@ -74,8 +74,8 @@ on the interleaved rows of ``M`` and ``M^T`` give
 ``q`` real and ``p`` imaginary, so ``N = 2``) the two products take
 0.16 MFlop per stage, against 1.28 MFlop for the same two products
 taken dense (0.13 against 1.02 for the first).  :func:`evolve` keeps
-the state as ``M`` (on the superoperator path below, as the entries of
-``M`` it reaches), stores each sample as ``M`` and forms ``rho`` only to
+the state as the entries of ``vec(M)`` that it reaches (on the band path
+all of them), stores each sample as ``M`` and forms ``rho`` only to
 log a sample and when :attr:`Trajectory.states` is read: any real ``M``
 is a Hermitian ``rho``, so a trajectory's Hermiticity defect is 0 by
 construction.
@@ -112,17 +112,16 @@ product of those weights with the superoperators of unit weights (built
 once per run), or its band coefficients, the two weight rows times the
 band rows of the constant operators (cut once per run).  Only the
 current interval's operator is kept, so the step loop only combines and
-multiplies matrices.  On the reached sector the interval's operator is
-also kept times each stage scale ``a = (h/2, h/2, h, h/6)`` of the
-tableau, and a step is four in-place products: stage ``s`` gives
-``z_s = a_s k_s``, the next stage reads ``y + z_s``, and the step is
-``y + (z_1 + 2 z_2 + z_3) / 3 + z_4``, the classical tableau regrouped
-(:meth:`_Stages.step`; :func:`_rk4_step` hands such stages the step).
-The band path takes the classical tableau as written.  The Gaussian
-moments obey a linear ODE in ``(mean, cov, 1)``: the 7x7 RK4 step
-matrices of a block are the one RK4 step (:func:`_rk4_step`) applied to
-the identity with batched products, and a step is one matrix-vector
-product.  Both propagators take a sample every
+multiplies matrices.  Both paths take a step in place
+(:meth:`_Stages.step`): a preallocated ``B = [y; k_1..k_4]`` holds the
+step's state and slopes, the input of each stage is its row of the
+classical tableau times the rows of ``B`` the step has written (``y``
+for the first), its slope goes straight into the next row of ``B``, and
+the step is the tableau's last row times ``B``.  :func:`_rk4_step` hands such stages their step;
+its written-out tableau serves the Gaussian moments, which obey a linear
+ODE in ``(mean, cov, 1)``: the 7x7 RK4 step matrices of a block are that
+tableau applied to the identity with batched products, and a step is one
+matrix-vector product.  Both propagators take a sample every
 ``n_steps // (n_samples - 1)`` steps, a whole number by
 :func:`aligned_steps`.  The state is never rescaled: trace drift is a
 diagnostic.
@@ -159,28 +158,26 @@ _BLOCK_STEPS = 32
 # stage as one product with the real superoperator of its reached sector
 # (_Stages) instead of the two band products: the superoperator's cost
 # follows the reached count r, the band's the dimension.  One RK4 step of
-# an hpz Fock run (half-bandwidth 2; the sector step of _Stages.step
-# against the band's classical step) and the build of one interval's
-# operator, which a run at h = 1e-3 on a grid of spacing 1/32 shares among
-# 31 steps (Xeon, 2 cores with 2 MiB of L2 each, 1 BLAS thread, least of
-# 4 runs of best of 15):
-#   dim                     2     10     12     13     14     16     17     18     19
-#   every entry: r          4    100    144    169    196    256    289    324    361
-#     superoperator step    8 us 20 us  30 us  32 us  52 us 139 us 177 us 223 us 294 us
-#     its build             7 us 39 us  61 us  80 us 107 us 183 us 205 us 234 us 278 us
-#   vacuum sector: r        2     50     72     85     98    128    145    162    181
-#     superoperator step    8 us 10 us  13 us  15 us  15 us  20 us  26 us  26 us  36 us
-#     its build             7 us 21 us  31 us  34 us  40 us  54 us  60 us  78 us  91 us
-#   band step              39 us 46 us  48 us  50 us  50 us  52 us  57 us  56 us  59 us
-#     its build            27 us 27 us  28 us  26 us  27 us  28 us  29 us  28 us  29 us
-# The crossover lies between 181 and 196 entries: the step's stack of
-# four operators takes 64 r^2 bytes, 2.1 MB at r = 181 and 2.5 MB at 196, and
-# past the L2 cache the step slows sharply.  169 = 13^2 is the largest
-# square on the superoperator's side.
+# an hpz Fock run (half-bandwidth 2; _Stages.step on each path) and the
+# build of one interval's operator, which a run at h = 1e-3 on a grid of
+# spacing 1/32 shares among 31 steps, in us (Xeon, 2 cores with 2 MiB of
+# L2 each, 1 BLAS thread, least of 4 runs of best of 15, two such sweeps):
+#   dim                 2   10   12   13   14   15   16   17   18   19   20
+#   every entry: r      4  100  144  169  196  225  256  289  324  361  400
+#     sector step       8   18   22   34   35   49   56   85  107  175  275
+#     its build         5   20   28   33   38   43   50   60   69   82   94
+#   vacuum sector: r    2   50   72   85   98  113  128  145  162  181  200
+#     sector step       8   10   12   15   18   20   26   27   27   38   36
+#     its build         5   13   17   19   21   24   28   31   34   38   42
+#   band step          36   42   46   47   47   50   49   52   53   55   55
+#     its build        25   25   26   26   26   28   27   28   27   28   28
+# A step reads the (r, 2 r) operator [L_k | dL_k], 16 r^2 bytes, once per
+# stage, and its time is not smooth in r: at r = 196 it read 35 us in both
+# sweeps but 47-50 us in five runs of dims 14-16 alone (band: 48 us).  From
+# every entry it ties the band at 225 and falls behind from 256; a vacuum
+# sector still wins at 200, where the band's dimension is larger.  169 =
+# 13^2 is the largest square on the superoperator's side in every run.
 _SUPEROPERATOR_ENTRIES = 169
-# the weights of the scaled slopes z_s = a_s k_s in a sector step
-# (_Stages.step)
-_STEP_WEIGHTS = np.array([1.0 / 3.0, 2.0 / 3.0, 1.0 / 3.0, 1.0])
 # the truncation guard's bound on the population of the top two Fock levels
 TRUNCATION_LIMIT = 1e-6
 # how far below 1/4 the moments' uncertainty product may fall and pass
@@ -535,10 +532,10 @@ class _SandwichForm:
         coef = np.concatenate([X, 1j * X, Ahat], axis=1)
         return np.ascontiguousarray(coef.transpose(0, 2, 1, 3)).view(float)
 
-    def __call__(self, M: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    def __call__(self, M: np.ndarray, coef: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``dM/dt``, the real representation of ``drho/dt``, at the real
         ``M = Re rho + Im rho`` under the stage with band coefficients
-        ``coef`` (:meth:`banded`)."""
+        ``coef`` (:meth:`banded`); written into ``out`` when given."""
         self._MMt.rows[:, 0] = M
         self._MMt.rows[:, 1] = M.T
         # [Q; Q'; Yhat_n]: Re + Im of [X rho; iX rho; Ahat_n rho]
@@ -547,7 +544,7 @@ class _SandwichForm:
         self._Yhat.rows[...] = T[2:].transpose(2, 0, 1)
         S = self._Yhat(self._RT, out=self._S)[:, 0]  # (sum_n Yhat_n R_n)^T
         S += T[1]
-        return T[0] + S.T  # Q + Q'^T + sum_n Yhat_n R_n
+        return np.add(T[0], S.T, out=out)  # Q + Q'^T + sum_n Yhat_n R_n
 
 
 class _Stages:
@@ -565,27 +562,26 @@ class _Stages:
     When a stage reaches an interval other than the current one, the
     interval's operator is built from its two weight rows, and only that
     operator is kept, so a run that steps forward in time builds each
-    interval once.  ``idx`` lists the entries of ``vec(M)`` (row-major)
-    that ``y`` holds:
+    interval once.  ``y`` is ``vec(M)[idx]`` for the entries ``idx`` of
+    ``vec(M)`` (row-major) that it holds:
 
     - when ``M0`` reaches at most ``_SUPEROPERATOR_ENTRIES`` entries
-      (:meth:`_SandwichForm.reached`), ``idx`` is that sector and ``y``
-      is ``vec(M)[idx]``; no other entry of ``M`` can become nonzero.
-      The operator is the real superoperator ``[L_k | dL_k]`` on the
-      sector's rows and columns, ``L = Re S + Im S'`` (module
-      docstring): the two weight rows as real rows ``[Re w | Im w]``
-      times the values of the unit-weight superoperators of the sector
-      (:meth:`_SandwichForm.superoperators`, built once per run), put at
-      their positions.  A stage is its product with ``[y; (t - t_k) y]``.
-      The build also fills the operator times the tableau's stage scales
-      ``h/2``, ``h`` and ``h/6`` for the step ``h`` of the run, so that
-      :meth:`step` takes a whole RK4 step as four in-place products;
-    - otherwise ``idx`` is every entry and ``y`` is ``M`` itself; the
-      operator is the band coefficients of the two rows
-      (:meth:`_SandwichForm.banded`), combined into
-      ``Op_k + (t - t_k) dOp_k`` once per stage; the ``k2`` and ``k3`` of
-      a step share one, and a step is the classical tableau of
-      :func:`_rk4_step`.
+      (:meth:`_SandwichForm.reached`), ``idx`` is that sector; no other
+      entry of ``M`` can become nonzero.  The operator is the real
+      superoperator ``[L_k | dL_k]`` on the sector's rows and columns,
+      ``L = Re S + Im S'`` (module docstring): the two weight rows as
+      real rows ``[Re w | Im w]`` times the values of the unit-weight
+      superoperators of the sector (:meth:`_SandwichForm.superoperators`,
+      built once per run), put at their positions.  A stage is its
+      product with ``[y; (t - t_k) y]``;
+    - otherwise ``idx`` is every entry; the operator is the band
+      coefficients of the two rows (:meth:`_SandwichForm.banded`),
+      combined into ``Op_k + (t - t_k) dOp_k`` once per stage (the ``k2``
+      and ``k3`` of a step share one), and a stage is one call of the
+      form on ``M``.
+
+    Both paths take a step in place with the classical tableau
+    (:meth:`step`), for the step ``h`` the stages were built for.
     """
 
     def __init__(self, form: _SandwichForm, interp: CoefficientInterpolator, M0: np.ndarray, h: float):
@@ -602,91 +598,95 @@ class _Stages:
             return f"on the slope of grid interval [{nodes[i - G]:.6g}, {nodes[i - G + 1]:.6g}]"
 
         w = form.weights(interp.split(rows), where)
-        dim = form.dim
-        self.idx = form.reached(M0)
-        self._small = len(self.idx) <= _SUPEROPERATOR_ENTRIES
+        reached = form.reached(M0)
+        self._small = len(reached) <= _SUPEROPERATOR_ENTRIES
+        self.idx = reached if self._small else np.arange(form.dim**2)
+        r = len(self.idx)
         if self._small:
             # the weights as real rows [Re w | Im w] over the unit-weight
-            # superoperators of the reached sector
+            # superoperators of the reached sector, and where the values
+            # of L_k and of dL_k go in [L_k | dL_k]
             w = np.concatenate([w.real, w.imag], axis=1)
-            r = len(self.idx)
             rows, cols, self._units = form.superoperators(self.idx)
-            # the stack of [L_k | dL_k] times each of the scales (1, h/2,
-            # h, h/6) of the tableau, and where the values of L_k and of
-            # dL_k go in each
-            self._scales = np.array([1.0, 0.5 * h, h, h / 6.0])[:, None, None]
-            at = np.concatenate([rows * 2 * r + cols, rows * 2 * r + r + cols])
-            self._at = (np.arange(4)[:, None] * (2 * r * r) + at).reshape(-1)
-            self._op = np.zeros((4, r, 2 * r))
-            self._x = np.empty(2 * r)  # [u; (t - t_k) u] of a stage input u
-            self._z = np.empty((4, r))  # the scaled slopes of a step
-            # views of the step: the halves of x, the operator of each
-            # stage (scaled by h/2, h/2, h, h/6) and the rows of z
-            self._u, self._ut = self._x[:r], self._x[r:]
-            self._stage_ops = (self._op[1], self._op[1], self._op[2], self._op[3])
-            self._zs = tuple(self._z)
-        else:
-            self.idx = np.arange(dim * dim)
+            self._at = np.concatenate([rows * 2 * r + cols, rows * 2 * r + r + cols])
+            self._op = np.zeros((r, 2 * r))
+        # the classical tableau as rows over [y; k1..k4]: the inputs of
+        # stages 2 to 4, then the step (the input of stage 1 is y)
+        tab = np.array([[1, h / 2, 0, 0, 0], [1, 0, h / 2, 0, 0], [1, 0, 0, h, 0], [1, h / 6, h / 3, h / 3, h / 6]])
+        B = self._B = np.zeros((5, r))  # [y; k1..k4] of a step
+        # a stage input u; on the sector [u; (t - t_k) u]
+        self._x = np.empty(2 * r if self._small else r)
+        self._u, self._ut = self._x[:r], self._x[r:]
+        # for each stage s: the row of B its slope goes into, and the row
+        # of the tableau times the rows of B written so far, into the next
+        # stage's input or, after stage 4, a new array
+        self._tableau = [(B[s], tab[s - 1, : s + 1], B[: s + 1], self._u if s < 4 else None) for s in range(1, 5)]
         self._w_node, self._w_slope = w[: G - 1], w[G:-1] - w[-1]
         self._key = self._stage = None  # interval built, stage combined
 
     def state(self, M: np.ndarray) -> np.ndarray:
-        """The stepped state ``y`` of the real ``M``."""
-        return M.reshape(-1)[self.idx] if self._small else M
+        """The stepped state ``y = vec(M)[idx]`` of the real ``M``."""
+        return M.reshape(-1)[self.idx]
 
     def matrix(self, y: np.ndarray) -> np.ndarray:
-        """The real ``M`` of the stepped state ``y``."""
-        if not self._small:
-            return y
-        dim = self.form.dim
-        M = np.zeros(dim * dim)
-        M[self.idx] = y.reshape(-1)
-        return M.reshape(dim, dim)
+        """The real ``M`` of the stepped state ``y``, 0 off ``idx``."""
+        M = np.zeros(self.form.dim**2)
+        M[self.idx] = y
+        return M.reshape(self.form.dim, -1)
 
     def _load(self, k: int) -> None:
         w = np.stack([self._w_node[k], self._w_slope[k]])
         if self._small:
-            self._op.reshape(-1)[self._at] = ((self._scales * w).reshape(8, -1) @ self._units).reshape(-1)
+            self._op.reshape(-1)[self._at] = (w @ self._units).reshape(-1)
         else:
             self._op = self.form.banded(w)
             self._c = np.empty_like(self._op[0])
         self._key, self._stage = k, None
 
+    def _band_stage(self, stage: tuple) -> np.ndarray:
+        """The band coefficients ``Op_k + (t - t_k) dOp_k`` of ``stage``
+        on the current interval, combined once for a run of calls."""
+        if stage != self._stage:
+            np.multiply(self._op[1], stage[1], out=self._c)
+            self._c += self._op[0]
+            self._stage = stage
+        return self._c
+
     def __call__(self, y: np.ndarray, stage: tuple) -> np.ndarray:
-        """``dy/dt`` at the stepped state ``y`` under ``stage``."""
+        """``dy/dt`` at the stepped state ``y`` under ``stage``; on the band
+        path ``y`` may also be ``M`` itself, and ``dy/dt`` takes its shape."""
         k, dt = stage
         if k != self._key:
             self._load(k)
         if self._small:
             np.copyto(self._u, y)
             np.multiply(y, dt, out=self._ut)
-            return self._op[0] @ self._x
-        if stage != self._stage:
-            np.multiply(self._op[1], dt, out=self._c)
-            self._c += self._op[0]
-            self._stage = stage
-        return self.form(y, self._c)
+            return self._op @ self._x
+        return self.form(y.reshape(self.form.dim, -1), self._band_stage(stage)).reshape(y.shape)
 
     def step(self, y: np.ndarray, c0: tuple, c_mid: tuple, c1: tuple) -> np.ndarray:
-        """One RK4 step of the sector state ``y`` over the stages ``c0``,
-        ``c_mid``, ``c1``, with the step ``h`` the stages were built for:
-        the tableau of :func:`_rk4_step` regrouped.  Stage ``s`` puts its
-        slope times the tableau's scale ``a_s`` of ``(h/2, h/2, h, h/6)``
-        into ``z_s``, in one product with the operator scaled when the
-        interval was built; the next stage reads ``y + z_s``, and the step
-        is ``y + (z_1 + 2 z_2 + z_3) / 3 + z_4``."""
-        x, u, ut, z = self._x, self._u, self._ut, self._zs
+        """One classical RK4 step of ``y`` over the stages ``c0``, ``c_mid``,
+        ``c1``, with the step ``h`` the stages were built for, in place:
+        ``y`` goes into row 0 of ``B = [y; k1..k4]`` and is the input of
+        stage 1; stage ``s`` writes its slope into row ``s``, and row ``s``
+        of the tableau times the rows of ``B`` written so far is the input
+        of stage ``s + 1``, or after stage 4 the step.  ``y`` is left
+        untouched."""
+        u, ut = self._u, self._ut
+        self._B[0] = y
         np.copyto(u, y)
-        for s, (k, dt) in enumerate((c0, c_mid, c_mid, c1)):
+        for stage, (slope, row, done, out) in zip((c0, c_mid, c_mid, c1), self._tableau):
+            k, dt = stage
             if k != self._key:
                 self._load(k)
-            if s:
-                np.add(y, z[s - 1], out=u)
-            np.multiply(u, dt, out=ut)
-            np.dot(self._stage_ops[s], x, out=z[s])
-        out = np.dot(_STEP_WEIGHTS, self._z)
-        out += y
-        return out
+            if self._small:
+                np.multiply(u, dt, out=ut)
+                np.dot(self._op, self._x, out=slope)
+            else:
+                dim = self.form.dim
+                self.form(u.reshape(dim, dim), self._band_stage(stage), out=slope.reshape(dim, dim))
+            y_next = np.dot(row, done, out=out)
+        return y_next
 
 
 def _real_of(rho: np.ndarray) -> np.ndarray:
@@ -801,9 +801,10 @@ class MomentTrajectory:
 def _rk4_step(rhs, y, h, c0, c_mid, c1):
     """One classical RK4 step of ``dy/dt = rhs(y, c)``; ``c0``, ``c_mid``
     and ``c1`` are the coefficients at ``t``, ``t + h/2`` and ``t + h``.
-    Stages on a reached sector take the step themselves
-    (:meth:`_Stages.step`, the same tableau regrouped)."""
-    if isinstance(rhs, _Stages) and rhs._small:
+    :class:`_Stages` take the step themselves, in place
+    (:meth:`_Stages.step`); the tableau written out here serves
+    :func:`evolve_moments`."""
+    if isinstance(rhs, _Stages):
         return rhs.step(y, c0, c_mid, c1)
     k1 = rhs(y, c0)
     k2 = rhs(y + 0.5 * h * k1, c_mid)
@@ -918,11 +919,10 @@ def evolve(
             t = step * h_eff
             # any NaN or inf entry makes the sum of squares non-finite, and
             # no sum of squares cancels: only an overflow needs the full test
-            flat = y.reshape(-1)
-            if not math.isfinite(np.dot(flat, flat)) and not np.isfinite(flat).all():
+            if not math.isfinite(np.dot(y, y)) and not np.isfinite(y).all():
                 raise EvolutionError(f"state became non-finite at t={t:.6g}", time=t - h_eff)
             if guard_on:
-                top = max(top, sum(flat[j] for j in tops))
+                top = max(top, sum(y[j] for j in tops))
                 if top > TRUNCATION_LIMIT:
                     raise TruncationError(
                         f"top two Fock levels hold {top:.3e} population "

@@ -970,9 +970,9 @@ def _selected_evaluation(monkeypatch, dim, psi):
 
     form_call = _SandwichForm.__call__
 
-    def spy(form, M, coef):
+    def spy(form, M, coef, out=None):
         band.append(M.dtype)
-        return form_call(form, M, coef)
+        return form_call(form, M, coef, out=out)
 
     monkeypatch.setattr(propagate, "_rk4_step", rk4_step)
     monkeypatch.setattr(_SandwichForm, "__call__", spy)
@@ -1013,11 +1013,6 @@ def test_forward_run_builds_each_interval_once(monkeypatch, case):
     def spy(stages, k):
         loads.append(k)
         load(stages, k)
-        if stages._small:
-            # the operator of each stage, scaled by h/2, h or h/6
-            op = stages._op
-            scaled = stages._scales[1:] * op[0]
-            assert np.max(np.abs(op[1:] - scaled)) <= 1e-15 * np.max(np.abs(scaled))
 
     monkeypatch.setattr(_Stages, "_load", spy)
     evolve(rho0, coeffs, ops, t_final, 2e-3, n_samples=6, truncation_guard=False)
@@ -1030,21 +1025,35 @@ def _hpz_coherent_case():
     return coeffs, ops, np.outer(psi, psi.conj()), t_final
 
 
-# the runs that step on a reached sector, and how many entries they reach
+# the runs that step on a reached sector, and how many entries they reach;
+# the band runs, which hold every entry
 SECTOR_CASES = {"hpz": 50, "hpz-coherent": 100, "dephasing": 4, "synthetic-d2": 64, "dense-d2": 64}
+BAND_CASES = {"qmupl-dim40": 1600, "hpz-band": 100}
 
 
-@pytest.mark.parametrize("case", SECTOR_CASES)
+def _step_stages(monkeypatch, case, h):
+    """The case's coefficients and the stages of its run at step ``h``;
+    ``hpz-band`` is hpz with every run on the band path."""
+    if case == "hpz-band":
+        monkeypatch.setattr(propagate, "_SUPEROPERATOR_ENTRIES", 0)
+    coeffs, ops, rho0, _ = (_hpz_coherent_case() if case == "hpz-coherent"
+                            else EVOLVE_CASES[case.removesuffix("-band")]())
+    stages = _Stages(_SandwichForm.of_run(coeffs, ops, rho0.shape[0]), CoefficientInterpolator(coeffs),
+                     _real_of(rho0), h)
+    assert stages._small == (case in SECTOR_CASES)
+    assert len(stages.idx) == {**SECTOR_CASES, **BAND_CASES}[case]
+    return coeffs, stages
+
+
+@pytest.mark.parametrize("case", [*SECTOR_CASES, *BAND_CASES])
 def test_sector_step_matches_the_classical_tableau(monkeypatch, case):
-    # a run on a reached sector takes each RK4 step as four products with
-    # [L_k | dL_k] scaled by the tableau's h/2, h/2, h, h/6 when the
-    # interval is built (_Stages.step): the classical tableau over the
-    # same stages, regrouped, inside one grid interval and across a node
-    coeffs, ops, rho0, _ = _hpz_coherent_case() if case == "hpz-coherent" else EVOLVE_CASES[case]()
+    # a run on a reached sector or on the band takes each RK4 step in
+    # place (_Stages.step): the rows of the classical tableau over
+    # [y; k1..k4], against the written-out tableau over the same stages,
+    # inside one grid interval and across a node
     h = 1e-3
+    coeffs, stages = _step_stages(monkeypatch, case, h)
     interp = CoefficientInterpolator(coeffs)
-    stages = _Stages(_SandwichForm.of_run(coeffs, ops, rho0.shape[0]), interp, _real_of(rho0), h)
-    assert stages._small and len(stages.idx) == SECTOR_CASES[case]
     evaluations = []
     call = _Stages.__call__
 
@@ -1060,7 +1069,7 @@ def test_sector_step_matches_the_classical_tableau(monkeypatch, case):
         k, dt = interp.intervals([t, t + 0.5 * h, t + h])
         c0, c_mid, c1 = zip(k.tolist(), dt.tolist())
         assert (c0[0] == c1[0]) == (t < node - h)
-        y = stages.state(rng.normal(size=rho0.shape))
+        y = stages.state(rng.normal(size=(stages.form.dim,) * 2))
         before = y.copy()
         got = _rk4_step(stages, y, h, c0, c_mid, c1)
         assert evaluations == [] and np.array_equal(y, before)
@@ -1069,6 +1078,35 @@ def test_sector_step_matches_the_classical_tableau(monkeypatch, case):
         evaluations.clear()
         assert got.dtype == np.float64 and got.shape == y.shape
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(y)), (case, t)
+
+
+@pytest.mark.parametrize("case", ["hpz", "hpz-band"])
+def test_step_reads_only_the_rows_it_wrote(monkeypatch, case):
+    # a stage input reads the rows of [y; k1..k4] that the step has
+    # written: NaN left in the buffer by anything else never reaches it
+    h = 1e-3
+    coeffs, stages = _step_stages(monkeypatch, case, h)
+    fresh = _step_stages(monkeypatch, case, h)[1]
+    psi = coherent_state(10, 0.5)
+    y = stages.state(_real_of(np.outer(psi, psi.conj())))
+    c0, c_mid, c1 = zip(*CoefficientInterpolator(coeffs).intervals([0.0, 0.5 * h, h]))
+    stages._B[...] = np.nan
+    got = stages.step(y, c0, c_mid, c1)
+    assert np.isfinite(got).all()
+    assert np.array_equal(got, fresh.step(y, c0, c_mid, c1))
+
+
+@pytest.mark.parametrize("case", EVOLVE_CASES)
+def test_band_evaluation_into_out_equals_the_allocating_call(case):
+    # a band slope is written straight into its row of [y; k1..k4]
+    coeffs, ops, rho0, t_final = EVOLVE_CASES[case]()
+    interp = CoefficientInterpolator(coeffs)
+    form = _SandwichForm.of_run(coeffs, ops, rho0.shape[0])
+    coef = form.banded(form.weights(interp.split(interp.rows([0.37 * t_final])), str))[0]
+    M = np.random.default_rng(43).normal(size=rho0.shape)
+    out = np.full(rho0.shape, np.nan)
+    assert form(M, coef, out=out) is out
+    assert np.array_equal(out, form(M, coef))
 
 
 def _unphysical_case(case):
