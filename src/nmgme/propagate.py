@@ -652,18 +652,6 @@ class _Stages:
             self._stage = stage
         return self._c
 
-    def __call__(self, y: np.ndarray, stage: tuple) -> np.ndarray:
-        """``dy/dt`` at the stepped state ``y`` under ``stage``; on the band
-        path ``y`` may also be ``M`` itself, and ``dy/dt`` takes its shape."""
-        k, dt = stage
-        if k != self._key:
-            self._load(k)
-        if self._small:
-            np.copyto(self._u, y)
-            np.multiply(y, dt, out=self._ut)
-            return self._op @ self._x
-        return self.form(y.reshape(self.form.dim, -1), self._band_stage(stage)).reshape(y.shape)
-
     def step(self, y: np.ndarray, c0: tuple, c_mid: tuple, c1: tuple) -> np.ndarray:
         """One classical RK4 step of ``y`` over the stages ``c0``, ``c_mid``,
         ``c1``, with the step ``h`` the stages were built for, in place:

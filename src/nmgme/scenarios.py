@@ -1,7 +1,11 @@
 """Scenario wiring: configs in, coefficient tables / trajectories /
 validation reports out.
 
-A run configuration is a plain key-value tree (YAML on disk).  Every
+A run configuration is a plain key-value tree (YAML on disk), checked
+against one rule table, ``_CONFIG``: each field's kind, default and
+bound.  :meth:`RunConfig.from_dict` rejects an unknown key or a bad value
+with its dotted path and fills in every default; :meth:`RunConfig.validate`
+then checks the rules that link two or more fields.  Every
 scenario writes ``coefficients.csv`` and ``report.json`` into the output
 directory; the others depend on the scenario:
 
@@ -10,8 +14,9 @@ directory; the others depend on the scenario:
 * ``series_convergence.csv`` -- ``coeffs``, ``hpz`` and ``qmupl`` when
   the model is ``hpz`` or ``qmupl`` (the models that run the series).
 
-``report.json`` embeds the fully-resolved configuration including
-defaults, so a run is reproducible from its own artifacts.  Output
+``report.json`` embeds the fully-resolved configuration, every default
+the run used included, and so do the ``params`` of ``trajectory.json``;
+a run is reproducible from its own artifacts.  Output
 formatting is fixed (17 significant digits in CSV, shortest-round-trip
 floats in JSON, sorted keys), making identical configs produce
 byte-identical files.
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -64,139 +70,138 @@ class ConfigError(ValueError):
         self.field_path = field_path
 
 
-@dataclass
-class RunConfig:
-    """Fully-resolved run configuration with defaults applied."""
+#: Models each scenario runs through ``model``; the others are their own model.
+_MODELS = {
+    "coeffs": ("dephasing", "hpz", "joos-zeh", "qmupl"),
+    "oracle-check": ("dephasing", "hpz"),
+}
 
-    scenario: str
-    kernel: dict = field(default_factory=lambda: {"family": "exponential", "gamma": 1.0, "tau_c": 0.5})
-    system: dict = field(default_factory=lambda: {"m": 1.0, "omega": 1.0, "lam": 0.0, "mu": 0.0})
-    grid: dict = field(default_factory=lambda: {"t_max": 2.0, "n_points": 129})
-    series: dict = field(default_factory=lambda: {"max_order": 2, "eps_series": 1e-6, "quadrature": "trapezoid"})
-    propagation: dict = field(default_factory=lambda: {"fock_dim": 30, "h": 1e-3, "n_samples": 101, "initial_state": {"type": "coherent", "alpha_re": 1.0, "alpha_im": 0.0}})
-    oracle: dict = field(default_factory=lambda: {"mode_dims": None, "h": 2e-3})
-    model: str = "hpz"
-    white_noise_sweep: dict | None = None
-    output_dir: str = "out"
-    dump_rho: bool = False
+#: The default of a field that must be given.
+_REQUIRED = object()
 
-    def __post_init__(self):
-        # a scenario without a model choice is its own model
-        if self.scenario not in _MODELS:
-            self.model = self.scenario
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "RunConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("<root>", "configuration must be a mapping")
-        scenario = raw.get("scenario")
-        if scenario not in SCENARIOS:
-            raise ConfigError("scenario", f"must be one of {SCENARIOS}, got {scenario!r}")
-        cfg = cls(scenario=scenario)
-        for key in ("kernel", "system", "grid", "series", "propagation", "oracle"):
-            if key in raw:
-                if not isinstance(raw[key], dict):
-                    raise ConfigError(key, "must be a mapping")
-                if key == "kernel":
-                    # keys depend on the family; checked in validate()
-                    cfg.kernel = {"family": "exponential", **raw[key]}
-                    continue
-                block = getattr(cfg, key)
-                unknown = sorted(set(raw[key]) - set(block), key=str)
-                if unknown:
-                    raise ConfigError(f"{key}.{unknown[0]}", "unknown configuration key")
-                block.update(raw[key])
-        for key in ("model", "output_dir", "dump_rho", "white_noise_sweep"):
-            if key in raw:
-                setattr(cfg, key, raw[key])
-        # only coeffs and oracle-check choose a model; the others are their own
-        if "model" in raw and scenario not in _MODELS and raw["model"] != scenario:
-            raise ConfigError("model", f"{scenario} runs its own model, got {raw['model']!r}")
-        unknown = set(raw) - {
-            "scenario", "kernel", "system", "grid", "series",
-            "propagation", "oracle", "model", "output_dir", "dump_rho",
-            "white_noise_sweep",
-        }
-        if unknown:
-            raise ConfigError(str(sorted(unknown, key=str)[0]), "unknown configuration key")
-        cfg.validate()
-        return cfg
-
-    def validate(self) -> None:
-        for path, integer, low, strict in _NUMBERS:
-            block, key = path.split(".")
-            _check_number(getattr(self, block).get(key), path, integer, low, strict)
-        if self.series.get("quadrature") not in ("trapezoid", "simpson"):
-            raise ConfigError("series.quadrature", "must be trapezoid or simpson")
-        model = self.model
-        allowed = _MODELS.get(self.scenario, (self.scenario,))
-        if model not in allowed:
-            raise ConfigError("model", f"{self.scenario} supports {allowed}, got {model!r}")
-        if model == "joos-zeh" and not self.system["lam"] > 0:
-            raise ConfigError("system.lam", "joos-zeh needs a positive coupling")
-        lam_mu = self.system["lam"] * self.system["mu"]
-        if model == "qmupl" and self.system["omega"] ** 2 <= lam_mu**2:
-            raise ConfigError("system", f"qmupl needs omega > lam * mu (a real shifted frequency), got lam * mu = {lam_mu!r}")
-        _check_kernel(self.kernel)
-        if self.scenario == "oracle-check" and self.kernel["family"] != "discrete_modes":
-            raise ConfigError("kernel.family", "oracle-check needs a discrete_modes kernel")
-        # every model couples the system to the bath through one channel
-        if self.kernel["family"] == "discrete_modes" and len(self.kernel["couplings"]) != 1:
-            raise ConfigError("kernel.couplings", "need one row: every model has one system channel")
-        # discrete_modes is the only complex family
-        if model in ("joos-zeh", "qmupl") and self.kernel["family"] == "discrete_modes":
-            raise ConfigError("kernel", f"{model} needs a real kernel, not discrete_modes")
-        if self.white_noise_sweep is not None:
-            if not isinstance(self.white_noise_sweep, dict):
-                raise ConfigError("white_noise_sweep", "must be a mapping")
-            _check_fields(self.white_noise_sweep, _SWEEP, "white_noise_sweep")
-            # the extrapolation fits a line in eps^2
-            if len(set(self.white_noise_sweep["eps_values"])) < 2:
-                raise ConfigError("white_noise_sweep.eps_values", "need at least two distinct widths")
-            if self.scenario != "joos-zeh":
-                raise ConfigError("white_noise_sweep", f"only joos-zeh runs the sweep, not {self.scenario}")
-        # the system the model has: a qubit for dephasing, else the Fock space
-        dim = 2 if model == "dephasing" else self.propagation["fock_dim"]
-        _check_initial_state(self.propagation.get("initial_state"), dim)
-        if self.scenario != "coeffs":  # every other scenario builds the state
-            # the truncation guard runs outside oracle-check, and evolve
-            # turns it off for dim <= 3
-            _check_state(self.propagation["initial_state"], dim, self.scenario not in _MODELS and dim > 3)
-        _check_mode_dims(self, dim)
-        if not isinstance(self.output_dir, str) or not self.output_dir:
-            raise ConfigError("output_dir", f"need a directory path, got {self.output_dir!r}")
-        if not isinstance(self.dump_rho, bool):
-            raise ConfigError("dump_rho", f"need true or false, got {self.dump_rho!r}")
-        if self.dump_rho and self.scenario == "coeffs":
-            raise ConfigError("dump_rho", "coeffs writes no trajectory to dump the states into")
+#: The config tree: one rule ``(kind, default, *bounds)`` per field.
+#:
+#: * ``number``, ``integer``: a finite int or float (an int for
+#:   ``integer``, never a bool) ``>= low``, or ``> low`` where the rule
+#:   ends in ``True``;
+#: * ``choice``: one of the listed values, of the same type;
+#: * ``path``: a non-empty string;
+#: * ``list``: a non-empty list of numbers within the bounds; ``dims`` the
+#:   same of integers; ``rows`` a non-empty list of non-empty rows of
+#:   numbers or ``[re, im]`` pairs;
+#: * ``block``: a mapping of the listed fields;
+#: * ``tagged``: a block whose fields follow its tag, the one key of its
+#:   default; a given mapping goes over the default, so the tag defaults.
+#:
+#: An absent field takes its default; a field whose default is null also
+#: takes null, which :meth:`RunConfig.__post_init__` resolves where it
+#: stands for a value.  ``propagation.n_samples >= 2`` because the trace
+#: drift is measured between the first and the last sample.  ``oracle.h``
+#: is checked but has no effect: the oracle is exact at every sample time
+#: and takes no step; configs that set it still run.
+_CONFIG = {
+    "scenario": ("choice", _REQUIRED, SCENARIOS),
+    "model": ("choice", None, _MODELS["coeffs"]),
+    "kernel": ("tagged", {"family": "exponential"}, {
+        "exponential": {"gamma": ("number", 1.0, 0), "tau_c": ("number", 0.5, 0, True)},
+        "white_noise": {"strength": ("number", 1.0, 0, True), "eps": ("number", 0.05, 0, True)},
+        "discrete_modes": {"mode_freqs": ("list", _REQUIRED, 0, True), "couplings": ("rows", _REQUIRED, -math.inf)},
+    }),
+    "system": ("block", {}, {
+        "m": ("number", 1.0, 0, True),
+        "omega": ("number", 1.0, 0, True),
+        "lam": ("number", 0.0, 0),
+        "mu": ("number", 0.0, 0),
+    }),
+    "grid": ("block", {}, {"t_max": ("number", 2.0, 0, True), "n_points": ("integer", 129, 2)}),
+    "series": ("block", {}, {
+        "max_order": ("integer", 2, 0),
+        "eps_series": ("number", 1e-6, 0, True),
+        "quadrature": ("choice", "trapezoid", ("trapezoid", "simpson")),
+    }),
+    "propagation": ("block", {}, {
+        "fock_dim": ("integer", 30, 2),
+        "h": ("number", 1e-3, 0, True),
+        "n_samples": ("integer", 101, 2),
+        "initial_state": ("tagged", {"type": "coherent"}, {
+            "coherent": {"alpha_re": ("number", 1.0, -math.inf), "alpha_im": ("number", 0.0, -math.inf)},
+            "basis": {"index": ("integer", 0, 0)},
+            "plus": {},
+        }),
+    }),
+    # null mode_dims: DEFAULT_MODE_DIM levels per mode
+    "oracle": ("block", {}, {"mode_dims": ("dims", None, 1), "h": ("number", 2e-3, 0, True)}),
+    # null: no sweep; a null t_eval is grid.t_max
+    "white_noise_sweep": ("block", None, {
+        "eps_values": ("list", _REQUIRED, 0, True),
+        "strength": ("number", 1.0, 0, True),
+        "t_eval": ("number", None, 0, True),
+        "n_points": ("integer", 641, 2),
+    }),
+    "output_dir": ("path", "out"),
+    "dump_rho": ("choice", False, (False, True)),
+}
 
 
-#: Numeric fields ``(path, integer, lower bound, bound excluded)``, checked
-#: in this order.  Every value must be a finite int or float (ints only for
-#: ``integer``; never a bool).  ``propagation.n_samples >= 2`` because the
-#: trace drift is measured between the first and the last sample.
-#: ``oracle.h`` is checked but has no effect: the oracle is exact at every
-#: sample time and takes no step; configs that set it still run.
-_NUMBERS = (
-    ("grid.n_points", True, 2, False),
-    ("grid.t_max", False, 0, True),
-    ("series.max_order", True, 0, False),
-    ("series.eps_series", False, 0, True),
-    ("propagation.h", False, 0, True),
-    ("propagation.fock_dim", True, 2, False),
-    ("propagation.n_samples", True, 2, False),
-    ("system.m", False, 0, True),
-    ("system.omega", False, 0, True),
-    ("system.lam", False, 0, False),
-    ("system.mu", False, 0, False),
-    ("oracle.h", False, 0, True),
-)
+def _check(rule: tuple, value, path: str):
+    """``value`` at ``path`` if it meets ``rule``, with every absent field
+    below it at its default; else ``ConfigError`` at the first field
+    that does not."""
+    kind, default, *bounds = rule
+    if value is None and default is None:
+        return None
+    if kind in ("number", "integer"):
+        _check_number(value, path, kind == "integer", *bounds)
+    elif kind == "choice":
+        # of the same type: dump_rho: 1 is no bool, though 1 == True
+        if not any(type(value) is type(option) and value == option for option in bounds[0]):
+            raise ConfigError(path, f"must be one of {list(bounds[0])}, got {value!r}")
+    elif kind == "path":
+        if not isinstance(value, str) or not value:
+            raise ConfigError(path, f"need a directory path, got {value!r}")
+    elif kind in ("list", "dims", "rows"):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(path, f"need a non-empty list, got {value!r}")
+        numbers = value
+        if kind == "rows":
+            if not all(isinstance(row, list) and row for row in value):
+                raise ConfigError(path, f"need rows of numbers or [re, im] pairs, got {value!r}")
+            numbers = [x for row in value for c in row for x in (c if isinstance(c, list) and len(c) == 2 else [c])]
+        for x in numbers:
+            _check_number(x, path, kind == "dims", *bounds)
+    else:  # block, tagged
+        if not isinstance(value, dict):
+            raise ConfigError(path or "<root>", "must be a mapping")
+        fields = bounds[0]
+        if kind == "tagged":
+            (tag,) = default
+            value = {**default, **value}
+            name = _check(("choice", _REQUIRED, tuple(fields)), value.pop(tag), f"{path}.{tag}")
+            return {tag: name, **_fields(fields[name], value, path)}
+        return _fields(fields, value, path)
+    return value
 
 
-def _check_number(value, path: str, integer: bool, low: float, strict: bool) -> None:
+def _fields(fields: dict, raw: dict, path: str) -> dict:
+    """The block ``raw`` at ``path``: an unknown key is rejected, every
+    field of ``fields`` checked or set to its default."""
+    prefix = f"{path}." if path else ""
+    unknown = sorted(set(raw) - set(fields), key=str)
+    if unknown:
+        raise ConfigError(f"{prefix}{unknown[0]}", "unknown configuration key")
+    resolved = {}
+    for key, rule in fields.items():
+        value = raw[key] if key in raw else rule[1]
+        if value is _REQUIRED:
+            raise ConfigError(prefix + key, "required key missing")
+        resolved[key] = _check(rule, value, prefix + key)
+    return resolved
+
+
+def _check_number(value, path: str, integer: bool, low: float, strict: bool = False) -> None:
     kinds = int if integer else (int, float)
-    finite = not isinstance(value, float) or math.isfinite(value)
-    if isinstance(value, bool) or not isinstance(value, kinds) or not finite:
+    # the float range rejects NaN, the infinities and ints no float holds
+    if isinstance(value, bool) or not isinstance(value, kinds) or not abs(value) <= sys.float_info.max:
         kind = "an integer" if integer else "a finite number"
         # YAML 1.1 reads 1e-3 and 1.0e300 as strings
         got = f"the string {value!r}" if isinstance(value, str) else repr(value)
@@ -205,35 +210,110 @@ def _check_number(value, path: str, integer: bool, low: float, strict: bool) -> 
         raise ConfigError(path, f"must be {'>' if strict else '>='} {low}, got {value!r}")
 
 
-#: Keys of each ``propagation.initial_state`` type: ``(integer, lower
-#: bound)`` of each numeric field, checked like ``_NUMBERS``.
-_INITIAL_STATES = {
-    "coherent": {"alpha_re": (False, -math.inf), "alpha_im": (False, -math.inf)},
-    "basis": {"index": (True, 0)},
-    "plus": {},
-}
+def _default(key: str):
+    """The ``RunConfig`` field ``key`` at its resolved default."""
+    rule = _CONFIG[key]
+    return field(default_factory=lambda: _check(rule, rule[1], key))
 
 
-def _check_initial_state(spec, dim: int) -> None:
-    """Reject an initial-state block with a bad type, an unknown key, a
-    bad number or a state outside the ``dim``-level basis."""
-    path = "propagation.initial_state"
-    if not isinstance(spec, dict):
-        raise ConfigError(path, "must be a mapping")
-    kind = spec.get("type", "coherent")
-    if not isinstance(kind, str) or kind not in _INITIAL_STATES:
-        raise ConfigError(f"{path}.type", f"unknown type {kind!r}")
-    fields = _INITIAL_STATES[kind]
-    unknown = sorted(set(spec) - set(fields) - {"type"}, key=str)
-    if unknown:
-        raise ConfigError(f"{path}.{unknown[0]}", "unknown configuration key")
-    for key, (integer, low) in fields.items():
-        if key in spec:
-            _check_number(spec[key], f"{path}.{key}", integer, low, False)
-    if kind == "plus" and dim != 2:
-        raise ConfigError(path, "plus state needs dim 2")
-    if spec.get("index", 0) >= dim:
-        raise ConfigError(f"{path}.index", "outside basis")
+@dataclass
+class RunConfig:
+    """Fully-resolved run configuration: every field of ``_CONFIG``,
+    defaults applied."""
+
+    scenario: str
+    model: str = _default("model")
+    kernel: dict = _default("kernel")
+    system: dict = _default("system")
+    grid: dict = _default("grid")
+    series: dict = _default("series")
+    propagation: dict = _default("propagation")
+    oracle: dict = _default("oracle")
+    white_noise_sweep: dict | None = _default("white_noise_sweep")
+    output_dir: str = _default("output_dir")
+    dump_rho: bool = _default("dump_rho")
+
+    def __post_init__(self):
+        # the values that a null model or sweep t_eval stands for: a
+        # scenario without a model choice is its own model
+        if self.model is None:
+            self.model = "hpz" if self.scenario in _MODELS else self.scenario
+        if self.white_noise_sweep is not None and self.white_noise_sweep["t_eval"] is None:
+            self.white_noise_sweep["t_eval"] = self.grid["t_max"]
+
+    @classmethod
+    def from_dict(cls, raw) -> "RunConfig":
+        """The run configuration of the config tree ``raw``, each field
+        checked against ``_CONFIG`` and the rules that link fields by
+        :meth:`validate`."""
+        cfg = cls(**_check(("block", {}, _CONFIG), raw, ""))
+        cfg.validate()
+        return cfg
+
+    def validate(self) -> None:
+        """Reject a config, each of whose fields meets its rule, that
+        breaks a rule linking two or more fields."""
+        model, kernel, system = self.model, self.kernel, self.system
+        allowed = _MODELS.get(self.scenario, (self.scenario,))
+        if model not in allowed:
+            raise ConfigError("model", f"{self.scenario} runs {allowed}, got {model!r}")
+        if model == "joos-zeh" and not system["lam"] > 0:
+            raise ConfigError("system.lam", "joos-zeh needs a positive coupling")
+        lam_mu = system["lam"] * system["mu"]
+        if model == "qmupl" and system["omega"] <= lam_mu:
+            raise ConfigError("system", f"qmupl needs omega > lam * mu (a real shifted frequency), got lam * mu = {lam_mu!r}")
+        if self.scenario == "oracle-check" and kernel["family"] != "discrete_modes":
+            raise ConfigError("kernel.family", "oracle-check needs a discrete_modes kernel")
+        if kernel["family"] == "discrete_modes":
+            # every model couples the system to the bath through one channel
+            n_modes = len(kernel["mode_freqs"])
+            if len(kernel["couplings"]) != 1 or len(kernel["couplings"][0]) != n_modes:
+                raise ConfigError("kernel.couplings", f"need one row (one system channel) of {n_modes} entries, one per mode")
+            # discrete_modes is the only complex family
+            if model in ("joos-zeh", "qmupl"):
+                raise ConfigError("kernel", f"{model} needs a real kernel, not discrete_modes")
+        # the model's correlation at lag 0 (lam times the kernel for
+        # joos-zeh and qmupl) has the largest modulus of every family; the
+        # series multiplies two samples from order 1 on
+        with np.errstate(over="ignore", invalid="ignore"):
+            peak = np.abs(build_kernel(kernel).evaluator(0, 0, np.zeros(1)))[0]
+            if model in ("joos-zeh", "qmupl"):
+                peak = system["lam"] * peak
+            if model in ("hpz", "qmupl") and self.series["max_order"] > 0:
+                peak = peak * peak
+        if not np.isfinite(peak):
+            raise ConfigError("kernel", "the correlation at lag 0 overflows")
+        sweep = self.white_noise_sweep
+        if sweep is not None:
+            # the extrapolation fits a line in eps^2
+            with np.errstate(over="ignore", under="ignore"):
+                eps_sq = np.square(sweep["eps_values"], dtype=float)
+            if not np.isfinite(eps_sq).all() or len(np.unique(eps_sq)) < 2:
+                raise ConfigError("white_noise_sweep.eps_values", "need finite squared widths, two of them distinct")
+            if self.scenario != "joos-zeh":
+                raise ConfigError("white_noise_sweep", f"only joos-zeh runs the sweep, not {self.scenario}")
+        # the system the model has: a qubit for dephasing, else the Fock space
+        dim = 2 if model == "dephasing" else self.propagation["fock_dim"]
+        state = self.propagation["initial_state"]
+        if state["type"] == "plus" and dim != 2:
+            raise ConfigError("propagation.initial_state", "plus state needs dim 2")
+        if state["type"] == "basis" and state["index"] >= dim:
+            raise ConfigError("propagation.initial_state.index", "outside basis")
+        if self.scenario != "coeffs":  # every other scenario builds the state
+            # the truncation guard runs outside oracle-check, and evolve
+            # turns it off for dim <= 3
+            _check_state(state, dim, self.scenario not in _MODELS and dim > 3)
+        if self.scenario == "oracle-check":
+            n_modes = len(kernel["mode_freqs"])
+            dims = self.oracle["mode_dims"]
+            dims = [DEFAULT_MODE_DIM] * n_modes if dims is None else dims
+            if len(dims) != n_modes:
+                raise ConfigError("oracle.mode_dims", f"need one entry per kernel.mode_freqs ({n_modes}), got {len(dims)}")
+            joint = dim * math.prod(dims)
+            if joint > DEFAULT_DIMENSION_CAP:
+                raise ConfigError("oracle.mode_dims", f"joint dimension {joint} exceeds cap {DEFAULT_DIMENSION_CAP}")
+        if self.dump_rho and self.scenario == "coeffs":
+            raise ConfigError("dump_rho", "coeffs writes no trajectory to dump the states into")
 
 
 def _check_state(spec: dict, dim: int, guarded: bool) -> None:
@@ -253,99 +333,13 @@ def _check_state(spec: dict, dim: int, guarded: bool) -> None:
         )
 
 
-def _check_mode_dims(cfg: RunConfig, system_dim: int) -> None:
-    """Reject ``oracle.mode_dims`` unless it is null or a list of ints
-    >= 1; under ``oracle-check`` also a list without one entry per mode or
-    a joint dimension (the default fills null) above the oracle's cap."""
-    path, dims = "oracle.mode_dims", cfg.oracle["mode_dims"]
-    if dims is not None:
-        if not isinstance(dims, list):
-            raise ConfigError(path, f"need null or a list of integers, got {dims!r}")
-        for x in dims:
-            _check_number(x, path, True, 1, False)
-    if cfg.scenario != "oracle-check":
-        return
-    n_modes = len(cfg.kernel["mode_freqs"])
-    if dims is None:
-        dims = [DEFAULT_MODE_DIM] * n_modes
-    if len(dims) != n_modes:
-        raise ConfigError(path, f"need one entry per kernel.mode_freqs ({n_modes}), got {len(dims)}")
-    joint = system_dim * math.prod(dims)
-    if joint > DEFAULT_DIMENSION_CAP:
-        raise ConfigError(path, f"joint dimension {joint} exceeds cap {DEFAULT_DIMENSION_CAP}")
-
-
-#: Models each scenario runs through ``model``; the others are their own model.
-_MODELS = {
-    "coeffs": ("dephasing", "hpz", "joos-zeh", "qmupl"),
-    "oracle-check": ("dephasing", "hpz"),
-}
-
-#: Keys of each ``kernel.family`` and of ``white_noise_sweep``: ``(kind,
-#: lower bound, bound excluded)`` of each field.  A ``number`` (or
-#: ``integer``) is checked like ``_NUMBERS`` and takes the default of its
-#: reader when absent; ``list`` is a required non-empty list of such
-#: numbers; ``rows`` is a required list of rows holding one finite number
-#: or ``[re, im]`` pair per mode frequency.
-_KERNELS = {
-    "exponential": {"gamma": ("number", 0, False), "tau_c": ("number", 0, True)},
-    "white_noise": {"strength": ("number", 0, True), "eps": ("number", 0, True)},
-    "discrete_modes": {"mode_freqs": ("list", 0, True), "couplings": ("rows", -math.inf, False)},
-}
-_SWEEP = {
-    "eps_values": ("list", 0, True),
-    "strength": ("number", 0, True),
-    "t_eval": ("number", 0, True),
-    "n_points": ("integer", 2, False),
-}
-
-
-def _check_kernel(spec: dict) -> None:
-    """Reject a kernel block with an unknown family, an unknown or
-    missing key or a bad value."""
-    family = spec.get("family")
-    if not isinstance(family, str) or family not in _KERNELS:
-        raise ConfigError("kernel.family", f"unknown kernel family {family!r}")
-    _check_fields({k: v for k, v in spec.items() if k != "family"}, _KERNELS[family], "kernel")
-
-
-def _check_fields(spec: dict, fields: dict, prefix: str) -> None:
-    """Reject an unknown or missing key or a bad value of a block
-    against its schema in ``_KERNELS`` or ``_SWEEP``."""
-    unknown = sorted(set(spec) - set(fields), key=str)
-    if unknown:
-        raise ConfigError(f"{prefix}.{unknown[0]}", "unknown configuration key")
-    for key, (kind, low, strict) in fields.items():
-        path, value = f"{prefix}.{key}", spec.get(key)
-        if kind in ("number", "integer"):
-            if key in spec:
-                _check_number(value, path, kind == "integer", low, strict)
-        elif kind == "list":
-            if not isinstance(value, list) or not value:
-                raise ConfigError(path, "need a non-empty list")
-            for x in value:
-                _check_number(x, path, False, low, strict)
-        else:
-            n_modes = len(spec["mode_freqs"])
-            if not isinstance(value, list) or not value:
-                raise ConfigError(path, "need a non-empty list of rows")
-            for row in value:
-                if not isinstance(row, list) or len(row) != n_modes:
-                    raise ConfigError(path, f"need rows of {n_modes} entries, got {row!r}")
-                for c in row:
-                    pair = isinstance(c, list) and len(c) == 2
-                    for x in c if pair else [c]:
-                        _check_number(x, path, False, low, strict)
-
-
 def build_kernel(spec: dict) -> CorrelationKernel:
-    """Construct a correlation kernel from a block that passed
-    :func:`_check_kernel`."""
+    """Construct a correlation kernel from a resolved ``kernel`` block."""
     family = spec["family"]
     if family == "exponential":
-        return make_exponential(spec.get("gamma", 1.0), spec.get("tau_c", 0.5))
+        return make_exponential(spec["gamma"], spec["tau_c"])
     if family == "white_noise":
-        return make_white_noise_approximant(spec.get("strength", 1.0), spec.get("eps", 0.05))
+        return make_white_noise_approximant(spec["strength"], spec["eps"])
     return make_discrete_modes(spec["mode_freqs"], _couplings(spec["couplings"]))
 
 
@@ -374,16 +368,15 @@ def coherent_state(dim: int, alpha: complex) -> np.ndarray:
 
 
 def _initial_state(spec: dict, dim: int) -> np.ndarray:
-    """State vector of a block that passed :func:`_check_initial_state`."""
-    kind = spec.get("type", "coherent")
+    """State vector of a resolved ``propagation.initial_state`` block."""
+    kind = spec["type"]
     if kind == "plus":
         return np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
     if kind == "basis":
         vec = np.zeros(dim, dtype=complex)
-        vec[spec.get("index", 0)] = 1.0
+        vec[spec["index"]] = 1.0
         return vec
-    alpha = complex(spec.get("alpha_re", 1.0), spec.get("alpha_im", 0.0))
-    return coherent_state(dim, alpha)
+    return coherent_state(dim, complex(spec["alpha_re"], spec["alpha_im"]))
 
 
 def _projector(psi: np.ndarray) -> np.ndarray:
@@ -493,9 +486,9 @@ def _moment_check(cfg: RunConfig, coeffs, grid, traj: Trajectory) -> dict:
     show only there); coherent initial states only."""
     p = cfg.propagation
     spec = p["initial_state"]
-    if spec.get("type", "coherent") != "coherent":
+    if spec["type"] != "coherent":
         return {}
-    alpha = complex(spec.get("alpha_re", 1.0), spec.get("alpha_im", 0.0))
+    alpha = complex(spec["alpha_re"], spec["alpha_im"])
     m, omega = cfg.system["m"], cfg.system["omega"]
     scale_q = 1.0 / np.sqrt(2.0 * m * omega)
     mom0 = GaussianMoments.coherent(
@@ -603,13 +596,10 @@ def white_noise_limit_report(cfg: RunConfig) -> dict:
     zero width linearly in ``eps^2``.
     """
     sweep = cfg.white_noise_sweep
-    eps_values = sweep["eps_values"]
-    strength = sweep.get("strength", 1.0)
-    t_eval = sweep.get("t_eval", cfg.grid["t_max"])
-    n_points = sweep.get("n_points", 641)
+    eps_values, strength, t_eval = sweep["eps_values"], sweep["strength"], sweep["t_eval"]
     m, omega = cfg.system["m"], cfg.system["omega"]
     kern = harmonic_kernels(m, omega)
-    grid = make_grid(t_eval, n_points)
+    grid = make_grid(t_eval, sweep["n_points"])
     K = grid.n_points - 1
     w = quad_weights(grid.n_points, grid.h, "simpson")
     ratios, thetas = [], []
@@ -623,7 +613,10 @@ def white_noise_limit_report(cfg: RunConfig) -> dict:
     eps_sq = np.array(eps_values, dtype=float) ** 2
     # |Theta| at each distinct width, narrowest first, whatever the listed order
     _, first = np.unique(eps_sq, return_index=True)
-    slope, intercept = np.polyfit(eps_sq, ratios, 1)
+    # fitted in eps^2 / 2^e with eps^2 < 2^e: polyfit squares its variable
+    # again, and the power of 2 keeps that in range and leaves the
+    # intercept's bits alone
+    slope, intercept = np.polyfit(np.ldexp(eps_sq, -np.frexp(eps_sq.max())[1]), ratios, 1)
     return {
         "eps_values": [float(e) for e in eps_values],
         "gamma_ratio": ratios,

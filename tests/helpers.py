@@ -673,3 +673,18 @@ def product_coherent_state(dim: int, alpha: complex) -> np.ndarray:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         amps = np.exp(-0.5 * abs(alpha) ** 2) * alpha**n / np.exp(0.5 * log_fact)
         return amps / np.linalg.norm(amps)
+
+
+def stage_rhs(stages, y: np.ndarray, stage: tuple) -> np.ndarray:
+    """The former ``_Stages.__call__``: ``dy/dt`` at the stepped state
+    ``y`` under ``stage`` (its grid interval ``k`` and ``t - t_k``), one
+    stage of ``stages`` at a time; on the band path ``y`` may also be
+    ``M`` itself, and ``dy/dt`` takes its shape.  The reference for
+    :meth:`nmgme.propagate._Stages.step`."""
+    k, dt = stage
+    if k != stages._key:
+        stages._load(k)
+    if stages._small:
+        return stages._op @ np.concatenate([y, y * dt])
+    form = stages.form
+    return form(y.reshape(form.dim, -1), stages._band_stage(stage)).reshape(y.shape)

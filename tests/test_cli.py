@@ -106,6 +106,8 @@ def test_dump_rho_on_coeffs_exit_2(tmp_path, capsys, in_config):
 MODES = {"family": "discrete_modes", "mode_freqs": [1.0, 1.6], "couplings": [[0.2, [0.1, 0.05]]]}
 ORACLE_2 = {"model": "dephasing", "kernel": MODES}
 SWEEP = {"eps_values": [0.1, 0.05], "strength": 1.0, "t_eval": 1.0, "n_points": 65}
+#: A Fock run's blocks for the invalid-config cases: the default state
+FOCK_RUN = {"system": {"lam": 1.0}, "propagation": {"h": 0.002, "n_samples": 11}}
 
 
 def test_invalid_config_exit_2(tmp_path, capsys):
@@ -184,6 +186,11 @@ def test_invalid_config_exit_2(tmp_path, capsys):
         ("dephasing", "white_noise_sweep", None, {**SWEEP, "eps_values": [0.1]}, "white_noise_sweep.eps_values"),
         ("dephasing", "white_noise_sweep", None, {**SWEEP, "eps_values": [0.1, 0.1]}, "white_noise_sweep.eps_values"),
         ("dephasing", "white_noise_sweep", None, {"strength": 1.0}, "white_noise_sweep.eps_values"),
+        # the squares overflow, or both are 0: checked before the run
+        ("joos-zeh", "white_noise_sweep", None, {**SWEEP, "eps_values": [1.0e200, 1.0e180]},
+         "white_noise_sweep.eps_values", FOCK_RUN),
+        ("joos-zeh", "white_noise_sweep", None, {**SWEEP, "eps_values": [1.0e-200, 1.0e-201]},
+         "white_noise_sweep.eps_values", FOCK_RUN),
         ("dephasing", "white_noise_sweep", None, [0.1, 0.05], "white_noise_sweep"),
         # a valid sweep on a scenario that does not run it
         ("hpz", "white_noise_sweep", None, SWEEP, "white_noise_sweep"),
@@ -211,6 +218,11 @@ def test_invalid_config_exit_2(tmp_path, capsys):
         # the collapse model's shifted frequency sqrt(omega^2 - (lam mu)^2)
         ("qmupl", "system", None, {"lam": 4.0, "mu": 0.25}, "system"),
         ("coeffs", "system", None, {"lam": 4.0, "mu": 0.5}, "system", {"model": "qmupl"}),
+        # a correlation that overflows at lag 0, in the kernel or the
+        # collapse strength; the series also squares it
+        ("dephasing", "kernel", None, {"family": "exponential", "gamma": 1.0e300, "tau_c": 1.0e-300}, "kernel"),
+        ("dephasing", "kernel", None, {**MODES, "mode_freqs": [1.0], "couplings": [[1.0e200]]}, "kernel"),
+        ("qmupl", "system", None, {"lam": 1.0e300}, "kernel", FOCK_RUN),
     ]
     for scenario, block, key, value, field_path, *extra in cases:
         cfg = base_dephasing(tmp_path)
@@ -575,6 +587,15 @@ def test_theta_flag_does_not_depend_on_the_listed_order():
     assert thetas[0][0.2] > thetas[0][0.1] > thetas[0][0.05]
 
 
+def test_sweep_fits_widths_whose_fourth_powers_leave_the_float_range():
+    # polyfit squares eps^2 again; the fit in eps^2 rescaled by a power of
+    # 2 takes every set of finite squares with two distinct
+    for eps in ([1.0e-200, 1.0e-150], [1.0e-160, 1.0e-161], [1.0e100, 1.0e90]):
+        cfg = RunConfig.from_dict({"scenario": "joos-zeh", "system": {"lam": 1.0},
+                                   "white_noise_sweep": {**SWEEP, "eps_values": eps}})
+        assert np.isfinite(white_noise_limit_report(cfg)["gamma_ratio_extrapolated"]), eps
+
+
 def test_hpz_scenario_and_oracle_check(tmp_path):
     common = {
         "kernel": {
@@ -664,4 +685,4 @@ def test_run_config_validation_direct():
     # a given kernel block replaces the exponential default, not merges into it
     assert RunConfig.from_dict({"scenario": "oracle-check", "kernel": MODES}).kernel == MODES
     cfg = RunConfig.from_dict({"scenario": "dephasing", "kernel": {"gamma": 2.0}})
-    assert cfg.kernel == {"family": "exponential", "gamma": 2.0}
+    assert cfg.kernel == {"family": "exponential", "gamma": 2.0, "tau_c": 0.5}

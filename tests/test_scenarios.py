@@ -36,6 +36,13 @@ ORACLE_KEYS = {"max_trace_distance", "recurrence_time_estimate"}
 MOMENT_KEYS = {"moment_fock_max_dq", "moment_fock_max_dp", "moment_fock_max_dsecond", "uncertainty_ok"}
 FOCK_OBS = {"mean_q", "mean_p", "var_q_raw", "var_p_raw", "mean_n"}
 QUBIT_OBS = {"coherence_re", "population_0"}
+# every field of each kernel family and initial-state type
+FAMILY_KEYS = {
+    "exponential": {"family", "gamma", "tau_c"},
+    "white_noise": {"family", "strength", "eps"},
+    "discrete_modes": {"family", "mode_freqs", "couplings"},
+}
+STATE_KEYS = {"coherent": {"type", "alpha_re", "alpha_im"}, "basis": {"type", "index"}, "plus": {"type"}}
 
 # (id, scenario, extra config, files, report keys besides scenario/config,
 #  trajectory (scenario, params keys, observables) or None)
@@ -91,6 +98,12 @@ def test_artifact_contract(tmp_path, scenario, extra, files, report_keys, trajec
     if "fock_headroom" in report:
         assert 0.0 <= report["fock_headroom"] <= 1e-6
     assert set(returned) == set(report)
+    # every default the run used is in the config, which resolves to itself
+    config = report["config"]
+    assert set(config["kernel"]) == FAMILY_KEYS[config["kernel"]["family"]]
+    state = config["propagation"]["initial_state"]
+    assert set(state) == STATE_KEYS[state["type"]]
+    assert dataclasses.asdict(RunConfig.from_dict(config)) == config
     if trajectory is None:
         return
     name, params, observables = trajectory
