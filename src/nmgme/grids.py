@@ -27,9 +27,6 @@ __all__ = [
     "on_square",
 ]
 
-#: Grid points per unit of dimensionless time used when no resolution is given.
-POINTS_PER_UNIT_TIME = 64
-
 _UNIFORMITY_RTOL = 1e-12
 
 
@@ -72,16 +69,8 @@ class TimeGrid:
         return self.t_max / (self.n_points - 1)
 
 
-def make_grid(t_max: float, n_points: int | None = None) -> TimeGrid:
-    """Build a uniform grid on ``[0, t_max]``.
-
-    When ``n_points`` is omitted the default resolution of
-    ``POINTS_PER_UNIT_TIME`` panels per unit time is used (so ``t_max = 1``
-    gives a 65-point grid).
-    """
-    if n_points is None:
-        n_points = int(round(POINTS_PER_UNIT_TIME * t_max)) + 1
-        n_points = max(n_points, 2)
+def make_grid(t_max: float, n_points: int) -> TimeGrid:
+    """Build a uniform grid of ``n_points`` on ``[0, t_max]``."""
     pts = np.linspace(0.0, float(t_max), int(n_points))
     return TimeGrid(t_max=float(t_max), n_points=int(n_points), points=pts)
 

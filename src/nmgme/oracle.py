@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bath import require_finite
-from .propagate import Trajectory, _hermitian_of, diagnostics
+from .propagate import Trajectory, _hermitian_of, _real_of
 
 __all__ = [
     "JointModel",
@@ -316,7 +316,6 @@ def evolve_joint(
     psi0_system: np.ndarray,
     t_final: float,
     n_samples: int = 101,
-    scenario: str = "",
 ) -> Trajectory:
     """Exact reduced dynamics of a factorized initial state.
 
@@ -326,12 +325,14 @@ def evolve_joint(
     each of the ``n_samples`` times ``t_k`` in ``[0, t_final]`` is
     ``exp(-i H[idx, idx] t_k) psi0[idx]`` (:func:`_chebyshev_propagate`
     on the entries of that block) on ``idx`` and zero elsewhere; each
-    sample is formed from its row of the reached amplitudes in turn and
-    reduced by partial trace over the bath, and the trajectory keeps the
-    real form of the reduced state's Hermitian part.  A system state
-    that is not finite or not normalized raises ``ValueError`` before
-    ``H`` is built; a sampled norm off 1 by more than 1e-8, or not a
-    number, aborts the run.
+    sample is formed from its row of the reached amplitudes in turn, its
+    norm logged and the state reduced by partial trace over the bath;
+    the trajectory keeps the real form of the reduced state's Hermitian
+    part, and :meth:`Trajectory.record` logs the diagnostics of that
+    form, whose Hermiticity defect is 0.  A system state that is not
+    finite or not normalized raises ``ValueError`` before ``H`` is built;
+    a sampled norm off 1 by more than 1e-8, or not a number, aborts the
+    run.
     """
     psi_s = np.asarray(psi0_system, dtype=complex)
     if not abs(np.linalg.norm(psi_s) - 1.0) <= 1e-10:
@@ -360,34 +361,16 @@ def evolve_joint(
 
     d_s = model.system_dim
     states = np.empty((n_samples, d_s, d_s))
+    norms = []
     psi = np.zeros(reached.size, dtype=complex)  # one joint state at a time
-    logs = {
-        "trace": [],
-        "hermiticity_defect": [],
-        "min_eigenvalue": [],
-        "purity": [],
-        "norm": [],
-    }
     for i, (t, row) in enumerate(zip(times, amps)):
         psi[idx] = row
-        norm = float(np.linalg.norm(psi))
-        if not abs(norm - 1.0) <= 1e-8:
-            raise RuntimeError(f"joint norm drifted to {norm} at t={t:.6g}")
+        norms.append(float(np.linalg.norm(psi)))
+        if not abs(norms[-1] - 1.0) <= 1e-8:
+            raise RuntimeError(f"joint norm drifted to {norms[-1]} at t={t:.6g}")
         rho = _reduce(psi, d_s)
-        diag = diagnostics(rho)
-        for key in ("trace", "hermiticity_defect", "min_eigenvalue", "purity"):
-            logs[key].append(diag[key])
-        logs["norm"].append(norm)
-        herm = 0.5 * (rho + rho.conj().T)  # exactly Hermitian
-        states[i] = herm.real + herm.imag
-
-    return Trajectory(
-        times=times,
-        real_states=states,
-        diagnostics=logs,
-        scenario=scenario,
-        source="oracle",
-    )
+        states[i] = _real_of(0.5 * (rho + rho.conj().T))  # exactly Hermitian
+    return Trajectory.record(times, states, norm=norms)
 
 
 def recurrence_estimate(mode_freqs) -> float:

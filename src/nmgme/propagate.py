@@ -75,10 +75,11 @@ on the interleaved rows of ``M`` and ``M^T`` give
 0.16 MFlop per stage, against 1.28 MFlop for the same two products
 taken dense (0.13 against 1.02 for the first).  :func:`evolve` keeps
 the state as the entries of ``vec(M)`` that it reaches (on the band path
-all of them), stores each sample as ``M`` and forms ``rho`` only to
-log a sample and when :attr:`Trajectory.states` is read: any real ``M``
-is a Hermitian ``rho``, so a trajectory's Hermiticity defect is 0 by
-construction.
+all of them) and stores each sample as ``M``.  :meth:`Trajectory.record`,
+the one recorder of every sampled trajectory (the oracle's included),
+forms one sample's ``rho`` at a time to log it, and :attr:`Trajectory.states`
+forms them all when read: any real ``M`` is a Hermitian ``rho``, so a
+trajectory's Hermiticity defect is 0 by construction.
 
 At small dimensions a stage costs per-call overhead rather than
 arithmetic, so a small run takes each stage as one product of the real
@@ -121,8 +122,9 @@ the step is the tableau's last row times ``B``.  :func:`_rk4_step` hands such st
 its written-out tableau serves the Gaussian moments, which obey a linear
 ODE in ``(mean, cov, 1)``: the 7x7 RK4 step matrices of a block are that
 tableau applied to the identity with batched products, and a step is one
-matrix-vector product.  Both propagators take a sample every
-``n_steps // (n_samples - 1)`` steps, a whole number by
+matrix-vector product.  Both propagators run on one schedule
+(:func:`_schedule`): a ``t_final`` within the coefficient grid, and a
+sample every ``n_steps // (n_samples - 1)`` steps, a whole number by
 :func:`aligned_steps`.  The state is never rescaled: trace drift is a
 diagnostic.
 """
@@ -734,46 +736,46 @@ class Trajectory:
     ``real_states`` holds each sampled state once, as the real
     ``M = Re rho + Im rho`` of its Hermitian ``rho``: a float64 stack
     ``(n_samples, dim, dim)``, half the size of the complex one.
-    :attr:`states` forms the complex stack on each read.
+    :attr:`states` forms the complex stack on each read.  Both propagators
+    build their trajectory with :meth:`record`.
     """
 
     times: np.ndarray
     real_states: np.ndarray = field(repr=False)
     diagnostics: dict = field(default_factory=dict)
     observables: dict = field(default_factory=dict)
-    scenario: str = ""
-    params: dict = field(default_factory=dict)
-    source: str = "me"
     warnings: list = field(default_factory=list)
     # largest population of the top two Fock levels after any step, as
     # seen by the truncation guard; None when the guard is off
     top_population: float | None = None
+
+    @classmethod
+    def record(cls, times, real_states, observables=None, top_population=None, **logs) -> "Trajectory":
+        """The trajectory of the sampled real forms ``real_states``.
+
+        Each sample's ``rho = _hermitian_of(M)`` is formed in turn, so no
+        complex stack exists: its :func:`diagnostics` and the
+        ``Tr(op rho)`` of each of the ``observables`` are logged, and a
+        trace drift beyond 1e-6 between the first and the last sample is
+        a warning.  ``logs`` are further per-sample logs, kept with the
+        diagnostics."""
+        observables = observables or {}
+        diag, obs = {}, {name: [] for name in observables}
+        for M in real_states:
+            rho = _hermitian_of(M)
+            for key, value in diagnostics(rho).items():
+                diag.setdefault(key, []).append(value)
+            for name, op in observables.items():
+                obs[name].append(float(np.sum(op * rho.T).real))  # Tr(op rho)
+        drift = abs(diag["trace"][-1] - diag["trace"][0])
+        warnings = [f"trace drift {drift:.3e} exceeds 1e-6 over the run"] if drift > 1e-6 else []
+        return cls(times, real_states, {**diag, **logs}, obs, warnings, top_population)
 
     @property
     def states(self) -> np.ndarray:
         """The sampled ``rho`` ``(n_samples, dim, dim)``, formed from
         ``real_states`` by :func:`_hermitian_of` on each read."""
         return _hermitian_of(self.real_states)
-
-    def to_json_dict(self, dump_rho: bool = False) -> dict:
-        out = {
-            "scenario": self.scenario,
-            "source": self.source,
-            "params": self.params,
-            "times": [float(t) for t in self.times],
-            "observables": {
-                k: [float(x) for x in v] for k, v in self.observables.items()
-            },
-            "diagnostics": {
-                k: [float(x) for x in v] for k, v in self.diagnostics.items()
-            },
-            "warnings": list(self.warnings),
-        }
-        if dump_rho:
-            # one sample at a time, real and imaginary parts interleaved
-            # as a complex rho lies in memory
-            out["rho"] = [_hermitian_of(M).reshape(-1).view(float).tolist() for M in self.real_states]
-        return out
 
 
 @dataclass
@@ -830,6 +832,17 @@ def aligned_steps(t_final: float, h: float, n_samples: int) -> tuple[int, float]
     return n_steps, t_final / n_steps
 
 
+def _schedule(coeffs: MECoefficients, t_final: float, h: float, n_samples: int) -> tuple:
+    """Step count, effective step and steps between samples of a run to
+    ``t_final`` (:func:`aligned_steps`), and the interpolator of
+    ``coeffs``; a ``t_final`` past the coefficient grid raises
+    ``ValueError``."""
+    if t_final > coeffs.grid.t_max + 1e-12:
+        raise ValueError(f"t_final {t_final} exceeds coefficient grid t_max {coeffs.grid.t_max}")
+    n_steps, h_eff = aligned_steps(t_final, h, n_samples)
+    return n_steps, h_eff, n_steps // (n_samples - 1), CoefficientInterpolator(coeffs)
+
+
 def evolve(
     rho0: np.ndarray,
     coeffs: MECoefficients,
@@ -839,17 +852,15 @@ def evolve(
     n_samples: int = 101,
     observables: dict | None = None,
     truncation_guard: bool = True,
-    scenario: str = "",
-    params: dict | None = None,
 ) -> Trajectory:
     """Propagate the density matrix ``rho0`` with fixed-step RK4.
 
     ``rho0`` must be a square matrix of the dimension of ``ops["H0"]``.
-    Samples ``n_samples`` equally spaced times in ``[0, t_final]`` and
-    logs trace, Hermiticity defect, minimum eigenvalue and purity at each
-    sample (the Hermiticity defect is 0 by construction).  The truncation
-    guard aborts when the top two Fock levels accumulate more than
-    ``TRUNCATION_LIMIT`` population (disabled automatically for
+    Samples ``n_samples`` equally spaced times in ``[0, t_final]``;
+    :meth:`Trajectory.record` logs their trace, Hermiticity defect (0 by
+    construction), minimum eigenvalue, purity and ``observables``.  The
+    truncation guard aborts when the top two Fock levels accumulate more
+    than ``TRUNCATION_LIMIT`` population (disabled automatically for
     dim <= 3, where the whole basis is "the top").  The state is never
     rescaled to unit trace; trace drift beyond 1e-6 is a warning.
 
@@ -868,30 +879,12 @@ def evolve(
     # the real M of rho, whose diagonal is the populations
     M = _real_of(rho)
     dim = rho.shape[0]
-    if t_final > coeffs.grid.t_max + 1e-12:
-        raise ValueError(
-            f"t_final {t_final} exceeds coefficient grid t_max {coeffs.grid.t_max}"
-        )
-    n_steps, h_eff = aligned_steps(t_final, h, n_samples)
-    every = n_steps // (n_samples - 1)  # steps between samples
-    interp = CoefficientInterpolator(coeffs)
+    n_steps, h_eff, every, interp = _schedule(coeffs, t_final, h, n_samples)
     stages = _Stages(_SandwichForm.of_run(coeffs, ops, dim), interp, M, h_eff)
     y = stages.state(M)
 
     states = np.empty((n_samples, dim, dim))
     states[0] = M
-    logs = {"trace": [], "hermiticity_defect": [], "min_eigenvalue": [], "purity": []}
-    obs_logs = {name: [] for name in (observables or {})}
-    warnings = []
-
-    def record(r):
-        diag = diagnostics(r)
-        for key in logs:
-            logs[key].append(diag[key])
-        for name, op in (observables or {}).items():
-            obs_logs[name].append(float(np.sum(op * r.T).real))  # Tr(op r)
-
-    record(rho)
     guard_on = truncation_guard and dim > 3
     top = 0.0 if guard_on else None  # peak population of the top two levels
     # where y holds the populations of the top two levels; an entry the
@@ -920,23 +913,9 @@ def evolve(
             sample, rest = divmod(step, every)
             if rest == 0:
                 states[sample] = stages.matrix(y)
-                record(_hermitian_of(states[sample]))
 
-    drift = abs(logs["trace"][-1] - logs["trace"][0])
-    if drift > 1e-6:
-        warnings.append(f"trace drift {drift:.3e} exceeds 1e-6 over the run")
-
-    return Trajectory(
-        times=np.linspace(0.0, t_final, n_samples),
-        real_states=states,
-        diagnostics=logs,
-        observables=obs_logs,
-        scenario=scenario,
-        params=params or {},
-        source="me",
-        warnings=warnings,
-        top_population=None if top is None else float(top),
-    )
+    top = None if top is None else float(top)
+    return Trajectory.record(np.linspace(0.0, t_final, n_samples), states, observables, top)
 
 
 def evolve_moments(
@@ -969,13 +948,7 @@ def evolve_moments(
     """
     if coeffs.scenario == "dephasing" or coeffs.n_channels != 1:
         raise ValueError("moment propagation needs a linear single-channel scenario")
-    if t_final > coeffs.grid.t_max + 1e-12:
-        raise ValueError(
-            f"t_final {t_final} exceeds coefficient grid t_max {coeffs.grid.t_max}"
-        )
-    n_steps, h_eff = aligned_steps(t_final, h, n_samples)
-    every = n_steps // (n_samples - 1)  # steps between samples
-    interp = CoefficientInterpolator(coeffs)
+    n_steps, h_eff, every, interp = _schedule(coeffs, t_final, h, n_samples)
     y = np.concatenate([m0.mean, m0.cov.ravel(), [1.0]])
     samples = np.empty((n_samples, 7))
     samples[0] = y

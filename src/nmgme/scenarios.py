@@ -14,6 +14,10 @@ directory; the others depend on the scenario:
 * ``series_convergence.csv`` -- ``coeffs``, ``hpz`` and ``qmupl`` when
   the model is ``hpz`` or ``qmupl`` (the models that run the series).
 
+The propagators return bare trajectories; the labels of a trajectory
+file are set here (:func:`_trajectory_json`): ``scenario`` (the model
+that ran), ``source`` (``me`` or ``oracle``) and ``params`` (the config
+blocks of the model's system, empty under ``oracle-check``).
 ``report.json`` embeds the fully-resolved configuration, every default
 the run used included, and so do the ``params`` of ``trajectory.json``;
 a run is reproducible from its own artifacts.  Output
@@ -53,7 +57,7 @@ from .coefficients import (
 )
 from .grids import make_grid, quad_weights
 from .oracle import DEFAULT_DIMENSION_CAP, DEFAULT_MODE_DIM, JointModel, compare_with_me, evolve_joint
-from .propagate import TRUNCATION_LIMIT, GaussianMoments, Trajectory, evolve, evolve_moments
+from .propagate import TRUNCATION_LIMIT, GaussianMoments, Trajectory, _hermitian_of, evolve, evolve_moments
 from .series import SeriesConfig, dump_convergence_csv
 from .system import commutator_kernel, fock_operators, harmonic_kernels, quadratic_hamiltonian
 
@@ -262,6 +266,12 @@ class RunConfig:
         lam_mu = system["lam"] * system["mu"]
         if model == "qmupl" and system["omega"] <= lam_mu:
             raise ConfigError("system", f"qmupl needs omega > lam * mu (a real shifted frequency), got lam * mu = {lam_mu!r}")
+        # every scenario but coeffs builds the model's system, a Fock
+        # Hamiltonian on every model but dephasing; it and the qmupl flow
+        # square omega as a float, which raises where the square overflows
+        squares_omega = model == "qmupl" or (self.scenario != "coeffs" and model != "dephasing")
+        if squares_omega and not math.isfinite(float(system["omega"]) * system["omega"]):
+            raise ConfigError("system.omega", f"omega^2 overflows, got omega = {system['omega']!r}")
         if self.scenario == "oracle-check" and kernel["family"] != "discrete_modes":
             raise ConfigError("kernel.family", "oracle-check needs a discrete_modes kernel")
         if kernel["family"] == "discrete_modes":
@@ -521,7 +531,7 @@ def _oracle_comparison(cfg: RunConfig, ops: dict, psi0, grid, traj: Trajectory):
         couplings=_couplings(cfg.kernel["couplings"]),
         mode_dims=tuple(cfg.oracle["mode_dims"] or ()),
     )
-    traj_or = evolve_joint(joint, psi0, grid.t_max, cfg.propagation["n_samples"], scenario=cfg.model)
+    traj_or = evolve_joint(joint, psi0, grid.t_max, cfg.propagation["n_samples"])
     comparison = compare_with_me(traj_or, traj, mode_freqs=freqs)
     entries = {k: comparison[k] for k in ("max_trace_distance", "recurrence_time_estimate")}
     return entries, traj_or
@@ -529,6 +539,28 @@ def _oracle_comparison(cfg: RunConfig, ops: dict, psi0, grid, traj: Trajectory):
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+
+
+def _trajectory_json(traj: Trajectory, scenario: str, source: str, params: dict, dump_rho: bool = False) -> dict:
+    """The payload of ``trajectory.json`` (``source`` ``"me"``) or
+    ``oracle_trajectory.json`` (``"oracle"``): the run's labels -- the
+    model that ran as ``scenario``, and the config blocks ``params`` --
+    then the sample times, observables, diagnostics and warnings of
+    ``traj``.  With ``dump_rho`` each sampled ``rho`` follows as its real
+    and imaginary parts interleaved, as a complex ``rho`` lies in memory,
+    formed one sample at a time."""
+    out = {
+        "scenario": scenario,
+        "source": source,
+        "params": params,
+        "times": [float(t) for t in traj.times],
+        "observables": {k: [float(x) for x in v] for k, v in traj.observables.items()},
+        "diagnostics": {k: [float(x) for x in v] for k, v in traj.diagnostics.items()},
+        "warnings": list(traj.warnings),
+    }
+    if dump_rho:
+        out["rho"] = [_hermitian_of(M).reshape(-1).view(float).tolist() for M in traj.real_states]
+    return out
 
 
 def run(cfg: RunConfig) -> dict:
@@ -556,16 +588,15 @@ def run(cfg: RunConfig) -> dict:
     if with_series:
         report.update(_series_report(tables))
 
-    traj = traj_or = None
+    traj = traj_or = params = None
     if cfg.scenario != "coeffs":
         dim, ops, observables, params = _system_for(cfg, model)
         if oracle_check:  # compared with the oracle state by state
-            observables = params = None
+            observables, params = None, {}
         psi0 = _initial_state(p["initial_state"], dim)
         traj = evolve(
             _projector(psi0), coeffs, ops, grid.t_max, p["h"], p["n_samples"],
             observables=observables, truncation_guard=not oracle_check,
-            scenario=model, params=params,
         )
         report.update(_traj_report(traj))
 
@@ -578,9 +609,10 @@ def run(cfg: RunConfig) -> dict:
         report.update(entries)
 
     write_coefficients_csv(coeffs, outdir / "coefficients.csv")
-    for name, trajectory in (("trajectory.json", traj), ("oracle_trajectory.json", traj_or)):
-        if trajectory is not None:
-            _write_json(outdir / name, trajectory.to_json_dict(cfg.dump_rho))
+    if traj is not None:
+        _write_json(outdir / "trajectory.json", _trajectory_json(traj, model, "me", params, cfg.dump_rho))
+    if traj_or is not None:
+        _write_json(outdir / "oracle_trajectory.json", _trajectory_json(traj_or, model, "oracle", {}, cfg.dump_rho))
     if with_series and tables is not None:
         dump_convergence_csv(tables, outdir / "series_convergence.csv")
     report["config"] = asdict(cfg)

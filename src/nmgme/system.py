@@ -203,14 +203,9 @@ def fock_operators(dim: int, m: float = 1.0, omega: float = 1.0) -> dict:
     return {"q": q, "p": p, "number": ad @ a}
 
 
-def quadratic_hamiltonian(
-    dim: int, m: float = 1.0, omega: float = 1.0, lam_mu: float = 0.0
-) -> np.ndarray:
-    """Fock matrix of ``p^2/2m + m omega^2 q^2 / 2 + (lam mu / 2) {q, p}``."""
-    require_finite(lam_mu=lam_mu)
+def quadratic_hamiltonian(dim: int, m: float = 1.0, omega: float = 1.0) -> np.ndarray:
+    """Fock matrix of ``p^2/2m + m omega^2 q^2 / 2``; a ``{q, p}`` shift
+    enters the generator through its weights, not this matrix."""
     ops = fock_operators(dim, m, omega)
     q, p = ops["q"], ops["p"]
-    h = p @ p / (2.0 * m) + 0.5 * m * omega**2 * (q @ q)
-    if lam_mu:
-        h = h + 0.5 * lam_mu * (q @ p + p @ q)
-    return h
+    return p @ p / (2.0 * m) + 0.5 * m * omega**2 * (q @ q)

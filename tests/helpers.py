@@ -144,7 +144,6 @@ def stepped_evolve_joint(model, psi0_system, t_final, h, n_samples=101):
         times=sample_times[: len(states)],
         real_states=hermitian_real_forms(states),
         diagnostics=logs,
-        source="oracle",
     )
 
 
@@ -185,7 +184,6 @@ def full_eigh_evolve_joint(model, psi0_system, t_final, n_samples=101):
         times=times,
         real_states=hermitian_real_forms(states),
         diagnostics=logs,
-        source="oracle",
     )
 
 
@@ -203,7 +201,7 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 
 def former_rho_dump(states) -> list:
-    """The former ``rho`` entry of ``Trajectory.to_json_dict``: each
+    """The former ``rho`` entry of a trajectory's JSON payload: each
     complex state's real and imaginary parts interleaved into a list of
     floats; the reference for the dump from the real forms."""
     flat = []

@@ -317,7 +317,7 @@ def qmupl_golden():
         }
         dims[dim] = evolve(
             np.outer(psi0, psi0.conj()), coeffs, ops, t_final, 1e-3, n_samples,
-            observables=observables, scenario="qmupl",
+            observables=observables,
         )
     mom0 = GaussianMoments.coherent(np.sqrt(2.0) * alpha0, 0.0, 1.0, 1.0)
     mtraj = evolve_moments(mom0, coeffs, 1.0, 1.0, t_final, 1e-3, n_samples)

@@ -108,6 +108,8 @@ ORACLE_2 = {"model": "dephasing", "kernel": MODES}
 SWEEP = {"eps_values": [0.1, 0.05], "strength": 1.0, "t_eval": 1.0, "n_points": 65}
 #: A Fock run's blocks for the invalid-config cases: the default state
 FOCK_RUN = {"system": {"lam": 1.0}, "propagation": {"h": 0.002, "n_samples": 11}}
+#: A Fock run from the ground state
+BASIS_RUN = {"propagation": {"h": 0.002, "n_samples": 11, "initial_state": {"type": "basis", "index": 0}}}
 
 
 def test_invalid_config_exit_2(tmp_path, capsys):
@@ -223,6 +225,13 @@ def test_invalid_config_exit_2(tmp_path, capsys):
         ("dephasing", "kernel", None, {"family": "exponential", "gamma": 1.0e300, "tau_c": 1.0e-300}, "kernel"),
         ("dephasing", "kernel", None, {**MODES, "mode_freqs": [1.0], "couplings": [[1.0e200]]}, "kernel"),
         ("qmupl", "system", None, {"lam": 1.0e300}, "kernel", FOCK_RUN),
+        # omega^2 leaves the float range where a run squares omega: the
+        # Fock Hamiltonian of every model but dephasing, the qmupl flow
+        ("hpz", "system", "omega", 1.0e200, "system.omega", BASIS_RUN),
+        ("qmupl", "system", "omega", 1.0e200, "system.omega", BASIS_RUN),
+        ("joos-zeh", "system", None, {"lam": 1.0, "omega": 1.0e200}, "system.omega", BASIS_RUN),
+        ("oracle-check", "system", "omega", 1.0e200, "system.omega", {**BASIS_RUN, "model": "hpz", "kernel": MODES}),
+        ("coeffs", "system", "omega", 1.0e200, "system.omega", {"model": "qmupl"}),
     ]
     for scenario, block, key, value, field_path, *extra in cases:
         cfg = base_dephasing(tmp_path)
@@ -260,6 +269,18 @@ def test_config_tree_checked_before_output(tmp_path, monkeypatch, capsys, text, 
     if field is not None:
         assert json.loads(capsys.readouterr().err)["field"] == field
     assert (tmp_path / "out").exists() == (rc == 0)
+
+
+@pytest.mark.parametrize("scenario, model", [("coeffs", "hpz"), ("coeffs", "joos-zeh"), ("oracle-check", "dephasing")])
+def test_runs_that_never_square_omega_take_an_omega_whose_square_overflows(tmp_path, scenario, model):
+    # the hpz and joos-zeh coefficients read omega through cos and sin of
+    # omega u, and the dephasing qubit not at all
+    cfg = {**base_dephasing(tmp_path), "model": model, "system": {"omega": 1.0e200, "lam": 0.1}}
+    if scenario == "oracle-check":
+        cfg.update(kernel=MODES, oracle={"mode_dims": [3, 3]})
+    else:  # the qubit's plus state is no Fock state
+        del cfg["propagation"]
+    assert main([scenario, "--config", write_config(tmp_path, cfg)]) == 0
 
 
 def test_model_may_name_its_own_scenario(tmp_path):

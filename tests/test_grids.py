@@ -13,13 +13,6 @@ from nmgme.grids import (
 from helpers import integrate_1d, integrate_triangular, simpson_loop_weights, suffix_weights, theta_mask
 
 
-def test_make_grid_default_resolution():
-    grid = make_grid(1.0)
-    assert grid.n_points == 65
-    assert grid.points[0] == 0.0
-    assert grid.points[-1] == 1.0
-
-
 def test_grid_rejects_bad_inputs():
     with pytest.raises(ValueError):
         make_grid(1.0, 1)

@@ -37,6 +37,7 @@ from nmgme.propagate import (
     _stage_blocks,
     _Stages,
 )
+from nmgme.oracle import JointModel, evolve_joint
 from nmgme.scenarios import coherent_state
 from nmgme.series import SeriesConfig
 from nmgme.system import (
@@ -656,10 +657,10 @@ def test_trajectory_json_dict():
     traj = evolve(
         rho0, coeffs, ops, 0.5, 1e-2, n_samples=6,
         observables={"pop0": np.diag([1.0, 0.0]).astype(complex)},
-        scenario="dephasing",
     )
-    payload = traj.to_json_dict(dump_rho=True)
+    payload = scenarios._trajectory_json(traj, "dephasing", "me", {}, dump_rho=True)
     assert payload["scenario"] == "dephasing"
+    assert payload["source"] == "me"
     assert len(payload["times"]) == 6
     assert len(payload["observables"]["pop0"]) == 6
     assert len(payload["rho"]) == 6
@@ -692,15 +693,56 @@ def test_trajectory_keeps_each_sample_once_as_float64(monkeypatch, case):
         traj.states = states
 
 
+def _recorded(case):
+    """A trajectory of ``case`` and the observables it logged: an
+    ``evolve`` case of ``EVOLVE_CASES`` or the oracle on a complex bath."""
+    if case == "oracle":
+        model = JointModel(
+            h_system=quadratic_hamiltonian(6), channel_ops=(fock_operators(6)["q"],),
+            mode_freqs=(1.3, 1.7), couplings=np.array([[0.15, 0.1 + 0.05j]]), mode_dims=(3, 3),
+        )
+        return evolve_joint(model, np.eye(6, dtype=complex)[1], 2.0, n_samples=9), {}
+    coeffs, ops, rho0, t_final = EVOLVE_CASES[case]()
+    observables = {"q": ops["q"], "p": ops["p"], "qq": ops["q"] @ ops["q"]}
+    traj = evolve(rho0, coeffs, ops, t_final, 1e-2, n_samples=6, observables=observables, truncation_guard=False)
+    return traj, observables
+
+
+@pytest.mark.parametrize("case", ["qmupl-dim40", "hpz", "oracle"])
+def test_every_trajectory_records_its_stored_samples(case):
+    # the band path (dim 40), the sector path (a vacuum start at dim 10)
+    # and the oracle share one recorder: each logged value is that of the
+    # stored real form M, bit for bit
+    traj, observables = _recorded(case)
+    expected = {key: [] for key in ("trace", "hermiticity_defect", "min_eigenvalue", "purity")}
+    expected_obs = {name: [] for name in observables}
+    for M in traj.real_states:
+        rho = _hermitian_of(M)
+        for key, value in diagnostics(rho).items():
+            expected[key].append(value)
+        for name, op in observables.items():
+            expected_obs[name].append(float(np.sum(op * rho.T).real))
+    logged = dict(traj.diagnostics)
+    if case == "oracle":  # the joint norm, measured before the reduction
+        assert np.max(np.abs(np.subtract(logged.pop("norm"), 1.0))) <= 1e-8
+    for got, want in ((logged, expected), (traj.observables, expected_obs)):
+        assert set(got) == set(want)
+        for key in want:
+            assert np.array(got[key]).tobytes() == np.array(want[key]).tobytes(), key
+    # the oracle's too: it stores the real form of the Hermitian part
+    assert traj.diagnostics["hermiticity_defect"] == [0.0] * len(traj.times)
+    assert traj.warnings == []
+
+
 def test_rho_dump_equals_the_former_interleave():
     # a complex coherent start, so both parts of most entries are nonzero
     coeffs, ops, _, t_final = EVOLVE_CASES["hpz"]()
     rho0 = scenarios._projector(coherent_state(10, complex(0.5, 0.4)))
     traj = evolve(rho0, coeffs, ops, t_final, 1e-2, n_samples=6, truncation_guard=False)
-    former = {**traj.to_json_dict(), "rho": former_rho_dump(traj.states)}
-    assert json.dumps(traj.to_json_dict(dump_rho=True)) == json.dumps(former)
+    former = {**scenarios._trajectory_json(traj, "hpz", "me", {}), "rho": former_rho_dump(traj.states)}
+    assert json.dumps(scenarios._trajectory_json(traj, "hpz", "me", {}, dump_rho=True)) == json.dumps(former)
     rebuilt = Trajectory(times=traj.times, real_states=traj.real_states.copy())
-    assert rebuilt.to_json_dict(dump_rho=True)["rho"] == former["rho"]
+    assert scenarios._trajectory_json(rebuilt, "hpz", "me", {}, dump_rho=True)["rho"] == former["rho"]
 
 
 def _qmupl_case():

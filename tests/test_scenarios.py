@@ -2,7 +2,8 @@
 
 Each case runs at tiny sizes and pins the files written, the keys of
 ``report.json`` and, where a trajectory is written, its ``scenario``,
-the keys of its ``params`` and its observable names.
+its ``source``, its exact key set, the keys of its ``params``, its
+observable names and its diagnostics.
 """
 
 import dataclasses
@@ -36,6 +37,10 @@ ORACLE_KEYS = {"max_trace_distance", "recurrence_time_estimate"}
 MOMENT_KEYS = {"moment_fock_max_dq", "moment_fock_max_dp", "moment_fock_max_dsecond", "uncertainty_ok"}
 FOCK_OBS = {"mean_q", "mean_p", "var_q_raw", "var_p_raw", "mean_n"}
 QUBIT_OBS = {"coherence_re", "population_0"}
+# every key of trajectory.json and oracle_trajectory.json without dump_rho,
+# and the per-sample diagnostics (the oracle's also log the joint norm)
+TRAJ_FILE_KEYS = {"scenario", "source", "params", "times", "observables", "diagnostics", "warnings"}
+DIAGNOSTICS = {"trace", "hermiticity_defect", "min_eigenvalue", "purity"}
 # every field of each kernel family and initial-state type
 FAMILY_KEYS = {
     "exponential": {"family", "gamma", "tau_c"},
@@ -107,12 +112,14 @@ def test_artifact_contract(tmp_path, scenario, extra, files, report_keys, trajec
     if trajectory is None:
         return
     name, params, observables = trajectory
-    for path in ("trajectory.json", "oracle_trajectory.json"):
+    for path, source in (("trajectory.json", "me"), ("oracle_trajectory.json", "oracle")):
         if path in files:
             traj = json.loads((out / path).read_text())
-            assert traj["scenario"] == name
+            assert set(traj) == TRAJ_FILE_KEYS
+            assert (traj["scenario"], traj["source"]) == (name, source)
             assert set(traj["params"]) == params
             assert set(traj["observables"]) == observables
+            assert set(traj["diagnostics"]) == DIAGNOSTICS | ({"norm"} if source == "oracle" else set())
 
 
 def test_moment_check_sees_a_diffusion_error(tmp_path):

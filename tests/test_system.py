@@ -202,7 +202,6 @@ NON_FINITE_CASES = {
     "fock_operators.m": (lambda x: fock_operators(4, m=x), "m"),
     "fock_operators.omega": (lambda x: fock_operators(4, omega=x), "omega"),
     "quadratic_hamiltonian.m": (lambda x: quadratic_hamiltonian(4, m=x), "m"),
-    "quadratic_hamiltonian.lam_mu": (lambda x: quadratic_hamiltonian(4, lam_mu=x), "lam_mu"),
     "make_exponential.gamma": (lambda x: make_exponential(x, 0.5), "gamma"),
     "make_exponential.tau_c": (lambda x: make_exponential(1.0, x), "tau_c"),
     "make_white_noise_approximant.strength": (lambda x: make_white_noise_approximant(x, 0.1), "strength"),
