@@ -50,7 +50,10 @@ coefficients of every row ``(dim, o, g (2 b + 1))`` with read-only
 overlapping windows of ``g`` interleaved operands
 ``(dim, g (2 b + 1), dim)`` (:class:`_BandProduct`, the diagonal storage
 of Saad, *Iterative Methods for Sparse Linear Systems*, section 3.4).  A right product ``B O`` is the same product on
-transposes, ``(O^T B^T)^T``.
+transposes, ``(O^T B^T)^T``.  The buffers, and every view of them that
+a stage reads or writes, are bound once per run, so a stage is two
+band products plus copies and adds into those views, and makes no
+temporary array.
 
 The closed master equation from a physical state is exactly
 Hermiticity preserving, and only such runs are taken: ``F``, ``H0``
@@ -111,9 +114,10 @@ interval, the interval's operator is built from the weights of its node
 row and of its slope row: ``[L_k | dL_k]`` on the reached sector, as one
 product of those weights with the superoperators of unit weights (built
 once per run), or its band coefficients, the two weight rows times the
-band rows of the constant operators (cut once per run).  Only the
-current interval's operator is kept, so the step loop only combines and
-multiplies matrices.  Both paths take a step in place
+band rows of the constant operators (cut once per run), which a stage
+combines as one product of ``[1, t - t_k]`` with ``[Op_k; dOp_k]``.
+Only the current interval's operator is kept, so the step loop only
+combines and multiplies matrices.  Both paths take a step in place
 (:meth:`_Stages.step`): a preallocated ``B = [y; k_1..k_4]`` holds the
 step's state and slopes, the input of each stage is its row of the
 classical tableau times the rows of ``B`` the step has written (``y``
@@ -309,10 +313,11 @@ class _BandProduct:
     a zero-padded buffer ``(dim + 2 b, g, dim)``, whose interleaved rows
     give window ``i``: rows ``i - b .. i + b`` of every matrix, a
     read-only view ``(g (2 b + 1), dim)`` holding all that row ``i`` of a
-    banded operator reaches.  A call with per-row band coefficients
+    banded operator reaches.  With per-row band coefficients ``coef``
     ``(dim, o, g (2 b + 1))`` -- entry ``[i, :, j g + k]`` multiplies row
-    ``i - b + j`` of matrix ``k`` -- returns row ``i`` of ``o`` sums of
-    operator products, ``(dim, o, dim)``, in one batched product.
+    ``i - b + j`` of matrix ``k`` -- the one batched product
+    ``coef @ windows`` gives row ``i`` of ``o`` sums of operator
+    products, ``(dim, o, dim)``.
     """
 
     def __init__(self, dim: int, b: int, g: int):
@@ -322,9 +327,6 @@ class _BandProduct:
         # with g = 0 (all operators zero) one empty window, broadcast
         self.windows = windows[:: max(g, 1)].transpose(0, 2, 1)
 
-    def __call__(self, coef: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return np.matmul(coef, self.windows, out=out)
-
 
 class _SandwichForm:
     """The generator of the module docstring over one set of operators.
@@ -332,11 +334,14 @@ class _SandwichForm:
     Built once per run: the distinct operators ``F``, their real parts
     ``R`` with ``F_a = sum_m C_am R_m``, the constant products that ``X``
     and ``Y`` combine, the half-bandwidth ``band`` of every constant
-    operator, their band rows and the buffers of the band stage.
+    operator, their band rows and the buffers of the band stage, with
+    every view of them that a stage reads or writes.
     :meth:`weights` maps coefficient arrays with a leading stage axis to
     the weight rows of each stage, :meth:`banded` weight rows to the band
     coefficients of the stages, and calling the form with ``M`` and the
-    band coefficients of a stage evaluates ``dM/dt``.  :meth:`reached`
+    band coefficients of a stage evaluates ``dM/dt`` through those bound
+    views: copies, two band products and two adds, with no temporary
+    array.  :meth:`reached`
     finds the sector of ``vec(M)`` that a state reaches and
     :meth:`superoperators` gives the superoperators of unit weights on
     it.  ``shifts`` says whether ``H_eff`` carries ``p^2`` and ``{q,p}``
@@ -409,8 +414,17 @@ class _SandwichForm:
         self._RT = _band(R.transpose(0, 2, 1), b).transpose(1, 2, 0).reshape(dim, 1, (2 * b + 1) * N)
         self._MMt = _BandProduct(dim, b, 2)
         self._Yhat = _BandProduct(dim, b, N)
-        self._T = np.empty((N + 2, dim, dim))  # Q, Q', Yhat_1..Yhat_N
-        self._S = np.empty((dim, 1, dim))
+        T = self._T = np.empty((N + 2, dim, dim))  # Q, Q', Yhat_1..Yhat_N
+        S = self._S = np.empty((dim, 1, dim))
+        # every view the band stage reads or writes, bound once: the
+        # interleaved M and M^T rows of the window buffer, T by row of M
+        # (the first product's output), the Yhat rows' source in T, S's
+        # one row (sum_n Yhat_n R_n)^T and its transpose, Q and Q'
+        self._M, self._Mt = self._MMt.rows[:, 0], self._MMt.rows[:, 1]
+        self._T_rows = T.transpose(1, 0, 2)
+        self._Yhat_src = T[2:].transpose(2, 0, 1)
+        self._S0, self._S0T = S[:, 0], S[:, 0].T
+        self._Q, self._Qt = T[0], T[1]
 
     @classmethod
     def of_run(cls, coeffs: MECoefficients, ops: dict, dim: int) -> "_SandwichForm":
@@ -537,16 +551,21 @@ class _SandwichForm:
     def __call__(self, M: np.ndarray, coef: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``dM/dt``, the real representation of ``drho/dt``, at the real
         ``M = Re rho + Im rho`` under the stage with band coefficients
-        ``coef`` (:meth:`banded`); written into ``out`` when given."""
-        self._MMt.rows[:, 0] = M
-        self._MMt.rows[:, 1] = M.T
+        ``coef`` (:meth:`banded`); written into ``out`` when given.  Every
+        buffer view it reads or writes is bound in the constructor."""
+        np.copyto(self._M, M)
+        np.copyto(self._Mt, M.T)
         # [Q; Q'; Yhat_n]: Re + Im of [X rho; iX rho; Ahat_n rho]
-        T = self._T
-        self._MMt(coef, out=T.transpose(1, 0, 2))
-        self._Yhat.rows[...] = T[2:].transpose(2, 0, 1)
-        S = self._Yhat(self._RT, out=self._S)[:, 0]  # (sum_n Yhat_n R_n)^T
-        S += T[1]
-        return np.add(T[0], S.T, out=out)  # Q + Q'^T + sum_n Yhat_n R_n
+        np.matmul(coef, self._MMt.windows, out=self._T_rows)
+        np.copyto(self._Yhat.rows, self._Yhat_src)
+        np.matmul(self._RT, self._Yhat.windows, out=self._S)  # (sum_n Yhat_n R_n)^T
+        self._S0 += self._Qt
+        # Q + Q'^T + sum_n Yhat_n R_n; the transpose is copied on its own,
+        # as an add that reads it buffers a dim^2 temporary
+        out = np.empty_like(self._Q) if out is None else out
+        np.copyto(out, self._S0T)
+        out += self._Q
+        return out
 
 
 class _Stages:
@@ -577,10 +596,13 @@ class _Stages:
       built once per run), put at their positions.  A stage is its
       product with ``[y; (t - t_k) y]``;
     - otherwise ``idx`` is every entry; the operator is the band
-      coefficients of the two rows (:meth:`_SandwichForm.banded`),
-      combined into ``Op_k + (t - t_k) dOp_k`` once per stage (the ``k2``
-      and ``k3`` of a step share one), and a stage is one call of the
-      form on ``M``.
+      coefficients of the two rows (:meth:`_SandwichForm.banded`), kept
+      flat as ``[Op_k; dOp_k]`` and combined into
+      ``Op_k + (t - t_k) dOp_k`` once per stage (the ``k2`` and ``k3`` of
+      a step share one) by one product with ``[1, t - t_k]`` into a
+      buffer of the interval, and a stage is one call of the form on ``M``;
+      the stage input and the slope rows of ``B`` are viewed as ``M``
+      once, when the stages are built.
 
     Both paths take a step in place with the classical tableau
     (:meth:`step`), for the step ``h`` the stages were built for.
@@ -623,6 +645,13 @@ class _Stages:
         # of the tableau times the rows of B written so far, into the next
         # stage's input or, after stage 4, a new array
         self._tableau = [(B[s], tab[s - 1, : s + 1], B[: s + 1], self._u if s < 4 else None) for s in range(1, 5)]
+        if not self._small:
+            # u and the slope rows of B as M-shaped views, and the row
+            # [1, t - t_k] that combines an interval's band coefficients
+            dim = form.dim
+            self._U = self._u.reshape(dim, dim)
+            self._slopes = [B[s].reshape(dim, dim) for s in range(1, 5)]
+            self._t = np.ones(2)
         self._w_node, self._w_slope = w[: G - 1], w[G:-1] - w[-1]
         self._key = self._stage = None  # interval built, stage combined
 
@@ -641,18 +670,22 @@ class _Stages:
         if self._small:
             self._op.reshape(-1)[self._at] = (w @ self._units).reshape(-1)
         else:
-            self._op = self.form.banded(w)
-            self._c = np.empty_like(self._op[0])
+            # [Op_k; dOp_k] flat, and the combined coefficients of a stage as
+            # the form takes them and flat
+            op = self.form.banded(w)
+            self._op, self._coef = op.reshape(2, -1), np.empty_like(op[0])
+            self._c = self._coef.reshape(-1)
         self._key, self._stage = k, None
 
     def _band_stage(self, stage: tuple) -> np.ndarray:
         """The band coefficients ``Op_k + (t - t_k) dOp_k`` of ``stage``
-        on the current interval, combined once for a run of calls."""
+        on the current interval, ``[1, t - t_k]`` times ``[Op_k; dOp_k]``
+        in one product, combined once for a run of calls."""
         if stage != self._stage:
-            np.multiply(self._op[1], stage[1], out=self._c)
-            self._c += self._op[0]
+            self._t[1] = stage[1]
+            np.dot(self._t, self._op, out=self._c)
             self._stage = stage
-        return self._c
+        return self._coef
 
     def step(self, y: np.ndarray, c0: tuple, c_mid: tuple, c1: tuple) -> np.ndarray:
         """One classical RK4 step of ``y`` over the stages ``c0``, ``c_mid``,
@@ -665,16 +698,20 @@ class _Stages:
         u, ut = self._u, self._ut
         self._B[0] = y
         np.copyto(u, y)
-        for stage, (slope, row, done, out) in zip((c0, c_mid, c_mid, c1), self._tableau):
-            k, dt = stage
-            if k != self._key:
-                self._load(k)
-            if self._small:
+        stages = (c0, c_mid, c_mid, c1)
+        if self._small:
+            for (k, dt), (slope, row, done, out) in zip(stages, self._tableau):
+                if k != self._key:
+                    self._load(k)
                 np.multiply(u, dt, out=ut)
                 np.dot(self._op, self._x, out=slope)
-            else:
-                dim = self.form.dim
-                self.form(u.reshape(dim, dim), self._band_stage(stage), out=slope.reshape(dim, dim))
+                y_next = np.dot(row, done, out=out)
+            return y_next
+        form, U = self.form, self._U
+        for stage, slope, (_, row, done, out) in zip(stages, self._slopes, self._tableau):
+            if stage[0] != self._key:
+                self._load(stage[0])
+            form(U, self._band_stage(stage), out=slope)
             y_next = np.dot(row, done, out=out)
         return y_next
 

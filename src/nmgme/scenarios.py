@@ -268,10 +268,15 @@ class RunConfig:
             raise ConfigError("system", f"qmupl needs omega > lam * mu (a real shifted frequency), got lam * mu = {lam_mu!r}")
         # every scenario but coeffs builds the model's system, a Fock
         # Hamiltonian on every model but dephasing; it and the qmupl flow
-        # square omega as a float, which raises where the square overflows
+        # square omega as a float, which raises where the square overflows,
+        # and scale the square by m
         squares_omega = model == "qmupl" or (self.scenario != "coeffs" and model != "dephasing")
-        if squares_omega and not math.isfinite(float(system["omega"]) * system["omega"]):
-            raise ConfigError("system.omega", f"omega^2 overflows, got omega = {system['omega']!r}")
+        if squares_omega:
+            omega_sq = float(system["omega"]) * system["omega"]
+            if not math.isfinite(omega_sq):
+                raise ConfigError("system.omega", f"omega^2 overflows, got omega = {system['omega']!r}")
+            if not math.isfinite(system["m"] * omega_sq):
+                raise ConfigError("system", f"m * omega^2 overflows, got m = {system['m']!r}, omega = {system['omega']!r}")
         if self.scenario == "oracle-check" and kernel["family"] != "discrete_modes":
             raise ConfigError("kernel.family", "oracle-check needs a discrete_modes kernel")
         if kernel["family"] == "discrete_modes":

@@ -110,6 +110,7 @@ SWEEP = {"eps_values": [0.1, 0.05], "strength": 1.0, "t_eval": 1.0, "n_points": 
 FOCK_RUN = {"system": {"lam": 1.0}, "propagation": {"h": 0.002, "n_samples": 11}}
 #: A Fock run from the ground state
 BASIS_RUN = {"propagation": {"h": 0.002, "n_samples": 11, "initial_state": {"type": "basis", "index": 0}}}
+BASIS_DIM8 = {"propagation": {**BASIS_RUN["propagation"], "fock_dim": 8}}
 
 
 def test_invalid_config_exit_2(tmp_path, capsys):
@@ -232,6 +233,12 @@ def test_invalid_config_exit_2(tmp_path, capsys):
         ("joos-zeh", "system", None, {"lam": 1.0, "omega": 1.0e200}, "system.omega", BASIS_RUN),
         ("oracle-check", "system", "omega", 1.0e200, "system.omega", {**BASIS_RUN, "model": "hpz", "kernel": MODES}),
         ("coeffs", "system", "omega", 1.0e200, "system.omega", {"model": "qmupl"}),
+        # a finite omega^2 whose product with m overflows: the Fock
+        # Hamiltonian's 0.5 m omega^2 and the qmupl flow's m omega^2
+        ("hpz", "system", None, {"m": 1.0e200, "omega": 1.0e100}, "system", BASIS_DIM8),
+        ("qmupl", "system", None, {"m": 1.0e200, "omega": 1.0e100, "lam": 0.1, "mu": 0.3}, "system", BASIS_DIM8),
+        ("coeffs", "system", None, {"m": 1.0e200, "omega": 1.0e100, "lam": 0.1, "mu": 0.3}, "system",
+         {"model": "qmupl"}),
     ]
     for scenario, block, key, value, field_path, *extra in cases:
         cfg = base_dephasing(tmp_path)
@@ -421,6 +428,20 @@ def test_runtime_abort_exit_3(tmp_path, capsys):
     err = json.loads(captured.err)
     assert err["error"] == "runtime_abort"
     assert "truncation" in err["message"]
+
+
+def test_finite_m_omega_squared_that_blows_up_the_steps_exit_3(tmp_path, capsys):
+    # m omega^2 = 1e100 passes the config check: the run itself aborts,
+    # after its output directory is made, as its first RK4 step overflows
+    cfg = {**base_dephasing(tmp_path), "system": {"m": 1.0e-200, "omega": 1.0e150}, **BASIS_DIM8}
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["hpz", "--config", write_config(tmp_path, cfg)])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "runtime_abort"
+    assert err["message"].startswith("state became non-finite")
+    assert err["last_valid_time"] == 0.0
+    assert (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("scenario", ["hpz", "qmupl", "joos-zeh"])

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1135,6 +1136,65 @@ def test_step_reads_only_the_rows_it_wrote(monkeypatch, case):
     got = stages.step(y, c0, c_mid, c1)
     assert np.isfinite(got).all()
     assert np.array_equal(got, fresh.step(y, c0, c_mid, c1))
+
+
+@pytest.mark.parametrize("case", ["hpz-band", "qmupl-dim40"])
+def test_band_stage_rewrites_its_bound_buffers_before_reading_them(monkeypatch, case):
+    # the band stage's buffers are bound once per run: NaN in T, S and the
+    # interiors of both window buffers never reaches a step, and the zero
+    # pad rows of the windows are never written
+    h = 1e-3
+    coeffs, stages = _step_stages(monkeypatch, case, h)
+    fresh = _step_stages(monkeypatch, case, h)[1]
+    form = stages.form
+    for buf in (form._T, form._S, form._MMt.rows, form._Yhat.rows):
+        buf[...] = np.nan
+    interp = CoefficientInterpolator(coeffs)
+    y = stages.state(np.random.default_rng(47).normal(size=(form.dim,) * 2))
+    for t in (0.0, h, 2 * h):
+        c0, c_mid, c1 = zip(*interp.intervals([t, t + 0.5 * h, t + h]))
+        got = stages.step(y, c0, c_mid, c1)
+        assert np.array_equal(got, fresh.step(y, c0, c_mid, c1))
+        y = got
+    b = form.band
+    for product in (form._MMt, form._Yhat):
+        buf = product.rows.base
+        assert buf.shape == (form.dim + 2 * b,) + product.rows.shape[1:]
+        assert not buf[:b].any() and not buf[form.dim + b :].any()
+
+
+@pytest.mark.parametrize("case", BAND_CASES)
+def test_band_stage_combines_the_interval_operator_to_rounding(monkeypatch, case):
+    # Op_k + (t - t_k) dOp_k, one product of [1, t - t_k] with
+    # [Op_k; dOp_k], against the multiply-then-add it replaced: within one
+    # rounding of the terms, however the product fuses them
+    coeffs, stages = _step_stages(monkeypatch, case, 1e-3)
+    for k, dt in ((0, 0.0), (0, 7e-3), (2, 0.031)):
+        stages._load(k)
+        got = stages._band_stage((k, dt)).reshape(-1)
+        op, eps = stages._op, np.finfo(float).eps
+        assert np.all(np.abs(got - (op[1] * dt + op[0])) <= eps * (np.abs(op[0]) + np.abs(dt * op[1])))
+
+
+def test_band_steps_allocate_only_their_result(monkeypatch):
+    # a band step writes every stage into buffers bound once per run: 50
+    # steps at dim 40 peak at two dim^2 float64 arrays, the y a step
+    # returns and the one it steps from, plus at most 1 KiB of array
+    # headers and iterator state; a stage temporary of dim^2 exceeds it
+    h = 5e-4  # 50 steps inside the first grid interval, loaded below
+    coeffs, stages = _step_stages(monkeypatch, "qmupl-dim40", h)
+    k, dt = CoefficientInterpolator(coeffs).intervals(h * (np.arange(50)[:, None] + [0.0, 0.5, 1.0]).ravel())
+    assert not k.any()
+    steps = [tuple(zip(k[i : i + 3].tolist(), dt[i : i + 3].tolist())) for i in range(0, 150, 3)]
+    y = stages.step(stages.state(np.eye(40) / 40), *steps[0])
+    tracemalloc.start()
+    try:
+        for step in steps:
+            y = stages.step(y, *step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 40 * 40 * 8 + 1024, peak
 
 
 @pytest.mark.parametrize("case", EVOLVE_CASES)
