@@ -78,7 +78,9 @@ def _with_overrides(raw, args) -> dict:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with open(args.config) as fh:
+        # read as bytes, so that PyYAML detects the encoding (UTF-8, or
+        # UTF-16 with its BOM) and reports a file it cannot decode
+        with open(args.config, "rb") as fh:
             raw = yaml.safe_load(fh)
     except (OSError, yaml.YAMLError) as exc:
         return _fail(2, "config_unreadable", {"path": args.config, "message": str(exc)})
@@ -91,7 +93,7 @@ def main(argv=None) -> int:
 
     try:
         report = run(cfg)
-    except ConfigError as exc:  # an output directory that cannot be made
+    except ConfigError as exc:  # an output directory that cannot be made or written
         return _fail(2, "invalid_config", {"field": exc.field_path, "message": str(exc)})
     except EvolutionError as exc:
         return _fail(

@@ -46,14 +46,21 @@ from the operators, and a dense set (``b = dim - 1``) runs the same
 code.  Row ``i`` of ``sum_o c_o O_o B`` only reaches rows
 ``i - b .. i + b`` of ``B``: the rows of the right operands are kept in
 a zero-padded buffer, and one batched product multiplies the band
-coefficients of every row ``(dim, o, g (2 b + 1))`` with read-only
-overlapping windows of ``g`` interleaved operands
-``(dim, g (2 b + 1), dim)`` (:class:`_BandProduct`, the diagonal storage
-of Saad, *Iterative Methods for Sparse Linear Systems*, section 3.4).  A right product ``B O`` is the same product on
-transposes, ``(O^T B^T)^T``.  The buffers, and every view of them that
-a stage reads or writes, are bound once per run, so a stage is two
-band products plus copies and adds into those views, and makes no
-temporary array.
+coefficients of every block of ``r`` consecutive rows
+``(dim / r, o, g (2 b + r))`` with read-only overlapping windows of
+``g`` interleaved operands ``(dim / r, g (2 b + r), dim)``, the rows
+``i - b .. i + r - 1 + b`` that the block's rows ``i .. i + r - 1``
+reach (:class:`_BandProduct`, the diagonal storage of Saad, *Iterative
+Methods for Sparse Linear Systems*, section 3.4).  A right product
+``B O`` is the same product on transposes, ``(O^T B^T)^T``.  The first
+product of a stage takes one row a block; the second, whose cores hold
+fewer coefficients, takes blocks of ``_ROWS`` rows, as a matrix-product
+kernel reaches its rate only on blocks of several rows (Goto & van de
+Geijn, ACM TOMS 34, 12 (2008)), with its rows padded by zero rows to a
+whole number of blocks at every dimension.  The buffers, and every view
+of them that a stage reads or writes, are bound once per run, so a
+stage is two band products plus copies and adds into those views, and
+makes no temporary array.
 
 The closed master equation from a physical state is exactly
 Hermiticity preserving, and only such runs are taken: ``F``, ``H0``
@@ -160,6 +167,16 @@ __all__ = [
 
 # RK4 steps whose stage times are handled together
 _BLOCK_STEPS = 32
+# the output rows of one core of the band stage's second product, the
+# R_n^T over the rows of the Yhat_n^T (_BandProduct): a matrix-product
+# kernel reaches its rate only on blocks of several rows.  At dim 40
+# (qmupl, N = 2, half-bandwidth 2; timeit, least of 7 x 5000 calls,
+# 1 BLAS thread, 2-8 processes each) the product took 4.3-4.7 us on
+# cores of one row, 2.7-4.4 on 2 rows, 3.3-4.9 on 3, 2.5-2.9 on 4,
+# 2.8-3.0 on 5, 2.7-3.0 on 6 and 4.5-4.7 on 8, and a band step 88-94 us
+# on one row against 82-85 on 4; at dims 10-20 the product went
+# 1.5-2.4 -> 1.3-1.9 us
+_ROWS = 4
 # the most entries of vec(M) that a run may reach and still take each
 # stage as one product with the real superoperator of its reached sector
 # (_Stages) instead of the two band products: the superoperator's cost
@@ -167,22 +184,25 @@ _BLOCK_STEPS = 32
 # an hpz Fock run (half-bandwidth 2; _Stages.step on each path) and the
 # build of one interval's operator, which a run at h = 1e-3 on a grid of
 # spacing 1/32 shares among 31 steps, in us (Xeon, 2 cores with 2 MiB of
-# L2 each, 1 BLAS thread, least of 4 runs of best of 15, two such sweeps):
+# L2 each, 1 BLAS thread, least of 4 runs of best of 15; the least of
+# three such sweeps, each in a fresh process):
 #   dim                 2   10   12   13   14   15   16   17   18   19   20
 #   every entry: r      4  100  144  169  196  225  256  289  324  361  400
-#     sector step       8   18   22   34   35   49   56   85  107  175  275
-#     its build         5   20   28   33   38   43   50   60   69   82   94
+#     sector step       9   18   32   36   39   55   57   88  113  183  287
+#     its build         5   22   32   37   43   47   56   64   75   91  106
 #   vacuum sector: r    2   50   72   85   98  113  128  145  162  181  200
-#     sector step       8   10   12   15   18   20   26   27   27   38   36
-#     its build         5   13   17   19   21   24   28   31   34   38   42
-#   band step          36   42   46   47   47   50   49   52   53   55   55
-#     its build        25   25   26   26   26   28   27   28   27   28   28
+#     sector step       9   12   13   17   19   21   26   27   28   38   48
+#     its build         5   14   19   21   23   27   30   32   36   40   44
+#   band step          29   35   37   37   37   39   38   41   41   43   43
+#     its build        28   29   29   30   29   30   30   29   29   29   29
 # A step reads the (r, 2 r) operator [L_k | dL_k], 16 r^2 bytes, once per
-# stage, and its time is not smooth in r: at r = 196 it read 35 us in both
-# sweeps but 47-50 us in five runs of dims 14-16 alone (band: 48 us).  From
-# every entry it ties the band at 225 and falls behind from 256; a vacuum
-# sector still wins at 200, where the band's dimension is larger.  169 =
-# 13^2 is the largest square on the superoperator's side in every run.
+# stage, and its time is not smooth in r and moves between sweeps: at
+# r = 169 the three read 37, 44 and 36 us against the band's 40, 40 and
+# 37.  From every entry the sector step ties the band at 169 and falls
+# behind from 196; a vacuum sector, whose band has the larger
+# dimension, still wins at 181 and falls behind at 200.  169 = 13^2, the
+# crossover of two sweeps of three (the third puts it at 144), stays
+# until sweeps agree on another.
 _SUPEROPERATOR_ENTRIES = 169
 # the truncation guard's bound on the population of the top two Fock levels
 TRUNCATION_LIMIT = 1e-6
@@ -295,37 +315,45 @@ class CoefficientInterpolator:
         return {name: v if name == "lam_mu" else v[0] for name, v in c.items()}
 
 
-def _band(x: np.ndarray, b: int) -> np.ndarray:
-    """Band rows of stacked matrices ``(..., dim, dim)``: entry
-    ``[..., i, j]`` is ``x[..., i, i - b + j]``, zero outside the matrix;
-    shape ``(..., dim, 2 b + 1)``."""
+def _band(x: np.ndarray, b: int, rows: int = 1) -> np.ndarray:
+    """Band rows of stacked matrices ``(..., dim, dim)`` over blocks of
+    ``rows`` rows: entry ``[..., i, j]`` is ``x[..., i, i0 - b + j]``, with
+    ``i0`` the first row of the block of ``i``, zero outside the matrix;
+    the rows padded with zeros to a whole number of blocks, shape
+    ``(..., pad, 2 b + rows)``.  One row a block is the plain band,
+    ``x[..., i, i - b + j]``."""
     dim = x.shape[-1]
-    pad = np.zeros(x.shape[:-1] + (dim + 2 * b,), dtype=x.dtype)
-    pad[..., b : b + dim] = x
-    i = np.arange(dim)[:, None]
-    return pad[..., i, i + np.arange(2 * b + 1)]
+    pad = -(-dim // rows) * rows
+    padded = np.zeros(x.shape[:-2] + (pad, pad + 2 * b), dtype=x.dtype)
+    padded[..., :dim, b : b + dim] = x
+    i = np.arange(pad)[:, None]
+    return padded[..., i, i - i % rows + np.arange(2 * b + rows)]
 
 
 class _BandProduct:
-    """Products of operators of half-bandwidth ``b`` with ``g`` real matrices.
+    """Products of operators of half-bandwidth ``b`` with ``g`` real
+    matrices, on blocks of ``rows`` output rows.
 
     ``rows[l, k]`` takes row ``l`` of matrix ``k``.  It is the interior of
-    a zero-padded buffer ``(dim + 2 b, g, dim)``, whose interleaved rows
-    give window ``i``: rows ``i - b .. i + b`` of every matrix, a
-    read-only view ``(g (2 b + 1), dim)`` holding all that row ``i`` of a
-    banded operator reaches.  With per-row band coefficients ``coef``
-    ``(dim, o, g (2 b + 1))`` -- entry ``[i, :, j g + k]`` multiplies row
-    ``i - b + j`` of matrix ``k`` -- the one batched product
-    ``coef @ windows`` gives row ``i`` of ``o`` sums of operator
-    products, ``(dim, o, dim)``.
+    a zero-padded buffer ``(pad + 2 b, g, dim)``, ``pad`` the row count
+    rounded up to a whole number of blocks, whose interleaved rows give
+    window ``G``: rows ``G rows - b .. G rows + rows - 1 + b`` of every
+    matrix, a read-only view ``(g (2 b + rows), dim)`` holding all that
+    the rows of block ``G`` of a banded operator reach.  With band
+    coefficients ``coef`` ``(pad / rows, o, g (2 b + rows))`` -- entry
+    ``[G, :, j g + k]`` multiplies row ``G rows - b + j`` of matrix
+    ``k`` -- the one batched product ``coef @ windows`` gives block ``G``
+    of ``o`` sums of operator products, ``(pad / rows, o, dim)``; the pad
+    rows beyond ``dim`` are never written, and stay 0.
     """
 
-    def __init__(self, dim: int, b: int, g: int):
-        buf = np.zeros((dim + 2 * b, g, dim))
+    def __init__(self, dim: int, b: int, g: int, rows: int = 1):
+        pad = -(-dim // rows) * rows
+        buf = np.zeros((pad + 2 * b, g, dim))
         self.rows = buf[b : b + dim]
-        windows = sliding_window_view(buf.reshape(-1, dim), g * (2 * b + 1), axis=0)
+        windows = sliding_window_view(buf.reshape(-1, dim), g * (2 * b + rows), axis=0)
         # with g = 0 (all operators zero) one empty window, broadcast
-        self.windows = windows[:: max(g, 1)].transpose(0, 2, 1)
+        self.windows = windows[:: max(g * rows, 1)].transpose(0, 2, 1)
 
 
 class _SandwichForm:
@@ -341,7 +369,12 @@ class _SandwichForm:
     coefficients of the stages, and calling the form with ``M`` and the
     band coefficients of a stage evaluates ``dM/dt`` through those bound
     views: copies, two band products and two adds, with no temporary
-    array.  :meth:`reached`
+    array.  The second product, the ``R_n^T`` over the rows of the
+    ``Yhat_n^T``, takes blocks of ``_ROWS`` output rows: its coefficients
+    ``(blocks, _ROWS, (2 b + _ROWS) N)`` are cut once per run, zero where
+    a row's band does not reach, and its output ``S`` and window buffer
+    hold zero pad rows beyond ``dim`` that never reach ``dM/dt``.
+    :meth:`reached`
     finds the sector of ``vec(M)`` that a state reaches and
     :meth:`superoperators` gives the superoperators of unit weights on
     it.  ``shifts`` says whether ``H_eff`` carries ``p^2`` and ``{q,p}``
@@ -410,20 +443,24 @@ class _SandwichForm:
         # (the band stage reads no Y, as Y = X^dag)
         self._Xband = _band(products[: self.n_x], b)
         self._Aband = (self.C[:, None, :, None, None] * _band(F, b)[None, :, None]).reshape(n * n, N, dim, 2 * b + 1)
-        # the band stage: the R_n^T over the rows of the Yhat_n^T
-        self._RT = _band(R.transpose(0, 2, 1), b).transpose(1, 2, 0).reshape(dim, 1, (2 * b + 1) * N)
+        # the band stage: the R_n^T over the rows of the Yhat_n^T, on
+        # blocks of _ROWS rows padded with zero rows
+        RT = _band(R.transpose(0, 2, 1), b, _ROWS).transpose(1, 2, 0)
+        self._RT = RT.reshape(len(RT) // _ROWS, _ROWS, (2 * b + _ROWS) * N)
         self._MMt = _BandProduct(dim, b, 2)
-        self._Yhat = _BandProduct(dim, b, N)
+        self._Yhat = _BandProduct(dim, b, N, _ROWS)
         T = self._T = np.empty((N + 2, dim, dim))  # Q, Q', Yhat_1..Yhat_N
-        S = self._S = np.empty((dim, 1, dim))
+        S = self._S = np.empty((len(self._RT), _ROWS, dim))
         # every view the band stage reads or writes, bound once: the
         # interleaved M and M^T rows of the window buffer, T by row of M
-        # (the first product's output), the Yhat rows' source in T, S's
-        # one row (sum_n Yhat_n R_n)^T and its transpose, Q and Q'
+        # (the first product's output), the Yhat rows' source in T, the
+        # rows of S within dim, (sum_n Yhat_n R_n)^T, and their
+        # transpose, Q and Q'
         self._M, self._Mt = self._MMt.rows[:, 0], self._MMt.rows[:, 1]
         self._T_rows = T.transpose(1, 0, 2)
         self._Yhat_src = T[2:].transpose(2, 0, 1)
-        self._S0, self._S0T = S[:, 0], S[:, 0].T
+        self._S0 = S.reshape(-1, dim)[:dim]
+        self._S0T = self._S0.T
         self._Q, self._Qt = T[0], T[1]
 
     @classmethod

@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -546,6 +547,18 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
+@contextmanager
+def _artifact(outdir: Path, name: str):
+    """The path of artifact ``name`` in ``outdir``; an ``OSError`` while
+    it is written is a ``ConfigError`` at ``output_dir`` naming the file,
+    as for a directory that cannot be made."""
+    path = outdir / name
+    try:
+        yield path
+    except OSError as exc:
+        raise ConfigError("output_dir", f"cannot write {str(path)!r}: {exc.strerror}") from exc
+
+
 def _trajectory_json(traj: Trajectory, scenario: str, source: str, params: dict, dump_rho: bool = False) -> dict:
     """The payload of ``trajectory.json`` (``source`` ``"me"``) or
     ``oracle_trajectory.json`` (``"oracle"``): the run's labels -- the
@@ -613,15 +626,20 @@ def run(cfg: RunConfig) -> dict:
         entries, traj_or = _oracle_comparison(cfg, ops, psi0, grid, traj)
         report.update(entries)
 
-    write_coefficients_csv(coeffs, outdir / "coefficients.csv")
+    with _artifact(outdir, "coefficients.csv") as path:
+        write_coefficients_csv(coeffs, path)
     if traj is not None:
-        _write_json(outdir / "trajectory.json", _trajectory_json(traj, model, "me", params, cfg.dump_rho))
+        with _artifact(outdir, "trajectory.json") as path:
+            _write_json(path, _trajectory_json(traj, model, "me", params, cfg.dump_rho))
     if traj_or is not None:
-        _write_json(outdir / "oracle_trajectory.json", _trajectory_json(traj_or, model, "oracle", {}, cfg.dump_rho))
+        with _artifact(outdir, "oracle_trajectory.json") as path:
+            _write_json(path, _trajectory_json(traj_or, model, "oracle", {}, cfg.dump_rho))
     if with_series and tables is not None:
-        dump_convergence_csv(tables, outdir / "series_convergence.csv")
+        with _artifact(outdir, "series_convergence.csv") as path:
+            dump_convergence_csv(tables, path)
     report["config"] = asdict(cfg)
-    _write_json(outdir / "report.json", report)
+    with _artifact(outdir, "report.json") as path:
+        _write_json(path, report)
     return report
 
 

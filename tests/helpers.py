@@ -5,6 +5,7 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import eigh, expm
 
 from nmgme.bath import CorrelationKernel
@@ -686,3 +687,37 @@ def stage_rhs(stages, y: np.ndarray, stage: tuple) -> np.ndarray:
         return stages._op @ np.concatenate([y, y * dt])
     form = stages.form
     return form(y.reshape(form.dim, -1), stages._band_stage(stage)).reshape(y.shape)
+
+
+def real_parts(F: np.ndarray) -> np.ndarray:
+    """The distinct nonzero real and imaginary parts ``R_m`` of the
+    operators ``F``, ``(N, dim, dim)``, in the order in which
+    :class:`nmgme.propagate._SandwichForm` takes them."""
+    R = []
+    for f in F:
+        for part in (f.real, f.imag):
+            if part.any() and not any(np.array_equal(r, part) for r in R):
+                R.append(part)
+    return np.array(R, dtype=float).reshape(-1, F.shape[-1], F.shape[-1])
+
+
+def one_row_stage(M: np.ndarray, coef: np.ndarray, R: np.ndarray, b: int) -> np.ndarray:
+    """The former band stage, whose second product took one output row a
+    core: ``dM/dt = Q + Q'^T + sum_n Yhat_n R_n`` at the real ``M`` under
+    the band coefficients ``coef`` ``(dim, N + 2, 2 (2 b + 1))`` of
+    ``[X; iX; Ahat_1..Ahat_N]`` over the real parts ``R`` of half-bandwidth
+    ``b``.  Both products take row ``i`` from the window of rows
+    ``i - b .. i + b`` of a zero-padded buffer, interleaved over its
+    matrices; the reference for :meth:`nmgme.propagate._SandwichForm.__call__`."""
+
+    def band_product(rows_coef, mats):
+        g, dim = len(mats), len(M)
+        buf = np.zeros((dim + 2 * b, g, dim))
+        buf[b : b + dim] = mats.transpose(1, 0, 2)
+        windows = sliding_window_view(buf.reshape(-1, dim), g * (2 * b + 1), axis=0)[:: max(g, 1)]
+        return rows_coef @ windows.transpose(0, 2, 1)
+
+    T = band_product(coef, np.stack([M, M.T])).transpose(1, 0, 2)  # Q, Q', Yhat_1..Yhat_N
+    RT = _band(R.transpose(0, 2, 1), b).transpose(1, 2, 0).reshape(len(M), 1, -1)
+    S = band_product(RT, T[2:].transpose(0, 2, 1))[:, 0]  # (sum_n Yhat_n R_n)^T
+    return (S + T[1]).T + T[0]

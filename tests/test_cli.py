@@ -386,6 +386,19 @@ def test_unusable_output_dir_exit_2(tmp_path, capsys, out):
     assert (tmp_path / "taken").read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("name", ["coefficients.csv", "report.json"])
+def test_unwritable_artifact_exit_2(tmp_path, capsys, name):
+    # an artifact path taken by a directory fails the write after the
+    # whole computation: the output directory's error, naming the file
+    (tmp_path / "out" / name).mkdir(parents=True)
+    cfg = {**base_dephasing(tmp_path), "model": "dephasing"}
+    rc = main(["coeffs", "--config", write_config(tmp_path, cfg)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["field"]) == ("invalid_config", "output_dir")
+    assert repr(str(tmp_path / "out" / name)) in err["message"]
+
+
 def test_memory_error_exit_3(tmp_path, monkeypatch, capsys):
     # a grid too large to allocate ends the run as a runtime abort
     def exhausted(cfg):
@@ -547,6 +560,28 @@ def test_missing_config_exit_2(tmp_path, capsys):
     rc = main(["dephasing", "--config", str(tmp_path / "nope.yaml")])
     assert rc == 2
     assert json.loads(capsys.readouterr().err)["error"] == "config_unreadable"
+
+
+def test_config_that_is_not_utf8_exit_2(tmp_path, capsys):
+    # a Latin-1 e-acute in a comment cannot be decoded as UTF-8
+    path = tmp_path / "bad.yaml"
+    text = yaml.safe_dump({**base_dephasing(tmp_path), "model": "dephasing"})
+    path.write_bytes("# r\u00e9sum\u00e9\n".encode("latin-1") + text.encode())
+    rc = main(["coeffs", "--config", str(path)])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["path"]) == ("config_unreadable", str(path))
+    assert not (tmp_path / "out").exists()
+
+
+def test_utf16_config_with_bom_runs(tmp_path):
+    # PyYAML reads the encoding of a UTF-16 file from its byte-order mark
+    path = tmp_path / "run.yaml"
+    text = "# r\u00e9sum\u00e9\n" + yaml.safe_dump({**base_dephasing(tmp_path), "model": "dephasing"})
+    path.write_bytes(text.encode("utf-16"))
+    assert path.read_bytes()[:2] in (b"\xff\xfe", b"\xfe\xff")
+    assert main(["coeffs", "--config", str(path)]) == 0
+    assert json.loads((tmp_path / "out" / "report.json").read_text())["config"]["model"] == "dephasing"
 
 
 def test_oracle_check_report(tmp_path):

@@ -20,6 +20,7 @@ from nmgme.coefficients import (
 from nmgme.grids import make_grid, quad_weights
 from nmgme.propagate import (
     _BLOCK_STEPS,
+    _ROWS,
     CoefficientInterpolator,
     EvolutionError,
     GaussianMoments,
@@ -55,7 +56,9 @@ from helpers import (
     former_rho_dump,
     kossakowski_form,
     kossakowski_rhs,
+    one_row_stage,
     outer_commutator_rhs,
+    real_parts,
     reference_evolve,
     reference_evolve_moments,
     richardson_check,
@@ -1140,9 +1143,12 @@ def test_step_reads_only_the_rows_it_wrote(monkeypatch, case):
 
 @pytest.mark.parametrize("case", ["hpz-band", "qmupl-dim40"])
 def test_band_stage_rewrites_its_bound_buffers_before_reading_them(monkeypatch, case):
-    # the band stage's buffers are bound once per run: NaN in T, S and the
-    # interiors of both window buffers never reaches a step, and the zero
-    # pad rows of the windows are never written
+    # the band stage's buffers are bound once per run: NaN in T, in every
+    # row of S (its pad rows beyond dim included) and in the interiors of
+    # both window buffers never reaches a step; the zero pad rows of the
+    # windows, the second product's up to a whole number of _ROWS blocks
+    # (dim 10: 12 rows), are never written, and the pad rows of S come
+    # out 0
     h = 1e-3
     coeffs, stages = _step_stages(monkeypatch, case, h)
     fresh = _step_stages(monkeypatch, case, h)[1]
@@ -1156,11 +1162,51 @@ def test_band_stage_rewrites_its_bound_buffers_before_reading_them(monkeypatch, 
         got = stages.step(y, c0, c_mid, c1)
         assert np.array_equal(got, fresh.step(y, c0, c_mid, c1))
         y = got
-    b = form.band
-    for product in (form._MMt, form._Yhat):
+    b, dim = form.band, form.dim
+    pad = -(-dim // _ROWS) * _ROWS
+    assert pad == {"hpz-band": 12, "qmupl-dim40": 40}[case]
+    assert form._S.shape == (pad // _ROWS, _ROWS, dim)
+    assert not form._S.reshape(pad, dim)[dim:].any()
+    for product, rows in ((form._MMt, dim), (form._Yhat, pad)):
         buf = product.rows.base
-        assert buf.shape == (form.dim + 2 * b,) + product.rows.shape[1:]
-        assert not buf[:b].any() and not buf[form.dim + b :].any()
+        assert buf.shape == (rows + 2 * b,) + product.rows.shape[1:]
+        assert not buf[:b].any() and not buf[dim + b :].any()
+
+
+def _band_operators(kind: str, dim: int) -> tuple:
+    """The operators of a form of ``kind``, its half-bandwidth and the
+    count ``N`` of real parts: a zero channel (``N = 0``) beside the
+    oscillator, a diagonal channel and Hamiltonian (``b = 0``), the Fock
+    ``q``, ``p`` and oscillator (``b = 2``) and a dense Hermitian
+    channel and Hamiltonian (``b = dim - 1``)."""
+    f = fock_operators(dim)
+    if kind == "zero":
+        # the oscillator couples n to n +- 2, none of them at dim 2
+        return {"A": [np.zeros((dim, dim))], "H0": quadratic_hamiltonian(dim)}, 2 * (dim > 2), 0
+    if kind == "diagonal":
+        return {"A": [np.diag((-1.0) ** np.arange(dim))], "H0": np.diag(np.arange(dim, dtype=float))}, 0, 1
+    if kind == "fock":
+        return {"A": [f["q"]], "V": [f["p"]], "H0": quadratic_hamiltonian(dim), **f}, min(2, dim - 1), 2
+    x = np.random.default_rng(dim).normal(size=(3, dim, dim))
+    return {"A": [x[0] + x[0].T + 1j * (x[1] - x[1].T)], "H0": x[2] + x[2].T}, dim - 1, 2
+
+
+@pytest.mark.parametrize("dim", [*range(2, 21), 40])
+@pytest.mark.parametrize("kind", ["zero", "diagonal", "fock", "dense"])
+def test_blocked_band_stage_matches_the_one_row_product(kind, dim):
+    # the second product on blocks of _ROWS output rows, padded to a
+    # whole number of blocks where _ROWS does not divide dim, against the
+    # former product of one row a core, under arbitrary band coefficients
+    ops, b, N = _band_operators(kind, dim)
+    form = _SandwichForm(ops, dim, shifts=kind == "fock", pp=False)
+    R = real_parts(form._F)
+    assert (form.band, len(R)) == (b, N)
+    rng = np.random.default_rng(53 + dim)
+    coef = rng.normal(size=(dim, N + 2, 2 * (2 * b + 1)))
+    M = rng.normal(size=(dim, dim))
+    want = one_row_stage(M, coef, R, b)
+    got = form(M, coef)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("case", BAND_CASES)
